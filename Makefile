@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-allocs bench-logsplit bench-tenants bench-autotune tenants-smoke ci
+.PHONY: all build vet lint test race chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs bench-logsplit bench-tenants bench-autotune tenants-smoke ci
 
 all: build
 
@@ -28,12 +28,15 @@ lint:
 test: build vet lint
 	$(GO) test ./...
 
-# Race-detector pass over the concurrency-heavy packages.
+# Race-detector pass over the concurrency-heavy packages, then 100 rounds of
+# the split stale-read test: the tails-before-VDL publication order it guards
+# once broke as a one-in-four flake, which a single pass does not catch.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
 		./internal/netsim/ ./internal/metrics/ ./internal/quorum/ \
 		./internal/engine/ ./internal/control/
+	$(GO) test -race -count=100 -run TestSplitStaleReadConcurrent ./internal/volume/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write
 # success, and the retry / hedge / auto-repair machinery all engaged.
@@ -76,10 +79,16 @@ examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/pitr
 
-# Quick benchmark snapshot for this PR: the throughput tables most
-# sensitive to the commit pipeline, written as JSON for comparison.
+# The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
+# closed-loop workloads, ten end-to-end metrics, full report with the
+# environment header as JSON. Compare two reports with
+# `go run ./benchmark -compare A.json B.json`. bench-quick is the 3-second
+# try-out of the same suite.
 bench:
-	$(GO) run ./cmd/aurora-bench -quick -exp table1,table3 -json BENCH_9.json
+	$(GO) run ./benchmark -json BENCH_12.json
+
+bench-quick:
+	$(GO) run ./benchmark -quick
 
 # Zero-allocation log hot path guardrail: the encode/frame pins must stay at
 # exactly zero allocations and the full commit steady state under one

@@ -148,6 +148,46 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// newNetwork builds the simulated network for a latency profile.
+func newNetwork(p NetworkProfile) *netsim.Network {
+	if p == NetDatacenter {
+		return netsim.New(netsim.Datacenter())
+	}
+	return netsim.New(netsim.FastLocal())
+}
+
+// diskConfig selects the storage nodes' SSD latency model.
+func diskConfig(realistic bool) disk.Config {
+	if realistic {
+		return disk.NVMe()
+	}
+	return disk.FastLocal()
+}
+
+// fleetConfig is the one place Options become a storage-fleet configuration
+// (geometry, disks, replication scheme) on the given network and backup
+// store; callers add what only they know (tenant volume, host pool).
+func (o Options) fleetConfig(net *netsim.Network, store *objstore.Store) volume.FleetConfig {
+	cfg := volume.FleetConfig{
+		Name: o.Name, Geometry: core.UniformGeometry(o.PGs),
+		Net: net, Disk: diskConfig(o.RealisticDisks), Store: store,
+	}
+	if o.LogSplit {
+		cfg.Quorum = quorum.TaurusMix()
+	}
+	return cfg
+}
+
+// engineConfig is the one place Options become a writer-instance
+// configuration: every writer the cluster ever runs — the first, and each
+// one a failover, patch or restore brings up — is configured from it.
+func (o Options) engineConfig() engine.Config {
+	return engine.Config{
+		CachePages: o.CachePages, LockTimeout: o.LockTimeout,
+		TraceEvery: o.TraceEvery, AutoTune: o.AutoTune,
+	}
+}
+
 // Cluster is one Aurora deployment: network, storage fleet, object store,
 // writer instance, replicas.
 type Cluster struct {
@@ -174,40 +214,19 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Name == "" {
 		opts.Name = "aurora"
 	}
-	var netCfg netsim.Config
-	switch opts.Network {
-	case NetDatacenter:
-		netCfg = netsim.Datacenter()
-	default:
-		netCfg = netsim.FastLocal()
-	}
-	net := netsim.New(netCfg)
+	net := newNetwork(opts.Network)
 	store := objstore.New()
 	if opts.DisableBackup {
 		store = nil
 	}
-	dcfg := disk.FastLocal()
-	if opts.RealisticDisks {
-		dcfg = disk.NVMe()
-	}
-	var q quorum.Config
-	if opts.LogSplit {
-		q = quorum.TaurusMix()
-	}
-	fleet, err := volume.NewFleet(volume.FleetConfig{
-		Name: opts.Name, Geometry: core.UniformGeometry(opts.PGs),
-		Net: net, Disk: dcfg, Store: store, Quorum: q,
-	})
+	fleet, err := volume.NewFleet(opts.fleetConfig(net, store))
 	if err != nil {
 		return nil, err
 	}
 	vol := volume.Bootstrap(fleet, volume.ClientConfig{
 		WriterNode: netsim.NodeID(opts.Name + "-writer"), WriterAZ: 0,
 	})
-	db, err := engine.Create(vol, engine.Config{
-		CachePages: opts.CachePages, LockTimeout: opts.LockTimeout,
-		TraceEvery: opts.TraceEvery, AutoTune: opts.AutoTune,
-	})
+	db, err := engine.Create(vol, opts.engineConfig())
 	if err != nil {
 		vol.Close()
 		return nil, err
@@ -315,23 +334,32 @@ func (c *Cluster) CrashWriter() { c.db.Crash() }
 // caller (their stream died with the writer).
 func (c *Cluster) Failover() (*RecoveryReport, error) {
 	c.writerGen++
-	db, rep, err := engine.Recover(context.Background(), c.fleet, volume.ClientConfig{
-		WriterNode: netsim.NodeID(fmt.Sprintf("%s-writer-g%d", c.opts.Name, c.writerGen)),
-		WriterAZ:   netsim.AZ(c.writerGen % 3),
-	}, engine.Config{
-		CachePages: c.opts.CachePages, LockTimeout: c.opts.LockTimeout,
-		TraceEvery: c.opts.TraceEvery, AutoTune: c.opts.AutoTune,
-	})
+	db, rep, err := c.recoverWriter(netsim.AZ(c.writerGen % 3))
 	if err != nil {
 		return nil, err
 	}
-	c.db = db
 	c.proxy = zdp.NewProxy(db)
-	c.replicas = nil
 	return &RecoveryReport{
 		VCL: uint64(rep.VCL), VDL: uint64(rep.VDL), Epoch: rep.Epoch,
 		Duration: rep.Duration, NodesContacted: rep.Contacted,
 	}, nil
+}
+
+// recoverWriter runs volume recovery and brings up the next-generation
+// writer instance in az (the caller has already bumped writerGen). On
+// success it becomes the cluster's writer; replicas must be re-attached —
+// their stream died with the old writer.
+func (c *Cluster) recoverWriter(az netsim.AZ) (*engine.DB, *volume.RecoveryReport, error) {
+	db, rep, err := engine.Recover(context.Background(), c.fleet, volume.ClientConfig{
+		WriterNode: netsim.NodeID(fmt.Sprintf("%s-writer-g%d", c.opts.Name, c.writerGen)),
+		WriterAZ:   az,
+	}, c.opts.engineConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	c.db = db
+	c.replicas = nil
+	return db, rep, nil
 }
 
 // RecoveryReport summarises a volume recovery (§4.3): no redo is replayed
@@ -372,36 +400,16 @@ func (c *Cluster) RestoreAt(name string, asOf time.Time) (*Cluster, error) {
 	if c.store == nil {
 		return nil, errors.New("aurora: cluster has no backup store")
 	}
-	var netCfg netsim.Config
-	switch c.opts.Network {
-	case NetDatacenter:
-		netCfg = netsim.Datacenter()
-	default:
-		netCfg = netsim.FastLocal()
-	}
-	net := netsim.New(netCfg)
-	dcfg := disk.FastLocal()
-	if c.opts.RealisticDisks {
-		dcfg = disk.NVMe()
-	}
-	var q quorum.Config
-	if c.opts.LogSplit {
-		q = quorum.TaurusMix()
-	}
-	fleet, _, err := volume.RestoreFleet(volume.FleetConfig{
-		Name: c.opts.Name, Vol: c.fleet.Vol(),
-		Geometry: core.UniformGeometry(c.opts.PGs),
-		Net:      net, Disk: dcfg, Store: c.store, Quorum: q,
-	}, asOf)
+	net := newNetwork(c.opts.Network)
+	fcfg := c.opts.fleetConfig(net, c.store)
+	fcfg.Vol = c.fleet.Vol()
+	fleet, _, err := volume.RestoreFleet(fcfg, asOf)
 	if err != nil {
 		return nil, err
 	}
 	db, _, err := engine.Recover(context.Background(), fleet, volume.ClientConfig{
 		WriterNode: netsim.NodeID(name + "-writer"), WriterAZ: 0,
-	}, engine.Config{
-		CachePages: c.opts.CachePages, LockTimeout: c.opts.LockTimeout,
-		TraceEvery: c.opts.TraceEvery, AutoTune: c.opts.AutoTune,
-	})
+	}, c.opts.engineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -478,17 +486,7 @@ func (c *Cluster) Patch(timeout time.Duration) (sessions int, pause time.Duratio
 	rep, err := c.proxy.Patch(func(old *engine.DB) (*engine.DB, error) {
 		old.Crash()
 		c.writerGen++
-		db, _, err := engine.Recover(context.Background(), c.fleet, volume.ClientConfig{
-			WriterNode: netsim.NodeID(fmt.Sprintf("%s-writer-g%d", c.opts.Name, c.writerGen)),
-			WriterAZ:   0,
-		}, engine.Config{
-			CachePages: c.opts.CachePages, LockTimeout: c.opts.LockTimeout,
-			TraceEvery: c.opts.TraceEvery, AutoTune: c.opts.AutoTune,
-		})
-		if err == nil {
-			c.db = db
-			c.replicas = nil
-		}
+		db, _, err := c.recoverWriter(0)
 		return db, err
 	}, timeout)
 	if err != nil {

@@ -15,11 +15,9 @@ import (
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/disk"
 	"aurora/internal/engine"
 	"aurora/internal/netsim"
 	"aurora/internal/objstore"
-	"aurora/internal/quorum"
 	"aurora/internal/storage"
 	"aurora/internal/volume"
 	"aurora/internal/zdp"
@@ -89,27 +87,16 @@ func NewStorageFleet(opts FleetOptions) (*StorageFleet, error) {
 	if opts.Network != NetFast && opts.Network != NetDatacenter {
 		return nil, &OptionError{Field: "Network", Reason: "unknown network profile"}
 	}
-	var netCfg netsim.Config
-	switch opts.Network {
-	case NetDatacenter:
-		netCfg = netsim.Datacenter()
-	default:
-		netCfg = netsim.FastLocal()
-	}
-	net := netsim.New(netCfg)
+	net := newNetwork(opts.Network)
 	var store *objstore.Store
 	if !opts.DisableBackup {
 		store = objstore.New()
-	}
-	dcfg := disk.FastLocal()
-	if opts.RealisticDisks {
-		dcfg = disk.NVMe()
 	}
 	pool := storage.NewPool(storage.PoolConfig{
 		Name:  opts.Name,
 		Hosts: opts.Hosts,
 		Net:   net,
-		Disk:  dcfg,
+		Disk:  diskConfig(opts.RealisticDisks),
 		Store: store,
 		QoS: storage.QoSConfig{
 			IngestBytesPerSec: opts.IngestBytesPerSec,
@@ -167,15 +154,9 @@ func (f *StorageFleet) OpenVolume(name string, opts Options) (*Cluster, error) {
 	f.names[name] = true
 	f.mu.Unlock()
 
-	var q quorum.Config
-	if opts.LogSplit {
-		q = quorum.TaurusMix()
-	}
-	fleet, err := volume.NewFleet(volume.FleetConfig{
-		Name: name, Vol: vol, Pool: f.pool,
-		Geometry: core.UniformGeometry(opts.PGs),
-		Net:      f.net, Store: f.store, Quorum: q,
-	})
+	fcfg := opts.fleetConfig(f.net, f.store)
+	fcfg.Vol, fcfg.Pool = vol, f.pool
+	fleet, err := volume.NewFleet(fcfg)
 	if err != nil {
 		f.forgetName(name)
 		return nil, err
@@ -183,10 +164,7 @@ func (f *StorageFleet) OpenVolume(name string, opts Options) (*Cluster, error) {
 	writer := volume.Bootstrap(fleet, volume.ClientConfig{
 		WriterNode: netsim.NodeID(name + "-writer"), WriterAZ: 0,
 	})
-	db, err := engine.Create(writer, engine.Config{
-		CachePages: opts.CachePages, LockTimeout: opts.LockTimeout,
-		TraceEvery: opts.TraceEvery,
-	})
+	db, err := engine.Create(writer, opts.engineConfig())
 	if err != nil {
 		writer.Close()
 		fleet.Stop()

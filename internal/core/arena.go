@@ -80,9 +80,13 @@ func (p *framePool) put(g *FramedGroup) {
 	p.groups.Put(g)
 }
 
-// FramedBatch is one per-PG batch of a framed group, already encoded. Wire
-// is the complete batch wire image (header + body) and aliases the group's
-// arena: it is only valid while the holder has a group reference.
+// FramedBatch is one per-PG batch of a framed group, already encoded: the
+// IO flow batches fully ordered log records by destination PG and delivers
+// each batch to every replica of that PG (§3.2). Epoch is the geometry epoch
+// the batch was framed under; storage nodes reject batches framed under a
+// superseded geometry (0 is unversioned and always accepted). Wire is the
+// complete batch wire image (header + body) and aliases the group's arena:
+// it is only valid while the holder has a group reference.
 type FramedBatch struct {
 	PG      PGID
 	Vol     VolumeID

@@ -171,7 +171,7 @@ func (g *Geometry) GrowthPlan() []StripeMove {
 const geometryMagic = uint32(0x4147454F)
 
 // AppendEncode appends the geometry's manifest serialisation to buf and
-// returns the extended slice (append convention, matching Record/Batch),
+// returns the extended slice (append convention, matching Record),
 // so a point-in-time restore of a grown volume routes pages correctly.
 func (g *Geometry) AppendEncode(buf []byte) []byte {
 	var tmp [8]byte

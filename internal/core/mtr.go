@@ -131,31 +131,6 @@ func NewFramer(alloc *Allocator, lastPerPG map[PGID]LSN) *Framer {
 	return &Framer{alloc: alloc, last: last}
 }
 
-// Frame is the single-MTR convenience used by tests and cold paths: it
-// frames through the same arena pipeline as FrameGroup, then materialises
-// plain per-PG Batches (records deep-copied out of the arena, so callers
-// own them outright) and releases the group. The hot path uses FrameGroup
-// directly and ships the arena-backed wire images without materialising.
-func (f *Framer) Frame(ctx context.Context, m *MTR) ([]Batch, LSN, error) {
-	g, err := f.FrameGroup(ctx, []*MTR{m})
-	if err != nil {
-		return nil, ZeroLSN, err
-	}
-	defer g.Release()
-	batches := make([]Batch, 0, len(g.Batches))
-	for i := range g.Batches {
-		b, _, err := DecodeBatch(g.Batches[i].Wire)
-		if err != nil {
-			return nil, ZeroLSN, err
-		}
-		for j := range b.Records {
-			b.Records[j] = b.Records[j].Clone()
-		}
-		batches = append(batches, b)
-	}
-	return batches, g.CPLs[0], nil
-}
-
 // FrameGroup frames a group of MTRs through one allocation/chaining
 // critical section: a single Alloc covers every record of the group, and
 // the per-PG backlink chains are threaded across all of them in order. The

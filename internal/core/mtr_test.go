@@ -6,13 +6,57 @@ import (
 	"testing"
 )
 
+// decodedBatch is one per-PG batch of a framed group as a test sees it:
+// the destination PG plus the records decoded back out of the wire image.
+type decodedBatch struct {
+	PG      PGID
+	Records []Record
+}
+
+// frameOne frames one MTR the way production does — FrameGroup into an
+// arena — and reads every batch back through BatchView (length check, CRC,
+// record walk), so each caller doubles as an encode/decode round-trip. The
+// records are deep-copied out of the arena before the group is released.
+func frameOne(f *Framer, m *MTR) ([]decodedBatch, LSN, error) {
+	g, err := f.FrameGroup(context.Background(), []*MTR{m})
+	if err != nil {
+		return nil, ZeroLSN, err
+	}
+	defer g.Release()
+	batches := make([]decodedBatch, 0, len(g.Batches))
+	for i := range g.Batches {
+		v, n, err := ParseBatchView(g.Batches[i].Wire)
+		if err != nil {
+			return nil, ZeroLSN, err
+		}
+		if n != len(g.Batches[i].Wire) {
+			return nil, ZeroLSN, ErrBadLength
+		}
+		if err := v.Verify(); err != nil {
+			return nil, ZeroLSN, err
+		}
+		b := decodedBatch{PG: v.PG()}
+		if err := v.EachRecord(func(r *Record) bool {
+			b.Records = append(b.Records, r.Clone())
+			return true
+		}); err != nil {
+			return nil, ZeroLSN, err
+		}
+		if len(b.Records) != v.NumRecords() {
+			return nil, ZeroLSN, ErrBadLength
+		}
+		batches = append(batches, b)
+	}
+	return batches, g.CPLs[0], nil
+}
+
 func TestFramerSingleMTR(t *testing.T) {
 	f := NewFramer(NewAllocator(ZeroLSN, 0), nil)
 	m := &MTR{Txn: 1}
 	m.AddDelta(0, 1, 0, []byte("a"))
 	m.AddDelta(0, 2, 4, []byte("b"))
 	m.AddDelta(1, 100, 8, []byte("c"))
-	batches, cpl, err := f.Frame(context.Background(), m)
+	batches, cpl, err := frameOne(f, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +92,12 @@ func TestFramerChainsAcrossMTRs(t *testing.T) {
 	f := NewFramer(NewAllocator(ZeroLSN, 0), nil)
 	m1 := &MTR{Txn: 1}
 	m1.AddDelta(5, 1, 0, []byte("x"))
-	if _, _, err := f.Frame(context.Background(), m1); err != nil {
+	if _, _, err := frameOne(f, m1); err != nil {
 		t.Fatal(err)
 	}
 	m2 := &MTR{Txn: 2}
 	m2.AddDelta(5, 2, 0, []byte("y"))
-	batches, _, err := f.Frame(context.Background(), m2)
+	batches, _, err := frameOne(f, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +116,7 @@ func TestFramerSeededChains(t *testing.T) {
 	f := NewFramer(NewAllocator(500, 0), map[PGID]LSN{3: 480})
 	m := &MTR{Txn: 9}
 	m.AddDelta(3, 7, 0, []byte("z"))
-	batches, cpl, err := f.Frame(context.Background(), m)
+	batches, cpl, err := frameOne(f, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +130,7 @@ func TestFramerSeededChains(t *testing.T) {
 
 func TestFramerEmptyMTR(t *testing.T) {
 	f := NewFramer(NewAllocator(ZeroLSN, 0), nil)
-	if _, _, err := f.Frame(context.Background(), &MTR{}); err != ErrEmptyMTR {
+	if _, _, err := frameOne(f, &MTR{}); err != ErrEmptyMTR {
 		t.Fatalf("got %v, want ErrEmptyMTR", err)
 	}
 }
@@ -107,7 +151,7 @@ func TestFramerConcurrentChainConsistency(t *testing.T) {
 				m := &MTR{Txn: txn}
 				m.AddDelta(PGID(i%3), PageID(i), 0, []byte{byte(i)})
 				m.AddDelta(PGID((i+1)%3), PageID(i), 0, []byte{byte(i)})
-				batches, _, err := f.Frame(context.Background(), m)
+				batches, _, err := frameOne(f, m)
 				if err != nil {
 					t.Error(err)
 					return

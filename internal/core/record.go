@@ -205,73 +205,3 @@ func (r *Record) Clone() Record {
 	}
 	return c
 }
-
-// Batch is an ordered group of records destined for a single protection
-// group. The IO flow batches fully ordered log records by destination PG
-// and delivers each batch to all six replicas (§3.2). Epoch carries the
-// geometry epoch the batch was framed under; storage nodes reject batches
-// framed under a superseded geometry (Epoch 0 is unversioned and always
-// accepted, for pre-geometry callers and tests).
-type Batch struct {
-	PG      PGID
-	Vol     VolumeID // owning tenant volume (0 = legacy single-tenant)
-	Epoch   uint64
-	Records []Record
-}
-
-// EncodedSize returns the wire size of the whole batch (v2 format: one
-// header, one CRC, record bodies back to back — see arena.go).
-func (b *Batch) EncodedSize() int {
-	n := batchHeaderSize
-	for i := range b.Records {
-		n += b.Records[i].BodySize()
-	}
-	return n
-}
-
-// AppendEncode appends the v2 batch encoding: one header carrying the
-// first/last LSNs and a single CRC-32C over the contiguous record-body
-// region. The per-record checksum of the standalone Record codec does not
-// apply inside a batch.
-func (b *Batch) AppendEncode(buf []byte) []byte {
-	start := len(buf)
-	buf = append(buf, make([]byte, b.EncodedSize())...)
-	w := buf[start:]
-	off := batchHeaderSize
-	for i := range b.Records {
-		off += putRecordBody(w[off:], &b.Records[i])
-	}
-	var first, last LSN
-	if len(b.Records) > 0 {
-		first = b.Records[0].LSN
-		last = b.Records[len(b.Records)-1].LSN
-	}
-	putBatchHeader(w, b.PG, len(b.Records), b.Epoch, b.Vol, first, last, w[batchHeaderSize:off])
-	return buf
-}
-
-// DecodeBatch decodes and CRC-verifies a batch produced by AppendEncode.
-// Record data aliases buf.
-func DecodeBatch(buf []byte) (Batch, int, error) {
-	v, n, err := ParseBatchView(buf)
-	if err != nil {
-		return Batch{}, 0, err
-	}
-	if err := v.Verify(); err != nil {
-		return Batch{}, 0, err
-	}
-	b := Batch{
-		PG:      v.PG(),
-		Vol:     v.Vol(),
-		Epoch:   v.Epoch(),
-		Records: make([]Record, 0, v.NumRecords()),
-	}
-	err = v.EachRecord(func(r *Record) bool {
-		b.Records = append(b.Records, *r)
-		return true
-	})
-	if err != nil {
-		return Batch{}, 0, fmt.Errorf("core: batch body: %w", err)
-	}
-	return b, n, nil
-}

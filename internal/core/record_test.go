@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -120,42 +121,73 @@ func TestRecordClone(t *testing.T) {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	b := Batch{PG: 7}
+	m := &MTR{Txn: 1}
 	for i := 0; i < 10; i++ {
-		b.Records = append(b.Records, Record{
-			LSN: LSN(i + 1), PrevLSN: LSN(i), Type: RecPageDelta, PG: 7,
-			Page: PageID(i % 3), Txn: 1, Offset: uint32(i * 4), Data: []byte{byte(i)},
-		})
+		m.AddDelta(7, PageID(i%3), uint32(i*4), []byte{byte(i)})
 	}
-	buf := b.AppendEncode(nil)
-	if len(buf) != b.EncodedSize() {
-		t.Fatalf("encoded %d, EncodedSize %d", len(buf), b.EncodedSize())
-	}
-	got, n, err := DecodeBatch(buf)
+	f := NewFramer(NewAllocator(ZeroLSN, 0), nil)
+	g, err := f.FrameGroup(context.Background(), []*MTR{m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(buf) || got.PG != 7 || len(got.Records) != 10 {
-		t.Fatalf("decode mismatch: n=%d pg=%d count=%d", n, got.PG, len(got.Records))
+	defer g.Release()
+	buf := g.Batches[0].Wire
+	size := batchHeaderSize
+	for i := range m.Records {
+		size += m.Records[i].BodySize()
 	}
-	for i := range got.Records {
-		if !recordsEqual(&got.Records[i], &b.Records[i]) {
+	if len(buf) != size {
+		t.Fatalf("encoded %d, header + record bodies %d", len(buf), size)
+	}
+	v, n, err := ParseBatchView(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(buf) || v.PG() != 7 || v.NumRecords() != 10 {
+		t.Fatalf("decode mismatch: n=%d pg=%d count=%d", n, v.PG(), v.NumRecords())
+	}
+	// The framer stamped LSN 1..10 with backlinks 0..9 onto m.Records in
+	// place; the wire must carry exactly those records.
+	i := 0
+	err = v.EachRecord(func(got *Record) bool {
+		want := &m.Records[i]
+		if want.LSN != LSN(i+1) || want.PrevLSN != LSN(i) {
+			t.Fatalf("record %d framed as LSN %d prev %d", i, want.LSN, want.PrevLSN)
+		}
+		if !recordsEqual(got, want) {
 			t.Fatalf("record %d mismatch", i)
 		}
+		i++
+		return true
+	})
+	if err != nil || i != 10 {
+		t.Fatalf("walked %d records, err %v", i, err)
 	}
 }
 
 func TestBatchDecodeEmpty(t *testing.T) {
-	b := Batch{PG: 1}
-	buf := b.AppendEncode(nil)
-	got, _, err := DecodeBatch(buf)
+	// The framer never emits an empty batch, but the decoder must still
+	// accept one (a bare header describing a zero-length body).
+	buf := make([]byte, batchHeaderSize)
+	putBatchHeader(buf, 1, 0, 0, 0, ZeroLSN, ZeroLSN, nil)
+	v, _, err := ParseBatchView(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Records) != 0 {
+	if err := v.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	if err := v.EachRecord(func(*Record) bool { records++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if records != 0 || v.NumRecords() != 0 {
 		t.Fatal("expected empty batch")
 	}
-	if _, _, err := DecodeBatch(nil); err == nil {
+	if _, _, err := ParseBatchView(nil); err == nil {
 		t.Fatal("decode of nil buffer succeeded")
 	}
 }

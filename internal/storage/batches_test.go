@@ -12,16 +12,12 @@ func TestReceiveBatchesCoalesced(t *testing.T) {
 	_, nodes := testPG(t, nil)
 	n := nodes[0]
 	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
-	var flight []*core.Batch
+	var flight []core.BatchView
 	for i := 0; i < 5; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, core.PageID(i), 0, []byte{byte(i)})
-		bs, _, err := f.Frame(context.Background(), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := bs[0]
-		flight = append(flight, &b)
+		bs := frame(t, f, m)
+		flight = append(flight, bs[0])
 	}
 	ack, err := receiveBatches(n, context.Background(), flight, 0, 0)
 	if err != nil {
@@ -43,16 +39,16 @@ func TestReceiveBatchesCoalesced(t *testing.T) {
 func TestReceiveBatchesDownAndWiped(t *testing.T) {
 	_, nodes := testPG(t, nil)
 	n := nodes[0]
-	b := &core.Batch{PG: 0, Records: []core.Record{{
+	b := craft(t, core.Record{
 		LSN: 1, Type: core.RecPageDelta, PG: 0, Page: 1, Data: []byte("x"),
-	}}}
+	})
 	n.Crash()
-	if _, err := receiveBatches(n, context.Background(), []*core.Batch{b}, 0, 0); !errors.Is(err, ErrNodeDown) {
+	if _, err := receiveBatch(n, context.Background(), b, 0, 0); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("crashed: %v", err)
 	}
 	n.Restart()
 	n.Wipe()
-	if _, err := receiveBatches(n, context.Background(), []*core.Batch{b}, 0, 0); !errors.Is(err, ErrWipedSegment) {
+	if _, err := receiveBatch(n, context.Background(), b, 0, 0); !errors.Is(err, ErrWipedSegment) {
 		t.Fatalf("wiped: %v", err)
 	}
 }
@@ -61,10 +57,10 @@ func TestReceiveBatchesFailedDisk(t *testing.T) {
 	_, nodes := testPG(t, nil)
 	n := nodes[0]
 	n.Disk().Fail(true)
-	b := &core.Batch{PG: 0, Records: []core.Record{{
+	b := craft(t, core.Record{
 		LSN: 1, Type: core.RecPageDelta, PG: 0, Page: 1, Data: []byte("x"),
-	}}}
-	if _, err := receiveBatches(n, context.Background(), []*core.Batch{b}, 0, 0); err == nil {
+	})
+	if _, err := receiveBatch(n, context.Background(), b, 0, 0); err == nil {
 		t.Fatal("write to failed disk succeeded")
 	}
 }
@@ -76,8 +72,8 @@ func TestGCTailAndIngestBelowTail(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, 1, uint32(i), []byte{byte(i)})
-		bs, _, _ := f.Frame(context.Background(), m)
-		if _, err := receiveBatch(n, context.Background(), &bs[0], 6, 6); err != nil {
+		bs := frame(t, f, m)
+		if _, err := receiveBatch(n, context.Background(), bs[0], 6, 6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,10 +82,10 @@ func TestGCTailAndIngestBelowTail(t *testing.T) {
 		t.Fatalf("gc tail %d, want 6", n.GCTail())
 	}
 	// A duplicate of a GCed record must be ignored, not resurrected.
-	dup := core.Batch{PG: 0, Records: []core.Record{{
+	dup := craft(t, core.Record{
 		LSN: 3, PrevLSN: 2, Type: core.RecPageDelta, PG: 0, Page: 1, Data: []byte("z"),
-	}}}
-	if _, err := receiveBatch(n, context.Background(), &dup, 6, 6); err != nil {
+	})
+	if _, err := receiveBatch(n, context.Background(), dup, 6, 6); err != nil {
 		t.Fatal(err)
 	}
 	if s := n.Stats(); s.RecordsHeld != 0 {
@@ -113,16 +109,12 @@ func TestReceiveBatchesRedeliveryIdempotent(t *testing.T) {
 	_, nodes := testPG(t, nil)
 	n := nodes[0]
 	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
-	var flight []*core.Batch
+	var flight []core.BatchView
 	for i := 0; i < 5; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, core.PageID(i), 0, []byte{byte(i)})
-		bs, _, err := f.Frame(context.Background(), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := bs[0]
-		flight = append(flight, &b)
+		bs := frame(t, f, m)
+		flight = append(flight, bs[0])
 	}
 	ack1, err := receiveBatches(n, context.Background(), flight, 0, 0)
 	if err != nil {

@@ -41,13 +41,10 @@ func writeMTRs(t *testing.T, nodes []*Node, count int, to func(i int) []*Node) *
 	for i := 0; i < count; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, core.PageID(i%3), uint32(4*i%128), []byte{byte(i), byte(i + 1)})
-		batches, _, err := f.Frame(context.Background(), m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batches := frame(t, f, m)
 		for _, n := range to(i) {
 			for bi := range batches {
-				if _, err := receiveBatch(n, context.Background(), &batches[bi], core.ZeroLSN, core.ZeroLSN); err != nil {
+				if _, err := receiveBatch(n, context.Background(), batches[bi], core.ZeroLSN, core.ZeroLSN); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -85,9 +82,9 @@ func TestReceiveBatchDuplicatesIgnored(t *testing.T) {
 	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
 	m := &core.MTR{Txn: 1}
 	m.AddDelta(0, 1, 0, []byte("x"))
-	batches, _, _ := f.Frame(context.Background(), m)
+	batches := frame(t, f, m)
 	for i := 0; i < 3; i++ {
-		if _, err := receiveBatch(nodes[0], context.Background(), &batches[0], 0, 0); err != nil {
+		if _, err := receiveBatch(nodes[0], context.Background(), batches[0], 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +99,7 @@ func TestCrashedNodeRejects(t *testing.T) {
 	if !nodes[0].Down() {
 		t.Fatal("Down not reported")
 	}
-	b := &core.Batch{PG: 0}
+	b := craft(t, core.Record{LSN: 1, Type: core.RecPageDelta, PG: 0, Page: 1, Data: []byte("x")})
 	if _, err := receiveBatch(nodes[0], context.Background(), b, 0, 0); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("receive on crashed node: %v", err)
 	}
@@ -189,9 +186,9 @@ func TestReadPageMaterializesAtReadPoint(t *testing.T) {
 	for i, s := range []string{"aa", "bb", "cc"} {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, 7, 0, []byte(s))
-		batches, _, _ := f.Frame(context.Background(), m)
+		batches := frame(t, f, m)
 		for _, n := range nodes {
-			if _, err := receiveBatch(n, context.Background(), &batches[0], 0, 0); err != nil {
+			if _, err := receiveBatch(n, context.Background(), batches[0], 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,15 +236,10 @@ func TestTruncateAnnulsTail(t *testing.T) {
 		t.Fatal("epoch changed by stale truncate")
 	}
 	// Records arriving after the truncation that fall inside it are dropped.
-	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
-	m := &core.MTR{Txn: 99}
-	m.AddDelta(0, 1, 0, []byte("zz"))
-	batches, _, _ := f.Frame(context.Background(), m) // LSN 1... already held; craft manual record inside range
-	_ = batches
-	manual := core.Batch{PG: 0, Records: []core.Record{{
+	manual := craft(t, core.Record{
 		LSN: 8, PrevLSN: 6, Type: core.RecPageDelta, PG: 0, Page: 1, Data: []byte("np"),
-	}}}
-	if _, err := receiveBatch(n, context.Background(), &manual, 0, 0); err != nil {
+	})
+	if _, err := receiveBatch(n, context.Background(), manual, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := n.Stats(); s.RecordsHeld != 6 {
@@ -263,15 +255,14 @@ func TestHighestCPLAtOrBelow(t *testing.T) {
 	m1.AddDelta(0, 1, 0, []byte("a"))
 	m1.AddDelta(0, 2, 0, []byte("b"))
 	m1.AddDelta(0, 3, 0, []byte("c"))
-	b1, _, _ := f.Frame(context.Background(), m1)
+	b1 := frame(t, f, m1)
 	m2 := &core.MTR{Txn: 2}
 	m2.AddDelta(0, 1, 4, []byte("d"))
 	m2.AddDelta(0, 2, 4, []byte("e"))
-	b2, _, _ := f.Frame(context.Background(), m2)
+	b2 := frame(t, f, m2)
 	n := nodes[0]
 	for _, b := range append(b1, b2...) {
-		bb := b
-		if _, err := receiveBatch(n, context.Background(), &bb, 0, 0); err != nil {
+		if _, err := receiveBatch(n, context.Background(), b, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,13 +284,13 @@ func TestCoalesceAdvancesBaseAndGCs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, 1, uint32(i), []byte{byte('a' + i)})
-		batches, _, _ := f.Frame(context.Background(), m)
+		batches := frame(t, f, m)
 		// Piggyback VDL=8, PGMRPL=5 on the last batch.
 		vdl, mrpl := core.ZeroLSN, core.ZeroLSN
 		if i == 7 {
 			vdl, mrpl = 8, 5
 		}
-		if _, err := receiveBatch(n, context.Background(), &batches[0], vdl, mrpl); err != nil {
+		if _, err := receiveBatch(n, context.Background(), batches[0], vdl, mrpl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,8 +372,8 @@ func TestSnapshotAfterCoalesce(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, 2, uint32(i), []byte{byte('A' + i)})
-		batches, _, _ := f.Frame(context.Background(), m)
-		if _, err := receiveBatch(n, context.Background(), &batches[0], 6, 4); err != nil {
+		batches := frame(t, f, m)
+		if _, err := receiveBatch(n, context.Background(), batches[0], 6, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,9 +411,9 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, 3, uint32(i), []byte{byte('a' + i)})
-		batches, _, _ := f.Frame(context.Background(), m)
+		batches := frame(t, f, m)
 		for _, n := range nodes {
-			if _, err := receiveBatch(n, context.Background(), &batches[0], 4, 4); err != nil {
+			if _, err := receiveBatch(n, context.Background(), batches[0], 4, 4); err != nil {
 				t.Fatal(err)
 			}
 		}

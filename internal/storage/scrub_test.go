@@ -19,13 +19,13 @@ func scrubPG(t *testing.T) []*Node {
 	for i := 0; i < 8; i++ {
 		m := &core.MTR{Txn: uint64(i)}
 		m.AddDelta(0, 1, uint32(i), []byte{byte('a' + i)})
-		batches, _, _ := f.Frame(context.Background(), m)
+		batches := frame(t, f, m)
 		vdl, mrpl := core.ZeroLSN, core.ZeroLSN
 		if i == 7 {
 			vdl, mrpl = 8, 5
 		}
 		for _, n := range nodes {
-			if _, err := receiveBatch(n, context.Background(), &batches[0], vdl, mrpl); err != nil {
+			if _, err := receiveBatch(n, context.Background(), batches[0], vdl, mrpl); err != nil {
 				t.Fatal(err)
 			}
 		}

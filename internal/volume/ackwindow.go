@@ -191,23 +191,30 @@ func (t *PGTailTracker) addMTRLocked(m *core.MTR) {
 	}
 }
 
-// Advance moves durable tails up to the new VDL.
+// Advance moves durable tails up to the new VDL. It does not rely on the
+// pending LSNs being sorted: concurrent framers (parallel WriteMTR callers,
+// the rebalancer) register their MTRs after leaving the framer's critical
+// section, so registration order can invert LSN order. Every record at or
+// below the VDL has been registered by then — it shipped after registering —
+// which is all the scan needs.
 func (t *PGTailTracker) Advance(vdl core.LSN) {
 	t.mu.Lock()
 	for pg, lsns := range t.pending {
-		i := 0
-		for i < len(lsns) && lsns[i] <= vdl {
-			i++
-		}
-		if i > 0 {
-			if lsns[i-1] > t.durable[pg] {
-				t.durable[pg] = lsns[i-1]
+		// Filter in place: keeping the slice anchored preserves its append
+		// capacity, so steady-state refills after each advance do not
+		// reallocate.
+		keep := lsns[:0]
+		tail := t.durable[pg]
+		for _, lsn := range lsns {
+			if lsn > vdl {
+				keep = append(keep, lsn)
+			} else if lsn > tail {
+				tail = lsn
 			}
-			// Compact in place instead of reslicing forward: keeping the
-			// slice anchored preserves its append capacity, so steady-state
-			// refills after each advance do not reallocate.
-			n := copy(lsns, lsns[i:])
-			t.pending[pg] = lsns[:n]
+		}
+		if len(keep) < len(lsns) {
+			t.durable[pg] = tail
+			t.pending[pg] = keep
 		}
 	}
 	t.mu.Unlock()

@@ -3,7 +3,6 @@ package volume
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"aurora/internal/netsim"
 	"aurora/internal/page"
 	"aurora/internal/quorum"
-	"aurora/internal/storage"
 	"aurora/internal/trace"
 )
 
@@ -60,9 +58,6 @@ type Client struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	sclMu sync.RWMutex
-	scls  map[core.SegmentID]core.LSN // writer's runtime view of completeness
-
 	// senders is the per-PG, per-replica delivery pipeline table. It is
 	// copy-on-write (Grow appends PGs while traffic continues) — load once
 	// per use, never cache across a blocking call.
@@ -91,10 +86,8 @@ type Client struct {
 	frames      atomic.Uint64 // framing critical sections (groups count once)
 	recsWritten atomic.Uint64
 	logBytes    atomic.Uint64 // bytes delivered synchronously for commit ack
-	readsServed atomic.Uint64
-	readRetries atomic.Uint64
 	writeFails  atomic.Uint64
-	geomRetries atomic.Uint64 // reads re-routed after ErrStaleGeometry
+	pageReads   readCounters // bumped by the shared read path (read.go)
 
 	rebalTotal  atomic.Uint64 // stripes scheduled by Grow calls
 	rebalMoved  atomic.Uint64 // stripes cut over
@@ -139,7 +132,6 @@ func newClient(f *Fleet, cfg ClientConfig, start core.LSN, tails map[core.PGID]c
 		tails:      NewPGTailTracker(tails),
 		reads:      newReadRegistry(start),
 		epoch:      epoch,
-		scls:       make(map[core.SegmentID]core.LSN),
 	}
 	c.vdl.Advance(start)
 	// Control plane: the volume's tuning knobs live in one panel (shared
@@ -470,23 +462,6 @@ func (c *Client) WriteMTR(ctx context.Context, m *core.MTR) (core.LSN, error) {
 	return p.cpl, p.Ship(ctx)
 }
 
-// noteSCL folds a piggybacked segment completeness point into the writer's
-// runtime view used for read routing.
-func (c *Client) noteSCL(a storage.Ack) {
-	c.sclMu.Lock()
-	if a.SCL > c.scls[a.Seg] {
-		c.scls[a.Seg] = a.SCL
-	}
-	c.sclMu.Unlock()
-}
-
-// trackedSCL returns the writer's last known SCL for a segment.
-func (c *Client) trackedSCL(seg core.SegmentID) core.LSN {
-	c.sclMu.RLock()
-	defer c.sclMu.RUnlock()
-	return c.scls[seg]
-}
-
 // ReadPage reads the latest durable version of a page. It establishes a
 // read point (the current VDL), computes the completeness the owning PG
 // requires, and asks a single segment known to be complete — quorum reads
@@ -513,120 +488,11 @@ func (c *Client) ReadPageAt(ctx context.Context, id core.PageID, readPoint core.
 	return c.readAt(ctx, id, readPoint)
 }
 
-// readAt routes and executes one logical page read, retrying when a storage
-// node rejects the attempt as framed under a superseded geometry: the client
-// reloads the routing table (lock-free — the fleet publishes it atomically)
-// and re-routes. Three rounds bound the loop; a volume never flips stripes
-// faster than a read can chase them.
+// readAt runs the shared read path (Fleet.readPage) as the writer: the
+// completeness demanded of the routed PG is its durable tail, which the
+// writer tracks itself from the records it framed and the VDL.
 func (c *Client) readAt(ctx context.Context, id core.PageID, readPoint core.LSN) (page.Page, error) {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		p, err := c.readAtOnce(ctx, id, readPoint)
-		if err == nil {
-			c.readsServed.Add(1)
-			return p, nil
-		}
-		lastErr = err
-		if !errors.Is(err, storage.ErrStaleGeometry) || ctx.Err() != nil {
-			break
-		}
-		c.geomRetries.Add(1)
-	}
-	return nil, lastErr
-}
-
-func (c *Client) readAtOnce(ctx context.Context, id core.PageID, readPoint core.LSN) (page.Page, error) {
-	sp := trace.FromContext(ctx)
-	// Route through the geometry in force at the read point: a snapshot read
-	// below a stripe cutover goes to the stripe's old PG, which retains every
-	// record at or below the cutover (GC is bounded by the MRPL). The epoch
-	// presented to the node is the client's current one — the check catches a
-	// client that has not yet learned of a flip, not a historical route.
-	curEpoch := c.fleet.Geometry().Epoch()
-	pg := c.fleet.PGOfAt(id, readPoint)
-	// required may exceed readPoint when the tail advanced concurrently;
-	// that only makes the completeness demand conservative, never wrong.
-	required := c.tails.DurableTail(pg)
-	if c.q.Split() && readPoint < required {
-		// Page replicas learn the redo stream asynchronously, so demanding
-		// completeness through the durable tail would put every read behind
-		// a catch-up pull. Completeness through the read point is the tight
-		// sufficient demand: the version served materializes only records
-		// with LSN <= readPoint, and SCL >= readPoint proves every one of
-		// this segment's records in that prefix is present.
-		required = readPoint
-	}
-	replicas := c.fleet.Replicas(pg)
-	myAZ, _ := c.fleet.cfg.Net.NodeAZ(c.node)
-
-	// Candidate order: health score first (healthy before gray), same-AZ
-	// before cross-AZ within a class. Segments the writer knows are behind
-	// the required completeness stay as last resorts — their SCL may have
-	// advanced via gossip since the last piggybacked ack.
-	order := c.fleet.health.Order(pg, replicas, myAZ)
-	cands := make([]int, 0, len(order))
-	var behind []int
-	for _, i := range order {
-		// Log-tier replicas never serve pages (Taurus split): they hold
-		// the redo stream but no materialized state. Reads route to the
-		// page tier; a page replica whose applied LSN trails the read
-		// point replays the log from its peers before answering.
-		if replicas[i].Role() == core.RoleLog {
-			continue
-		}
-		if c.trackedSCL(replicas[i].Seg()) >= required {
-			cands = append(cands, i)
-		} else {
-			behind = append(behind, i)
-		}
-	}
-	cands = append(cands, behind...)
-
-	// Hedged read: one attempt at a time, with a deadline derived from the
-	// PG's observed latency percentiles; an attempt that overruns it races
-	// a hedge to the next-best replica (§4.2.3 without quorum reads). When
-	// a winner lands, the losing attempts are actively canceled.
-	p, err := c.fleet.health.runHedged(ctx, pg, cands, func(actx context.Context, i int, hedged bool) (page.Page, error) {
-		n := replicas[i]
-		asp := sp.Child("read.attempt")
-		asp.Annotate("replica", i)
-		asp.Annotate("node", n.NodeID())
-		if hedged {
-			asp.Annotate("hedge", true)
-		}
-		if err := sendHop(actx, c.fleet.cfg.Net, asp, "net.req", c.node, n.NodeID(), reqSize); err != nil {
-			asp.Annotate("err", err)
-			asp.End()
-			return nil, err
-		}
-		ssp := asp.Child("storage.read")
-		p, err := n.ReadPageChecked(actx, id, readPoint, required, curEpoch)
-		ssp.End()
-		if err != nil {
-			c.readRetries.Add(1)
-			asp.Annotate("err", err)
-			asp.End()
-			return nil, err
-		}
-		if err := sendHop(actx, c.fleet.cfg.Net, asp, "net.resp", n.NodeID(), c.node, page.Size); err != nil {
-			// The segment served the page but the response never arrived —
-			// a distinct gray signature, counted apart from read errors
-			// (unless this loser was canceled because a peer already won).
-			if !errors.Is(err, context.Canceled) {
-				c.fleet.health.respDrops.Inc()
-			}
-			asp.Annotate("err", err)
-			asp.End()
-			return nil, err
-		}
-		c.noteSCL(storage.Ack{Seg: n.Seg(), SCL: n.SCL()})
-		asp.End()
-		return p, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("page %d at %d: %w", id, readPoint, err)
-	}
-	return p, nil
+	return c.fleet.readPage(ctx, c.node, id, readPoint, c.tails.DurableTail, &c.pageReads)
 }
 
 // Stats is a snapshot of client counters, including the fleet's
@@ -674,13 +540,13 @@ func (c *Client) Stats() Stats {
 		RebalanceStripesTotal: c.rebalTotal.Load(),
 		RebalanceStripesMoved: c.rebalMoved.Load(),
 		RebalancePagesCopied:  c.rebalCopied.Load(),
-		GeomRetries:           c.geomRetries.Load(),
+		GeomRetries:           c.pageReads.geomRetries.Load(),
 
 		MTRs:           c.mtrs.Load(),
 		Frames:         c.frames.Load(),
 		RecordsWritten: c.recsWritten.Load(),
-		ReadsServed:    c.readsServed.Load(),
-		ReadRetries:    c.readRetries.Load(),
+		ReadsServed:    c.pageReads.served.Load(),
+		ReadRetries:    c.pageReads.retries.Load(),
 		WriteRetries:   hs.Retries,
 		WriteFailures:  c.writeFails.Load(),
 		Hedges:         hs.Hedges,

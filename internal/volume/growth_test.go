@@ -119,8 +119,12 @@ func TestGrowUnderChaos(t *testing.T) {
 		stop     atomic.Bool
 		writes   atomic.Uint64
 		writeErr atomic.Value
-		seq      [pages]atomic.Uint64 // highest value written per page
 		wg       sync.WaitGroup
+		newestMu sync.Mutex
+		newest   [pages]struct { // per page: the acked write with the highest LSN
+			cpl core.LSN
+			v   uint64
+		}
 	)
 	worker := func(w int) {
 		defer wg.Done()
@@ -129,18 +133,20 @@ func TestGrowUnderChaos(t *testing.T) {
 			v := writes.Add(1)
 			m := &core.MTR{Txn: uint64(w + 1)}
 			m.AddDelta(c.PGOf(id), id, 0, []byte(fmt.Sprintf("%012d", v)))
-			if _, err := c.WriteMTR(context.Background(), m); err != nil {
+			cpl, err := c.WriteMTR(context.Background(), m)
+			if err != nil {
 				writeErr.Store(err)
 				return
 			}
-			// Remember the highest value that reached this page; writes are
-			// racing, so only monotone max is meaningful.
-			for {
-				cur := seq[id].Load()
-				if v <= cur || seq[id].CompareAndSwap(cur, v) {
-					break
-				}
+			// Workers race on pages, and a value drawn earlier can be framed
+			// later (commits queue behind the geometry fence), so the page's
+			// final content is the write with the highest LSN, not the
+			// highest value.
+			newestMu.Lock()
+			if cpl > newest[id].cpl {
+				newest[id].cpl, newest[id].v = cpl, v
 			}
+			newestMu.Unlock()
 			if i%7 == 0 {
 				if _, _, err := c.ReadPage(context.Background(), id); err != nil {
 					writeErr.Store(fmt.Errorf("read during grow: %w", err))
@@ -193,10 +199,10 @@ func TestGrowUnderChaos(t *testing.T) {
 	if s.WriteFailures != 0 {
 		t.Fatalf("%d failed commits during grow", s.WriteFailures)
 	}
-	// Every page reads back the newest value the workload recorded for it —
-	// nothing was lost across the cutovers.
+	// Every page reads back exactly its last write in LSN order — nothing
+	// was lost or resurrected across the cutovers.
 	for id := 0; id < pages; id++ {
-		want := seq[id].Load()
+		want := newest[id].v
 		if want == 0 {
 			continue
 		}
@@ -208,8 +214,8 @@ func TestGrowUnderChaos(t *testing.T) {
 		if _, err := fmt.Sscanf(string(p.Payload()[:12]), "%d", &got); err != nil {
 			t.Fatalf("page %d payload %q", id, p.Payload()[:12])
 		}
-		if got < want {
-			t.Fatalf("page %d lost a write: read %d, newest %d", id, got, want)
+		if got != want {
+			t.Fatalf("page %d: read %d, last write in LSN order %d", id, got, want)
 		}
 	}
 }

@@ -114,12 +114,16 @@ func (c HealthConfig) withDefaults() HealthConfig {
 }
 
 // replicaHealth scores one (PG, replica) pair from delivery acks and read
-// attempts: a latency EWMA plus a consecutive-failure streak.
+// attempts: a latency EWMA plus a consecutive-failure streak, and the last
+// segment completeness point the replica piggybacked on an ack or a read
+// response — the database's runtime knowledge of "which segment is capable
+// of satisfying a read" (§4.2.3), shared by the writer and every reader.
 type replicaHealth struct {
 	mu       sync.Mutex
-	ewma     float64 // seconds; 0 until the first successful observation
-	fails    int     // consecutive failures since the last success
-	outlived int     // consecutive attempts canceled because a sibling won
+	ewma     float64  // seconds; 0 until the first successful observation
+	fails    int      // consecutive failures since the last success
+	outlived int      // consecutive attempts canceled because a sibling won
+	scl      core.LSN // highest SCL the replica has reported (a routing hint)
 	oks      uint64
 	errs     uint64
 }
@@ -268,8 +272,20 @@ func (h *HealthTracker) ObserveFailure(pg core.PGID, idx int) {
 	r.mu.Unlock()
 }
 
+// noteSCL folds a piggybacked segment completeness point into the replica's
+// record. It is a monotonic max, so late or reordered reports are harmless.
+func (h *HealthTracker) noteSCL(pg core.PGID, idx int, scl core.LSN) {
+	r := h.rep(pg, idx)
+	r.mu.Lock()
+	if scl > r.scl {
+		r.scl = scl
+	}
+	r.mu.Unlock()
+}
+
 // Reset clears a replica's failure streak and latency memory — called after
-// the segment has been repaired or migrated onto a fresh node.
+// the segment has been repaired or migrated onto a fresh node. The SCL hint
+// stays: the repaired segment was seeded from a peer at least that complete.
 func (h *HealthTracker) Reset(pg core.PGID, idx int) {
 	r := h.rep(pg, idx)
 	r.mu.Lock()
@@ -282,18 +298,24 @@ type repSnap struct {
 	ewma     float64
 	fails    int
 	outlived int
+	scl      core.LSN
 }
 
-func (h *HealthTracker) snapshot(pg core.PGID) []repSnap {
+// snapshot appends a consistent-per-replica copy of the PG's health records
+// to buf (pass a stack array's [:0] to keep the hot read path off the heap;
+// nil gets one exactly-sized allocation).
+func (h *HealthTracker) snapshot(pg core.PGID, buf []repSnap) []repSnap {
 	all := *h.reps.Load()
 	reps := all[int(pg)%len(all)]
-	out := make([]repSnap, len(reps))
-	for i, r := range reps {
+	if buf == nil {
+		buf = make([]repSnap, 0, len(reps))
+	}
+	for _, r := range reps {
 		r.mu.Lock()
-		out[i] = repSnap{ewma: r.ewma, fails: r.fails, outlived: r.outlived}
+		buf = append(buf, repSnap{ewma: r.ewma, fails: r.fails, outlived: r.outlived, scl: r.scl})
 		r.mu.Unlock()
 	}
-	return out
+	return buf
 }
 
 // stateOf classifies replica i given a consistent snapshot of its PG.
@@ -333,12 +355,12 @@ func (h *HealthTracker) stateOf(snaps []repSnap, i int) HealthState {
 
 // State reports the current health classification of one replica.
 func (h *HealthTracker) State(pg core.PGID, idx int) HealthState {
-	return h.stateOf(h.snapshot(pg), idx)
+	return h.stateOf(h.snapshot(pg, nil), idx)
 }
 
 // States reports the classification of every replica in a PG.
 func (h *HealthTracker) States(pg core.PGID) []HealthState {
-	snaps := h.snapshot(pg)
+	snaps := h.snapshot(pg, nil)
 	out := make([]HealthState, len(snaps))
 	for i := range snaps {
 		out[i] = h.stateOf(snaps, i)
@@ -346,22 +368,34 @@ func (h *HealthTracker) States(pg core.PGID) []HealthState {
 	return out
 }
 
-// Order returns read-candidate indices for a PG sorted best-first: healthy
+// maxStackReplicas sizes Order's stack scratch; every shipped quorum has
+// V = 6. A larger V still works, it just spills to the heap.
+const maxStackReplicas = 8
+
+// Order returns the read-candidate indices for a PG, best first, in one
+// pass: segments known to be complete through required (from the SCL they
+// last piggybacked) before segments known to be behind — those stay as last
+// resorts, their SCL may have advanced via gossip since — then healthy
 // before degraded before suspect, same-AZ before cross-AZ within a class,
-// lowest latency EWMA within that. Down nodes are excluded — they are not
-// gray, they are gone, and gossip (not the read path) heals them.
-func (h *HealthTracker) Order(pg core.PGID, replicas []*storage.Node, myAZ netsim.AZ) []int {
-	snaps := h.snapshot(pg)
-	cands := make([]readCand, 0, len(replicas))
+// lowest latency EWMA within that. Log-tier replicas are excluded: they hold
+// the redo stream but no materialized pages (Taurus split), so reads route
+// to the page tier. Down nodes are excluded too — they are not gray, they
+// are gone, and gossip (not the read path) heals them.
+func (h *HealthTracker) Order(pg core.PGID, replicas []*storage.Node, myAZ netsim.AZ, required core.LSN) []int {
+	var sbuf [maxStackReplicas]repSnap
+	var cbuf [maxStackReplicas]readCand
+	snaps := h.snapshot(pg, sbuf[:0])
+	cands := cbuf[:0]
 	for i, n := range replicas {
-		if n.Down() {
+		if n.Down() || n.Role() == core.RoleLog {
 			continue
 		}
 		cands = append(cands, readCand{
-			idx:   i,
-			state: h.stateOf(snaps, i),
-			far:   n.AZ() != myAZ,
-			ewma:  snaps[i].ewma,
+			idx:    i,
+			behind: snaps[i].scl < required,
+			state:  h.stateOf(snaps, i),
+			far:    n.AZ() != myAZ,
+			ewma:   snaps[i].ewma,
 		})
 	}
 	// Insertion sort: V is tiny (6) and order must be deterministic.
@@ -378,13 +412,17 @@ func (h *HealthTracker) Order(pg core.PGID, replicas []*storage.Node, myAZ netsi
 }
 
 type readCand struct {
-	idx   int
-	state HealthState
-	far   bool
-	ewma  float64
+	idx    int
+	behind bool
+	state  HealthState
+	far    bool
+	ewma   float64
 }
 
 func candLess(a, b readCand) bool {
+	if a.behind != b.behind {
+		return !a.behind
+	}
 	if a.state != b.state {
 		return a.state < b.state
 	}
@@ -536,7 +574,12 @@ func (h *HealthTracker) runHedged(ctx context.Context, pg core.PGID, cands []int
 				}
 				return r.val, nil
 			}
-			if !errors.Is(r.err, context.Canceled) {
+			// The last verdict is reported, except that a stale-geometry
+			// nack is sticky: it tells the caller its routing table is
+			// superseded, and a later refusal from a replica that has not
+			// heard of the flip yet (a lagging one, tried last) must not
+			// mask it and turn a re-routable read into a failed one.
+			if !errors.Is(r.err, context.Canceled) && !errors.Is(lastErr, storage.ErrStaleGeometry) {
 				lastErr = r.err
 			}
 			if inflight == 0 && next < len(cands) && ctx.Err() == nil {

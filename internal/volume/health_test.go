@@ -2,6 +2,7 @@ package volume
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"aurora/internal/core"
 	"aurora/internal/disk"
 	"aurora/internal/netsim"
+	"aurora/internal/page"
 	"aurora/internal/storage"
 )
 
@@ -231,5 +233,21 @@ func TestMonitorAutoRepairsSuspect(t *testing.T) {
 	}
 	if s := f.Health().State(0, 2); s != Healthy {
 		t.Fatalf("repaired replica state %v, want healthy", s)
+	}
+}
+
+// TestHedgedReadKeepsStaleGeometryVerdict: while a cutover's epoch broadcast
+// is still reaching the nodes, the replicas that heard it nack a read with
+// ErrStaleGeometry and a lagging one that has not refuses it as incomplete.
+// The lagging replica is tried last, but its refusal must not mask the
+// stale-geometry verdict — that is what makes the read path re-route.
+func TestHedgedReadKeepsStaleGeometryVerdict(t *testing.T) {
+	h := newHealthTracker(HealthConfig{}, 1, 3)
+	errs := []error{storage.ErrStaleGeometry, storage.ErrStaleGeometry, storage.ErrIncomplete}
+	_, err := h.runHedged(context.Background(), 0, []int{0, 1, 2}, func(_ context.Context, idx int, _ bool) (page.Page, error) {
+		return nil, errs[idx]
+	})
+	if !errors.Is(err, storage.ErrStaleGeometry) {
+		t.Fatalf("got %v, want the stale-geometry verdict", err)
 	}
 }

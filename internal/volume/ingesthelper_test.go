@@ -2,27 +2,30 @@ package volume
 
 import (
 	"context"
+	"testing"
 
 	"aurora/internal/core"
 	"aurora/internal/storage"
 )
 
-// nodeIngest wire-encodes one batch and drives it through the node's Ingest
-// entry point the way a sender would, folding the per-batch result into the
-// returned error. Tests use it to inject hand-built batches directly into a
-// storage node.
-func nodeIngest(n *storage.Node, b *core.Batch, vdl, mrpl core.LSN) (storage.Ack, error) {
-	wire := b.AppendEncode(nil)
-	v, _, err := core.ParseBatchView(wire)
+// nodeIngest injects one hand-positioned record (explicit LSN and backlink)
+// straight into a storage node, stamped for volume vol. A throwaway framer
+// seeded at the record's position makes the production encode path stamp
+// exactly those values; the batch then goes through the node's Ingest entry
+// point the way a sender's flight would, with the per-batch result folded
+// into the returned error.
+func nodeIngest(t testing.TB, n *storage.Node, vol core.VolumeID, rec core.Record) (storage.Ack, error) {
+	t.Helper()
+	f := core.NewFramer(core.NewAllocator(rec.LSN-1, 0), map[core.PGID]core.LSN{rec.PG: rec.PrevLSN})
+	f.SetVolume(vol)
+	g, err := f.FrameGroup(context.Background(), []*core.MTR{{Records: []core.Record{rec}}})
 	if err != nil {
-		return storage.Ack{}, err
+		t.Fatal(err)
 	}
-	ack, results, err := n.Ingest(context.Background(), []core.BatchView{v}, vdl, mrpl, nil)
+	defer g.Release()
+	ack, results, err := n.Ingest(context.Background(), []core.BatchView{g.Batches[0].View()}, 0, 0, nil)
 	if err != nil {
 		return ack, err
 	}
-	if results[0].Err != nil {
-		return ack, results[0].Err
-	}
-	return ack, nil
+	return ack, results[0].Err
 }

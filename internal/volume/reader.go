@@ -9,7 +9,6 @@ import (
 	"aurora/internal/core"
 	"aurora/internal/netsim"
 	"aurora/internal/page"
-	"aurora/internal/trace"
 )
 
 // ErrReaderClosed is returned by reads on a closed Reader.
@@ -29,6 +28,8 @@ type Reader struct {
 	mu     sync.Mutex
 	wg     sync.WaitGroup
 	closed bool
+
+	pageReads readCounters // bumped by the shared read path (read.go)
 }
 
 // NewReader registers a read-only consumer of the volume on the network.
@@ -47,14 +48,12 @@ func (r *Reader) PinReadPoint(lsn core.LSN) {
 }
 
 // ReadPageAt fetches the version of a page as of readPoint from a single
-// segment whose SCL covers required. Candidates are ordered by health score
-// (healthy before gray) and AZ locality, and the attempt is hedged: when
-// the best replica overruns the PG's latency-derived deadline, the next is
-// raced against it — a slow-but-alive segment must not stall the replica's
-// read path (§4.2.3). A response lost after a successful segment read is
-// counted distinctly (RespDrops) — the page was served, the network ate it.
-// ctx cancellation abandons the read; a sampled span carried in ctx gets
-// each hedged attempt as a child.
+// segment whose SCL covers required — the completeness the replica learned
+// from the writer's log stream for the page's PG. Everything else (routing
+// at the read point, the split relaxation, health-ordered hedged attempts,
+// stale-geometry re-routes) is the shared read path, Fleet.readPage. ctx
+// cancellation abandons the read; a sampled span carried in ctx gets each
+// hedged attempt as a child.
 func (r *Reader) ReadPageAt(ctx context.Context, id core.PageID, readPoint, required core.LSN) (page.Page, error) {
 	r.mu.Lock()
 	if r.closed {
@@ -71,64 +70,9 @@ func (r *Reader) ReadPageAt(ctx context.Context, id core.PageID, readPoint, requ
 	stop := context.AfterFunc(r.ctx, rcancel)
 	defer stop()
 
-	sp := trace.FromContext(ctx)
-	// Route through the geometry in force at the read point: across a live
-	// stripe cutover a replica's snapshot reads keep going to the PG that
-	// holds the page's history (see Fleet.PGOfAt).
-	curEpoch := r.fleet.Geometry().Epoch()
-	pg := r.fleet.PGOfAt(id, readPoint)
-	if r.fleet.q.Split() && readPoint < required {
-		// Same relaxation as the writer's read path: under a role split the
-		// page tier trails the tail by design, and completeness through the
-		// read point is sufficient for a version materialized at it.
-		required = readPoint
-	}
-	replicas := r.fleet.Replicas(pg)
-	myAZ, _ := r.fleet.cfg.Net.NodeAZ(r.node)
-	order := r.fleet.health.Order(pg, replicas, myAZ)
-	// Log-tier replicas hold redo, not pages (Taurus split): replica reads
-	// route to the page tier only, same as the writer's read path.
-	cands := make([]int, 0, len(order))
-	for _, i := range order {
-		if replicas[i].Role() == core.RoleLog {
-			continue
-		}
-		cands = append(cands, i)
-	}
-	p, err := r.fleet.health.runHedged(rctx, pg, cands, func(actx context.Context, i int, hedged bool) (page.Page, error) {
-		n := replicas[i]
-		asp := sp.Child("read.attempt")
-		asp.Annotate("replica", i)
-		asp.Annotate("node", n.NodeID())
-		if hedged {
-			asp.Annotate("hedge", true)
-		}
-		if err := sendHop(actx, r.fleet.cfg.Net, asp, "net.req", r.node, n.NodeID(), reqSize); err != nil {
-			asp.Annotate("err", err)
-			asp.End()
-			return nil, err
-		}
-		ssp := asp.Child("storage.read")
-		p, err := n.ReadPageChecked(actx, id, readPoint, required, curEpoch)
-		ssp.End()
-		if err != nil {
-			asp.Annotate("err", err)
-			asp.End()
-			return nil, err
-		}
-		if err := sendHop(actx, r.fleet.cfg.Net, asp, "net.resp", n.NodeID(), r.node, page.Size); err != nil {
-			if !errors.Is(err, context.Canceled) {
-				r.fleet.health.respDrops.Inc()
-			}
-			asp.Annotate("err", err)
-			asp.End()
-			return nil, err
-		}
-		asp.End()
-		return p, nil
-	})
+	p, err := r.fleet.readPage(rctx, r.node, id, readPoint, func(core.PGID) core.LSN { return required }, &r.pageReads)
 	if err != nil {
-		return nil, fmt.Errorf("reader %s page %d at %d: %w", r.node, id, readPoint, err)
+		return nil, fmt.Errorf("reader %s: %w", r.node, err)
 	}
 	return p, nil
 }

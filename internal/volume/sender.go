@@ -292,7 +292,7 @@ func (s *replicaSender) deliver(flight []shipment) {
 			// already resolved; noteSCL is a monotonic max and Ack on a
 			// resolved tracker is a no-op, so stale acks still advance the
 			// segment's completeness view safely.
-			c.noteSCL(ack)
+			c.fleet.health.noteSCL(s.pg, s.idx, ack.SCL)
 			for i, sh := range flight {
 				if results[i].Err != nil {
 					sh.tr.Nack(s.idx)
@@ -429,10 +429,16 @@ func (c *Client) shipBatch(ctx context.Context, g *core.FramedGroup, b *core.Fra
 		if tr.Err() != nil {
 			return
 		}
+		// Publication order: per-PG durable tails first, VDL second. A reader
+		// takes the VDL as its read point and DurableTail(pg) as the
+		// completeness it demands, so VDL >= x must already imply that
+		// DurableTail(pg) covers every framed record of pg at or below x —
+		// published the other way round, a read at a just-acked CPL could
+		// demand a stale tail and be served the previous version.
 		newVDL := c.win.markAcked(first, last)
+		c.tails.Advance(newVDL)
 		if c.vdl.Advance(newVDL) {
 			c.alloc.AdvanceVDL(newVDL)
-			c.tails.Advance(newVDL)
 		}
 	}()
 	qsp := bsp.Child("quorum.wait")

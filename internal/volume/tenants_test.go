@@ -237,10 +237,9 @@ func TestWrongVolumeRejected(t *testing.T) {
 	if _, err := c1.WriteMTR(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
-	rec := core.Record{LSN: 999, PrevLSN: 0, Type: core.RecPageDelta, PG: 0, Vol: 1, Page: 3, Offset: 0, Data: []byte("oops"), Flags: core.FlagCPL}
-	b := &core.Batch{PG: 0, Vol: 1, Records: []core.Record{rec}}
+	rec := core.Record{LSN: 999, PrevLSN: 0, Type: core.RecPageDelta, PG: 0, Page: 3, Offset: 0, Data: []byte("oops")}
 	n2 := f2.Replicas(0)[0]
-	if _, err := nodeIngest(n2, b, 0, 0); err == nil {
+	if _, err := nodeIngest(t, n2, 1, rec); err == nil {
 		t.Fatal("tenant 2 segment accepted tenant 1 batch")
 	}
 	before := n2.SCL()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,6 +58,99 @@ func TestWriteAdvancesVDL(t *testing.T) {
 	s := c.Stats()
 	if s.MTRs != 20 || s.RecordsWritten != 20 || s.Backlog != 0 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestVDLImpliesDurableTails pins the publication order in shipBatch's quorum
+// watcher: the per-PG durable tails advance before the VDL does, so any
+// reader that observes VDL >= cpl for an acked (pg, cpl) already sees
+// DurableTail(pg) >= cpl. Published the other way round, a read at a
+// just-acked CPL computes its completeness demand from a stale tail and a
+// lagging replica serves the previous version (the TestSplitStaleReadConcurrent
+// flake). Writers on two PGs ack concurrently — one writer's VDL advance is
+// what covers the other's CPL — while each writer and a polling checker
+// assert the implication.
+func TestVDLImpliesDurableTails(t *testing.T) {
+	f, c := testVolume(t, 2)
+	const writers, rounds = 4, 150
+	var (
+		mu    sync.Mutex
+		acked = make([][]core.LSN, f.PGs()) // acked CPLs per PG
+		wg    sync.WaitGroup
+		stop  = make(chan struct{})
+		errs  = make(chan error, writers+1)
+	)
+	check := func(pg core.PGID, cpl core.LSN) error {
+		if tail := c.DurableTail(pg); tail < cpl {
+			return fmt.Errorf("VDL %d covers acked cpl %d of pg %d but DurableTail is %d", c.VDL(), cpl, pg, tail)
+		}
+		return nil
+	}
+	checkerDone := make(chan struct{})
+	go func() {
+		defer close(checkerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			vdl := c.VDL() // read the VDL first: the tails must already cover it
+			for pg := range acked {
+				var want core.LSN
+				mu.Lock()
+				for _, cpl := range acked[pg] {
+					if cpl <= vdl && cpl > want {
+						want = cpl
+					}
+				}
+				mu.Unlock()
+				if err := check(core.PGID(pg), want); err != nil {
+					errs <- err
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	pgsHit := make(map[core.PGID]bool)
+	for w := 0; w < writers; w++ {
+		id := core.PageID(w)
+		pgsHit[c.PGOf(id)] = true
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pg := c.PGOf(id)
+			for i := 0; i < rounds; i++ {
+				m := &core.MTR{Txn: uint64(w*rounds + i + 1)}
+				m.AddDelta(pg, id, 0, []byte{byte(i)})
+				cpl, err := c.WriteMTR(context.Background(), m)
+				if err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				acked[pg] = append(acked[pg], cpl)
+				mu.Unlock()
+				for c.VDL() < cpl {
+					runtime.Gosched()
+				}
+				if err := check(pg, cpl); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	if len(pgsHit) < 2 {
+		t.Fatalf("writers cover %d PGs, want >= 2", len(pgsHit))
+	}
+	wg.Wait()
+	close(stop)
+	<-checkerDone
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -337,11 +432,10 @@ func TestRecoveryTruncatesDanglingTail(t *testing.T) {
 	c.Crash()
 	// Inject a record whose predecessor was lost forever: LSN 5 backlinked
 	// to a phantom LSN 3 that no replica holds.
-	orphan := core.Batch{PG: 0, Records: []core.Record{{
-		LSN: 5, PrevLSN: 3, Type: core.RecPageDelta, PG: 0, Page: 0,
-		Flags: core.FlagCPL, Data: []byte("orphan"),
-	}}}
-	if _, err := nodeIngest(f.Node(0, 0), &orphan, 0, 0); err != nil {
+	orphan := core.Record{
+		LSN: 5, PrevLSN: 3, Type: core.RecPageDelta, PG: 0, Page: 0, Data: []byte("orphan"),
+	}
+	if _, err := nodeIngest(t, f.Node(0, 0), 0, orphan); err != nil {
 		t.Fatal(err)
 	}
 	c2, rep, err := Recover(context.Background(), f, ClientConfig{WriterNode: "writer2", WriterAZ: 0})
