@@ -30,13 +30,18 @@ test: build vet lint
 
 # Race-detector pass over the concurrency-heavy packages, then 100 rounds of
 # the split stale-read test: the tails-before-VDL publication order it guards
-# once broke as a one-in-four flake, which a single pass does not catch.
+# once broke as a one-in-four flake, which a single pass does not catch. The
+# page-path packages are in the list because the recorder's before-image pool
+# is shared by every engine in the process; the in-place coalescing test runs
+# ten times because one schedule of readers against folds proves little.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
 		./internal/netsim/ ./internal/metrics/ ./internal/quorum/ \
-		./internal/engine/ ./internal/control/
+		./internal/engine/ ./internal/control/ \
+		./internal/btree/ ./internal/page/ ./internal/bufcache/
 	$(GO) test -race -count=100 -run TestSplitStaleReadConcurrent ./internal/volume/
+	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write
 # success, and the retry / hedge / auto-repair machinery all engaged.
@@ -80,23 +85,32 @@ examples-smoke:
 	$(GO) run ./examples/pitr
 
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
-# closed-loop workloads, ten end-to-end metrics, full report with the
-# environment header as JSON. Compare two reports with
+# closed-loop workloads, ten end-to-end metrics and the traced pass's
+# per-layer metrics, full report with the environment header as JSON (about
+# five minutes). BENCH_12.json is the same command run in a clone of the
+# parent commit on the same host. Compare two reports with
 # `go run ./benchmark -compare A.json B.json`. bench-quick is the 3-second
 # try-out of the same suite.
 bench:
-	$(GO) run ./benchmark -json BENCH_12.json
+	$(GO) run ./benchmark -trace 1 -json BENCH_13.json
 
 bench-quick:
 	$(GO) run ./benchmark -quick
 
-# Zero-allocation log hot path guardrail: the encode/frame pins must stay at
+# Allocation guardrails. Log hot path: the encode/frame pins must stay at
 # exactly zero allocations and the full commit steady state under one
-# allocation per record (0 allocs/record amortized). Fails CI on regression.
+# allocation per record (0 allocs/record amortized). Page path: node lookups
+# and a steady-state coalesce round at zero, Tree.Get at the one value copy,
+# an update in place at its redo only, an unsampled annotate free. Fails CI
+# on regression.
 bench-allocs:
 	$(GO) test -run 'TestRecordBodyEncodeZeroAllocs|TestFrameGroupSteadyStateZeroAllocs' -count=1 ./internal/core/
 	$(GO) test -run 'TestCommitSteadyStateAllocs' -count=1 ./internal/volume/
+	$(GO) test -run 'TestNodeLookupZeroAllocs|TestTreeGetAllocs|TestPutUpdateSteadyStateAllocs' -count=1 ./internal/btree/
+	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs' -count=1 ./internal/storage/
+	$(GO) test -run 'TestUnsampledPathDoesNotAllocate' -count=1 ./internal/trace/
 	$(GO) test -run xxx -bench 'BenchmarkRecordBodyEncode|BenchmarkFrameGroup$$|BenchmarkCommitSteadyStateAllocs' -benchtime 100x ./internal/core/ ./internal/volume/
+	$(GO) test -run xxx -bench 'BenchmarkTreeGet|BenchmarkTreePutUpdate|BenchmarkCoalesceRound' -benchmem -benchtime 1000x ./internal/btree/ ./internal/storage/
 
 # Log/page role split vs the classic 4/6 quorum at 160 connections on the
 # NVMe disk model: sync bytes per commit, commit p50/p95, throughput.

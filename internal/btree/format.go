@@ -75,6 +75,33 @@ func (n node) area() []byte { return n.p.Payload()[entBase:] }
 // free reports the remaining bytes in the entry area.
 func (n node) free() int { return len(n.area()) - n.used() }
 
+// cursor is a position in the used part of a node's entry area: what the
+// leaf and branch cursors below share. They decode entries one at a time, in
+// place — the current entry aliases the page and next allocates nothing —
+// and they are the only entry decoders. Every lookup drives its cursor to the
+// end of the area, so a malformed entry anywhere in a node fails the
+// operation.
+type cursor struct {
+	area []byte // the used part of the entry area
+	pos  int    // where the next entry starts
+	err  error  // why next stopped early, if it did
+}
+
+func (n node) cursor() cursor {
+	area, used := n.area(), n.used()
+	if used > len(area) {
+		return cursor{err: fmt.Errorf("%w: %d bytes used of a %d-byte entry area", ErrCorrupt, used, len(area))}
+	}
+	return cursor{area: area[:used]}
+}
+
+// fail records a malformed entry at the cursor and ends the walk.
+func (c *cursor) fail(what string) bool {
+	c.err = fmt.Errorf("%w: %s at %d", ErrCorrupt, what, c.pos)
+	c.pos = len(c.area)
+	return false
+}
+
 // leafEntry is a decoded leaf slot.
 type leafEntry struct {
 	off  int // offset of the entry within the area (for in-place kill)
@@ -87,46 +114,54 @@ const leafHdr = 2 + 2 + 1
 
 func leafEntrySize(k, v int) int { return leafHdr + k + v }
 
-// scanLeaf decodes every entry (live and dead) of a leaf.
-func (n node) scanLeaf() ([]leafEntry, error) {
-	area := n.area()
-	used := n.used()
-	var out []leafEntry
-	off := 0
-	for off < used {
-		if off+leafHdr > used {
-			return nil, fmt.Errorf("%w: leaf entry header at %d", ErrCorrupt, off)
-		}
-		klen := int(binary.LittleEndian.Uint16(area[off:]))
-		vlen := int(binary.LittleEndian.Uint16(area[off+2:]))
-		flags := area[off+4]
-		end := off + leafHdr + klen + vlen
-		if end > used {
-			return nil, fmt.Errorf("%w: leaf entry body at %d", ErrCorrupt, off)
-		}
-		out = append(out, leafEntry{
-			off:  off,
-			dead: flags&entryDead != 0,
-			key:  area[off+leafHdr : off+leafHdr+klen],
-			val:  area[off+leafHdr+klen : end],
-		})
-		off = end
+// leafCursor walks the entries of a leaf, live and dead.
+type leafCursor struct {
+	leafEntry // the current entry, valid after next returned true
+	cursor
+}
+
+func (n node) leafEntries() leafCursor { return leafCursor{cursor: n.cursor()} }
+
+// next advances to the next entry, returning false at the end of the used
+// area or at a malformed entry (err is then set).
+func (c *leafCursor) next() bool {
+	area, off := c.area, c.pos
+	if off >= len(area) {
+		return false
 	}
-	return out, nil
+	if off+leafHdr > len(area) {
+		return c.fail("leaf entry header")
+	}
+	klen := int(binary.LittleEndian.Uint16(area[off:]))
+	vlen := int(binary.LittleEndian.Uint16(area[off+2:]))
+	end := off + leafHdr + klen + vlen
+	if end > len(area) {
+		return c.fail("leaf entry body")
+	}
+	c.leafEntry = leafEntry{
+		off:  off,
+		dead: area[off+4]&entryDead != 0,
+		key:  area[off+leafHdr : off+leafHdr+klen],
+		val:  area[off+leafHdr+klen : end],
+	}
+	c.pos = end
+	return true
 }
 
 // findLive returns the live entry for key, if any.
 func (n node) findLive(key []byte) (leafEntry, bool, error) {
-	ents, err := n.scanLeaf()
-	if err != nil {
-		return leafEntry{}, false, err
-	}
-	for _, e := range ents {
-		if !e.dead && bytes.Equal(e.key, key) {
-			return e, true, nil
+	var found leafEntry
+	ok := false
+	c := n.leafEntries()
+	for c.next() {
+		if !ok && !c.dead && bytes.Equal(c.key, key) {
+			found, ok = c.leafEntry, true
 		}
 	}
-	return leafEntry{}, false, nil
+	if c.err != nil {
+		return leafEntry{}, false, c.err
+	}
+	return found, ok, nil
 }
 
 // kill marks the entry at off dead and decrements the live count.
@@ -151,18 +186,18 @@ func (n node) appendLeaf(key, val []byte) {
 // liveSorted returns the live entries sorted by key (data copied so the
 // page can be rewritten underneath).
 func (n node) liveSorted() ([]kv, error) {
-	ents, err := n.scanLeaf()
-	if err != nil {
-		return nil, err
-	}
 	out := make([]kv, 0, n.count())
-	for _, e := range ents {
-		if !e.dead {
+	c := n.leafEntries()
+	for c.next() {
+		if !c.dead {
 			out = append(out, kv{
-				k: append([]byte(nil), e.key...),
-				v: append([]byte(nil), e.val...),
+				k: append([]byte(nil), c.key...),
+				v: append([]byte(nil), c.val...),
 			})
 		}
+	}
+	if c.err != nil {
+		return nil, c.err
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].k, out[j].k) < 0 })
 	return out, nil
@@ -172,15 +207,15 @@ type kv struct{ k, v []byte }
 
 // liveBytes returns the space live entries occupy.
 func (n node) liveBytes() (int, error) {
-	ents, err := n.scanLeaf()
-	if err != nil {
-		return 0, err
-	}
 	total := 0
-	for _, e := range ents {
-		if !e.dead {
-			total += leafEntrySize(len(e.key), len(e.val))
+	c := n.leafEntries()
+	for c.next() {
+		if !c.dead {
+			total += leafEntrySize(len(c.key), len(c.val))
 		}
+	}
+	if c.err != nil {
+		return 0, c.err
 	}
 	return total, nil
 }
@@ -221,28 +256,33 @@ const branchHdr = 2 + 8
 
 func branchSize(k int) int { return branchHdr + k }
 
-// scanInternal decodes the sorted separators of an internal node.
-func (n node) scanInternal() ([]branch, error) {
-	area := n.area()
-	used := n.used()
-	var out []branch
-	off := 0
-	for off < used {
-		if off+2 > used {
-			return nil, fmt.Errorf("%w: branch header at %d", ErrCorrupt, off)
-		}
-		klen := int(binary.LittleEndian.Uint16(area[off:]))
-		end := off + 2 + klen + 8
-		if end > used {
-			return nil, fmt.Errorf("%w: branch body at %d", ErrCorrupt, off)
-		}
-		out = append(out, branch{
-			key:   area[off+2 : off+2+klen],
-			child: binary.LittleEndian.Uint64(area[off+2+klen : end]),
-		})
-		off = end
+// branchCursor walks the sorted separators of an internal node.
+type branchCursor struct {
+	branch // the current separator, valid after next returned true; key aliases the page
+	cursor
+}
+
+func (n node) branches() branchCursor { return branchCursor{cursor: n.cursor()} }
+
+func (c *branchCursor) next() bool {
+	area, off := c.area, c.pos
+	if off >= len(area) {
+		return false
 	}
-	return out, nil
+	if off+2 > len(area) {
+		return c.fail("branch header")
+	}
+	klen := int(binary.LittleEndian.Uint16(area[off:]))
+	end := off + 2 + klen + 8
+	if end > len(area) {
+		return c.fail("branch body")
+	}
+	c.branch = branch{
+		key:   area[off+2 : off+2+klen],
+		child: binary.LittleEndian.Uint64(area[off+2+klen : end]),
+	}
+	c.pos = end
+	return true
 }
 
 // rewriteInternal replaces the separators of an internal node.
@@ -265,17 +305,23 @@ func (n node) rewriteInternal(leftmost uint64, brs []branch) {
 
 // childFor returns the child page to descend into for key.
 func (n node) childFor(key []byte) (uint64, error) {
-	brs, err := n.scanInternal()
-	if err != nil {
-		return 0, err
-	}
 	child := n.link() // leftmost
-	for _, b := range brs {
-		if bytes.Compare(key, b.key) >= 0 {
-			child = b.child
-		} else {
-			break
+	// Separators are sorted, so comparing stops at the first one above key;
+	// decoding does not, or a torn tail of the node would go unnoticed.
+	passed := false
+	c := n.branches()
+	for c.next() {
+		if passed {
+			continue
 		}
+		if bytes.Compare(key, c.key) >= 0 {
+			child = c.child
+		} else {
+			passed = true
+		}
+	}
+	if c.err != nil {
+		return 0, c.err
 	}
 	return child, nil
 }

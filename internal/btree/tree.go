@@ -124,9 +124,11 @@ func checkKV(key, val []byte) error {
 	return nil
 }
 
-// descend walks from the root to the leaf for key, returning the path of
-// internal page ids (root first) and the leaf.
-func (t *Tree) descend(key []byte) (path []core.PageID, leafID core.PageID, leaf node, err error) {
+// descend walks from the root to the leaf for key. A non-nil path comes back
+// with the internal page ids passed on the way appended (root first); only
+// Put needs them, to thread a split's separator back up, and it lends a stack
+// buffer so that no descent grows a slice on the heap.
+func (t *Tree) descend(key []byte, path []core.PageID) (_ []core.PageID, leafID core.PageID, leaf node, err error) {
 	m, err := t.meta()
 	if err != nil {
 		return nil, 0, node{}, err
@@ -142,7 +144,9 @@ func (t *Tree) descend(key []byte) (path []core.PageID, leafID core.PageID, leaf
 		case nodeLeaf:
 			return path, id, n, nil
 		case nodeInternal:
-			path = append(path, id)
+			if path != nil {
+				path = append(path, id)
+			}
 			child, err := n.childFor(key)
 			if err != nil {
 				return nil, 0, node{}, err
@@ -159,7 +163,7 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if err := checkKV(key, nil); err != nil {
 		return nil, false, err
 	}
-	_, _, leaf, err := t.descend(key)
+	_, _, leaf, err := t.descend(key, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -175,7 +179,10 @@ func (t *Tree) Put(rec *Recorder, key, val []byte) error {
 	if err := checkKV(key, val); err != nil {
 		return err
 	}
-	path, leafID, leaf, err := t.descend(key)
+	// Trees deeper than the array spill to the heap; 8 levels of 4 KB nodes
+	// is already more rows than a simulated volume holds.
+	var levels [8]core.PageID
+	path, leafID, leaf, err := t.descend(key, levels[:0])
 	if err != nil {
 		return err
 	}
@@ -298,14 +305,14 @@ func (t *Tree) insertSeparator(rec *Recorder, path []core.PageID, sep []byte, ri
 	}
 	rec.Touch(nodeID, p)
 	n := node{p}
-	brs, err := n.scanInternal()
-	if err != nil {
-		return err
-	}
 	// Copy keys out: rewrite below reuses the underlying area.
-	cp := make([]branch, len(brs), len(brs)+1)
-	for i, b := range brs {
-		cp[i] = branch{key: append([]byte(nil), b.key...), child: b.child}
+	cp := make([]branch, 0, n.count()+1)
+	c := n.branches()
+	for c.next() {
+		cp = append(cp, branch{key: append([]byte(nil), c.key...), child: c.child})
+	}
+	if c.err != nil {
+		return c.err
 	}
 	pos := len(cp)
 	cp = append(cp, branch{})
@@ -373,7 +380,7 @@ func (t *Tree) Delete(rec *Recorder, key []byte) (bool, error) {
 	if err := checkKV(key, nil); err != nil {
 		return false, err
 	}
-	_, leafID, leaf, err := t.descend(key)
+	_, leafID, leaf, err := t.descend(key, nil)
 	if err != nil {
 		return false, err
 	}
@@ -395,7 +402,7 @@ func (t *Tree) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	if from == nil {
 		from = []byte{0}
 	}
-	_, _, leaf, err := t.descend(from)
+	_, _, leaf, err := t.descend(from, nil)
 	if err != nil {
 		return err
 	}
@@ -463,21 +470,21 @@ func (t *Tree) CheckInvariants() error {
 			leaves = append(leaves, id)
 			return nil
 		case nodeInternal:
-			brs, err := n.scanInternal()
-			if err != nil {
-				return err
-			}
 			prev := lo
 			child := n.link()
-			for _, b := range brs {
-				if prev != nil && bytes.Compare(b.key, prev) < 0 {
+			c := n.branches()
+			for c.next() {
+				if prev != nil && bytes.Compare(c.key, prev) < 0 {
 					return fmt.Errorf("%w: internal %d separators unsorted", ErrCorrupt, id)
 				}
-				if err := walk(core.PageID(child), prev, b.key); err != nil {
+				if err := walk(core.PageID(child), prev, c.key); err != nil {
 					return err
 				}
-				prev = b.key
-				child = b.child
+				prev = c.key
+				child = c.child
+			}
+			if c.err != nil {
+				return c.err
 			}
 			return walk(core.PageID(child), prev, hi)
 		default:

@@ -363,26 +363,3 @@ func BenchmarkTreePut(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkTreeGet(b *testing.B) {
-	s := newMemStore()
-	rec := NewRecorder()
-	tr, err := Create(s, rec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 10000; i++ {
-		k := []byte(fmt.Sprintf("key%09d", i))
-		if err := tr.Put(rec, k, k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := []byte(fmt.Sprintf("key%09d", i%10000))
-		if _, ok, err := tr.Get(k); err != nil || !ok {
-			b.Fatal(err)
-		}
-	}
-}

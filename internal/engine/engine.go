@@ -381,7 +381,7 @@ func (s *readStore) Page(id core.PageID) (page.Page, error) {
 		return p, nil
 	}
 	sp := s.db.tracer.Start("read.page")
-	sp.Annotate("page", id)
+	trace.Annotate(sp, "page", id)
 	p, _, err := s.db.vol.ReadPage(trace.NewContext(s.ctx, sp), id)
 	sp.End()
 	if err != nil {
@@ -446,8 +446,8 @@ type snapStore struct {
 
 func (s *snapStore) Page(id core.PageID) (page.Page, error) {
 	sp := s.db.tracer.Start("read.page")
-	sp.Annotate("page", id)
-	sp.Annotate("snapshot", s.readPoint)
+	trace.Annotate(sp, "page", id)
+	trace.Annotate(sp, "snapshot", s.readPoint)
 	p, err := s.db.vol.ReadPageAt(trace.NewContext(s.ctx, sp), id, s.readPoint)
 	sp.End()
 	if err != nil {

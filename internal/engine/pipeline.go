@@ -285,12 +285,12 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 			req.groupSp = gsp
 		} else {
 			inflight := req.sp.Child("group.inflight")
-			inflight.Annotate("adopted_by", gsp.TraceID())
+			trace.Annotate(inflight, "adopted_by", gsp.TraceID())
 			req.groupSp = inflight
 		}
 	}
 	fsp := gsp.Child("group.frame")
-	fsp.Annotate("mtrs", len(group))
+	trace.Annotate(fsp, "mtrs", len(group))
 	gw, err := db.vol.FrameMTRs(db.rootCtx, ms)
 	if err != nil {
 		fsp.End()
@@ -352,7 +352,7 @@ func (p *commitPipeline) completeGroup(group []*commitReq, gw *volume.GroupWrite
 	// a detached committer must not stop the group from becoming durable.
 	shipSp := gsp.Child("group.ship")
 	if err := gw.Ship(trace.NewContext(db.rootCtx, shipSp)); err != nil {
-		shipSp.Annotate("err", err)
+		trace.Annotate(shipSp, "err", err)
 		shipSp.End()
 		gw.Release()
 		db.degraded.Store(true)

@@ -306,7 +306,7 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 	start := time.Now()
 	p := tx.db.pipeline
 	root := tx.db.tracer.Start("commit")
-	root.Annotate("txn", tx.id)
+	trace.Annotate(root, "txn", tx.id)
 	rsp := root.Child("commit.reserve")
 	if err := p.reserve(ctx); err != nil {
 		rsp.End()
@@ -326,7 +326,7 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 	if err != nil {
 		tx.db.latch.Unlock()
 		p.unreserve()
-		root.Annotate("err", err)
+		trace.Annotate(root, "err", err)
 		root.End()
 		tx.finish(false)
 		return err
@@ -341,7 +341,7 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 	select {
 	case err := <-req.errc:
 		if err != nil {
-			root.Annotate("err", err)
+			trace.Annotate(root, "err", err)
 			root.End()
 			tx.finish(false)
 			return fmt.Errorf("txn %d: %w (%v)", tx.id, ErrDegraded, err)
@@ -352,7 +352,7 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 		// goroutine drains the completion channel and ends the root span —
 		// safe because the pipeline ends every child span before the errc
 		// send, and span mutation is serialized on the owning trace.
-		root.Annotate("deadline", ctx.Err())
+		trace.Annotate(root, "deadline", ctx.Err())
 		go func() {
 			<-req.errc
 			root.End()
@@ -374,8 +374,8 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 func (tx *Tx) commitSync() error {
 	start := time.Now()
 	root := tx.db.tracer.Start("commit")
-	root.Annotate("txn", tx.id)
-	root.Annotate("sync", true)
+	trace.Annotate(root, "txn", tx.id)
+	trace.Annotate(root, "sync", true)
 	lsp := root.Child("commit.latch")
 	tx.db.latch.Lock()
 	lsp.End()
@@ -420,7 +420,7 @@ func (tx *Tx) commitSync() error {
 	pending.Release()
 	tx.db.latch.Unlock()
 	if err != nil {
-		root.Annotate("err", err)
+		trace.Annotate(root, "err", err)
 		root.End()
 		tx.db.degraded.Store(true)
 		tx.finish(false)

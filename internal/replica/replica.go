@@ -141,8 +141,8 @@ func (r *Replica) loop(events <-chan engine.Event) {
 // the new VDL atomically.
 func (r *Replica) ingest(ev engine.Event) {
 	sp := r.traceStart("replica.apply")
-	sp.Annotate("records", len(ev.Records))
-	sp.Annotate("stream_vdl", ev.VDL)
+	trace.Annotate(sp, "records", len(ev.Records))
+	trace.Annotate(sp, "stream_vdl", ev.VDL)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	bsp := sp.Child("replica.buffer")
@@ -166,8 +166,8 @@ func (r *Replica) ingest(ev engine.Event) {
 	if cut > 0 {
 		r.pending = append([]core.Record(nil), r.pending[cut:]...)
 	}
-	asp.Annotate("applied", cut)
-	asp.Annotate("lag_records", len(r.pending))
+	trace.Annotate(asp, "applied", cut)
+	trace.Annotate(asp, "lag_records", len(r.pending))
 	asp.End()
 	if newVDL > r.vdl {
 		r.vdl = newVDL
@@ -175,7 +175,7 @@ func (r *Replica) ingest(ev engine.Event) {
 		// Advance the GC pin with the applied view (monotone).
 		r.reader.PinReadPoint(newVDL)
 	}
-	sp.Annotate("vdl", r.vdl)
+	trace.Annotate(sp, "vdl", r.vdl)
 	sp.End()
 }
 
@@ -230,8 +230,8 @@ func (s *replicaStore) Page(id core.PageID) (page.Page, error) {
 		return p, nil
 	}
 	sp := s.r.traceStart("replica.read")
-	sp.Annotate("page", id)
-	sp.Annotate("read_point", s.readPoint)
+	trace.Annotate(sp, "page", id)
+	trace.Annotate(sp, "read_point", s.readPoint)
 	required := s.r.tails[s.r.pgOfAt(id, s.readPoint)] // under RLock
 	p, err := s.r.reader.ReadPageAt(trace.NewContext(s.ctx, sp), id, s.readPoint, required)
 	sp.End()

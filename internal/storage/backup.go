@@ -64,10 +64,8 @@ func (n *Node) snapshotLocked() []byte {
 	}
 
 	// CPL index and points.
-	put32(uint32(len(n.cpls)))
-	for _, c := range n.cpls {
-		put64(uint64(c))
-	}
+	put32(uint32(n.cpls.len()))
+	n.cpls.each(func(c core.LSN) { put64(uint64(c)) })
 	put64(uint64(n.vdl))
 	put64(uint64(n.pgmrpl))
 	put64(uint64(n.gcTail))
@@ -173,13 +171,13 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	cpls := make([]core.LSN, 0, nCPL)
+	var cpls cplSet
 	for i := uint32(0); i < nCPL; i++ {
 		v, err := get64()
 		if err != nil {
 			return err
 		}
-		cpls = append(cpls, core.LSN(v))
+		cpls.insert(core.LSN(v))
 	}
 	vdl, err := get64()
 	if err != nil {

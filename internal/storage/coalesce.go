@@ -40,36 +40,42 @@ func (n *Node) CoalesceOnce() int {
 		return 0
 	}
 
-	// Phase 1: materialize every page whose chain intersects the prefix.
-	type pending struct {
-		ps      *pageState
-		newBase page.Page
-		cut     int
-	}
-	var work []pending
+	// Phase 1: fold the safe prefix of every chain into its base, in place.
+	// Nothing outside n.mu holds a base (reads, repairs and snapshots copy
+	// under the lock), so the only page-sized allocation is a page's first
+	// base. The base is verified before it is folded onto: stamping a fresh
+	// CRC over a corrupt image would launder the corruption past both the
+	// read gate and the scrubber. A bad base or a malformed record (caught at
+	// generation, so local corruption here) aborts the round before anything
+	// is cut, so the GC prefix stays consistent; the scrubber repairs. Bases
+	// folded earlier in an aborted round stay advanced over their uncut
+	// chains, which is still consistent: materialization skips records at or
+	// below the base LSN, and no read point lies below the PGMRPL.
+	advanced := 0
 	for id, ps := range n.pages {
 		if len(ps.chain) == 0 || ps.chain[0].LSN > safe {
 			continue
 		}
-		cut := 0
-		for cut < len(ps.chain) && ps.chain[cut].LSN <= safe {
-			cut++
-		}
-		newBase, err := page.Materialize(id, ps.base, ps.chain[:cut], safe)
-		if err != nil {
-			// A malformed record would have been caught at generation; a
-			// failure here means local corruption. Abort the whole round so
-			// the GC prefix stays consistent; the scrubber will repair.
+		base := ps.base
+		if base == nil {
+			base = page.New(id)
+		} else if base.VerifyChecksum() != nil {
 			return 0
 		}
-		newBase.UpdateChecksum()
-		work = append(work, pending{ps: ps, newBase: newBase, cut: cut})
+		err := foldInto(base, ps.chain, safe)
+		// Apply changes nothing when it refuses a record, so even on error
+		// the base is a whole image as of its LSN and needs a CRC to match.
+		base.UpdateChecksum()
+		if err != nil {
+			return 0
+		}
+		ps.base = base
+		advanced++
 	}
 
-	// Phase 2: install bases and GC the complete prefix atomically.
-	for _, w := range work {
-		w.ps.base = w.newBase
-		w.ps.chain = append([]*core.Record(nil), w.ps.chain[w.cut:]...)
+	// Phase 2: cut the folded prefixes and GC the complete log prefix.
+	for _, ps := range n.pages {
+		ps.chain = cutChain(ps.chain, safe)
 	}
 	gced := uint64(0)
 	for _, lsn := range n.logIdx {
@@ -84,13 +90,48 @@ func (n *Node) CoalesceOnce() int {
 	}
 	n.logIdxTrimLocked(safe)
 	n.gced.Add(gced)
-	n.coalesces.Add(uint64(len(work)))
-	for range work {
+	n.coalesces.Add(uint64(advanced))
+	for i := 0; i < advanced; i++ {
 		if err := n.ssd.Write(page.Size); err != nil {
 			break
 		}
 	}
-	return len(work)
+	return advanced
+}
+
+// foldInto applies to base, in place, the records of chain (ascending LSN)
+// that are at or below safe and not yet reflected in it: page.Materialize's
+// loop without its copy of the base.
+func foldInto(base page.Page, chain []*core.Record, safe core.LSN) error {
+	for _, r := range chain {
+		if r.LSN > safe {
+			break
+		}
+		if r.LSN <= base.LSN() {
+			continue
+		}
+		if err := base.Apply(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cutChain drops the records at or below floor from the front of a chain by
+// sliding the rest down inside the backing array, so that filing the next
+// records appends into the room freed instead of growing a new slice. The
+// vacated tail is cleared so collected records are not pinned.
+func cutChain(chain []*core.Record, floor core.LSN) []*core.Record {
+	cut := 0
+	for cut < len(chain) && chain[cut].LSN <= floor {
+		cut++
+	}
+	if cut == 0 {
+		return chain
+	}
+	m := copy(chain, chain[cut:])
+	clear(chain[m:])
+	return chain[:m]
 }
 
 // logGCOnce is the log tier's frugal stand-in for coalescing: no page is
@@ -142,13 +183,7 @@ func (n *Node) logGCOnce() int {
 	// tier's materialized bases, not here. The chain bookkeeping exists
 	// only so StripePages can report page tails to the rebalancer.
 	for id, ps := range n.pages {
-		cut := 0
-		for cut < len(ps.chain) && ps.chain[cut].LSN <= floor {
-			cut++
-		}
-		if cut > 0 {
-			ps.chain = append([]*core.Record(nil), ps.chain[cut:]...)
-		}
+		ps.chain = cutChain(ps.chain, floor)
 		if ps.base == nil && len(ps.chain) == 0 {
 			delete(n.pages, id)
 		}

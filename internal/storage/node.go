@@ -152,7 +152,7 @@ type Node struct {
 	log    map[core.LSN]*core.Record // retained records for gossip/materialize
 	logIdx []core.LSN                // sorted index over log's keys (see logIdxInsertLocked)
 	pages  map[core.PageID]*pageState
-	cpls   []core.LSN // sorted CPL LSNs at or below SCL retention
+	cpls   cplSet // every CPL LSN seen (never GC'd: recovery needs them)
 	gaps   *core.GapTracker
 	gcTail core.LSN // highest record LSN ever garbage collected
 	trunc  core.TruncationRange
@@ -320,7 +320,7 @@ func (n *Node) Wipe() {
 	n.log = make(map[core.LSN]*core.Record)
 	n.logIdx = nil
 	n.pages = make(map[core.PageID]*pageState)
-	n.cpls = nil
+	n.cpls = cplSet{}
 	n.gaps = core.NewGapTracker(core.ZeroLSN)
 	n.wiped = true
 }
@@ -385,9 +385,9 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 		return Ack{}, results, err
 	}
 	ingest := parent.Child("storage.ingest")
-	ingest.Annotate("node", n.cfg.Node)
-	ingest.Annotate("batches", len(flight))
-	ingest.Annotate("bytes", size)
+	trace.Annotate(ingest, "node", n.cfg.Node)
+	trace.Annotate(ingest, "batches", len(flight))
+	trace.Annotate(ingest, "bytes", size)
 	wsp := ingest.Child("disk.write")
 	if err := n.ssd.Write(size); err != nil {
 		wsp.End()
@@ -424,7 +424,7 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 	scl := n.gaps.SCL()
 	n.mu.Unlock()
 	asp.End()
-	ingest.Annotate("scl", scl)
+	trace.Annotate(ingest, "scl", scl)
 	ingest.End()
 	n.batches.Add(uint64(accepted))
 	n.records.Add(uint64(filedTotal))
@@ -489,13 +489,13 @@ func (n *Node) logIdxDeleteLocked(lsn core.LSN) {
 }
 
 // logIdxTrimLocked drops every index entry at or below floor (a GC prefix),
-// copying the suffix so the backing array does not pin collected entries.
+// sliding the suffix down so the next inserts reuse the backing array.
 func (n *Node) logIdxTrimLocked(floor core.LSN) {
 	i := sort.Search(len(n.logIdx), func(i int) bool { return n.logIdx[i] > floor })
 	if i == 0 {
 		return
 	}
-	n.logIdx = append([]core.LSN(nil), n.logIdx[i:]...)
+	n.logIdx = n.logIdx[:copy(n.logIdx, n.logIdx[i:])]
 }
 
 // ingestLocked clones and files one record, reporting whether it was new.
@@ -552,12 +552,7 @@ func (n *Node) fileLocked(rec *core.Record) {
 		ps.chain[i] = rec
 	}
 	if rec.IsCPL() {
-		i := sort.Search(len(n.cpls), func(j int) bool { return n.cpls[j] >= rec.LSN })
-		if i == len(n.cpls) || n.cpls[i] != rec.LSN {
-			n.cpls = append(n.cpls, 0)
-			copy(n.cpls[i+1:], n.cpls[i:])
-			n.cpls[i] = rec.LSN
-		}
+		n.cpls.insert(rec.LSN)
 	}
 	n.gaps.Add(rec.PrevLSN, rec.LSN)
 }
@@ -642,11 +637,7 @@ func (n *Node) HighestLSN() core.LSN {
 func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	i := sort.Search(len(n.cpls), func(j int) bool { return n.cpls[j] > limit })
-	if i == 0 {
-		return core.ZeroLSN
-	}
-	return n.cpls[i-1]
+	return n.cpls.floor(limit)
 }
 
 // ReadPage is the foreground read path: it serves the version of the page
@@ -788,7 +779,7 @@ func (n *Node) Truncate(tr core.TruncationRange) error {
 			}
 		}
 	}
-	n.cpls = filterLSNs(n.cpls, func(l core.LSN) bool { return !tr.Annuls(l) })
+	n.cpls.retain(func(l core.LSN) bool { return !tr.Annuls(l) })
 	n.rebuildGapsLocked()
 	// Persist the truncation decision durably.
 	return n.ssd.Write(64)
@@ -821,16 +812,6 @@ func removeRecord(chain []*core.Record, lsn core.LSN) []*core.Record {
 		}
 	}
 	return chain
-}
-
-func filterLSNs(in []core.LSN, keep func(core.LSN) bool) []core.LSN {
-	out := in[:0]
-	for _, l := range in {
-		if keep(l) {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // Stats returns a snapshot of activity counters.

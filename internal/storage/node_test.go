@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -501,5 +502,44 @@ func TestReadCostsDiskIO(t *testing.T) {
 	}
 	if n.Stats().Reads != 1 {
 		t.Fatal("read not counted")
+	}
+}
+
+// TestCPLSetIsOneSortedSet: the CPL index keeps LSNs below 2^32 in four
+// bytes and the rest in eight, and must answer as the single sorted set it
+// replaced — across the boundary, out of order, with duplicates.
+func TestCPLSetIsOneSortedSet(t *testing.T) {
+	const edge = core.LSN(1) << 32
+	var s cplSet
+	var ref []core.LSN
+	for _, l := range []core.LSN{edge + 7, 5, edge - 1, 3, edge, 5, edge + 2, edge + 7, 9} {
+		s.insert(l)
+		if !slices.Contains(ref, l) {
+			ref = append(ref, l)
+		}
+	}
+	slices.Sort(ref)
+	var got []core.LSN
+	s.each(func(l core.LSN) { got = append(got, l) })
+	if !slices.Equal(got, ref) || s.len() != len(ref) {
+		t.Fatalf("members %v (len %d), want %v", got, s.len(), ref)
+	}
+	floor := func(limit core.LSN) core.LSN {
+		best := core.ZeroLSN
+		for _, l := range ref {
+			if l <= limit {
+				best = l
+			}
+		}
+		return best
+	}
+	for _, limit := range []core.LSN{0, 2, 3, 4, 9, 10, edge - 2, edge - 1, edge, edge + 1, edge + 2, edge + 6, edge + 7, edge << 4} {
+		if got, want := s.floor(limit), floor(limit); got != want {
+			t.Fatalf("floor(%d) = %d, want %d", limit, got, want)
+		}
+	}
+	s.retain(func(l core.LSN) bool { return l != 5 && l != edge })
+	if s.floor(8) != 3 || s.floor(edge+1) != edge-1 || s.len() != len(ref)-2 {
+		t.Fatalf("after retain: floor(8)=%d floor(edge+1)=%d len=%d", s.floor(8), s.floor(edge+1), s.len())
 	}
 }

@@ -109,3 +109,49 @@ func TestScrubSkipsCorruptPeerCopy(t *testing.T) {
 		t.Fatalf("payload after repair: %q", got)
 	}
 }
+
+// TestCoalesceDoesNotLaunderCorruption: coalescing stamps a fresh CRC on the
+// base it folds onto, so it must verify the old one first — otherwise a base
+// corrupted since its last scrub comes out of the round looking healthy, is
+// served to readers, and the scrubber never sees it again. A bad base aborts
+// the round like a bad record does and is left to the scrubber.
+func TestCoalesceDoesNotLaunderCorruption(t *testing.T) {
+	nodes := scrubPG(t)
+	victim, peer := nodes[0], nodes[1]
+	ctx := context.Background()
+	if !victim.CorruptPage(1) {
+		t.Fatal("no base image to corrupt")
+	}
+	// The PGMRPL moves over the rest of the chain: the next round would fold
+	// records 6..8 onto the corrupt base.
+	if _, _, err := victim.Ingest(ctx, nil, 8, 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	if adv := victim.CoalesceOnce(); adv != 0 {
+		t.Fatalf("coalesced %d pages onto a corrupt base", adv)
+	}
+	if got := victim.GCTail(); got != 5 {
+		t.Fatalf("GC tail %d after the aborted round, want 5", got)
+	}
+	if _, err := victim.ReadPage(ctx, 1, 8, 0); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("read after coalescing over a corrupt base: err=%v, want ErrCorruptPage", err)
+	}
+	if bad := victim.ScrubOnce(); bad != 1 {
+		t.Fatalf("scrub found %d corrupt pages, want 1", bad)
+	}
+	repaired, err := victim.ReadPage(ctx, 1, 8, 0)
+	if err != nil {
+		t.Fatalf("read after scrub: %v", err)
+	}
+	healthy, err := peer.ReadPage(ctx, 1, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(repaired, healthy) {
+		t.Fatal("repaired page differs from healthy peer's copy")
+	}
+	// With the base repaired the round goes through.
+	if adv := victim.CoalesceOnce(); adv != 1 || victim.GCTail() != 8 {
+		t.Fatalf("round after repair advanced %d pages to GC tail %d, want 1 and 8", adv, victim.GCTail())
+	}
+}

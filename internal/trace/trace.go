@@ -19,8 +19,8 @@
 // atomic load and nil-span method calls, with zero allocations — tracing is
 // compiled in, never compiled out, and still near-free (see
 // BenchmarkStartUnsampled and TestUnsampledPathDoesNotAllocate).
-// Every Span method is safe on a nil receiver, so instrumented code never
-// branches on "am I sampled".
+// Every Span method, and Annotate, is safe on a nil span, so instrumented
+// code never branches on "am I sampled".
 //
 // Completed traces land in a bounded lock-free ring (newest overwrite
 // oldest) and feed a per-stage aggregator: one lock-free histogram per span
@@ -98,8 +98,11 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
-// Annotate attaches a key/value pair to the span.
-func (s *Span) Annotate(key string, val any) {
+// Annotate attaches a key/value pair to the span. It is a generic function,
+// not a method taking `any`, so that the value is boxed for formatting only
+// after the nil check: on an unsampled path an annotation of a string, an
+// integer wider than a byte or an error costs a compare, not an allocation.
+func Annotate[T any](s *Span, key string, val T) {
 	if s == nil {
 		return
 	}

@@ -13,7 +13,7 @@ func TestNilSpanIsSafeAndFree(t *testing.T) {
 	if c != nil {
 		t.Fatal("child of nil span must be nil")
 	}
-	s.Annotate("k", "v")
+	Annotate(s, "k", "v")
 	s.End()
 	if s.TraceID() != 0 {
 		t.Fatal("nil span trace id")
@@ -44,9 +44,21 @@ func TestSamplingGate(t *testing.T) {
 
 func TestUnsampledPathDoesNotAllocate(t *testing.T) {
 	c := NewCollector(8)
+	// Annotation values of the kinds the data path passes on every send,
+	// ingest and read attempt: a named string (netsim.NodeID), an int too
+	// large for the runtime's preboxed small integers, a named uint64
+	// (core.LSN) and an error. Held in variables so nothing is a constant
+	// the compiler could box statically.
+	type nodeID string
+	type lsn uint64
+	node, size, scl, err := nodeID(strings.Repeat("n", 3)), 4096+len(c.ring), lsn(1<<40), error(errFake{})
 	if n := testing.AllocsPerRun(1000, func() {
 		sp := c.Start("commit")
 		ch := sp.Child("stage")
+		Annotate(ch, "node", node)
+		Annotate(ch, "bytes", size)
+		Annotate(ch, "scl", scl)
+		Annotate(ch, "err", err)
 		ch.End()
 		sp.End()
 	}); n != 0 {
@@ -62,17 +74,21 @@ func TestUnsampledPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+type errFake struct{}
+
+func (errFake) Error() string { return "fake" }
+
 func TestSpanTreeAndAnnotations(t *testing.T) {
 	c := NewCollector(8)
 	c.SetSampleEvery(1)
 	root := c.Start("commit")
-	root.Annotate("txn", 42)
+	Annotate(root, "txn", 42)
 	a := root.Child("apply")
 	time.Sleep(time.Millisecond)
 	a.End()
 	s := root.Child("ship")
 	f := s.Child("flight")
-	f.Annotate("replica", 3)
+	Annotate(f, "replica", 3)
 	time.Sleep(time.Millisecond)
 	f.End()
 	s.End()
@@ -213,7 +229,7 @@ func TestConcurrentSpans(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			sp := root.Child("flight")
-			sp.Annotate("replica", i)
+			Annotate(sp, "replica", i)
 			sp.End()
 		}(i)
 	}

@@ -72,14 +72,14 @@ func (f *Fleet) readPage(ctx context.Context, from netsim.NodeID, id core.PageID
 		p, err := f.health.runHedged(ctx, pg, cands, func(actx context.Context, i int, hedged bool) (page.Page, error) {
 			n := replicas[i]
 			asp := sp.Child("read.attempt")
-			asp.Annotate("replica", i)
-			asp.Annotate("node", n.NodeID())
+			trace.Annotate(asp, "replica", i)
+			trace.Annotate(asp, "node", n.NodeID())
 			if hedged {
-				asp.Annotate("hedge", true)
+				trace.Annotate(asp, "hedge", true)
 			}
 			defer asp.End()
 			if err := sendHop(actx, f.cfg.Net, asp, "net.req", from, n.NodeID(), reqSize); err != nil {
-				asp.Annotate("err", err)
+				trace.Annotate(asp, "err", err)
 				return nil, err
 			}
 			ssp := asp.Child("storage.read")
@@ -87,7 +87,7 @@ func (f *Fleet) readPage(ctx context.Context, from netsim.NodeID, id core.PageID
 			ssp.End()
 			if err != nil {
 				ctr.retries.Add(1)
-				asp.Annotate("err", err)
+				trace.Annotate(asp, "err", err)
 				return nil, err
 			}
 			if err := sendHop(actx, f.cfg.Net, asp, "net.resp", n.NodeID(), from, page.Size); err != nil {
@@ -97,7 +97,7 @@ func (f *Fleet) readPage(ctx context.Context, from netsim.NodeID, id core.PageID
 				if !errors.Is(err, context.Canceled) {
 					f.health.respDrops.Inc()
 				}
-				asp.Annotate("err", err)
+				trace.Annotate(asp, "err", err)
 				return nil, err
 			}
 			// The response piggybacks the segment's completeness point.

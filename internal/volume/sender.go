@@ -18,12 +18,12 @@ import (
 // With a nil parent — the unsampled common case — only the send happens.
 func sendHop(ctx context.Context, net *netsim.Network, parent *trace.Span, name string, from, to netsim.NodeID, size int) error {
 	sp := parent.Child(name)
-	sp.Annotate("from", from)
-	sp.Annotate("to", to)
-	sp.Annotate("bytes", size)
+	trace.Annotate(sp, "from", from)
+	trace.Annotate(sp, "to", to)
+	trace.Annotate(sp, "bytes", size)
 	err := net.Send(ctx, from, to, size)
 	if err != nil {
-		sp.Annotate("err", err)
+		trace.Annotate(sp, "err", err)
 	}
 	sp.End()
 	return err
@@ -35,12 +35,12 @@ func sendHop(ctx context.Context, net *netsim.Network, parent *trace.Span, name 
 // delivery resolves.
 func sendHopBytes(ctx context.Context, net *netsim.Network, parent *trace.Span, name string, from, to netsim.NodeID, payloads [][]byte) error {
 	sp := parent.Child(name)
-	sp.Annotate("from", from)
-	sp.Annotate("to", to)
+	trace.Annotate(sp, "from", from)
+	trace.Annotate(sp, "to", to)
 	size, err := net.SendBytes(ctx, from, to, payloads)
-	sp.Annotate("bytes", size)
+	trace.Annotate(sp, "bytes", size)
 	if err != nil {
-		sp.Annotate("err", err)
+		trace.Annotate(sp, "err", err)
 	}
 	sp.End()
 	return err
@@ -262,16 +262,16 @@ func (s *replicaSender) deliver(flight []shipment) {
 			if fsp == nil {
 				continue
 			}
-			fsp.Annotate("replica", s.idx)
-			fsp.Annotate("node", s.node.NodeID())
-			fsp.Annotate("batches", len(flight))
+			trace.Annotate(fsp, "replica", s.idx)
+			trace.Annotate(fsp, "node", s.node.NodeID())
+			trace.Annotate(fsp, "batches", len(flight))
 			if try > 0 {
-				fsp.Annotate("try", try+1)
+				trace.Annotate(fsp, "try", try+1)
 			}
 			if lead == nil {
 				lead = fsp
 			} else {
-				fsp.Annotate("coalesced", true)
+				trace.Annotate(fsp, "coalesced", true)
 			}
 			flightSpans = append(flightSpans, fsp)
 		}
@@ -279,7 +279,7 @@ func (s *replicaSender) deliver(flight []shipment) {
 		ack, results, err := s.attempt(ctx, flight, lead)
 		for _, fsp := range flightSpans {
 			if err != nil {
-				fsp.Annotate("err", err)
+				trace.Annotate(fsp, "err", err)
 			}
 			fsp.End()
 		}
@@ -412,8 +412,8 @@ func (c *Client) shipBatch(ctx context.Context, g *core.FramedGroup, b *core.Fra
 	}
 	tr := quorum.NewTracker(trCfg)
 	bsp := sp.Child("batch.ship")
-	bsp.Annotate("pg", b.PG)
-	bsp.Annotate("records", b.Records)
+	trace.Annotate(bsp, "pg", b.PG)
+	trace.Annotate(bsp, "records", b.Records)
 	first, last := b.First, b.Last
 	sh := shipment{wire: b.Wire, pg: b.PG, recs: b.Records, group: g, tr: tr, sp: bsp}
 	for _, s := range senders {
@@ -445,9 +445,9 @@ func (c *Client) shipBatch(ctx context.Context, g *core.FramedGroup, b *core.Fra
 	select {
 	case <-tr.Done():
 	case <-ctx.Done():
-		qsp.Annotate("abandoned", true)
+		trace.Annotate(qsp, "abandoned", true)
 		qsp.End()
-		bsp.Annotate("err", ctx.Err())
+		trace.Annotate(bsp, "err", ctx.Err())
 		bsp.End()
 		return fmt.Errorf("volume: quorum wait abandoned: %w", ctx.Err())
 	}
@@ -458,7 +458,7 @@ func (c *Client) shipBatch(ctx context.Context, g *core.FramedGroup, b *core.Fra
 	<-advanced
 	err := tr.Err()
 	if err != nil {
-		bsp.Annotate("err", err)
+		trace.Annotate(bsp, "err", err)
 	}
 	bsp.End()
 	return err
