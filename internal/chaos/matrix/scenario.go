@@ -265,25 +265,40 @@ func makeFault(kind FaultKind, st *stack, led *Ledger, rng *rand.Rand, windows *
 // hedge deadline and batching budgets mid-chaos. The ledger, VDL and
 // recovery invariants are judged exactly as in every other scenario —
 // adaptation may trade latency but must never cost correctness. Heal
-// additionally asserts the controller actually stepped: an autotune row
-// whose controller slept would prove nothing.
+// additionally asserts the controller actually stepped under the fault: an
+// autotune row whose controller slept would prove nothing. The fault window
+// is paced by workload rounds and the controller by wall-clock ticks, so
+// Heal first waits — bounded — for a step taken since Inject; a data path
+// fast enough to finish the window's rounds inside one controller interval
+// must not fail the row.
 func autotuneFault(st *stack, pg core.PGID, rng *rand.Rand) chaos.Fault {
 	slow := st.fleet.Node(pg, rng.Intn(2))
 	flood := noisyNeighborFault(st)
+	var stepsAtInject uint64
 	return chaos.Fault{
 		Name: fmt.Sprintf("autotune: gray-slow %s + co-tenant flood", slow.NodeID()),
 		Inject: func(ctx context.Context) {
+			stepsAtInject = st.db.Stats().AutoTuneSteps
 			_ = st.net.SetNodeDelay(slow.NodeID(), chaos.GraySlowDelay())
 			flood.Inject(ctx)
 		},
 		Heal: func(ctx context.Context) error {
+			stepped := func() bool { return st.db.Stats().AutoTuneSteps > stepsAtInject }
+			wait, cancel := context.WithTimeout(ctx, chaos.SettleTimeout())
+			for !stepped() && wait.Err() == nil {
+				select {
+				case <-wait.Done():
+				case <-time.After(time.Millisecond):
+				}
+			}
+			cancel()
 			if err := st.net.SetNodeDelay(slow.NodeID(), 0); err != nil {
 				return err
 			}
 			if err := flood.Heal(ctx); err != nil {
 				return err
 			}
-			if st.db.Stats().AutoTuneSteps == 0 {
+			if !stepped() {
 				return errors.New("adaptive controller never stepped during the fault window")
 			}
 			return nil

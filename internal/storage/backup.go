@@ -27,16 +27,20 @@ func (n *Node) Snapshot() []byte {
 }
 
 func (n *Node) snapshotLocked() []byte {
-	var buf []byte
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
+	// The encoded size is known before a byte is written, so the buffer is
+	// allocated once at exactly that size: grown from nil by doubling, a
+	// snapshot of 4 KB pages allocates several times its own length, every
+	// backup pass on every node.
+	size := 4 + 4 + len(n.pages)*(8+1) + 4 + 4 + 8*n.cpls.len() + 7*8
+	for _, ps := range n.pages {
+		size += len(ps.base)
 	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
+	for _, r := range n.log {
+		size += r.EncodedSize()
 	}
+	buf := make([]byte, 0, size)
+	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
+	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	put32(snapshotMagic)
 
 	// Pages, sorted for determinism.
@@ -57,10 +61,10 @@ func (n *Node) snapshotLocked() []byte {
 		}
 	}
 
-	// Records, sorted by LSN (the key index is already in order).
-	put32(uint32(len(n.logIdx)))
-	for _, lsn := range n.logIdx {
-		buf = n.log[lsn].AppendEncode(buf)
+	// Records, by ascending LSN: the order the log keeps them in.
+	put32(uint32(len(n.log)))
+	for _, r := range n.log {
+		buf = r.AppendEncode(buf)
 	}
 
 	// CPL index and points.
@@ -114,7 +118,6 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 	}
 
 	pages := make(map[core.PageID]*pageState)
-	log := make(map[core.LSN]*core.Record)
 
 	nPages, err := get32()
 	if err != nil {
@@ -130,7 +133,7 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 		}
 		hasBase := buf[off] == 1
 		off++
-		ps := &pageState{}
+		ps := &pageState{id: core.PageID(id)}
 		if hasBase {
 			if err := need(page.Size); err != nil {
 				return err
@@ -138,33 +141,40 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 			ps.base = append(page.Page(nil), buf[off:off+page.Size]...)
 			off += page.Size
 		}
-		pages[core.PageID(id)] = ps
+		pages[ps.id] = ps
 	}
 
 	nRecs, err := get32()
 	if err != nil {
 		return err
 	}
-	gaps := core.NewGapTracker(core.ZeroLSN)
+	// A snapshot carries its records in ascending LSN order, so the log and
+	// every chain are rebuilt by appending; one that does not is malformed.
+	var log recordLog
+	var dirty []*pageState
 	for i := uint32(0); i < nRecs; i++ {
 		r, used, err := core.DecodeRecord(buf[off:])
 		if err != nil {
 			return fmt.Errorf("%w: record %d: %v", ErrBadSnapshot, i, err)
 		}
 		off += used
+		if r.LSN <= log.highest() {
+			return fmt.Errorf("%w: record %d: LSN %d not above its predecessor", ErrBadSnapshot, i, r.LSN)
+		}
 		cl := r.Clone()
-		log[cl.LSN] = &cl
+		log = append(log, &cl)
 		if cl.PageRecord() {
 			ps := pages[cl.Page]
 			if ps == nil {
-				ps = &pageState{}
+				ps = &pageState{id: cl.Page}
 				pages[cl.Page] = ps
 			}
 			ps.chain = append(ps.chain, &cl)
+			if !ps.listed {
+				ps.listed = true
+				dirty = append(dirty, ps)
+			}
 		}
-	}
-	for _, ps := range pages {
-		sort.Slice(ps.chain, func(i, j int) bool { return ps.chain[i].LSN < ps.chain[j].LSN })
 	}
 
 	nCPL, err := get32()
@@ -211,16 +221,14 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 	// Rebuild the gap tracker: the retained log chains from the GC boundary
 	// (everything at or below gcTail lives only in materialized pages and
 	// was complete when coalesced).
-	gaps = core.NewGapTracker(core.LSN(gcTail))
-	idx := make([]core.LSN, 0, len(log))
-	for _, r := range sortedRecords(log) {
+	gaps := core.NewGapTracker(core.LSN(gcTail))
+	for _, r := range log {
 		gaps.Add(r.PrevLSN, r.LSN)
-		idx = append(idx, r.LSN)
 	}
 
 	n.pages = pages
 	n.log = log
-	n.logIdx = idx
+	n.dirty = dirty
 	n.cpls = cpls
 	n.vdl = core.LSN(vdl)
 	n.pgmrpl = core.LSN(pgmrpl)
@@ -230,15 +238,6 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 	n.gaps = gaps
 	n.wiped = false
 	return nil
-}
-
-func sortedRecords(log map[core.LSN]*core.Record) []*core.Record {
-	out := make([]*core.Record, 0, len(log))
-	for _, r := range log {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LSN < out[j].LSN })
-	return out
 }
 
 // BackupKey returns the object-store key for this segment's backups. Keys

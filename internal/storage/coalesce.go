@@ -17,7 +17,10 @@ import (
 //
 // Unlike checkpointing, which is governed by the length of the entire redo
 // log chain, the work here is governed per page by the length of that
-// page's chain — the key asymmetry called out in §3.2.
+// page's chain — the key asymmetry called out in §3.2 — and a round looks
+// only at the pages that have one (the dirty list), so it costs what changed
+// since the last round, not what the node holds. Every chain at or below the
+// safe point is folded in the round it is called.
 //
 // It returns the number of pages whose base image advanced.
 func (n *Node) CoalesceOnce() int {
@@ -40,25 +43,28 @@ func (n *Node) CoalesceOnce() int {
 		return 0
 	}
 
-	// Phase 1: fold the safe prefix of every chain into its base, in place.
-	// Nothing outside n.mu holds a base (reads, repairs and snapshots copy
-	// under the lock), so the only page-sized allocation is a page's first
-	// base. The base is verified before it is folded onto: stamping a fresh
-	// CRC over a corrupt image would launder the corruption past both the
-	// read gate and the scrubber. A bad base or a malformed record (caught at
-	// generation, so local corruption here) aborts the round before anything
-	// is cut, so the GC prefix stays consistent; the scrubber repairs. Bases
-	// folded earlier in an aborted round stay advanced over their uncut
-	// chains, which is still consistent: materialization skips records at or
-	// below the base LSN, and no read point lies below the PGMRPL.
+	// Phase 1: fold the safe prefix of every listed chain into its base, in
+	// place. Only the dirty list is walked — a page with no chain has nothing
+	// to fold — so a round over a node that holds many pages and changed few
+	// costs the few. Nothing outside n.mu holds a base (reads, repairs and
+	// snapshots copy under the lock), so the only page-sized allocation is a
+	// page's first base. The base is verified before it is folded onto:
+	// stamping a fresh CRC over a corrupt image would launder the corruption
+	// past both the read gate and the scrubber. A bad base or a malformed
+	// record (caught at generation, so local corruption here) aborts the round
+	// before anything is cut, so the GC prefix stays consistent; the scrubber
+	// repairs. Bases folded earlier in an aborted round stay advanced over
+	// their uncut chains, which is still consistent: materialization skips
+	// records at or below the base LSN, and no read point lies below the
+	// PGMRPL.
 	advanced := 0
-	for id, ps := range n.pages {
+	for _, ps := range n.dirty {
 		if len(ps.chain) == 0 || ps.chain[0].LSN > safe {
 			continue
 		}
 		base := ps.base
 		if base == nil {
-			base = page.New(id)
+			base = page.New(ps.id)
 		} else if base.VerifyChecksum() != nil {
 			return 0
 		}
@@ -74,22 +80,8 @@ func (n *Node) CoalesceOnce() int {
 	}
 
 	// Phase 2: cut the folded prefixes and GC the complete log prefix.
-	for _, ps := range n.pages {
-		ps.chain = cutChain(ps.chain, safe)
-	}
-	gced := uint64(0)
-	for _, lsn := range n.logIdx {
-		if lsn > safe {
-			break
-		}
-		delete(n.log, lsn)
-		if lsn > n.gcTail {
-			n.gcTail = lsn
-		}
-		gced++
-	}
-	n.logIdxTrimLocked(safe)
-	n.gced.Add(gced)
+	n.cutDirtyLocked(safe)
+	n.gcLogLocked(safe)
 	n.coalesces.Add(uint64(advanced))
 	for i := 0; i < advanced; i++ {
 		if err := n.ssd.Write(page.Size); err != nil {
@@ -99,9 +91,47 @@ func (n *Node) CoalesceOnce() int {
 	return advanced
 }
 
+// cutDirtyLocked cuts every listed chain at floor and takes off the dirty
+// list the pages that leaves without one. Entries whose chain was already
+// emptied behind the list's back (Truncate, scrub repair) go the same way,
+// and a page left with neither base nor chain is forgotten — unless the
+// entry is the remains of a page Truncate deleted and a later record
+// re-created under the same id.
+func (n *Node) cutDirtyLocked(floor core.LSN) {
+	keep := n.dirty[:0]
+	for _, ps := range n.dirty {
+		ps.chain = cutChain(ps.chain, floor)
+		if len(ps.chain) > 0 {
+			keep = append(keep, ps)
+			continue
+		}
+		ps.listed = false
+		if ps.base == nil && n.pages[ps.id] == ps {
+			delete(n.pages, ps.id)
+		}
+	}
+	clear(n.dirty[len(keep):])
+	n.dirty = keep
+}
+
+// gcLogLocked collects the retained log prefix at or below floor and moves
+// the GC boundary to the highest LSN collected. It returns how many records
+// that was.
+func (n *Node) gcLogLocked(floor core.LSN) int {
+	k := n.log.search(floor)
+	if k == 0 {
+		return 0
+	}
+	n.gcTail = max(n.gcTail, n.log[k-1].LSN)
+	n.log.dropPrefix(k)
+	n.gced.Add(uint64(k))
+	return k
+}
+
 // foldInto applies to base, in place, the records of chain (ascending LSN)
 // that are at or below safe and not yet reflected in it: page.Materialize's
-// loop without its copy of the base.
+// loop without its copy of the base. Coalescing runs it on the base itself,
+// a read on its private copy of the base with the read point as safe.
 func foldInto(base page.Page, chain []*core.Record, safe core.LSN) error {
 	for _, r := range chain {
 		if r.LSN > safe {
@@ -164,31 +194,13 @@ func (n *Node) logGCOnce() int {
 	if floor <= n.gcTail {
 		return 0
 	}
-	gced := uint64(0)
-	for _, lsn := range n.logIdx {
-		if lsn > floor {
-			break
-		}
-		delete(n.log, lsn)
-		if lsn > n.gcTail {
-			n.gcTail = lsn
-		}
-		gced++
-	}
-	if gced == 0 {
+	if n.gcLogLocked(floor) == 0 {
 		return 0
 	}
-	n.logIdxTrimLocked(floor)
 	// Trim delta chains below the floor: the history lives on in the page
 	// tier's materialized bases, not here. The chain bookkeeping exists
 	// only so StripePages can report page tails to the rebalancer.
-	for id, ps := range n.pages {
-		ps.chain = cutChain(ps.chain, floor)
-		if ps.base == nil && len(ps.chain) == 0 {
-			delete(n.pages, id)
-		}
-	}
-	n.gced.Add(gced)
+	n.cutDirtyLocked(floor)
 	// Persist the advanced GC boundary.
 	n.ssd.Write(64)
 	return 0

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/disk"
@@ -314,8 +315,8 @@ func steadyCoalesceNode(tb testing.TB, pages int) (*Node, func()) {
 }
 
 // TestCoalesceRoundSteadyStateAllocs pins a coalesce round over pages that
-// already have a base at zero objects: the fold is in place, the chains and
-// the log index slide inside their arrays, and there is no work list.
+// already have a base at zero objects: the fold is in place, and the chains,
+// the log and the dirty list slide inside their arrays.
 func TestCoalesceRoundSteadyStateAllocs(t *testing.T) {
 	const pages, runs = 32, 50
 	n, feed := steadyCoalesceNode(t, pages)
@@ -340,6 +341,51 @@ func TestCoalesceRoundSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(runs, round); avg != 0 {
 		t.Fatalf("a steady-state coalesce round over %d pages allocates %.0f objects, want 0", pages, avg)
 	}
+	checkDirtyList(t, n, "after the steady-state rounds")
+}
+
+// TestCoalesceIdleRoundCostsNothingHeld: a round costs what changed, not
+// what the node holds. With 10 000 pages held and none of them dirty, a round
+// that gets past the nothing-new guard — the PGMRPL is above the GC tail, as
+// it is on any PG whose last records other PGs' LSNs have overtaken — must
+// allocate nothing and finish in well under the time it takes to range over
+// the page map even once (some hundreds of microseconds at this size; fifty
+// rounds a second on every node of a fleet is where that went).
+func TestCoalesceIdleRoundCostsNothingHeld(t *testing.T) {
+	const pages = 10_000
+	n, _ := steadyCoalesceNode(t, pages)
+	tail := n.GCTail()
+	// One transaction-metadata record well above the PGMRPL: nothing to fold,
+	// nothing to collect, and safe (= PGMRPL) stays above the GC tail.
+	meta := craft(t, core.Record{LSN: tail + 10, PrevLSN: tail, Type: core.RecTxnCommit, PG: 0})
+	if _, err := receiveBatch(n, context.Background(), meta, tail+10, tail+5); err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		if adv := n.CoalesceOnce(); adv != 0 {
+			t.Fatalf("idle round advanced %d pages", adv)
+		}
+	}
+	round()
+	if s := n.Stats(); s.PagesHeld != pages || s.RecordsHeld != 1 || n.GCTail() != tail {
+		t.Fatalf("setup: %d pages and %d records held, GC tail %d; want %d, 1 and %d", s.PagesHeld, s.RecordsHeld, n.GCTail(), pages, tail)
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("an idle round over %d held pages allocates %.0f objects, want 0", pages, avg)
+	}
+	// The quickest of a few batches, so that a preempted one does not count.
+	const rounds, limit = 200, 5 * time.Microsecond
+	best := time.Hour
+	for batch := 0; batch < 5; batch++ {
+		start := time.Now()
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		best = min(best, time.Since(start)/rounds)
+	}
+	if best > limit {
+		t.Fatalf("an idle round over %d held pages takes %v, want under %v: it is looking at pages that have no chain", pages, best, limit)
+	}
 }
 
 func BenchmarkCoalesceRound(b *testing.B) {
@@ -356,4 +402,84 @@ func BenchmarkCoalesceRound(b *testing.B) {
 		}
 	}
 	b.ReportMetric(pages, "pages/op")
+}
+
+// BenchmarkNodeReadPage is the storage half of a cache miss: one page read at
+// the tail over a coalesced base with a short chain on top, cycling through
+// more pages than fit in cache so the base is cold as it is in service.
+func BenchmarkNodeReadPage(b *testing.B) {
+	const pages = 4096 // 16 MB of bases
+	n, feed := steadyCoalesceNode(b, pages)
+	feed()
+	feed() // a chain of two on every page
+	ctx := context.Background()
+	tail := n.SCL()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := n.ReadPage(ctx, core.PageID(1+i*61%pages), tail, tail); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReadBetweenBaseAndTailMatchesHistory: a read at every read point from
+// the base's LSN to the tail is the page the full record history gives at
+// that point — the fold onto the verified copy stops where Materialize does.
+func TestReadBetweenBaseAndTailMatchesHistory(t *testing.T) {
+	const pages = 4
+	_, nodes := testPG(t, nil)
+	n := nodes[0]
+	ctx := context.Background()
+	views, history, _ := coalesceLoad(t, 5, 80, pages)
+	half, tail := views[len(views)/2].Last(), views[len(views)-1].Last()
+	for _, v := range views {
+		if _, err := receiveBatch(n, ctx, v, v.Last(), half); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if adv := n.CoalesceOnce(); adv != pages {
+		t.Fatalf("round advanced %d pages, want %d", adv, pages)
+	}
+	for id := core.PageID(1); id <= pages; id++ {
+		if n.ChainLength(id) == 0 {
+			t.Fatalf("setup: page %d has no chain above its base", id)
+		}
+		for rp := half; rp <= tail; rp++ {
+			got, err := n.ReadPage(ctx, id, rp, rp)
+			if err != nil {
+				t.Fatalf("page %d at %d: %v", id, rp, err)
+			}
+			want, err := page.Materialize(id, nil, history[id], rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameImage(got, want) {
+				t.Fatalf("page %d at read point %d: served LSN %d, history gives LSN %d", id, rp, got.LSN(), want.LSN())
+			}
+		}
+	}
+}
+
+// TestCorruptBaseNeverReachesAResponse: the CRC gate runs on the copy the
+// read would serve, before anything is folded onto it. Whatever the read
+// point, a corrupt base is refused, counted, and no page comes back.
+func TestCorruptBaseNeverReachesAResponse(t *testing.T) {
+	nodes := scrubPG(t) // base at 5, chain 6..8
+	victim := nodes[0]
+	if !victim.CorruptPage(1) {
+		t.Fatal("no base image to corrupt")
+	}
+	for i, rp := range []core.LSN{5, 6, 7, 8} {
+		p, err := victim.ReadPage(context.Background(), 1, rp, 0)
+		if !errors.Is(err, ErrCorruptPage) || p != nil {
+			t.Fatalf("read point %d over a corrupt base: page %v, err %v; want no page and ErrCorruptPage", rp, p != nil, err)
+		}
+		if got := victim.Stats().CorruptReads; got != uint64(i+1) {
+			t.Fatalf("CorruptReads = %d after %d refused reads", got, i+1)
+		}
+	}
+	if got := victim.Stats().Reads; got != 0 {
+		t.Fatalf("%d reads counted as served", got)
+	}
 }

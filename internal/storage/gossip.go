@@ -124,27 +124,16 @@ func (n *Node) pullRound(ctx context.Context) int {
 
 // recordsAfter returns up to limit retained records with LSN > after,
 // sorted by ascending LSN, along with the node's view of VDL and PGMRPL so
-// consistency points propagate epidemically too.
+// consistency points propagate epidemically too. The slice is the caller's:
+// the pointers are copied out of the sorted log under the lock (a binary
+// search plus a bounded copy — the pull runs every couple of milliseconds per
+// page replica under a role split, on the lock of the commit ack path), so it
+// stays valid when a later GC slides the log; the records themselves are
+// immutable once filed.
 func (n *Node) recordsAfter(after core.LSN, limit int) ([]*core.Record, core.LSN, core.LSN) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	// The sorted key index makes this a binary search plus a bounded copy —
-	// the pull runs every couple of milliseconds per page replica under a
-	// role split, and a full map scan here would hold the log node's lock
-	// on the commit ack path.
-	i := sort.Search(len(n.logIdx), func(i int) bool { return n.logIdx[i] > after })
-	m := len(n.logIdx) - i
-	if m > limit {
-		m = limit
-	}
-	if m <= 0 {
-		return nil, n.vdl, n.pgmrpl
-	}
-	out := make([]*core.Record, 0, m)
-	for _, lsn := range n.logIdx[i : i+m] {
-		out = append(out, n.log[lsn])
-	}
-	return out, n.vdl, n.pgmrpl
+	return n.log.after(after, limit), n.vdl, n.pgmrpl
 }
 
 // SyncGroup runs gossip rounds across a group of nodes until no node makes

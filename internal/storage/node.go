@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,10 +77,6 @@ type Config struct {
 	BackupInterval time.Duration
 	// ScrubInterval controls background CRC validation (Start).
 	ScrubInterval time.Duration
-	// CoalesceChainLen triggers materialization of a page once its delta
-	// chain exceeds this many records even above the PGMRPL (the paper's
-	// observation that only pages with long chains need rematerialization).
-	CoalesceChainLen int
 	// Role selects what this replica does with the redo stream under a
 	// role-split quorum (Taurus, PAPERS.md). The zero value RoleFull keeps
 	// classic behavior: synchronous ingest, materialization, and reads.
@@ -105,16 +100,16 @@ func (c *Config) fillDefaults() {
 	if c.ScrubInterval <= 0 {
 		c.ScrubInterval = 500 * time.Millisecond
 	}
-	if c.CoalesceChainLen <= 0 {
-		c.CoalesceChainLen = 32
-	}
 }
 
 // pageState is one page on the segment: an optional materialized base image
 // plus the chain of not-yet-coalesced records sorted by ascending LSN.
 type pageState struct {
+	id    core.PageID
 	base  page.Page
 	chain []*core.Record
+	// listed is set while the page is on the node's dirty list (chainInsertLocked).
+	listed bool
 }
 
 // Stats is a snapshot of node activity counters.
@@ -148,10 +143,15 @@ type Node struct {
 	cfg Config
 	ssd *disk.SSD
 
-	mu     sync.Mutex
-	log    map[core.LSN]*core.Record // retained records for gossip/materialize
-	logIdx []core.LSN                // sorted index over log's keys (see logIdxInsertLocked)
-	pages  map[core.PageID]*pageState
+	mu    sync.Mutex
+	log   recordLog // retained records for gossip/materialize, by ascending LSN
+	pages map[core.PageID]*pageState
+	// dirty lists the pages that have a chain, each once, so that a coalesce
+	// round costs what changed and not what the node holds. A page enters it
+	// when its chain goes non-empty (chainInsertLocked) and leaves when a
+	// round cuts the chain empty (cutDirtyLocked); a chain emptied any other
+	// way (Truncate, scrub repair) stays listed until the next round.
+	dirty  []*pageState
 	cpls   cplSet // every CPL LSN seen (never GC'd: recovery needs them)
 	gaps   *core.GapTracker
 	gcTail core.LSN // highest record LSN ever garbage collected
@@ -220,7 +220,6 @@ func NewNode(cfg Config) *Node {
 	n := &Node{
 		cfg:   cfg,
 		ssd:   ssd,
-		log:   make(map[core.LSN]*core.Record),
 		pages: make(map[core.PageID]*pageState),
 		gaps:  core.NewGapTracker(core.ZeroLSN),
 	}
@@ -317,9 +316,9 @@ func (n *Node) Down() bool { return n.down.Load() }
 func (n *Node) Wipe() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.log = make(map[core.LSN]*core.Record)
-	n.logIdx = nil
+	n.log = nil
 	n.pages = make(map[core.PageID]*pageState)
+	n.dirty = nil
 	n.cpls = cplSet{}
 	n.gaps = core.NewGapTracker(core.ZeroLSN)
 	n.wiped = true
@@ -464,44 +463,10 @@ func (n *Node) ingestBatchLocked(v core.BatchView) (int, error) {
 	return filed, nil
 }
 
-// logIdxInsertLocked records lsn in the sorted key index kept alongside the
-// log map. The index turns recordsAfter — the gossip pull that doubles as
-// the log→page feed under a role split — from a full map scan plus sort
-// into a binary search, and GC of a prefix into a slice trim. Records
-// almost always arrive in LSN order, so the common case is an append.
-func (n *Node) logIdxInsertLocked(lsn core.LSN) {
-	if ln := len(n.logIdx); ln == 0 || n.logIdx[ln-1] < lsn {
-		n.logIdx = append(n.logIdx, lsn)
-		return
-	}
-	i := sort.Search(len(n.logIdx), func(i int) bool { return n.logIdx[i] >= lsn })
-	n.logIdx = append(n.logIdx, 0)
-	copy(n.logIdx[i+1:], n.logIdx[i:])
-	n.logIdx[i] = lsn
-}
-
-// logIdxDeleteLocked removes lsn from the sorted key index.
-func (n *Node) logIdxDeleteLocked(lsn core.LSN) {
-	i := sort.Search(len(n.logIdx), func(i int) bool { return n.logIdx[i] >= lsn })
-	if i < len(n.logIdx) && n.logIdx[i] == lsn {
-		n.logIdx = append(n.logIdx[:i], n.logIdx[i+1:]...)
-	}
-}
-
-// logIdxTrimLocked drops every index entry at or below floor (a GC prefix),
-// sliding the suffix down so the next inserts reuse the backing array.
-func (n *Node) logIdxTrimLocked(floor core.LSN) {
-	i := sort.Search(len(n.logIdx), func(i int) bool { return n.logIdx[i] > floor })
-	if i == 0 {
-		return
-	}
-	n.logIdx = n.logIdx[:copy(n.logIdx, n.logIdx[i:])]
-}
-
 // ingestLocked clones and files one record, reporting whether it was new.
-// It serves the cold paths that hold records decoded from elsewhere
-// (gossip, repair, snapshot restore); the foreground Ingest path files slab
-// records directly via admitRecordLocked+fileLocked without the clone.
+// It serves the cold paths that hold records borrowed from a peer (gossip,
+// scrub repair); the foreground Ingest path files slab records directly via
+// admitRecordLocked+fileLocked without the clone.
 func (n *Node) ingestLocked(r *core.Record) bool {
 	if !n.admitRecordLocked(r) {
 		return false
@@ -523,38 +488,48 @@ func (n *Node) admitRecordLocked(r *core.Record) bool {
 	if n.trunc.Annuls(r.LSN) || r.LSN <= n.gcTail {
 		return false
 	}
-	if _, dup := n.log[r.LSN]; dup {
-		return false
-	}
-	return true
+	return !n.log.has(r.LSN)
 }
 
 // fileLocked files an admitted record into the log, page chains, CPL index
 // and gap tracker. The node takes ownership of *rec (and whatever its Data
 // aliases) from this point on; records are immutable once filed.
 func (n *Node) fileLocked(rec *core.Record) {
-	n.log[rec.LSN] = rec
-	n.logIdxInsertLocked(rec.LSN)
+	n.log.insert(rec)
 	if rec.PageRecord() {
-		ps := n.pages[rec.Page]
-		if ps == nil {
-			ps = &pageState{}
-			n.pages[rec.Page] = ps
-		}
-		// Insert keeping the chain sorted by LSN; records usually arrive
-		// in order so the common case is an append.
-		i := len(ps.chain)
-		for i > 0 && ps.chain[i-1].LSN > rec.LSN {
-			i--
-		}
-		ps.chain = append(ps.chain, nil)
-		copy(ps.chain[i+1:], ps.chain[i:])
-		ps.chain[i] = rec
+		n.chainInsertLocked(n.pageLocked(rec.Page), rec)
 	}
 	if rec.IsCPL() {
 		n.cpls.insert(rec.LSN)
 	}
 	n.gaps.Add(rec.PrevLSN, rec.LSN)
+}
+
+// pageLocked returns the state of a page, creating it on first mention.
+func (n *Node) pageLocked(id core.PageID) *pageState {
+	ps := n.pages[id]
+	if ps == nil {
+		ps = &pageState{id: id}
+		n.pages[id] = ps
+	}
+	return ps
+}
+
+// chainInsertLocked puts rec on the page's chain, keeping it sorted by LSN
+// (records usually arrive in order, so the common case is an append), and
+// enters the page on the dirty list if it is not there.
+func (n *Node) chainInsertLocked(ps *pageState, rec *core.Record) {
+	i := len(ps.chain)
+	for i > 0 && ps.chain[i-1].LSN > rec.LSN {
+		i--
+	}
+	ps.chain = append(ps.chain, nil)
+	copy(ps.chain[i+1:], ps.chain[i:])
+	ps.chain[i] = rec
+	if !ps.listed {
+		ps.listed = true
+		n.dirty = append(n.dirty, ps)
+	}
 }
 
 // observeGeometryLocked folds a piggybacked geometry epoch into the node's
@@ -625,8 +600,8 @@ func (n *Node) HighestLSN() core.LSN {
 	if scl := n.gaps.SCL(); scl > max {
 		max = scl
 	}
-	if ln := len(n.logIdx); ln > 0 && n.logIdx[ln-1] > max {
-		max = n.logIdx[ln-1]
+	if top := n.log.highest(); top > max {
+		max = top
 	}
 	return max
 }
@@ -641,7 +616,8 @@ func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
 }
 
 // ReadPage is the foreground read path: it serves the version of the page
-// as of readPoint, materializing from the base image plus the delta chain.
+// as of readPoint — a private copy of the base image, CRC-checked, with the
+// delta chain up to readPoint folded onto it.
 //
 // required is the completeness the writer demands: the LSN of the last
 // record of this protection group at or below the read point. The writer
@@ -659,6 +635,11 @@ func (n *Node) ReadPage(ctx context.Context, id core.PageID, readPoint, required
 // never be answered by a node that silently lost the page's stripe to a
 // cutover (it would materialize an empty page, not fail). A caller with a
 // newer epoch teaches it to the node. Epoch 0 skips the check.
+//
+// The page returned is the caller's: a copy of the base made under the lock,
+// whose CRC — the copy's, so the bytes vouched for are the bytes served — is
+// verified before the chain up to readPoint is folded onto it. A mismatch is
+// refused with ErrCorruptPage and counted in CorruptReads.
 func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, required core.LSN, geomEpoch uint64) (page.Page, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -700,20 +681,28 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 	if err := n.ssd.Read(page.Size); err != nil {
 		return nil, err
 	}
-	// Gate the read on the base image's CRC (Figure 4 step 8 moved into the
-	// foreground path): a corrupt base must never be materialized into a
-	// response. The refusal makes the corruption look like a failed replica
-	// — the client's hedged read falls through to a peer — while the
-	// background scrubber repairs this copy.
+	// Copy the base out under the lock and gate the read on the CRC of the
+	// copy (Figure 4 step 8 moved into the foreground path): the bytes vouched
+	// for are the bytes served, and the cold base is streamed once — the CRC
+	// then runs over a copy that is already in cache. A corrupt base is
+	// refused before anything is folded onto it, so it never reaches a
+	// response; the refusal makes the corruption look like a failed replica —
+	// the client's hedged read falls through to a peer — while the background
+	// scrubber repairs this copy.
+	var p page.Page
 	if ps.base != nil {
-		if err := ps.base.VerifyChecksum(); err != nil {
+		p = ps.base.Clone()
+		if err := p.VerifyChecksum(); err != nil {
 			n.corruptReads.Add(1)
 			return nil, fmt.Errorf("%s page %d: %w: %v", n.cfg.Node, id, ErrCorruptPage, err)
 		}
+	} else {
+		p = page.New(id)
 	}
-	p, err := page.Materialize(id, ps.base, ps.chain, readPoint)
-	if err != nil {
-		return nil, err
+	// The chain up to the read point goes onto the copy with the loop
+	// coalescing uses on the base itself.
+	if err := foldInto(p, ps.chain, readPoint); err != nil {
+		return nil, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
 	}
 	n.reads.Add(1)
 	return p, nil
@@ -764,18 +753,14 @@ func (n *Node) Truncate(tr core.TruncationRange) error {
 		return fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleEpoch, n.trunc.Epoch, tr.Epoch)
 	}
 	n.trunc = tr
-	for lsn, rec := range n.log {
-		if !tr.Annuls(lsn) {
+	for _, rec := range n.log.removeRange(tr.From, tr.To) {
+		if !rec.PageRecord() {
 			continue
 		}
-		delete(n.log, lsn)
-		n.logIdxDeleteLocked(lsn)
-		if rec.PageRecord() {
-			if ps := n.pages[rec.Page]; ps != nil {
-				ps.chain = removeRecord(ps.chain, lsn)
-				if ps.base == nil && len(ps.chain) == 0 {
-					delete(n.pages, rec.Page)
-				}
+		if ps := n.pages[rec.Page]; ps != nil {
+			ps.chain = removeRecord(ps.chain, rec.LSN)
+			if ps.base == nil && len(ps.chain) == 0 {
+				delete(n.pages, rec.Page)
 			}
 		}
 	}
@@ -792,7 +777,7 @@ func (n *Node) Truncate(tr core.TruncationRange) error {
 // records chain correctly from it.
 func (n *Node) rebuildGapsLocked() {
 	g := core.NewGapTracker(n.gcTail)
-	for _, r := range sortedRecords(n.log) {
+	for _, r := range n.log {
 		g.Add(r.PrevLSN, r.LSN)
 	}
 	n.gaps = g

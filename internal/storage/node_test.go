@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"slices"
@@ -394,6 +395,69 @@ func TestSnapshotAfterCoalesce(t *testing.T) {
 	if got := string(p.Payload()[:6]); got != "ABCDEF" {
 		t.Fatalf("payload %q", got)
 	}
+}
+
+// TestSnapshotIsOneExactAllocation: the snapshot buffer is sized before it is
+// written — len == cap — and what it carries restores a node with bases,
+// chains, metadata-only records and CPLs to the same answers.
+func TestSnapshotIsOneExactAllocation(t *testing.T) {
+	_, nodes := testPG(t, nil)
+	n := nodes[0]
+	ctx := context.Background()
+	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
+	var tail core.LSN
+	for i := 0; i < 12; i++ {
+		m := &core.MTR{Txn: uint64(i)}
+		m.AddMeta(core.RecTxnBegin, 0)
+		m.AddDelta(0, core.PageID(1+i%3), uint32(8*i), []byte{byte('a' + i), byte(i)})
+		m.AddMeta(core.RecTxnCommit, 0) // closes the MTR: a CPL on a metadata record
+		b := frame(t, f, m)[0]
+		tail = b.Last()
+		if _, err := receiveBatch(n, ctx, b, tail, tail/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if adv := n.CoalesceOnce(); adv != 3 {
+		t.Fatalf("coalesced %d pages, want 3", adv)
+	}
+	if n.ChainLength(1) == 0 || n.BasePageLSN(1) == 0 {
+		t.Fatalf("setup: page 1 has base LSN %d and a chain of %d, want both", n.BasePageLSN(1), n.ChainLength(1))
+	}
+	snap := n.Snapshot()
+	if len(snap) != cap(snap) {
+		t.Fatalf("snapshot of %d bytes sits in a buffer of %d: the size was not computed exactly", len(snap), cap(snap))
+	}
+	n2 := NewNode(Config{Seg: n.Seg(), Node: "fresh", AZ: 0, Net: netsim.New(netsim.FastLocal()), Disk: disk.FastLocal()})
+	if err := n2.LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(n2.Snapshot(), snap) {
+		t.Fatal("a restored node snapshots differently from the node it was restored from")
+	}
+	if n2.SCL() != n.SCL() || n2.GCTail() != n.GCTail() || n2.HasGaps() || n2.Stats().RecordsHeld != n.Stats().RecordsHeld {
+		t.Fatalf("restored SCL %d, GC tail %d, %d records; want %d, %d, %d", n2.SCL(), n2.GCTail(), n2.Stats().RecordsHeld, n.SCL(), n.GCTail(), n.Stats().RecordsHeld)
+	}
+	for _, limit := range []core.LSN{3, tail / 2, tail - 1, tail} {
+		if got, want := n2.HighestCPLAtOrBelow(limit), n.HighestCPLAtOrBelow(limit); got != want || want == 0 {
+			t.Fatalf("highest CPL at or below %d: restored %d, original %d", limit, got, want)
+		}
+	}
+	for id := core.PageID(1); id <= 3; id++ {
+		for _, rp := range []core.LSN{n.GCTail(), tail} {
+			got, err := n2.ReadPage(ctx, id, rp, rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := n.ReadPage(ctx, id, rp, rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("page %d at %d differs after the round trip", id, rp)
+			}
+		}
+	}
+	checkDirtyList(t, n2, "after LoadSnapshot")
 }
 
 func TestLoadSnapshotRejectsGarbage(t *testing.T) {

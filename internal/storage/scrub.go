@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"aurora/internal/core"
 	"aurora/internal/page"
@@ -70,39 +71,43 @@ func (n *Node) repairPageFromPeers(ctx context.Context, id core.PageID, peers []
 			return false
 		}
 		n.mu.Lock()
-		ps := n.pages[id]
-		if ps == nil {
-			ps = &pageState{}
-			n.pages[id] = ps
-		}
-		ps.base = base
-		// Rebuild the chain: keep records strictly above the new base and
-		// merge in any the peer had that we lack.
-		merged := map[core.LSN]*core.Record{}
-		for _, r := range ps.chain {
-			if base == nil || r.LSN > base.LSN() {
-				merged[r.LSN] = r
-			}
-		}
-		for _, r := range chain {
-			if base == nil || r.LSN > base.LSN() {
-				if _, have := merged[r.LSN]; !have {
-					cl := r.Clone()
-					merged[cl.LSN] = &cl
-					n.log[cl.LSN] = &cl
-					n.logIdxInsertLocked(cl.LSN)
-				}
-			}
-		}
-		ps.chain = ps.chain[:0]
-		for _, r := range merged {
-			ps.chain = append(ps.chain, r)
-		}
-		sortChain(ps.chain)
+		n.installRepairLocked(id, base, chain)
 		n.mu.Unlock()
 		return true
 	}
 	return false
+}
+
+// installRepairLocked replaces a page's base with a verified copy borrowed
+// from a peer and brings the chain up to what the peer holds above it. The
+// node's own records at or below the new base are reflected in it and leave
+// the chain. A record the peer has and this node lacks is filed through the
+// one filing path, so the log, the CPL index and the gap tracker all hear of
+// it — filed behind their back it would sit in the log, be refused as a
+// duplicate when gossip delivered it, and the SCL could never pass it.
+func (n *Node) installRepairLocked(id core.PageID, base page.Page, chain []*core.Record) {
+	ps := n.pageLocked(id)
+	ps.base = base
+	floor := core.ZeroLSN
+	if base != nil {
+		floor = base.LSN()
+	}
+	ps.chain = cutChain(ps.chain, floor)
+	for _, r := range chain {
+		if r.LSN <= floor || n.ingestLocked(r) {
+			continue
+		}
+		// Refused: held already, annulled, foreign — or collected here. A
+		// peer that coalesces behind this node hands over a base older than
+		// this node's GC tail; the records between the two are part of the
+		// complete prefix this node folded and collected, so they belong on
+		// the chain (the base no longer reflects them) and nowhere else.
+		onChain := slices.ContainsFunc(ps.chain, func(c *core.Record) bool { return c.LSN == r.LSN })
+		if r.LSN <= n.gcTail && r.Vol == n.cfg.Vol && !n.trunc.Annuls(r.LSN) && !onChain {
+			cl := r.Clone()
+			n.chainInsertLocked(ps, &cl)
+		}
+	}
 }
 
 // pageCopy returns a clone of the node's base image and chain for a page.
@@ -123,14 +128,6 @@ func (n *Node) pageCopy(id core.PageID) (page.Page, []*core.Record, bool) {
 	chain := make([]*core.Record, len(ps.chain))
 	copy(chain, ps.chain)
 	return base, chain, true
-}
-
-func sortChain(chain []*core.Record) {
-	for i := 1; i < len(chain); i++ {
-		for j := i; j > 0 && chain[j-1].LSN > chain[j].LSN; j-- {
-			chain[j-1], chain[j] = chain[j], chain[j-1]
-		}
-	}
 }
 
 // CorruptPage flips bytes in the materialized base image of a page — the

@@ -76,3 +76,48 @@ func TestCommitSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("commit hot path allocates %.2f times per record, want < 1 (0 per record after amortization)", perRecord)
 	}
 }
+
+// BenchmarkReadPageMiss is the volume half of a buffer-cache miss:
+// Client.ReadPage on a zero-delay fleet, over more pages than fit in the
+// CPU's cache so that a node's base is cold as it is in service. Everything
+// between the engine and the page comes with it — routing, candidate order,
+// the hedged read, two network hops, the node's verify-on-copy read — so
+// -benchmem shows what a miss allocates beyond the page itself.
+func BenchmarkReadPageMiss(b *testing.B) {
+	const pages = 2048
+	net := netsim.New(netsim.FastLocal())
+	f, err := NewFleet(FleetConfig{Name: "bench", Geometry: core.UniformGeometry(4), Net: net, Disk: disk.FastLocal()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := Bootstrap(f, ClientConfig{WriterNode: "writer", WriterAZ: 0})
+	b.Cleanup(c.Close)
+	ctx := context.Background()
+	image := make([]byte, 4000)
+	for i := range image {
+		image[i] = byte(i)
+	}
+	for id := core.PageID(0); id < pages; id++ {
+		m := &core.MTR{Txn: uint64(id + 1)}
+		m.AddInit(c.PGOf(id), id, image)
+		if _, err := c.WriteMTR(ctx, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Fold the images into bases: a miss in service reads a coalesced page.
+	for pg := 0; pg < f.PGs(); pg++ {
+		for _, n := range f.Replicas(core.PGID(pg)) {
+			n.CoalesceOnce()
+		}
+	}
+	if f.Node(c.PGOf(0), 0).BasePageLSN(0) == core.ZeroLSN {
+		b.Fatal("setup: page 0 was not coalesced into a base")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.ReadPage(ctx, core.PageID(i*61%pages)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -250,4 +250,30 @@ func TestHedgedReadKeepsStaleGeometryVerdict(t *testing.T) {
 	if !errors.Is(err, storage.ErrStaleGeometry) {
 		t.Fatalf("got %v, want the stale-geometry verdict", err)
 	}
+
+	// The same with the verdicts arriving through hedges: the first replica
+	// sits on the read until both hedges have reported — the stale-geometry
+	// nack from a hedge's goroutine, then the lagging replica's refusal — and
+	// only then refuses too, on the caller's goroutine, last of all.
+	h = newHealthTracker(HealthConfig{HedgeMin: 100 * time.Microsecond}, 1, 3)
+	reported := make(chan struct{}, 2)
+	_, err = h.runHedged(context.Background(), 0, []int{0, 1, 2}, func(_ context.Context, idx int, hedged bool) (page.Page, error) {
+		switch idx {
+		case 0:
+			<-reported
+			<-reported
+			return nil, storage.ErrIncomplete
+		case 1:
+			defer func() { reported <- struct{}{} }()
+			return nil, storage.ErrStaleGeometry
+		}
+		defer func() { reported <- struct{}{} }()
+		return nil, storage.ErrIncomplete
+	})
+	if !errors.Is(err, storage.ErrStaleGeometry) {
+		t.Fatalf("hedged: got %v, want the stale-geometry verdict", err)
+	}
+	if s := h.Stats(); s.Hedges != 2 || s.HedgeWins != 0 || s.HedgeCancels != 0 {
+		t.Fatalf("hedged: counters %+v, want two hedges and nothing won or canceled", s)
+	}
 }

@@ -200,11 +200,13 @@ func Run(db DB, mix Mix, opts Options) Result {
 	}
 	var txns, errs, retries atomic.Uint64
 	stop := make(chan struct{})
+	// The clock starts before the stop timer is armed, so a run for a
+	// Duration never measures less than it.
+	start := time.Now()
 	if opts.Duration > 0 {
 		timer := time.AfterFunc(opts.Duration, func() { close(stop) })
 		defer timer.Stop()
 	}
-	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < opts.Clients; c++ {
 		wg.Add(1)
