@@ -124,8 +124,8 @@ func (r *Recorder) AppendFullPages(m *core.MTR, pgOf func(core.PageID) core.PGID
 // StampLSNs stores the final LSN each touched page received into the page
 // header, maintaining the engine invariant that a cached page's LSN names
 // its latest logged change. lastFor reports the highest LSN assigned to a
-// page's records (volume.PendingWrite.LastLSNFor). Stamping is the last step
-// of a commit, so the before-images go back to the pool here.
+// page's records (core.MTR.LastLSNFor). Stamping is the last step of a
+// commit, so the before-images go back to the pool here.
 func (r *Recorder) StampLSNs(lastFor func(core.PageID) core.LSN) {
 	for _, t := range r.touched {
 		if lsn := lastFor(t.id); lsn > t.p.LSN() {

@@ -160,19 +160,19 @@ func Create(vol *volume.Client, cfg Config) (*DB, error) {
 		ws.done()
 		return nil, err
 	}
-	pending, err := vol.FrameMTR(db.rootCtx, m)
+	pending, err := vol.FrameMTRs(db.rootCtx, []*core.MTR{m})
 	if err != nil {
 		ws.done()
 		return nil, err
 	}
-	rec.StampLSNs(pending.LastLSNFor)
+	rec.StampLSNs(m.LastLSNFor)
 	db.feed.publish(Event{Records: cloneRecords(m.Records), VDL: vol.VDL()})
 	ws.done()
 	if err := pending.Ship(db.rootCtx); err != nil {
 		pending.Release()
 		return nil, fmt.Errorf("engine: formatting volume: %w", err)
 	}
-	vol.WaitDurable(pending.CPL())
+	vol.WaitDurable(pending.MaxCPL())
 	pending.Release()
 	db.feed.publish(Event{VDL: vol.VDL()})
 	db.pipeline = newCommitPipeline(db)

@@ -33,7 +33,7 @@ func pipelineDB(t *testing.T, lal int64, cfg Config) (*netsim.Network, *volume.F
 // TestBackpressureDoesNotBlockReaders is the reader-starvation regression
 // test: a commit stalled on LAL back-pressure (the §4.2.1 throttle) must
 // not block concurrent Tx.Get/Scan. On the pre-pipeline engine the
-// throttled committer blocked inside FrameMTR while holding the exclusive
+// throttled committer blocked inside FrameMTRs while holding the exclusive
 // engine latch, so every reader stalled behind it; the pipeline moves the
 // stall into the framer stage and the reservation gate, neither of which
 // holds the latch.

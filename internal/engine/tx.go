@@ -394,7 +394,7 @@ func (tx *Tx) commitSync() error {
 	// deadline-oblivious past this point: abandoning mid-ship would leave
 	// applied-but-unframed tree state. It runs under the instance root.
 	fsp := root.Child("group.frame")
-	pending, err := tx.db.vol.FrameMTR(tx.db.rootCtx, m)
+	pending, err := tx.db.vol.FrameMTRs(tx.db.rootCtx, []*core.MTR{m})
 	fsp.End()
 	if err != nil {
 		rec.Rollback()
@@ -405,7 +405,7 @@ func (tx *Tx) commitSync() error {
 		return err
 	}
 	ssp := root.Child("group.stamp")
-	rec.StampLSNs(pending.LastLSNFor)
+	rec.StampLSNs(m.LastLSNFor)
 	ws.done()
 	ssp.End()
 	tx.db.groupSizes.Observe(1)
@@ -414,7 +414,7 @@ func (tx *Tx) commitSync() error {
 	shipSp.End()
 	if err == nil {
 		vsp := root.Child("vdl.wait")
-		tx.db.vol.WaitDurable(pending.CPL())
+		tx.db.vol.WaitDurable(pending.MaxCPL())
 		vsp.End()
 	}
 	pending.Release()

@@ -10,7 +10,8 @@ package quorum
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 
 	"aurora/internal/core"
 )
@@ -172,90 +173,78 @@ var ErrQuorumImpossible = errors.New("quorum: write quorum unreachable")
 
 // Tracker accumulates acknowledgements for one write (a log batch sent to
 // all V replicas) and resolves once Vw have acked, or fails once more than
-// V-Vw have rejected. It is safe for concurrent use and resolves exactly
-// once.
+// V-Vw have rejected. Its whole state is one word — an acked and a nacked
+// bitmask — updated by compare-and-swap, so it is safe for concurrent use,
+// lives by value inside its owner, and resolves exactly once: the single
+// Ack or Nack whose update crosses a threshold reports it, and that caller
+// runs whatever follows from the resolution. A replica's first verdict
+// stands, so the two thresholds can never both be crossed.
 type Tracker struct {
-	mu      sync.Mutex
-	cfg     Config
-	acked   map[int]bool
-	nacked  map[int]bool
-	done    chan struct{}
-	failed  bool
-	resolve sync.Once
+	v, vw int
+	masks atomic.Uint64 // acked mask in the low half, nacked mask in the high
 }
+
+// maxTracked is the widest replica set the two half-word masks can hold.
+const maxTracked = 32
 
 // NewTracker returns a tracker for one quorum write.
-func NewTracker(cfg Config) *Tracker {
-	return &Tracker{
-		cfg:    cfg,
-		acked:  make(map[int]bool, cfg.V),
-		nacked: make(map[int]bool, cfg.V),
-		done:   make(chan struct{}),
+func NewTracker(cfg Config) Tracker {
+	if cfg.V > maxTracked {
+		panic(fmt.Sprintf("quorum: tracker holds at most %d replicas, got V=%d", maxTracked, cfg.V))
+	}
+	return Tracker{v: cfg.V, vw: cfg.Vw}
+}
+
+// failed reports whether the masks b put the write quorum out of reach, and
+// settled whether they resolve the write either way.
+func (t *Tracker) failed(b uint64) bool {
+	return bits.OnesCount32(uint32(b>>maxTracked)) > t.v-t.vw
+}
+
+func (t *Tracker) settled(b uint64) bool {
+	return bits.OnesCount32(uint32(b)) >= t.vw || t.failed(b)
+}
+
+// record sets replica i's bit in the half selected by shift unless the
+// replica already has a verdict, and reports whether this call resolved the
+// write.
+func (t *Tracker) record(i int, shift uint) bool {
+	for {
+		old := t.masks.Load()
+		if (old|old>>maxTracked)&(1<<uint(i)) != 0 {
+			return false
+		}
+		upd := old | 1<<(uint(i)+shift)
+		if t.masks.CompareAndSwap(old, upd) {
+			return !t.settled(old) && t.settled(upd)
+		}
 	}
 }
 
-// Ack records a positive acknowledgement from replica i.
-func (t *Tracker) Ack(i int) {
-	t.mu.Lock()
-	if !t.nacked[i] {
-		t.acked[i] = true
-	}
-	reached := len(t.acked) >= t.cfg.Vw
-	t.mu.Unlock()
-	if reached {
-		t.resolve.Do(func() { close(t.done) })
-	}
-}
+// Ack records a positive acknowledgement from replica i and reports whether
+// this call resolved the write.
+func (t *Tracker) Ack(i int) bool { return t.record(i, 0) }
 
-// Nack records a failure from replica i (node down, send error...).
-func (t *Tracker) Nack(i int) {
-	t.mu.Lock()
-	if !t.acked[i] {
-		t.nacked[i] = true
-	}
-	impossible := len(t.nacked) > t.cfg.V-t.cfg.Vw
-	t.mu.Unlock()
-	if impossible {
-		t.resolve.Do(func() {
-			t.mu.Lock()
-			t.failed = true
-			t.mu.Unlock()
-			close(t.done)
-		})
-	}
-}
-
-// Done returns a channel closed when the write resolves (success or
-// failure).
-func (t *Tracker) Done() <-chan struct{} { return t.done }
+// Nack records a failure from replica i (node down, send error...) and
+// reports whether this call resolved the write.
+func (t *Tracker) Nack(i int) bool { return t.record(i, maxTracked) }
 
 // Resolved reports whether the write has already resolved. Delivery
 // pipelines use it to stop redelivering a flight whose every batch has
 // settled without this replica — gossip, not the writer, repairs the
 // replica then (§3.3).
 func (t *Tracker) Resolved() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
+	return t.settled(t.masks.Load())
 }
 
 // Err returns nil on success, ErrQuorumImpossible when the quorum can no
-// longer be reached. Only meaningful after Done is closed.
+// longer be reached. Only meaningful once the write has resolved.
 func (t *Tracker) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.failed {
+	if t.failed(t.masks.Load()) {
 		return ErrQuorumImpossible
 	}
 	return nil
 }
 
 // Acks returns the number of positive acknowledgements so far.
-func (t *Tracker) Acks() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.acked)
-}
+func (t *Tracker) Acks() int { return bits.OnesCount32(uint32(t.masks.Load())) }

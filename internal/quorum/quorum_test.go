@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -107,19 +108,18 @@ func TestReplicaAZPlacement(t *testing.T) {
 
 func TestTrackerReachesQuorum(t *testing.T) {
 	tr := NewTracker(Aurora())
-	tr.Ack(0)
-	tr.Ack(1)
-	tr.Ack(1) // duplicate must not double count
-	tr.Ack(2)
-	select {
-	case <-tr.Done():
-		t.Fatal("resolved with 3 acks, need 4")
-	default:
+	for _, i := range []int{0, 1, 1, 2} { // the duplicate must not double count
+		if tr.Ack(i) {
+			t.Fatalf("ack %d reported a resolution with %d acks, need 4", i, tr.Acks())
+		}
 	}
-	tr.Ack(5)
-	select {
-	case <-tr.Done():
-	case <-time.After(time.Second):
+	if tr.Resolved() {
+		t.Fatal("resolved with 3 acks, need 4")
+	}
+	if !tr.Ack(5) {
+		t.Fatal("the fourth ack did not report the resolution")
+	}
+	if !tr.Resolved() {
 		t.Fatal("did not resolve at 4 acks")
 	}
 	if tr.Err() != nil {
@@ -128,39 +128,60 @@ func TestTrackerReachesQuorum(t *testing.T) {
 	if tr.Acks() != 4 {
 		t.Fatalf("acks %d", tr.Acks())
 	}
+	// Later verdicts are recorded but resolve nothing a second time, and a
+	// replica's first verdict stands.
+	if tr.Ack(3) || tr.Nack(4) || tr.Nack(0) {
+		t.Fatal("a verdict after the resolution reported a second one")
+	}
+	if tr.Err() != nil || tr.Acks() != 5 {
+		t.Fatalf("after late verdicts: err=%v acks=%d", tr.Err(), tr.Acks())
+	}
 }
 
 func TestTrackerImpossible(t *testing.T) {
 	tr := NewTracker(Aurora())
-	tr.Nack(0)
-	tr.Nack(1)
-	select {
-	case <-tr.Done():
+	if tr.Nack(0) || tr.Nack(1) {
 		t.Fatal("resolved with 2 nacks; one more failure still allows 4/6")
-	default:
 	}
-	tr.Nack(2)
-	select {
-	case <-tr.Done():
-	case <-time.After(time.Second):
+	if tr.Resolved() {
+		t.Fatal("resolved with 2 nacks; one more failure still allows 4/6")
+	}
+	if tr.Ack(1) || tr.Acks() != 0 {
+		t.Fatal("an ack from a replica that already nacked counted")
+	}
+	if !tr.Nack(2) {
+		t.Fatal("the third nack did not report the resolution")
+	}
+	if !tr.Resolved() {
 		t.Fatal("did not fail at 3 nacks")
 	}
 	if tr.Err() != ErrQuorumImpossible {
 		t.Fatalf("err %v", tr.Err())
+	}
+	if tr.Ack(3) || tr.Ack(4) || tr.Ack(5) || tr.Err() != ErrQuorumImpossible {
+		t.Fatal("acks after the failure changed the verdict")
 	}
 }
 
 func TestTrackerConcurrent(t *testing.T) {
 	tr := NewTracker(Aurora())
 	var wg sync.WaitGroup
+	var resolutions atomic.Int32
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
-		go func(i int) { defer wg.Done(); tr.Ack(i) }(i)
+		go func(i int) {
+			defer wg.Done()
+			if tr.Ack(i) {
+				resolutions.Add(1)
+			}
+		}(i)
 	}
 	wg.Wait()
-	<-tr.Done()
-	if tr.Err() != nil || tr.Acks() != 6 {
-		t.Fatalf("err=%v acks=%d", tr.Err(), tr.Acks())
+	if !tr.Resolved() || tr.Err() != nil || tr.Acks() != 6 {
+		t.Fatalf("resolved=%v err=%v acks=%d", tr.Resolved(), tr.Err(), tr.Acks())
+	}
+	if n := resolutions.Load(); n != 1 {
+		t.Fatalf("%d calls reported the resolution, want exactly 1", n)
 	}
 }
 
@@ -283,16 +304,10 @@ func TestLogTierTracker(t *testing.T) {
 		t.Fatalf("log tier %+v", lt)
 	}
 	tr := NewTracker(lt)
-	tr.Ack(0)
-	select {
-	case <-tr.Done():
+	if tr.Ack(0) || tr.Resolved() {
 		t.Fatal("resolved with 1 ack, need 2")
-	default:
 	}
-	tr.Ack(2)
-	select {
-	case <-tr.Done():
-	case <-time.After(time.Second):
+	if !tr.Ack(2) || !tr.Resolved() {
 		t.Fatal("did not resolve at 2 log-tier acks")
 	}
 	if tr.Err() != nil {
@@ -300,14 +315,12 @@ func TestLogTierTracker(t *testing.T) {
 	}
 
 	tr = NewTracker(lt)
-	tr.Nack(1)
-	select {
-	case <-tr.Done():
+	if tr.Nack(1) || tr.Resolved() {
 		t.Fatal("resolved with 1 nack; 2/3 still reachable")
-	default:
 	}
-	tr.Nack(2)
-	<-tr.Done()
+	if !tr.Nack(2) || !tr.Resolved() {
+		t.Fatal("did not fail at 2 log-tier nacks")
+	}
 	if tr.Err() != ErrQuorumImpossible {
 		t.Fatalf("err %v", tr.Err())
 	}

@@ -2,6 +2,7 @@ package volume
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"aurora/internal/core"
@@ -13,8 +14,8 @@ import (
 // framing into the arena, wire shipping to all six replicas, quorum ack,
 // VDL wait, arena recycle — and reports allocations per record. The group
 // shape (128 MTRs x 4 records) matches a loaded commit pipeline, where the
-// per-group fixed costs (GroupWrite shell, per-batch trackers and watcher
-// goroutines, durability channel) amortize across 512 records.
+// per-group fixed costs (the GroupWrite, its batch slice, the ship and
+// durability channels) amortize across 512 records.
 func BenchmarkCommitSteadyStateAllocs(b *testing.B) {
 	const mtrs, recsPerMTR = 128, 4
 	net := netsim.New(netsim.FastLocal())
@@ -119,5 +120,62 @@ func BenchmarkReadPageMiss(b *testing.B) {
 		if _, _, err := c.ReadPage(ctx, core.PageID(i*61%pages)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestShipIsTheCallersGoroutine pins the write path's shape the way
+// TestHedgedFirstAnswerIsOneCallChain pins the read path's: shipping a group
+// of three batches starts no goroutine — the quorum bookkeeping runs on the
+// sender loops that deliver the acks — and the writer's own objects for a
+// group are a fixed handful, none of them per replica.
+func TestShipIsTheCallersGoroutine(t *testing.T) {
+	_, c := testVolume(t, 3)
+	ctx := context.Background()
+	m := &core.MTR{Txn: 1}
+	for pg := core.PGID(0); pg < 3; pg++ {
+		m.AddDelta(pg, core.PageID(pg), 0, []byte("x"))
+	}
+	ms := []*core.MTR{m}
+	ship := func() {
+		g, err := c.FrameMTRs(ctx, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.batches) != 3 {
+			t.Fatalf("%d batches, want 3", len(g.batches))
+		}
+		if err := g.Ship(ctx); err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		ship()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("group %d: %d goroutines, %d before the first group", i, n, base)
+		}
+	}
+	if vdl := c.VDL(); vdl != 3000 {
+		t.Fatalf("VDL %d after 1000 three-record groups", vdl)
+	}
+	// The writer's objects for a group: the GroupWrite, its batch slice
+	// (tails and quorum trackers by value) and the one channel Ship waits on.
+	// The rest of the count is the fleet's: each of the 18 deliveries retains
+	// a body copy and a record slab on its storage node. Every run waits for
+	// the fifth and sixth deliveries too, so that groups do not overlap and
+	// the count is exact: one more object for that wait's channel. The slack
+	// is for the race detector, under which one or two more appear; a single
+	// object per batch would add three.
+	const writer, perDelivery, deliveries, drain, slack = 3, 2, 18, 1, 2
+	avg := testing.AllocsPerRun(200, func() {
+		ship()
+		if err := c.drainWrites(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > writer+perDelivery*deliveries+drain+slack {
+		t.Fatalf("a three-batch group allocates %.0f objects, pinned at %d for the writer and %d for storage",
+			avg, writer, perDelivery*deliveries)
 	}
 }

@@ -3,6 +3,7 @@ package volume
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +40,7 @@ type Client struct {
 	alloc  *core.Allocator
 	framer *core.Framer
 	vdl    *core.VDLTracker
-	win    *ackWindow
-	tails  *PGTailTracker
+	win    *durableWindow
 	reads  *readRegistry
 	epoch  uint64
 
@@ -49,14 +49,6 @@ type Client struct {
 	// draining; Crash cancels it immediately.
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
-
-	// inflight tracks quorum-resolution watchers (the goroutines that
-	// advance the VDL when a batch's quorum resolves, even if the committing
-	// waiter detached on deadline). Close waits for them so the VDL is final
-	// before the trackers are torn down.
-	infMu    sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
 
 	// senders is the per-PG, per-replica delivery pipeline table. It is
 	// copy-on-write (Grow appends PGs while traffic continues) — load once
@@ -128,8 +120,7 @@ func newClient(f *Fleet, cfg ClientConfig, start core.LSN, tails map[core.PGID]c
 		alloc:      alloc,
 		framer:     core.NewFramer(alloc, tails),
 		vdl:        core.NewVDLTracker(start),
-		win:        newAckWindow(start),
-		tails:      NewPGTailTracker(tails),
+		win:        newDurableWindow(start, tails),
 		reads:      newReadRegistry(start),
 		epoch:      epoch,
 	}
@@ -248,7 +239,7 @@ func (c *Client) PGOfAt(id core.PageID, readPoint core.LSN) core.PGID {
 
 // DurableTail returns the highest record LSN of a protection group at or
 // below the VDL — the completeness a read of that PG requires (§4.2.3).
-func (c *Client) DurableTail(pg core.PGID) core.LSN { return c.tails.DurableTail(pg) }
+func (c *Client) DurableTail(pg core.PGID) core.LSN { return c.win.durableTail(pg) }
 
 // LowWaterMark returns the current MRPL (see readRegistry), folded with the
 // read points pinned by attached read replicas — storage GC must respect
@@ -271,149 +262,53 @@ func (c *Client) RegisterReadPoint() (core.LSN, func()) {
 	return p, c.reads.register(p)
 }
 
-// PendingWrite is a framed mini-transaction whose batches have not yet
-// been shipped. Framing (LSN assignment + arena encode) is cheap and can
-// run under engine latches; shipping waits for write quorums and must not.
+// GroupWrite is a framed group of mini-transactions — the unit the commit
+// pipeline's framer stage produces, and the entry of the writer's durability
+// window (see durableWindow). Framing (LSN assignment + arena encode) is
+// cheap and can run under engine latches; shipping waits for write quorums
+// and must not. The group's records occupy one contiguous LSN range, its
+// per-PG batches are merged across members (so a busy PG costs one quorum
+// per group, not per commit), and durability is still acknowledged per
+// transaction as the VDL passes each member's CPL.
 //
-// The write holds the creator reference on its arena-backed FramedGroup:
-// the caller must call Release exactly once when it is done with the write
-// (after Ship returns, or on an error path). Senders hold their own
-// references, so releasing never invalidates an in-flight delivery — even
-// one that outlives a deadline-detached committer.
-type PendingWrite struct {
-	c        *Client
-	g        *core.FramedGroup
-	mtr      *core.MTR
-	cpl      core.LSN
-	shipped  bool
-	released atomic.Bool
-}
-
-// CPL returns the mini-transaction's consistency point LSN.
-func (p *PendingWrite) CPL() core.LSN { return p.cpl }
-
-// LastLSNFor returns the highest LSN this MTR assigned to records of the
-// given page (ZeroLSN if none) — the engine stamps cached page LSNs with
-// it. It reads the framed LSNs straight off the MTR (stamped in place by
-// the framer), so it stays valid after Release.
-func (p *PendingWrite) LastLSNFor(id core.PageID) core.LSN {
-	return p.mtr.LastLSNFor(id)
-}
-
-// Release drops the write's reference on its framed group. Idempotent.
-func (p *PendingWrite) Release() {
-	if !p.released.Swap(true) {
-		p.g.Release()
-	}
-}
-
-// frame frames ms through the arena pipeline under the shared geometry
-// fence and registers consistency points and per-PG tails. Volume stamping
-// happens inside the framer (SetVolume at client construction).
-func (c *Client) frame(ctx context.Context, ms []*core.MTR) (*core.FramedGroup, error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	c.geomMu.RLock()
-	g, err := c.framer.FrameGroup(ctx, ms)
-	if err != nil {
-		c.geomMu.RUnlock()
-		return nil, err
-	}
-	c.win.addCPLs(g.CPLs)
-	// Feed the tail tracker from the stamped MTRs, not the batches: the
-	// completeness demanded of a read (DurableTail) must cover exactly the
-	// record LSNs that exist, and the MTRs carry them post-framing.
-	c.tails.AddMTRs(ms)
-	c.geomMu.RUnlock()
-	total := 0
-	for _, m := range ms {
-		total += len(m.Records)
-	}
-	c.mtrs.Add(uint64(len(ms)))
-	c.frames.Add(1)
-	c.recsWritten.Add(uint64(total))
-	return g, nil
-}
-
-// FrameMTR assigns LSNs and backlinks to the MTR and registers its
-// consistency point, without performing any IO. The write is on the wire
-// once Ship is called; until then it occupies the allocation window. The
-// LAL back-pressure wait inside framing selects on ctx. The caller owns
-// the returned write's group reference (see PendingWrite).
-func (c *Client) FrameMTR(ctx context.Context, m *core.MTR) (*PendingWrite, error) {
-	g, err := c.frame(ctx, []*core.MTR{m})
-	if err != nil {
-		return nil, err
-	}
-	return &PendingWrite{c: c, g: g, mtr: m, cpl: g.CPLs[0]}, nil
-}
-
-// shipGroup fans the group's encoded batches out to their sender pipelines
-// and waits for every write quorum (or ctx).
-func (c *Client) shipGroup(ctx context.Context, g *core.FramedGroup) error {
-	sp := trace.FromContext(ctx)
-	var wg sync.WaitGroup
-	errs := make([]error, len(g.Batches))
-	for i := range g.Batches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.shipBatch(ctx, g, &g.Batches[i], sp)
-		}(i)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			c.writeFails.Add(1)
-			return e
-		}
-	}
-	return nil
-}
-
-// Ship delivers the framed batches to the storage fleet and returns once
-// every batch has reached its write quorum or ctx fires. Durability of the
-// MTR (VDL >= CPL) may still lag and is awaited separately — worker threads
-// never stall on commit (§4.2.2). A ctx deadline detaches only the waiter:
-// the batches stay in the sender pipelines (each holding its own group
-// reference) and the VDL still advances when their quorums resolve. When
-// ctx carries a sampled span, the quorum flights are recorded as its
-// children. Ship must be called exactly once.
-func (p *PendingWrite) Ship(ctx context.Context) error {
-	if p.shipped {
-		return errors.New("volume: pending write shipped twice")
-	}
-	p.shipped = true
-	return p.c.shipGroup(ctx, p.g)
-}
-
-// GroupWrite is a framed group of mini-transactions: the unit the commit
-// pipeline's framer stage produces. The group's records occupy one
-// contiguous LSN range, its per-PG batches are merged across members (so a
-// busy PG costs one quorum tracker per group, not per commit), and each
-// member MTR keeps its own CPL so durability is still acknowledged
-// per-transaction as the VDL advances.
-//
-// Like PendingWrite, the group holds the creator reference on its arena;
-// the commit pipeline must Release it when done (after the durability
-// wait). MaxCPL is cached at frame time and stays valid after Release.
+// The group holds the creator reference on its arena-backed FramedGroup: the
+// caller must Release it exactly once when it is done with the write (after
+// Ship returns and the durability wait, or on an error path). Senders hold
+// their own references, so releasing never invalidates an in-flight delivery
+// — even one that outlives a deadline-detached committer.
 type GroupWrite struct {
-	c        *Client
-	g        *core.FramedGroup
-	maxCPL   core.LSN
+	c *Client
+	g *core.FramedGroup
+
+	// The group's LSN range. last is also its highest CPL: a group is whole
+	// MTRs and the framer ends each on its CPL.
+	first, last core.LSN
+	batches     []groupBatch
+	done        chan struct{} // closed once every batch has resolved
+
+	// Guarded by the window's mutex (and ordered before Ship's return by the
+	// close of done).
+	unresolved int  // batches whose quorum has not resolved
+	failed     bool // some batch can no longer reach its quorum
+
 	shipped  bool
 	released atomic.Bool
 }
 
-// CPLs returns the per-MTR consistency points in group order. The slice is
-// borrowed from the framed group: it is only valid before Release.
-func (g *GroupWrite) CPLs() []core.LSN { return g.g.CPLs }
+// groupBatch is the window's view of one per-PG batch: copied out of the
+// framed group so that it outlives the arena, which is recycled when the
+// last delivery lets go of it — possibly before the group retires.
+type groupBatch struct {
+	pg   core.PGID
+	last core.LSN // the batch's highest record LSN
+	tr   quorum.Tracker
+	sp   *trace.Span // batch.ship span of a sampled commit; nil otherwise
+}
 
 // MaxCPL returns the group's highest consistency point: VDL >= MaxCPL
 // implies every member of the group is durable (the group's LSN range is
-// contiguous).
-func (g *GroupWrite) MaxCPL() core.LSN { return g.maxCPL }
+// contiguous). It stays valid after Release.
+func (g *GroupWrite) MaxCPL() core.LSN { return g.last }
 
 // Release drops the group write's reference on its framed group. Idempotent.
 func (g *GroupWrite) Release() {
@@ -422,44 +317,156 @@ func (g *GroupWrite) Release() {
 	}
 }
 
-// FrameMTRs frames a group of MTRs through one LSN-allocation/ordering
-// critical section and registers every member's consistency point. Like
-// FrameMTR it performs no IO; the group is on the wire once Ship is
-// called. The MTRs' own records are stamped with their LSNs in place, so
-// callers can compute per-page stamp LSNs from each MTR directly.
-func (c *Client) FrameMTRs(ctx context.Context, ms []*core.MTR) (*GroupWrite, error) {
-	g, err := c.frame(ctx, ms)
+// frame frames ms through the arena pipeline and enters the group into the
+// durability window. Volume stamping happens inside the framer (SetVolume at
+// client construction). The caller holds the geometry fence, shared
+// (FrameMTRs) or exclusive (the rebalancer's catch-up), or frames only
+// explicitly placed records (its warm copy).
+func (c *Client) frame(ctx context.Context, ms []*core.MTR) (*GroupWrite, error) {
+	if c.closed.Load() {
+		return nil, ErrClosed
+	}
+	fg, err := c.framer.FrameGroup(ctx, ms)
 	if err != nil {
 		return nil, err
 	}
-	return &GroupWrite{c: c, g: g, maxCPL: g.CPLs[len(g.CPLs)-1]}, nil
+	trCfg := c.q
+	if c.q.Split() {
+		// Role-split quorum (Taurus): commit acknowledgment waits only on
+		// the synchronous log tier.
+		trCfg = c.q.LogTier()
+	}
+	g := &GroupWrite{
+		c: c, g: fg,
+		// Batches are in first-touch order, so the first one starts on the
+		// group's first record.
+		first:      fg.Batches[0].First,
+		last:       fg.CPLs[len(fg.CPLs)-1],
+		batches:    make([]groupBatch, len(fg.Batches)),
+		done:       make(chan struct{}),
+		unresolved: len(fg.Batches),
+	}
+	total := 0
+	for i := range fg.Batches {
+		b := &fg.Batches[i]
+		g.batches[i] = groupBatch{pg: b.PG, last: b.Last, tr: quorum.NewTracker(trCfg)}
+		total += b.Records
+	}
+	c.win.register(g)
+	c.mtrs.Add(uint64(len(ms)))
+	c.frames.Add(1)
+	c.recsWritten.Add(uint64(total))
+	return g, nil
 }
 
-// Ship delivers the group's merged batches to the storage fleet and
-// returns once every batch has reached its write quorum or ctx fires. As
-// with PendingWrite.Ship, durability (VDL >= CPL) may still lag and is
-// awaited separately, a ctx deadline detaches only the waiter (the batches
-// still ship and the VDL still advances), and a sampled span carried in ctx
-// gets the per-replica flights and quorum waits as children. Ship must be
-// called exactly once.
+// FrameMTRs frames a group of MTRs through one LSN-allocation/ordering
+// critical section, under the shared geometry fence, without performing any
+// IO: the group is on the wire once Ship is called, and until then it
+// occupies the allocation window. The LAL back-pressure wait inside framing
+// selects on ctx. The MTRs' own records are stamped with their LSNs in
+// place, so callers can compute per-page stamp LSNs from each MTR directly
+// (core.MTR.LastLSNFor).
+func (c *Client) FrameMTRs(ctx context.Context, ms []*core.MTR) (*GroupWrite, error) {
+	c.geomMu.RLock()
+	defer c.geomMu.RUnlock()
+	return c.frame(ctx, ms)
+}
+
+// Ship hands every batch of the group to its replicas' sender pipelines from
+// the calling goroutine and returns once every batch has resolved its write
+// quorum, or ctx fires. Durability of a member (VDL >= CPL) may still lag —
+// an earlier group may be unresolved — and is awaited separately: worker
+// threads never stall on commit (§4.2.2). A ctx deadline detaches only the
+// waiter: the batches stay in the sender pipelines (each holding its own
+// group reference) and the VDL still advances when their quorums resolve,
+// because the bookkeeping runs on whichever goroutine delivers the resolving
+// ack or nack (batchResolved), not on this one. When ctx carries a sampled
+// span it gets one batch.ship child per batch, parenting that batch's
+// replica flights and ending when the batch resolves, and a quorum.wait
+// child covering the time blocked here. Ship must be called exactly once.
 func (g *GroupWrite) Ship(ctx context.Context) error {
 	if g.shipped {
 		return errors.New("volume: group write shipped twice")
 	}
 	g.shipped = true
-	return g.c.shipGroup(ctx, g.g)
+	c := g.c
+	sp := trace.FromContext(ctx)
+	all := *c.senders.Load()
+	for i := range g.batches {
+		b := &g.g.Batches[i]
+		senders := all[int(b.PG)%len(all)]
+		if c.q.Split() {
+			// The log tier is the low replica indices, so sender and tracker
+			// indices keep lining up. Page replicas receive nothing in the
+			// foreground; they pull the redo stream from the log tier
+			// asynchronously via gossip.
+			senders = senders[:c.q.LogV]
+		}
+		bsp := sp.Child("batch.ship")
+		trace.Annotate(bsp, "pg", b.PG)
+		trace.Annotate(bsp, "records", b.Records)
+		g.batches[i].sp = bsp
+		// Each enqueue retains the framed group once on the pipeline's
+		// behalf, so the arena stays alive for exactly as long as any replica
+		// might read the batch's wire view — including retried flights that
+		// outlive a deadline-detached committer.
+		sh := shipment{wire: b.Wire, gw: g, bi: i}
+		for _, s := range senders {
+			g.g.Retain()
+			s.enqueue(sh)
+		}
+	}
+	qsp := sp.Child("quorum.wait")
+	select {
+	case <-g.done:
+		qsp.End()
+	case <-ctx.Done():
+		trace.Annotate(qsp, "abandoned", true)
+		qsp.End()
+		c.writeFails.Add(1)
+		return fmt.Errorf("volume: quorum wait abandoned: %w", ctx.Err())
+	}
+	if g.failed {
+		c.writeFails.Add(1)
+		return quorum.ErrQuorumImpossible
+	}
+	return nil
+}
+
+// batchResolved runs on the goroutine whose ack or nack resolved batch bi's
+// quorum — a sender loop, or the enqueuer when the pipeline had already
+// stopped. It retires what the resolution made durable and publishes in the
+// order the read path relies on: per-PG tails (inside the window), then the
+// VDL, then the allocator's back-pressure window. On return from the call
+// that resolves a group's last batch, the group's records count toward the
+// VDL, which is what a successful Ship promises.
+func (g *GroupWrite) batchResolved(bi int) {
+	b := &g.batches[bi]
+	err := b.tr.Err()
+	if err != nil {
+		trace.Annotate(b.sp, "err", err)
+	}
+	b.sp.End()
+	c := g.c
+	vdl, done := c.win.resolve(g, err != nil)
+	if c.vdl.Advance(vdl) {
+		c.alloc.AdvanceVDL(vdl)
+	}
+	if done {
+		close(g.done)
+	}
 }
 
 // WriteMTR frames a mini-transaction into the log and ships it to the
 // storage fleet, returning once every batch has reached its 4/6 write
 // quorum. The returned LSN is the MTR's consistency point.
 func (c *Client) WriteMTR(ctx context.Context, m *core.MTR) (core.LSN, error) {
-	p, err := c.FrameMTR(ctx, m)
+	g, err := c.FrameMTRs(ctx, []*core.MTR{m})
 	if err != nil {
 		return core.ZeroLSN, err
 	}
-	defer p.Release()
-	return p.cpl, p.Ship(ctx)
+	defer g.Release()
+	return g.MaxCPL(), g.Ship(ctx)
 }
 
 // ReadPage reads the latest durable version of a page. It establishes a
@@ -492,7 +499,7 @@ func (c *Client) ReadPageAt(ctx context.Context, id core.PageID, readPoint core.
 // completeness demanded of the routed PG is its durable tail, which the
 // writer tracks itself from the records it framed and the VDL.
 func (c *Client) readAt(ctx context.Context, id core.PageID, readPoint core.LSN) (page.Page, error) {
-	return c.fleet.readPage(ctx, c.node, id, readPoint, c.tails.DurableTail, &c.pageReads)
+	return c.fleet.readPage(ctx, c.node, id, readPoint, c.win.durableTail, &c.pageReads)
 }
 
 // Stats is a snapshot of client counters, including the fleet's
@@ -512,7 +519,7 @@ type Stats struct {
 	RespDrops      uint64 // responses lost after a successful segment read
 	VDL            core.LSN
 	HighestLSN     core.LSN
-	Backlog        int
+	Backlog        int // framed groups not yet durable (0 when idle)
 
 	// Role-split byte accounting (Taurus, PAPERS.md). LogBytes counts
 	// bytes delivered synchronously on the commit path (all replicas when
@@ -556,7 +563,7 @@ func (c *Client) Stats() Stats {
 		RespDrops:      hs.RespDrops,
 		VDL:            c.vdl.VDL(),
 		HighestLSN:     c.alloc.HighestAllocated(),
-		Backlog:        c.win.outstanding(),
+		Backlog:        c.win.backlog(),
 		LogBytes:       c.logBytes.Load(),
 		PageFeedBytes:  c.fleet.PageFeedBytes(),
 	}
@@ -576,15 +583,15 @@ func (c *Client) Crash() {
 			s.stop()
 		}
 	}
-	c.stopInflight()
 	c.alloc.Close()
 	c.vdl.Close()
 	c.fleet.cfg.Net.RemoveNode(c.node)
 }
 
-// Close shuts the writer down gracefully: no new operations are accepted,
-// the sender pipelines drain their queued flights (delivering, not
-// nacking), the quorum watchers finish advancing the VDL, and only then is
+// Close shuts the writer down gracefully: no new operations are accepted
+// and the sender pipelines drain their queued flights (delivering, not
+// nacking). Every quorum resolves on the goroutine that delivered its last
+// verdict, so once the pipelines have drained the VDL is final; only then is
 // the root context canceled and the allocator torn down.
 func (c *Client) Close() {
 	if c.closed.Swap(true) {
@@ -595,31 +602,8 @@ func (c *Client) Close() {
 			s.drain()
 		}
 	}
-	c.stopInflight()
 	c.rootCancel()
 	c.alloc.Close()
 	c.vdl.Close()
 	c.fleet.cfg.Net.RemoveNode(c.node)
-}
-
-// stopInflight waits for the in-flight quorum watchers and rejects new
-// tracked registrations (late shipments still resolve, untracked).
-func (c *Client) stopInflight() {
-	c.infMu.Lock()
-	c.draining = true
-	c.infMu.Unlock()
-	c.inflight.Wait()
-}
-
-// trackInflight registers one quorum watcher with the client's drain
-// barrier. After Close/Crash began draining it reports false and the
-// watcher runs untracked — everything it would advance is being torn down.
-func (c *Client) trackInflight() (func(), bool) {
-	c.infMu.Lock()
-	defer c.infMu.Unlock()
-	if c.draining {
-		return func() {}, false
-	}
-	c.inflight.Add(1)
-	return func() { c.inflight.Done() }, true
 }

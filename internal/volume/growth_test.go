@@ -350,3 +350,58 @@ func TestGrowSnapshotReadsRouteOldPG(t *testing.T) {
 		t.Fatalf("current read after cutover: %q", got)
 	}
 }
+
+// TestGrowDrainsStragglersBeforeEpochPublish pins the fence's drain. A write
+// quorum is four of six: when the VDL covers a batch, its other two
+// deliveries can still be queued or on the wire. If a geometry epoch is
+// published then, those stragglers reach nodes that already know the new
+// epoch, are nacked ErrStaleGeometry (never retried) and leave holes that
+// only gossip fills — and this fleet runs none. The drain therefore also
+// waits until every sender pipeline is idle. With replica 5 of every PG
+// slow, each write leaves such a straggler behind; after two growths no
+// replica may have a gap or trail its PG's durable tail.
+func TestGrowDrainsStragglersBeforeEpochPublish(t *testing.T) {
+	f, c := testVolume(t, 2)
+	if _, err := c.Grow(1); err != nil { // leave the unversioned epoch 0
+		t.Fatal(err)
+	}
+	slowLast := func() {
+		for pg := 0; pg < f.PGs(); pg++ {
+			if err := f.Net().SetNodeDelay(f.Node(core.PGID(pg), 5).NodeID(), 20*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slowLast()
+	for i := 0; i < 16; i++ {
+		writePage(t, c, core.PageID(i), fmt.Sprintf("a%02d", i))
+	}
+	if _, err := c.Grow(1); err != nil {
+		t.Fatal(err)
+	}
+	slowLast() // the new PG's replica too
+	for i := 0; i < 16; i++ {
+		writePage(t, c, core.PageID(i), fmt.Sprintf("b%02d", i))
+	}
+	// The last writes' stragglers are still in flight; a hole left by a
+	// nacked one never closes, so poll with a deadline.
+	lagging := func() string {
+		for pg := 0; pg < f.PGs(); pg++ {
+			tail := c.DurableTail(core.PGID(pg))
+			for i, n := range f.Replicas(core.PGID(pg)) {
+				if n.HasGaps() || n.SCL() < tail {
+					return fmt.Sprintf("pg%d replica %d: scl=%d hi=%d gaps=%v tail=%d",
+						pg, i, n.SCL(), n.HighestLSN(), n.HasGaps(), tail)
+				}
+			}
+		}
+		return ""
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for lagging() != "" && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if l := lagging(); l != "" {
+		t.Fatal(l)
+	}
+}

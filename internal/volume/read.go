@@ -25,7 +25,7 @@ type readCounters struct {
 // tracks segment completeness, asks a single segment complete through the
 // read point, and the node re-verifies). The writer and every replica reader
 // go through it; they differ only in tail — where the completeness demanded
-// of the routed PG comes from (the writer's PGTailTracker, or the tails a
+// of the routed PG comes from (the writer's durability window, or the tails a
 // replica learned from the log stream) — and in whose counters are bumped.
 //
 // from is the reading instance's network identity. A sampled span carried in

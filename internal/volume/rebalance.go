@@ -11,11 +11,12 @@ package volume
 //	            through the still-old geometry).
 //	fence       take the geometry fence exclusively: no MTR can frame, so
 //	            no new record can route to the stripe. Commits queue behind
-//	            the fence; they never fail. Wait until the VDL covers every
-//	            allocated LSN — all old-epoch batches are now durable.
+//	            the fence; they never fail. Drain the writes in flight
+//	            (drainWrites): the VDL covers every allocated LSN and no
+//	            sender pipeline holds an old-epoch batch any more.
 //	catch-up    re-copy the pages whose old-PG tail moved past the warm
 //	            copy (writes that raced it), and pages born after the
-//	            enumeration; wait for the copies to be durable.
+//	            enumeration; drain again.
 //	cutover     publish a new geometry epoch with the stripe re-pointed,
 //	            effective from the current VDL. Storage nodes learn the
 //	            epoch and nack stale-epoch traffic; clients re-route.
@@ -67,10 +68,10 @@ func (c *Client) Grow(n int) (*GrowthReport, error) {
 
 	// Allocate the PGs and publish the allocation epoch under the fence,
 	// with the pipe drained first: nodes nack batches framed under an older
-	// epoch, so every outstanding batch must be durable before any node
-	// learns the new one. The stripe table is unchanged by this step.
+	// epoch, so every outstanding batch must have been delivered before any
+	// node learns the new one. The stripe table is unchanged by this step.
 	c.geomMu.Lock()
-	if err := c.vdl.WaitCtx(c.rootCtx, c.alloc.HighestAllocated()); err != nil {
+	if err := c.drainWrites(); err != nil {
 		c.geomMu.Unlock()
 		return nil, fmt.Errorf("volume: grow drain: %w", err)
 	}
@@ -121,34 +122,27 @@ func (c *Client) migrateStripe(mv core.StripeMove) (uint64, error) {
 	}
 
 	// Fence: no MTR can frame while held, so the stripe's record stream is
-	// frozen. Drain the allocation pipe — once the VDL covers every
-	// allocated LSN, every batch framed under the current epoch is durable.
+	// frozen. Drain the pipe: every batch framed under the current epoch is
+	// then durable, and delivered to every replica that will take it.
 	c.geomMu.Lock()
 	defer c.geomMu.Unlock()
-	if err := c.vdl.WaitCtx(c.rootCtx, c.alloc.HighestAllocated()); err != nil {
+	if err := c.drainWrites(); err != nil {
 		return copied, fmt.Errorf("volume: fence drain: %w", err)
 	}
 
 	// Catch-up: re-copy pages whose old-PG tail outran their warm copy, and
 	// pages born after the warm enumeration.
-	var maxCPL core.LSN
 	for id, tail := range c.stripePages(mv.From, inStripe) {
 		if at, ok := copiedAt[id]; ok && tail <= at {
 			continue
 		}
-		_, cpl, err := c.copyStripePageFenced(id, mv.To)
-		if err != nil {
+		if _, err := c.copyStripePage(id, mv.To); err != nil {
 			return copied, err
-		}
-		if cpl > maxCPL {
-			maxCPL = cpl
 		}
 		copied++
 	}
-	if maxCPL > core.ZeroLSN {
-		if err := c.vdl.WaitCtx(c.rootCtx, maxCPL); err != nil {
-			return copied, fmt.Errorf("volume: catch-up drain: %w", err)
-		}
+	if err := c.drainWrites(); err != nil {
+		return copied, fmt.Errorf("volume: catch-up drain: %w", err)
 	}
 
 	// Cutover: re-point the stripe, effective from the current VDL. Reads
@@ -181,20 +175,36 @@ func (c *Client) stripePages(from core.PGID, match func(core.PageID) bool) map[c
 	return out
 }
 
-// copyStripePage reads one page at the current VDL and writes its full
-// image to the destination PG. The record carries FlagPlaced so the
-// framer's router leaves its deliberate destination alone. Returns the
-// read point the copy reflects.
-func (c *Client) copyStripePage(id core.PageID, to core.PGID) (core.LSN, error) {
-	at, _, err := c.copyStripePageFenced(id, to)
-	return at, err
+// drainWrites empties the write path ahead of a geometry epoch publish. The
+// caller holds the fence exclusively, so nothing new can be framed; what is
+// already framed is waited out twice over. First the VDL reaches the highest
+// allocated LSN: every batch is on its write quorum. Then every sender
+// pipeline runs idle: the deliveries the quorums did not wait for have landed
+// too. Without the second wait such a straggler can arrive after its node
+// has learned the new epoch and be nacked ErrStaleGeometry — never retried,
+// a hole in that segment that only gossip fills. Both waits are bounded:
+// nothing can frame under the fence, and a pipeline drops a redelivery whose
+// batches have all resolved.
+func (c *Client) drainWrites() error {
+	if err := c.vdl.WaitCtx(c.rootCtx, c.alloc.HighestAllocated()); err != nil {
+		return err
+	}
+	for _, pg := range *c.senders.Load() {
+		for _, s := range pg {
+			s.waitIdle()
+		}
+	}
+	return nil
 }
 
-// copyStripePageFenced is the copy primitive; it does not take the
-// geometry fence itself, so it is safe both un-fenced (warm copy) and
-// while the rebalancer holds the fence exclusively (catch-up). Returns the
-// read point and the copy record's CPL.
-func (c *Client) copyStripePageFenced(id core.PageID, to core.PGID) (core.LSN, core.LSN, error) {
+// copyStripePage reads one page at the current VDL and writes its full image
+// to the destination PG, returning the read point the copy reflects. The
+// record carries FlagPlaced so the framer's router leaves its deliberate
+// destination alone. It does not take the geometry fence itself — a placed
+// record cannot be mis-routed by a concurrent cutover — so it is safe both
+// un-fenced (warm copy) and while the rebalancer holds the fence exclusively
+// (catch-up).
+func (c *Client) copyStripePage(id core.PageID, to core.PGID) (core.LSN, error) {
 	// Rebalancer IO runs under the client's root context: bounded by the
 	// client's lifetime, not by any commit's deadline.
 	ctx := c.rootCtx
@@ -203,7 +213,7 @@ func (c *Client) copyStripePageFenced(id core.PageID, to core.PGID) (core.LSN, c
 	defer release()
 	p, err := c.readAt(ctx, id, readPoint)
 	if err != nil {
-		return core.ZeroLSN, core.ZeroLSN, err
+		return core.ZeroLSN, err
 	}
 	m := &core.MTR{}
 	m.Records = append(m.Records, core.Record{
@@ -217,35 +227,14 @@ func (c *Client) copyStripePageFenced(id core.PageID, to core.PGID) (core.LSN, c
 		// defensive copy is needed.
 		Data: p.Payload(),
 	})
-	pw, err := c.frameUnfenced(m)
+	g, err := c.frame(ctx, []*core.MTR{m})
 	if err != nil {
-		return core.ZeroLSN, core.ZeroLSN, err
+		return core.ZeroLSN, err
 	}
-	defer pw.Release()
-	if err := pw.Ship(ctx); err != nil {
-		return core.ZeroLSN, core.ZeroLSN, err
+	defer g.Release()
+	if err := g.Ship(ctx); err != nil {
+		return core.ZeroLSN, err
 	}
 	c.rebalCopied.Add(1)
-	return readPoint, pw.cpl, nil
-}
-
-// frameUnfenced is FrameMTR without the geometry fence, for the
-// rebalancer's own records (explicitly placed, so a concurrent cutover
-// cannot mis-route them — and the catch-up path runs with the fence
-// already held exclusively).
-func (c *Client) frameUnfenced(m *core.MTR) (*PendingWrite, error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	g, err := c.framer.FrameGroup(c.rootCtx, []*core.MTR{m})
-	if err != nil {
-		return nil, err
-	}
-	cpl := g.CPLs[0]
-	c.win.addCPL(cpl)
-	c.tails.AddMTR(m)
-	c.mtrs.Add(1)
-	c.frames.Add(1)
-	c.recsWritten.Add(uint64(len(m.Records)))
-	return &PendingWrite{c: c, g: g, mtr: m, cpl: cpl}, nil
+	return readPoint, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"aurora/internal/core"
 	"aurora/internal/netsim"
-	"aurora/internal/quorum"
 	"aurora/internal/storage"
 	"aurora/internal/trace"
 )
@@ -46,19 +45,36 @@ func sendHopBytes(ctx context.Context, net *netsim.Network, parent *trace.Span, 
 	return err
 }
 
-// shipment is one encoded batch awaiting delivery to one segment replica,
-// with the quorum tracker that resolves its MTR. wire is a view into the
-// group's arena; the shipment's holder keeps one reference on group for as
-// long as it may touch wire, released exactly once when the shipment is
-// acked, nacked, or dropped.
+// shipment is one encoded batch awaiting delivery to one segment replica:
+// batch bi of the framed group gw. wire is a view into the group's arena;
+// the shipment's holder keeps one reference on the arena for as long as it
+// may touch wire, released exactly once when the shipment is acked, nacked,
+// or dropped.
 type shipment struct {
-	wire  []byte
-	pg    core.PGID
-	recs  int
-	group *core.FramedGroup
-	tr    *quorum.Tracker
-	sp    *trace.Span // batch.ship span of a sampled commit; nil otherwise
+	wire []byte
+	gw   *GroupWrite
+	bi   int
 }
+
+func (sh shipment) batch() *groupBatch { return &sh.gw.batches[sh.bi] }
+
+// ack and nack deliver replica idx's verdict on the batch. The verdict that
+// resolves the batch's quorum runs the durability bookkeeping right here, on
+// the delivering goroutine (GroupWrite.batchResolved).
+func (sh shipment) ack(idx int) {
+	if sh.batch().tr.Ack(idx) {
+		sh.gw.batchResolved(sh.bi)
+	}
+}
+
+func (sh shipment) nack(idx int) {
+	if sh.batch().tr.Nack(idx) {
+		sh.gw.batchResolved(sh.bi)
+	}
+}
+
+// release drops the holder's reference on the group's arena.
+func (sh shipment) release() { sh.gw.g.Release() }
 
 // replicaSender is the per-(PG, replica) delivery pipeline. Batches framed
 // while a previous flight is on the wire accumulate in the queue and are
@@ -81,6 +97,7 @@ type replicaSender struct {
 	q          []shipment // ring buffer
 	qhead      int
 	qlen       int
+	flying     bool // a flight is out: popped from the queue, not yet settled
 	stopped    bool // terminal: loop exited, enqueue nacks
 	draining   bool // graceful: loop delivers the queue, then stops
 	noCoalesce bool
@@ -135,12 +152,12 @@ func (s *replicaSender) enqueue(sh shipment) {
 	s.mu.Lock()
 	if s.stopped || s.draining {
 		s.mu.Unlock()
-		sh.tr.Nack(s.idx)
-		sh.group.Release()
+		sh.nack(s.idx)
+		sh.release()
 		return
 	}
 	s.pushLocked(sh)
-	s.cond.Signal()
+	s.cond.Broadcast() // the loop, and possibly fence drains in waitIdle
 	s.mu.Unlock()
 }
 
@@ -156,8 +173,8 @@ func (s *replicaSender) stop() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	for _, sh := range pending {
-		sh.tr.Nack(s.idx)
-		sh.group.Release()
+		sh.nack(s.idx)
+		sh.release()
 	}
 }
 
@@ -174,9 +191,24 @@ func (s *replicaSender) drain() {
 	s.mu.Unlock()
 }
 
+// waitIdle blocks until the pipeline holds nothing queued and nothing in
+// flight, or has stopped (a Crash stops every pipeline, so this never
+// outlives the client).
+func (s *replicaSender) waitIdle() {
+	s.mu.Lock()
+	for (s.qlen > 0 || s.flying) && !s.stopped {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
 func (s *replicaSender) loop() {
 	for {
 		s.mu.Lock()
+		s.flying = false
+		if s.qlen == 0 {
+			s.cond.Broadcast() // idle: release waitIdle
+		}
 		for s.qlen == 0 && !s.stopped && !s.draining {
 			s.cond.Wait()
 		}
@@ -195,6 +227,7 @@ func (s *replicaSender) loop() {
 				s.flight = append(s.flight, s.popLocked())
 			}
 		}
+		s.flying = true
 		s.mu.Unlock()
 
 		s.deliver(s.flight)
@@ -223,7 +256,7 @@ func (s *replicaSender) clearScratch() {
 // fully resolved (acked, nacked, or dropped as already-settled).
 func releaseFlight(flight []shipment) {
 	for _, sh := range flight {
-		sh.group.Release()
+		sh.release()
 	}
 }
 
@@ -258,7 +291,7 @@ func (s *replicaSender) deliver(flight []shipment) {
 		var lead *trace.Span
 		var flightSpans []*trace.Span
 		for _, sh := range flight {
-			fsp := sh.sp.Child("replica.flight")
+			fsp := sh.batch().sp.Child("replica.flight")
 			if fsp == nil {
 				continue
 			}
@@ -289,15 +322,15 @@ func (s *replicaSender) deliver(flight []shipment) {
 			c.deliverWin.ObserveDuration(rtt)
 			c.logBytes.Add(uint64(size))
 			// A late ack from a retried flight may arrive after the quorum
-			// already resolved; noteSCL is a monotonic max and Ack on a
-			// resolved tracker is a no-op, so stale acks still advance the
-			// segment's completeness view safely.
+			// already resolved; noteSCL is a monotonic max and an ack on a
+			// resolved tracker resolves nothing again, so stale acks still
+			// advance the segment's completeness view safely.
 			c.fleet.health.noteSCL(s.pg, s.idx, ack.SCL)
 			for i, sh := range flight {
 				if results[i].Err != nil {
-					sh.tr.Nack(s.idx)
+					sh.nack(s.idx)
 				} else {
-					sh.tr.Ack(s.idx)
+					sh.ack(s.idx)
 				}
 			}
 			releaseFlight(flight)
@@ -331,7 +364,7 @@ func (s *replicaSender) deliver(flight []shipment) {
 		c.fleet.health.retries.Inc()
 	}
 	for _, sh := range flight {
-		sh.tr.Nack(s.idx)
+		sh.nack(s.idx)
 	}
 	releaseFlight(flight)
 }
@@ -375,91 +408,9 @@ func (s *replicaSender) attempt(ctx context.Context, flight []shipment, sp *trac
 // resolved its write quorum (success or failure) without this replica.
 func (s *replicaSender) resolvedAll(flight []shipment) bool {
 	for _, sh := range flight {
-		if !sh.tr.Resolved() {
+		if !sh.batch().tr.Resolved() {
 			return false
 		}
 	}
 	return true
-}
-
-// shipBatch hands one encoded batch to every replica's sender pipeline and
-// waits for the write quorum, or until ctx fires. A non-nil sp (a sampled
-// commit's ship span) gets a batch.ship child carrying the per-replica
-// flights, and a quorum.wait child covering the time blocked on the 4/6
-// tracker.
-//
-// Each enqueue retains the framed group once on the pipeline's behalf, so
-// the arena stays alive for exactly as long as any replica might read the
-// batch's wire view — including retried and hedged flights that outlive a
-// deadline-detached committer. VDL advancement is decoupled from the wait:
-// a dedicated watcher advances the durable point when the quorum resolves
-// (using First/Last copied out of the batch header, holding no group
-// reference), so a caller that detaches on deadline does not stall
-// durability — the batch still ships, the VDL still moves, and only the
-// waiter returns early (the deadline-vs-durability contract in DESIGN.md).
-func (c *Client) shipBatch(ctx context.Context, g *core.FramedGroup, b *core.FramedBatch, sp *trace.Span) error {
-	all := *c.senders.Load()
-	senders := all[int(b.PG)%len(all)]
-	trCfg := c.q
-	if c.q.Split() {
-		// Role-split quorum (Taurus): commit acknowledgment waits only on
-		// the synchronous log tier — the low replica indices, so sender
-		// and tracker indices keep lining up. Page replicas receive
-		// nothing in the foreground; they pull the redo stream from the
-		// log tier asynchronously via gossip.
-		trCfg = c.q.LogTier()
-		senders = senders[:c.q.LogV]
-	}
-	tr := quorum.NewTracker(trCfg)
-	bsp := sp.Child("batch.ship")
-	trace.Annotate(bsp, "pg", b.PG)
-	trace.Annotate(bsp, "records", b.Records)
-	first, last := b.First, b.Last
-	sh := shipment{wire: b.Wire, pg: b.PG, recs: b.Records, group: g, tr: tr, sp: bsp}
-	for _, s := range senders {
-		g.Retain()
-		s.enqueue(sh)
-	}
-	done, _ := c.trackInflight()
-	advanced := make(chan struct{})
-	go func() {
-		defer done()
-		defer close(advanced)
-		<-tr.Done()
-		if tr.Err() != nil {
-			return
-		}
-		// Publication order: per-PG durable tails first, VDL second. A reader
-		// takes the VDL as its read point and DurableTail(pg) as the
-		// completeness it demands, so VDL >= x must already imply that
-		// DurableTail(pg) covers every framed record of pg at or below x —
-		// published the other way round, a read at a just-acked CPL could
-		// demand a stale tail and be served the previous version.
-		newVDL := c.win.markAcked(first, last)
-		c.tails.Advance(newVDL)
-		if c.vdl.Advance(newVDL) {
-			c.alloc.AdvanceVDL(newVDL)
-		}
-	}()
-	qsp := bsp.Child("quorum.wait")
-	select {
-	case <-tr.Done():
-	case <-ctx.Done():
-		trace.Annotate(qsp, "abandoned", true)
-		qsp.End()
-		trace.Annotate(bsp, "err", ctx.Err())
-		bsp.End()
-		return fmt.Errorf("volume: quorum wait abandoned: %w", ctx.Err())
-	}
-	qsp.End()
-	// The quorum resolved while we were still attached: wait for the
-	// watcher's VDL advance so a successful Ship keeps its pre-deadline
-	// contract — on return, the batch's records count toward the VDL.
-	<-advanced
-	err := tr.Err()
-	if err != nil {
-		trace.Annotate(bsp, "err", err)
-	}
-	bsp.End()
-	return err
 }

@@ -61,8 +61,8 @@ func TestWriteAdvancesVDL(t *testing.T) {
 	}
 }
 
-// TestVDLImpliesDurableTails pins the publication order in shipBatch's quorum
-// watcher: the per-PG durable tails advance before the VDL does, so any
+// TestVDLImpliesDurableTails pins the publication order of a quorum's
+// resolution: the per-PG durable tails advance before the VDL does, so any
 // reader that observes VDL >= cpl for an acked (pg, cpl) already sees
 // DurableTail(pg) >= cpl. Published the other way round, a read at a
 // just-acked CPL computes its completeness demand from a stale tail and a

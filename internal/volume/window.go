@@ -1,0 +1,163 @@
+// Package volume implements the client side of Aurora's storage protocol:
+// the storage volume as seen by the single writer instance. It maps pages
+// onto protection groups, ships framed log batches to all six replicas of
+// each PG, advances the Volume Durable LSN as write quorums are
+// acknowledged, routes reads to individual segments known to be complete
+// (no read quorums in the normal path), maintains the protection-group
+// minimum read point for storage-side GC, and performs crash recovery with
+// epoch-versioned truncation (§4).
+package volume
+
+import (
+	"slices"
+	"sync"
+
+	"aurora/internal/core"
+)
+
+// durableWindow is the writer's one piece of durability state (§4.1–§4.2.2):
+// the framed groups that are not yet durable, in LSN order, and what their
+// retirement has published so far — the VDL and, per protection group, the
+// highest record LSN at or below it.
+//
+// An entry is the GroupWrite itself. A group owns one contiguous LSN range
+// that ends on its last member's CPL, and it carries, per batch, the PG, the
+// batch's highest LSN and the quorum state of exactly those records; a quorum
+// therefore vouches for its own batch and nothing else. The head group
+// retires once every one of its batches has reached quorum and its range
+// continues the VDL. Concurrent framers (WriteMTR callers, the rebalancer)
+// register after leaving the framer's critical section, so registration
+// order can invert LSN order: insertion is sorted, and retirement checks
+// contiguity instead of trusting the head. A batch that can no longer reach
+// its quorum pins the window at its group for good — the VDL must never pass
+// a record that is on no quorum.
+//
+// vdl doubles as the contiguous frontier: every LSN at or below it belongs
+// to a retired group, and because groups end on a CPL it is always one.
+type durableWindow struct {
+	mu      sync.Mutex
+	vdl     core.LSN
+	pending []*GroupWrite // registered, not retired; ascending by first
+	tails   map[core.PGID]core.LSN
+}
+
+// newDurableWindow starts a window with everything at or below start already
+// durable (recovery seeds start with the top of the LSN range it annulled and
+// tails with the chain tails it found; both are zero for a fresh volume).
+func newDurableWindow(start core.LSN, tails map[core.PGID]core.LSN) *durableWindow {
+	w := &durableWindow{vdl: start, tails: make(map[core.PGID]core.LSN, len(tails))}
+	for pg, lsn := range tails {
+		w.tails[pg] = lsn
+	}
+	return w
+}
+
+// register enters a framed group, keeping pending sorted by LSN. Groups
+// arrive almost in order, so the scan from the back is short.
+func (w *durableWindow) register(g *GroupWrite) {
+	w.mu.Lock()
+	i := len(w.pending)
+	for i > 0 && w.pending[i-1].first > g.first {
+		i--
+	}
+	w.pending = slices.Insert(w.pending, i, g)
+	w.mu.Unlock()
+}
+
+// resolve records that one batch of g reached its quorum, or (failed) never
+// can, and retires every group this makes durable. Retiring publishes the
+// group's per-PG tails here, under the lock; the caller publishes the
+// returned VDL afterwards. That order is the read path's contract: a reader
+// takes the VDL as its read point and durableTail(pg) as the completeness it
+// demands, so VDL >= x must already imply that the tail covers every framed
+// record of pg at or below x — published the other way round, a read at a
+// just-acked CPL could demand a stale tail and be served the previous
+// version. done reports that this was g's last unresolved batch.
+func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, done bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	g.failed = g.failed || failed
+	g.unresolved--
+	n := 0
+	for ; n < len(w.pending); n++ {
+		h := w.pending[n]
+		if h.unresolved > 0 || h.failed || h.first != w.vdl+1 {
+			break
+		}
+		for i := range h.batches {
+			if b := &h.batches[i]; b.last > w.tails[b.pg] {
+				w.tails[b.pg] = b.last
+			}
+		}
+		w.vdl = h.last
+	}
+	// Slide down rather than reslice: the backing array keeps its capacity,
+	// and Delete zeroes the vacated slots so they do not pin retired groups.
+	w.pending = slices.Delete(w.pending, 0, n)
+	return w.vdl, g.unresolved == 0
+}
+
+// durableTail returns the highest record LSN of pg at or below the VDL. This
+// is the completeness the writer requires of a segment before routing a read
+// to it: a segment whose SCL has reached the PG's durable tail holds every
+// durable record of that PG, even when the volume-wide VDL (the read point)
+// is far ahead because other PGs have been busier (§4.2.3).
+func (w *durableWindow) durableTail(pg core.PGID) core.LSN {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.tails[pg]
+}
+
+// backlog returns the number of framed groups that are not yet durable.
+func (w *durableWindow) backlog() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.pending)
+}
+
+// readRegistry tracks outstanding read points (page reads and transaction
+// read views). Its minimum is the volume's MRPL: the low-water mark below
+// which no future read can be issued, which the writer gossips to storage
+// nodes so they can coalesce and garbage collect (§4.2.3).
+type readRegistry struct {
+	mu     sync.Mutex
+	next   int64
+	points map[int64]core.LSN
+	floor  core.LSN // monotonic published low-water mark
+}
+
+func newReadRegistry(start core.LSN) *readRegistry {
+	return &readRegistry{points: make(map[int64]core.LSN), floor: start}
+}
+
+// register records an outstanding read point and returns a release func.
+func (r *readRegistry) register(p core.LSN) func() {
+	r.mu.Lock()
+	id := r.next
+	r.next++
+	r.points[id] = p
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		delete(r.points, id)
+		r.mu.Unlock()
+	}
+}
+
+// lowWaterMark returns the MRPL given the current VDL: the minimum
+// outstanding read point, or the VDL when no reads are outstanding. The
+// result is monotonic.
+func (r *readRegistry) lowWaterMark(vdl core.LSN) core.LSN {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := vdl
+	for _, p := range r.points {
+		if p < m {
+			m = p
+		}
+	}
+	if m > r.floor {
+		r.floor = m
+	}
+	return r.floor
+}
