@@ -41,7 +41,11 @@ test: build vet lint
 # at the parent commit too.) The last line is the durability window's: the
 # acking goroutine publishes the VDL, so the rule that a quorum vouches only
 # for its own batch, and the fence drain that waits out the fifth and sixth
-# deliveries, are races between sender loops — twenty schedules each.
+# deliveries, are races between sender loops — twenty schedules each. The
+# engine's line after it is the same window seen from a commit: the goroutine
+# that settles a group completes its commits, so the two ways a commit used to
+# be acknowledged below the VDL (a crash, a failed group ahead of it) are races
+# between a sender loop, the framer and the committer.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
@@ -51,7 +55,8 @@ race:
 	$(GO) test -race -count=100 -run TestSplitStaleReadConcurrent ./internal/volume/
 	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestHedged' -skip 'TestHedgedReadBoundsTailLatency' ./internal/volume/
-	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish' ./internal/volume/
+	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip' ./internal/volume/
+	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write
 # success, and the retry / hedge / auto-repair machinery all engaged.
@@ -97,12 +102,12 @@ examples-smoke:
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
 # closed-loop workloads, ten end-to-end metrics and the traced pass's
 # per-layer metrics, full report with the environment header as JSON (about
-# five minutes). BENCH_18.json is the same command at the parent commit, so
-# `go run ./benchmark -compare BENCH_18.json BENCH_20.json` extends the
+# five minutes). BENCH_20.json is the same command at the parent commit, so
+# `go run ./benchmark -compare BENCH_20.json BENCH_21.json` extends the
 # trajectory; re-record the parent in a `git clone` if the host differs.
 # bench-quick is the 3-second try-out of the same suite.
 bench:
-	$(GO) run ./benchmark -trace 1 -json BENCH_20.json
+	$(GO) run ./benchmark -trace 1 -json BENCH_21.json
 
 bench-quick:
 	$(GO) run ./benchmark -quick
@@ -115,10 +120,12 @@ bench-quick:
 # a hedged read the first replica answers at its five objects and no
 # goroutine, an idle coalesce round over 10 000 held pages at zero objects
 # and microseconds. Write path: shipping a three-batch group at the writer's
-# three objects and no goroutine. Fails CI on regression.
+# four objects and no goroutine, a cached single-row commit through the engine
+# at its 57 objects and no goroutine. Fails CI on regression.
 bench-allocs:
 	$(GO) test -run 'TestRecordBodyEncodeZeroAllocs|TestFrameGroupSteadyStateZeroAllocs' -count=1 ./internal/core/
 	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestShipIsTheCallersGoroutine' -count=1 ./internal/volume/
+	$(GO) test -run 'TestCommitSpawnsNoGoroutine' -count=1 ./internal/engine/
 	$(GO) test -run 'TestNodeLookupZeroAllocs|TestTreeGetAllocs|TestPutUpdateSteadyStateAllocs' -count=1 ./internal/btree/
 	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld' -count=1 ./internal/storage/
 	$(GO) test -run 'TestUnsampledPathDoesNotAllocate' -count=1 ./internal/trace/

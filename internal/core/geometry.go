@@ -93,11 +93,6 @@ func (g *Geometry) StripePG(stripe int) PGID {
 	return g.stripes[stripe]
 }
 
-// InStripe reports whether a page belongs to the given stripe.
-func (g *Geometry) InStripe(id PageID, stripe int) bool {
-	return g.StripeOf(id) == stripe
-}
-
 // WithPGs returns a new geometry (Epoch+1) covering n protection groups
 // with the stripe table unchanged — the first half of a Grow: the new PGs
 // exist but hold no stripes until the rebalancer moves some over.

@@ -1,70 +1,25 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
 
 // VDLTracker maintains the Volume Durable LSN and lets callers wait for it
-// to reach a target. It is the primitive behind asynchronous commits
-// (§4.2.2): the commit path registers the transaction's commit LSN and a
-// dedicated goroutine acknowledges it once VDL >= commitLSN, so worker
-// threads never stall on commit.
+// to reach a target. Commits do not wait here — a commit is completed by the
+// goroutine that makes its group durable (§4.2.2; volume.durableWindow) — so
+// the waiters are the occasional ones: a fence draining the write path, a
+// caller of WaitDurable. They sit in an unsorted slice.
 type VDLTracker struct {
 	vdl     atomic.Uint64
 	mu      sync.Mutex
-	waiters waiterHeap
+	waiters []waiter
 	closed  bool
 }
 
 type waiter struct {
 	target LSN
 	ch     chan struct{}
-}
-
-// waiterHeap is a typed min-heap on waiter.target. It deliberately avoids
-// container/heap: the interface methods box every pushed and popped element,
-// which puts an allocation on the commit hot path for each durability wait.
-type waiterHeap []waiter
-
-func (h *waiterHeap) push(w waiter) {
-	s := append(*h, w)
-	*h = s
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[p].target <= s[i].target {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-}
-
-func (h *waiterHeap) pop() waiter {
-	s := *h
-	n := len(s) - 1
-	x := s[0]
-	s[0] = s[n]
-	s[n] = waiter{} // drop the channel reference
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s[r].target < s[l].target {
-			m = r
-		}
-		if s[i].target <= s[m].target {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return x
 }
 
 // NewVDLTracker returns a tracker initialised to start.
@@ -90,9 +45,16 @@ func (t *VDLTracker) Advance(vdl LSN) bool {
 		}
 	}
 	t.mu.Lock()
-	for len(t.waiters) > 0 && t.waiters[0].target <= vdl {
-		close(t.waiters.pop().ch)
+	kept := t.waiters[:0]
+	for _, w := range t.waiters {
+		if w.target <= vdl {
+			close(w.ch)
+		} else {
+			kept = append(kept, w)
+		}
 	}
+	clear(t.waiters[len(kept):]) // drop the channel references
+	t.waiters = kept
 	t.mu.Unlock()
 	return true
 }
@@ -107,24 +69,13 @@ func (t *VDLTracker) WaitChan(target LSN) <-chan struct{} {
 		close(ch)
 		return ch
 	}
-	t.waiters.push(waiter{target: target, ch: ch})
+	t.waiters = append(t.waiters, waiter{target: target, ch: ch})
 	t.mu.Unlock()
 	return ch
 }
 
 // Wait blocks until the VDL reaches target or the tracker is closed.
 func (t *VDLTracker) Wait(target LSN) { <-t.WaitChan(target) }
-
-// WaitCtx blocks until the VDL reaches target, the tracker is closed (nil
-// error in both cases — callers re-check durability), or ctx fires.
-func (t *VDLTracker) WaitCtx(ctx context.Context, target LSN) error {
-	select {
-	case <-t.WaitChan(target):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // PendingWaiters returns the number of registered waiters (observability).
 func (t *VDLTracker) PendingWaiters() int {
@@ -139,9 +90,10 @@ func (t *VDLTracker) Close() {
 	t.mu.Lock()
 	if !t.closed {
 		t.closed = true
-		for len(t.waiters) > 0 {
-			close(t.waiters.pop().ch)
+		for _, w := range t.waiters {
+			close(w.ch)
 		}
+		t.waiters = nil
 	}
 	t.mu.Unlock()
 }

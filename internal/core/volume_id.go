@@ -10,9 +10,9 @@ import "fmt"
 // storage host can carry segments of many volumes without any possibility of
 // cross-tenant record leakage.
 //
-// The zero value is the legacy single-tenant volume: a fleet that owns its
-// nodes outright and predates multi-tenancy. Its wire format and object-store
-// keys are unchanged, so existing volumes, backups and tests keep working.
+// The zero value is the single-tenant volume: a fleet that owns its nodes
+// outright. It is a volume like any other — stamped, verified and keyed
+// (vol0/…) the same way.
 type VolumeID uint32
 
 // String renders the volume identity for logs and errors.

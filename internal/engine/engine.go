@@ -52,9 +52,9 @@ type Config struct {
 	LockTimeout time.Duration
 	// SyncCommit is an ablation: hold the engine's exclusive latch through
 	// framing, quorum shipping and durability, as a traditional synchronous
-	// commit would stall its worker thread (§4.2.2 inverted). It bypasses
-	// the commit pipeline entirely — group size is forced to 1 and the old
-	// stall semantics apply.
+	// commit would stall its worker thread (§4.2.2 inverted). The commit
+	// still goes through the pipeline; nothing else can enter it meanwhile,
+	// so group size is forced to 1.
 	SyncCommit bool
 	// FullPageWrites is an ablation: ship full page images instead of byte
 	// deltas, as a page-shipping architecture would (§3.1).
@@ -145,39 +145,44 @@ type DB struct {
 	groupSizes metrics.LockFreeHistogram // commits per framed group
 }
 
-// Create formats a brand-new database on an empty volume.
+// Create formats a brand-new database on an empty volume. The format MTR
+// commits through the pipeline like any other, as transaction 0. A failed
+// Create has closed the instance, and the volume client with it: a writer
+// whose first write lost its quorum is of no further use (volume.GroupWrite).
 func Create(vol *volume.Client, cfg Config) (*DB, error) {
 	cfg = cfg.withDefaults()
 	db := newDB(vol, cfg)
+	db.pipeline = newCommitPipeline(db)
+	if err := db.format(); err != nil {
+		db.Close()
+		return nil, err
+	}
+	db.startAutoTune()
+	return db, nil
+}
+
+func (db *DB) format() error {
 	ws := &writeStore{db: db, ctx: db.rootCtx}
 	rec := btree.NewRecorder()
 	if _, err := btree.Create(ws, rec); err != nil {
 		ws.done()
-		return nil, err
+		return err
 	}
 	m := &core.MTR{Txn: 0}
-	if err := rec.AppendRecords(m, vol.PGOf); err != nil {
+	if err := rec.AppendRecords(m, db.vol.PGOf); err != nil {
 		ws.done()
-		return nil, err
+		return err
 	}
-	pending, err := vol.FrameMTRs(db.rootCtx, []*core.MTR{m})
-	if err != nil {
+	if err := db.pipeline.reserve(db.rootCtx); err != nil {
 		ws.done()
-		return nil, err
+		return err
 	}
-	rec.StampLSNs(m.LastLSNFor)
-	db.feed.publish(Event{Records: cloneRecords(m.Records), VDL: vol.VDL()})
-	ws.done()
-	if err := pending.Ship(db.rootCtx); err != nil {
-		pending.Release()
-		return nil, fmt.Errorf("engine: formatting volume: %w", err)
+	req := &commitReq{mtr: m, rec: rec, ws: ws, errc: make(chan error, 1)}
+	db.pipeline.enqueue(req)
+	if err := <-req.errc; err != nil {
+		return fmt.Errorf("engine: formatting volume: %w", err)
 	}
-	vol.WaitDurable(pending.MaxCPL())
-	pending.Release()
-	db.feed.publish(Event{VDL: vol.VDL()})
-	db.pipeline = newCommitPipeline(db)
-	db.startAutoTune()
-	return db, nil
+	return nil
 }
 
 // Open attaches to an existing database (e.g. after Recover). Nothing is
@@ -333,11 +338,9 @@ func (db *DB) Stats() Stats {
 	if n := db.groupSizes.Count(); n > 0 {
 		ps.MeanGroupSize = float64(ps.GroupedCommits) / float64(n)
 	}
-	if db.pipeline != nil {
-		db.pipeline.mu.Lock()
-		ps.QueuedCommits = len(db.pipeline.queue)
-		db.pipeline.mu.Unlock()
-	}
+	db.pipeline.mu.Lock()
+	ps.QueuedCommits = len(db.pipeline.queue)
+	db.pipeline.mu.Unlock()
 	s := Stats{
 		Begins:   db.begins.Load(),
 		Commits:  db.commits.Load(),

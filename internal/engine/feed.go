@@ -22,7 +22,7 @@ type subscriber struct {
 // feed fans the log stream out to subscribers. Record events are enqueued
 // in frame order — the commit pipeline's framer publishes one event per
 // framed group, and VDL-only advancement events may interleave from the
-// completion watchers (subscribers take the max, so ordering of pure VDL
+// groups' completions (subscribers take the max, so ordering of pure VDL
 // events is immaterial). A dedicated goroutine pumps the queue so the
 // write path never blocks on a slow replica's channel.
 type feed struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"aurora/internal/control"
 	"aurora/internal/core"
@@ -29,10 +30,14 @@ import (
 //	    LAL back-pressure now stalls only this goroutine (the queue bound
 //	    propagates it to reserve), never a latch holder — so readers keep
 //	    running while storage catches up.
-//	Stage 3 — completion. A per-group watcher ships the merged batches and
-//	    subscribes to the VDL via DurableChan keyed by the group's highest
-//	    CPL; each committer just waits on its request's channel. Feed
-//	    events for the whole group are published once.
+//	Stage 3 — completion. The framer hands the group's merged batches to the
+//	    sender pipelines (GroupWrite.ShipAsync) and moves on; nobody watches
+//	    the group. The volume settles it exactly once — durable (the window
+//	    retired it: VDL >= its highest CPL), failed (it, or a group ahead of
+//	    it, can never reach its quorum) or abandoned (the writer crashed or
+//	    closed first) — and the goroutine that settles it, usually the sender
+//	    loop whose ack completed the quorum, runs complete right there: one
+//	    durability feed event, one send per waiting committer.
 type commitPipeline struct {
 	db *DB
 
@@ -64,22 +69,24 @@ type commitPipeline struct {
 	// quarter-window default keeps several groups pipelined inside one LAL.
 	maxGroupRecs int
 
-	// inflight counts framed groups whose watcher has not yet completed.
+	// inflight counts groups taken off the queue and not yet completed.
 	inflight int
 
 	framerDone chan struct{}
-	ships      sync.WaitGroup
 }
 
 // commitReq is one transaction's passage through the pipeline: the MTR to
 // frame, the recorder whose pages need LSN stamps, the write store whose
 // pins are released once stamped, and the channel the committer waits on.
 type commitReq struct {
-	txn  uint64
 	mtr  *core.MTR
 	rec  stamper
 	ws   *writeStore
-	errc chan error // buffered(1): framing/ship error, or nil once durable
+	errc chan error // buffered(1): the group's outcome, nil once durable
+
+	// detached is set by a committer whose deadline fired before the outcome:
+	// nobody will read errc, so the completion ends the root span itself.
+	detached atomic.Bool
 
 	// Tracing (nil unless this commit won the sampling lottery). sp is the
 	// commit root; queueSp covers enqueue→dequeue; groupSp is either the
@@ -191,7 +198,8 @@ func (p *commitPipeline) enqueue(req *commitReq) {
 
 // stop shuts the pipeline down. Queued and reserved committers are
 // released with an error by the framer draining the queue against the
-// (now closed) volume client. stop does not wait; callers that need
+// (now closed) volume client; it stays until the last reservation has been
+// enqueued or returned. stop does not wait; callers that need
 // quiescence call wait after closing the volume client so nothing can
 // block on the LAL.
 func (p *commitPipeline) stop() {
@@ -205,29 +213,35 @@ func (p *commitPipeline) stop() {
 	p.mu.Unlock()
 }
 
-// wait blocks until the framer has drained and every in-flight group
-// watcher has finished. Call only after stop plus volume close/crash.
+// wait blocks until the framer has drained and every group it took has been
+// completed. Call only after stop plus volume close/crash, which settle what
+// was in flight: this waits out completions already running, never a quorum.
 func (p *commitPipeline) wait() {
 	<-p.framerDone
-	p.ships.Wait()
+	p.mu.Lock()
+	for p.inflight > 0 {
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
 }
 
 // framerLoop is stage 2: it drains the queue in arrival order, frames each
 // drained group through one FrameMTRs call, stamps page LSNs, publishes
-// the group's feed event, and hands the group to a completion watcher.
+// the group's feed event, and ships the group.
 func (p *commitPipeline) framerLoop() {
 	defer close(p.framerDone)
 	for {
 		p.mu.Lock()
 		// Wait for work; once the in-flight bound is hit, also wait for a
 		// group to complete (except at shutdown, where the queue must drain
-		// unconditionally so every committer is released).
-		for !p.closed && (len(p.queue) == 0 || p.inflight >= p.maxInflight()) {
+		// unconditionally so every committer is released — including the ones
+		// that hold a reservation from before the stop and have yet to enqueue).
+		for len(p.queue) == 0 || !p.closed && p.inflight >= p.maxInflight() {
+			if p.closed && len(p.queue) == 0 && p.reserved == 0 {
+				p.mu.Unlock()
+				return
+			}
 			p.cond.Wait()
-		}
-		if len(p.queue) == 0 && p.closed {
-			p.mu.Unlock()
-			return
 		}
 		// Take the longest queue prefix within both the group-size cap and
 		// the record budget; always take at least one commit (a single MTR
@@ -243,15 +257,16 @@ func (p *commitPipeline) framerLoop() {
 			n++
 			recs += r
 		}
-		// The group slice escapes to the completion watcher, so it is copied
-		// out; the queue itself compacts in place (no per-group reallocation),
-		// with vacated tail slots cleared so completed requests are not pinned.
+		// The group slice escapes to the completion, so it is copied out; the
+		// queue itself compacts in place (no per-group reallocation), with
+		// vacated tail slots cleared so completed requests are not pinned.
 		group := append(make([]*commitReq, 0, n), p.queue[:n]...)
 		m := copy(p.queue, p.queue[n:])
 		for i := m; i < len(p.queue); i++ {
 			p.queue[i] = nil
 		}
 		p.queue = p.queue[:m]
+		p.inflight++
 		p.cond.Broadcast() // queue space freed: wake reservers
 		p.mu.Unlock()
 
@@ -259,10 +274,10 @@ func (p *commitPipeline) framerLoop() {
 	}
 }
 
-// frameGroup frames one group of commits and launches its completion
-// watcher. On a framing error (only possible when the volume client is
-// closing) the group's committers are failed and writes are suspended —
-// the applied-but-unframed tree state must not be shipped piecemeal later.
+// frameGroup frames one group of commits and ships it. On a framing error
+// (only possible when the volume client is closing) the group completes as
+// failed on the spot — the applied-but-unframed tree state must not be shipped
+// piecemeal later.
 func (p *commitPipeline) frameGroup(group []*commitReq) {
 	db := p.db
 	ms := make([]*core.MTR, len(group))
@@ -292,16 +307,14 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 	fsp := gsp.Child("group.frame")
 	trace.Annotate(fsp, "mtrs", len(group))
 	gw, err := db.vol.FrameMTRs(db.rootCtx, ms)
+	fsp.End()
 	if err != nil {
-		fsp.End()
-		db.degraded.Store(true)
 		for _, req := range group {
 			req.ws.done()
-			req.errc <- err
 		}
+		p.complete(group, nil, gsp, nil, err)
 		return
 	}
-	fsp.End()
 	// Stamp cached page LSNs while the pages are still pinned (the pins
 	// keep the eviction scan away from the header bytes being written),
 	// then release the pins: from here the VDL rule governs eviction.
@@ -323,66 +336,48 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 	}
 	// One feed event for the framed group: records in LSN order, VDL as of
 	// publication. The durability advancement event follows once, from the
-	// watcher — not once per commit.
+	// completion — not once per commit.
 	db.feed.publish(Event{Records: recs, VDL: db.vol.VDL()})
 	db.groupSizes.Observe(int64(len(group)))
 	ssp.End()
 
-	p.mu.Lock()
-	p.inflight++
-	p.mu.Unlock()
-	p.ships.Add(1)
-	go p.completeGroup(group, gw, gsp)
+	// The group ships under the instance root, never a commit deadline: a
+	// detached committer must not stop the group from becoming durable.
+	shipSp := gsp.Child("group.ship")
+	gw.ShipAsync(shipSp, func(err error) { p.complete(group, gw, gsp, shipSp, err) })
 }
 
-// completeGroup is stage 3: ship the group's batches, wait for the VDL to
-// pass the group's highest CPL, publish the durability event, and release
-// every committer. A write-quorum failure suspends writes and fails the
-// whole group — identical semantics to the unpipelined path.
-func (p *commitPipeline) completeGroup(group []*commitReq, gw *volume.GroupWrite, gsp *trace.Span) {
-	defer p.ships.Done()
-	defer func() {
-		p.mu.Lock()
-		p.inflight--
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}()
+// complete is stage 3, the one place a commit's outcome is delivered: once
+// per group taken off the queue, on the goroutine that settled it, with err
+// nil if and only if the durability window retired the group. Any other
+// outcome suspends writes and fails every member alike.
+func (p *commitPipeline) complete(group []*commitReq, gw *volume.GroupWrite, gsp, shipSp *trace.Span, err error) {
 	db := p.db
-	// Group shipping runs under the instance root, never a commit deadline:
-	// a detached committer must not stop the group from becoming durable.
-	shipSp := gsp.Child("group.ship")
-	if err := gw.Ship(trace.NewContext(db.rootCtx, shipSp)); err != nil {
+	if err != nil {
 		trace.Annotate(shipSp, "err", err)
-		shipSp.End()
-		gw.Release()
 		db.degraded.Store(true)
-		for _, req := range group {
-			endGroupSpan(req, gsp)
-			req.errc <- err
-		}
-		return
 	}
 	shipSp.End()
-	// DurableChan returns a closed channel if the tracker shut down (writer
-	// crash); committers then complete exactly as WaitDurable used to.
-	vsp := gsp.Child("vdl.wait")
-	<-db.vol.DurableChan(gw.MaxCPL())
-	vsp.End()
-	// The pipeline is done with the group's wire arena: any sender still
-	// retrying holds its own reference, so releasing here recycles the
-	// arena at the earliest safe point.
-	gw.Release()
-	db.feed.publish(Event{VDL: db.vol.VDL()})
+	if gw != nil {
+		// The pipeline is done with the group's wire arena: any sender still
+		// retrying holds its own reference, so releasing here recycles the
+		// arena at the earliest safe point.
+		gw.Release()
+	}
+	if err == nil {
+		db.feed.publish(Event{VDL: db.vol.VDL()})
+	}
 	for _, req := range group {
-		endGroupSpan(req, gsp)
-		req.errc <- nil
+		if req.groupSp != gsp {
+			req.groupSp.End() // a rider's group.inflight; the adopter's is its root
+		}
+		req.errc <- err
+		if req.detached.Load() {
+			req.sp.End()
+		}
 	}
-}
-
-// endGroupSpan closes a non-adopter member's group.inflight span (the
-// adopter's groupSp is its own root, ended by the committer itself).
-func endGroupSpan(req *commitReq, gsp *trace.Span) {
-	if req.groupSp != nil && req.groupSp != gsp {
-		req.groupSp.End()
-	}
+	p.mu.Lock()
+	p.inflight--
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }

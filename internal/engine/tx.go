@@ -58,9 +58,6 @@ func (db *DB) BeginSnapshotCtx(ctx context.Context) *Tx {
 	return &Tx{db: db, ctx: ctx, id: db.ids.Next(), snapshot: true, point: point, release: release}
 }
 
-// ReadPoint returns the snapshot's read point (ZeroLSN for writer txs).
-func (tx *Tx) ReadPoint() core.LSN { return tx.point }
-
 // Get returns the value for key as seen by this transaction.
 func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
 	if tx.done {
@@ -259,9 +256,6 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 		tx.finish(false)
 		return ErrDegraded
 	}
-	if tx.db.cfg.SyncCommit {
-		return tx.commitSync()
-	}
 	return tx.commitPipelined(ctx)
 }
 
@@ -297,11 +291,16 @@ func (tx *Tx) apply(ws *writeStore, rec *btree.Recorder) (*core.MTR, error) {
 	return m, nil
 }
 
-// commitPipelined is the default commit path: stage 1 of the pipeline.
-// Back-pressure is taken in reserve, before any latch; the exclusive latch
-// covers only the apply and a pointer enqueue; framing, shipping and
-// durability happen in the pipeline's own stages while this goroutine
-// waits on its completion channel.
+// commitPipelined is the commit path, stage 1 of the pipeline. Back-pressure
+// is taken in reserve, before any latch; the exclusive latch covers only the
+// apply and a pointer enqueue; framing, shipping and durability happen in the
+// pipeline's own stages while this goroutine waits on its completion channel.
+//
+// Config.SyncCommit, the synchronous-commit ablation, is this path with the
+// latch kept until the outcome arrives: the worker stalls everyone through
+// framing, shipping and durability, which forces group size 1 — the stall the
+// pipeline exists to remove. Holding the latch it cannot detach, so it is
+// deliberately deadline-oblivious past the apply.
 func (tx *Tx) commitPipelined(ctx context.Context) error {
 	start := time.Now()
 	p := tx.db.pipeline
@@ -331,102 +330,42 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 		tx.finish(false)
 		return err
 	}
-	req := &commitReq{txn: tx.id, mtr: m, rec: rec, ws: ws, errc: make(chan error, 1),
+	req := &commitReq{mtr: m, rec: rec, ws: ws, errc: make(chan error, 1),
 		sp: root, queueSp: root.Child("commit.queue")}
 	// Enqueue under the latch: queue order is apply order, so the framer
 	// assigns LSNs in exactly the order the tree changed.
 	p.enqueue(req)
-	tx.db.latch.Unlock()
+	deadline := ctx.Done()
+	if tx.db.cfg.SyncCommit {
+		trace.Annotate(root, "sync", true)
+		deadline = nil
+		defer tx.db.latch.Unlock()
+	} else {
+		tx.db.latch.Unlock()
+	}
 
 	select {
-	case err := <-req.errc:
-		if err != nil {
-			trace.Annotate(root, "err", err)
-			root.End()
-			tx.finish(false)
-			return fmt.Errorf("txn %d: %w (%v)", tx.id, ErrDegraded, err)
-		}
-	case <-ctx.Done():
+	case err = <-req.errc:
+	case <-deadline:
 		// Applied and enqueued: the commit cannot be withdrawn. The group
-		// still frames and ships; only this waiter detaches. A detached
-		// goroutine drains the completion channel and ends the root span —
-		// safe because the pipeline ends every child span before the errc
-		// send, and span mutation is serialized on the owning trace.
-		trace.Annotate(root, "deadline", ctx.Err())
-		go func() {
-			<-req.errc
-			root.End()
-		}()
-		tx.finish(true)
-		return fmt.Errorf("txn %d: %w: %w", tx.id, ErrDeadlineExceeded, ctx.Err())
+		// still frames and ships; only this waiter detaches, and the group's
+		// completion ends the root span in its place — unless it got there
+		// first and did not see the flag: then its outcome is in errc.
+		req.detached.Store(true)
+		select {
+		case err = <-req.errc:
+		default:
+			trace.Annotate(root, "deadline", ctx.Err())
+			tx.finish(true)
+			return fmt.Errorf("txn %d: %w: %w", tx.id, ErrDeadlineExceeded, ctx.Err())
+		}
 	}
-	root.End()
-	tx.db.commitLat.ObserveDuration(time.Since(start))
-	tx.finish(true)
-	return nil
-}
-
-// commitSync is the synchronous-commit ablation: the worker holds the
-// engine's exclusive latch through framing, quorum shipping and
-// durability, forcing group size 1 — the stall the pipeline exists to
-// remove. One feed event carries the records together with the final VDL,
-// so the commit publishes exactly once.
-func (tx *Tx) commitSync() error {
-	start := time.Now()
-	root := tx.db.tracer.Start("commit")
-	trace.Annotate(root, "txn", tx.id)
-	trace.Annotate(root, "sync", true)
-	lsp := root.Child("commit.latch")
-	tx.db.latch.Lock()
-	lsp.End()
-	ws := &writeStore{db: tx.db, ctx: tx.db.rootCtx}
-	rec := btree.NewRecorder()
-	asp := root.Child("commit.apply")
-	m, err := tx.apply(ws, rec)
-	asp.End()
-	if err != nil {
-		tx.db.latch.Unlock()
-		root.End()
-		tx.finish(false)
-		return err
-	}
-	// The sync ablation holds the latch throughout, so it is deliberately
-	// deadline-oblivious past this point: abandoning mid-ship would leave
-	// applied-but-unframed tree state. It runs under the instance root.
-	fsp := root.Child("group.frame")
-	pending, err := tx.db.vol.FrameMTRs(tx.db.rootCtx, []*core.MTR{m})
-	fsp.End()
-	if err != nil {
-		rec.Rollback()
-		ws.done()
-		tx.db.latch.Unlock()
-		root.End()
-		tx.finish(false)
-		return err
-	}
-	ssp := root.Child("group.stamp")
-	rec.StampLSNs(m.LastLSNFor)
-	ws.done()
-	ssp.End()
-	tx.db.groupSizes.Observe(1)
-	shipSp := root.Child("group.ship")
-	err = pending.Ship(trace.NewContext(tx.db.rootCtx, shipSp))
-	shipSp.End()
-	if err == nil {
-		vsp := root.Child("vdl.wait")
-		tx.db.vol.WaitDurable(pending.MaxCPL())
-		vsp.End()
-	}
-	pending.Release()
-	tx.db.latch.Unlock()
 	if err != nil {
 		trace.Annotate(root, "err", err)
 		root.End()
-		tx.db.degraded.Store(true)
 		tx.finish(false)
 		return fmt.Errorf("txn %d: %w (%v)", tx.id, ErrDegraded, err)
 	}
-	tx.db.feed.publish(Event{Records: cloneRecords(m.Records), VDL: tx.db.vol.VDL()})
 	root.End()
 	tx.db.commitLat.ObserveDuration(time.Since(start))
 	tx.finish(true)

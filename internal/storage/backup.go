@@ -242,13 +242,9 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 
 // BackupKey returns the object-store key for this segment's backups. Keys
 // are namespaced by tenant volume so two tenants' PITR snapshots can never
-// collide on a shared store; the legacy volume 0 keeps its historical keys
-// so existing stores remain readable.
+// collide on a shared store.
 func (n *Node) BackupKey() string {
-	if n.cfg.Vol != 0 {
-		return fmt.Sprintf("vol%d/backup/pg%04d/seg%d", uint32(n.cfg.Vol), n.cfg.Seg.PG, n.cfg.Seg.Replica)
-	}
-	return fmt.Sprintf("backup/pg%04d/seg%d", n.cfg.Seg.PG, n.cfg.Seg.Replica)
+	return fmt.Sprintf("vol%d/backup/pg%04d/seg%d", uint32(n.cfg.Vol), n.cfg.Seg.PG, n.cfg.Seg.Replica)
 }
 
 // BackupNow stages the segment's state to the object store (Figure 4

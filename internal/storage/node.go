@@ -58,8 +58,8 @@ type Config struct {
 	AZ   netsim.AZ
 	Net  *netsim.Network
 	Disk disk.Config
-	// Vol is the tenant volume this segment belongs to. Zero is the legacy
-	// single-tenant volume; its wire format and backup keys are unchanged.
+	// Vol is the tenant volume this segment belongs to. Zero is the
+	// single-tenant volume of a fleet that owns its nodes outright.
 	Vol core.VolumeID
 	// Host binds the node to a physical machine in a shared multi-tenant
 	// fleet: the node adopts the host's network identity, AZ and SSD,
@@ -560,13 +560,6 @@ func (n *Node) ObserveGeometry(epoch uint64) {
 	n.mu.Unlock()
 }
 
-// GeomEpoch returns the highest geometry epoch the node has learned.
-func (n *Node) GeomEpoch() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.geomEpoch
-}
-
 func (n *Node) observePointsLocked(vdl, pgmrpl core.LSN) {
 	if vdl > n.vdl {
 		n.vdl = vdl
@@ -626,7 +619,8 @@ func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
 // SCL against it. The read point itself may exceed the SCL when the PG has
 // been idle while the volume's VDL advanced on other PGs.
 func (n *Node) ReadPage(ctx context.Context, id core.PageID, readPoint, required core.LSN) (page.Page, error) {
-	return n.ReadPageChecked(ctx, id, readPoint, required, 0)
+	p, _, err := n.ReadPageChecked(ctx, id, readPoint, required, 0)
+	return p, err
 }
 
 // ReadPageChecked is ReadPage with a geometry-epoch check: a caller routing
@@ -640,18 +634,22 @@ func (n *Node) ReadPage(ctx context.Context, id core.PageID, readPoint, required
 // whose CRC — the copy's, so the bytes vouched for are the bytes served — is
 // verified before the chain up to readPoint is folded onto it. A mismatch is
 // refused with ErrCorruptPage and counted in CorruptReads.
-func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, required core.LSN, geomEpoch uint64) (page.Page, error) {
+//
+// With the page comes the segment's SCL as the read saw it — the completeness
+// point a response piggybacks, which the read has just compared with required
+// under the lock it already holds.
+func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, required core.LSN, geomEpoch uint64) (page.Page, core.LSN, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if n.down.Load() {
-		return nil, fmt.Errorf("%s: %w", n.cfg.Node, ErrNodeDown)
+		return nil, 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrNodeDown)
 	}
 	if n.cfg.Role == core.RoleLog {
-		return nil, fmt.Errorf("%s: %w", n.cfg.Node, ErrWrongTier)
+		return nil, 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrWrongTier)
 	}
 	if err := n.qos().AdmitRead(ctx, n.cfg.Vol); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// A page replica whose applied LSN trails the read point replays the
 	// missing log from its peers before answering — the split's read
@@ -664,22 +662,23 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 	defer n.mu.Unlock()
 	if geomEpoch != 0 {
 		if geomEpoch < n.geomEpoch {
-			return nil, fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleGeometry, n.geomEpoch, geomEpoch)
+			return nil, 0, fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleGeometry, n.geomEpoch, geomEpoch)
 		}
 		n.geomEpoch = geomEpoch
 	}
 	if n.wiped {
-		return nil, fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
+		return nil, 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
 	}
-	if n.gaps.SCL() < required {
-		return nil, fmt.Errorf("%s: %w: scl=%d required=%d", n.cfg.Node, ErrIncomplete, n.gaps.SCL(), required)
+	scl := n.gaps.SCL()
+	if scl < required {
+		return nil, 0, fmt.Errorf("%s: %w: scl=%d required=%d", n.cfg.Node, ErrIncomplete, scl, required)
 	}
 	ps := n.pages[id]
 	if ps == nil {
-		return nil, fmt.Errorf("%s page %d: %w", n.cfg.Node, id, ErrNoSuchPage)
+		return nil, 0, fmt.Errorf("%s page %d: %w", n.cfg.Node, id, ErrNoSuchPage)
 	}
 	if err := n.ssd.Read(page.Size); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Copy the base out under the lock and gate the read on the CRC of the
 	// copy (Figure 4 step 8 moved into the foreground path): the bytes vouched
@@ -694,7 +693,7 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 		p = ps.base.Clone()
 		if err := p.VerifyChecksum(); err != nil {
 			n.corruptReads.Add(1)
-			return nil, fmt.Errorf("%s page %d: %w: %v", n.cfg.Node, id, ErrCorruptPage, err)
+			return nil, 0, fmt.Errorf("%s page %d: %w: %v", n.cfg.Node, id, ErrCorruptPage, err)
 		}
 	} else {
 		p = page.New(id)
@@ -702,10 +701,10 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 	// The chain up to the read point goes onto the copy with the loop
 	// coalescing uses on the base itself.
 	if err := foldInto(p, ps.chain, readPoint); err != nil {
-		return nil, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
+		return nil, 0, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
 	}
 	n.reads.Add(1)
-	return p, nil
+	return p, scl, nil
 }
 
 // Reads returns the number of foreground page reads this node has served

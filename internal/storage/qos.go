@@ -54,9 +54,6 @@ func (c *QoSConfig) fillDefaults() {
 	}
 }
 
-// Enabled reports whether any shaping is configured.
-func (c QoSConfig) Enabled() bool { return c.IngestBytesPerSec > 0 || c.ReadsPerSec > 0 }
-
 // TenantStats is one tenant's activity on one host.
 type TenantStats struct {
 	IngestBytes  uint64        // foreground redo bytes admitted

@@ -27,6 +27,12 @@ type PathSeg struct {
 // backward walk: the child that ends last before the current instant is the
 // one the parent was waiting on, which for a 4/6 quorum is the 4th-fastest
 // replica — exactly the replica that gated the commit.
+//
+// A wait span (quorum.wait, vdl.wait: the names in .wait) is transparent: it
+// records that its parent was blocked, not on what. The time it shares with
+// sibling work — the batch it waited for, in flight — belongs to that work and
+// what lies under it; only the residue no sibling covers is the wait's. (A
+// wait ends last by nature, and would otherwise hide all it waited for.)
 func CriticalPath(root *SpanInfo) []PathSeg {
 	acc := make(map[string]time.Duration)
 	var order []string
@@ -39,39 +45,43 @@ func CriticalPath(root *SpanInfo) []PathSeg {
 		}
 		acc[name] += d
 	}
+	// latest returns s's child on the path at instant cur — the latest-ending
+	// ended child, wait or work as asked, live strictly before cur — and its
+	// end clipped to cur.
+	latest := func(s *SpanInfo, cur time.Duration, wait bool) (pick *SpanInfo, end time.Duration) {
+		for _, k := range s.Children {
+			if k.End == 0 || k.Start >= cur || isWait(k.Name) != wait {
+				continue
+			}
+			if e := min(k.End, cur); pick == nil || e > end {
+				pick, end = k, e
+			}
+		}
+		return pick, end
+	}
 	var walk func(s *SpanInfo, lo, hi time.Duration)
 	walk = func(s *SpanInfo, lo, hi time.Duration) {
-		cur := hi
-		for cur > lo {
-			// The child on the path at instant cur: latest-ending ended
-			// child whose interval is live strictly before cur.
-			var pick *SpanInfo
-			var pickEnd time.Duration
-			for _, k := range s.Children {
-				if k.End == 0 || k.Start >= cur {
-					continue
-				}
-				e := k.End
-				if e > cur {
-					e = cur
-				}
-				if pick == nil || e > pickEnd {
-					pick, pickEnd = k, e
-				}
+		for cur := hi; cur > lo; {
+			work, end := latest(s, cur, false)
+			floor := lo // where the work below cur ended
+			if work != nil {
+				floor = max(end, lo)
 			}
-			if pick == nil {
-				add(s.Name, cur-lo)
-				return
+			if floor == cur {
+				cur = max(work.Start, lo)
+				walk(work, cur, end)
+				continue
 			}
-			if pickEnd < cur {
-				add(s.Name, cur-pickEnd) // gap: the parent itself was running
+			// Nothing was working between floor and cur: that is a wait's, as
+			// far as one covers it, and otherwise the parent itself running.
+			if wait, wend := latest(s, cur, true); wait != nil && wend > floor {
+				add(s.Name, cur-wend)
+				cur = max(wait.Start, floor)
+				walk(wait, cur, wend)
+				continue
 			}
-			klo := pick.Start
-			if klo < lo {
-				klo = lo
-			}
-			walk(pick, klo, pickEnd)
-			cur = klo
+			add(s.Name, cur-floor)
+			cur = floor
 		}
 	}
 	if root.End == 0 {
@@ -90,6 +100,10 @@ func CriticalPath(root *SpanInfo) []PathSeg {
 	})
 	return segs
 }
+
+// isWait reports whether a span of this name only records that its parent was
+// blocked.
+func isWait(name string) bool { return strings.HasSuffix(name, ".wait") }
 
 // PathTotal sums a critical path's segments (equals the root duration).
 func PathTotal(segs []PathSeg) time.Duration {

@@ -147,6 +147,68 @@ func TestCriticalPathSumsToRootDuration(t *testing.T) {
 	}
 }
 
+// TestCriticalPathSeesThroughWaits: a wait span ends last by construction, so
+// a walk that blames the latest-ending child blames the wait for everything
+// it waited for. The tree is a commit recorded on the traced engine test's
+// network (TestCommitTraceCoversEveryStage; offsets in µs, two of the batch's
+// six flights kept): before waits were transparent its path read quorum.wait
+// 2737 µs of 2773 and no network, storage or disk time at all.
+func TestCriticalPathSeesThroughWaits(t *testing.T) {
+	mk := func(name string, start, end time.Duration, kids ...*SpanInfo) *SpanInfo {
+		return &SpanInfo{Name: name, Start: start * time.Microsecond, End: end * time.Microsecond, Children: kids}
+	}
+	root := mk("commit", 0, 2773,
+		mk("commit.apply", 5, 20),
+		mk("commit.queue", 20, 22),
+		mk("group.frame", 22, 26),
+		mk("group.ship", 28, 2768,
+			mk("quorum.wait", 28, 2765),
+			mk("batch.ship", 29, 2764,
+				mk("replica.flight", 42, 2759,
+					mk("net.req", 43, 1186),
+					mk("storage.ingest", 1186, 1525,
+						mk("disk.write", 1187, 1330),
+						mk("disk.sync", 1330, 1523),
+						mk("storage.apply", 1524, 1525)),
+					mk("net.ack", 1525, 2759)),
+				mk("replica.flight", 54, 2764, // the ack that completed the quorum
+					mk("net.req", 55, 1214),
+					mk("storage.ingest", 1215, 1515,
+						mk("disk.write", 1216, 1334),
+						mk("disk.sync", 1334, 1511),
+						mk("storage.apply", 1512, 1514)),
+					mk("net.ack", 1515, 2764))),
+			mk("vdl.wait", 2765, 2766)),
+	)
+	segs := CriticalPath(root)
+	if got := PathTotal(segs); got != root.Duration() {
+		t.Fatalf("critical path sums to %v, want %v\n%v", got, root.Duration(), segs)
+	}
+	byName := map[string]time.Duration{}
+	for _, s := range segs {
+		byName[s.Name] = s.Dur / time.Microsecond
+	}
+	for name, want := range map[string]time.Duration{
+		"net.req":        1170, // the gating flight's 1159, the first one's before that
+		"net.ack":        1249,
+		"disk.write":     118,
+		"disk.sync":      177,
+		"storage.apply":  2,
+		"storage.ingest": 3,  // what its children leave
+		"batch.ship":     13, // until the first flight took off
+		"quorum.wait":    2,  // before the batch started and after it resolved
+		"vdl.wait":       1,
+		"group.ship":     2,
+	} {
+		if byName[name] != want {
+			t.Errorf("%s on the path for %dµs, want %d", name, byName[name], want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("%v", segs)
+	}
+}
+
 func TestRingBounded(t *testing.T) {
 	c := NewCollector(4)
 	c.SetSampleEvery(1)

@@ -14,8 +14,8 @@ import (
 // framing into the arena, wire shipping to all six replicas, quorum ack,
 // VDL wait, arena recycle — and reports allocations per record. The group
 // shape (128 MTRs x 4 records) matches a loaded commit pipeline, where the
-// per-group fixed costs (the GroupWrite, its batch slice, the ship and
-// durability channels) amortize across 512 records.
+// per-group fixed costs (the GroupWrite, its batch slice, the blocking
+// Ship's channel and completion) amortize across 512 records.
 func BenchmarkCommitSteadyStateAllocs(b *testing.B) {
 	const mtrs, recsPerMTR = 128, 4
 	net := netsim.New(netsim.FastLocal())
@@ -125,9 +125,10 @@ func BenchmarkReadPageMiss(b *testing.B) {
 
 // TestShipIsTheCallersGoroutine pins the write path's shape the way
 // TestHedgedFirstAnswerIsOneCallChain pins the read path's: shipping a group
-// of three batches starts no goroutine — the quorum bookkeeping runs on the
-// sender loops that deliver the acks — and the writer's own objects for a
-// group are a fixed handful, none of them per replica.
+// of three batches starts no goroutine — the quorum bookkeeping, and the
+// group's completion, run on the sender loops that deliver the acks — and the
+// writer's own objects for a group are a fixed handful, none of them per
+// replica.
 func TestShipIsTheCallersGoroutine(t *testing.T) {
 	_, c := testVolume(t, 3)
 	ctx := context.Background()
@@ -160,20 +161,22 @@ func TestShipIsTheCallersGoroutine(t *testing.T) {
 		t.Fatalf("VDL %d after 1000 three-record groups", vdl)
 	}
 	// The writer's objects for a group: the GroupWrite, its batch slice
-	// (tails and quorum trackers by value) and the one channel Ship waits on.
-	// The rest of the count is the fleet's: each of the 18 deliveries retains
-	// a body copy and a record slab on its storage node. Every run waits for
-	// the fifth and sixth deliveries too, so that groups do not overlap and
-	// the count is exact: one more object for that wait's channel. The slack
-	// is for the race detector, under which one or two more appear; a single
-	// object per batch would add three.
-	const writer, perDelivery, deliveries, drain, slack = 3, 2, 18, 1, 2
+	// (tails and quorum trackers by value), and the channel and completion of
+	// the blocking Ship (the commit pipeline, which does not block, has only
+	// the completion). The rest of the count is the fleet's: each of the 18
+	// deliveries retains a body copy and a record slab on its storage node.
+	// Every run waits for the fifth and sixth deliveries too, so that groups
+	// do not overlap and the count is exact: one more object for that wait's
+	// channel. The slack is for the race detector, under which one or two
+	// more appear; a single object per batch would add three.
+	const writer, perDelivery, deliveries, drain, slack = 4, 2, 18, 1, 2
 	avg := testing.AllocsPerRun(200, func() {
 		ship()
 		if err := c.drainWrites(); err != nil {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("%.0f objects per three-batch group", avg)
 	if avg > writer+perDelivery*deliveries+drain+slack {
 		t.Fatalf("a three-batch group allocates %.0f objects, pinned at %d for the writer and %d for storage",
 			avg, writer, perDelivery*deliveries)

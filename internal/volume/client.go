@@ -193,9 +193,6 @@ func (c *Client) VDL() core.LSN { return c.vdl.VDL() }
 // (§4.2.2).
 func (c *Client) WaitDurable(lsn core.LSN) { c.vdl.Wait(lsn) }
 
-// DurableChan returns a channel closed once the VDL reaches lsn.
-func (c *Client) DurableChan(lsn core.LSN) <-chan struct{} { return c.vdl.WaitChan(lsn) }
-
 // Epoch returns the client's recovery epoch.
 func (c *Client) Epoch() uint64 { return c.epoch }
 
@@ -266,16 +263,25 @@ func (c *Client) RegisterReadPoint() (core.LSN, func()) {
 // pipeline's framer stage produces, and the entry of the writer's durability
 // window (see durableWindow). Framing (LSN assignment + arena encode) is
 // cheap and can run under engine latches; shipping waits for write quorums
-// and must not. The group's records occupy one contiguous LSN range, its
+// and must not. The group's records occupy one contiguous LSN range and its
 // per-PG batches are merged across members (so a busy PG costs one quorum
-// per group, not per commit), and durability is still acknowledged per
-// transaction as the VDL passes each member's CPL.
+// per group, not per commit).
+//
+// A shipped group has one completion with one outcome — nil once the window
+// has retired it, which is VDL >= MaxCPL; quorum.ErrQuorumImpossible, wrapped
+// or bare, when a group ahead of it or it itself can never reach its quorum;
+// ErrClosed when the client went away first (see ShipAsync). The first
+// quorum.ErrQuorumImpossible is the client's last word on writes: the VDL can
+// never pass the failed group, so every group framed behind it gets the same
+// outcome, and availability comes back only with a recovered writer (Recover),
+// which annuls the unfinished tail — restarting the replicas does not revive
+// this client.
 //
 // The group holds the creator reference on its arena-backed FramedGroup: the
-// caller must Release it exactly once when it is done with the write (after
-// Ship returns and the durability wait, or on an error path). Senders hold
-// their own references, so releasing never invalidates an in-flight delivery
-// — even one that outlives a deadline-detached committer.
+// caller must Release it exactly once when it is done with the write (in the
+// completion, after Ship returns, or on an error path). Senders hold their
+// own references, so releasing never invalidates an in-flight delivery — even
+// one that outlives a deadline-detached committer.
 type GroupWrite struct {
 	c *Client
 	g *core.FramedGroup
@@ -284,14 +290,22 @@ type GroupWrite struct {
 	// MTRs and the framer ends each on its CPL.
 	first, last core.LSN
 	batches     []groupBatch
-	done        chan struct{} // closed once every batch has resolved
 
-	// Guarded by the window's mutex (and ordered before Ship's return by the
-	// close of done).
-	unresolved int  // batches whose quorum has not resolved
-	failed     bool // some batch can no longer reach its quorum
+	// Set by ShipAsync before the group enters the window. sp is the caller's
+	// group.ship span, nil unless the commit is sampled, and wait the wait span
+	// open under it: quorum.wait until the group's own batches have resolved,
+	// vdl.wait from then until it is settled (see await).
+	then func(error)
+	sp   *trace.Span
+	wait atomic.Pointer[trace.Span]
 
-	shipped  bool
+	// Guarded by the window's mutex until the group is settled, and then owned
+	// by the goroutine that settled it.
+	unresolved int         // batches whose quorum has not resolved
+	settled    bool        // out of the window, outcome in err
+	err        error       // nil: durable
+	next       *GroupWrite // chains the groups one window call settled
+
 	released atomic.Bool
 }
 
@@ -317,11 +331,10 @@ func (g *GroupWrite) Release() {
 	}
 }
 
-// frame frames ms through the arena pipeline and enters the group into the
-// durability window. Volume stamping happens inside the framer (SetVolume at
-// client construction). The caller holds the geometry fence, shared
-// (FrameMTRs) or exclusive (the rebalancer's catch-up), or frames only
-// explicitly placed records (its warm copy).
+// frame frames ms through the arena pipeline. Volume stamping happens inside
+// the framer (SetVolume at client construction). The caller holds the geometry
+// fence, shared (FrameMTRs) or exclusive (the rebalancer's catch-up), or
+// frames only explicitly placed records (its warm copy).
 func (c *Client) frame(ctx context.Context, ms []*core.MTR) (*GroupWrite, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
@@ -343,7 +356,6 @@ func (c *Client) frame(ctx context.Context, ms []*core.MTR) (*GroupWrite, error)
 		first:      fg.Batches[0].First,
 		last:       fg.CPLs[len(fg.CPLs)-1],
 		batches:    make([]groupBatch, len(fg.Batches)),
-		done:       make(chan struct{}),
 		unresolved: len(fg.Batches),
 	}
 	total := 0
@@ -352,7 +364,6 @@ func (c *Client) frame(ctx context.Context, ms []*core.MTR) (*GroupWrite, error)
 		g.batches[i] = groupBatch{pg: b.PG, last: b.Last, tr: quorum.NewTracker(trCfg)}
 		total += b.Records
 	}
-	c.win.register(g)
 	c.mtrs.Add(uint64(len(ms)))
 	c.frames.Add(1)
 	c.recsWritten.Add(uint64(total))
@@ -361,7 +372,7 @@ func (c *Client) frame(ctx context.Context, ms []*core.MTR) (*GroupWrite, error)
 
 // FrameMTRs frames a group of MTRs through one LSN-allocation/ordering
 // critical section, under the shared geometry fence, without performing any
-// IO: the group is on the wire once Ship is called, and until then it
+// IO: the group is on the wire once it is shipped, and until then it
 // occupies the allocation window. The LAL back-pressure wait inside framing
 // selects on ctx. The MTRs' own records are stamped with their LSNs in
 // place, so callers can compute per-page stamp LSNs from each MTR directly
@@ -372,25 +383,32 @@ func (c *Client) FrameMTRs(ctx context.Context, ms []*core.MTR) (*GroupWrite, er
 	return c.frame(ctx, ms)
 }
 
-// Ship hands every batch of the group to its replicas' sender pipelines from
-// the calling goroutine and returns once every batch has resolved its write
-// quorum, or ctx fires. Durability of a member (VDL >= CPL) may still lag —
-// an earlier group may be unresolved — and is awaited separately: worker
-// threads never stall on commit (§4.2.2). A ctx deadline detaches only the
-// waiter: the batches stay in the sender pipelines (each holding its own
-// group reference) and the VDL still advances when their quorums resolve,
-// because the bookkeeping runs on whichever goroutine delivers the resolving
-// ack or nack (batchResolved), not on this one. When ctx carries a sampled
-// span it gets one batch.ship child per batch, parenting that batch's
-// replica flights and ending when the batch resolves, and a quorum.wait
-// child covering the time blocked here. Ship must be called exactly once.
-func (g *GroupWrite) Ship(ctx context.Context) error {
-	if g.shipped {
-		return errors.New("volume: group write shipped twice")
-	}
-	g.shipped = true
+// ShipAsync enters the group into the durability window, hands every batch to
+// its replicas' sender pipelines from the calling goroutine, and returns.
+// then is the group's completion: it runs exactly once, with the group's
+// outcome, on the goroutine that settles the group — the sender loop whose ack
+// or nack decided it, Crash or Close sweeping what was still pending, or this
+// one, possibly halfway through the enqueues, when the window or a pipeline
+// has already shut — so it must not block. It may Release: the enqueues run on
+// a reference of their own. No deadline reaches the deliveries: durability is
+// decided by the quorums, not by whoever is waiting. A sampled sp gets a
+// batch.ship child per batch (parenting its replica flights, ended when it
+// resolves), a quorum.wait child until the last batch has resolved, and a
+// vdl.wait child from then until the group is settled. A group ships exactly
+// once.
+func (g *GroupWrite) ShipAsync(sp *trace.Span, then func(error)) {
 	c := g.c
-	sp := trace.FromContext(ctx)
+	g.then, g.sp = then, sp
+	if sp != nil {
+		g.wait.Store(sp.Child("quorum.wait"))
+	}
+	g.g.Retain()
+	defer g.g.Release()
+	if err := c.win.register(g); err != nil {
+		g.settled, g.err = true, err
+		c.complete(g)
+		return
+	}
 	all := *c.senders.Load()
 	for i := range g.batches {
 		b := &g.g.Batches[i]
@@ -416,30 +434,45 @@ func (g *GroupWrite) Ship(ctx context.Context) error {
 			s.enqueue(sh)
 		}
 	}
-	qsp := sp.Child("quorum.wait")
+}
+
+// await moves a sampled group on to its next wait span. Whoever takes a span
+// out of the slot ends it; complete leaves the slot empty, so a transition
+// that loses the race with the group's completion — the completer is whichever
+// goroutine settles the group, not necessarily the one whose ack brought its
+// last quorum in — finds nothing there and ends its own span on the spot.
+func (g *GroupWrite) await(name string) {
+	next := g.sp.Child(name)
+	if prev := g.wait.Swap(next); prev != nil {
+		prev.End()
+	} else {
+		next.End()
+	}
+}
+
+// Ship is ShipAsync for a caller with nothing better to do: it returns the
+// group's outcome — nil only once the group is durable — or, when ctx fires
+// first, an error wrapping ctx's (only the waiter detaches; the group still
+// ships and settles). After the first quorum.ErrQuorumImpossible every later
+// Ship on this client returns it too (see GroupWrite). A sampled span carried
+// in ctx parents the ship's spans.
+func (g *GroupWrite) Ship(ctx context.Context) error {
+	done := make(chan struct{})
+	g.ShipAsync(trace.FromContext(ctx), func(error) { close(done) })
 	select {
-	case <-g.done:
-		qsp.End()
+	case <-done:
+		return g.err // settled before the completion ran, and final
 	case <-ctx.Done():
-		trace.Annotate(qsp, "abandoned", true)
-		qsp.End()
-		c.writeFails.Add(1)
-		return fmt.Errorf("volume: quorum wait abandoned: %w", ctx.Err())
+		return fmt.Errorf("volume: durability wait abandoned: %w", ctx.Err())
 	}
-	if g.failed {
-		c.writeFails.Add(1)
-		return quorum.ErrQuorumImpossible
-	}
-	return nil
 }
 
 // batchResolved runs on the goroutine whose ack or nack resolved batch bi's
 // quorum — a sender loop, or the enqueuer when the pipeline had already
-// stopped. It retires what the resolution made durable and publishes in the
-// order the read path relies on: per-PG tails (inside the window), then the
-// VDL, then the allocator's back-pressure window. On return from the call
-// that resolves a group's last batch, the group's records count toward the
-// VDL, which is what a successful Ship promises.
+// stopped. It settles what the resolution decided and publishes in the order
+// the read path relies on: per-PG tails (inside the window), then the VDL,
+// then the allocator's back-pressure window — and only then the completions,
+// so a completion that reports durability never runs below the VDL.
 func (g *GroupWrite) batchResolved(bi int) {
 	b := &g.batches[bi]
 	err := b.tr.Err()
@@ -448,18 +481,40 @@ func (g *GroupWrite) batchResolved(bi int) {
 	}
 	b.sp.End()
 	c := g.c
-	vdl, done := c.win.resolve(g, err != nil)
+	vdl, settled, quorate := c.win.resolve(g, err != nil)
+	if quorate && g.sp != nil {
+		g.await("vdl.wait")
+	}
 	if c.vdl.Advance(vdl) {
 		c.alloc.AdvanceVDL(vdl)
 	}
-	if done {
-		close(g.done)
+	c.complete(settled)
+}
+
+// complete delivers the completions of the groups one window call settled,
+// in LSN order.
+func (c *Client) complete(settled *GroupWrite) {
+	for g := settled; g != nil; g = g.next {
+		if g.err != nil {
+			c.writeFails.Add(1)
+		}
+		if g.sp != nil {
+			wait := g.wait.Swap(nil)
+			if g.err != nil {
+				trace.Annotate(wait, "err", g.err)
+			}
+			wait.End()
+		}
+		g.then(g.err)
 	}
 }
 
 // WriteMTR frames a mini-transaction into the log and ships it to the
-// storage fleet, returning once every batch has reached its 4/6 write
-// quorum. The returned LSN is the MTR's consistency point.
+// storage fleet, returning once it is durable: every batch on its 4/6 write
+// quorum and the VDL at or past the returned LSN, the MTR's consistency
+// point. An error wrapping quorum.ErrQuorumImpossible is final for the client,
+// not for the one write: no later WriteMTR can succeed, and the writer has to
+// be recovered (see GroupWrite).
 func (c *Client) WriteMTR(ctx context.Context, m *core.MTR) (core.LSN, error) {
 	g, err := c.FrameMTRs(ctx, []*core.MTR{m})
 	if err != nil {
@@ -519,7 +574,7 @@ type Stats struct {
 	RespDrops      uint64 // responses lost after a successful segment read
 	VDL            core.LSN
 	HighestLSN     core.LSN
-	Backlog        int // framed groups not yet durable (0 when idle)
+	Backlog        int // shipped groups not yet settled (0 when idle)
 
 	// Role-split byte accounting (Taurus, PAPERS.md). LogBytes counts
 	// bytes delivered synchronously on the commit path (all replicas when
@@ -570,9 +625,10 @@ func (c *Client) Stats() Stats {
 }
 
 // Crash tears the writer down abruptly: the root context is canceled (any
-// in-flight send or backoff is abandoned), pending shipments are nacked,
-// and in-flight waiters are released to re-check durability themselves. The
-// storage fleet is untouched — its durable state is what Recover reads.
+// in-flight send or backoff is abandoned), pending shipments are nacked, and
+// whatever the nacks did not settle is abandoned: every group gets its
+// completion, none as durable that the window did not retire. The storage
+// fleet is untouched — its durable state is what Recover reads.
 func (c *Client) Crash() {
 	if c.closed.Swap(true) {
 		return
@@ -583,6 +639,7 @@ func (c *Client) Crash() {
 			s.stop()
 		}
 	}
+	c.complete(c.win.abandon())
 	c.alloc.Close()
 	c.vdl.Close()
 	c.fleet.cfg.Net.RemoveNode(c.node)
@@ -591,8 +648,9 @@ func (c *Client) Crash() {
 // Close shuts the writer down gracefully: no new operations are accepted
 // and the sender pipelines drain their queued flights (delivering, not
 // nacking). Every quorum resolves on the goroutine that delivered its last
-// verdict, so once the pipelines have drained the VDL is final; only then is
-// the root context canceled and the allocator torn down.
+// verdict, so once the pipelines have drained the VDL is final; only then are
+// the groups still in the window (framed but never retired) abandoned, the
+// root context canceled and the allocator torn down.
 func (c *Client) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -602,6 +660,7 @@ func (c *Client) Close() {
 			s.drain()
 		}
 	}
+	c.complete(c.win.abandon())
 	c.rootCancel()
 	c.alloc.Close()
 	c.vdl.Close()

@@ -2,6 +2,7 @@ package volume
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -40,28 +41,35 @@ func TestVDLNeverPassesAnUnackedBatch(t *testing.T) {
 		first <- err
 	}()
 	// PG0's batch reaches its quorum at once.
-	deadline := time.Now().Add(2 * time.Second)
-	for have := 0; have < f.Quorum().Vw; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("PG0's batch is on %d replicas", have)
-		}
-		have = 0
-		for _, n := range f.Replicas(0) {
-			if n.HighestLSN() >= 3 {
-				have++
+	pg0Holds := func(lsn core.LSN) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for have := 0; have < f.Quorum().Vw; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("PG0's batch up to %d is on %d replicas", lsn, have)
+			}
+			have = 0
+			for _, n := range f.Replicas(0) {
+				if n.HighestLSN() >= lsn {
+					have++
+				}
 			}
 		}
 	}
+	pg0Holds(3)
 	// So does a PG0-only MTR behind it.
 	m2 := &core.MTR{Txn: 2}
 	m2.AddDelta(0, 0, 0, []byte("d")) // LSN 4
-	cpl, err := c.WriteMTR(ctx, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpl != 4 {
-		t.Fatalf("second MTR's cpl %d, want 4", cpl)
-	}
+	const cpl = 4
+	second := make(chan error, 1)
+	go func() {
+		got, err := c.WriteMTR(ctx, m2)
+		if err == nil && got != cpl {
+			err = fmt.Errorf("second MTR's cpl %d, want %d", got, cpl)
+		}
+		second <- err
+	}()
+	pg0Holds(cpl)
 	for i, n := range f.Replicas(1) {
 		if hi := n.HighestLSN(); hi != 0 {
 			t.Fatalf("setup: PG1 replica %d already holds LSN %d", i, hi)
@@ -76,8 +84,8 @@ func TestVDLNeverPassesAnUnackedBatch(t *testing.T) {
 		}
 	}
 	select {
-	case <-c.DurableChan(cpl):
-		t.Fatalf("cpl %d acknowledged durable while LSN 2 is on no disk", cpl)
+	case err := <-second:
+		t.Fatalf("cpl %d acknowledged (%v) while LSN 2 is on no disk", cpl, err)
 	default:
 	}
 
@@ -91,10 +99,8 @@ func TestVDLNeverPassesAnUnackedBatch(t *testing.T) {
 	if t0, t1 := c.DurableTail(0), c.DurableTail(1); t0 != 4 || t1 != 2 {
 		t.Fatalf("durable tails %d, %d; want 4, 2", t0, t1)
 	}
-	select {
-	case <-c.DurableChan(cpl):
-	default:
-		t.Fatal("DurableChan not closed at VDL 4")
+	if err := <-second; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -187,5 +193,49 @@ func TestDurableTailIsOnItsQuorum(t *testing.T) {
 			close(stop)
 			bg.Wait()
 		})
+	}
+}
+
+// TestCompletionMayReleaseDuringShip: a group's completion runs on whichever
+// goroutine settles it, which can be the shipper itself, halfway through its
+// own enqueue loop — a sender pipeline that has already stopped nacks inline,
+// and the third nack settles the group as failed. The engine's completion drops
+// the creator reference, so ShipAsync must not be reading the framed group on
+// that reference: here every pipeline is stopped (the framer of an engine that
+// is crashing sees exactly this between its frame and the window's abandon)
+// and the completion releases, as commitPipeline.complete does. Without a
+// reference of its own the fourth Retain found the group already back in its
+// pool (a nil dereference), or the second batch indexed a truncated slice.
+func TestCompletionMayReleaseDuringShip(t *testing.T) {
+	_, c := testVolume(t, 2)
+	for round := 0; round < 3; round++ {
+		m := &core.MTR{Txn: uint64(round + 1)}
+		m.AddDelta(0, 0, 0, []byte("a"))
+		m.AddDelta(1, 1, 0, []byte("b"))
+		g, err := c.FrameMTRs(context.Background(), []*core.MTR{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			for _, pg := range *c.senders.Load() {
+				for _, s := range pg {
+					s.stop()
+				}
+			}
+		}
+		calls := 0
+		var outcome error
+		g.ShipAsync(nil, func(err error) {
+			calls++
+			outcome = err
+			g.Release()
+		})
+		if calls != 1 || !errors.Is(outcome, quorum.ErrQuorumImpossible) {
+			t.Fatalf("round %d: %d completions, outcome %v; want one, quorum impossible", round, calls, outcome)
+		}
+		// The last reference to go recycles the shell, which empties it.
+		if n := len(g.g.Batches); n != 0 {
+			t.Fatalf("round %d: the framed group still has %d batches: a reference leaked", round, n)
+		}
 	}
 }

@@ -19,13 +19,9 @@ import (
 // vol's geometry under. Point-in-time restore reads the manifest as of the
 // restore point so a grown volume routes pages the way it did then. Keys are
 // namespaced per tenant so two volumes sharing one store can never clobber
-// each other's manifest lineage; the legacy volume 0 keeps its historical
-// key so existing stores remain readable.
+// each other's manifest lineage.
 func GeometryManifestKey(vol core.VolumeID) string {
-	if vol != 0 {
-		return fmt.Sprintf("vol%d/manifest/geometry", uint32(vol))
-	}
-	return "manifest/geometry"
+	return fmt.Sprintf("vol%d/manifest/geometry", uint32(vol))
 }
 
 // FleetConfig describes the storage fleet backing one volume.
@@ -34,7 +30,7 @@ type FleetConfig struct {
 	// volumes can share one simulated network (multi-tenancy, §7.1).
 	Name string
 	// Vol is the tenant volume identity stamped on every record, batch,
-	// segment and backup key. Zero is the legacy single-tenant volume.
+	// segment and backup key. Zero is the single-tenant volume.
 	Vol core.VolumeID
 	// Pool places this volume's segments onto a shared multi-tenant host
 	// fleet (with AZ-spread and blast-radius scoring) instead of
@@ -216,7 +212,7 @@ func (f *Fleet) nodeName(pg, replica, gen int) netsim.NodeID {
 func (f *Fleet) Quorum() quorum.Config { return f.q }
 
 // Vol returns the tenant volume identity this fleet serves (zero for a
-// legacy single-tenant fleet).
+// single-tenant fleet).
 func (f *Fleet) Vol() core.VolumeID { return f.cfg.Vol }
 
 // Pool returns the shared host fleet this volume is placed on (nil for a

@@ -358,16 +358,6 @@ func (h *HealthTracker) State(pg core.PGID, idx int) HealthState {
 	return h.stateOf(h.snapshot(pg, nil), idx)
 }
 
-// States reports the classification of every replica in a PG.
-func (h *HealthTracker) States(pg core.PGID) []HealthState {
-	snaps := h.snapshot(pg, nil)
-	out := make([]HealthState, len(snaps))
-	for i := range snaps {
-		out[i] = h.stateOf(snaps, i)
-	}
-	return out
-}
-
 // maxStackReplicas sizes Order's stack scratch; every shipped quorum has
 // V = 6. A larger V still works, it just spills to the heap.
 const maxStackReplicas = 8

@@ -124,6 +124,12 @@ func TestRespDropCountedDistinctly(t *testing.T) {
 	c := Bootstrap(f, ClientConfig{WriterNode: "writer", WriterAZ: 0})
 	t.Cleanup(c.Close)
 	writePage(t, c, 3, "page")
+	// The write returns on four acks of six. Let the other two land: a replica
+	// whose ack has not reported the page's LSN yet orders last, as behind, and
+	// the read would never try the two this test breaks.
+	for _, s := range (*c.senders.Load())[0] {
+		s.waitIdle()
+	}
 
 	r := NewReader(f, "replica-reader", 0)
 	defer r.Close()

@@ -83,7 +83,7 @@ func (f *Fleet) readPage(ctx context.Context, from netsim.NodeID, id core.PageID
 				return nil, err
 			}
 			ssp := asp.Child("storage.read")
-			p, err := n.ReadPageChecked(actx, id, readPoint, required, curEpoch)
+			p, scl, err := n.ReadPageChecked(actx, id, readPoint, required, curEpoch)
 			ssp.End()
 			if err != nil {
 				ctr.retries.Add(1)
@@ -101,7 +101,7 @@ func (f *Fleet) readPage(ctx context.Context, from netsim.NodeID, id core.PageID
 				return nil, err
 			}
 			// The response piggybacks the segment's completeness point.
-			f.health.noteSCL(pg, i, n.SCL())
+			f.health.noteSCL(pg, i, scl)
 			return p, nil
 		})
 		if err == nil {

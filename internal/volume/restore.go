@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/storage"
 )
 
 // ErrNoBackup is returned when a protection group has no usable backup at
@@ -38,8 +37,8 @@ type RestoreReport struct {
 // the managed service does.
 //
 // cfg.Vol selects which tenant's namespaced backups and geometry manifest
-// are read from the shared store (zero = the legacy unprefixed keys), so
-// restoring one tenant can never pick up another tenant's snapshots.
+// are read from the shared store, so restoring one tenant can never pick up
+// another tenant's snapshots.
 func RestoreFleet(cfg FleetConfig, asOf time.Time) (*Fleet, *RestoreReport, error) {
 	if cfg.Store == nil {
 		return nil, nil, errors.New("volume: restore requires an object store")
@@ -93,12 +92,4 @@ func RestoreFleet(cfg FleetConfig, asOf time.Time) (*Fleet, *RestoreReport, erro
 	}
 	rep.Duration = time.Since(start)
 	return f, rep, nil
-}
-
-// SyncRestored runs the storage-side convergence a restored fleet needs
-// before recovery (exposed for observability; Recover also does this).
-func SyncRestored(f *Fleet) {
-	for g := 0; g < f.PGs(); g++ {
-		storage.SyncGroup(f.Replicas(core.PGID(g)))
-	}
 }

@@ -182,11 +182,25 @@ func TestSplitCommitNeedsOnlyLogTier(t *testing.T) {
 		t.Fatal("write succeeded with 1/3 log replicas, want quorum failure")
 	}
 
-	// Restore and confirm the volume recovers its write availability.
-	f.Node(0, 1).Restart()
-	f.Node(0, 2).Restart()
+	// Restore the log tier. The writer that lost a quorum stays suspended —
+	// its VDL can never pass the failed record — and a recovered writer gets
+	// the volume's write availability back.
+	for r := 1; r < 6; r++ {
+		f.Node(0, r).Restart()
+	}
 	storage.SyncGroup(f.Replicas(0))
-	writePage(t, c, 0, "healed")
+	m = &core.MTR{Txn: 100}
+	m.AddDelta(0, 0, 0, []byte("too-late"))
+	if _, err := c.WriteMTR(context.Background(), m); !errors.Is(err, quorum.ErrQuorumImpossible) {
+		t.Fatalf("write behind the failed one: %v", err)
+	}
+	c.Crash()
+	c2, _, err := Recover(context.Background(), f, ClientConfig{WriterNode: "writer2", WriterAZ: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	writePage(t, c2, 0, "healed")
 }
 
 // TestSplitLogTierRefusesPageReads pins the role contract at the storage
@@ -201,7 +215,7 @@ func TestSplitLogTierRefusesPageReads(t *testing.T) {
 		t.Fatalf("replica 0 role %v, want log", n.Role())
 	}
 	epoch := f.Geometry().Epoch()
-	if _, err := n.ReadPageChecked(context.Background(), 0, rp, rp, epoch); !errors.Is(err, storage.ErrWrongTier) {
+	if _, _, err := n.ReadPageChecked(context.Background(), 0, rp, rp, epoch); !errors.Is(err, storage.ErrWrongTier) {
 		t.Fatalf("log-tier read: %v, want ErrWrongTier", err)
 	}
 }

@@ -49,12 +49,7 @@ func TestWriteAdvancesVDL(t *testing.T) {
 	if got := c.VDL(); got != last {
 		t.Fatalf("VDL %d, want %d", got, last)
 	}
-	done := c.DurableChan(last)
-	select {
-	case <-done:
-	default:
-		t.Fatal("DurableChan for reached LSN not closed")
-	}
+	c.WaitDurable(last) // already there: returns at once
 	s := c.Stats()
 	if s.MTRs != 20 || s.RecordsWritten != 20 || s.Backlog != 0 {
 		t.Fatalf("stats %+v", s)

@@ -9,14 +9,16 @@
 package volume
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
 	"aurora/internal/core"
+	"aurora/internal/quorum"
 )
 
 // durableWindow is the writer's one piece of durability state (§4.1–§4.2.2):
-// the framed groups that are not yet durable, in LSN order, and what their
+// the shipped groups that are not yet durable, in LSN order, and what their
 // retirement has published so far — the VDL and, per protection group, the
 // highest record LSN at or below it.
 //
@@ -25,21 +27,33 @@ import (
 // batch's highest LSN and the quorum state of exactly those records; a quorum
 // therefore vouches for its own batch and nothing else. The head group
 // retires once every one of its batches has reached quorum and its range
-// continues the VDL. Concurrent framers (WriteMTR callers, the rebalancer)
+// continues the VDL. Concurrent shippers (WriteMTR callers, the rebalancer)
 // register after leaving the framer's critical section, so registration
 // order can invert LSN order: insertion is sorted, and retirement checks
-// contiguity instead of trusting the head. A batch that can no longer reach
-// its quorum pins the window at its group for good — the VDL must never pass
-// a record that is on no quorum.
+// contiguity instead of trusting the head.
+//
+// Every registered group leaves the window exactly once, settled with one of
+// three outcomes: durable (it retired, which is VDL >= its last LSN), failed
+// (a batch of it, or of a group ahead of it, can no longer reach its quorum)
+// or abandoned (the client went away first). A failed batch pins the window
+// at its group for good — the VDL must never pass a record that is on no
+// quorum — so nothing at or above the pin can ever retire, and all of it is
+// failed at once rather than left to wait. The call that settles a group
+// returns it; the caller completes it (Client.complete).
 //
 // vdl doubles as the contiguous frontier: every LSN at or below it belongs
 // to a retired group, and because groups end on a CPL it is always one.
 type durableWindow struct {
-	mu      sync.Mutex
-	vdl     core.LSN
-	pending []*GroupWrite // registered, not retired; ascending by first
-	tails   map[core.PGID]core.LSN
+	mu        sync.Mutex
+	vdl       core.LSN
+	pending   []*GroupWrite // registered, not settled; ascending by first
+	tails     map[core.PGID]core.LSN
+	pinned    core.LSN // first LSN of the lowest failed group; 0 while none failed
+	abandoned bool
 }
+
+// errBehindFailed is the outcome of a group that sits behind a failed one.
+var errBehindFailed = fmt.Errorf("volume: an earlier write lost its quorum: %w", quorum.ErrQuorumImpossible)
 
 // newDurableWindow starts a window with everything at or below start already
 // durable (recovery seeds start with the top of the LSN range it annulled and
@@ -52,36 +66,58 @@ func newDurableWindow(start core.LSN, tails map[core.PGID]core.LSN) *durableWind
 	return w
 }
 
-// register enters a framed group, keeping pending sorted by LSN. Groups
-// arrive almost in order, so the scan from the back is short.
-func (w *durableWindow) register(g *GroupWrite) {
+// register enters a group about to ship, keeping pending sorted by LSN
+// (groups arrive almost in order, so the scan from the back is short), or
+// refuses one that can no longer become durable, with what would be its outcome.
+func (w *durableWindow) register(g *GroupWrite) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.abandoned {
+		return ErrClosed
+	}
+	if w.pinned != 0 && g.first > w.pinned {
+		return errBehindFailed
+	}
 	i := len(w.pending)
 	for i > 0 && w.pending[i-1].first > g.first {
 		i--
 	}
 	w.pending = slices.Insert(w.pending, i, g)
-	w.mu.Unlock()
+	return nil
 }
 
 // resolve records that one batch of g reached its quorum, or (failed) never
-// can, and retires every group this makes durable. Retiring publishes the
-// group's per-PG tails here, under the lock; the caller publishes the
-// returned VDL afterwards. That order is the read path's contract: a reader
-// takes the VDL as its read point and durableTail(pg) as the completeness it
-// demands, so VDL >= x must already imply that the tail covers every framed
-// record of pg at or below x — published the other way round, a read at a
-// just-acked CPL could demand a stale tail and be served the previous
-// version. done reports that this was g's last unresolved batch.
-func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, done bool) {
+// can, and settles every group this decides: the head groups it makes durable,
+// or g and everything behind it. Retiring publishes the group's per-PG tails
+// here, under the lock; the caller publishes the returned VDL afterwards, and
+// only then completes the settled groups. That order is the read path's
+// contract: a reader takes the VDL as its read point and durableTail(pg) as
+// the completeness it demands, so VDL >= x must already imply that the tail
+// covers every framed record of pg at or below x — published the other way
+// round, a read at a just-acked CPL could demand a stale tail and be served
+// the previous version. quorate reports that this was the last of g's own
+// quorums: what g still waits for, if anything, is the groups ahead of it.
+func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, settled *GroupWrite, quorate bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	g.failed = g.failed || failed
 	g.unresolved--
+	if g.settled {
+		return w.vdl, nil, false // a straggler of a group that already failed
+	}
+	if failed {
+		if w.pinned == 0 || g.first < w.pinned {
+			w.pinned = g.first
+		}
+		i := slices.Index(w.pending, g)
+		behind := w.settle(i+1, len(w.pending), errBehindFailed)
+		settled = w.settle(i, i+1, quorum.ErrQuorumImpossible)
+		settled.next = behind
+		return w.vdl, settled, false
+	}
 	n := 0
 	for ; n < len(w.pending); n++ {
 		h := w.pending[n]
-		if h.unresolved > 0 || h.failed || h.first != w.vdl+1 {
+		if h.unresolved > 0 || h.first != w.vdl+1 {
 			break
 		}
 		for i := range h.batches {
@@ -91,10 +127,31 @@ func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, done 
 		}
 		w.vdl = h.last
 	}
-	// Slide down rather than reslice: the backing array keeps its capacity,
-	// and Delete zeroes the vacated slots so they do not pin retired groups.
-	w.pending = slices.Delete(w.pending, 0, n)
-	return w.vdl, g.unresolved == 0
+	return w.vdl, w.settle(0, n, nil), g.unresolved == 0
+}
+
+// abandon settles everything still pending as abandoned and refuses every
+// later registration: the client is going away.
+func (w *durableWindow) abandon() *GroupWrite {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.abandoned = true
+	return w.settle(0, len(w.pending), ErrClosed)
+}
+
+// settle removes pending[i:j] from the window with outcome err and returns
+// them chained through next, in LSN order. Delete slides the rest down and
+// zeroes the vacated slots: the backing array keeps its capacity and pins no
+// settled group.
+func (w *durableWindow) settle(i, j int, err error) *GroupWrite {
+	var head *GroupWrite
+	for k := j - 1; k >= i; k-- {
+		h := w.pending[k]
+		h.settled, h.err = true, err
+		h.next, head = head, h
+	}
+	w.pending = slices.Delete(w.pending, i, j)
+	return head
 }
 
 // durableTail returns the highest record LSN of pg at or below the VDL. This
@@ -108,7 +165,7 @@ func (w *durableWindow) durableTail(pg core.PGID) core.LSN {
 	return w.tails[pg]
 }
 
-// backlog returns the number of framed groups that are not yet durable.
+// backlog returns the number of shipped groups that are not yet settled.
 func (w *durableWindow) backlog() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()

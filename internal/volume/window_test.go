@@ -42,14 +42,18 @@ func TestAckWindowFrontierAndVDL(t *testing.T) {
 	w.register(g1)
 	w.register(g2)
 	// Quorums resolve out of order: 4-5 first, then 1-3.
-	if vdl, done := w.resolve(g2, false); vdl != 0 || !done {
-		t.Fatalf("vdl %d done %v before the prefix resolved", vdl, done)
+	if vdl, settled, quorate := w.resolve(g2, false); vdl != 0 || settled != nil || !quorate {
+		t.Fatalf("vdl %d, settled %v, quorate %v before the prefix resolved", vdl, settled, quorate)
 	}
 	if w.backlog() != 2 {
 		t.Fatalf("backlog %d with both groups unretired", w.backlog())
 	}
-	if vdl, _ := w.resolve(g1, false); vdl != 5 {
-		t.Fatalf("vdl %d, want 5 (both groups covered)", vdl)
+	vdl, settled, quorate := w.resolve(g1, false)
+	if vdl != 5 || !quorate {
+		t.Fatalf("vdl %d, quorate %v; want 5 (both groups covered) on g1's only quorum", vdl, quorate)
+	}
+	if settled != g1 || g1.next != g2 || g2.next != nil || g1.err != nil || g2.err != nil {
+		t.Fatalf("settled %v -> %v (%v, %v), want both groups durable in LSN order", settled, g1.next, g1.err, g2.err)
 	}
 	if w.backlog() != 0 {
 		t.Fatalf("backlog %d", w.backlog())
@@ -61,14 +65,14 @@ func TestAckWindowVDLOnlyAtCPLs(t *testing.T) {
 	// One group, LSNs 1-4: pg0 holds 1-3, pg1 holds 4, the group's CPL.
 	g := testGroup(1, 0, 0, 0, 1)
 	w.register(g)
-	if vdl, done := w.resolve(g, false); vdl != 0 || done {
-		t.Fatalf("vdl %d done %v: LSN 3 is not the group's CPL", vdl, done)
+	if vdl, settled, _ := w.resolve(g, false); vdl != 0 || settled != nil {
+		t.Fatalf("vdl %d settled %v: LSN 3 is not the group's CPL", vdl, settled)
 	}
 	if tail := w.durableTail(0); tail != 0 {
 		t.Fatalf("pg0 tail %d published before the VDL covers it", tail)
 	}
-	if vdl, done := w.resolve(g, false); vdl != 4 || !done {
-		t.Fatalf("vdl %d done %v, want 4", vdl, done)
+	if vdl, settled, _ := w.resolve(g, false); vdl != 4 || settled != g {
+		t.Fatalf("vdl %d settled %v, want 4 and the group", vdl, settled)
 	}
 }
 
@@ -76,7 +80,7 @@ func TestAckWindowSeededStart(t *testing.T) {
 	w := newDurableWindow(100, nil)
 	g := testGroup(101, 0, 0)
 	w.register(g)
-	if vdl, _ := w.resolve(g, false); vdl != 102 {
+	if vdl, _, _ := w.resolve(g, false); vdl != 102 {
 		t.Fatalf("vdl %d after recovery-seeded window", vdl)
 	}
 }
@@ -114,9 +118,14 @@ func (o *windowOracle) tail(pg core.PGID) core.LSN {
 }
 
 // Property: for random groups with random PG interleavings, registered with
-// random inversions and resolved batch by batch in random order — one batch
-// sometimes failing for good — the window's VDL, every durable tail and the
-// backlog equal the brute-force oracle's after every step.
+// random inversions and resolved batch by batch in random order — up to two
+// batches failing for good, and the window sometimes abandoned half way — the
+// window's VDL, every durable tail and the backlog equal the brute-force
+// oracle's after every step, and every group is settled exactly once, by the
+// step that decides it, with the outcome the oracle expects: durable once the
+// VDL covers it, failed as soon as it or a group ahead of it has a batch that
+// cannot reach its quorum (refused outright if it registers after that),
+// abandoned if it is still pending when the window is.
 func TestAckWindowPermutationProperty(t *testing.T) {
 	const pgs = 4
 	f := func(seed int64) bool {
@@ -146,9 +155,25 @@ func TestAckWindowPermutationProperty(t *testing.T) {
 			g  *GroupWrite
 			bi int
 		}
-		var registered []*GroupWrite
+		var shipped []*GroupWrite // every group that tried to register
 		var open []batchRef
-		failing := rng.Intn(3) == 0
+		failures := rng.Intn(3)
+		abandonAt := rng.Intn(60) // in steps; most runs end first
+		var pin core.LSN          // the oracle's: first LSN of the lowest group with a failed batch
+		abandoned := false
+		outcomes := map[*GroupWrite]error{}
+		// settle records what one window call settled.
+		settle := func(step string, head *GroupWrite) bool {
+			var prev core.LSN
+			for g := head; g != nil; g = g.next {
+				if _, dup := outcomes[g]; dup || !g.settled || g.first <= prev {
+					t.Logf("seed %d after %s: group %d settled twice, unmarked or out of order", seed, step, g.first)
+					return false
+				}
+				outcomes[g], prev = g.err, g.first
+			}
+			return true
+		}
 		check := func(step string) bool {
 			want := o.vdl()
 			w.mu.Lock()
@@ -165,8 +190,31 @@ func TestAckWindowPermutationProperty(t *testing.T) {
 				}
 			}
 			backlog := 0
-			for _, g := range registered {
-				if g.last > want {
+			for _, g := range shipped {
+				err, settled := outcomes[g]
+				switch {
+				case g.last <= want:
+					if !settled || err != nil {
+						t.Logf("seed %d after %s: group %d below the VDL: settled %v, %v", seed, step, g.first, settled, err)
+						return false
+					}
+				case pin != 0 && g.first >= pin:
+					// (An abandoned window refuses a late registration as
+					// abandoned, wherever the pin is.)
+					if !settled || !(errors.Is(err, quorum.ErrQuorumImpossible) || abandoned && err == ErrClosed) {
+						t.Logf("seed %d after %s: group %d at or behind the pin %d: settled %v, %v", seed, step, g.first, pin, settled, err)
+						return false
+					}
+				case abandoned:
+					if !settled || err != ErrClosed {
+						t.Logf("seed %d after %s: group %d abandoned: settled %v, %v", seed, step, g.first, settled, err)
+						return false
+					}
+				default:
+					if settled {
+						t.Logf("seed %d after %s: group %d settled (%v) with nothing decided", seed, step, g.first, err)
+						return false
+					}
 					backlog++
 				}
 			}
@@ -176,18 +224,31 @@ func TestAckWindowPermutationProperty(t *testing.T) {
 			}
 			return true
 		}
-		for len(unregistered) > 0 || len(open) > 0 {
+		for step := 0; len(unregistered) > 0 || len(open) > 0; step++ {
+			if step == abandonAt {
+				abandoned = true
+				if !settle("abandon", w.abandon()) || !check("abandon") {
+					return false
+				}
+			}
 			if len(unregistered) > 0 && (len(open) == 0 || rng.Intn(2) == 0) {
 				// Register one of the next three framed groups: concurrent
 				// framers can invert registration order.
 				i := rng.Intn(min(3, len(unregistered)))
 				g := unregistered[i]
 				unregistered = slices.Delete(unregistered, i, i+1)
-				w.register(g)
-				registered = append(registered, g)
-				o.ends[g.last] = true
-				for bi := range g.batches {
-					open = append(open, batchRef{g, bi})
+				shipped = append(shipped, g)
+				switch err := w.register(g); {
+				case err == nil:
+					o.ends[g.last] = true
+					for bi := range g.batches {
+						open = append(open, batchRef{g, bi})
+					}
+				case abandoned && err == ErrClosed, !abandoned && pin != 0 && g.first > pin && err == errBehindFailed:
+					outcomes[g] = err // refused: the caller completes it
+				default:
+					t.Logf("seed %d: register of group %d (pin %d, abandoned %v): %v", seed, g.first, pin, abandoned, err)
+					return false
 				}
 				if !check("register") {
 					return false
@@ -197,10 +258,16 @@ func TestAckWindowPermutationProperty(t *testing.T) {
 			i := rng.Intn(len(open))
 			ref := open[i]
 			open = slices.Delete(open, i, i+1)
-			fail := failing && rng.Intn(len(open)+1) == 0
-			if fail {
-				failing = false
-			} else {
+			fail := failures > 0 && rng.Intn(len(open)+1) == 0
+			live := !ref.g.settled // still in the window
+			culprit := fail && live
+			switch {
+			case fail:
+				failures--
+				if !abandoned && (pin == 0 || ref.g.first < pin) {
+					pin = ref.g.first
+				}
+			case !abandoned:
 				pg := ref.g.batches[ref.bi].pg
 				for l := ref.g.first; l <= ref.g.last; l++ {
 					if o.pgOf[l] == pg {
@@ -208,12 +275,20 @@ func TestAckWindowPermutationProperty(t *testing.T) {
 					}
 				}
 			}
-			vdl, done := w.resolve(ref.g, fail)
-			if vdl != o.vdl() || done != (ref.g.unresolved == 0) {
-				t.Logf("seed %d: resolve returned vdl %d done %v, oracle vdl %d", seed, vdl, done, o.vdl())
+			vdl, settled, quorate := w.resolve(ref.g, fail)
+			if vdl != o.vdl() {
+				t.Logf("seed %d: resolve returned vdl %d, oracle vdl %d", seed, vdl, o.vdl())
 				return false
 			}
-			if !check("resolve") {
+			if last := !slices.ContainsFunc(open, func(r batchRef) bool { return r.g == ref.g }); quorate != (last && live && !fail) {
+				t.Logf("seed %d: group %d quorate %v; last batch %v, in the window %v, failed %v", seed, ref.g.first, quorate, last, live, fail)
+				return false
+			}
+			if culprit && (settled != ref.g || ref.g.err != quorum.ErrQuorumImpossible) {
+				t.Logf("seed %d: group %d failed its own batch and was not settled first, with the quorum's verdict", seed, ref.g.first)
+				return false
+			}
+			if !settle("resolve", settled) || !check("resolve") {
 				return false
 			}
 		}
@@ -227,7 +302,8 @@ func TestAckWindowPermutationProperty(t *testing.T) {
 // TestFailedBatchPinsTheWindow is the property's failing batch on a real
 // fleet: a group whose PG1 batch can no longer reach 4/6 fails its Ship with
 // quorum.ErrQuorumImpossible and holds the VDL — and every durable tail —
-// below itself for good, whatever later groups achieve.
+// below itself for good; a later write, which could reach its own quorum and
+// still never be durable, fails at once instead of waiting for ever.
 func TestFailedBatchPinsTheWindow(t *testing.T) {
 	f, c := testVolume(t, 2)
 	ctx := context.Background()
@@ -239,20 +315,13 @@ func TestFailedBatchPinsTheWindow(t *testing.T) {
 	m.AddDelta(0, 0, 0, []byte("a"))
 	m.AddDelta(1, 1, 0, []byte("b"))
 	m.AddDelta(0, 2, 0, []byte("c"))
-	if _, err := c.WriteMTR(ctx, m); !errors.Is(err, quorum.ErrQuorumImpossible) {
+	if _, err := c.WriteMTR(ctx, m); err != quorum.ErrQuorumImpossible {
 		t.Fatalf("write with PG1 below quorum: %v", err)
 	}
-	// A later PG0-only write reaches its own quorum and still is not durable.
 	m2 := &core.MTR{Txn: 3}
 	m2.AddDelta(0, 0, 0, []byte("d"))
-	cpl, err := c.WriteMTR(ctx, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-c.DurableChan(cpl):
-		t.Fatalf("cpl %d acknowledged durable above a failed batch", cpl)
-	default:
+	if _, err := c.WriteMTR(ctx, m2); err != errBehindFailed || !errors.Is(err, quorum.ErrQuorumImpossible) {
+		t.Fatalf("PG0-only write above a failed batch: %v", err)
 	}
 	if got := c.VDL(); got != pre {
 		t.Fatalf("VDL %d, want it pinned at %d", got, pre)
@@ -260,8 +329,8 @@ func TestFailedBatchPinsTheWindow(t *testing.T) {
 	if got := c.DurableTail(0); got != pre {
 		t.Fatalf("pg0 durable tail %d, want %d", got, pre)
 	}
-	if s := c.Stats(); s.WriteFailures != 1 || s.Backlog != 2 {
-		t.Fatalf("write failures %d, backlog %d; want 1, 2", s.WriteFailures, s.Backlog)
+	if s := c.Stats(); s.WriteFailures != 2 || s.Backlog != 0 {
+		t.Fatalf("write failures %d, backlog %d; want 2, 0", s.WriteFailures, s.Backlog)
 	}
 }
 
@@ -275,7 +344,7 @@ func TestPGTailTracker(t *testing.T) {
 	w.register(g1)
 	w.register(g2)
 	w.resolve(g1, false)
-	if vdl, _ := w.resolve(g1, false); vdl != 61 {
+	if vdl, _, _ := w.resolve(g1, false); vdl != 61 {
 		t.Fatalf("vdl %d, want 61", vdl)
 	}
 	if got := w.durableTail(0); got != 60 {
