@@ -30,7 +30,7 @@ func BenchmarkRecordBodyEncode(b *testing.B) {
 	buf := make([]byte, r.BodySize())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		putRecordBody(buf, &r)
+		r.PutBody(buf)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestRecordBodyEncodeZeroAllocs(t *testing.T) {
 	r := Record{LSN: 9, PrevLSN: 8, Type: RecPageDelta, PG: 2, Page: 5,
 		Txn: 3, Offset: 10, Data: []byte("payload")}
 	buf := make([]byte, r.BodySize())
-	if avg := testing.AllocsPerRun(200, func() { putRecordBody(buf, &r) }); avg != 0 {
+	if avg := testing.AllocsPerRun(200, func() { r.PutBody(buf) }); avg != 0 {
 		t.Fatalf("record body encode allocates %.2f times per record, want 0", avg)
 	}
 }

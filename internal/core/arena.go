@@ -172,9 +172,11 @@ const recordBodySize = 4 + 8 + 8 + 1 + 1 + 4 + 4 + 8 + 8 + 4
 // BodySize returns the record's encoded size inside a batch body.
 func (r *Record) BodySize() int { return recordBodySize + len(r.Data) }
 
-// putRecordBody encodes r's body into b (len(b) >= r.BodySize()) and
-// returns the bytes written.
-func putRecordBody(b []byte, r *Record) int {
+// PutBody encodes r's body into b (len(b) >= r.BodySize()) and returns the
+// bytes written. It is the only record encoder: batches carry bodies back to
+// back under the batch CRC, and a storage snapshot carries its retained log
+// the same way under one CRC of its own.
+func (r *Record) PutBody(b []byte) int {
 	total := recordBodySize + len(r.Data)
 	binary.LittleEndian.PutUint32(b, uint32(total))
 	binary.LittleEndian.PutUint64(b[4:], uint64(r.LSN))

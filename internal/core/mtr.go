@@ -230,7 +230,7 @@ func (f *Framer) FrameGroup(ctx context.Context, ms []*MTR) (*FramedGroup, error
 		for i := range m.Records {
 			r := &m.Records[i]
 			acc := &f.pgs[r.PG]
-			acc.bodyOff += putRecordBody(buf[acc.bodyOff:], r)
+			acc.bodyOff += r.PutBody(buf[acc.bodyOff:])
 		}
 	}
 	// Headers last: one batched CRC pass over each contiguous body.

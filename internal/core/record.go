@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -98,103 +97,15 @@ func (r *Record) String() string {
 		r.Type, r.LSN, r.PG, r.Page, r.PrevLSN, r.Txn, r.IsCPL(), len(r.Data))
 }
 
-// Standalone record wire format (little endian). This self-delimiting,
-// self-checksummed codec is used where records travel outside a batch
-// (backup snapshots). On the hot path records are encoded as bare bodies
-// inside a batch, covered by one batch-level CRC — see arena.go.
-//
-//	u32 crc      CRC-32C of everything after this field
-//	u32 length   total encoded length including crc and length fields
-//	u64 lsn
-//	u64 prevLSN
-//	u8  type
-//	u8  flags
-//	u32 pg
-//	u32 vol
-//	u64 page
-//	u64 txn
-//	u32 offset
-//	u32 dataLen
-//	... data
-const recordHeaderSize = 4 + 4 + 8 + 8 + 1 + 1 + 4 + 4 + 8 + 8 + 4 + 4
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Errors surfaced by the decoder.
+// Errors surfaced by the decoders.
 var (
 	ErrShortBuffer   = errors.New("core: buffer too short for record")
 	ErrBadChecksum   = errors.New("core: record checksum mismatch")
 	ErrBadLength     = errors.New("core: record length field corrupt")
 	ErrUnknownrecord = errors.New("core: unknown record type")
 )
-
-// EncodedSize returns the wire size of the record.
-func (r *Record) EncodedSize() int { return recordHeaderSize + len(r.Data) }
-
-// AppendEncode appends the wire encoding of r to buf and returns the
-// extended slice. The encoding is self-delimiting and checksummed.
-func (r *Record) AppendEncode(buf []byte) []byte {
-	start := len(buf)
-	total := r.EncodedSize()
-	buf = append(buf, make([]byte, total)...)
-	b := buf[start:]
-	binary.LittleEndian.PutUint32(b[4:], uint32(total))
-	binary.LittleEndian.PutUint64(b[8:], uint64(r.LSN))
-	binary.LittleEndian.PutUint64(b[16:], uint64(r.PrevLSN))
-	b[24] = byte(r.Type)
-	b[25] = r.Flags
-	binary.LittleEndian.PutUint32(b[26:], uint32(r.PG))
-	binary.LittleEndian.PutUint32(b[30:], uint32(r.Vol))
-	binary.LittleEndian.PutUint64(b[34:], uint64(r.Page))
-	binary.LittleEndian.PutUint64(b[42:], r.Txn)
-	binary.LittleEndian.PutUint32(b[50:], r.Offset)
-	binary.LittleEndian.PutUint32(b[54:], uint32(len(r.Data)))
-	copy(b[recordHeaderSize:], r.Data)
-	crc := crc32.Checksum(b[4:], castagnoli)
-	binary.LittleEndian.PutUint32(b, crc)
-	return buf
-}
-
-// DecodeRecord decodes one record from the front of buf, returning the
-// record and the number of bytes consumed. The returned record's Data
-// aliases buf; callers that retain records past the life of buf must copy.
-func DecodeRecord(buf []byte) (Record, int, error) {
-	if len(buf) < recordHeaderSize {
-		return Record{}, 0, ErrShortBuffer
-	}
-	total := int(binary.LittleEndian.Uint32(buf[4:]))
-	if total < recordHeaderSize {
-		return Record{}, 0, ErrBadLength
-	}
-	if len(buf) < total {
-		return Record{}, 0, ErrShortBuffer
-	}
-	if crc := crc32.Checksum(buf[4:total], castagnoli); crc != binary.LittleEndian.Uint32(buf) {
-		return Record{}, 0, ErrBadChecksum
-	}
-	dataLen := int(binary.LittleEndian.Uint32(buf[54:]))
-	if recordHeaderSize+dataLen != total {
-		return Record{}, 0, ErrBadLength
-	}
-	r := Record{
-		LSN:     LSN(binary.LittleEndian.Uint64(buf[8:])),
-		PrevLSN: LSN(binary.LittleEndian.Uint64(buf[16:])),
-		Type:    RecordType(buf[24]),
-		Flags:   buf[25],
-		PG:      PGID(binary.LittleEndian.Uint32(buf[26:])),
-		Vol:     VolumeID(binary.LittleEndian.Uint32(buf[30:])),
-		Page:    PageID(binary.LittleEndian.Uint64(buf[34:])),
-		Txn:     binary.LittleEndian.Uint64(buf[42:]),
-		Offset:  binary.LittleEndian.Uint32(buf[50:]),
-	}
-	if r.Type == 0 || r.Type > RecCheckpointHint {
-		return Record{}, 0, ErrUnknownrecord
-	}
-	if dataLen > 0 {
-		r.Data = buf[recordHeaderSize:total]
-	}
-	return r, total, nil
-}
 
 // Clone returns a deep copy of the record (Data included) so it can be
 // retained independently of any decode buffer.

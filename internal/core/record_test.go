@@ -7,26 +7,34 @@ import (
 	"testing/quick"
 )
 
+// encodeBody returns r in the one record encoding there is: the body a batch
+// (or a snapshot's log region) carries, integrity left to the enclosing CRC.
+func encodeBody(r *Record) []byte {
+	buf := make([]byte, r.BodySize())
+	if n := r.PutBody(buf); n != len(buf) {
+		panic("PutBody wrote a different length than BodySize")
+	}
+	return buf
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	cases := []Record{
 		{LSN: 1, PrevLSN: 0, Type: RecPageDelta, PG: 0, Page: 0, Txn: 1, Offset: 0, Data: []byte{1}},
 		{LSN: 42, PrevLSN: 17, Type: RecPageInit, Flags: FlagCPL, PG: 3, Page: 999, Txn: 7, Data: bytes.Repeat([]byte{0xAB}, 4096)},
 		{LSN: 100, PrevLSN: 99, Type: RecTxnCommit, Flags: FlagCPL, PG: 1, Txn: 55},
-		{LSN: 1 << 62, PrevLSN: 1<<62 - 1, Type: RecTxnAbort, PG: 1<<32 - 1, Page: 1<<63 - 1, Txn: 1<<64 - 1, Offset: 1<<32 - 1, Data: []byte("hello")},
+		{LSN: 1 << 62, PrevLSN: 1<<62 - 1, Type: RecTxnAbort, PG: 1<<32 - 1, Vol: 1<<32 - 1, Page: 1<<63 - 1, Txn: 1<<64 - 1, Offset: 1<<32 - 1, Data: []byte("hello")},
 	}
 	for i, want := range cases {
-		buf := want.AppendEncode(nil)
-		if len(buf) != want.EncodedSize() {
-			t.Fatalf("case %d: encoded %d bytes, EncodedSize says %d", i, len(buf), want.EncodedSize())
-		}
-		got, n, err := DecodeRecord(buf)
+		buf := encodeBody(&want)
+		var got Record
+		n, err := DecodeRecordInto(buf, &got)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if n != len(buf) {
 			t.Fatalf("case %d: consumed %d of %d", i, n, len(buf))
 		}
-		if !recordsEqual(&got, &want) {
+		if !recordsEqual(&got, &want) || got.Vol != want.Vol {
 			t.Fatalf("case %d: got %v want %v", i, got.String(), want.String())
 		}
 	}
@@ -49,9 +57,9 @@ func TestRecordRoundTripQuick(t *testing.T) {
 		if cpl {
 			r.Flags = FlagCPL
 		}
-		buf := r.AppendEncode(nil)
-		got, n, err := DecodeRecord(buf)
-		if err != nil || n != len(buf) {
+		buf := encodeBody(&r)
+		var got Record
+		if n, err := DecodeRecordInto(buf, &got); err != nil || n != len(buf) {
 			return false
 		}
 		if len(got.Data) == 0 && len(r.Data) == 0 {
@@ -66,49 +74,44 @@ func TestRecordRoundTripQuick(t *testing.T) {
 
 func TestRecordDecodeCorruption(t *testing.T) {
 	r := Record{LSN: 9, PrevLSN: 8, Type: RecPageDelta, PG: 2, Page: 5, Txn: 3, Offset: 10, Data: []byte("payload")}
-	buf := r.AppendEncode(nil)
+	buf := encodeBody(&r)
 
 	t.Run("short buffer", func(t *testing.T) {
+		var got Record
 		for i := 0; i < len(buf); i++ {
-			if _, _, err := DecodeRecord(buf[:i]); err == nil {
+			if _, err := DecodeRecordInto(buf[:i], &got); err == nil {
 				t.Fatalf("decode of %d-byte prefix succeeded", i)
 			}
 		}
 	})
+	// A body carries no checksum of its own: the batch around it does, over
+	// every body byte, and a single flipped bit cannot leave a CRC valid.
 	t.Run("flipped bit", func(t *testing.T) {
-		for i := 0; i < len(buf); i++ {
-			bad := append([]byte(nil), buf...)
-			bad[i] ^= 0x40
-			if _, _, err := DecodeRecord(bad); err == nil {
-				// A flip may legitimately decode only if it leaves the CRC
-				// valid, which a single bit flip cannot.
-				t.Fatalf("decode with corrupted byte %d succeeded", i)
+		m := &MTR{Txn: r.Txn}
+		m.AddDelta(r.PG, r.Page, r.Offset, r.Data)
+		g, err := NewFramer(NewAllocator(ZeroLSN, 0), nil).FrameGroup(context.Background(), []*MTR{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Release()
+		wire := g.Batches[0].Wire
+		for i := batchHeaderSize; i < len(wire); i++ {
+			for bit := 0; bit < 8; bit++ {
+				bad := append([]byte(nil), wire...)
+				bad[i] ^= 1 << bit
+				if v, _, err := ParseBatchView(bad); err == nil && v.Verify() == nil {
+					t.Fatalf("batch with bit %d of body byte %d flipped verified", bit, i-batchHeaderSize)
+				}
 			}
 		}
 	})
 	t.Run("zero type rejected", func(t *testing.T) {
 		bad := Record{LSN: 1, Type: RecordType(0), PG: 1}
-		b := bad.AppendEncode(nil)
-		if _, _, err := DecodeRecord(b); err == nil {
+		var got Record
+		if _, err := DecodeRecordInto(encodeBody(&bad), &got); err == nil {
 			t.Fatal("record with type 0 decoded")
 		}
 	})
-}
-
-func TestRecordAppendToExisting(t *testing.T) {
-	prefix := []byte("prefix-bytes")
-	r := Record{LSN: 2, PrevLSN: 1, Type: RecPageDelta, PG: 0, Page: 1, Data: []byte("x")}
-	buf := r.AppendEncode(append([]byte(nil), prefix...))
-	if !bytes.HasPrefix(buf, prefix) {
-		t.Fatal("AppendEncode clobbered existing bytes")
-	}
-	got, _, err := DecodeRecord(buf[len(prefix):])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LSN != 2 {
-		t.Fatalf("got LSN %d", got.LSN)
-	}
 }
 
 func TestRecordClone(t *testing.T) {
@@ -203,25 +206,5 @@ func TestRecordPredicates(t *testing.T) {
 	}
 	if !c.IsCPL() {
 		t.Fatal("flagged record should be CPL")
-	}
-}
-
-func BenchmarkRecordEncode(b *testing.B) {
-	r := Record{LSN: 123456, PrevLSN: 123455, Type: RecPageDelta, PG: 4, Page: 8192, Txn: 99, Offset: 512, Data: bytes.Repeat([]byte{7}, 64)}
-	buf := make([]byte, 0, r.EncodedSize())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = r.AppendEncode(buf[:0])
-	}
-}
-
-func BenchmarkRecordDecode(b *testing.B) {
-	r := Record{LSN: 123456, PrevLSN: 123455, Type: RecPageDelta, PG: 4, Page: 8192, Txn: 99, Offset: 512, Data: bytes.Repeat([]byte{7}, 64)}
-	buf := r.AppendEncode(nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeRecord(buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -231,7 +231,7 @@ func (db *DB) flushWAL(records []core.Record) error {
 	size := 0
 	var last core.LSN
 	for i := range records {
-		size += records[i].EncodedSize()
+		size += records[i].BodySize()
 		if records[i].LSN > last {
 			last = records[i].LSN
 		}

@@ -48,7 +48,7 @@ func (db *DB) CrashAndRecover() (*RecoveryReport, error) {
 	// Analysis + redo: sequential WAL read, then per-page load/apply/write.
 	walBytes := 0
 	for i := range redo {
-		walBytes += redo[i].EncodedSize()
+		walBytes += redo[i].BodySize()
 	}
 	if walBytes > 0 {
 		if err := db.logVol.Read(db.rootCtx, walBytes); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 
 	"aurora/internal/core"
@@ -15,6 +16,8 @@ var ErrBadSnapshot = errors.New("storage: malformed snapshot")
 
 // snapshotMagic guards against restoring foreign blobs.
 const snapshotMagic = uint32(0x41555253) // "AURS"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot serialises the segment's full durable state: materialized base
 // pages, retained log records, CPL index and consistency points. It is the
@@ -31,12 +34,13 @@ func (n *Node) snapshotLocked() []byte {
 	// allocated once at exactly that size: grown from nil by doubling, a
 	// snapshot of 4 KB pages allocates several times its own length, every
 	// backup pass on every node.
-	size := 4 + 4 + len(n.pages)*(8+1) + 4 + 4 + 8*n.cpls.len() + 7*8
+	logBytes := 0
+	for _, r := range n.log {
+		logBytes += r.BodySize()
+	}
+	size := 4 + 4 + len(n.pages)*(8+1) + 2*4 + logBytes + 4 + 8*n.cpls.len() + 7*8
 	for _, ps := range n.pages {
 		size += len(ps.base)
-	}
-	for _, r := range n.log {
-		size += r.EncodedSize()
 	}
 	buf := make([]byte, 0, size)
 	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
@@ -61,11 +65,17 @@ func (n *Node) snapshotLocked() []byte {
 		}
 	}
 
-	// Records, by ascending LSN: the order the log keeps them in.
-	put32(uint32(len(n.log)))
+	// Records, by ascending LSN (the order the log keeps them in), as one
+	// batch-style region: length, one CRC-32C, then the record bodies back
+	// to back in the batch-body encoding.
+	put32(uint32(logBytes))
+	region := buf[len(buf)+4 : len(buf)+4+logBytes]
+	off := 0
 	for _, r := range n.log {
-		buf = r.AppendEncode(buf)
+		off += r.PutBody(region[off:])
 	}
+	put32(crc32.Checksum(region, castagnoli))
+	buf = buf[:len(buf)+logBytes]
 
 	// CPL index and points.
 	put32(uint32(n.cpls.len()))
@@ -144,32 +154,47 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 		pages[ps.id] = ps
 	}
 
-	nRecs, err := get32()
+	logBytes, err := get32()
 	if err != nil {
 		return err
 	}
+	sum, err := get32()
+	if err != nil {
+		return err
+	}
+	if err := need(int(logBytes)); err != nil {
+		return err
+	}
+	// Not a byte of the region is decoded before its checksum holds. The
+	// records then decode against a private copy, as an ingested batch's do:
+	// the caller's buffer is not the node's to keep.
+	if crc32.Checksum(buf[off:off+int(logBytes)], castagnoli) != sum {
+		return fmt.Errorf("%w: log region checksum mismatch", ErrBadSnapshot)
+	}
+	region := append([]byte(nil), buf[off:off+int(logBytes)]...)
+	off += int(logBytes)
 	// A snapshot carries its records in ascending LSN order, so the log and
 	// every chain are rebuilt by appending; one that does not is malformed.
 	var log recordLog
 	var dirty []*pageState
-	for i := uint32(0); i < nRecs; i++ {
-		r, used, err := core.DecodeRecord(buf[off:])
+	for len(region) > 0 {
+		r := new(core.Record)
+		used, err := core.DecodeRecordInto(region, r)
 		if err != nil {
-			return fmt.Errorf("%w: record %d: %v", ErrBadSnapshot, i, err)
+			return fmt.Errorf("%w: record %d: %v", ErrBadSnapshot, len(log), err)
 		}
-		off += used
+		region = region[used:]
 		if r.LSN <= log.highest() {
-			return fmt.Errorf("%w: record %d: LSN %d not above its predecessor", ErrBadSnapshot, i, r.LSN)
+			return fmt.Errorf("%w: record %d: LSN %d not above its predecessor", ErrBadSnapshot, len(log), r.LSN)
 		}
-		cl := r.Clone()
-		log = append(log, &cl)
-		if cl.PageRecord() {
-			ps := pages[cl.Page]
+		log = append(log, r)
+		if r.PageRecord() {
+			ps := pages[r.Page]
 			if ps == nil {
-				ps = &pageState{id: cl.Page}
-				pages[cl.Page] = ps
+				ps = &pageState{id: r.Page}
+				pages[r.Page] = ps
 			}
-			ps.chain = append(ps.chain, &cl)
+			ps.chain = append(ps.chain, r)
 			if !ps.listed {
 				ps.listed = true
 				dirty = append(dirty, ps)

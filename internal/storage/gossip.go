@@ -96,7 +96,7 @@ func (n *Node) pullRound(ctx context.Context) int {
 		}
 		size := 0
 		for _, r := range recs {
-			size += r.EncodedSize()
+			size += r.BodySize()
 		}
 		if err := n.cfg.Net.Send(ctx, peer.cfg.Node, n.cfg.Node, size); err != nil {
 			continue

@@ -3,8 +3,11 @@ package storage
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"aurora/internal/disk"
 	"aurora/internal/netsim"
 	"aurora/internal/objstore"
+	"aurora/internal/page"
 )
 
 // testPG builds a 6-replica protection group on a fast network.
@@ -458,6 +462,80 @@ func TestSnapshotIsOneExactAllocation(t *testing.T) {
 		}
 	}
 	checkDirtyList(t, n2, "after LoadSnapshot")
+}
+
+// snapshotLogRegion returns where a snapshot's log region sits: the offset of
+// its length prefix and the length of the bodies (the CRC follows the prefix,
+// the bodies follow the CRC).
+func snapshotLogRegion(t *testing.T, snap []byte) (at, n int) {
+	t.Helper()
+	off := 8
+	for i := binary.LittleEndian.Uint32(snap[4:]); i > 0; i-- {
+		off += 8
+		if snap[off] == 1 {
+			off += page.Size
+		}
+		off++
+	}
+	return off, int(binary.LittleEndian.Uint32(snap[off:]))
+}
+
+// TestLoadSnapshotVerifiesLogRegion: the retained log travels as record bodies
+// under one CRC-32C, as a batch's do, so a flipped bit anywhere in the region,
+// its checksum or its length prefix refuses the whole snapshot — and a region
+// whose checksum holds but whose LSNs do not ascend is refused as well.
+func TestLoadSnapshotVerifiesLogRegion(t *testing.T) {
+	_, nodes := testPG(t, nil)
+	n := nodes[0]
+	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
+	for i := 0; i < 6; i++ {
+		m := &core.MTR{Txn: uint64(i)}
+		m.AddDelta(0, core.PageID(1+i%2), uint32(i), []byte{byte('A' + i)})
+		m.AddMeta(core.RecTxnCommit, 0)
+		b := frame(t, f, m)[0]
+		if _, err := receiveBatch(n, context.Background(), b, b.Last(), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.CoalesceOnce() // bases at 4, records 5..12 retained
+	snap := n.Snapshot()
+	at, size := snapshotLogRegion(t, snap)
+	if size == 0 || n.Stats().RecordsHeld == 0 {
+		t.Fatalf("setup: %d records in a log region of %d bytes", n.Stats().RecordsHeld, size)
+	}
+	fresh := func() *Node {
+		return NewNode(Config{Seg: n.Seg(), Node: "fresh", AZ: 0, Net: netsim.New(netsim.FastLocal()), Disk: disk.FastLocal()})
+	}
+	n2 := fresh()
+	for i := at; i < at+8+size; i++ {
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), snap...)
+			bad[i] ^= 1 << bit
+			if err := n2.LoadSnapshot(bad); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("bit %d of byte %d (log region at %d+8, %d bytes) flipped: LoadSnapshot returned %v", bit, i, at, size, err)
+			}
+		}
+	}
+	if n2.Stats().RecordsHeld != 0 || n2.SCL() != 0 {
+		t.Fatal("a refused snapshot left state behind")
+	}
+
+	// Swap the first two bodies (same length: same shape of record) and
+	// restamp the checksum: intact bytes, descending LSNs.
+	swapped := append([]byte(nil), snap...)
+	region := swapped[at+8 : at+8+size]
+	l := int(binary.LittleEndian.Uint32(region))
+	first := append([]byte(nil), region[:l]...)
+	l2 := int(binary.LittleEndian.Uint32(region[l:]))
+	copy(region, region[l:l+l2])
+	copy(region[l2:], first)
+	binary.LittleEndian.PutUint32(swapped[at+4:], crc32.Checksum(region, castagnoli))
+	if err := fresh().LoadSnapshot(swapped); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "not above its predecessor") {
+		t.Fatalf("descending LSNs under a valid checksum: %v", err)
+	}
+	if err := fresh().LoadSnapshot(snap); err != nil {
+		t.Fatalf("the untouched snapshot: %v", err)
+	}
 }
 
 func TestLoadSnapshotRejectsGarbage(t *testing.T) {

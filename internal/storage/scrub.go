@@ -57,7 +57,7 @@ func (n *Node) repairPageFromPeers(ctx context.Context, id core.PageID, peers []
 		}
 		size := len(base)
 		for _, r := range chain {
-			size += r.EncodedSize()
+			size += r.BodySize()
 		}
 		if err := n.cfg.Net.Send(ctx, peer.cfg.Node, n.cfg.Node, size); err != nil {
 			continue
