@@ -102,12 +102,12 @@ examples-smoke:
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
 # closed-loop workloads, ten end-to-end metrics and the traced pass's
 # per-layer metrics, full report with the environment header as JSON (about
-# five minutes). BENCH_20.json is the same command at the parent commit, so
-# `go run ./benchmark -compare BENCH_20.json BENCH_21.json` extends the
+# five minutes). BENCH_21.json is the same command at the parent commit, so
+# `go run ./benchmark -compare BENCH_21.json BENCH_22.json` extends the
 # trajectory; re-record the parent in a `git clone` if the host differs.
 # bench-quick is the 3-second try-out of the same suite.
 bench:
-	$(GO) run ./benchmark -trace 1 -json BENCH_21.json
+	$(GO) run ./benchmark -trace 1 -json BENCH_22.json
 
 bench-quick:
 	$(GO) run ./benchmark -quick
@@ -121,8 +121,11 @@ bench-quick:
 # goroutine, an idle coalesce round over 10 000 held pages at zero objects
 # and microseconds. Write path: shipping a three-batch group at the writer's
 # four objects and no goroutine, a cached single-row commit through the engine
-# at its 57 objects and no goroutine. Fails CI on regression.
+# at its 57 objects and no goroutine. Instruments: a histogram observation
+# and the windowed quantile behind the hedge deadline (recomputed every 32
+# reads, two 976-bucket banks walked in place) at zero. Fails CI on regression.
 bench-allocs:
+	$(GO) test -run 'TestObserveZeroAllocs|TestWindowedQuantileZeroAllocs' -count=1 ./internal/metrics/
 	$(GO) test -run 'TestRecordBodyEncodeZeroAllocs|TestFrameGroupSteadyStateZeroAllocs' -count=1 ./internal/core/
 	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestShipIsTheCallersGoroutine' -count=1 ./internal/volume/
 	$(GO) test -run 'TestCommitSpawnsNoGoroutine' -count=1 ./internal/engine/

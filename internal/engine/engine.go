@@ -141,8 +141,8 @@ type DB struct {
 	reads   atomic.Uint64
 
 	// Commit-path gauges, recorded lock-free on the hot path.
-	commitLat  metrics.LockFreeHistogram // commit latency, nanoseconds
-	groupSizes metrics.LockFreeHistogram // commits per framed group
+	commitLat  metrics.Histogram // commit latency, nanoseconds
+	groupSizes metrics.Histogram // commits per framed group
 }
 
 // Create formats a brand-new database on an empty volume. The format MTR

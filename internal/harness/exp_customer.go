@@ -52,16 +52,17 @@ func migrationPair(s Scale, seed int64) (before, after workload.Result) {
 // after the same migration.
 func Figure8(s Scale) *Result {
 	before, after := migrationPair(s, 81)
+	bMean, aMean := time.Duration(before.Latency.Mean()), time.Duration(after.Latency.Mean())
 	t := &Table{Header: []string{"Deployment", "Avg response time", "P95"}}
-	t.Add("MySQL (before migration)", fmtDur(before.Latency.Mean()), fmtDur(before.Latency.Percentile(95)))
-	t.Add("Aurora (after migration)", fmtDur(after.Latency.Mean()), fmtDur(after.Latency.Percentile(95)))
+	t.Add("MySQL (before migration)", fmtDur(bMean), fmtDur(before.Latency.QuantileDuration(0.95)))
+	t.Add("Aurora (after migration)", fmtDur(aMean), fmtDur(after.Latency.QuantileDuration(0.95)))
 	return &Result{
 		ID: "Figure 8", Title: "Web application response time across the migration",
 		Table: t,
 		Metrics: map[string]float64{
-			"before_ms":   ms(before.Latency.Mean()),
-			"after_ms":    ms(after.Latency.Mean()),
-			"improvement": ratio(ms(before.Latency.Mean()), ms(after.Latency.Mean())),
+			"before_ms":   ms(bMean),
+			"after_ms":    ms(aMean),
+			"improvement": ratio(ms(bMean), ms(aMean)),
 		},
 		Notes: []string{"paper: 15ms → 5.5ms average response time (3x)"},
 	}
@@ -74,8 +75,8 @@ func Figure8(s Scale) *Result {
 func Figure9(s Scale) *Result {
 	before, after := migrationPair(s, 91)
 	t := &Table{Header: []string{"Deployment", "SELECT P50", "SELECT P95", "P95/P50"}}
-	bp50, bp95 := before.ReadLatency.Percentile(50), before.ReadLatency.Percentile(95)
-	ap50, ap95 := after.ReadLatency.Percentile(50), after.ReadLatency.Percentile(95)
+	bp50, bp95 := before.ReadLatency.QuantileDuration(0.50), before.ReadLatency.QuantileDuration(0.95)
+	ap50, ap95 := after.ReadLatency.QuantileDuration(0.50), after.ReadLatency.QuantileDuration(0.95)
 	t.Add("MySQL (before)", fmtDur(bp50), fmtDur(bp95), fmtF(ratio(ms(bp95), ms(bp50))))
 	t.Add("Aurora (after)", fmtDur(ap50), fmtDur(ap95), fmtF(ratio(ms(ap95), ms(ap50))))
 	return &Result{
@@ -119,8 +120,8 @@ func Figure10(s Scale) *Result {
 	au.Close()
 
 	t := &Table{Header: []string{"Deployment", "INSERT P50", "INSERT P95", "P95/P50"}}
-	bp50, bp95 := before.Latency.Percentile(50), before.Latency.Percentile(95)
-	ap50, ap95 := after.Latency.Percentile(50), after.Latency.Percentile(95)
+	bp50, bp95 := before.Latency.QuantileDuration(0.50), before.Latency.QuantileDuration(0.95)
+	ap50, ap95 := after.Latency.QuantileDuration(0.50), after.Latency.QuantileDuration(0.95)
 	t.Add("MySQL (before)", fmtDur(bp50), fmtDur(bp95), fmtF(ratio(ms(bp95), ms(bp50))))
 	t.Add("Aurora (after)", fmtDur(ap50), fmtDur(ap95), fmtF(ratio(ms(ap95), ms(ap50))))
 	return &Result{

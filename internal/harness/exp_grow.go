@@ -71,9 +71,9 @@ func GrowExperiment(s Scale) *Result {
 
 	vs := au.Vol.Stats()
 	t := &Table{Header: []string{"Phase", "PGs", "TPS", "Txn P95", "Errors"}}
-	t.Add("before growth", "2", fmtF(before.TPS()), fmtDur(before.Latency.Percentile(95)), fmt.Sprintf("%d", before.Errors))
-	t.Add("during growth", "2→4", fmtF(during.TPS()), fmtDur(during.Latency.Percentile(95)), fmt.Sprintf("%d", during.Errors))
-	t.Add("after growth", "4", fmtF(after.TPS()), fmtDur(after.Latency.Percentile(95)), fmt.Sprintf("%d", after.Errors))
+	t.Add("before growth", "2", fmtF(before.TPS()), fmtDur(before.Latency.QuantileDuration(0.95)), fmt.Sprintf("%d", before.Errors))
+	t.Add("during growth", "2→4", fmtF(during.TPS()), fmtDur(during.Latency.QuantileDuration(0.95)), fmt.Sprintf("%d", during.Errors))
+	t.Add("after growth", "4", fmtF(after.TPS()), fmtDur(after.Latency.QuantileDuration(0.95)), fmt.Sprintf("%d", after.Errors))
 	return &Result{
 		ID: "Grow", Title: "Live volume growth: PG append + stripe rebalance under load (§3)",
 		Table: t,

@@ -64,11 +64,10 @@ func LogSplitExperiment(s Scale) *Result {
 		res := workload.Run(au.WL(), mix, workload.Options{Clients: conns, Duration: s.Duration, Seed: 71})
 		es := au.DB.Stats()
 		r.writesPerSec = res.WritesPerSec(mix)
-		// Workload-side percentiles (exact reservoir samples): the engine's
-		// lock-free commit histogram is only factor-of-two accurate, too
-		// coarse to compare configurations.
-		r.p50ms = ms(res.Latency.Percentile(50))
-		r.p95ms = ms(res.Latency.Percentile(95))
+		// Client-side percentiles: the write-only transaction a connection
+		// waits for, commit included.
+		r.p50ms = ms(res.Latency.QuantileDuration(0.50))
+		r.p95ms = ms(res.Latency.QuantileDuration(0.95))
 		if es.Commits > 0 {
 			r.syncPerCommit = float64(es.Volume.LogBytes) / float64(es.Commits)
 			r.feedPerCommit = float64(es.Volume.PageFeedBytes) / float64(es.Commits)

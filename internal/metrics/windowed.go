@@ -1,131 +1,20 @@
 package metrics
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// HistSnapshot is a point-in-time copy of a LockFreeHistogram's buckets.
-// Subtracting two snapshots yields the distribution of only the
-// observations made between them — the delta quantiles the adaptive
-// control plane steers on, as opposed to lifetime quantiles that never
-// forget cold-start outliers.
-type HistSnapshot struct {
-	Buckets [65]uint64
-	N       uint64
-	Total   uint64 // sum of observed values
-	Peak    uint64 // lifetime max at snapshot time (not windowed)
-}
-
-// Snapshot copies the histogram's current bucket state. Concurrent
-// Observe calls may skew the copy by a few samples; acceptable for
-// observability.
-func (h *LockFreeHistogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	s.N = h.count.Load()
-	s.Total = h.sum.Load()
-	s.Peak = h.max.Load()
-	return s
-}
-
-// Delta returns the distribution observed since prev: this snapshot's
-// buckets minus prev's. prev must be an earlier snapshot of the same
-// histogram; stale or crossed snapshots clamp at zero rather than wrap.
-func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	var d HistSnapshot
-	for i := range s.Buckets {
-		if s.Buckets[i] > prev.Buckets[i] {
-			d.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
-		}
-	}
-	if s.N > prev.N {
-		d.N = s.N - prev.N
-	}
-	if s.Total > prev.Total {
-		d.Total = s.Total - prev.Total
-	}
-	d.Peak = s.Peak
-	return d
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) of the snapshot, with
-// the same geometric-midpoint, factor-of-two resolution as
-// LockFreeHistogram.Quantile.
-func (s HistSnapshot) Quantile(q float64) uint64 {
-	if s.N == 0 {
-		return 0
-	}
-	target := uint64(q * float64(s.N))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, b := range s.Buckets {
-		cum += b
-		if cum >= target {
-			if i == 0 {
-				return 0
-			}
-			lo := uint64(1) << (i - 1)
-			hi := lo<<1 - 1
-			if s.Peak > 0 && hi > s.Peak {
-				hi = s.Peak
-			}
-			if hi < lo {
-				hi = lo
-			}
-			return lo + (hi-lo)/2
-		}
-	}
-	return s.Peak
-}
-
-// QuantileDuration is Quantile for duration-valued snapshots.
-func (s HistSnapshot) QuantileDuration(q float64) time.Duration {
-	return time.Duration(s.Quantile(q))
-}
-
-// winBank is one window's worth of lock-free bucket counters.
-type winBank struct {
-	buckets [65]atomic.Uint64
-	count   atomic.Uint64
-	max     atomic.Uint64
-}
-
-func (b *winBank) observe(u uint64) {
-	b.buckets[bits.Len64(u)].Add(1)
-	b.count.Add(1)
-	for {
-		cur := b.max.Load()
-		if u <= cur || b.max.CompareAndSwap(cur, u) {
-			return
-		}
-	}
-}
-
-func (b *winBank) reset() {
-	for i := range b.buckets {
-		b.buckets[i].Store(0)
-	}
-	b.count.Store(0)
-	b.max.Store(0)
-}
-
-// WindowedHistogram keeps power-of-two bucket counts for only the most
-// recent ~two window intervals, rotating lazily on observation: the
+// WindowedHistogram is two Histograms and a rotation: it remembers only the
+// most recent ~two window intervals, rotating lazily on observation — the
 // current bank fills, the previous bank ages out, anything older is gone.
-// Quantile merges both banks, so estimates always reflect between one and
-// two intervals of recent traffic and a startup outlier stops influencing
-// them one rotation later. This is the fix for hedged-read deadlines
-// computed from lifetime P95, and the signal source for the adaptive
-// backoff ceiling. Observe is lock-free (atomic adds into the active
-// bank); only the rotation itself takes a mutex, at most once per
-// interval per caller.
+// Quantile walks both banks in place, so estimates always reflect between
+// one and two intervals of recent traffic and a startup outlier stops
+// influencing them one rotation later. This is the fix for hedged-read
+// deadlines computed from lifetime P95, and the signal source for the
+// adaptive backoff ceiling. Observe is the bank's own (atomic adds); only
+// the rotation itself takes a mutex, at most once per interval per caller.
 type WindowedHistogram struct {
 	interval time.Duration
 	now      func() time.Time // injectable for deterministic tests
@@ -133,7 +22,7 @@ type WindowedHistogram struct {
 	active   atomic.Uint32 // index of the current bank
 	curStart atomic.Int64  // unix nanos of the current window's start
 	rotateMu sync.Mutex
-	banks    [2]winBank
+	banks    [2]Histogram
 }
 
 // NewWindowedHistogram returns a histogram whose memory spans roughly
@@ -178,11 +67,8 @@ func (w *WindowedHistogram) maybeRotate() {
 // (negative values clamp to zero). An observation racing a rotation may
 // land in the just-retired bank, where it still counts as recent data.
 func (w *WindowedHistogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
 	w.maybeRotate()
-	w.banks[w.active.Load()].observe(uint64(v))
+	w.banks[w.active.Load()].Observe(v)
 }
 
 // ObserveDuration records a duration in nanoseconds.
@@ -192,24 +78,17 @@ func (w *WindowedHistogram) ObserveDuration(d time.Duration) { w.Observe(int64(d
 // span (current + previous window).
 func (w *WindowedHistogram) Count() uint64 {
 	w.maybeRotate()
-	return w.banks[0].count.Load() + w.banks[1].count.Load()
+	return w.banks[0].Count() + w.banks[1].Count()
 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) over the current and
-// previous windows merged, with factor-of-two bucket resolution.
+// previous windows together, without copying either.
 func (w *WindowedHistogram) Quantile(q float64) uint64 {
 	w.maybeRotate()
-	var s HistSnapshot
-	for b := range w.banks {
-		for i := range w.banks[b].buckets {
-			s.Buckets[i] += w.banks[b].buckets[i].Load()
-		}
-		s.N += w.banks[b].count.Load()
-		if m := w.banks[b].max.Load(); m > s.Peak {
-			s.Peak = m
-		}
-	}
-	return s.Quantile(q)
+	a, b := &w.banks[0], &w.banks[1]
+	return quantile(q, a.Count()+b.Count(), max(a.Max(), b.Max()), func(i int) uint64 {
+		return a.buckets[i].Load() + b.buckets[i].Load()
+	})
 }
 
 // QuantileDuration is Quantile for duration-valued histograms.

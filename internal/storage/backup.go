@@ -69,13 +69,14 @@ func (n *Node) snapshotLocked() []byte {
 	// batch-style region: length, one CRC-32C, then the record bodies back
 	// to back in the batch-body encoding.
 	put32(uint32(logBytes))
-	region := buf[len(buf)+4 : len(buf)+4+logBytes]
+	crcAt := len(buf)
+	buf = buf[:crcAt+4+logBytes]
+	region := buf[crcAt+4:]
 	off := 0
 	for _, r := range n.log {
 		off += r.PutBody(region[off:])
 	}
-	put32(crc32.Checksum(region, castagnoli))
-	buf = buf[:len(buf)+logBytes]
+	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.Checksum(region, castagnoli))
 
 	// CPL index and points.
 	put32(uint32(n.cpls.len()))
@@ -168,11 +169,12 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 	// Not a byte of the region is decoded before its checksum holds. The
 	// records then decode against a private copy, as an ingested batch's do:
 	// the caller's buffer is not the node's to keep.
-	if crc32.Checksum(buf[off:off+int(logBytes)], castagnoli) != sum {
+	region := buf[off : off+int(logBytes)]
+	off += len(region)
+	if crc32.Checksum(region, castagnoli) != sum {
 		return fmt.Errorf("%w: log region checksum mismatch", ErrBadSnapshot)
 	}
-	region := append([]byte(nil), buf[off:off+int(logBytes)]...)
-	off += int(logBytes)
+	region = append([]byte(nil), region...)
 	// A snapshot carries its records in ascending LSN order, so the log and
 	// every chain are rebuilt by appending; one that does not is malformed.
 	var log recordLog

@@ -272,7 +272,7 @@ type Collector struct {
 	ringHead atomic.Uint64
 
 	stageMu sync.RWMutex
-	stages  map[string]*metrics.LockFreeHistogram
+	stages  map[string]*metrics.Histogram
 
 	exMu      sync.Mutex
 	exemplars map[string][]*Trace // per root name, slowest first
@@ -286,7 +286,7 @@ func NewCollector(ringCap int) *Collector {
 	}
 	return &Collector{
 		ring:      make([]atomic.Pointer[Trace], ringCap),
-		stages:    make(map[string]*metrics.LockFreeHistogram),
+		stages:    make(map[string]*metrics.Histogram),
 		exemplars: make(map[string][]*Trace),
 	}
 }
@@ -337,7 +337,7 @@ func (c *Collector) observeStage(name string, d time.Duration) {
 	if h == nil {
 		c.stageMu.Lock()
 		if h = c.stages[name]; h == nil {
-			h = &metrics.LockFreeHistogram{}
+			h = &metrics.Histogram{}
 			c.stages[name] = h
 		}
 		c.stageMu.Unlock()

@@ -24,36 +24,35 @@ type StageDelta struct {
 // shared with the live tracers.
 type StageWindow struct {
 	col  *Collector
-	prev map[string]metrics.HistSnapshot
+	prev map[string]*metrics.HistSnapshot
 }
 
 // NewStageWindow returns a window anchored at the collector's current
 // stage state: the first Advance reports only observations made after
 // this call.
 func (c *Collector) NewStageWindow() *StageWindow {
-	w := &StageWindow{col: c, prev: make(map[string]metrics.HistSnapshot)}
-	w.snapshotInto(w.prev)
+	w := &StageWindow{col: c, prev: make(map[string]*metrics.HistSnapshot)}
+	w.Advance()
 	return w
-}
-
-func (w *StageWindow) snapshotInto(dst map[string]metrics.HistSnapshot) {
-	w.col.stageMu.RLock()
-	defer w.col.stageMu.RUnlock()
-	for name, h := range w.col.stages {
-		dst[name] = h.Snapshot()
-	}
 }
 
 // Advance closes the current window and returns each stage's delta
 // distribution since the previous Advance (or since NewStageWindow).
-// Stages with no observations in the window are omitted. Not safe for
-// concurrent use by multiple goroutines; one window has one consumer.
+// Stages with no observations in the window are omitted, and cost no
+// snapshot. Not safe for concurrent use by multiple goroutines; one window
+// has one consumer.
 func (w *StageWindow) Advance() map[string]StageDelta {
-	cur := make(map[string]metrics.HistSnapshot, len(w.prev))
-	w.snapshotInto(cur)
-	out := make(map[string]StageDelta, len(cur))
-	for name, snap := range cur {
-		d := snap.Delta(w.prev[name])
+	out := make(map[string]StageDelta)
+	w.col.stageMu.RLock()
+	defer w.col.stageMu.RUnlock()
+	for name, h := range w.col.stages {
+		prev := w.prev[name]
+		if prev != nil && h.Count() == prev.N {
+			continue
+		}
+		cur := h.Snapshot()
+		w.prev[name] = cur
+		d := cur.Delta(prev)
 		if d.N == 0 {
 			continue
 		}
@@ -65,6 +64,5 @@ func (w *StageWindow) Advance() map[string]StageDelta {
 			P99:   d.QuantileDuration(0.99),
 		}
 	}
-	w.prev = cur
 	return out
 }

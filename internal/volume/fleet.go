@@ -78,7 +78,6 @@ type Fleet struct {
 	cfg    FleetConfig
 	q      quorum.Config
 	pgs    atomic.Pointer[[][]*storage.Node]
-	gen    int // migration generation counter for unique node names
 	health *HealthTracker
 
 	geomMu  sync.Mutex // serialises growth and geometry publication
@@ -175,7 +174,7 @@ func (f *Fleet) provisionPG(g int) ([]*storage.Node, error) {
 		}
 		cfg := storage.Config{
 			Seg:              core.SegmentID{PG: core.PGID(g), Replica: uint8(r)},
-			Node:             f.nodeName(g, r, 0),
+			Node:             f.nodeName(g, r),
 			AZ:               netsim.AZ(f.q.ReplicaAZ(r)),
 			Net:              f.cfg.Net,
 			Disk:             f.cfg.Disk,
@@ -201,11 +200,8 @@ func (f *Fleet) provisionPG(g int) ([]*storage.Node, error) {
 // Health exposes the fleet's gray-failure tracker.
 func (f *Fleet) Health() *HealthTracker { return f.health }
 
-func (f *Fleet) nodeName(pg, replica, gen int) netsim.NodeID {
-	if gen == 0 {
-		return netsim.NodeID(fmt.Sprintf("%s-pg%d-s%d", f.cfg.Name, pg, replica))
-	}
-	return netsim.NodeID(fmt.Sprintf("%s-pg%d-s%d-g%d", f.cfg.Name, pg, replica, gen))
+func (f *Fleet) nodeName(pg, replica int) netsim.NodeID {
+	return netsim.NodeID(fmt.Sprintf("%s-pg%d-s%d", f.cfg.Name, pg, replica))
 }
 
 // Quorum returns the replication scheme.
@@ -528,69 +524,4 @@ func (f *Fleet) RepairSegment(pg core.PGID, replica int) error {
 		return nil
 	}
 	return fmt.Errorf("pg %d replica %d: %w", pg, replica, ErrNoHealthyPeer)
-}
-
-// MigrateSegment moves one segment replica to a fresh node in the given AZ
-// — heat management and fleet patching from §2.3: mark the segment bad,
-// repair the quorum onto a colder node, retire the old host. The storage
-// node's background loops are not started automatically; callers that run
-// a started fleet should Start() the returned node.
-func (f *Fleet) MigrateSegment(pg core.PGID, replica int, az netsim.AZ) (*storage.Node, error) {
-	if f.cfg.Pool != nil {
-		// A pooled segment's machine is chosen by placement, not by the
-		// caller, and its network identity belongs to the host — the
-		// dedicated-node migration below would tear down a shared machine.
-		return nil, errors.New("volume: MigrateSegment not supported on a pooled fleet")
-	}
-	replicas := f.Replicas(pg)
-	old := replicas[replica]
-	f.gen++
-	fresh := storage.NewNode(storage.Config{
-		Seg:              core.SegmentID{PG: pg, Replica: uint8(replica)},
-		Node:             f.nodeName(int(pg), replica, f.gen),
-		AZ:               az,
-		Net:              f.cfg.Net,
-		Disk:             f.cfg.Disk,
-		Store:            f.cfg.Store,
-		GossipInterval:   f.cfg.GossipInterval,
-		CoalesceInterval: f.cfg.CoalesceInterval,
-		BackupInterval:   f.cfg.BackupInterval,
-		ScrubInterval:    f.cfg.ScrubInterval,
-		Role:             f.q.Role(replica),
-	})
-	// Prefer a page-capable source for the same reason RepairSegment does:
-	// a log peer cannot rebuild materialized history.
-	var src *storage.Node
-	for i, peer := range replicas {
-		if i != replica && !peer.Down() && peer.Role() != core.RoleLog {
-			src = peer
-			break
-		}
-	}
-	if src == nil {
-		for i, peer := range replicas {
-			if i != replica && !peer.Down() {
-				src = peer
-				break
-			}
-		}
-	}
-	if src == nil {
-		f.cfg.Net.RemoveNode(fresh.NodeID())
-		return nil, fmt.Errorf("pg %d replica %d: %w", pg, replica, ErrNoHealthyPeer)
-	}
-	if err := fresh.RepairFrom(src); err != nil {
-		f.cfg.Net.RemoveNode(fresh.NodeID())
-		return nil, err
-	}
-	replicas[replica] = fresh
-	for _, n := range replicas {
-		n.SetPeers(replicas)
-	}
-	fresh.GossipOnce() // converge past any batch still in flight at copy time
-	old.Stop()
-	old.Crash()
-	f.cfg.Net.RemoveNode(old.NodeID())
-	f.health.Reset(pg, replica) // fresh node, fresh score
-	return fresh, nil
 }

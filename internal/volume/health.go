@@ -131,7 +131,7 @@ type replicaHealth struct {
 // pgLatency derives the hedge deadline for one protection group from the
 // windowed distribution of recent successful read latencies — only the
 // last one-to-two window intervals count, so a startup outlier cannot
-// permanently inflate the deadline the way a lifetime reservoir did. The
+// permanently inflate the deadline the way a lifetime quantile did. The
 // quantile walk is amortized: the deadline is recomputed every
 // deadlineEvery samples and cached in an atomic.
 type pgLatency struct {

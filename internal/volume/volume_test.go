@@ -496,32 +496,6 @@ func TestRecoveryEpochsIncrease(t *testing.T) {
 	}
 }
 
-func TestMigrateSegmentKeepsDataReadable(t *testing.T) {
-	f, c := testVolume(t, 1)
-	for i := 0; i < 10; i++ {
-		writePage(t, c, core.PageID(i%2), fmt.Sprintf("m%d", i))
-	}
-	fresh, err := f.MigrateSegment(0, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.SCL() != c.VDL() {
-		t.Fatalf("migrated segment SCL %d, want %d", fresh.SCL(), c.VDL())
-	}
-	if fresh.AZ() != 2 {
-		t.Fatalf("migrated to AZ %d, want 2", fresh.AZ())
-	}
-	// Writes and reads continue across the migration.
-	writePage(t, c, 0, "post-migrate")
-	p, _, err := c.ReadPage(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(p.Payload()[:4]); got != "post" {
-		t.Fatalf("payload %q", got)
-	}
-}
-
 func TestRepairSegmentAfterWipe(t *testing.T) {
 	f, c := testVolume(t, 1)
 	for i := 0; i < 6; i++ {

@@ -194,9 +194,9 @@ func Run(db DB, mix Mix, opts Options) Result {
 		opts.MaxRetries = 3
 	}
 	res := Result{
-		Latency:      metrics.NewHistogram(0),
-		ReadLatency:  metrics.NewHistogram(0),
-		WriteLatency: metrics.NewHistogram(0),
+		Latency:      new(metrics.Histogram),
+		ReadLatency:  new(metrics.Histogram),
+		WriteLatency: new(metrics.Histogram),
 	}
 	var txns, errs, retries atomic.Uint64
 	stop := make(chan struct{})
@@ -235,7 +235,7 @@ func Run(db DB, mix Mix, opts Options) Result {
 				}
 				if ok {
 					txns.Add(1)
-					res.Latency.Record(time.Since(t0))
+					res.Latency.ObserveDuration(time.Since(t0))
 				} else {
 					errs.Add(1)
 				}
@@ -260,7 +260,7 @@ func runTxn(db DB, mix Mix, rng *rand.Rand, res *Result) error {
 			tx.Abort()
 			return err
 		}
-		res.ReadLatency.Record(time.Since(t0))
+		res.ReadLatency.ObserveDuration(time.Since(t0))
 	}
 	if mix.ScanRows > 0 {
 		from := mix.Dist.Next(rng)
@@ -280,7 +280,7 @@ func runTxn(db DB, mix Mix, rng *rand.Rand, res *Result) error {
 			// Lock timeout aborted the transaction already.
 			return err
 		}
-		res.WriteLatency.Record(time.Since(t0))
+		res.WriteLatency.ObserveDuration(time.Since(t0))
 	}
 	return tx.Commit()
 }
