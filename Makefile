@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs bench-logsplit bench-tenants bench-autotune tenants-smoke ci
+.PHONY: all build vet lint test race bench-bin chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs bench-logsplit bench-tenants bench-autotune tenants-smoke ci
 
 all: build
 
@@ -38,14 +38,18 @@ test: build vet lint
 # timer's goroutine and every hedge share one read's state. (The end-to-end
 # tail-latency test is left to the package pass above: it judges a wall-clock
 # p99 and misses it about once in forty runs under the detector's slowdown,
-# at the parent commit too.) The last line is the durability window's: the
+# at the parent commit too.) The next line is the durability window's: the
 # acking goroutine publishes the VDL, so the rule that a quorum vouches only
 # for its own batch, and the fence drain that waits out the fifth and sixth
-# deliveries, are races between sender loops — twenty schedules each. The
-# engine's line after it is the same window seen from a commit: the goroutine
+# deliveries, are races between sender workers — twenty schedules each, and
+# with them the windowed senders' own: a later flight may land before an
+# earlier one at the same replica (the writer's half of the ordering contract
+# that makes the overtaking safe on that line, the node's on the storage line
+# under it), and the workers are bounded and reaped by Close and Crash. The
+# engine's line after those is the same window seen from a commit: the goroutine
 # that settles a group completes its commits, so the two ways a commit used to
 # be acknowledged below the VDL (a crash, a failed group ahead of it) are races
-# between a sender loop, the framer and the committer.
+# between a sender worker, the framer and the committer.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
@@ -55,7 +59,8 @@ race:
 	$(GO) test -race -count=100 -run TestSplitStaleReadConcurrent ./internal/volume/
 	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestHedged' -skip 'TestHedgedReadBoundsTailLatency' ./internal/volume/
-	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip' ./internal/volume/
+	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped' ./internal/volume/
+	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write
@@ -102,12 +107,19 @@ examples-smoke:
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
 # closed-loop workloads, ten end-to-end metrics and the traced pass's
 # per-layer metrics, full report with the environment header as JSON (about
-# five minutes). BENCH_21.json is the same command at the parent commit, so
-# `go run ./benchmark -compare BENCH_21.json BENCH_22.json` extends the
+# five minutes). BENCH_22.json is the same command at the parent commit, so
+# `go run ./benchmark -compare BENCH_22.json BENCH_23.json` extends the
 # trajectory; re-record the parent in a `git clone` if the host differs.
-# bench-quick is the 3-second try-out of the same suite.
+# bench-quick is the 3-second try-out of the same suite. bench-bin builds the
+# binary every paired measurement runs (`.bench_build/benchmark.bin --workload
+# W --seed N --seconds 20 --trace 0`; build the other side in its own tree): a
+# bare `go build ./benchmark` fails on the directory of the same name.
 bench:
-	$(GO) run ./benchmark -trace 1 -json BENCH_22.json
+	$(GO) run ./benchmark -trace 1 -json BENCH_23.json
+
+bench-bin:
+	mkdir -p .bench_build
+	$(GO) build -o .bench_build/benchmark.bin ./benchmark
 
 bench-quick:
 	$(GO) run ./benchmark -quick

@@ -536,6 +536,15 @@ type Stats struct {
 	AutoRepairs   uint64
 	RespDrops     uint64
 
+	// The writer's per-replica sender pipelines: physical exchanges with a
+	// replica (redeliveries included), batches x replicas handed to them, and
+	// how many of those found the replica's whole window of flights in the air
+	// and sat out a round trip that was not their own. Shipments / Flights is
+	// the coalescing factor of §3.2's IO flow.
+	Flights         uint64
+	Shipments       uint64
+	ShipmentsWaited uint64
+
 	// Abandons counts network waits given up because a deadline fired
 	// (netsim-level: the message may still be delivered).
 	Abandons uint64
@@ -604,6 +613,11 @@ func (c *Cluster) Stats() Stats {
 		HedgeCancels:  es.Volume.HedgeCancels,
 		AutoRepairs:   es.Volume.AutoRepairs,
 		Abandons:      ns.Abandons,
+
+		Flights:         es.Volume.Flights,
+		Shipments:       es.Volume.Shipments,
+		ShipmentsWaited: es.Volume.ShipmentsWaited,
+
 		LogBytes:      es.Volume.LogBytes,
 		PageFeedBytes: es.Volume.PageFeedBytes,
 		RespDrops:     es.Volume.RespDrops,

@@ -172,10 +172,14 @@ func raceEnabled() bool {
 
 // TestCommitSpawnsNoGoroutine pins the commit path's shape next to the volume's
 // TestShipIsTheCallersGoroutine: a commit is the committer, the framer and the
-// sender loops that were already running — the sender whose ack completes the
-// quorum completes the commit — and what it allocates is a fixed count.
+// sender workers — the worker whose ack completes the quorum completes the
+// commit — and what it allocates is a fixed count. The only goroutine a commit
+// may start is a worker of a sender's window, when the previous commit's fifth
+// or sixth delivery is still out: those are counted, never exit while the
+// volume is open and number at most volume.SenderWindow per sender, so every
+// goroutine beyond them was there before the first commit.
 func TestCommitSpawnsNoGoroutine(t *testing.T) {
-	_, db := testDB(t, Config{})
+	f, db := testDB(t, Config{})
 	key, val := []byte("k"), make([]byte, 64)
 	commit := func() {
 		if err := db.Put(key, val); err != nil {
@@ -185,11 +189,23 @@ func TestCommitSpawnsNoGoroutine(t *testing.T) {
 	for i := 0; i < 100; i++ { // cache the pages, fill the pools
 		commit()
 	}
-	base := runtime.NumGoroutine()
+	// A worker is counted before it is started, so reading the goroutines
+	// first can only err towards passing a count that was in fact exact.
+	besidesWorkers := func() (others, workers int) {
+		n := runtime.NumGoroutine()
+		workers = db.Stats().Volume.SenderWorkers
+		return n - workers, workers
+	}
+	senders := f.PGs() * 6
+	base, _ := besidesWorkers()
 	for i := 0; i < 1000; i++ {
 		commit()
-		if n := runtime.NumGoroutine(); n > base {
-			t.Fatalf("commit %d: %d goroutines, %d before the first", i, n, base)
+		others, workers := besidesWorkers()
+		if others > base {
+			t.Fatalf("commit %d: %d goroutines besides the sender workers, %d before the first", i, others, base)
+		}
+		if workers > senders*volume.SenderWindow {
+			t.Fatalf("commit %d: %d sender workers, bound is %d x %d", i, workers, senders, volume.SenderWindow)
 		}
 	}
 	// One cached single-row update, end to end: the transaction and its write

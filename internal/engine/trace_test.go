@@ -90,6 +90,11 @@ func TestCommitTraceCoversEveryStage(t *testing.T) {
 			t.Errorf("commit trace missing stage %q", stage)
 		}
 	}
+	// A flight says how long its batch sat in the sender's queue and how many
+	// flights of that pipeline were already out.
+	if fl := snap.Find("replica.flight"); fl != nil && (fl.Attr("queued_us") == "" || fl.Attr("in_air") == "") {
+		t.Errorf("replica.flight annotated queued_us=%q in_air=%q, want both", fl.Attr("queued_us"), fl.Attr("in_air"))
+	}
 	if t.Failed() {
 		t.Fatalf("trace:\n%s", lastCommitTrace(t, db).Render())
 	}

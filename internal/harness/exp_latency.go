@@ -11,6 +11,7 @@ import (
 	"aurora/internal/engine"
 	"aurora/internal/netsim"
 	"aurora/internal/trace"
+	"aurora/internal/volume"
 	"aurora/internal/workload"
 )
 
@@ -38,6 +39,7 @@ func LatencyAttribution(s Scale) *Result {
 		p50    time.Duration
 		p99    time.Duration
 		n      int
+		vs     volume.Stats
 	}
 	scenarios := []*scenario{
 		{name: "normal", fault: func(a *AuroraStack) {}},
@@ -73,6 +75,10 @@ func LatencyAttribution(s Scale) *Result {
 
 		sc.shares, sc.p50, sc.p99, sc.n = commitPathShares(au.DB.Tracer())
 		vs := au.DB.Stats().Volume
+		sc.vs = vs
+		metrics[sc.name+"_flights"] = float64(vs.Flights)
+		metrics[sc.name+"_shipments"] = float64(vs.Shipments)
+		metrics[sc.name+"_shipments_waited"] = float64(vs.ShipmentsWaited)
 		metrics[sc.name+"_commits_traced"] = float64(sc.n)
 		metrics[sc.name+"_p50_ms"] = float64(sc.p50.Microseconds()) / 1000
 		metrics[sc.name+"_p99_ms"] = float64(sc.p99.Microseconds()) / 1000
@@ -127,6 +133,18 @@ func LatencyAttribution(s Scale) *Result {
 		fmtDur(scenarios[0].p50), fmtDur(scenarios[1].p50), fmtDur(scenarios[2].p50))
 	t.Add("commit p99",
 		fmtDur(scenarios[0].p99), fmtDur(scenarios[1].p99), fmtDur(scenarios[2].p99))
+	// The sender pipelines' queue: how many batches flew together, and how
+	// many found a replica's whole window in the air.
+	perFlight := func(v volume.Stats) string {
+		return fmt.Sprintf("%.2f", float64(v.Shipments)/float64(max(v.Flights, 1)))
+	}
+	waited := func(v volume.Stats) string {
+		return fmt.Sprintf("%.1f%%", 100*float64(v.ShipmentsWaited)/float64(max(v.Shipments, 1)))
+	}
+	t.Add("shipments per flight",
+		perFlight(scenarios[0].vs), perFlight(scenarios[1].vs), perFlight(scenarios[2].vs))
+	t.Add("shipments behind a full window",
+		waited(scenarios[0].vs), waited(scenarios[1].vs), waited(scenarios[2].vs))
 
 	return &Result{
 		ID: "Latency", Title: "where a 4/6-quorum commit's latency goes (critical-path attribution)",

@@ -135,3 +135,67 @@ func TestReceiveBatchesRedeliveryIdempotent(t *testing.T) {
 		t.Fatal("redelivery introduced gaps")
 	}
 }
+
+// TestIngestLaterFlightFirst is the node's half of the ordering contract the
+// writer's windowed senders rely on (volume.replicaSender): flights to one
+// replica overlap, so the batch holding LSNs {3,4} may be ingested before the
+// one holding {1,2}. The node keeps it, but nothing may treat the segment as
+// complete past the hole: the ack reports the SCL below 3, a read that requires
+// 4 is refused, and a coalesce round folds and collects nothing even though
+// the PGMRPL it was told is already 4. When {1,2} lands the hole closes.
+func TestIngestLaterFlightFirst(t *testing.T) {
+	_, nodes := testPG(t, nil)
+	n := nodes[0]
+	ctx := context.Background()
+	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
+	var flights [2]core.BatchView
+	for i := range flights {
+		m := &core.MTR{Txn: uint64(i + 1)}
+		m.AddDelta(0, 7, uint32(2*i), []byte{byte('a' + i)})
+		m.AddDelta(0, 7, uint32(2*i+1), []byte{byte('A' + i)})
+		flights[i] = frame(t, f, m)[0]
+	}
+	if first, last := flights[1].First(), flights[1].Last(); first != 3 || last != 4 {
+		t.Fatalf("second batch holds %d..%d, want 3..4", first, last)
+	}
+
+	// The other replicas made {1,2} durable, so the points the later flight
+	// carries are already past it.
+	ack, err := receiveBatch(n, ctx, flights[1], 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.SCL >= 3 {
+		t.Fatalf("ack of the later flight reports SCL %d with 1..2 missing", ack.SCL)
+	}
+	if !n.HasGaps() {
+		t.Fatal("no gap recorded below the later flight")
+	}
+	if _, err := n.ReadPage(ctx, 7, 4, 4); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("read requiring LSN 4 over the hole: %v, want ErrIncomplete", err)
+	}
+	if folded := n.CoalesceOnce(); folded != 0 {
+		t.Fatalf("coalesce folded %d pages past the hole", folded)
+	}
+	if s := n.Stats(); s.PagesCoalesced != 0 || s.RecordsGCed != 0 || s.RecordsHeld != 2 {
+		t.Fatalf("after a coalesce round over the hole: %+v", s)
+	}
+
+	ack, err = receiveBatch(n, ctx, flights[0], 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.SCL != 4 || n.HasGaps() {
+		t.Fatalf("after the earlier flight landed: SCL %d, gaps %v", ack.SCL, n.HasGaps())
+	}
+	p, err := n.ReadPage(ctx, 7, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(p.Payload()[:4]); got != "aAbB" {
+		t.Fatalf("page reads %q, want both flights applied in LSN order", got)
+	}
+	if folded := n.CoalesceOnce(); folded != 1 {
+		t.Fatalf("coalesce folded %d pages once the segment was complete, want 1", folded)
+	}
+}

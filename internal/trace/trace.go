@@ -112,6 +112,14 @@ func Annotate[T any](s *Span, key string, val T) {
 	t.mu.Unlock()
 }
 
+// Age returns how long the span has been open (0 for a nil span).
+func (s *Span) Age() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return time.Since(s.tr.epoch) - s.start
+}
+
 // TraceID returns the owning trace's id (0 for a nil span).
 func (s *Span) TraceID() uint64 {
 	if s == nil {

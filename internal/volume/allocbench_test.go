@@ -125,10 +125,15 @@ func BenchmarkReadPageMiss(b *testing.B) {
 
 // TestShipIsTheCallersGoroutine pins the write path's shape the way
 // TestHedgedFirstAnswerIsOneCallChain pins the read path's: shipping a group
-// of three batches starts no goroutine — the quorum bookkeeping, and the
-// group's completion, run on the sender loops that deliver the acks — and the
-// writer's own objects for a group are a fixed handful, none of them per
-// replica.
+// of three batches starts no goroutine of its own — the quorum bookkeeping, and
+// the group's completion, run on the sender workers that deliver the acks —
+// and the writer's own objects for a group are a fixed handful, none of them
+// per replica. The one thing a ship may start is a worker of a sender's window,
+// when a fifth or sixth delivery of the previous group is still out as the
+// next group arrives: those are counted (Stats.SenderWorkers), stay for the
+// client's life and number at most SenderWindow per sender, so the process
+// never holds more than base + senders x (SenderWindow-1) goroutines and every
+// goroutine beyond the workers was there before the first group.
 func TestShipIsTheCallersGoroutine(t *testing.T) {
 	_, c := testVolume(t, 3)
 	ctx := context.Background()
@@ -150,11 +155,26 @@ func TestShipIsTheCallersGoroutine(t *testing.T) {
 		}
 		g.Release()
 	}
-	base := runtime.NumGoroutine()
+	const senders = 18
+	// A worker is counted before it is started, so reading the goroutines
+	// first can only err towards passing a count that was in fact exact.
+	besidesWorkers := func() (others, workers int) {
+		n := runtime.NumGoroutine()
+		workers = c.Stats().SenderWorkers
+		return n - workers, workers
+	}
+	base, workers := besidesWorkers()
+	if workers != senders {
+		t.Fatalf("%d sender workers before the first group, want one per sender (%d)", workers, senders)
+	}
 	for i := 0; i < 1000; i++ {
 		ship()
-		if n := runtime.NumGoroutine(); n > base {
-			t.Fatalf("group %d: %d goroutines, %d before the first group", i, n, base)
+		others, workers := besidesWorkers()
+		if others > base {
+			t.Fatalf("group %d: %d goroutines besides the sender workers, %d before the first group", i, others, base)
+		}
+		if workers > senders*SenderWindow {
+			t.Fatalf("group %d: %d sender workers, bound is %d x %d", i, workers, senders, SenderWindow)
 		}
 	}
 	if vdl := c.VDL(); vdl != 3000 {

@@ -576,6 +576,14 @@ type Stats struct {
 	HighestLSN     core.LSN
 	Backlog        int // shipped groups not yet settled (0 when idle)
 
+	// The sender pipelines' queue (see replicaSender). Shipments per flight is
+	// the coalescing factor; a waited shipment sat out a round trip that was
+	// not its own.
+	Flights         uint64 // physical exchanges with a replica, redeliveries included
+	Shipments       uint64 // batches x replicas handed to the senders
+	ShipmentsWaited uint64 // enqueued with the replica's whole window in flight
+	SenderWorkers   int    // delivery goroutines: one per (PG, replica), plus what overlap started
+
 	// Role-split byte accounting (Taurus, PAPERS.md). LogBytes counts
 	// bytes delivered synchronously on the commit path (all replicas when
 	// the split is off, log tier only when on); PageFeedBytes counts the
@@ -596,6 +604,18 @@ type Stats struct {
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() Stats {
 	hs := c.fleet.health.Stats()
+	var flights, shipments, waited uint64
+	workers := 0
+	for _, pg := range *c.senders.Load() {
+		for _, s := range pg {
+			s.mu.Lock()
+			flights += s.flights
+			shipments += s.shipments
+			waited += s.waited
+			workers += s.workers
+			s.mu.Unlock()
+		}
+	}
 	return Stats{
 		GeometryEpoch:         c.fleet.Geometry().Epoch(),
 		PGs:                   c.fleet.PGs(),
@@ -604,23 +624,27 @@ func (c *Client) Stats() Stats {
 		RebalancePagesCopied:  c.rebalCopied.Load(),
 		GeomRetries:           c.pageReads.geomRetries.Load(),
 
-		MTRs:           c.mtrs.Load(),
-		Frames:         c.frames.Load(),
-		RecordsWritten: c.recsWritten.Load(),
-		ReadsServed:    c.pageReads.served.Load(),
-		ReadRetries:    c.pageReads.retries.Load(),
-		WriteRetries:   hs.Retries,
-		WriteFailures:  c.writeFails.Load(),
-		Hedges:         hs.Hedges,
-		HedgeWins:      hs.HedgeWins,
-		HedgeCancels:   hs.HedgeCancels,
-		AutoRepairs:    hs.AutoRepairs,
-		RespDrops:      hs.RespDrops,
-		VDL:            c.vdl.VDL(),
-		HighestLSN:     c.alloc.HighestAllocated(),
-		Backlog:        c.win.backlog(),
-		LogBytes:       c.logBytes.Load(),
-		PageFeedBytes:  c.fleet.PageFeedBytes(),
+		MTRs:            c.mtrs.Load(),
+		Frames:          c.frames.Load(),
+		RecordsWritten:  c.recsWritten.Load(),
+		ReadsServed:     c.pageReads.served.Load(),
+		ReadRetries:     c.pageReads.retries.Load(),
+		WriteRetries:    hs.Retries,
+		WriteFailures:   c.writeFails.Load(),
+		Hedges:          hs.Hedges,
+		HedgeWins:       hs.HedgeWins,
+		HedgeCancels:    hs.HedgeCancels,
+		AutoRepairs:     hs.AutoRepairs,
+		RespDrops:       hs.RespDrops,
+		VDL:             c.vdl.VDL(),
+		HighestLSN:      c.alloc.HighestAllocated(),
+		Backlog:         c.win.backlog(),
+		Flights:         flights,
+		Shipments:       shipments,
+		ShipmentsWaited: waited,
+		SenderWorkers:   workers,
+		LogBytes:        c.logBytes.Load(),
+		PageFeedBytes:   c.fleet.PageFeedBytes(),
 	}
 }
 

@@ -76,43 +76,71 @@ func (sh shipment) nack(idx int) {
 // release drops the holder's reference on the group's arena.
 func (sh shipment) release() { sh.gw.g.Release() }
 
-// replicaSender is the per-(PG, replica) delivery pipeline. Batches framed
-// while a previous flight is on the wire accumulate in the queue and are
-// coalesced into a single network message and a single hot-log write on
-// the storage node — the batching of §3.2's IO flow. It is this pipeline
-// that pushes network IOs per transaction below one at high concurrency
-// (Table 1) and lets commit throughput scale with connections (Table 3).
+// SenderWindow bounds the flights one (PG, replica) pipeline keeps in the air
+// at once. It is a capacity bound like the queue ring's size, not a latency
+// knob, which is why it is a constant and not in the control panel: a batch
+// must never wait out another commit's round trip, and on a network that
+// takes time the commit pipeline admits control.DefaultInflightGroups groups,
+// so that many flights per replica is all the overlap there is to have. Where
+// a delivery never blocks, a second worker is never started. EXPERIMENTS.md
+// has the {2, 4, 8} sweep.
+const SenderWindow = 4
+
+// replicaSender is the per-(PG, replica) delivery pipeline: a bounded window
+// of flights. A worker pops everything queued as one flight — one network
+// message, one hot-log write on the storage node — and is gone for the round
+// trip; a batch enqueued meanwhile goes to a worker that is home or, with all
+// of them out and the window not full, to a new one, so it never waits for a
+// flight that is not its own. Only when the whole window is in the air do
+// batches accumulate and coalesce: the batching of §3.2's IO flow, which
+// pushes network IOs per transaction below one at high concurrency (Table 1)
+// and lets commit throughput scale with connections (Table 3).
 //
-// The queue is a ring buffer and the flight state (shipments, payload and
-// view slices, per-batch results) is reusable scratch owned by the loop
-// goroutine, so steady-state delivery allocates nothing.
+// Flights of one pipeline overlap, so a later one may land first. The storage
+// node's gap tracker holds its SCL at the hole, the points an ack carries only
+// ever move forward, ingest is idempotent, and a quorum vouches for its own
+// batch alone (durableWindow) — redelivery and gossip have always reordered.
+//
+// The queue is a ring buffer and every worker owns its flight scratch, so
+// steady-state delivery allocates nothing.
 type replicaSender struct {
 	c    *Client
 	pg   core.PGID
 	idx  int
 	node *storage.Node
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	q          []shipment // ring buffer
-	qhead      int
-	qlen       int
-	flying     bool // a flight is out: popped from the queue, not yet settled
-	stopped    bool // terminal: loop exited, enqueue nacks
-	draining   bool // graceful: loop delivers the queue, then stops
-	noCoalesce bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	q        []shipment // ring buffer
+	qhead    int
+	qlen     int
+	workers  int  // started and not yet exited; at most SenderWindow
+	flying   int  // of those, out with a flight: popped from the queue, not yet settled
+	stopped  bool // terminal: workers exit, enqueue nacks
+	draining bool // graceful: workers deliver the queue, then stop
 
-	// Loop-owned scratch, reused across flights.
+	// What Stats reports of the queue, summed over the client's senders.
+	shipments uint64 // enqueued
+	waited    uint64 // of those, enqueued with the whole window out
+	flights   uint64 // exchanges with the replica, redeliveries included
+
+	noCoalesce bool
+}
+
+// flightScratch is one worker's reusable flight state: the shipments it popped,
+// the payload and view slices of the exchange and the node's per-batch results.
+type flightScratch struct {
 	flight   []shipment
 	payloads [][]byte
 	views    []core.BatchView
 	results  []storage.BatchResult
+	inAir    int // flights of this pipeline already out when this one was popped
 }
 
 func newReplicaSender(c *Client, pg core.PGID, idx int, node *storage.Node, noCoalesce bool) *replicaSender {
-	s := &replicaSender{c: c, pg: pg, idx: idx, node: node, noCoalesce: noCoalesce}
+	s := &replicaSender{c: c, pg: pg, idx: idx, node: node, workers: 1, noCoalesce: noCoalesce}
 	s.cond = sync.NewCond(&s.mu)
-	go s.loop()
+	go s.work()
 	return s
 }
 
@@ -147,7 +175,9 @@ func (s *replicaSender) popLocked() shipment {
 
 // enqueue adds a shipment to the pipeline. The caller has already retained
 // the shipment's group on this sender's behalf; every exit path out of the
-// pipeline releases it exactly once.
+// pipeline releases it exactly once. A worker that is not out with a flight
+// takes it; with every one out another is started while the window has room,
+// and only a full window makes it wait for a flight to come home.
 func (s *replicaSender) enqueue(sh shipment) {
 	s.mu.Lock()
 	if s.stopped || s.draining {
@@ -157,12 +187,22 @@ func (s *replicaSender) enqueue(sh shipment) {
 		return
 	}
 	s.pushLocked(sh)
-	s.cond.Broadcast() // the loop, and possibly fence drains in waitIdle
+	s.shipments++
+	switch {
+	case s.flying < s.workers:
+		s.cond.Broadcast() // a worker is parked, or on its way back to the queue
+	case s.workers < SenderWindow:
+		s.workers++
+		go s.work()
+	default:
+		s.waited++
+	}
 	s.mu.Unlock()
 }
 
 // stop tears the pipeline down abruptly: queued shipments are nacked and
-// their group references dropped.
+// their group references dropped. Workers exit as their flights notice — the
+// root context is canceled before a pipeline is stopped.
 func (s *replicaSender) stop() {
 	s.mu.Lock()
 	s.stopped = true
@@ -179,13 +219,13 @@ func (s *replicaSender) stop() {
 }
 
 // drain stops the pipeline gracefully: queued shipments are delivered (the
-// write path's retry budget still applies), then the loop exits. It blocks
-// until the pipeline has fully stopped.
+// write path's retry budget still applies), then the workers exit. It blocks
+// until the last of them has.
 func (s *replicaSender) drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.cond.Broadcast()
-	for !s.stopped {
+	for s.workers > 0 {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -196,60 +236,60 @@ func (s *replicaSender) drain() {
 // outlives the client).
 func (s *replicaSender) waitIdle() {
 	s.mu.Lock()
-	for (s.qlen > 0 || s.flying) && !s.stopped {
+	for (s.qlen > 0 || s.flying > 0) && !s.stopped {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
 }
 
-func (s *replicaSender) loop() {
+// work is the body of every worker of the pipeline: park until something is
+// queued, pop all of it as one flight, deliver, repeat.
+func (s *replicaSender) work() {
+	var sc flightScratch
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
-		s.flying = false
-		if s.qlen == 0 {
-			s.cond.Broadcast() // idle: release waitIdle
-		}
 		for s.qlen == 0 && !s.stopped && !s.draining {
 			s.cond.Wait()
 		}
 		if s.stopped || s.qlen == 0 {
-			// Abrupt stop, or graceful drain with nothing left to deliver.
-			s.stopped = true
+			// Abrupt stop, or graceful drain with nothing left to pop. A drain
+			// has fully stopped once the last worker's flight has settled.
+			s.workers--
+			if s.workers == 0 {
+				s.stopped = true
+			}
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			return
 		}
-		s.flight = s.flight[:0]
-		if s.noCoalesce {
-			s.flight = append(s.flight, s.popLocked())
-		} else {
-			for s.qlen > 0 {
-				s.flight = append(s.flight, s.popLocked())
-			}
+		sc.flight = append(sc.flight, s.popLocked())
+		for s.qlen > 0 && !s.noCoalesce {
+			sc.flight = append(sc.flight, s.popLocked())
 		}
-		s.flying = true
+		sc.inAir = s.flying
+		s.flying++
+		s.flights++
 		s.mu.Unlock()
 
-		s.deliver(s.flight)
-		s.clearScratch()
+		s.deliver(&sc)
+		sc.clear()
+
+		s.mu.Lock()
+		s.flying--
+		if s.flying == 0 && s.qlen == 0 {
+			s.cond.Broadcast() // idle: release waitIdle
+		}
 	}
 }
 
-// clearScratch zeroes the flight scratch after a delivery so the retained
-// capacity does not pin any group's arena between flights.
-func (s *replicaSender) clearScratch() {
-	for i := range s.flight {
-		s.flight[i] = shipment{}
-	}
-	for i := range s.payloads {
-		s.payloads[i] = nil
-	}
-	for i := range s.views {
-		s.views[i] = core.BatchView{}
-	}
-	for i := range s.results {
-		s.results[i] = storage.BatchResult{}
-	}
+// clear empties the scratch after a delivery so the retained capacity does
+// not pin any group's arena between flights.
+func (sc *flightScratch) clear() {
+	clear(sc.flight)
+	clear(sc.payloads)
+	clear(sc.views)
+	clear(sc.results)
+	sc.flight = sc.flight[:0]
 }
 
 // releaseFlight drops the pipeline's group references for a flight that has
@@ -270,9 +310,11 @@ func releaseFlight(flight []shipment) {
 // its quorum while we back off, the redelivery is dropped: the 4/6 quorum
 // absorbed the failure and gossip repairs this replica later (§3.3).
 // Storage ingestion is idempotent, so a redelivery racing a flight that did
-// land is harmless.
-func (s *replicaSender) deliver(flight []shipment) {
+// land is harmless. A flight in backoff holds up only itself: the batches
+// framed behind it fly with the pipeline's other workers.
+func (s *replicaSender) deliver(sc *flightScratch) {
 	c := s.c
+	flight := sc.flight
 	// Delivery runs under the client's root context: a Crash abandons the
 	// in-flight exchange and its backoff immediately. Per-commit deadlines
 	// deliberately do NOT reach here — a committer detaching must not stop
@@ -300,6 +342,12 @@ func (s *replicaSender) deliver(flight []shipment) {
 			trace.Annotate(fsp, "batches", len(flight))
 			if try > 0 {
 				trace.Annotate(fsp, "try", try+1)
+			} else {
+				// How long the batch sat in the queue (its batch.ship span was
+				// opened as it was handed to the senders), and behind how
+				// many flights of this pipeline it took off.
+				trace.Annotate(fsp, "queued_us", sh.batch().sp.Age().Microseconds())
+				trace.Annotate(fsp, "in_air", sc.inAir)
 			}
 			if lead == nil {
 				lead = fsp
@@ -309,7 +357,7 @@ func (s *replicaSender) deliver(flight []shipment) {
 			flightSpans = append(flightSpans, fsp)
 		}
 		start := time.Now()
-		ack, results, err := s.attempt(ctx, flight, lead)
+		ack, results, err := s.attempt(ctx, sc, lead)
 		for _, fsp := range flightSpans {
 			if err != nil {
 				trace.Annotate(fsp, "err", err)
@@ -321,10 +369,11 @@ func (s *replicaSender) deliver(flight []shipment) {
 			c.fleet.health.ObserveOK(s.pg, s.idx, rtt)
 			c.deliverWin.ObserveDuration(rtt)
 			c.logBytes.Add(uint64(size))
-			// A late ack from a retried flight may arrive after the quorum
-			// already resolved; noteSCL is a monotonic max and an ack on a
-			// resolved tracker resolves nothing again, so stale acks still
-			// advance the segment's completeness view safely.
+			// A late ack — from a retried flight, or from one that a later
+			// flight of this pipeline overtook — may arrive after the quorum
+			// already resolved or carry an older SCL; noteSCL is a monotonic
+			// max and an ack on a resolved tracker resolves nothing again, so
+			// stale acks still advance the segment's completeness view safely.
 			c.fleet.health.noteSCL(s.pg, s.idx, ack.SCL)
 			for i, sh := range flight {
 				if results[i].Err != nil {
@@ -356,9 +405,12 @@ func (s *replicaSender) deliver(flight []shipment) {
 			bt.Stop()
 		}
 		s.mu.Lock()
-		stopped := s.stopped
+		again := !s.stopped && ctx.Err() == nil
+		if again {
+			s.flights++
+		}
 		s.mu.Unlock()
-		if stopped || ctx.Err() != nil {
+		if !again {
 			break
 		}
 		c.fleet.health.retries.Inc()
@@ -373,28 +425,28 @@ func (s *replicaSender) deliver(flight []shipment) {
 // borrowed wire views, persist+ack on the storage node, ack send back. sp
 // (the lead flight span, nil when the flight carries no sampled commit)
 // parents the hop and ingest spans. The returned results slice is the
-// sender's scratch, valid until the next attempt.
-func (s *replicaSender) attempt(ctx context.Context, flight []shipment, sp *trace.Span) (storage.Ack, []storage.BatchResult, error) {
+// worker's scratch, valid until its next attempt.
+func (s *replicaSender) attempt(ctx context.Context, sc *flightScratch, sp *trace.Span) (storage.Ack, []storage.BatchResult, error) {
 	c := s.c
-	s.payloads = s.payloads[:0]
-	s.views = s.views[:0]
-	for i := range flight {
-		s.payloads = append(s.payloads, flight[i].wire)
-		v, _, err := core.ParseBatchView(flight[i].wire)
+	sc.payloads = sc.payloads[:0]
+	sc.views = sc.views[:0]
+	for _, sh := range sc.flight {
+		sc.payloads = append(sc.payloads, sh.wire)
+		v, _, err := core.ParseBatchView(sh.wire)
 		if err != nil {
 			// Cannot happen for framer-produced wire; fail the flight rather
 			// than ship garbage.
 			return storage.Ack{}, nil, fmt.Errorf("volume: bad shipment wire: %w", err)
 		}
-		s.views = append(s.views, v)
+		sc.views = append(sc.views, v)
 	}
-	if err := sendHopBytes(ctx, c.fleet.cfg.Net, sp, "net.req", c.node, s.node.NodeID(), s.payloads); err != nil {
+	if err := sendHopBytes(ctx, c.fleet.cfg.Net, sp, "net.req", c.node, s.node.NodeID(), sc.payloads); err != nil {
 		return storage.Ack{}, nil, err
 	}
 	vdlNow := c.vdl.VDL()
 	mrpl := c.mrpl(vdlNow)
-	ack, results, err := s.node.Ingest(trace.NewContext(ctx, sp), s.views, vdlNow, mrpl, s.results[:0])
-	s.results = results
+	ack, results, err := s.node.Ingest(trace.NewContext(ctx, sp), sc.views, vdlNow, mrpl, sc.results[:0])
+	sc.results = results
 	if err != nil {
 		return storage.Ack{}, nil, err
 	}
