@@ -107,15 +107,15 @@ examples-smoke:
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
 # closed-loop workloads, ten end-to-end metrics and the traced pass's
 # per-layer metrics, full report with the environment header as JSON (about
-# five minutes). BENCH_22.json is the same command at the parent commit, so
-# `go run ./benchmark -compare BENCH_22.json BENCH_23.json` extends the
+# five minutes). BENCH_23.json is the same command at the parent commit, so
+# `go run ./benchmark -compare BENCH_23.json BENCH_24.json` extends the
 # trajectory; re-record the parent in a `git clone` if the host differs.
 # bench-quick is the 3-second try-out of the same suite. bench-bin builds the
 # binary every paired measurement runs (`.bench_build/benchmark.bin --workload
 # W --seed N --seconds 20 --trace 0`; build the other side in its own tree): a
 # bare `go build ./benchmark` fails on the directory of the same name.
 bench:
-	$(GO) run ./benchmark -trace 1 -json BENCH_23.json
+	$(GO) run ./benchmark -trace 1 -json BENCH_24.json
 
 bench-bin:
 	mkdir -p .bench_build

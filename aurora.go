@@ -223,23 +223,32 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	vol := volume.Bootstrap(fleet, volume.ClientConfig{
-		WriterNode: netsim.NodeID(opts.Name + "-writer"), WriterAZ: 0,
-	})
-	db, err := engine.Create(vol, opts.engineConfig())
+	return attach(opts, net, store, fleet, false)
+}
+
+// attach brings up the first writer instance on fleet, in AZ 0, and returns
+// the cluster around it: a fresh volume is bootstrapped and formatted, a
+// restored one recovered to its durable point. Either way a failure stops the
+// fleet — on a shared pool that is what frees its hosts — and the failed
+// Create or Recover has already closed the volume client.
+func attach(opts Options, net *netsim.Network, store *objstore.Store, fleet *volume.Fleet, restored bool) (*Cluster, error) {
+	vcfg := volume.ClientConfig{WriterNode: netsim.NodeID(opts.Name + "-writer"), WriterAZ: 0}
+	var db *engine.DB
+	var err error
+	if restored {
+		db, _, err = engine.Recover(context.Background(), fleet, vcfg, opts.engineConfig())
+	} else {
+		db, err = engine.Create(volume.Bootstrap(fleet, vcfg), opts.engineConfig())
+	}
 	if err != nil {
-		vol.Close()
+		fleet.Stop()
 		return nil, err
 	}
 	if !opts.DisableBackground {
 		fleet.Start()
 	}
 	return &Cluster{
-		opts:  opts,
-		net:   net,
-		fleet: fleet,
-		store: store,
-		db:    db,
+		opts: opts, net: net, fleet: fleet, store: store, db: db,
 		proxy: zdp.NewProxy(db),
 	}, nil
 }
@@ -407,21 +416,9 @@ func (c *Cluster) RestoreAt(name string, asOf time.Time) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, _, err := engine.Recover(context.Background(), fleet, volume.ClientConfig{
-		WriterNode: netsim.NodeID(name + "-writer"), WriterAZ: 0,
-	}, c.opts.engineConfig())
-	if err != nil {
-		return nil, err
-	}
 	opts := c.opts
 	opts.Name = name
-	if !opts.DisableBackground {
-		fleet.Start()
-	}
-	return &Cluster{
-		opts: opts, net: net, fleet: fleet, store: c.store, db: db,
-		proxy: zdp.NewProxy(db),
-	}, nil
+	return attach(opts, net, c.store, fleet, true)
 }
 
 // GrowthReport summarises one GrowVolume call.

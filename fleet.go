@@ -15,12 +15,10 @@ import (
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/engine"
 	"aurora/internal/netsim"
 	"aurora/internal/objstore"
 	"aurora/internal/storage"
 	"aurora/internal/volume"
-	"aurora/internal/zdp"
 )
 
 // FleetOptions configures a shared multi-tenant storage fleet. The zero
@@ -161,26 +159,10 @@ func (f *StorageFleet) OpenVolume(name string, opts Options) (*Cluster, error) {
 		f.forgetName(name)
 		return nil, err
 	}
-	writer := volume.Bootstrap(fleet, volume.ClientConfig{
-		WriterNode: netsim.NodeID(name + "-writer"), WriterAZ: 0,
-	})
-	db, err := engine.Create(writer, opts.engineConfig())
+	c, err := attach(opts, f.net, f.store, fleet, false)
 	if err != nil {
-		writer.Close()
-		fleet.Stop()
 		f.forgetName(name)
 		return nil, err
-	}
-	if !opts.DisableBackground {
-		fleet.Start()
-	}
-	c := &Cluster{
-		opts:  opts,
-		net:   f.net,
-		fleet: fleet,
-		store: f.store,
-		db:    db,
-		proxy: zdp.NewProxy(db),
 	}
 	f.mu.Lock()
 	f.tenants[vol] = c

@@ -31,8 +31,8 @@ import (
 
 // Errors returned by the engine.
 var (
-	ErrTxDone     = errors.New("engine: transaction already finished")
-	ErrReadOnlyTx = errors.New("engine: write on read-only transaction")
+	ErrTxDone     = txn.ErrTxDone
+	ErrReadOnlyTx = txn.ErrReadOnlyTx
 	ErrDegraded   = errors.New("engine: storage quorum lost; writes suspended")
 	ErrClosed     = errors.New("engine: database closed")
 	// ErrDeadlineExceeded is returned by CommitCtx (and ctx-bounded reads)
@@ -119,8 +119,7 @@ type DB struct {
 	cfg      Config
 	vol      *volume.Client
 	cache    *bufcache.Cache
-	locks    *txn.LockTable
-	ids      txn.IDs
+	txns     *txn.Manager
 	latch    sync.RWMutex // tree structure latch: shared reads, exclusive writes
 	feed     *feed
 	pipeline *commitPipeline
@@ -135,10 +134,7 @@ type DB struct {
 
 	degraded atomic.Bool
 
-	begins  atomic.Uint64
-	commits atomic.Uint64
-	aborts  atomic.Uint64
-	reads   atomic.Uint64
+	reads atomic.Uint64 // pages read from the volume
 
 	// Commit-path gauges, recorded lock-free on the hot path.
 	commitLat  metrics.Histogram // commit latency, nanoseconds
@@ -162,19 +158,19 @@ func Create(vol *volume.Client, cfg Config) (*DB, error) {
 }
 
 func (db *DB) format() error {
-	ws := &writeStore{db: db, ctx: db.rootCtx}
+	ws := db.writeStore()
 	rec := btree.NewRecorder()
 	if _, err := btree.Create(ws, rec); err != nil {
-		ws.done()
+		ws.Release()
 		return err
 	}
 	m := &core.MTR{Txn: 0}
 	if err := rec.AppendRecords(m, db.vol.PGOf); err != nil {
-		ws.done()
+		ws.Release()
 		return err
 	}
 	if err := db.pipeline.reserve(db.rootCtx); err != nil {
-		ws.done()
+		ws.Release()
 		return err
 	}
 	req := &commitReq{mtr: m, rec: rec, ws: ws, errc: make(chan error, 1)}
@@ -206,7 +202,7 @@ func newDB(vol *volume.Client, cfg Config) *DB {
 		cfg:        cfg,
 		vol:        vol,
 		cache:      bufcache.New(cfg.CachePages, vol.VDL),
-		locks:      txn.NewLockTable(cfg.LockTimeout),
+		txns:       txn.NewManager(cfg.LockTimeout),
 		feed:       newFeed(),
 		tracer:     newTracer(cfg),
 		rootCtx:    rootCtx,
@@ -260,7 +256,7 @@ func (db *DB) Degraded() bool { return db.degraded.Load() }
 // framer stalled on the LAL), and cached state is discarded.
 func (db *DB) Close() {
 	db.stopAutoTune()
-	db.locks.Close()
+	db.txns.Locks.Close()
 	db.pipeline.stop()
 	db.vol.Close()
 	db.pipeline.wait()
@@ -276,7 +272,7 @@ func (db *DB) Close() {
 func (db *DB) Crash() {
 	db.rootCancel()
 	db.stopAutoTune()
-	db.locks.Close()
+	db.txns.Locks.Close()
 	db.pipeline.stop()
 	db.cache.Invalidate()
 	db.vol.Crash()
@@ -324,7 +320,8 @@ type Stats struct {
 
 // Stats returns a snapshot of engine counters.
 func (db *DB) Stats() Stats {
-	waits, wounds := db.locks.Stats()
+	waits, wounds := db.txns.Locks.Stats()
+	begins, commits, aborts := db.txns.Counts()
 	vs := db.vol.Stats()
 	ps := PipelineStats{
 		Frames:         vs.Frames,
@@ -342,9 +339,9 @@ func (db *DB) Stats() Stats {
 	ps.QueuedCommits = len(db.pipeline.queue)
 	db.pipeline.mu.Unlock()
 	s := Stats{
-		Begins:   db.begins.Load(),
-		Commits:  db.commits.Load(),
-		Aborts:   db.aborts.Load(),
+		Begins:   begins,
+		Commits:  commits,
+		Aborts:   aborts,
 		Reads:    db.reads.Load(),
 		Cache:    db.cache.Stats(),
 		Volume:   vs,
@@ -400,42 +397,28 @@ func (s *readStore) FreshPage(core.PageID) (page.Page, error) {
 	return nil, errors.New("engine: fresh page on read path")
 }
 
-// writeStore serves the mutation path: every page is pinned until done()
-// so that the op's own allocations cannot evict a page it is mutating
-// before the new LSN is stamped.
+// writeStore serves the mutation path: every page is pinned until Release
+// (bufcache.Pins), and a miss reads under the instance root — a commit's
+// apply is not bounded by the committer's deadline.
 type writeStore struct {
-	db   *DB
-	ctx  context.Context
-	pins []core.PageID
+	bufcache.Pins
+	db *DB
+}
+
+func (db *DB) writeStore() *writeStore {
+	return &writeStore{Pins: db.cache.NewPins(), db: db}
 }
 
 func (s *writeStore) Page(id core.PageID) (page.Page, error) {
-	if p, ok := s.db.cache.Get(id); ok {
-		s.pins = append(s.pins, id)
+	if p, ok := s.Get(id); ok {
 		return p, nil
 	}
-	p, _, err := s.db.vol.ReadPage(s.ctx, id)
+	p, _, err := s.db.vol.ReadPage(s.db.rootCtx, id)
 	if err != nil {
 		return nil, err
 	}
 	s.db.reads.Add(1)
-	cached := s.db.cache.Put(id, p)
-	s.pins = append(s.pins, id)
-	return cached, nil
-}
-
-func (s *writeStore) FreshPage(id core.PageID) (page.Page, error) {
-	p := page.New(id)
-	cached := s.db.cache.Put(id, p)
-	s.pins = append(s.pins, id)
-	return cached, nil
-}
-
-func (s *writeStore) done() {
-	for _, id := range s.pins {
-		s.db.cache.Unpin(id)
-	}
-	s.pins = s.pins[:0]
+	return s.Put(id, p), nil
 }
 
 // snapStore reads pages as of a historical read point directly from the

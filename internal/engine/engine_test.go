@@ -175,63 +175,6 @@ func TestLockTimeoutAbortsTx(t *testing.T) {
 	}
 }
 
-func TestScanWithOverlay(t *testing.T) {
-	_, db := testDB(t, Config{})
-	for i := 0; i < 10; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("r%02d", i)), []byte("c")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tx := db.Begin()
-	if err := tx.Put([]byte("r03"), []byte("updated")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Delete([]byte("r05")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Put([]byte("r99"), []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Put([]byte("r0a"), []byte("between")); err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	vals := map[string]string{}
-	if err := tx.Scan(nil, nil, func(k, v []byte) bool {
-		keys = append(keys, string(k))
-		vals[string(k)] = string(v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// 10 committed - 1 deleted + 2 inserted = 11 visible.
-	if len(keys) != 11 {
-		t.Fatalf("scan keys %v", keys)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("scan out of order: %v", keys)
-		}
-	}
-	if vals["r03"] != "updated" || vals["r99"] != "new" || vals["r0a"] != "between" {
-		t.Fatalf("vals %v", vals)
-	}
-	if _, ok := vals["r05"]; ok {
-		t.Fatal("deleted row scanned")
-	}
-	// Another transaction sees none of it.
-	count := 0
-	other := db.Begin()
-	defer other.Abort()
-	if err := other.Scan(nil, nil, func(k, v []byte) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("other tx saw %d rows", count)
-	}
-	tx.Abort()
-}
-
 func TestSnapshotTransactionFrozenView(t *testing.T) {
 	_, db := testDB(t, Config{})
 	if err := db.Put([]byte("acct"), []byte("100")); err != nil {
@@ -354,7 +297,7 @@ func TestFeedDeliversCommittedRecords(t *testing.T) {
 				lastVDL = ev.VDL
 			}
 			for _, r := range ev.Records {
-				if r.Type == core.RecTxnCommit && r.Txn == tx.id {
+				if r.Type == core.RecTxnCommit && r.Txn == tx.ID() {
 					sawCommit = true
 				}
 			}

@@ -310,7 +310,7 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 	fsp.End()
 	if err != nil {
 		for _, req := range group {
-			req.ws.done()
+			req.ws.Release()
 		}
 		p.complete(group, nil, gsp, nil, err)
 		return
@@ -332,7 +332,7 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 		}
 	}
 	for _, req := range group {
-		req.ws.done()
+		req.ws.Release()
 	}
 	// One feed event for the framed group: records in LSN order, VDL as of
 	// publication. The durability advancement event follows once, from the

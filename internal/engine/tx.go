@@ -1,38 +1,28 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"aurora/internal/btree"
 	"aurora/internal/core"
 	"aurora/internal/trace"
+	"aurora/internal/txn"
 )
 
 // Tx is a transaction. Writer transactions buffer their writes privately
-// under exclusive row locks (2PL on the write set) and apply them to the
-// tree as a single mini-transaction at commit — so pages, the log, and
-// hence replicas and recovery only ever contain committed data. Snapshot
-// transactions are read-only views at a fixed read point served straight
-// from the storage service (§4.2.3).
+// under exclusive row locks and apply them to the tree as a single
+// mini-transaction at commit (txn.WriteSet, which the MySQL baseline shares)
+// — so pages, the log, and hence replicas and recovery only ever contain
+// committed data. Snapshot transactions are read-only views at a fixed read
+// point served straight from the storage service (§4.2.3).
 type Tx struct {
-	db       *DB
-	ctx      context.Context // bounds this transaction's reads
-	id       uint64
-	writes   map[string]writeOp
-	order    []string
-	snapshot bool
-	point    core.LSN
-	release  func()
-	done     bool
-}
-
-type writeOp struct {
-	val []byte
-	del bool
+	txn.WriteSet // read-only on a snapshot transaction
+	db           *DB
+	ctx          context.Context // bounds this transaction's reads
+	point        core.LSN
+	release      func()
 }
 
 // Begin starts a read-committed writer transaction.
@@ -41,8 +31,7 @@ func (db *DB) Begin() *Tx { return db.BeginCtx(context.Background()) }
 // BeginCtx starts a writer transaction whose reads are bounded by ctx.
 // The commit acknowledgement wait takes its own ctx (CommitCtx).
 func (db *DB) BeginCtx(ctx context.Context) *Tx {
-	db.begins.Add(1)
-	return &Tx{db: db, ctx: ctx, id: db.ids.Next(), writes: make(map[string]writeOp)}
+	return &Tx{WriteSet: db.txns.Begin(), db: db, ctx: ctx}
 }
 
 // BeginSnapshot starts a read-only transaction pinned to the current VDL.
@@ -53,174 +42,38 @@ func (db *DB) BeginSnapshot() *Tx { return db.BeginSnapshotCtx(context.Backgroun
 
 // BeginSnapshotCtx is BeginSnapshot with the reads bounded by ctx.
 func (db *DB) BeginSnapshotCtx(ctx context.Context) *Tx {
-	db.begins.Add(1)
 	point, release := db.vol.RegisterReadPoint()
-	return &Tx{db: db, ctx: ctx, id: db.ids.Next(), snapshot: true, point: point, release: release}
+	return &Tx{WriteSet: db.txns.BeginReadOnly(), db: db, ctx: ctx, point: point, release: release}
 }
 
 // Get returns the value for key as seen by this transaction.
 func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
-	if tx.done {
+	if tx.Done() {
 		return nil, false, ErrTxDone
 	}
-	if tx.snapshot {
-		t := btree.View(&snapStore{db: tx.db, ctx: tx.ctx, readPoint: tx.point})
-		return t.Get(key)
+	if tx.ReadOnly() {
+		return btree.View(&snapStore{db: tx.db, ctx: tx.ctx, readPoint: tx.point}).Get(key)
 	}
-	if w, ok := tx.writes[string(key)]; ok {
-		if w.del {
-			return nil, false, nil
-		}
-		return append([]byte(nil), w.val...), true, nil
+	if v, found, ok := tx.Pending(key); ok {
+		return v, found, nil
 	}
 	tx.db.latch.RLock()
 	defer tx.db.latch.RUnlock()
-	t := btree.View(&readStore{db: tx.db, ctx: tx.ctx})
-	return t.Get(key)
-}
-
-// Put buffers an insert/update, taking the exclusive row lock. A lock
-// timeout aborts the transaction.
-func (tx *Tx) Put(key, val []byte) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if tx.snapshot {
-		return ErrReadOnlyTx
-	}
-	if len(key) == 0 {
-		return btree.ErrEmptyKey
-	}
-	if len(key) > btree.MaxKey {
-		return btree.ErrKeyTooLarge
-	}
-	if len(val) > btree.MaxValue {
-		return btree.ErrValueTooLarge
-	}
-	if err := tx.lockRow(key); err != nil {
-		return err
-	}
-	k := string(key)
-	if _, seen := tx.writes[k]; !seen {
-		tx.order = append(tx.order, k)
-	}
-	// Ownership: val is BORROWED until the transaction resolves — the engine
-	// does not copy it. Callers must not mutate the backing array between
-	// Put and Commit/Rollback; the B+-tree apply path copies the bytes into
-	// page images (and the framer copies them into the wire arena), so
-	// nothing references val after commit. Get's read-your-writes path
-	// copies out, so a caller mutating a value returned by Get cannot alias
-	// this buffer either.
-	tx.writes[k] = writeOp{val: val}
-	return nil
-}
-
-// Delete buffers a deletion, taking the exclusive row lock.
-func (tx *Tx) Delete(key []byte) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if tx.snapshot {
-		return ErrReadOnlyTx
-	}
-	if len(key) == 0 {
-		return btree.ErrEmptyKey
-	}
-	if err := tx.lockRow(key); err != nil {
-		return err
-	}
-	k := string(key)
-	if _, seen := tx.writes[k]; !seen {
-		tx.order = append(tx.order, k)
-	}
-	tx.writes[k] = writeOp{del: true}
-	return nil
-}
-
-// lockRow acquires the row lock, aborting the transaction on timeout so
-// deadlocks resolve (the caller sees the error and must not reuse the tx).
-func (tx *Tx) lockRow(key []byte) error {
-	if err := tx.db.locks.Acquire(tx.id, string(key)); err != nil {
-		tx.finish(false)
-		return fmt.Errorf("txn %d key %q: %w", tx.id, key, err)
-	}
-	return nil
+	return btree.View(&readStore{db: tx.db, ctx: tx.ctx}).Get(key)
 }
 
 // Scan visits rows with from <= key < to in key order, overlaying this
 // transaction's own uncommitted writes on the committed tree state.
 func (tx *Tx) Scan(from, to []byte, fn func(key, val []byte) bool) error {
-	if tx.done {
+	if tx.Done() {
 		return ErrTxDone
 	}
-	if tx.snapshot {
-		t := btree.View(&snapStore{db: tx.db, ctx: tx.ctx, readPoint: tx.point})
-		return t.Scan(from, to, fn)
+	if tx.ReadOnly() {
+		return btree.View(&snapStore{db: tx.db, ctx: tx.ctx, readPoint: tx.point}).Scan(from, to, fn)
 	}
-
-	// Pending write keys in range, sorted.
-	var pend []string
-	for k := range tx.writes {
-		bk := []byte(k)
-		if from != nil && bytes.Compare(bk, from) < 0 {
-			continue
-		}
-		if to != nil && bytes.Compare(bk, to) >= 0 {
-			continue
-		}
-		pend = append(pend, k)
-	}
-	sort.Strings(pend)
-	pi := 0
-	stopped := false
-
-	emitPending := func(upTo []byte) bool {
-		for pi < len(pend) && (upTo == nil || bytes.Compare([]byte(pend[pi]), upTo) < 0) {
-			w := tx.writes[pend[pi]]
-			if !w.del {
-				if !fn([]byte(pend[pi]), w.val) {
-					return false
-				}
-			}
-			pi++
-		}
-		return true
-	}
-
 	tx.db.latch.RLock()
-	t := btree.View(&readStore{db: tx.db, ctx: tx.ctx})
-	err := t.Scan(from, to, func(k, v []byte) bool {
-		if !emitPending(k) {
-			stopped = true
-			return false
-		}
-		if w, ok := tx.writes[string(k)]; ok {
-			if pi < len(pend) && pend[pi] == string(k) {
-				pi++
-			}
-			if w.del {
-				return true
-			}
-			if !fn(k, w.val) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		if !fn(k, v) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	tx.db.latch.RUnlock()
-	if err != nil {
-		return err
-	}
-	if !stopped {
-		emitPending(nil)
-	}
-	return nil
+	defer tx.db.latch.RUnlock()
+	return tx.WriteSet.Scan(btree.View(&readStore{db: tx.db, ctx: tx.ctx}), from, to, fn)
 }
 
 // Commit applies the write set to the tree as one mini-transaction, hands
@@ -241,16 +94,16 @@ func (tx *Tx) Commit() error { return tx.CommitCtx(context.Background()) }
 // "Deadlines & cancellation"). A deadline that fires before the apply is a
 // clean abort.
 func (tx *Tx) CommitCtx(ctx context.Context) error {
-	if tx.done {
+	if tx.Done() {
 		return ErrTxDone
 	}
-	if tx.snapshot || len(tx.writes) == 0 {
+	if tx.Len() == 0 { // nothing buffered, or a snapshot
 		tx.finish(true)
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		tx.finish(false)
-		return fmt.Errorf("txn %d: %w: %w", tx.id, ErrDeadlineExceeded, err)
+		return fmt.Errorf("txn %d: %w: %w", tx.ID(), ErrDeadlineExceeded, err)
 	}
 	if tx.db.Degraded() {
 		tx.finish(false)
@@ -260,31 +113,20 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 }
 
 // apply materializes the write set into the tree under the exclusive
-// latch, which the caller holds. On error the pages are rolled back to
-// their before-images and the pins released; the caller still owns the
-// latch.
+// latch, which the caller holds, and returns its redo as one
+// mini-transaction. On error the pages are rolled back to their
+// before-images and the pins released; the caller still owns the latch.
 func (tx *Tx) apply(ws *writeStore, rec *btree.Recorder) (*core.MTR, error) {
-	t := btree.View(ws)
-	for _, k := range tx.order {
-		w := tx.writes[k]
-		var err error
-		if w.del {
-			_, err = t.Delete(rec, []byte(k))
-		} else {
-			err = t.Put(rec, []byte(k), w.val)
-		}
-		if err != nil {
-			rec.Rollback()
-			ws.done()
-			return nil, fmt.Errorf("txn %d apply: %w", tx.id, err)
-		}
+	if err := tx.Apply(btree.View(ws), rec); err != nil {
+		ws.Release()
+		return nil, err
 	}
-	m := &core.MTR{Txn: tx.id}
+	m := &core.MTR{Txn: tx.ID()}
 	if tx.db.cfg.FullPageWrites {
 		rec.AppendFullPages(m, tx.db.vol.PGOf)
 	} else if err := rec.AppendRecords(m, tx.db.vol.PGOf); err != nil {
 		rec.Rollback()
-		ws.done()
+		ws.Release()
 		return nil, err
 	}
 	m.AddMeta(core.RecTxnCommit, tx.db.vol.PGOf(btree.MetaPageID))
@@ -305,19 +147,19 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 	start := time.Now()
 	p := tx.db.pipeline
 	root := tx.db.tracer.Start("commit")
-	trace.Annotate(root, "txn", tx.id)
+	trace.Annotate(root, "txn", tx.ID())
 	rsp := root.Child("commit.reserve")
 	if err := p.reserve(ctx); err != nil {
 		rsp.End()
 		root.End()
 		tx.finish(false)
-		return fmt.Errorf("txn %d: %w", tx.id, err)
+		return fmt.Errorf("txn %d: %w", tx.ID(), err)
 	}
 	rsp.End()
 	lsp := root.Child("commit.latch")
 	tx.db.latch.Lock()
 	lsp.End()
-	ws := &writeStore{db: tx.db, ctx: tx.db.rootCtx}
+	ws := tx.db.writeStore()
 	rec := btree.NewRecorder()
 	asp := root.Child("commit.apply")
 	m, err := tx.apply(ws, rec)
@@ -357,14 +199,14 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 		default:
 			trace.Annotate(root, "deadline", ctx.Err())
 			tx.finish(true)
-			return fmt.Errorf("txn %d: %w: %w", tx.id, ErrDeadlineExceeded, ctx.Err())
+			return fmt.Errorf("txn %d: %w: %w", tx.ID(), ErrDeadlineExceeded, ctx.Err())
 		}
 	}
 	if err != nil {
 		trace.Annotate(root, "err", err)
 		root.End()
 		tx.finish(false)
-		return fmt.Errorf("txn %d: %w (%v)", tx.id, ErrDegraded, err)
+		return fmt.Errorf("txn %d: %w (%v)", tx.ID(), ErrDegraded, err)
 	}
 	root.End()
 	tx.db.commitLat.ObserveDuration(time.Since(start))
@@ -376,23 +218,16 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 // Nothing was ever applied to the tree or the log, so there is nothing to
 // undo.
 func (tx *Tx) Abort() {
-	if tx.done {
-		return
+	if !tx.Done() {
+		tx.finish(false)
 	}
-	tx.finish(false)
 }
 
 func (tx *Tx) finish(committed bool) {
-	tx.done = true
 	if tx.release != nil {
 		tx.release()
 	}
-	tx.db.locks.ReleaseAll(tx.id)
-	if committed {
-		tx.db.commits.Add(1)
-	} else {
-		tx.db.aborts.Add(1)
-	}
+	tx.Finish(committed)
 }
 
 // Convenience autocommit helpers.

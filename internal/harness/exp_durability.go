@@ -26,12 +26,12 @@ func DurabilityExperiment(Scale) *Result {
 		Seed:     2,
 	}
 	schemes := []struct {
-		name string
-		cfg  quorum.Config
+		name, key string
+		cfg       quorum.Config
 	}{
-		{"Aurora 4/6 (2 per AZ x 3 AZ)", quorum.Aurora()},
-		{"2/3 (1 per AZ x 3 AZ)", quorum.TwoOfThree()},
-		{"Mirrored 4/4 (2 AZ)", quorum.MirroredFourOfFour()},
+		{"Aurora 4/6 (2 per AZ x 3 AZ)", "aurora", quorum.Aurora()},
+		{"2/3 (1 per AZ x 3 AZ)", "twothree", quorum.TwoOfThree()},
+		{"Mirrored 4/4 (2 AZ)", "mirrored", quorum.MirroredFourOfFour()},
 	}
 	t := &Table{Header: []string{"Scheme", "P(read quorum loss)", "P(write quorum loss)", "Write unavail (fraction)"}}
 	metrics := map[string]float64{}
@@ -41,14 +41,9 @@ func DurabilityExperiment(Scale) *Result {
 			fmt.Sprintf("%.4f", r.ReadQuorumLossProb),
 			fmt.Sprintf("%.4f", r.WriteQuorumLossProb),
 			fmt.Sprintf("%.6f", r.WriteUnavailFraction))
-		key := map[string]string{
-			"Aurora 4/6 (2 per AZ x 3 AZ)": "aurora",
-			"2/3 (1 per AZ x 3 AZ)":        "twothree",
-			"Mirrored 4/4 (2 AZ)":          "mirrored",
-		}[sc.name]
-		metrics[key+"_read_loss"] = r.ReadQuorumLossProb
-		metrics[key+"_write_loss"] = r.WriteQuorumLossProb
-		metrics[key+"_unavail"] = r.WriteUnavailFraction
+		metrics[sc.key+"_read_loss"] = r.ReadQuorumLossProb
+		metrics[sc.key+"_write_loss"] = r.WriteQuorumLossProb
+		metrics[sc.key+"_unavail"] = r.WriteUnavailFraction
 	}
 
 	// Segmentation: fast repair (10GB on 10Gbps ≈ seconds) vs slow.

@@ -112,7 +112,7 @@ func Table4(s Scale) *Result {
 		if err != nil {
 			panic(err)
 		}
-		primWL := workload.DBFunc(func() workload.Tx { return prim.Begin() })
+		primWL := workload.Of(prim.Begin)
 		if err := workload.Load(primWL, s.Rows, 100); err != nil {
 			panic(err)
 		}

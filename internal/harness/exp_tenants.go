@@ -192,5 +192,5 @@ func runTenants(fleet *aurora.StorageFleet, s Scale, tenants []tenant, mix workl
 // workload.Tx structurally, which is itself part of what this experiment
 // verifies about the public API.
 func wlOf(c *aurora.Cluster) workload.DB {
-	return workload.DBFunc(func() workload.Tx { return c.Begin() })
+	return workload.Of(c.Begin)
 }

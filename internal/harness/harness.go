@@ -169,7 +169,7 @@ func (s *AuroraStack) WriterNode() netsim.NodeID { return netsim.NodeID("au-writ
 
 // WL adapts the stack to the workload driver.
 func (s *AuroraStack) WL() workload.DB {
-	return workload.DBFunc(func() workload.Tx { return s.DB.Begin() })
+	return workload.Of(s.DB.Begin)
 }
 
 // Close tears the stack down.
@@ -212,7 +212,7 @@ func NewMySQL(cfg MySQLConfig) (*MySQLStack, error) {
 
 // WL adapts the stack to the workload driver.
 func (s *MySQLStack) WL() workload.DB {
-	return workload.DBFunc(func() workload.Tx { return s.DB.Begin() })
+	return workload.Of(s.DB.Begin)
 }
 
 // Close tears the stack down.

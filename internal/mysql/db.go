@@ -1,7 +1,8 @@
 // Package mysql implements the paper's baseline: a traditional
 // MySQL/InnoDB-style engine running on networked block storage. It shares
-// the B+-tree, page format and lock table with the Aurora engine so that
-// every comparison isolates the architectural difference the paper is
+// the B+-tree, page format, buffer cache, lock table and transaction front
+// end (txn.WriteSet) with the Aurora engine — the same code, not a copy — so
+// that every comparison isolates the architectural difference the paper is
 // about: what crosses the network and what stalls the foreground path.
 //
 // The write path follows Figure 2: redo log records to a write-ahead log,
@@ -37,12 +38,6 @@ type BlockDev interface {
 	Write(ctx context.Context, size int) error
 	Read(ctx context.Context, size int) error
 }
-
-// Errors returned by the engine.
-var (
-	ErrTxDone     = errors.New("mysql: transaction already finished")
-	ErrReadOnlyTx = errors.New("mysql: write on read-only transaction")
-)
 
 // Config tunes the baseline engine.
 type Config struct {
@@ -112,8 +107,7 @@ type DB struct {
 	dataVol   BlockDev
 	binlogVol BlockDev
 
-	locks *txn.LockTable
-	ids   txn.IDs
+	txns  *txn.Manager
 	cache *bufcache.Cache
 
 	latch sync.RWMutex // tree latch, same discipline as the Aurora engine
@@ -135,8 +129,6 @@ type DB struct {
 
 	ckptRunning atomic.Bool
 
-	commits     atomic.Uint64
-	aborts      atomic.Uint64
 	walFlushes  atomic.Uint64
 	walBytes    atomic.Uint64
 	pagesFlush  atomic.Uint64
@@ -157,7 +149,7 @@ func New(cfg Config) (*DB, error) {
 	db := &DB{
 		cfg:     cfg,
 		rootCtx: context.Background(),
-		locks:   txn.NewLockTable(cfg.LockTimeout),
+		txns:    txn.NewManager(cfg.LockTimeout),
 		stable:  make(map[core.PageID]page.Page),
 		dirty:   make(map[core.PageID]bool),
 	}
@@ -177,19 +169,17 @@ func New(cfg Config) (*DB, error) {
 	db.group = newGroupCommitter(db, cfg.GroupCommitMax)
 
 	// Format: create the tree and flush the formatting MTR like a commit.
-	ws := &mysqlStore{db: db}
+	ws := db.store()
 	rec := btree.NewRecorder()
 	if _, err := btree.Create(ws, rec); err != nil {
 		return nil, err
 	}
 	m := &core.MTR{Txn: 0}
-	if err := rec.AppendRecords(m, func(core.PageID) core.PGID { return 0 }); err != nil {
+	if err := rec.AppendRecords(m, pg0); err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
 	db.stampAndLog(rec, m)
-	db.mu.Unlock()
-	ws.done()
+	ws.Release()
 	if err := db.flushWAL(m.Records); err != nil {
 		return nil, err
 	}
@@ -197,8 +187,10 @@ func New(cfg Config) (*DB, error) {
 }
 
 // stampAndLog assigns LSNs to the MTR's records, stamps the cached pages
-// and appends to the in-memory WAL buffer view. Caller holds db.mu.
+// and appends to the in-memory WAL buffer view.
 func (db *DB) stampAndLog(rec *btree.Recorder, m *core.MTR) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for i := range m.Records {
 		db.nextLSN++
 		m.Records[i].LSN = db.nextLSN
@@ -261,15 +253,19 @@ func (db *DB) writeBinlog(bytes int) error {
 	return nil
 }
 
-// mysqlStore adapts the stable store + cache to the btree.Store interface.
+// mysqlStore adapts the stable store + cache to the btree.Store interface,
+// every page pinned until Release (bufcache.Pins).
 type mysqlStore struct {
-	db   *DB
-	pins []core.PageID
+	bufcache.Pins
+	db *DB
+}
+
+func (db *DB) store() *mysqlStore {
+	return &mysqlStore{Pins: db.cache.NewPins(), db: db}
 }
 
 func (s *mysqlStore) Page(id core.PageID) (page.Page, error) {
-	if p, ok := s.db.cache.Get(id); ok {
-		s.pins = append(s.pins, id)
+	if p, ok := s.Get(id); ok {
 		return p, nil
 	}
 	s.db.mu.Lock()
@@ -291,23 +287,7 @@ func (s *mysqlStore) Page(id core.PageID) (page.Page, error) {
 	if err := s.db.dataVol.Read(s.db.rootCtx, page.Size); err != nil {
 		return nil, err
 	}
-	cached := s.db.cache.Put(id, cp)
-	s.pins = append(s.pins, id)
-	return cached, nil
-}
-
-func (s *mysqlStore) FreshPage(id core.PageID) (page.Page, error) {
-	p := page.New(id)
-	cached := s.db.cache.Put(id, p)
-	s.pins = append(s.pins, id)
-	return cached, nil
-}
-
-func (s *mysqlStore) done() {
-	for _, id := range s.pins {
-		s.db.cache.Unpin(id)
-	}
-	s.pins = s.pins[:0]
+	return s.Put(id, cp), nil
 }
 
 // maybeFlushForEviction flushes one dirty page when the cache is at
@@ -435,9 +415,10 @@ func (db *DB) Stats() Stats {
 	ckpt := db.ckptLSN
 	dur := db.durable
 	db.mu.Unlock()
+	_, commits, aborts := db.txns.Counts()
 	return Stats{
-		Commits:       db.commits.Load(),
-		Aborts:        db.aborts.Load(),
+		Commits:       commits,
+		Aborts:        aborts,
 		WALFlushes:    db.walFlushes.Load(),
 		WALBytes:      db.walBytes.Load(),
 		PagesFlushed:  db.pagesFlush.Load(),
@@ -455,15 +436,14 @@ func (db *DB) Stats() Stats {
 func (db *DB) Rows() (uint64, error) {
 	db.latch.RLock()
 	defer db.latch.RUnlock()
-	s := &mysqlStore{db: db}
-	defer s.done()
-	t := btree.View(s)
-	return t.Rows()
+	s := db.store()
+	defer s.Release()
+	return btree.View(s).Rows()
 }
 
 // Close releases lock waiters.
 func (db *DB) Close() {
-	db.locks.Close()
+	db.txns.Locks.Close()
 	if db.repl != nil {
 		db.repl.Close()
 	}

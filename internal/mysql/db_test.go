@@ -74,33 +74,6 @@ func TestTransactionIsolationAndAbort(t *testing.T) {
 	}
 }
 
-func TestScanOverlay(t *testing.T) {
-	_, db := testDB(t, false, Config{})
-	for i := 0; i < 5; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("r%d", i)), []byte("c")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tx := db.Begin()
-	if err := tx.Delete([]byte("r2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Put([]byte("r9"), []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	if err := tx.Scan(nil, nil, func(k, v []byte) bool {
-		keys = append(keys, string(k))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 5 {
-		t.Fatalf("scan %v", keys)
-	}
-	tx.Abort()
-}
-
 func TestWALAndBinlogTraffic(t *testing.T) {
 	net, db := testDB(t, true, Config{})
 	net.ResetStats()
@@ -273,6 +246,54 @@ func TestBinlogReplicationLag(t *testing.T) {
 	_, max, _ := link.Lag()
 	if max <= 0 {
 		t.Fatal("no lag measured")
+	}
+}
+
+// Put borrows its value until the transaction resolves (txn.WriteSet), but the
+// relay queue outlives Commit: a caller that reuses its buffer right after
+// Commit must not change what the replica applies.
+func TestReplicationOutlivesBorrowedValue(t *testing.T) {
+	net := netsim.New(netsim.FastLocal())
+	primary, err := New(Config{Instance: "prim", AZ: 0, Net: net, Disk: disk.FastLocal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	rep, err := New(Config{Instance: "repl", AZ: 1, Net: net, Disk: disk.FastLocal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	link := primary.AttachReplica(rep)
+
+	// Park the replica's SQL thread behind the row lock, so the event is
+	// still in flight while the buffer is reused.
+	const blocker = 1 << 62
+	if !rep.txns.Locks.TryAcquire(blocker, "k") {
+		t.Fatal("could not take the replica's row lock")
+	}
+	buf := []byte("committed")
+	if err := primary.Put([]byte("k"), buf); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if waits, _ := rep.txns.Locks.Stats(); waits > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replica never reached the row lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	copy(buf, "scribbled")
+	rep.txns.Locks.ReleaseAll(blocker)
+	if !link.Drain(5 * time.Second) {
+		t.Fatal("replica never caught up")
+	}
+	for _, db := range []*DB{primary, rep} {
+		if v, ok, err := db.Get([]byte("k")); err != nil || !ok || string(v) != "committed" {
+			t.Fatalf("%s holds %q %v %v after the caller reused its buffer", db.cfg.Instance, v, ok, err)
+		}
 	}
 }
 

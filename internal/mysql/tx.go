@@ -1,9 +1,6 @@
 package mysql
 
 import (
-	"bytes"
-	"fmt"
-	"sort"
 	"time"
 
 	"aurora/internal/btree"
@@ -11,164 +8,47 @@ import (
 	"aurora/internal/txn"
 )
 
-// Tx mirrors the Aurora engine's transaction model (private write set
-// under exclusive row locks, applied at commit) so that the two engines
-// differ only in their storage architecture.
+// Tx is the Aurora engine's transaction front end (txn.WriteSet: private
+// write set under exclusive row locks, applied at commit) over the baseline's
+// storage architecture, so the two engines differ only from the point where a
+// commit has to become durable. Put, Delete and Abort are the shared ones.
 type Tx struct {
-	db     *DB
-	id     uint64
-	writes map[string]writeOp
-	order  []string
-	done   bool
-}
-
-type writeOp struct {
-	val []byte
-	del bool
+	txn.WriteSet
+	db *DB
 }
 
 // Begin starts a transaction.
-func (db *DB) Begin() *Tx {
-	return &Tx{db: db, id: db.ids.Next(), writes: make(map[string]writeOp)}
-}
+func (db *DB) Begin() *Tx { return &Tx{WriteSet: db.txns.Begin(), db: db} }
 
 // Get returns the value for key as seen by this transaction.
 func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
-	if tx.done {
-		return nil, false, ErrTxDone
+	if tx.Done() {
+		return nil, false, txn.ErrTxDone
 	}
-	if w, ok := tx.writes[string(key)]; ok {
-		if w.del {
-			return nil, false, nil
-		}
-		return append([]byte(nil), w.val...), true, nil
+	if v, found, ok := tx.Pending(key); ok {
+		return v, found, nil
 	}
 	tx.db.latch.RLock()
 	defer tx.db.latch.RUnlock()
-	s := &mysqlStore{db: tx.db}
-	defer s.done()
-	t := btree.View(s)
-	return t.Get(key)
-}
-
-// Put buffers an insert/update under the row lock.
-func (tx *Tx) Put(key, val []byte) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if len(key) == 0 {
-		return btree.ErrEmptyKey
-	}
-	if len(key) > btree.MaxKey {
-		return btree.ErrKeyTooLarge
-	}
-	if len(val) > btree.MaxValue {
-		return btree.ErrValueTooLarge
-	}
-	if err := tx.lockRow(key); err != nil {
-		return err
-	}
-	k := string(key)
-	if _, seen := tx.writes[k]; !seen {
-		tx.order = append(tx.order, k)
-	}
-	tx.writes[k] = writeOp{val: append([]byte(nil), val...)}
-	return nil
-}
-
-// Delete buffers a deletion under the row lock.
-func (tx *Tx) Delete(key []byte) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if len(key) == 0 {
-		return btree.ErrEmptyKey
-	}
-	if err := tx.lockRow(key); err != nil {
-		return err
-	}
-	k := string(key)
-	if _, seen := tx.writes[k]; !seen {
-		tx.order = append(tx.order, k)
-	}
-	tx.writes[k] = writeOp{del: true}
-	return nil
-}
-
-func (tx *Tx) lockRow(key []byte) error {
-	if err := tx.db.locks.Acquire(tx.id, string(key)); err != nil {
-		tx.finish(false)
-		return fmt.Errorf("txn %d key %q: %w", tx.id, key, err)
-	}
-	return nil
+	s := tx.db.store()
+	defer s.Release()
+	return btree.View(s).Get(key)
 }
 
 // Scan visits rows in range, overlaying the transaction's writes.
 func (tx *Tx) Scan(from, to []byte, fn func(key, val []byte) bool) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	var pend []string
-	for k := range tx.writes {
-		bk := []byte(k)
-		if from != nil && bytes.Compare(bk, from) < 0 {
-			continue
-		}
-		if to != nil && bytes.Compare(bk, to) >= 0 {
-			continue
-		}
-		pend = append(pend, k)
-	}
-	sort.Strings(pend)
-	pi := 0
-	stopped := false
-	emitPending := func(upTo []byte) bool {
-		for pi < len(pend) && (upTo == nil || bytes.Compare([]byte(pend[pi]), upTo) < 0) {
-			w := tx.writes[pend[pi]]
-			if !w.del && !fn([]byte(pend[pi]), w.val) {
-				return false
-			}
-			pi++
-		}
-		return true
+	if tx.Done() {
+		return txn.ErrTxDone
 	}
 	tx.db.latch.RLock()
-	s := &mysqlStore{db: tx.db}
-	t := btree.View(s)
-	err := t.Scan(from, to, func(k, v []byte) bool {
-		if !emitPending(k) {
-			stopped = true
-			return false
-		}
-		if w, ok := tx.writes[string(k)]; ok {
-			if pi < len(pend) && pend[pi] == string(k) {
-				pi++
-			}
-			if w.del {
-				return true
-			}
-			if !fn(k, w.val) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		if !fn(k, v) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	s.done()
-	tx.db.latch.RUnlock()
-	if err != nil {
-		return err
-	}
-	if !stopped {
-		emitPending(nil)
-	}
-	return nil
+	defer tx.db.latch.RUnlock()
+	s := tx.db.store()
+	defer s.Release()
+	return tx.WriteSet.Scan(btree.View(s), from, to, fn)
 }
+
+// pg0 places every page in the one protection group a block device is.
+func pg0(core.PageID) core.PGID { return 0 }
 
 // Commit applies the write set to the tree, then performs the traditional
 // durability protocol: WAL flush (group committed through the serialized
@@ -176,93 +56,69 @@ func (tx *Tx) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 // Aurora — eventual data page writes with double-writes, plus checkpoint
 // stalls when too many pages are dirty.
 func (tx *Tx) Commit() error {
-	if tx.done {
-		return ErrTxDone
+	if tx.Done() {
+		return txn.ErrTxDone
 	}
-	if len(tx.writes) == 0 {
-		tx.finish(true)
+	if tx.Len() == 0 {
+		tx.Finish(true)
 		return nil
 	}
-	tx.db.latch.Lock()
-	s := &mysqlStore{db: tx.db}
-	t := btree.View(s)
-	rec := btree.NewRecorder()
-	binlogBytes := 0
-	for _, k := range tx.order {
-		w := tx.writes[k]
-		var err error
-		if w.del {
-			_, err = t.Delete(rec, []byte(k))
-			binlogBytes += len(k) + 16
-		} else {
-			err = t.Put(rec, []byte(k), w.val)
-			binlogBytes += len(k) + len(w.val) + 16
-		}
-		if err != nil {
-			rec.Rollback()
-			s.done()
-			tx.db.latch.Unlock()
-			tx.finish(false)
-			return fmt.Errorf("txn %d apply: %w", tx.id, err)
-		}
-	}
-	m := &core.MTR{Txn: tx.id}
-	if err := rec.AppendRecords(m, func(core.PageID) core.PGID { return 0 }); err != nil {
-		rec.Rollback()
-		s.done()
-		tx.db.latch.Unlock()
-		tx.finish(false)
+	db := tx.db
+	m, err := tx.applyAndLog()
+	if err != nil {
+		tx.Finish(false)
 		return err
 	}
-	m.AddMeta(core.RecTxnCommit, 0)
-	tx.db.mu.Lock()
-	tx.db.stampAndLog(rec, m)
-	tx.db.mu.Unlock()
-	s.done()
-	tx.db.latch.Unlock()
 
 	// Durability: group-committed WAL flush + binlog.
-	if err := tx.db.group.commit(m.Records, binlogBytes); err != nil {
-		tx.finish(false)
+	binlogBytes := 0
+	tx.Each(func(key string, val []byte, _ bool) { binlogBytes += len(key) + len(val) + 16 })
+	if err := db.group.commit(m.Records, binlogBytes); err != nil {
+		tx.Finish(false)
 		return err
 	}
-	// Replicate logical row events after the commit is durable.
-	if tx.db.repl != nil {
-		evs := make([]binlogEvent, 0, len(tx.order))
+	// Replicate logical row events after the commit is durable. The relay
+	// queue outlives Commit and the write set only borrowed its values, so
+	// this is where they are copied.
+	if db.repl != nil {
+		evs := make([]binlogEvent, 0, tx.Len())
 		now := time.Now()
-		for _, k := range tx.order {
-			w := tx.writes[k]
-			evs = append(evs, binlogEvent{key: k, val: w.val, del: w.del, committed: now})
-		}
-		tx.db.repl.publish(evs)
+		tx.Each(func(key string, val []byte, del bool) {
+			evs = append(evs, binlogEvent{key: key, val: append([]byte(nil), val...), del: del, committed: now})
+		})
+		db.repl.publish(evs)
 	}
-	if err := tx.db.maybeCheckpoint(); err != nil {
-		tx.finish(false)
+	if err := db.maybeCheckpoint(); err != nil {
+		tx.Finish(false)
 		return err
 	}
-	tx.finish(true)
+	tx.Finish(true)
 	return nil
 }
 
-// Abort discards the write set.
-func (tx *Tx) Abort() {
-	if tx.done {
-		return
+// applyAndLog materializes the write set into the tree under the exclusive
+// latch and stamps its redo into the WAL buffer; nothing is durable yet.
+func (tx *Tx) applyAndLog() (*core.MTR, error) {
+	db := tx.db
+	db.latch.Lock()
+	defer db.latch.Unlock()
+	s := db.store()
+	defer s.Release()
+	rec := btree.NewRecorder()
+	if err := tx.Apply(btree.View(s), rec); err != nil {
+		return nil, err
 	}
-	tx.finish(false)
+	m := &core.MTR{Txn: tx.ID()}
+	if err := rec.AppendRecords(m, pg0); err != nil {
+		rec.Rollback()
+		return nil, err
+	}
+	m.AddMeta(core.RecTxnCommit, 0)
+	db.stampAndLog(rec, m)
+	return m, nil
 }
 
-func (tx *Tx) finish(committed bool) {
-	tx.done = true
-	tx.db.locks.ReleaseAll(tx.id)
-	if committed {
-		tx.db.commits.Add(1)
-	} else {
-		tx.db.aborts.Add(1)
-	}
-}
-
-// Autocommit helpers mirroring the Aurora engine's.
+// Autocommit helpers, the Aurora engine's.
 
 // Put writes one row in its own transaction.
 func (db *DB) Put(key, val []byte) error {
@@ -288,6 +144,3 @@ func (db *DB) Delete(key []byte) error {
 	}
 	return tx.Commit()
 }
-
-// LockTable exposes the lock table for tests.
-func (db *DB) LockTable() *txn.LockTable { return db.locks }

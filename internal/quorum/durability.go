@@ -80,7 +80,15 @@ func sampleOutages(rng *rand.Rand, mttf, mttr, mission float64) []interval {
 }
 
 // SimulateDurability runs the Monte-Carlo model for one protection group
-// under the given quorum scheme.
+// under the given quorum scheme. Each trial samples every copy's outages (its
+// own node failures plus the failures of its AZ) and sweeps them in time
+// order, counting the copies down in each tier; the scheme's own predicates
+// (Config.durabilityLost, Config.writeBlocked) judge every instant.
+//
+// A role-split scheme caps its log-tier outages at LogMTTR regardless of
+// cause: a log segment is a tiny append-only suffix, so even an AZ outage only
+// costs the reprotection time of re-placing it on a healthy AZ (the Taurus
+// frugal-replication argument). Page and full copies wait out their outages.
 func SimulateDurability(cfg Config, p DurabilityParams) DurabilityResult {
 	if p.Trials <= 0 {
 		p.Trials = 1000
@@ -91,39 +99,48 @@ func SimulateDurability(cfg Config, p DurabilityParams) DurabilityResult {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	mission := p.Mission.Seconds()
-
-	if cfg.Split() {
-		return simulateSplitDurability(cfg, p, rng, mission)
+	logMTTR := p.LogMTTR.Seconds()
+	if logMTTR <= 0 {
+		logMTTR = p.NodeMTTR.Seconds()
 	}
 
+	// A sweep-line event: +1 when a copy of the tier goes down, -1 when it
+	// recovers.
+	type event struct {
+		t     float64
+		delta int
+		page  bool // page tier; else the tier that acknowledges writes
+	}
 	var readLoss, writeLoss int
 	var unavailTotal float64
 
 	for trial := 0; trial < p.Trials; trial++ {
-		// Outage intervals for each copy: its own node failures plus the
-		// failures of its AZ.
 		azOutages := make([][]interval, cfg.AZs)
 		if p.AZMTTF > 0 {
 			for az := 0; az < cfg.AZs; az++ {
 				azOutages[az] = sampleOutages(rng, p.AZMTTF.Seconds(), p.AZMTTR.Seconds(), mission)
 			}
 		}
-		// Build a sweep line: +1 when a copy goes down, -1 when it
-		// recovers.
-		type event struct {
-			t     float64
-			delta int
-		}
 		var events []event
-		addIntervals := func(ivs []interval) {
-			for _, iv := range ivs {
-				events = append(events, event{iv.from, +1}, event{iv.to, -1})
-			}
-		}
 		for i := 0; i < cfg.V; i++ {
-			addIntervals(sampleOutages(rng, p.NodeMTTF.Seconds(), p.NodeMTTR.Seconds(), mission))
+			role := cfg.Role(i)
+			page := role == core.RolePage
+			// mttr repairs the copy's own node; outageCap bounds any outage
+			// of the copy, whatever its cause (0 = none).
+			mttr, outageCap := p.NodeMTTR.Seconds(), 0.0
+			if role == core.RoleLog {
+				mttr, outageCap = logMTTR, logMTTR
+			}
+			outages := sampleOutages(rng, p.NodeMTTF.Seconds(), mttr, mission)
 			if cfg.AZs > 0 {
-				addIntervals(azOutages[cfg.ReplicaAZ(i)])
+				outages = append(outages, azOutages[cfg.ReplicaAZ(i)]...)
+			}
+			for _, iv := range outages {
+				to := iv.to
+				if outageCap > 0 && iv.from+outageCap < to {
+					to = iv.from + outageCap
+				}
+				events = append(events, event{iv.from, +1, page}, event{to, -1, page})
 			}
 		}
 		if len(events) == 0 {
@@ -135,7 +152,7 @@ func SimulateDurability(cfg Config, p DurabilityParams) DurabilityResult {
 		// twice in the sweep; that overcounts failures slightly, making the
 		// model conservative (it can only over-estimate loss probability,
 		// never under-estimate it).
-		down := 0
+		var down, downPage int
 		lostRead, lostWrite := false, false
 		var unavail, prevT float64
 		writeBlocked := false
@@ -144,115 +161,15 @@ func SimulateDurability(cfg Config, p DurabilityParams) DurabilityResult {
 				unavail += e.t - prevT
 			}
 			prevT = e.t
-			down += e.delta
-			if !cfg.ReadAvailable(down) {
-				lostRead = true
-			}
-			writeBlocked = !cfg.WriteAvailable(down)
-			if writeBlocked {
-				lostWrite = true
-			}
-		}
-		if lostRead {
-			readLoss++
-		}
-		if lostWrite {
-			writeLoss++
-		}
-		unavailTotal += unavail / mission
-	}
-
-	return DurabilityResult{
-		Trials:               p.Trials,
-		ReadQuorumLossProb:   float64(readLoss) / float64(p.Trials),
-		WriteQuorumLossProb:  float64(writeLoss) / float64(p.Trials),
-		WriteUnavailFraction: unavailTotal / float64(p.Trials),
-	}
-}
-
-// simulateSplitDurability runs the model for a role-split scheme, tracking
-// the two tiers separately. Loss rules:
-//
-//   - Durability (the read-loss proxy) is gone when the log tier drops
-//     below LogVr healthy copies — the acked suffix can no longer be
-//     proven — or when every page copy is down at once, because
-//     materialized bases below the log-GC floor exist nowhere else.
-//   - Write availability is gone when the log tier drops below LogVw.
-//
-// Log-tier outages are capped at LogMTTR regardless of cause: a log
-// segment is a tiny append-only suffix, so even an AZ outage only costs
-// the reprotection time of re-placing it on a healthy AZ (the Taurus
-// frugal-replication argument). Page copies wait out their full outages.
-func simulateSplitDurability(cfg Config, p DurabilityParams, rng *rand.Rand, mission float64) DurabilityResult {
-	logMTTR := p.LogMTTR.Seconds()
-	if logMTTR <= 0 {
-		logMTTR = p.NodeMTTR.Seconds()
-	}
-	pageV := cfg.PageV()
-
-	var readLoss, writeLoss int
-	var unavailTotal float64
-
-	for trial := 0; trial < p.Trials; trial++ {
-		azOutages := make([][]interval, cfg.AZs)
-		if p.AZMTTF > 0 {
-			for az := 0; az < cfg.AZs; az++ {
-				azOutages[az] = sampleOutages(rng, p.AZMTTF.Seconds(), p.AZMTTR.Seconds(), mission)
-			}
-		}
-		type event struct {
-			t     float64
-			delta int
-			log   bool
-		}
-		var events []event
-		add := func(ivs []interval, isLog bool, capTo float64) {
-			for _, iv := range ivs {
-				to := iv.to
-				if capTo > 0 && iv.from+capTo < to {
-					to = iv.from + capTo
-				}
-				events = append(events, event{iv.from, +1, isLog}, event{to, -1, isLog})
-			}
-		}
-		for i := 0; i < cfg.V; i++ {
-			isLog := cfg.Role(i) == core.RoleLog
-			if isLog {
-				add(sampleOutages(rng, p.NodeMTTF.Seconds(), logMTTR, mission), true, 0)
-			} else {
-				add(sampleOutages(rng, p.NodeMTTF.Seconds(), p.NodeMTTR.Seconds(), mission), false, 0)
-			}
-			if cfg.AZs > 0 {
-				if isLog {
-					add(azOutages[cfg.ReplicaAZ(i)], true, logMTTR)
-				} else {
-					add(azOutages[cfg.ReplicaAZ(i)], false, 0)
-				}
-			}
-		}
-		if len(events) == 0 {
-			continue
-		}
-		sort.Slice(events, func(a, b int) bool { return events[a].t < events[b].t })
-
-		downLog, downPage := 0, 0
-		lostRead, lostWrite := false, false
-		var unavail, prevT float64
-		writeBlocked := false
-		for _, e := range events {
-			if writeBlocked {
-				unavail += e.t - prevT
-			}
-			prevT = e.t
-			if e.log {
-				downLog += e.delta
-			} else {
+			if e.page {
 				downPage += e.delta
+			} else {
+				down += e.delta
 			}
-			if cfg.LogV-downLog < cfg.LogVr || pageV-downPage < 1 {
+			if cfg.durabilityLost(down, downPage) {
 				lostRead = true
 			}
-			writeBlocked = cfg.LogV-downLog < cfg.LogVw
+			writeBlocked = cfg.writeBlocked(down)
 			if writeBlocked {
 				lostWrite = true
 			}
@@ -273,3 +190,25 @@ func simulateSplitDurability(cfg Config, p DurabilityParams, rng *rand.Rand, mis
 		WriteUnavailFraction: unavailTotal / float64(p.Trials),
 	}
 }
+
+// ackTier is the part of the scheme whose copies acknowledge writes and
+// prove durability: the log tier when split, every copy otherwise.
+func (c Config) ackTier() Config {
+	if c.Split() {
+		return c.LogTier()
+	}
+	return c
+}
+
+// durabilityLost is the model's read-loss proxy with down acknowledging
+// copies and downPage page copies dark: the acknowledging tier is below its
+// read quorum — the acked suffix can no longer be proven — or, in a split
+// scheme, every page copy is down at once, because materialized bases below
+// the log-GC floor exist nowhere else.
+func (c Config) durabilityLost(down, downPage int) bool {
+	return !c.ackTier().ReadAvailable(down) || (c.Split() && c.PageV()-downPage < 1)
+}
+
+// writeBlocked reports whether write availability is gone with down
+// acknowledging copies dark.
+func (c Config) writeBlocked(down int) bool { return !c.ackTier().WriteAvailable(down) }

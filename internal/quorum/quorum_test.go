@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -374,5 +375,43 @@ func TestSimulateDurabilityDefaults(t *testing.T) {
 	})
 	if r.Trials != 1000 {
 		t.Fatalf("default trials %d", r.Trials)
+	}
+}
+
+// TestSimulateDurabilityGolden pins seeded results bit for bit. They were
+// recorded at PR 23, when the model was two copies of the trial loop (one for
+// split schemes): the single loop draws from the RNG in the same order and
+// must sweep the same events.
+func TestSimulateDurabilityGolden(t *testing.T) {
+	type golden struct {
+		name                 string
+		cfg                  Config
+		seed                 int64
+		logMTTR              time.Duration
+		read, write, unavail uint64 // math.Float64bits of the three results
+	}
+	const fast = 30 * time.Second
+	for _, g := range []golden{
+		{"4/6", Aurora(), 2, 0, 0x3fc2e147ae147ae1, 0x3fec28f5c28f5c29, 0x3f3461ea5dd2c926},             // 0.1475 0.88 3.110e-04
+		{"2/3", TwoOfThree(), 2, 0, 0x3fe5851eb851eb85, 0x3fe5851eb851eb85, 0x3f2ad9ed7637ffb4},         // 0.6725 0.6725 2.049e-04
+		{"taurus", TaurusMix(), 2, 0, 0x3fd51eb851eb851f, 0x3fd4a3d70a3d70a4, 0x3ef699b25bdd89c8},       // 0.33 0.3225 2.155e-05
+		{"4/4", MirroredFourOfFour(), 2, 0, 0x3fac28f5c28f5c29, 0x3ff0000000000000, 0x3f943e54fca278d4}, // 0.055 1 1.977e-02
+		{"4/6", Aurora(), 2, fast, 0x3fc2e147ae147ae1, 0x3fec28f5c28f5c29, 0x3f3461ea5dd2c926},          // LogMTTR is ignored unsplit
+		{"taurus", TaurusMix(), 2, fast, 0x3f947ae147ae147b, 0x3f647ae147ae147b, 0x3e10c80420b9ece7},    // 0.02 0.0025 9.768e-10
+		{"4/6", Aurora(), 42, 0, 0x3fc051eb851eb852, 0x3feb47ae147ae148, 0x3f339a65646fedcc},            // 0.1275 0.8525 2.991e-04
+		{"2/3", TwoOfThree(), 42, 0, 0x3fe6f5c28f5c28f6, 0x3fe6f5c28f5c28f6, 0x3f2a2e42e2103b94},        // 0.7175 0.7175 1.997e-04
+		{"taurus", TaurusMix(), 42, 0, 0x3fd599999999999a, 0x3fd51eb851eb851f, 0x3ef64c08dfd0e3a8},      // 0.3375 0.33 2.126e-05
+		{"taurus", TaurusMix(), 42, fast, 0x3f8eb851eb851eb8, 0x3f7eb851eb851eb8, 0x3e369e5a1e1d9fdc},   // 0.015 0.0075 5.266e-09
+	} {
+		r := SimulateDurability(g.cfg, DurabilityParams{
+			NodeMTTF: 500 * time.Hour, NodeMTTR: time.Hour,
+			AZMTTF: 2000 * time.Hour, AZMTTR: 12 * time.Hour,
+			Mission: 24 * 365 * time.Hour, Trials: 400, Seed: g.seed, LogMTTR: g.logMTTR,
+		})
+		got := [3]uint64{math.Float64bits(r.ReadQuorumLossProb), math.Float64bits(r.WriteQuorumLossProb), math.Float64bits(r.WriteUnavailFraction)}
+		if got != [3]uint64{g.read, g.write, g.unavail} {
+			t.Errorf("%s seed %d LogMTTR %v: read %v write %v unavail %v (bits %#x) differ from the recorded run",
+				g.name, g.seed, g.logMTTR, r.ReadQuorumLossProb, r.WriteQuorumLossProb, r.WriteUnavailFraction, got)
+		}
 	}
 }

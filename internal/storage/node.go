@@ -64,19 +64,15 @@ type Config struct {
 	// Host binds the node to a physical machine in a shared multi-tenant
 	// fleet: the node adopts the host's network identity, AZ and SSD,
 	// registers in its (volume, PG) segment registry, and runs foreground
-	// traffic through its per-tenant QoS scheduler. Nil keeps the classic
-	// one-node-per-segment deployment with private identity and disk.
+	// traffic through its per-tenant QoS scheduler. Nil gives the node a
+	// private, unshaped host built from Node, AZ, Net, Disk and Store — the
+	// classic one-node-per-segment deployment.
 	Host *Host
 	// Store receives periodic backups; nil disables backup.
 	Store *objstore.Store
-	// GossipInterval controls the background gossip loop (Start).
-	GossipInterval time.Duration
-	// CoalesceInterval controls background page materialization (Start).
-	CoalesceInterval time.Duration
-	// BackupInterval controls background backup staging (Start).
+	// BackupInterval controls background backup staging (Start); zero
+	// selects 200 ms.
 	BackupInterval time.Duration
-	// ScrubInterval controls background CRC validation (Start).
-	ScrubInterval time.Duration
 	// Role selects what this replica does with the redo stream under a
 	// role-split quorum (Taurus, PAPERS.md). The zero value RoleFull keeps
 	// classic behavior: synchronous ingest, materialization, and reads.
@@ -87,20 +83,17 @@ type Config struct {
 	Role core.ReplicaRole
 }
 
-func (c *Config) fillDefaults() {
-	if c.GossipInterval <= 0 {
-		c.GossipInterval = 20 * time.Millisecond
-	}
-	if c.CoalesceInterval <= 0 {
-		c.CoalesceInterval = 20 * time.Millisecond
-	}
-	if c.BackupInterval <= 0 {
-		c.BackupInterval = 200 * time.Millisecond
-	}
-	if c.ScrubInterval <= 0 {
-		c.ScrubInterval = 500 * time.Millisecond
-	}
-}
+// Background cadences (Start). A page replica's gossip pull IS its redo feed,
+// not just hole repair: it sees no foreground batches, and its staleness is
+// what read-time catch-up has to pay for, so it pulls on a much tighter
+// cadence than the repair-oriented one; the no-op pre-check keeps idle rounds
+// nearly free.
+const (
+	gossipInterval     = 20 * time.Millisecond
+	pageGossipInterval = 5 * time.Millisecond
+	coalesceInterval   = 20 * time.Millisecond
+	scrubInterval      = 500 * time.Millisecond
+)
 
 // pageState is one page on the segment: an optional materialized base image
 // plus the chain of not-yet-coalesced records sorted by ascending LSN.
@@ -198,60 +191,46 @@ type Node struct {
 	corruptReads atomic.Uint64
 }
 
-// NewNode creates a storage node and registers it on the network. A
-// host-bound node (cfg.Host != nil) instead adopts the host's already
-// registered identity and shares its SSD, object store and QoS scheduler
-// with every other segment on the machine — that sharing is what makes the
-// fleet multi-tenant rather than a set of dedicated nodes.
+// NewNode creates a storage node on its host: it adopts the host's
+// registered identity and shares its SSD, object store and QoS scheduler with
+// every other segment on the machine — that sharing is what makes a pooled
+// fleet multi-tenant rather than a set of dedicated nodes. Without cfg.Host
+// the node gets a machine of its own.
 func NewNode(cfg Config) *Node {
-	cfg.fillDefaults()
-	var ssd *disk.SSD
-	if h := cfg.Host; h != nil {
-		cfg.Node = h.cfg.ID
-		cfg.AZ = h.cfg.AZ
-		if cfg.Store == nil {
-			cfg.Store = h.cfg.Store
-		}
-		ssd = h.ssd
-	} else {
-		cfg.Net.AddNode(cfg.Node, cfg.AZ)
-		ssd = disk.New(cfg.Disk)
+	if cfg.BackupInterval <= 0 {
+		cfg.BackupInterval = 200 * time.Millisecond
+	}
+	if cfg.Host == nil {
+		cfg.Host = NewHost(HostConfig{ID: cfg.Node, AZ: cfg.AZ, Net: cfg.Net, Disk: cfg.Disk, Store: cfg.Store})
+	}
+	h := cfg.Host
+	cfg.Node = h.cfg.ID
+	cfg.AZ = h.cfg.AZ
+	if cfg.Store == nil {
+		cfg.Store = h.cfg.Store
 	}
 	n := &Node{
 		cfg:   cfg,
-		ssd:   ssd,
+		ssd:   h.ssd,
 		pages: make(map[core.PageID]*pageState),
 		gaps:  core.NewGapTracker(core.ZeroLSN),
 	}
-	if cfg.Host != nil {
-		cfg.Host.register(n)
-	}
+	h.register(n)
 	return n
 }
 
 // Vol returns the tenant volume this segment belongs to.
 func (n *Node) Vol() core.VolumeID { return n.cfg.Vol }
 
-// Host returns the physical machine a host-bound node lives on (nil for a
-// classic dedicated node).
+// Host returns the physical machine the node lives on.
 func (n *Node) Host() *Host { return n.cfg.Host }
 
-// Detach removes a host-bound node from its host's segment registry (volume
-// teardown or migration off the host). No-op for dedicated nodes.
-func (n *Node) Detach() {
-	if n.cfg.Host != nil {
-		n.cfg.Host.unregister(n)
-	}
-}
+// Detach removes the node from its host's segment registry (volume teardown
+// or migration off the host).
+func (n *Node) Detach() { n.cfg.Host.unregister(n) }
 
-// qos returns the host's per-tenant scheduler, nil for dedicated nodes (all
-// qos methods treat a nil receiver as shaping disabled).
-func (n *Node) qos() *qos {
-	if n.cfg.Host != nil {
-		return n.cfg.Host.qos
-	}
-	return nil
-}
+// qos returns the host's per-tenant scheduler.
+func (n *Node) qos() *qos { return n.cfg.Host.qos }
 
 // checkVol enforces the tenancy boundary on the foreground write path.
 func (n *Node) checkVol(vol core.VolumeID) error {
@@ -851,12 +830,16 @@ func (n *Node) Start() {
 			}
 		}()
 	}
-	run(n.cfg.GossipInterval, func() { n.GossipOnce() })
-	run(n.cfg.CoalesceInterval, func() { n.CoalesceOnce() })
+	gossip := gossipInterval
+	if n.cfg.Role == core.RolePage {
+		gossip = pageGossipInterval
+	}
+	run(gossip, func() { n.GossipOnce() })
+	run(coalesceInterval, func() { n.CoalesceOnce() })
 	if n.cfg.Store != nil {
 		run(n.cfg.BackupInterval, func() { n.BackupNow() })
 	}
-	run(n.cfg.ScrubInterval, func() { n.ScrubOnce() })
+	run(scrubInterval, func() { n.ScrubOnce() })
 }
 
 // Stop cancels the root context and waits for the background loops started

@@ -37,10 +37,11 @@ type QoSConfig struct {
 	// bucket at once; beyond it the host rejects with ErrThrottled rather
 	// than queueing (per-tenant queue depth cap). Zero selects a default.
 	MaxQueue int
-	// ActiveWindow is how long a tenant counts as active after its last
-	// operation when computing fair shares. Zero selects a default.
-	ActiveWindow time.Duration
 }
+
+// activeWindow is how long a tenant counts as active after its last operation
+// when computing fair shares.
+const activeWindow = 250 * time.Millisecond
 
 func (c *QoSConfig) fillDefaults() {
 	if c.Burst <= 0 {
@@ -48,9 +49,6 @@ func (c *QoSConfig) fillDefaults() {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 32
-	}
-	if c.ActiveWindow <= 0 {
-		c.ActiveWindow = 250 * time.Millisecond
 	}
 }
 
@@ -109,7 +107,7 @@ func newQoS(cfg QoSConfig) *qos {
 func (q *qos) activeLocked(now time.Time, self core.VolumeID) int {
 	n := 0
 	for vol, t := range q.tenants {
-		if vol == self || now.Sub(t.lastActive) <= q.cfg.ActiveWindow {
+		if vol == self || now.Sub(t.lastActive) <= activeWindow {
 			n++
 		}
 	}
@@ -183,7 +181,7 @@ func (q *qos) shape(ctx context.Context, b *bucket, units float64, wait time.Dur
 // delaying the caller to the tenant's fair share of the host's ingest
 // capacity. Hot tenants beyond their queue cap get ErrThrottled.
 func (q *qos) AdmitIngest(ctx context.Context, vol core.VolumeID, size int) error {
-	if q == nil || q.cfg.IngestBytesPerSec <= 0 {
+	if q.cfg.IngestBytesPerSec <= 0 {
 		return nil
 	}
 	now := time.Now()
@@ -208,7 +206,7 @@ func (q *qos) AdmitIngest(ctx context.Context, vol core.VolumeID, size int) erro
 // AdmitRead admits one foreground page read from tenant vol against the
 // host's read capacity, fair-shared like ingest.
 func (q *qos) AdmitRead(ctx context.Context, vol core.VolumeID) error {
-	if q == nil || q.cfg.ReadsPerSec <= 0 {
+	if q.cfg.ReadsPerSec <= 0 {
 		return nil
 	}
 	// Reads are counted in ops; scale one op to the burst's byte units so
@@ -235,9 +233,6 @@ func (q *qos) AdmitRead(ctx context.Context, vol core.VolumeID) error {
 
 // Stats snapshots every tenant's counters on this scheduler.
 func (q *qos) Stats() map[core.VolumeID]TenantStats {
-	if q == nil {
-		return nil
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make(map[core.VolumeID]TenantStats, len(q.tenants))

@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,12 +52,31 @@ func TestQoSThrottlesBeyondBurst(t *testing.T) {
 }
 
 func TestQoSFairShareSplitsCapacity(t *testing.T) {
-	q := newQoS(QoSConfig{IngestBytesPerSec: 2 << 20, Burst: 1, ActiveWindow: time.Second})
+	q := newQoS(QoSConfig{IngestBytesPerSec: 2 << 20, Burst: 1})
 	ctx := context.Background()
-	// Touch both tenants so both count as active, then measure one
-	// tenant's shaped rate: it should be ~half the host capacity.
+	// Keep a second tenant active (a byte well inside every activity window)
+	// and measure the first tenant's shaped rate: it should be ~half the
+	// host capacity.
 	_ = q.AdmitIngest(ctx, 1, 1)
 	_ = q.AdmitIngest(ctx, 2, 1)
+	stop := make(chan struct{})
+	var other sync.WaitGroup
+	other.Add(1)
+	go func() {
+		defer other.Done()
+		tick := time.NewTicker(activeWindow / 5)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				_ = q.AdmitIngest(ctx, 2, 1)
+			}
+		}
+	}()
+	defer other.Wait()
+	defer close(stop)
 	start := time.Now()
 	const chunk = 64 * 1024
 	for i := 0; i < 8; i++ {

@@ -2,9 +2,12 @@
 // database engine. Aurora runs concurrency control entirely in the engine,
 // exactly as if the pages were in local storage (§4.2.3): the storage
 // service is not involved. This package implements the row lock table
-// (exclusive locks, FIFO queuing, timeout-based deadlock resolution) and
-// transaction identity; the write-set/commit machinery lives in the engine
-// package, where it meets the B+-tree and the volume.
+// (exclusive locks, FIFO queuing, timeout-based deadlock resolution),
+// transaction identity and the write set (writeset.go): everything a
+// statement does before its commit has to become durable. The Aurora engine
+// and the MySQL baseline both embed it, so the paper's comparisons differ
+// only in what each does from there — the commit pipeline and the volume on
+// one side, WAL, binlog and page flushes on the other.
 package txn
 
 import (

@@ -135,8 +135,7 @@ func newClient(f *Fleet, cfg ClientConfig, start core.LSN, tails map[core.PGID]c
 	if c.panel == nil {
 		c.panel = control.NewPanel()
 	}
-	hedgeDef := int64(f.health.cfg.HedgeMult * 100)
-	hedge := c.panel.Register(control.KnobHedgeMultPct, hedgeDef,
+	hedge := c.panel.Register(control.KnobHedgeMultPct, control.DefaultHedgeMultPct,
 		control.MinHedgeMultPct, control.MaxHedgeMultPct)
 	f.health.SetHedgeKnob(hedge)
 	c.boffCap = c.panel.Register(control.KnobBackoffCapUS, control.DefaultBackoffCapUS,

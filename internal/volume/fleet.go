@@ -49,14 +49,9 @@ type FleetConfig struct {
 	Disk   disk.Config
 	// Store receives continuous backups; nil disables them.
 	Store *objstore.Store
-	// Background cadence for the storage nodes (zero = storage defaults).
-	GossipInterval   time.Duration
-	CoalesceInterval time.Duration
-	BackupInterval   time.Duration
-	ScrubInterval    time.Duration
-	// Health tunes the gray-failure tracker and the self-driven repair
-	// monitor; the zero value selects the defaults in HealthConfig.
-	Health HealthConfig
+	// BackupInterval is the storage nodes' backup cadence (zero = the
+	// storage default).
+	BackupInterval time.Duration
 }
 
 // geomVersion is one entry of the fleet's geometry history: the table plus
@@ -135,7 +130,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		pgs[g] = replicas
 	}
 	f.pgs.Store(&pgs)
-	f.health = newHealthTracker(cfg.Health, npgs, q.V)
+	f.health = newHealthTracker(HealthConfig{}, npgs, q.V)
 	f.geom.Store(cfg.Geometry)
 	f.history = []geomVersion{{geom: cfg.Geometry, since: core.ZeroLSN}}
 	// The manifest is only persisted when the geometry changes (Grow,
@@ -162,29 +157,16 @@ func (f *Fleet) provisionPG(g int) ([]*storage.Node, error) {
 	}
 	replicas := make([]*storage.Node, f.q.V)
 	for r := 0; r < f.q.V; r++ {
-		role := f.q.Role(r)
-		gossip := f.cfg.GossipInterval
-		if role == core.RolePage && gossip <= 0 {
-			// A page replica's gossip pull IS its redo feed, not just hole
-			// repair: it sees no foreground batches, and its staleness is
-			// what read-time catch-up has to pay for. Pull on a much
-			// tighter cadence than the repair-oriented default; the no-op
-			// pre-check keeps idle rounds nearly free.
-			gossip = 5 * time.Millisecond
-		}
 		cfg := storage.Config{
-			Seg:              core.SegmentID{PG: core.PGID(g), Replica: uint8(r)},
-			Node:             f.nodeName(g, r),
-			AZ:               netsim.AZ(f.q.ReplicaAZ(r)),
-			Net:              f.cfg.Net,
-			Disk:             f.cfg.Disk,
-			Vol:              f.cfg.Vol,
-			Store:            f.cfg.Store,
-			GossipInterval:   gossip,
-			CoalesceInterval: f.cfg.CoalesceInterval,
-			BackupInterval:   f.cfg.BackupInterval,
-			ScrubInterval:    f.cfg.ScrubInterval,
-			Role:             role,
+			Seg:            core.SegmentID{PG: core.PGID(g), Replica: uint8(r)},
+			Node:           f.nodeName(g, r),
+			AZ:             netsim.AZ(f.q.ReplicaAZ(r)),
+			Net:            f.cfg.Net,
+			Disk:           f.cfg.Disk,
+			Vol:            f.cfg.Vol,
+			Store:          f.cfg.Store,
+			BackupInterval: f.cfg.BackupInterval,
+			Role:           f.q.Role(r),
 		}
 		if hosts != nil {
 			cfg.Host = hosts[r]
@@ -210,10 +192,6 @@ func (f *Fleet) Quorum() quorum.Config { return f.q }
 // Vol returns the tenant volume identity this fleet serves (zero for a
 // single-tenant fleet).
 func (f *Fleet) Vol() core.VolumeID { return f.cfg.Vol }
-
-// Pool returns the shared host fleet this volume is placed on (nil for a
-// dedicated fleet).
-func (f *Fleet) Pool() *storage.Pool { return f.cfg.Pool }
 
 // PGs returns the number of protection groups.
 func (f *Fleet) PGs() int { return len(*f.pgs.Load()) }
@@ -372,7 +350,7 @@ func (f *Fleet) Start() {
 	f.monDone.Add(1)
 	go func() {
 		defer f.monDone.Done()
-		t := time.NewTicker(f.health.cfg.MonitorInterval)
+		t := time.NewTicker(monitorInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -401,7 +379,7 @@ func (f *Fleet) Stop() {
 			n.Stop()
 			// A pooled volume's segments leave their hosts' registries on
 			// shutdown so the machines' capacity and blast-radius scores are
-			// freed for other tenants. No-op for dedicated nodes.
+			// freed for other tenants.
 			n.Detach()
 		}
 	}

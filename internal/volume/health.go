@@ -47,68 +47,49 @@ func (s HealthState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// HealthConfig tunes the gray-failure tracker. The zero value selects the
-// defaults below.
-type HealthConfig struct {
-	// EWMAAlpha is the weight of a new latency sample (default 0.2).
-	EWMAAlpha float64
-	// DegradedFails consecutive failures mark a replica Degraded
-	// (default 2); SuspectFails mark it Suspect (default 5).
-	DegradedFails int
-	SuspectFails  int
+// Gray-failure thresholds.
+const (
+	// ewmaAlpha is the weight of a new latency sample.
+	ewmaAlpha = 0.2
+	// degradedFails consecutive failures mark a replica Degraded,
+	// suspectFails mark it Suspect.
+	degradedFails = 2
+	suspectFails  = 5
 	// A replica is also Degraded when its latency EWMA exceeds both
-	// DegradedLatencyFloor and DegradedLatencyFactor times the best
-	// peer's EWMA — the gray-slow signature (defaults 1ms, 8x).
-	DegradedLatencyFloor  time.Duration
-	DegradedLatencyFactor float64
-	// Per-attempt read deadline: HedgeMult times the windowed p95 read
-	// latency, clamped to [HedgeMin, HedgeMax] (defaults 3x, 250µs, 50ms).
-	// When an attempt exceeds it a hedge is launched to the next-best
-	// replica (§4.2.3's tail-avoidance without quorum reads).
-	HedgeMult float64
-	HedgeMin  time.Duration
-	HedgeMax  time.Duration
+	// degradedLatencyFloor and degradedLatencyFactor times the best peer's
+	// EWMA — the gray-slow signature.
+	degradedLatencyFloor  = time.Millisecond
+	degradedLatencyFactor = 8
+	// hedgeMax caps the per-attempt read deadline (HealthConfig.HedgeMin is
+	// its floor).
+	hedgeMax = 50 * time.Millisecond
+	// monitorInterval paces the fleet's self-driven repair loop.
+	monitorInterval = 5 * time.Millisecond
+)
+
+// HealthConfig holds the two seams the tracker's unit tests script; a fleet
+// always runs the zero value's defaults.
+type HealthConfig struct {
+	// HedgeMin is the floor of the per-attempt read deadline (default
+	// 250µs): the control panel's hedge multiplier (3x by default) times the
+	// windowed p95 read latency, clamped to [HedgeMin, hedgeMax]. When an
+	// attempt exceeds it a hedge is launched to the next-best replica
+	// (§4.2.3's tail-avoidance without quorum reads).
+	HedgeMin time.Duration
 	// WindowInterval is the rotation interval of the windowed read-latency
 	// histograms the hedge deadline derives from (default 250ms at
 	// simulation scale). The deadline reflects only the last one-to-two
 	// windows of traffic, so a cold-start outlier stops inflating it one
 	// rotation later — the failure mode of the old lifetime-P95 estimator.
 	WindowInterval time.Duration
-	// MonitorInterval paces the fleet's self-driven repair loop
-	// (default 5ms at simulation scale).
-	MonitorInterval time.Duration
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
-	}
-	if c.DegradedFails <= 0 {
-		c.DegradedFails = 2
-	}
-	if c.SuspectFails <= 0 {
-		c.SuspectFails = 5
-	}
-	if c.DegradedLatencyFloor <= 0 {
-		c.DegradedLatencyFloor = time.Millisecond
-	}
-	if c.DegradedLatencyFactor <= 0 {
-		c.DegradedLatencyFactor = 8
-	}
-	if c.HedgeMult <= 0 {
-		c.HedgeMult = 3
-	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 250 * time.Microsecond
 	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 50 * time.Millisecond
-	}
 	if c.WindowInterval <= 0 {
 		c.WindowInterval = 250 * time.Millisecond
-	}
-	if c.MonitorInterval <= 0 {
-		c.MonitorInterval = 5 * time.Millisecond
 	}
 	return c
 }
@@ -161,9 +142,8 @@ type HealthTracker struct {
 	lat  atomic.Pointer[[]*pgLatency]
 
 	// hedgeKnob, when set (by the writer client wiring the control plane),
-	// overrides cfg.HedgeMult as the deadline multiplier, in percent. The
-	// static fallback is the config value — a tracker with no knob behaves
-	// exactly as before.
+	// is the deadline multiplier, in percent; a tracker with no knob uses
+	// the knob's static default.
 	hedgeKnob atomic.Pointer[control.Knob]
 
 	// readWin aggregates successful read-attempt latencies across all PGs
@@ -235,7 +215,7 @@ func (h *HealthTracker) ObserveOK(pg core.PGID, idx int, d time.Duration) {
 	if r.ewma == 0 {
 		r.ewma = s
 	} else {
-		r.ewma += h.cfg.EWMAAlpha * (s - r.ewma)
+		r.ewma += ewmaAlpha * (s - r.ewma)
 	}
 	r.fails = 0
 	r.outlived = 0
@@ -256,7 +236,7 @@ func (h *HealthTracker) ObserveOutlived(pg core.PGID, idx int, d time.Duration) 
 		if r.ewma == 0 {
 			r.ewma = s
 		} else {
-			r.ewma += h.cfg.EWMAAlpha * (s - r.ewma)
+			r.ewma += ewmaAlpha * (s - r.ewma)
 		}
 	}
 	r.outlived++
@@ -321,22 +301,22 @@ func (h *HealthTracker) snapshot(pg core.PGID, buf []repSnap) []repSnap {
 // stateOf classifies replica i given a consistent snapshot of its PG.
 func (h *HealthTracker) stateOf(snaps []repSnap, i int) HealthState {
 	s := snaps[i]
-	if s.fails >= h.cfg.SuspectFails {
+	if s.fails >= suspectFails {
 		return Suspect
 	}
-	if s.fails >= h.cfg.DegradedFails {
+	if s.fails >= degradedFails {
 		return Degraded
 	}
 	// A replica repeatedly outlived by later-launched hedges is gray-slow
 	// even though no exchange ever failed: its true latency is censored by
 	// the cancellation, so the streak — not the EWMA — carries the signal.
-	if s.outlived >= h.cfg.DegradedFails {
+	if s.outlived >= degradedFails {
 		return Degraded
 	}
 	// Latency comparison against the fastest peer with data: a replica
 	// whose EWMA is far above its PG's best is gray-slow even though every
 	// exchange nominally succeeds.
-	if s.ewma > h.cfg.DegradedLatencyFloor.Seconds() {
+	if s.ewma > degradedLatencyFloor.Seconds() {
 		best := 0.0
 		for j, p := range snaps {
 			if j == i || p.ewma == 0 {
@@ -346,7 +326,7 @@ func (h *HealthTracker) stateOf(snaps []repSnap, i int) HealthState {
 				best = p.ewma
 			}
 		}
-		if best == 0 || s.ewma > h.cfg.DegradedLatencyFactor*best {
+		if best == 0 || s.ewma > degradedLatencyFactor*best {
 			return Degraded
 		}
 	}
@@ -427,7 +407,7 @@ func candLess(a, b readCand) bool {
 
 // SetHedgeKnob routes the hedge-deadline multiplier through a control-plane
 // knob (value in percent: 300 = 3x the windowed p95). A nil knob restores
-// the static config multiplier. Called once at client wiring time.
+// the static default. Called once at client wiring time.
 func (h *HealthTracker) SetHedgeKnob(k *control.Knob) { h.hedgeKnob.Store(k) }
 
 // hedgeMultPct returns the current deadline multiplier in percent.
@@ -435,7 +415,7 @@ func (h *HealthTracker) hedgeMultPct() int64 {
 	if k := h.hedgeKnob.Load(); k != nil {
 		return k.Load()
 	}
-	return int64(h.cfg.HedgeMult * 100)
+	return control.DefaultHedgeMultPct
 }
 
 // ReadWindow exposes the all-PG windowed read-attempt distribution — the
@@ -456,8 +436,8 @@ func (h *HealthTracker) observeReadLatency(pg core.PGID, d time.Duration) {
 	if dl < h.cfg.HedgeMin {
 		dl = h.cfg.HedgeMin
 	}
-	if dl > h.cfg.HedgeMax {
-		dl = h.cfg.HedgeMax
+	if dl > hedgeMax {
+		dl = hedgeMax
 	}
 	l.deadline.Store(int64(dl))
 }

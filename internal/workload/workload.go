@@ -37,6 +37,11 @@ type DBFunc func() Tx
 // Begin implements DB.
 func (f DBFunc) Begin() Tx { return f() }
 
+// Of adapts a system's own Begin, which returns its concrete transaction
+// type, to DB: the Aurora engine, the MySQL baseline and the public cluster
+// all go through this one adapter.
+func Of[T Tx](begin func() T) DB { return DBFunc(func() Tx { return begin() }) }
+
 // Key renders the canonical sbtest-style row key.
 func Key(i int) []byte { return []byte(fmt.Sprintf("sbtest%010d", i)) }
 

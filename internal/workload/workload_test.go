@@ -25,7 +25,7 @@ func auroraDB(t *testing.T) DB {
 		t.Fatal(err)
 	}
 	t.Cleanup(db.Close)
-	return DBFunc(func() Tx { return db.Begin() })
+	return Of(db.Begin)
 }
 
 func TestKeyDistributions(t *testing.T) {
