@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench-bin chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs bench-logsplit bench-tenants bench-autotune tenants-smoke ci
+.PHONY: all build vet lint test race fuzz-smoke bench-bin chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs bench-logsplit bench-tenants bench-autotune tenants-smoke ci
 
 all: build
 
@@ -49,7 +49,9 @@ test: build vet lint
 # engine's line after those is the same window seen from a commit: the goroutine
 # that settles a group completes its commits, so the two ways a commit used to
 # be acknowledged below the VDL (a crash, a failed group ahead of it) are races
-# between a sender worker, the framer and the committer.
+# between a sender worker, the framer and the committer. The storage line's
+# second test is continuous backup's: a pass swaps the staging list under the
+# node's lock and encodes the delta outside it while ingest and coalescing run.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
@@ -60,7 +62,7 @@ race:
 	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestHedged' -skip 'TestHedgedReadBoundsTailLatency' ./internal/volume/
 	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped' ./internal/volume/
-	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst' ./internal/storage/
+	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write
@@ -107,15 +109,15 @@ examples-smoke:
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
 # closed-loop workloads, ten end-to-end metrics and the traced pass's
 # per-layer metrics, full report with the environment header as JSON (about
-# five minutes). BENCH_23.json is the same command at the parent commit, so
-# `go run ./benchmark -compare BENCH_23.json BENCH_24.json` extends the
+# five minutes). BENCH_24.json is the same command at the parent commit, so
+# `go run ./benchmark -compare BENCH_24.json BENCH_25.json` extends the
 # trajectory; re-record the parent in a `git clone` if the host differs.
 # bench-quick is the 3-second try-out of the same suite. bench-bin builds the
 # binary every paired measurement runs (`.bench_build/benchmark.bin --workload
 # W --seed N --seconds 20 --trace 0`; build the other side in its own tree): a
 # bare `go build ./benchmark` fails on the directory of the same name.
 bench:
-	$(GO) run ./benchmark -trace 1 -json BENCH_24.json
+	$(GO) run ./benchmark -trace 1 -json BENCH_25.json
 
 bench-bin:
 	mkdir -p .bench_build
@@ -135,17 +137,29 @@ bench-quick:
 # four objects and no goroutine, a cached single-row commit through the engine
 # at its 57 objects and no goroutine. Instruments: a histogram observation
 # and the windowed quantile behind the hedge deadline (recomputed every 32
-# reads, two 976-bucket banks walked in place) at zero. Fails CI on regression.
+# reads, two 976-bucket banks walked in place) at zero. Backup: a node without
+# an object store keeps no staging list, so backup-off ingest files as before.
+# Fails CI on regression.
 bench-allocs:
 	$(GO) test -run 'TestObserveZeroAllocs|TestWindowedQuantileZeroAllocs' -count=1 ./internal/metrics/
 	$(GO) test -run 'TestRecordBodyEncodeZeroAllocs|TestFrameGroupSteadyStateZeroAllocs' -count=1 ./internal/core/
 	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestShipIsTheCallersGoroutine' -count=1 ./internal/volume/
 	$(GO) test -run 'TestCommitSpawnsNoGoroutine' -count=1 ./internal/engine/
 	$(GO) test -run 'TestNodeLookupZeroAllocs|TestTreeGetAllocs|TestPutUpdateSteadyStateAllocs' -count=1 ./internal/btree/
-	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld' -count=1 ./internal/storage/
+	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld|TestNodeWithoutStoreKeepsNoStagingList' -count=1 ./internal/storage/
 	$(GO) test -run 'TestUnsampledPathDoesNotAllocate' -count=1 ./internal/trace/
 	$(GO) test -run xxx -bench 'BenchmarkRecordBodyEncode|BenchmarkFrameGroup$$|BenchmarkCommitSteadyStateAllocs' -benchtime 100x ./internal/core/ ./internal/volume/
 	$(GO) test -run xxx -bench 'BenchmarkTreeGet|BenchmarkTreePutUpdate|BenchmarkCoalesceRound|BenchmarkNodeReadPage|BenchmarkReadPageMiss' -benchmem -benchtime 1000x ./internal/btree/ ./internal/storage/ ./internal/volume/
+
+# Every native fuzz target in the tree (`func Fuzz*` in a _test.go file), each
+# for FUZZTIME on two workers; the seed corpora already run in `make test`.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' . | sort | while IFS=: read -r file fn; do \
+		name=$${fn#func }; \
+		echo "fuzz $$name ($$(dirname $$file))"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -parallel 2 $$(dirname $$file) || exit 1; \
+	done
 
 # Log/page role split vs the classic 4/6 quorum at 160 connections on the
 # NVMe disk model: sync bytes per commit, commit p50/p95, throughput.
@@ -170,4 +184,4 @@ tenants-smoke:
 	$(GO) test -race -count=1 -run 'TestTenant|TestPlacement|TestPooledFleet|TestWrongVolume' ./internal/volume/
 	$(GO) run ./cmd/aurora-bench -quick -exp tenants
 
-ci: test race bench-allocs chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke tenants-smoke examples-smoke
+ci: test race bench-allocs fuzz-smoke chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke tenants-smoke examples-smoke

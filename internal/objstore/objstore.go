@@ -51,16 +51,19 @@ func (s *Store) SetClock(now func() time.Time) {
 }
 
 // Put writes a new version of key and returns its version id (starting at
-// 1 per key). Data is copied.
+// 1 per key). The store takes ownership of data: the caller hands over a
+// buffer of its own and must not touch it afterwards. Every caller encodes
+// the object fresh for the call (a backup image or delta, a geometry
+// manifest), so a copy here would be a second full copy of every backup pass.
+// Reads still copy: what Get returns is the caller's.
 func (s *Store) Put(key string, data []byte) int {
-	cp := append([]byte(nil), data...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	vs := s.objects[key]
-	v := Version{ID: len(vs) + 1, Data: cp, Written: s.now()}
+	v := Version{ID: len(vs) + 1, Data: data, Written: s.now()}
 	s.objects[key] = append(vs, v)
 	s.puts++
-	s.bytes += uint64(len(cp))
+	s.bytes += uint64(len(data))
 	return v.ID
 }
 

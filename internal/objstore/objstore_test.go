@@ -35,14 +35,19 @@ func TestPutGetVersions(t *testing.T) {
 	}
 }
 
+// TestDataIsolation: Put takes ownership of the caller's buffer — the stored
+// version is that buffer, not a copy of it — and every read hands out a copy
+// of its own, so no reader can change what the store holds.
 func TestDataIsolation(t *testing.T) {
 	s := New()
 	src := []byte("abc")
 	s.Put("k", src)
-	src[0] = 'z'
+	if stored := s.objects["k"][0].Data; &stored[0] != &src[0] {
+		t.Fatal("Put copied the buffer it was handed")
+	}
 	got, _ := s.Get("k")
 	if string(got) != "abc" {
-		t.Fatal("Put aliased caller buffer")
+		t.Fatalf("get: %q", got)
 	}
 	got[0] = 'q'
 	again, _ := s.Get("k")

@@ -202,10 +202,26 @@ func TestReplicaAddsNoStorageWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A Put returns at four acks of six: wait out the fifth and sixth
+	// deliveries, or their disk writes land inside the measurement (6 of 300
+	// runs at PR 24).
+	for g := 0; g < f.PGs(); g++ {
+		tail := db.Volume().DurableTail(core.PGID(g))
+		for i, deadline := 0, time.Now().Add(5*time.Second); i < 6; {
+			switch {
+			case f.Node(core.PGID(g), i).SCL() >= tail:
+				i++
+			case time.Now().After(deadline):
+				t.Fatalf("pg %d replica %d never caught up to %d", g, i, tail)
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
 	var before uint64
 	for g := 0; g < f.PGs(); g++ {
 		for i := 0; i < 6; i++ {
-			before += f.Node(0, i).Disk().Stats().Writes
+			before += f.Node(core.PGID(g), i).Disk().Stats().Writes
 		}
 	}
 	r := Attach(db, f, Config{Name: "replica1", AZ: 1})
@@ -217,7 +233,7 @@ func TestReplicaAddsNoStorageWrites(t *testing.T) {
 	var after uint64
 	for g := 0; g < f.PGs(); g++ {
 		for i := 0; i < 6; i++ {
-			after += f.Node(0, i).Disk().Stats().Writes
+			after += f.Node(core.PGID(g), i).Disk().Stats().Writes
 		}
 	}
 	// Replica activity (attach + reads) must not add disk writes: read

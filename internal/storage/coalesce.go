@@ -12,8 +12,8 @@ import (
 // own completeness point. The entire log prefix at or below that safe point
 // (page records folded into bases, plus transaction metadata records) is
 // then garbage collected as one unit, so the retained log always starts
-// exactly where the GC boundary (gcTail) ends. CPL positions are retained:
-// they are tiny and recovery needs them.
+// exactly where the GC boundary (gcTail) ends. Of the CPL positions at or
+// below it only the highest is retained: recovery never asks below it.
 //
 // Unlike checkpointing, which is governed by the length of the entire redo
 // log chain, the work here is governed per page by the length of that
@@ -114,9 +114,9 @@ func (n *Node) cutDirtyLocked(floor core.LSN) {
 	n.dirty = keep
 }
 
-// gcLogLocked collects the retained log prefix at or below floor and moves
-// the GC boundary to the highest LSN collected. It returns how many records
-// that was.
+// gcLogLocked collects the retained log prefix at or below floor, moves the
+// GC boundary to the highest LSN collected and trims the CPL index below it.
+// It returns how many records that was.
 func (n *Node) gcLogLocked(floor core.LSN) int {
 	k := n.log.search(floor)
 	if k == 0 {
@@ -124,6 +124,7 @@ func (n *Node) gcLogLocked(floor core.LSN) int {
 	}
 	n.gcTail = max(n.gcTail, n.log[k-1].LSN)
 	n.log.dropPrefix(k)
+	n.cpls.trim(n.gcTail)
 	n.gced.Add(uint64(k))
 	return k
 }

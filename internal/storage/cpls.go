@@ -8,13 +8,17 @@ import (
 	"aurora/internal/core"
 )
 
-// cplSet is the sorted set of CPL LSNs a segment has seen. It is never
-// trimmed — recovery asks every node for its highest CPL at or below the VCL
-// it computes (§4.1) — and it gains an entry per commit, so on a busy volume
-// it becomes the largest thing a node holds besides its pages, and in a
-// fixed-length run it shows as resident memory that grows with throughput.
-// LSNs below 2^32, which is every LSN of a simulated volume's first hours,
-// are therefore kept in four bytes; the set behaves as one sorted list.
+// cplSet is the sorted set of CPL LSNs a segment has seen. It gains an entry
+// per commit, and the only question ever put to it is recovery's — the
+// highest CPL at or below the VCL it computes (§4.1) — whose limit never lies
+// below the node's GC tail (VCL ≥ VDL ≥ PGMRPL ≥ GC tail). So garbage
+// collection trims it (trim): below the tail only the highest member stays,
+// answering for every one dropped, and the set holds what the retained log
+// spans rather than every commit ever made — untrimmed it was the largest
+// thing a node held besides its pages, in every full backup image and in
+// resident memory that grew with throughput. LSNs below 2^32, which is every
+// LSN of a simulated volume's first hours, are kept in four bytes; the set
+// behaves as one sorted list.
 type cplSet struct {
 	low  []uint32   // members below 1<<32, ascending
 	high []core.LSN // the rest, ascending
@@ -42,6 +46,21 @@ func (s *cplSet) floor(limit core.LSN) core.LSN {
 	}
 	v, _ := floorOf(s.low, uint32(limit))
 	return core.LSN(v)
+}
+
+// trim drops every member below floor(limit) and keeps that one, so the set
+// answers floor for any limit at or above limit exactly as before. The
+// survivors slide down inside the backing arrays.
+func (s *cplSet) trim(limit core.LSN) {
+	keep := s.floor(limit)
+	if keep <= math.MaxUint32 {
+		i, _ := slices.BinarySearch(s.low, uint32(keep))
+		s.low = slices.Delete(s.low, 0, i)
+		return
+	}
+	s.low = s.low[:0]
+	i, _ := slices.BinarySearch(s.high, keep)
+	s.high = slices.Delete(s.high, 0, i)
 }
 
 // retain drops the members keep rejects.

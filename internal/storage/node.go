@@ -145,7 +145,7 @@ type Node struct {
 	// round cuts the chain empty (cutDirtyLocked); a chain emptied any other
 	// way (Truncate, scrub repair) stays listed until the next round.
 	dirty  []*pageState
-	cpls   cplSet // every CPL LSN seen (never GC'd: recovery needs them)
+	cpls   cplSet // CPL LSNs seen, trimmed below the GC tail (cpls.go)
 	gaps   *core.GapTracker
 	gcTail core.LSN // highest record LSN ever garbage collected
 	trunc  core.TruncationRange
@@ -160,6 +160,17 @@ type Node struct {
 	// owns its stripe; readers routing with an older table get the same
 	// rejection and refetch the geometry. Epoch 0 is unversioned.
 	geomEpoch uint64
+
+	// Continuous backup (backup.go). While staging is set, fileLocked appends
+	// every record it files to staged, so the next pass can stage them as a
+	// delta; a change that is not an append (dropStagedLocked) clears both and
+	// the next pass stages a full image. Only a pass sets staging and only a
+	// node with a store runs one, so a node without a store keeps no list.
+	staging bool
+	staged  []*core.Record
+	// backupMu serializes passes, so a delta always names the image before it.
+	backupMu sync.Mutex
+	chain    backupChain // guarded by backupMu
 
 	peers []*Node
 
@@ -301,6 +312,7 @@ func (n *Node) Wipe() {
 	n.cpls = cplSet{}
 	n.gaps = core.NewGapTracker(core.ZeroLSN)
 	n.wiped = true
+	n.dropStagedLocked()
 }
 
 // BatchResult is the per-batch outcome of one Ingest flight. A nil Err
@@ -471,9 +483,14 @@ func (n *Node) admitRecordLocked(r *core.Record) bool {
 }
 
 // fileLocked files an admitted record into the log, page chains, CPL index
-// and gap tracker. The node takes ownership of *rec (and whatever its Data
-// aliases) from this point on; records are immutable once filed.
+// and gap tracker — and, while a delta is staging, onto the backup's staging
+// list. The node takes ownership of *rec (and whatever its Data aliases) from
+// this point on; records are immutable once filed, so the staging list may
+// keep one alive past coalescing GC until the next backup pass.
 func (n *Node) fileLocked(rec *core.Record) {
+	if n.staging {
+		n.staged = append(n.staged, rec)
+	}
 	n.log.insert(rec)
 	if rec.PageRecord() {
 		n.chainInsertLocked(n.pageLocked(rec.Page), rec)
@@ -744,6 +761,7 @@ func (n *Node) Truncate(tr core.TruncationRange) error {
 	}
 	n.cpls.retain(func(l core.LSN) bool { return !tr.Annuls(l) })
 	n.rebuildGapsLocked()
+	n.dropStagedLocked()
 	// Persist the truncation decision durably.
 	return n.ssd.Write(64)
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // testPG builds a 6-replica protection group on a fast network.
-func testPG(t *testing.T, store *objstore.Store) (*netsim.Network, []*Node) {
+func testPG(t testing.TB, store *objstore.Store) (*netsim.Network, []*Node) {
 	t.Helper()
 	net := netsim.New(netsim.FastLocal())
 	nodes := make([]*Node, 6)
@@ -327,9 +327,13 @@ func TestCoalesceAdvancesBaseAndGCs(t *testing.T) {
 	if got := string(p.Payload()[:8]); got != "abcde\x00\x00\x00" {
 		t.Fatalf("payload at read point 5: %q", got)
 	}
-	// CPLs are never GCed: recovery depends on them.
-	if got := n.HighestCPLAtOrBelow(3); got != 3 {
-		t.Fatalf("old CPL lost: %d", got)
+	// Recovery asks for the highest CPL at or below a VCL, which never lies
+	// below the GC tail: that CPL and every one above it outlive GC, the
+	// ones below it answer no question and go.
+	for limit, want := range map[core.LSN]core.LSN{5: 5, 6: 6, 100: 8, 3: 0} {
+		if got := n.HighestCPLAtOrBelow(limit); got != want {
+			t.Fatalf("highest CPL at or below %d after GC to 5: %d, want %d", limit, got, want)
+		}
 	}
 }
 
@@ -356,7 +360,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if _, err := n.ReadPage(context.Background(), 1, 12, 0); !errors.Is(err, ErrWipedSegment) {
 		t.Fatalf("read on wiped segment: %v", err)
 	}
-	if err := n.RestoreFromBackup(); err != nil {
+	if err := n.LoadBackup(time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if n.SCL() != 12 {
@@ -441,7 +445,7 @@ func TestSnapshotIsOneExactAllocation(t *testing.T) {
 	if n2.SCL() != n.SCL() || n2.GCTail() != n.GCTail() || n2.HasGaps() || n2.Stats().RecordsHeld != n.Stats().RecordsHeld {
 		t.Fatalf("restored SCL %d, GC tail %d, %d records; want %d, %d, %d", n2.SCL(), n2.GCTail(), n2.Stats().RecordsHeld, n.SCL(), n.GCTail(), n.Stats().RecordsHeld)
 	}
-	for _, limit := range []core.LSN{3, tail / 2, tail - 1, tail} {
+	for _, limit := range []core.LSN{n.GCTail(), tail / 2, tail - 1, tail} {
 		if got, want := n2.HighestCPLAtOrBelow(limit), n.HighestCPLAtOrBelow(limit); got != want || want == 0 {
 			t.Fatalf("highest CPL at or below %d: restored %d, original %d", limit, got, want)
 		}

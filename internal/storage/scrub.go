@@ -86,6 +86,7 @@ func (n *Node) repairPageFromPeers(ctx context.Context, id core.PageID, peers []
 // it — filed behind their back it would sit in the log, be refused as a
 // duplicate when gossip delivered it, and the SCL could never pass it.
 func (n *Node) installRepairLocked(id core.PageID, base page.Page, chain []*core.Record) {
+	n.dropStagedLocked() // a new base is not an append: the next backup is an image
 	ps := n.pageLocked(id)
 	ps.base = base
 	floor := core.ZeroLSN

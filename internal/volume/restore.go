@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aurora/internal/core"
+	"aurora/internal/objstore"
 )
 
 // ErrNoBackup is returned when a protection group has no usable backup at
@@ -26,9 +27,11 @@ type RestoreReport struct {
 // RestoreFleet provisions a brand-new fleet whose state is the newest
 // continuous backup at or before asOf — point-in-time restore (§1, §5:
 // "backing up and restoring data from and to those volumes"). Storage
-// nodes stage snapshots to the object store continuously and
-// independently, so the restored segments are mutually inconsistent by up
-// to one backup interval; the standard volume recovery protocol then
+// nodes stage full images and the deltas on top of them to the object
+// store continuously and independently (storage.Node.BackupNow); each
+// segment is loaded by the one backup reader, storage.Node.LoadBackup. The
+// restored segments are mutually inconsistent by up to one backup
+// interval; the standard volume recovery protocol then
 // brings the restored volume to a consistent durable point exactly as it
 // would after a crash: gossip to completeness, compute VCL/VDL, truncate
 // the tail.
@@ -65,12 +68,11 @@ func RestoreFleet(cfg FleetConfig, asOf time.Time) (*Fleet, *RestoreReport, erro
 		pg := core.PGID(g)
 		loaded := 0
 		for r, n := range f.Replicas(pg) {
-			key := n.BackupKey()
-			snap, _, err := cfg.Store.GetAsOf(key, asOf)
-			if err != nil {
+			err := n.LoadBackup(asOf)
+			if errors.Is(err, objstore.ErrNotFound) {
 				continue // this replica had no backup yet; repair below
 			}
-			if err := n.LoadSnapshot(snap); err != nil {
+			if err != nil {
 				return nil, nil, fmt.Errorf("pg %d replica %d: %w", g, r, err)
 			}
 			loaded++

@@ -13,6 +13,7 @@ import (
 	"aurora/internal/disk"
 	"aurora/internal/netsim"
 	"aurora/internal/objstore"
+	"aurora/internal/storage"
 )
 
 // pitrStack builds a fleet with an object store and a controllable clock.
@@ -144,16 +145,11 @@ func TestRestoreBeforeAnyBackupFails(t *testing.T) {
 	}
 }
 
-func TestRestoreRepairsMissingReplicas(t *testing.T) {
-	f, c, store, setClock := pitrStack(t)
-	for i := 0; i < 6; i++ {
-		writePage(t, c, core.PageID(i), fmt.Sprintf("d%d", i))
-	}
-	setClock(time.Unix(2000, 0))
-	// A write returns at four acks of six: wait out the stragglers, or one of
-	// the four backups below is of a replica that has seen nothing yet — a
-	// different scenario (a backup that trails its peers), which failed this
-	// test in about a third of fresh processes at PR 23.
+// waitForStragglers waits until every replica of every PG holds the PG's
+// durable tail: a write returns at four acks of six, and the fifth and sixth
+// deliveries land afterwards.
+func waitForStragglers(t *testing.T, f *Fleet, c *Client) {
+	t.Helper()
 	for g := 0; g < f.PGs(); g++ {
 		tail := c.DurableTail(core.PGID(g))
 		for r, deadline := 0, time.Now().Add(5*time.Second); r < 6; {
@@ -167,6 +163,19 @@ func TestRestoreRepairsMissingReplicas(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestRestoreRepairsMissingReplicas(t *testing.T) {
+	f, c, store, setClock := pitrStack(t)
+	for i := 0; i < 6; i++ {
+		writePage(t, c, core.PageID(i), fmt.Sprintf("d%d", i))
+	}
+	setClock(time.Unix(2000, 0))
+	// Without the wait one of the four backups below can be of a replica
+	// that has seen nothing yet — a different scenario (a backup that trails
+	// its peers), which failed this test in about a third of fresh processes
+	// at PR 23.
+	waitForStragglers(t, f, c)
 	// Back up only four replicas of each PG: restore must repair the rest
 	// from the restored peers.
 	for g := 0; g < f.PGs(); g++ {
@@ -205,6 +214,123 @@ func TestRestoreRepairsMissingReplicas(t *testing.T) {
 	}
 	if got := string(p.Payload()[:2]); got != "d3" {
 		t.Fatalf("payload %q", got)
+	}
+}
+
+// TestRestoredCloneSharesKeysEachRestoresItsOwnChain: a volume restored from
+// its source's backups backs up under the very keys its source does, so one
+// key interleaves two chains — the source's deltas on the source's image, the
+// clone's on its own. A restore walks the chain of the version it picks and
+// only that one: filing every delta after the picked image would graft the
+// other volume's redo onto this one's segments.
+func TestRestoredCloneSharesKeysEachRestoresItsOwnChain(t *testing.T) {
+	ctx := context.Background()
+	f, c, store, setClock := pitrStack(t)
+	// write writes tag to pages 0..5 and waits until all six replicas hold
+	// it: a replica that trailed at its first pass would stage a near-empty
+	// image, and every delta after it would outweigh the image.
+	write := func(f *Fleet, c *Client, tag string) {
+		for i := 0; i < 6; i++ {
+			writePage(t, c, core.PageID(i), fmt.Sprintf("%s-%d", tag, i))
+		}
+		waitForStragglers(t, f, c)
+	}
+	coalesce := func(f *Fleet) {
+		for g := 0; g < f.PGs(); g++ {
+			for _, n := range f.Replicas(core.PGID(g)) {
+				n.CoalesceOnce()
+			}
+		}
+	}
+	// pass backs up every segment of f at second at and returns each key's
+	// new version.
+	pass := func(f *Fleet, at int64) map[string]int {
+		setClock(time.Unix(at, 0))
+		vs := map[string]int{}
+		for g := 0; g < f.PGs(); g++ {
+			for _, n := range f.Replicas(core.PGID(g)) {
+				if vs[n.BackupKey()] = n.BackupNow(); vs[n.BackupKey()] == 0 {
+					t.Fatal("backup failed")
+				}
+			}
+		}
+		return vs
+	}
+	// restore restores the volume as of second at; check sees the fleet
+	// before recovery truncates anything.
+	restore := func(at int64, check func(*Fleet)) (*Fleet, *Client) {
+		rf, _, err := RestoreFleet(FleetConfig{Name: "pitr", Geometry: core.UniformGeometry(2),
+			Net: netsim.New(netsim.FastLocal()), Disk: disk.FastLocal(), Store: store}, time.Unix(at, 0))
+		if err != nil {
+			t.Fatalf("restore as of %d: %v", at, err)
+		}
+		check(rf)
+		rc, _, err := Recover(ctx, rf, ClientConfig{WriterNode: "restored", WriterAZ: 0})
+		if err != nil {
+			t.Fatalf("recover as of %d: %v", at, err)
+		}
+		t.Cleanup(rc.Close)
+		return rf, rc
+	}
+
+	write(f, c, "src1")
+	coalesce(f) // bases, so an image outweighs the deltas on it
+	srcImage := pass(f, 2000)
+	write(f, c, "src2")
+	pass(f, 3000)
+	clone, cc := restore(3500, func(*Fleet) {})
+	write(clone, cc, "cln1")
+	coalesce(clone)
+	cloneImage := pass(clone, 4000)
+	write(clone, cc, "cln2")
+	cloneDelta := pass(clone, 5000)
+	write(f, c, "src3")
+	srcDelta := pass(f, 6000)
+	srcTail := c.VDL()
+
+	for key, v := range srcDelta {
+		base := func(v int) int {
+			obj, err := store.GetVersion(key, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, ok := storage.DeltaBase(obj)
+			if !ok {
+				t.Fatalf("%s v%d is a full image, want a delta", key, v)
+			}
+			return b
+		}
+		if base(v) != srcImage[key] || base(cloneDelta[key]) != cloneImage[key] || cloneImage[key] < srcImage[key] || v < cloneImage[key] {
+			t.Fatalf("%s: source image v%d and delta v%d, clone image v%d and delta v%d: the chains do not interleave",
+				key, srcImage[key], v, cloneImage[key], cloneDelta[key])
+		}
+	}
+	for _, tc := range []struct {
+		at     int64
+		tag    string
+		source bool
+	}{{2500, "src1", true}, {3500, "src2", true}, {4500, "cln1", false}, {5500, "cln2", false}, {6500, "src3", true}} {
+		_, rc := restore(tc.at, func(rf *Fleet) {
+			// The clone writes above its own recovery bound, far above anything
+			// the source wrote: a source restore holding such an LSN took a
+			// clone delta, whatever recovery then truncates.
+			for g := 0; tc.source && g < rf.PGs(); g++ {
+				for r, n := range rf.Replicas(core.PGID(g)) {
+					if h := n.HighestLSN(); h > srcTail {
+						t.Fatalf("as of %d, pg %d replica %d holds LSN %d, above the source's last %d", tc.at, g, r, h, srcTail)
+					}
+				}
+			}
+		})
+		for i := 0; i < 6; i++ {
+			p, _, err := rc.ReadPage(ctx, core.PageID(i))
+			if err != nil {
+				t.Fatalf("as of %d, page %d: %v", tc.at, i, err)
+			}
+			if got, want := string(p.Payload()[:len(tc.tag)+2]), fmt.Sprintf("%s-%d", tc.tag, i); got != want {
+				t.Fatalf("as of %d, page %d: %q, want %q", tc.at, i, got, want)
+			}
+		}
 	}
 }
 

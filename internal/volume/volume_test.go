@@ -496,6 +496,63 @@ func TestRecoveryEpochsIncrease(t *testing.T) {
 	}
 }
 
+// TestRecoverUnmovedByCPLTrim: coalescing trims every node's CPL index below
+// its GC tail and keeps the highest CPL at or below it. Recovery asks only
+// for the highest CPL at or below the VCL it computes, which never lies below
+// a GC tail (VCL ≥ VDL ≥ PGMRPL ≥ GC tail), so it lands on the same VCL and
+// VDL after the trim as before it.
+func TestRecoverUnmovedByCPLTrim(t *testing.T) {
+	ctx := context.Background()
+	f, c := testVolume(t, 2)
+	for i := 0; i < 30; i++ {
+		writePage(t, c, core.PageID(i%5), fmt.Sprintf("r%02d", i))
+	}
+	c.Crash()
+	c2, before, err := Recover(ctx, f, ClientConfig{WriterNode: "writer2", WriterAZ: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2.Crash()
+	// Every record is durable: let every node fold and collect its whole log
+	// up to the VDL, the most a trim can take. Each MTR is one record, so every
+	// record is a CPL and the one below a node's GC tail is there to lose.
+	for g := 0; g < f.PGs(); g++ {
+		for r, n := range f.Replicas(core.PGID(g)) {
+			if _, _, err := n.Ingest(ctx, nil, before.VDL, before.VDL, nil); err != nil {
+				t.Fatal(err)
+			}
+			tail := n.SCL()
+			if n.HighestCPLAtOrBelow(tail-1) == 0 {
+				t.Fatalf("setup: pg %d replica %d has no CPL below its tail %d", g, r, tail)
+			}
+			n.CoalesceOnce()
+			if n.GCTail() != tail || n.HighestCPLAtOrBelow(tail) != tail {
+				t.Fatalf("pg %d replica %d: GC tail %d, CPL floor %d, want both at %d", g, r, n.GCTail(), n.HighestCPLAtOrBelow(tail), tail)
+			}
+			if low := n.HighestCPLAtOrBelow(tail - 1); low != 0 {
+				t.Fatalf("pg %d replica %d: CPL %d below the GC tail %d outlived the trim", g, r, low, tail)
+			}
+		}
+	}
+	c3, after, err := Recover(ctx, f, ClientConfig{WriterNode: "writer3", WriterAZ: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if after.VCL != before.VCL || after.VDL != before.VDL {
+		t.Fatalf("after the trim recovery found VCL %d, VDL %d; before it %d, %d", after.VCL, after.VDL, before.VCL, before.VDL)
+	}
+	for i := 0; i < 5; i++ {
+		p, _, err := c3.ReadPage(ctx, core.PageID(i))
+		if err != nil {
+			t.Fatalf("page %d: %v", i, err)
+		}
+		if got, want := string(p.Payload()[:3]), fmt.Sprintf("r%02d", 25+i); got != want {
+			t.Fatalf("page %d payload %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestRepairSegmentAfterWipe(t *testing.T) {
 	f, c := testVolume(t, 1)
 	for i := 0; i < 6; i++ {
