@@ -52,6 +52,10 @@ test: build vet lint
 # between a sender worker, the framer and the committer. The storage line's
 # second test is continuous backup's: a pass swaps the staging list under the
 # node's lock and encodes the delta outside it while ingest and coalescing run.
+# The other four tests on that line each hold one of a node's background disk
+# waits (coalesce page write, log-tier GC write, Truncate's write) or a read's
+# disk read and require an Ingest and a read to get through meanwhile: the
+# node holds its lock only for in-memory work.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
@@ -62,7 +66,7 @@ race:
 	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestHedged' -skip 'TestHedgedReadBoundsTailLatency' ./internal/volume/
 	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped' ./internal/volume/
-	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce' ./internal/storage/
+	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce|TestCoalescePageWriteOutsideLock|TestReadDiskReadOutsideLock|TestLogGCWriteOutsideLock|TestTruncateWriteOutsideLock' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write

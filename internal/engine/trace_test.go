@@ -95,6 +95,11 @@ func TestCommitTraceCoversEveryStage(t *testing.T) {
 	if fl := snap.Find("replica.flight"); fl != nil && (fl.Attr("queued_us") == "" || fl.Attr("in_air") == "") {
 		t.Errorf("replica.flight annotated queued_us=%q in_air=%q, want both", fl.Attr("queued_us"), fl.Attr("in_air"))
 	}
+	// A storage node's filing step says how much of it was the wait for the
+	// node's lock.
+	if ap := snap.Find("storage.apply"); ap != nil && ap.Attr("lock_wait_us") == "" {
+		t.Errorf("storage.apply not annotated with lock_wait_us")
+	}
 	if t.Failed() {
 		t.Fatalf("trace:\n%s", lastCommitTrace(t, db).Render())
 	}

@@ -22,12 +22,11 @@ import (
 //     log replicas instead of 6, so Stats.LogBytes/commit roughly halves.
 //     The other half moves off the commit path into the background
 //     log→page feed (Stats.PageFeedBytes).
-//   - Lower commit latency: a log replica's ack path is append + fsync —
-//     it never materializes pages, so foreground acks stop queueing behind
-//     the coalescer's page writes. Classically all six replicas interleave
-//     materialization with ingest and the 4/6 quorum regularly lands on a
-//     replica mid-coalesce; the split moves that work to page replicas no
-//     commit ever waits on, and p50/p95 drop accordingly.
+//   - No slower commits: a log replica's ack path is append + fsync and it
+//     never materializes pages. A classic replica does materialize, but a
+//     storage node writes pages outside the lock its ingest takes, so its
+//     acks do not queue behind them either: the two schemes' commit
+//     latency and throughput agree within run-to-run noise.
 func LogSplitExperiment(s Scale) *Result {
 	conns := s.Clients * 5
 	mix := workload.SysbenchOLTP(s.Rows)
@@ -98,7 +97,7 @@ func LogSplitExperiment(s Scale) *Result {
 		},
 		Notes: []string{
 			"split acks commits on 2/3 log replicas; page replicas pull redo asynchronously",
-			"expect sync_bytes_ratio ~0.5 and p50/p95 ratios < 1 (log-tier acks never queue behind page materialization)",
+			"expect sync_bytes_ratio ~0.5 and p50/p95/writes ratios near 1 (neither scheme's acks queue behind page writes)",
 		},
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"io"
+	"sort"
 	"testing"
 )
 
@@ -209,23 +210,47 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
+// TestLogSplitShape: the split halves the synchronous bytes per commit and
+// feeds the page tier in the background, and its commits run at the classic
+// quorum's pace. A storage node writes pages outside the lock its ingest
+// takes, so neither scheme's acks wait for page materialization and the
+// latency and throughput ratios sit near 1 — from both sides:
+//
+//   - a classic replica whose ingest queues behind its page writes again
+//     shows as the split pulling ahead (that stall put the classic row at
+//     writes ratio 1.4–2.3 and p95 ratio 0.4–0.7);
+//   - a split ack path that queues behind something the classic one does not
+//     shows as the split falling behind.
+//
+// One Quick run (250 ms windows) is too noisy for bounds that tight, so each
+// ratio is the median of three runs.
 func TestLogSplitShape(t *testing.T) {
-	m := metrics(t, LogSplitExperiment(Quick()))
-	if m["sync_bytes_ratio"] > 0.7 {
-		t.Fatalf("split sync bytes/commit %v of baseline, want <= 0.7 (3 log copies vs 6)",
-			m["sync_bytes_ratio"])
+	var runs [3]map[string]float64
+	for i := range runs {
+		runs[i] = metrics(t, LogSplitExperiment(Quick()))
 	}
-	if m["p50_ratio"] >= 1 {
-		t.Fatalf("split commit p50 %vx baseline, want < 1 (acks free of page materialization)",
-			m["p50_ratio"])
+	median := func(k string) float64 {
+		v := []float64{runs[0][k], runs[1][k], runs[2][k]}
+		sort.Float64s(v)
+		return v[1]
 	}
-	if m["p95_ratio"] >= 1 {
-		t.Fatalf("split commit p95 %vx baseline, want < 1", m["p95_ratio"])
+	if r := median("sync_bytes_ratio"); r > 0.7 {
+		t.Fatalf("split sync bytes/commit %v of baseline, want <= 0.7 (3 log copies vs 6)", r)
 	}
-	if m["writes_ratio"] < 1 {
-		t.Fatalf("split writes/sec %vx baseline, want >= 1", m["writes_ratio"])
+	for _, b := range []struct {
+		metric   string
+		min, max float64
+	}{
+		{"writes_ratio", 0.7, 1.4},
+		{"p50_ratio", 0.7, 1.4},
+		{"p95_ratio", 0.7, 1.5},
+	} {
+		if r := median(b.metric); r < b.min || r > b.max {
+			t.Fatalf("split/classic %s %.3f (median of three), want within [%v, %v]",
+				b.metric, r, b.min, b.max)
+		}
 	}
-	if m["split_feed_bytes"] <= 0 {
+	if median("split_feed_bytes") <= 0 {
 		t.Fatalf("page tier pulled no feed bytes; the async feed is not running")
 	}
 }

@@ -15,14 +15,17 @@ import (
 // exactly where the GC boundary (gcTail) ends. Of the CPL positions at or
 // below it only the highest is retained: recovery never asks below it.
 //
-// Unlike checkpointing, which is governed by the length of the entire redo
-// log chain, the work here is governed per page by the length of that
-// page's chain — the key asymmetry called out in §3.2 — and a round looks
-// only at the pages that have one (the dirty list), so it costs what changed
-// since the last round, not what the node holds. Every chain at or below the
-// safe point is folded in the round it is called.
+// A round looks only at the pages that have a chain (the dirty list), so it
+// costs what changed since the last round, not what the node holds, and it
+// folds every chain at or below the safe point, whatever its length. §3.2
+// governs this work per page by the length of that page's chain; that policy
+// is not built (ROADMAP, "Background work by need", chain-length-governed
+// coalescing).
 //
-// It returns the number of pages whose base image advanced.
+// The fold, cut and GC happen under n.mu as one unit; writing the advanced
+// pages to disk happens after the unlock, so an Ingest filing its records
+// never waits behind background IO (§3.3: only steps 1 and 2 are in the
+// foreground path). It returns the number of pages whose base image advanced.
 func (n *Node) CoalesceOnce() int {
 	if n.down.Load() {
 		return 0
@@ -31,7 +34,19 @@ func (n *Node) CoalesceOnce() int {
 		return n.logGCOnce()
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	advanced := n.coalesceLocked()
+	n.mu.Unlock()
+	for i := 0; i < advanced; i++ {
+		if err := n.ssd.Write(page.Size); err != nil {
+			break
+		}
+	}
+	return advanced
+}
+
+// coalesceLocked is CoalesceOnce's in-memory round: it folds, cuts and
+// collects, and returns how many bases advanced (0 on an aborted round).
+func (n *Node) coalesceLocked() int {
 	if n.wiped {
 		return 0
 	}
@@ -83,11 +98,6 @@ func (n *Node) CoalesceOnce() int {
 	n.cutDirtyLocked(safe)
 	n.gcLogLocked(safe)
 	n.coalesces.Add(uint64(advanced))
-	for i := 0; i < advanced; i++ {
-		if err := n.ssd.Write(page.Size); err != nil {
-			break
-		}
-	}
 	return advanced
 }
 
@@ -171,7 +181,8 @@ func cutChain(chain []*core.Record, floor core.LSN) []*core.Record {
 // every peer are complete through it (page replicas pull the feed from
 // here, so dropping records a peer still needs would starve the feed)
 // and never above the PGMRPL. A wiped or freshly-repairing peer holds
-// the floor at its SCL, which safely stalls GC until it catches up.
+// the floor at its SCL, which safely stalls GC until it catches up. The
+// write that persists the advanced GC boundary runs after the unlock.
 func (n *Node) logGCOnce() int {
 	// Peer SCLs are read without holding our own lock (same discipline as
 	// the gossip pull) to keep lock ordering single-level.
@@ -185,26 +196,32 @@ func (n *Node) logGCOnce() int {
 		}
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	collected := n.logGCLocked(floor)
+	n.mu.Unlock()
+	if collected {
+		// The round reports nothing either way: the records are collected.
+		_ = n.ssd.Write(64)
+	}
+	return 0
+}
+
+// logGCLocked collects the log tier's retained prefix at or below floor
+// (capped at the PGMRPL) and reports whether anything was collected.
+func (n *Node) logGCLocked(floor core.LSN) bool {
 	if n.wiped {
-		return 0
+		return false
 	}
 	if n.pgmrpl < floor {
 		floor = n.pgmrpl
 	}
-	if floor <= n.gcTail {
-		return 0
-	}
-	if n.gcLogLocked(floor) == 0 {
-		return 0
+	if floor <= n.gcTail || n.gcLogLocked(floor) == 0 {
+		return false
 	}
 	// Trim delta chains below the floor: the history lives on in the page
 	// tier's materialized bases, not here. The chain bookkeeping exists
 	// only so StripePages can report page tails to the rebalancer.
 	n.cutDirtyLocked(floor)
-	// Persist the advanced GC boundary.
-	n.ssd.Write(64)
-	return 0
+	return true
 }
 
 // GCTail returns the highest log LSN garbage collected so far — the point

@@ -351,6 +351,7 @@ type BatchResult struct {
 // When ctx carries a sampled span (trace.FromContext), the ingest is
 // recorded as a storage.ingest span decomposed into disk.write, disk.sync
 // and storage.apply children — the last hops of a commit's critical path.
+// storage.apply's lock_wait_us is the part of it spent waiting for n.mu.
 // Cancellation is honored only before persistence begins: once the hot-log
 // write starts the flight is durable and the ack is returned regardless.
 func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl core.LSN, results []BatchResult) (Ack, []BatchResult, error) {
@@ -394,6 +395,9 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 	ssp.End()
 	asp := ingest.Child("storage.apply")
 	n.mu.Lock()
+	// The span's age at the lock is the wait for it (zero, and no clock read,
+	// when unsampled).
+	lockWait := asp.Age()
 	if n.wiped {
 		n.mu.Unlock()
 		asp.End()
@@ -413,6 +417,7 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 	n.observePointsLocked(vdl, pgmrpl)
 	scl := n.gaps.SCL()
 	n.mu.Unlock()
+	trace.Annotate(asp, "lock_wait_us", lockWait.Microseconds())
 	asp.End()
 	trace.Annotate(ingest, "scl", scl)
 	ingest.End()
@@ -634,6 +639,11 @@ func (n *Node) ReadPage(ctx context.Context, id core.PageID, readPoint, required
 // With the page comes the segment's SCL as the read saw it — the completeness
 // point a response piggybacks, which the read has just compared with required
 // under the lock it already holds.
+//
+// The page's disk read is waited out after the unlock, before the call
+// returns: a read never holds up an Ingest filing behind it. A read refused
+// before it reaches the disk (stale geometry, wiped, incomplete, no such page)
+// costs no IO; a failed disk refuses the read whatever the copy held.
 func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, required core.LSN, geomEpoch uint64) (page.Page, core.LSN, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -655,26 +665,45 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 		n.catchUpTo(ctx, required)
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	p, scl, atDisk, err := n.readLocked(id, readPoint, required, geomEpoch)
+	n.mu.Unlock()
+	if !atDisk {
+		return nil, 0, err
+	}
+	if ioErr := n.ssd.Read(page.Size); ioErr != nil {
+		return nil, 0, ioErr
+	}
+	if err != nil {
+		if errors.Is(err, ErrCorruptPage) {
+			n.corruptReads.Add(1)
+		}
+		return nil, 0, err
+	}
+	n.reads.Add(1)
+	return p, scl, nil
+}
+
+// readLocked is ReadPageChecked's in-memory half: it checks the read against
+// the node's state, then copies, verifies and folds the page. atDisk reports
+// whether the read got as far as the disk, which the caller then waits out
+// whatever err says.
+func (n *Node) readLocked(id core.PageID, readPoint, required core.LSN, geomEpoch uint64) (p page.Page, scl core.LSN, atDisk bool, err error) {
 	if geomEpoch != 0 {
 		if geomEpoch < n.geomEpoch {
-			return nil, 0, fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleGeometry, n.geomEpoch, geomEpoch)
+			return nil, 0, false, fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleGeometry, n.geomEpoch, geomEpoch)
 		}
 		n.geomEpoch = geomEpoch
 	}
 	if n.wiped {
-		return nil, 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
+		return nil, 0, false, fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
 	}
-	scl := n.gaps.SCL()
+	scl = n.gaps.SCL()
 	if scl < required {
-		return nil, 0, fmt.Errorf("%s: %w: scl=%d required=%d", n.cfg.Node, ErrIncomplete, scl, required)
+		return nil, 0, false, fmt.Errorf("%s: %w: scl=%d required=%d", n.cfg.Node, ErrIncomplete, scl, required)
 	}
 	ps := n.pages[id]
 	if ps == nil {
-		return nil, 0, fmt.Errorf("%s page %d: %w", n.cfg.Node, id, ErrNoSuchPage)
-	}
-	if err := n.ssd.Read(page.Size); err != nil {
-		return nil, 0, err
+		return nil, 0, false, fmt.Errorf("%s page %d: %w", n.cfg.Node, id, ErrNoSuchPage)
 	}
 	// Copy the base out under the lock and gate the read on the CRC of the
 	// copy (Figure 4 step 8 moved into the foreground path): the bytes vouched
@@ -684,12 +713,10 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 	// response; the refusal makes the corruption look like a failed replica —
 	// the client's hedged read falls through to a peer — while the background
 	// scrubber repairs this copy.
-	var p page.Page
 	if ps.base != nil {
 		p = ps.base.Clone()
 		if err := p.VerifyChecksum(); err != nil {
-			n.corruptReads.Add(1)
-			return nil, 0, fmt.Errorf("%s page %d: %w: %v", n.cfg.Node, id, ErrCorruptPage, err)
+			return nil, 0, true, fmt.Errorf("%s page %d: %w: %v", n.cfg.Node, id, ErrCorruptPage, err)
 		}
 	} else {
 		p = page.New(id)
@@ -697,10 +724,9 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 	// The chain up to the read point goes onto the copy with the loop
 	// coalescing uses on the base itself.
 	if err := foldInto(p, ps.chain, readPoint); err != nil {
-		return nil, 0, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
+		return nil, 0, true, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
 	}
-	n.reads.Add(1)
-	return p, scl, nil
+	return p, scl, true, nil
 }
 
 // Reads returns the number of foreground page reads this node has served
@@ -737,13 +763,24 @@ func (n *Node) StripePages(match func(core.PageID) bool) map[core.PageID]core.LS
 
 // Truncate applies an epoch-versioned truncation range (§4.3), annulling
 // every record in (From, To]. Stale epochs are rejected so an interrupted
-// and restarted recovery cannot be confused by older truncations.
+// and restarted recovery cannot be confused by older truncations. The write
+// that persists the decision runs after the unlock, and Truncate returns once
+// it is done.
 func (n *Node) Truncate(tr core.TruncationRange) error {
 	if n.down.Load() {
 		return fmt.Errorf("%s: %w", n.cfg.Node, ErrNodeDown)
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	err := n.truncateLocked(tr)
+	n.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return n.ssd.Write(64)
+}
+
+// truncateLocked is Truncate's in-memory half.
+func (n *Node) truncateLocked(tr core.TruncationRange) error {
 	if tr.Epoch < n.trunc.Epoch {
 		return fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleEpoch, n.trunc.Epoch, tr.Epoch)
 	}
@@ -762,8 +799,7 @@ func (n *Node) Truncate(tr core.TruncationRange) error {
 	n.cpls.retain(func(l core.LSN) bool { return !tr.Annuls(l) })
 	n.rebuildGapsLocked()
 	n.dropStagedLocked()
-	// Persist the truncation decision durably.
-	return n.ssd.Write(64)
+	return nil
 }
 
 // rebuildGapsLocked reconstructs the completeness tracker from the

@@ -649,6 +649,24 @@ func TestReadCostsDiskIO(t *testing.T) {
 	if n.Stats().Reads != 1 {
 		t.Fatal("read not counted")
 	}
+	// A read refused before it reaches the disk costs none.
+	if _, err := n.ReadPage(context.Background(), 99, 3, 0); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("unknown page: %v", err)
+	}
+	if _, err := n.ReadPage(context.Background(), 1, 3, 4); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("read above the SCL: %v", err)
+	}
+	if n.Disk().Stats().Reads != 1 {
+		t.Fatal("a read refused before the disk cost a disk read")
+	}
+	// A failed disk refuses the read, though the page was made before it.
+	n.Disk().Fail(true)
+	if p, err := n.ReadPage(context.Background(), 1, 3, 0); !errors.Is(err, disk.ErrFailed) || p != nil {
+		t.Fatalf("read on a failed disk: page %v, err %v; want no page and disk.ErrFailed", p != nil, err)
+	}
+	if n.Stats().Reads != 1 {
+		t.Fatal("a read refused by the disk was counted as served")
+	}
 }
 
 // TestCPLSetIsOneSortedSet: the CPL index keeps LSNs below 2^32 in four
