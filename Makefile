@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz-smoke bench-bin chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs bench-logsplit bench-tenants bench-autotune tenants-smoke ci
+.PHONY: all build vet lint test race fuzz-smoke bench-bin chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs tenants-smoke ci
 
 all: build
 
@@ -165,27 +165,9 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -parallel 2 $$(dirname $$file) || exit 1; \
 	done
 
-# Log/page role split vs the classic 4/6 quorum at 160 connections on the
-# NVMe disk model: sync bytes per commit, commit p50/p95, throughput.
-bench-logsplit:
-	$(GO) run ./cmd/aurora-bench -exp logsplit
-
-# Adaptive control plane vs static knobs at 160 connections: commit.queue
-# critical-path share, commit p50/p95, writes/sec, knob trajectory. JSON for
-# comparison across PRs.
-bench-autotune:
-	$(GO) run ./cmd/aurora-bench -exp autotune -json BENCH_10.json
-
-# Multi-tenant fleet benchmark: aggregate throughput scaling 1->4 tenants
-# on shared hosts, plus the noisy-neighbor QoS containment run, written as
-# JSON for comparison.
-bench-tenants:
-	$(GO) run ./cmd/aurora-bench -exp tenants -json BENCH_8.json
-
 # CI-sized multi-tenant checks: the -race isolation regression (two volumes
-# on one host fleet) plus a quick pass of the tenants experiment.
+# on one host fleet). The tenants experiment's shape runs in `make test`.
 tenants-smoke:
 	$(GO) test -race -count=1 -run 'TestTenant|TestPlacement|TestPooledFleet|TestWrongVolume' ./internal/volume/
-	$(GO) run ./cmd/aurora-bench -quick -exp tenants
 
 ci: test race bench-allocs fuzz-smoke chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke tenants-smoke examples-smoke

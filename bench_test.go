@@ -5,105 +5,38 @@ package aurora_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"aurora"
 	"aurora/internal/harness"
 )
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// iteration runs the corresponding harness experiment at quick scale and
-// reports its headline metrics; `cmd/aurora-bench` runs the same
-// experiments at full scale and prints the paper-shaped tables.
-
-func benchExperiment(b *testing.B, id string, report ...string) {
-	b.Helper()
-	s := harness.Quick()
-	fn, ok := harness.Registry[id]
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
+// BenchmarkExperiments runs every experiment of the paper report at Quick
+// scale, one sub-benchmark per id, and reports each metric of its last
+// run; `cmd/aurora-bench` runs the same table at full scale and prints the
+// paper-shaped tables with their shape verdicts.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range harness.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			var last *harness.Result
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run(harness.Quick())
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = r
+			}
+			keys := make([]string, 0, len(last.Metrics))
+			for k := range last.Metrics {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				b.ReportMetric(last.Metrics[k], k)
+			}
+		})
 	}
-	var last *harness.Result
-	for i := 0; i < b.N; i++ {
-		last = fn(s)
-	}
-	for _, m := range report {
-		if v, ok := last.Metrics[m]; ok {
-			b.ReportMetric(v, m)
-		}
-	}
-}
-
-func BenchmarkTable1NetworkIOs(b *testing.B) {
-	benchExperiment(b, "table1", "aurora_ios_per_txn", "mysql_ios_per_txn", "txn_ratio")
-}
-
-func BenchmarkFigure6ReadScaling(b *testing.B) {
-	benchExperiment(b, "fig6", "aurora_scaling_factor", "aurora_vs_mysql_top")
-}
-
-func BenchmarkFigure7WriteScaling(b *testing.B) {
-	benchExperiment(b, "fig7", "aurora_scaling_factor", "aurora_vs_mysql_top")
-}
-
-func BenchmarkTable2DataSizes(b *testing.B) {
-	benchExperiment(b, "table2", "aurora_degradation", "mysql_degradation", "advantage_at_max")
-}
-
-func BenchmarkTable3Connections(b *testing.B) {
-	benchExperiment(b, "table3", "aurora_growth", "mysql_tail_vs_peak")
-}
-
-func BenchmarkTable4ReplicaLag(b *testing.B) {
-	benchExperiment(b, "table4", "aurora_lag_ms_at_1000", "mysql_lag_ms_at_1000")
-}
-
-func BenchmarkTable5TPCC(b *testing.B) {
-	benchExperiment(b, "table5", "min_ratio", "max_ratio")
-}
-
-func BenchmarkFigure8ResponseTime(b *testing.B) {
-	benchExperiment(b, "fig8", "before_ms", "after_ms", "improvement")
-}
-
-func BenchmarkFigure9SelectLatency(b *testing.B) {
-	benchExperiment(b, "fig9", "p95_improvement")
-}
-
-func BenchmarkFigure10InsertLatency(b *testing.B) {
-	benchExperiment(b, "fig10", "p95_improvement")
-}
-
-func BenchmarkFigure11MultiReplicaLag(b *testing.B) {
-	benchExperiment(b, "fig11", "max_lag_ms")
-}
-
-func BenchmarkFigure12ZDP(b *testing.B) {
-	benchExperiment(b, "fig12", "pause_ms", "failed_stmts")
-}
-
-func BenchmarkRecoveryTime(b *testing.B) {
-	benchExperiment(b, "recovery", "aurora_ms_at_max", "mysql_ms_at_max")
-}
-
-func BenchmarkDurabilityModel(b *testing.B) {
-	benchExperiment(b, "durability", "aurora_read_loss", "twothree_read_loss")
-}
-
-func BenchmarkAblationSyncCommit(b *testing.B) {
-	benchExperiment(b, "ablation-sync-commit", "speedup")
-}
-
-func BenchmarkAblationCoalescing(b *testing.B) {
-	benchExperiment(b, "ablation-coalesce", "coalesced_ios", "uncoalesced_ios")
-}
-
-func BenchmarkAblationFullPageWrites(b *testing.B) {
-	benchExperiment(b, "ablation-full-pages", "amplification")
-}
-
-func BenchmarkAblationMaterialization(b *testing.B) {
-	benchExperiment(b, "ablation-materialize", "chain_before", "chain_after")
 }
 
 // Micro-benchmarks of the public API on a fast local cluster.

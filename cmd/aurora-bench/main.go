@@ -1,5 +1,7 @@
 // aurora-bench regenerates the paper's tables and figures against the
-// simulated substrate and prints them.
+// simulated substrate, prints them, and checks each against the shape the
+// paper says it must have. It exits 1 if any experiment fails to run or
+// fails its shape.
 //
 // Usage:
 //
@@ -7,9 +9,8 @@
 //	aurora-bench -exp table1            # one experiment
 //	aurora-bench -exp table1,table3     # a comma-separated subset
 //	aurora-bench -quick                 # CI-sized runs
-//	aurora-bench -trace                 # commit-latency attribution (tracing)
-//	aurora-bench -json results.json     # also write results as JSON
-//	aurora-bench -list                  # list experiment ids
+//	aurora-bench -json results.json     # also write results and verdicts as JSON
+//	aurora-bench -list                  # list experiment ids in report order
 package main
 
 import (
@@ -17,17 +18,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"aurora/internal/harness"
 )
 
-// runRecord is one experiment's JSON output: the Result plus wall time.
+// runRecord is one experiment's JSON output: the Result, its wall time and
+// its shape verdict ("ok" or "FAIL: <reason>").
 type runRecord struct {
 	*harness.Result
 	ElapsedMS int64 `json:"ElapsedMS"`
+	Shape     string
 }
 
 func main() {
@@ -35,17 +37,11 @@ func main() {
 	quick := flag.Bool("quick", false, "CI-sized scale instead of full")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	jsonOut := flag.String("json", "", "write results to this file as JSON")
-	traceMode := flag.Bool("trace", false, "run the latency-attribution experiment (per-stage table + exemplar trace trees)")
 	flag.Parse()
 
 	if *list {
-		ids := make([]string, 0, len(harness.Registry))
-		for id := range harness.Registry {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			fmt.Println(id)
+		for _, e := range harness.Experiments {
+			fmt.Println(e.ID)
 		}
 		return
 	}
@@ -55,36 +51,48 @@ func main() {
 		scale = harness.Quick()
 	}
 
-	var records []runRecord
-	run := func(id string) {
-		fn, ok := harness.Registry[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
-		}
-		start := time.Now()
-		res := fn(scale)
-		elapsed := time.Since(start)
-		res.Print(os.Stdout)
-		fmt.Printf("  [%s in %v]\n", id, elapsed.Round(time.Millisecond))
-		records = append(records, runRecord{Result: res, ElapsedMS: elapsed.Milliseconds()})
+	byID := map[string]harness.Experiment{}
+	for _, e := range harness.Experiments {
+		byID[e.ID] = e
 	}
-
-	ids := harness.Order
-	if *traceMode {
-		ids = []string{"latency"}
-	} else if *exp != "" {
-		ids = nil
+	exps := harness.Experiments
+	if *exp != "" {
+		exps = nil
 		for _, id := range strings.Split(*exp, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
+			if id = strings.TrimSpace(id); id == "" {
+				continue
 			}
+			e, ok := byID[id]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
+				os.Exit(2)
+			}
+			exps = append(exps, e)
 		}
 	} else {
 		fmt.Printf("aurora-bench: reproducing the SIGMOD'17 evaluation (scale: %+v)\n", scale)
 	}
-	for _, id := range ids {
-		run(id)
+
+	var records []runRecord
+	failed := 0
+	for _, e := range exps {
+		start := time.Now()
+		res, err := e.Run(scale)
+		elapsed := time.Since(start)
+		if err != nil {
+			fmt.Printf("\n== %s ==\n  run FAIL: %v\n", e.ID, err)
+			failed++
+			continue
+		}
+		res.Print(os.Stdout)
+		fmt.Printf("  [%s in %v]\n", e.ID, elapsed.Round(time.Millisecond))
+		verdict := "ok"
+		if err := e.Check(res); err != nil {
+			verdict = "FAIL: " + strings.ReplaceAll(err.Error(), "\n", "; ")
+			failed++
+		}
+		fmt.Printf("  shape %s\n", verdict)
+		records = append(records, runRecord{Result: res, ElapsedMS: elapsed.Milliseconds(), Shape: verdict})
 	}
 
 	if *jsonOut != "" {
@@ -99,5 +107,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %d result(s) to %s\n", len(records), *jsonOut)
+	}
+	if failed > 0 {
+		fmt.Printf("%d of %d experiment(s) failed\n", failed, len(exps))
+		os.Exit(1)
 	}
 }

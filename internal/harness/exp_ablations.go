@@ -15,26 +15,24 @@ import (
 // engine with commits that hold the engine exclusively through quorum
 // shipping and durability (a synchronous design) against the default
 // asynchronous pipeline.
-func AblationSyncCommit(s Scale) *Result {
-	mix := workload.SysbenchWriteOnly(s.Rows)
-	opts := workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 71}
-
-	run := func(sync bool, seed int64) float64 {
-		au, err := NewAurora(AuroraConfig{
+func AblationSyncCommit(s Scale) (*Result, error) {
+	w := window{rows: s.Rows, valueSize: 100, mix: workload.SysbenchWriteOnly(s.Rows),
+		opts: workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 71}}
+	tps := func(sync bool, seed int64) (float64, error) {
+		res, err := measure(NewAurora, AuroraConfig{
 			PGs: 4, CachePages: 4096, Net: benchNet(seed), Disk: disk.FastLocal(),
 			Engine: engine.Config{SyncCommit: sync},
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer au.Close()
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		return workload.Run(au.WL(), mix, opts).TPS()
+		}, w, nil)
+		return res.TPS(), err
 	}
-	syncTPS := run(true, 71)
-	asyncTPS := run(false, 72)
+	syncTPS, err := tps(true, 71)
+	if err != nil {
+		return nil, err
+	}
+	asyncTPS, err := tps(false, 72)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &Table{Header: []string{"Commit protocol", "Transactions/sec"}}
 	t.Add("synchronous (stalls engine)", fmt.Sprintf("%.0f", syncTPS))
@@ -47,7 +45,7 @@ func AblationSyncCommit(s Scale) *Result {
 			"async_tps": asyncTPS,
 			"speedup":   ratio(asyncTPS, syncTPS),
 		},
-	}
+	}, nil
 }
 
 // AblationCoalesce quantifies the §3.2 IO-flow batching: per-segment
@@ -58,29 +56,25 @@ func AblationSyncCommit(s Scale) *Result {
 // writer's network IOs per transaction — and what it costs in throughput.
 // (Until the senders were windowed the baseline was stop-and-wait, and the
 // 2.4x it showed was the waiting; EXPERIMENTS.md has both.)
-func AblationCoalesce(s Scale) *Result {
-	mix := workload.SysbenchWriteOnly(s.Rows)
-	opts := workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 73}
-
-	run := func(noCoalesce bool, seed int64) (tps, iosPerTxn float64) {
-		au, err := NewAurora(AuroraConfig{
+func AblationCoalesce(s Scale) (*Result, error) {
+	w := window{rows: s.Rows, valueSize: 100, mix: workload.SysbenchWriteOnly(s.Rows),
+		opts: workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 73}}
+	run := func(noCoalesce bool, seed int64) (tps, iosPerTxn float64, err error) {
+		var out sent
+		res, err := measure(NewAurora, AuroraConfig{
 			PGs: 4, CachePages: 4096, Net: benchNet(seed), Disk: disk.FastLocal(),
 			NoCoalesce: noCoalesce,
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer au.Close()
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		au.Net.ResetStats()
-		res := workload.Run(au.WL(), mix, opts)
-		sent, _, _, _, _ := au.Net.NodeStats(au.WriterNode())
-		return res.TPS(), ratio(float64(sent), float64(res.Transactions))
+		}, w, writerSent(&out))
+		return res.TPS(), ratio(float64(out.msgs), float64(res.Transactions)), err
 	}
-	nTPS, nIOs := run(true, 73)
-	cTPS, cIOs := run(false, 74)
+	nTPS, nIOs, err := run(true, 73)
+	if err != nil {
+		return nil, err
+	}
+	cTPS, cIOs, err := run(false, 74)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &Table{Header: []string{"Log shipping", "Transactions/sec", "IOs/txn at writer"}}
 	t.Add("one message per batch", fmt.Sprintf("%.0f", nTPS), fmtF(nIOs))
@@ -95,35 +89,31 @@ func AblationCoalesce(s Scale) *Result {
 			"coalesced_tps": cTPS, "uncoalesced_tps": nTPS,
 			"coalesced_ios": cIOs, "uncoalesced_ios": nIOs,
 		},
-	}
+	}, nil
 }
 
 // AblationFullPages quantifies §3.1's "what is written" argument: shipping
 // full page images instead of redo deltas multiplies the bytes crossing
 // the network per transaction.
-func AblationFullPages(s Scale) *Result {
-	mix := workload.SysbenchWriteOnly(s.Rows)
-	opts := workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 75}
-
-	run := func(full bool, seed int64) (tps, bytesPerTxn float64) {
-		au, err := NewAurora(AuroraConfig{
+func AblationFullPages(s Scale) (*Result, error) {
+	w := window{rows: s.Rows, valueSize: 100, mix: workload.SysbenchWriteOnly(s.Rows),
+		opts: workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 75}}
+	run := func(full bool, seed int64) (tps, bytesPerTxn float64, err error) {
+		var out sent
+		res, err := measure(NewAurora, AuroraConfig{
 			PGs: 4, CachePages: 4096, Net: benchNet(seed), Disk: disk.FastLocal(),
 			Engine: engine.Config{FullPageWrites: full},
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer au.Close()
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		au.Net.ResetStats()
-		res := workload.Run(au.WL(), mix, opts)
-		_, sentBytes, _, _, _ := au.Net.NodeStats(au.WriterNode())
-		return res.TPS(), ratio(float64(sentBytes), float64(res.Transactions))
+		}, w, writerSent(&out))
+		return res.TPS(), ratio(float64(out.bytes), float64(res.Transactions)), err
 	}
-	fTPS, fBytes := run(true, 75)
-	dTPS, dBytes := run(false, 76)
+	fTPS, fBytes, err := run(true, 75)
+	if err != nil {
+		return nil, err
+	}
+	dTPS, dBytes, err := run(false, 76)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &Table{Header: []string{"Log contents", "Transactions/sec", "Bytes/txn on wire"}}
 	t.Add("full page images", fmt.Sprintf("%.0f", fTPS), fmt.Sprintf("%.0f", fBytes))
@@ -136,17 +126,17 @@ func AblationFullPages(s Scale) *Result {
 			"page_bytes_per_txn":  fBytes,
 			"amplification":       ratio(fBytes, dBytes),
 		},
-	}
+	}, nil
 }
 
 // AblationMaterialize quantifies §3.2's background materialization: a page
 // with a long delta chain is expensive to read until the storage node
 // coalesces it; materialization is purely an optimization — the content is
 // identical either way.
-func AblationMaterialize(s Scale) *Result {
+func AblationMaterialize(Scale) (*Result, error) {
 	au, err := NewAurora(AuroraConfig{PGs: 1, CachePages: 64, Net: benchNet(77), Disk: disk.FastLocal()})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	defer au.Close()
 	// Hammer one row so a single page accumulates a long chain.
@@ -154,7 +144,7 @@ func AblationMaterialize(s Scale) *Result {
 	const updates = 400
 	for i := 0; i < updates; i++ {
 		if err := au.DB.Put(key, []byte(fmt.Sprintf("v%06d", i))); err != nil {
-			panic(err)
+			return nil, err
 		}
 	}
 	node := au.Fleet.Node(0, 0)
@@ -167,22 +157,26 @@ func AblationMaterialize(s Scale) *Result {
 		}
 	}
 
-	readOnce := func() time.Duration {
+	readOnce := func() (time.Duration, error) {
 		au.DB.Cache().Invalidate()
 		start := time.Now()
-		if _, _, err := au.DB.Get(key); err != nil {
-			panic(err)
-		}
-		return time.Since(start)
+		_, _, err := au.DB.Get(key)
+		return time.Since(start), err
 	}
-	before := readOnce()
+	before, err := readOnce()
+	if err != nil {
+		return nil, err
+	}
 	chainBefore := node.ChainLength(hotPage)
 	// Let every replica materialize.
 	coalesced := 0
 	for i := 0; i < 6; i++ {
 		coalesced += au.Fleet.Node(0, i).CoalesceOnce()
 	}
-	after := readOnce()
+	after, err := readOnce()
+	if err != nil {
+		return nil, err
+	}
 	chainAfter := node.ChainLength(hotPage)
 
 	t := &Table{Header: []string{"State", "Hot page chain length", "Cold read latency"}}
@@ -199,5 +193,5 @@ func AblationMaterialize(s Scale) *Result {
 		Notes: []string{
 			"materialization is optional for correctness: the log is the database",
 		},
-	}
+	}, nil
 }

@@ -25,9 +25,10 @@ import (
 // worse than a whisker below static, and the knob trajectory (visible here
 // and in Stats/aurora-bench -json) shows the controller actually moved —
 // the gain comes from steering, not from a different static default.
-func AutotuneExperiment(s Scale) *Result {
+func AutotuneExperiment(s Scale) (*Result, error) {
 	conns := s.Clients * 5
 	mix := workload.SysbenchWriteOnly(s.Rows)
+	w := window{rows: s.Rows, valueSize: 100, mix: mix, opts: workload.Options{Clients: conns, Duration: s.Duration, Seed: 151}}
 
 	type mode struct {
 		name       string
@@ -51,64 +52,35 @@ func AutotuneExperiment(s Scale) *Result {
 
 	var raw strings.Builder
 	for i, m := range modes {
-		au, err := NewAurora(AuroraConfig{
+		var traj []string
+		res, err := measure(NewAurora, AuroraConfig{
 			PGs: 4, CachePages: 4096,
 			Net:    benchNet(151 + int64(i)),
 			Disk:   disk.NVMe(),
 			Engine: m.cfg,
+		}, w, func(au *AuroraStack) func() {
+			// Sample the knob panel while the workload runs so the
+			// trajectory — not just the endpoint — is on record for the
+			// adaptive mode.
+			stopSampling := sampleKnobs(au, s.Duration/10)
+			return func() {
+				traj = stopSampling()
+				shares, _, _, n := commitPathShares(au.DB.Tracer())
+				es := au.DB.Stats()
+				m.p50 = es.Pipeline.CommitP50
+				m.p95 = es.Pipeline.CommitP95
+				m.queueShare = shares["commit.queue"]
+				m.traced = n
+				m.steps = es.AutoTuneSteps
+				m.adjusts = es.AutoTuneAdjusts
+				m.knobs = es.Knobs
+			}
 		})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-
-		// Sample the knob panel while the workload runs so the trajectory —
-		// not just the endpoint — is on record for the adaptive mode.
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		var traj []string
-		go func() {
-			defer close(done)
-			last := map[string]int64{}
-			tick := time.NewTicker(s.Duration / 10)
-			defer tick.Stop()
-			start := time.Now()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					for _, k := range au.DB.Stats().Knobs {
-						if last[k.Name] != k.Value {
-							traj = append(traj, fmt.Sprintf("  %6s  %s: %d -> %d",
-								time.Since(start).Round(time.Millisecond),
-								k.Name, last[k.Name], k.Value))
-							last[k.Name] = k.Value
-						}
-					}
-				}
-			}
-		}()
-		res := workload.Run(au.WL(), mix, workload.Options{
-			Clients: conns, Duration: s.Duration, Seed: 151,
-		})
-		close(stop)
-		<-done
-
-		shares, _, _, n := commitPathShares(au.DB.Tracer())
-		es := au.DB.Stats()
 		m.rate = res.WritesPerSec(mix)
 		m.errors = res.Errors
-		m.p50 = es.Pipeline.CommitP50
-		m.p95 = es.Pipeline.CommitP95
-		m.queueShare = shares["commit.queue"]
-		m.traced = n
-		m.steps = es.AutoTuneSteps
-		m.adjusts = es.AutoTuneAdjusts
-		m.knobs = es.Knobs
-		au.Close()
 
 		if m.name == "adaptive" {
 			fmt.Fprintf(&raw, "knob trajectory (adaptive, %d conns):\n", conns)
@@ -169,5 +141,40 @@ func AutotuneExperiment(s Scale) *Result {
 			"knob rows show static value -> controller-steered value at run end",
 		},
 		Raw: raw.String(),
+	}, nil
+}
+
+// sampleKnobs samples the stack's knob panel every interval until the
+// returned stop is called; stop returns every change it saw, one line each.
+func sampleKnobs(au *AuroraStack, every time.Duration) (stop func() []string) {
+	var traj []string
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		last := map[string]int64{}
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		start := time.Now()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				for _, k := range au.DB.Stats().Knobs {
+					if last[k.Name] != k.Value {
+						traj = append(traj, fmt.Sprintf("  %6s  %s: %d -> %d",
+							time.Since(start).Round(time.Millisecond),
+							k.Name, last[k.Name], k.Value))
+						last[k.Name] = k.Value
+					}
+				}
+			}
+		}
+	}()
+	return func() []string {
+		close(quit)
+		<-done
+		return traj
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/disk"
@@ -16,7 +17,7 @@ import (
 // count and then falls: its connections hold row locks across the
 // serialized group-commit flush chain, so added concurrency turns into
 // lock waits and timeouts rather than work.
-func Table3(s Scale) *Result {
+func Table3(s Scale) (*Result, error) {
 	conns := []int{s.Clients / 4, s.Clients, s.Clients * 10}
 	mix := workload.SysbenchOLTP(s.Rows)
 
@@ -24,33 +25,23 @@ func Table3(s Scale) *Result {
 	aRates := make([]float64, len(conns))
 	mRates := make([]float64, len(conns))
 	for i, c := range conns {
-		au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(31 + int64(i)), Disk: disk.FastLocal()})
+		w := window{rows: s.Rows, valueSize: 100, mix: mix, opts: workload.Options{Clients: c, Duration: s.Duration, Seed: 31}}
+		ares, err := measure(NewAurora, AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(31 + int64(i)), Disk: disk.FastLocal()}, w, nil)
 		if err != nil {
-			panic(err)
-		}
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		ares := workload.Run(au.WL(), mix, workload.Options{Clients: c, Duration: s.Duration, Seed: 31})
-		aRates[i] = ares.WritesPerSec(mix)
-		au.Close()
-
-		ms, err := NewMySQL(MySQLConfig{CachePages: 4096, Net: benchNet(131 + int64(i)), Disk: disk.FastLocal()})
-		if err != nil {
-			panic(err)
-		}
-		if err := workload.Load(ms.WL(), s.Rows, 100); err != nil {
-			panic(err)
+			return nil, err
 		}
 		// The baseline is thread-per-connection: past ~2x the base client
 		// count, every extra connection pays a quadratic scheduler toll
 		// (§6.1.3's collapse). Aurora's engine runs the same workload
 		// without the wrapper: commits leave the thread immediately and the
 		// storage fleet absorbs the parallelism.
-		mwl := workload.ThreadThrash(ms.WL(), s.Clients*2, 30*time.Nanosecond)
-		mres := workload.Run(mwl, mix, workload.Options{Clients: c, Duration: s.Duration, Seed: 31, MaxRetries: 1})
-		mRates[i] = mres.WritesPerSec(mix)
-		ms.Close()
+		w.wrap = func(db workload.DB) workload.DB { return workload.ThreadThrash(db, s.Clients*2, 30*time.Nanosecond) }
+		w.opts.MaxRetries = 1
+		mres, err := measure(NewMySQL, MySQLConfig{CachePages: 4096, Net: benchNet(131 + int64(i)), Disk: disk.FastLocal()}, w, nil)
+		if err != nil {
+			return nil, err
+		}
+		aRates[i], mRates[i] = ares.WritesPerSec(mix), mres.WritesPerSec(mix)
 
 		t.Add(fmt.Sprintf("%d", c), fmt.Sprintf("%.0f", aRates[i]), fmt.Sprintf("%.0f", mRates[i]))
 	}
@@ -61,21 +52,11 @@ func Table3(s Scale) *Result {
 		Table: t,
 		Metrics: map[string]float64{
 			"aurora_growth":                ratio(aRates[last], aRates[0]),
-			"mysql_tail_vs_peak":           ratio(mRates[last], maxF(mRates)),
+			"mysql_tail_vs_peak":           ratio(mRates[last], slices.Max(mRates)),
 			"aurora_vs_mysql_at_max_conns": ratio(aRates[last], mRates[last]),
 		},
 		Notes: []string{
 			"paper: Aurora 40k→110k rising; MySQL peaks at 500 conns (21k) then drops to 13k at 5000",
 		},
-	}
-}
-
-func maxF(vs []float64) float64 {
-	m := 0.0
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	}, nil
 }

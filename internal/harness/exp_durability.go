@@ -15,7 +15,7 @@ import (
 // loses write availability on any single failure. It also shows the §2.2
 // segmentation argument: shrinking MTTR (small segments repair in seconds)
 // collapses the window of vulnerability to double faults.
-func DurabilityExperiment(Scale) *Result {
+func DurabilityExperiment(Scale) (*Result, error) {
 	base := quorum.DurabilityParams{
 		NodeMTTF: 1000 * time.Hour,
 		NodeMTTR: 1 * time.Hour,
@@ -65,5 +65,5 @@ func DurabilityExperiment(Scale) *Result {
 			"AZ+1 goal: 4/6 tolerates an AZ loss plus one more failure for reads, an AZ loss for writes",
 			"segmented storage shrinks MTTR, collapsing the double-fault window (§2.2)",
 		},
-	}
+	}, nil
 }

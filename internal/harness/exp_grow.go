@@ -17,21 +17,15 @@ import (
 // the growth, with GrowVolume-equivalent rebalancing racing the middle
 // window, and after cutover on the doubled fleet. Growth must complete with
 // zero workload errors, and the appended PGs must serve reads afterwards.
-func GrowExperiment(s Scale) *Result {
+func GrowExperiment(s Scale) (*Result, error) {
 	// A cache smaller than the working set so the read path reaches the
 	// storage fleet and the post-grow window exercises the new PGs.
-	cache := s.Rows / 30
-	if cache < 32 {
-		cache = 32
-	}
-	au, err := NewAurora(AuroraConfig{Name: "grow", PGs: 2, CachePages: cache, Net: benchNet(31), Disk: disk.FastLocal()})
+	cache := max(s.Rows/30, 32)
+	au, err := loaded(NewAurora, AuroraConfig{Name: "grow", PGs: 2, CachePages: cache, Net: benchNet(31), Disk: disk.FastLocal()}, s.Rows, 100)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	defer au.Close()
-	if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-		panic(err)
-	}
 	mix := workload.SysbenchOLTP(s.Rows)
 	run := func(seed int64) workload.Result {
 		return workload.Run(au.WL(), mix, workload.Options{Clients: s.Clients / 2, Duration: s.Duration, Seed: seed})
@@ -55,7 +49,7 @@ func GrowExperiment(s Scale) *Result {
 	during := run(312)
 	wg.Wait()
 	if gerr != nil {
-		panic(gerr)
+		return nil, fmt.Errorf("grow: %w", gerr)
 	}
 
 	after := run(313)
@@ -96,5 +90,5 @@ func GrowExperiment(s Scale) *Result {
 				grep.StripesMoved, grep.PagesCopied, grep.Duration.Round(time.Microsecond), grep.FromEpoch, grep.ToEpoch),
 			"paper §3: volumes grow by appending PGs while the database keeps serving",
 		},
-	}
+	}, nil
 }

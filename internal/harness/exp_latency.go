@@ -31,7 +31,7 @@ import (
 // replica, so the commit path inherits the fleet's tail (§3.1's "bottom
 // 0.01%" sensitivity) and the gray-failure machinery (retries against the
 // dead AZ) engages.
-func LatencyAttribution(s Scale) *Result {
+func LatencyAttribution(s Scale) (*Result, error) {
 	type scenario struct {
 		name   string
 		fault  func(a *AuroraStack)
@@ -54,54 +54,52 @@ func LatencyAttribution(s Scale) *Result {
 		}},
 	}
 
-	mix := workload.SysbenchWriteOnly(s.Rows)
+	w := window{rows: s.Rows, valueSize: 100, mix: workload.SysbenchWriteOnly(s.Rows),
+		opts: workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 71}}
 	metrics := map[string]float64{}
 	var raw strings.Builder
 	for i, sc := range scenarios {
-		au, err := NewAurora(AuroraConfig{
+		_, err := measure(NewAurora, AuroraConfig{
 			PGs: 4, CachePages: 4096,
 			Net:    benchNet(71 + int64(i)),
 			Disk:   disk.NVMe(),
 			Engine: engine.Config{TraceEvery: 4, TraceRing: 1024},
+		}, w, func(au *AuroraStack) func() {
+			sc.fault(au)
+			return func() {
+				sc.shares, sc.p50, sc.p99, sc.n = commitPathShares(au.DB.Tracer())
+				sc.vs = au.DB.Stats().Volume
+				if sc.name != "normal" {
+					return
+				}
+				raw.WriteString("per-stage latency attribution (normal):\n")
+				raw.WriteString(trace.FormatStages(au.DB.Tracer().Stages()))
+				if ex := au.DB.Tracer().Exemplars("commit"); len(ex) > 0 {
+					raw.WriteString("\nslowest sampled commit (critical-path exemplar):\n")
+					raw.WriteString(ex[0].Render())
+					raw.WriteString("critical path: ")
+					for j, seg := range trace.CriticalPath(ex[0].Snapshot()) {
+						if j > 0 {
+							raw.WriteString(" + ")
+						}
+						fmt.Fprintf(&raw, "%s %v", seg.Name, seg.Dur.Round(time.Microsecond))
+					}
+					raw.WriteString("\n")
+				}
+			}
 		})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		sc.fault(au)
-		workload.Run(au.WL(), mix, workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 71})
-
-		sc.shares, sc.p50, sc.p99, sc.n = commitPathShares(au.DB.Tracer())
-		vs := au.DB.Stats().Volume
-		sc.vs = vs
+		vs := sc.vs
 		metrics[sc.name+"_flights"] = float64(vs.Flights)
 		metrics[sc.name+"_shipments"] = float64(vs.Shipments)
 		metrics[sc.name+"_shipments_waited"] = float64(vs.ShipmentsWaited)
 		metrics[sc.name+"_commits_traced"] = float64(sc.n)
-		metrics[sc.name+"_p50_ms"] = float64(sc.p50.Microseconds()) / 1000
-		metrics[sc.name+"_p99_ms"] = float64(sc.p99.Microseconds()) / 1000
+		metrics[sc.name+"_p50_ms"] = ms(sc.p50)
+		metrics[sc.name+"_p99_ms"] = ms(sc.p99)
 		metrics[sc.name+"_write_retries"] = float64(vs.WriteRetries)
 		metrics[sc.name+"_hedges"] = float64(vs.Hedges)
-
-		if sc.name == "normal" {
-			raw.WriteString("per-stage latency attribution (normal):\n")
-			raw.WriteString(trace.FormatStages(au.DB.Tracer().Stages()))
-			if ex := au.DB.Tracer().Exemplars("commit"); len(ex) > 0 {
-				raw.WriteString("\nslowest sampled commit (critical-path exemplar):\n")
-				raw.WriteString(ex[0].Render())
-				raw.WriteString("critical path: ")
-				for j, seg := range trace.CriticalPath(ex[0].Snapshot()) {
-					if j > 0 {
-						raw.WriteString(" + ")
-					}
-					fmt.Fprintf(&raw, "%s %v", seg.Name, seg.Dur.Round(time.Microsecond))
-				}
-				raw.WriteString("\n")
-			}
-		}
-		au.Close()
 	}
 
 	// Rows: union of stages on any scenario's critical paths, ordered by
@@ -156,7 +154,7 @@ func LatencyAttribution(s Scale) *Result {
 			"az-down: the quorum needs all 4 survivors, so the commit inherits the fleet tail (§3.1)",
 		},
 		Raw: raw.String(),
-	}
+	}, nil
 }
 
 // commitPathShares folds every finished sampled commit's critical path into

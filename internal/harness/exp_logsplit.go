@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aurora/internal/disk"
+	"aurora/internal/engine"
 	"aurora/internal/quorum"
 	"aurora/internal/workload"
 )
@@ -27,9 +28,10 @@ import (
 //     storage node writes pages outside the lock its ingest takes, so its
 //     acks do not queue behind them either: the two schemes' commit
 //     latency and throughput agree within run-to-run noise.
-func LogSplitExperiment(s Scale) *Result {
+func LogSplitExperiment(s Scale) (*Result, error) {
 	conns := s.Clients * 5
 	mix := workload.SysbenchOLTP(s.Rows)
+	w := window{rows: s.Rows, valueSize: 100, mix: mix, opts: workload.Options{Clients: conns, Duration: s.Duration, Seed: 71}}
 
 	type run struct {
 		name          string
@@ -46,22 +48,18 @@ func LogSplitExperiment(s Scale) *Result {
 
 	for i := range runs {
 		r := &runs[i]
-		au, err := NewAurora(AuroraConfig{
+		var es engine.Stats
+		res, err := measure(NewAurora, AuroraConfig{
 			PGs: 4, CachePages: 4096, Net: benchNet(71 + int64(i)),
 			Disk: disk.NVMe(), Quorum: r.q,
 			// The page tier is fed by the background gossip pull; both
 			// configurations run with background loops on so the comparison
 			// differs only in the quorum scheme.
 			Background: true,
-		})
+		}, w, func(au *AuroraStack) func() { return func() { es = au.DB.Stats() } })
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		res := workload.Run(au.WL(), mix, workload.Options{Clients: conns, Duration: s.Duration, Seed: 71})
-		es := au.DB.Stats()
 		r.writesPerSec = res.WritesPerSec(mix)
 		// Client-side percentiles: the write-only transaction a connection
 		// waits for, commit included.
@@ -71,7 +69,6 @@ func LogSplitExperiment(s Scale) *Result {
 			r.syncPerCommit = float64(es.Volume.LogBytes) / float64(es.Commits)
 			r.feedPerCommit = float64(es.Volume.PageFeedBytes) / float64(es.Commits)
 		}
-		au.Close()
 	}
 
 	t := &Table{Header: []string{"Config", "writes/sec", "commit p50", "commit p95", "sync B/commit", "feed B/commit"}}
@@ -99,5 +96,5 @@ func LogSplitExperiment(s Scale) *Result {
 			"split acks commits on 2/3 log replicas; page replicas pull redo asynchronously",
 			"expect sync_bytes_ratio ~0.5 and p50/p95/writes ratios near 1 (neither scheme's acks queue behind page writes)",
 		},
-	}
+	}, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"aurora/internal/disk"
 	"aurora/internal/engine"
+	"aurora/internal/mysql"
 	"aurora/internal/volume"
 	"aurora/internal/workload"
 )
@@ -19,54 +20,21 @@ import (
 // checkpoint while offline, so its recovery time grows with the redo
 // backlog. The experiment crashes both engines after increasing amounts of
 // post-checkpoint work.
-func RecoveryExperiment(s Scale) *Result {
+func RecoveryExperiment(s Scale) (*Result, error) {
 	backlogs := []int{s.Rows / 8, s.Rows / 2, s.Rows * 2}
 	t := &Table{Header: []string{"Txns since checkpoint", "Aurora recovery", "MySQL recovery", "MySQL redo records"}}
 	metrics := map[string]float64{}
 
 	var aTimes, mTimes []float64
 	for i, n := range backlogs {
-		// Aurora: crash after n commits, recover, time it.
-		au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(61 + int64(i)), Disk: disk.FastLocal()})
+		aDur, err := auroraRecovery(s, n, int64(i))
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		for j := 0; j < n; j++ {
-			if err := au.DB.Put(workload.Key(j%s.Rows), []byte("recov")); err != nil {
-				panic(err)
-			}
-		}
-		au.DB.Crash()
-		start := time.Now()
-		db2, _, err := engine.Recover(context.Background(), au.Fleet, volume.ClientConfig{WriterNode: "au-writer2", WriterAZ: 0}, engine.Config{})
+		rep, redo, err := mysqlRecovery(s, n, int64(i))
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		// Recovery is complete when the database serves its first read.
-		if _, _, err := db2.Get(workload.Key(0)); err != nil {
-			panic(err)
-		}
-		aDur := time.Since(start)
-		db2.Close()
-		au.Fleet.Stop()
-
-		// MySQL: same backlog with checkpoints disabled beyond the start.
-		ms2, err := NewMySQL(MySQLConfig{CachePages: 4096, Net: benchNet(161 + int64(i)), Disk: disk.FastLocal(), Checkpoint: 1 << 30})
-		if err != nil {
-			panic(err)
-		}
-		for j := 0; j < n; j++ {
-			if err := ms2.DB.Put(workload.Key(j%s.Rows), []byte("recov")); err != nil {
-				panic(err)
-			}
-		}
-		redo := ms2.DB.Stats().RedoRecords
-		rep, err := ms2.DB.CrashAndRecover()
-		if err != nil {
-			panic(err)
-		}
-		ms2.Close()
-
 		t.Add(fmt.Sprintf("%d", n), fmtDur(aDur), fmtDur(rep.Duration), fmt.Sprintf("%d", redo))
 		aTimes = append(aTimes, ms(aDur))
 		mTimes = append(mTimes, ms(rep.Duration))
@@ -83,5 +51,54 @@ func RecoveryExperiment(s Scale) *Result {
 			"paper: Aurora recovers in <10s even at 100k writes/sec; no redo replay at startup",
 			"Aurora recovery time is flat in backlog; ARIES redo grows with it",
 		},
+	}, nil
+}
+
+// auroraRecovery crashes an Aurora writer after n commits and times its
+// recovery: complete when the database serves its first read.
+func auroraRecovery(s Scale, n int, i int64) (time.Duration, error) {
+	au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(61 + i), Disk: disk.FastLocal()})
+	if err != nil {
+		return 0, err
 	}
+	defer au.Fleet.Stop()
+	for j := 0; j < n; j++ {
+		if err := au.DB.Put(workload.Key(j%s.Rows), []byte("recov")); err != nil {
+			au.DB.Close()
+			return 0, err
+		}
+	}
+	au.DB.Crash()
+	start := time.Now()
+	db2, _, err := engine.Recover(context.Background(), au.Fleet, volume.ClientConfig{WriterNode: "au-writer2", WriterAZ: 0}, engine.Config{})
+	if err != nil {
+		return 0, fmt.Errorf("recover: %w", err)
+	}
+	defer db2.Close()
+	if _, _, err := db2.Get(workload.Key(0)); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
+}
+
+// mysqlRecovery runs n commits on the baseline with checkpoints disabled
+// beyond the start, crashes it and times ARIES redo; it also returns the
+// redo records the crash left behind.
+func mysqlRecovery(s Scale, n int, i int64) (*mysql.RecoveryReport, int, error) {
+	my, err := NewMySQL(MySQLConfig{CachePages: 4096, Net: benchNet(161 + i), Disk: disk.FastLocal(), Checkpoint: 1 << 30})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer my.Close()
+	for j := 0; j < n; j++ {
+		if err := my.DB.Put(workload.Key(j%s.Rows), []byte("recov")); err != nil {
+			return nil, 0, err
+		}
+	}
+	redo := my.DB.Stats().RedoRecords
+	rep, err := my.DB.CrashAndRecover()
+	if err != nil {
+		return nil, 0, fmt.Errorf("crash and recover: %w", err)
+	}
+	return rep, redo, nil
 }

@@ -76,71 +76,23 @@ func auroraReplicaLag(au *AuroraStack, r *replica.Replica, probes int) time.Dura
 // milliseconds at every rate; the MySQL binlog replica's single-threaded
 // apply falls behind once the primary's parallel rate exceeds its serial
 // capacity, and lag explodes to orders of magnitude more.
-func Table4(s Scale) *Result {
+func Table4(s Scale) (*Result, error) {
 	rates := []int{100, 200, 500, 1000}
 	t := &Table{Header: []string{"Writes/sec (target)", "Aurora lag", "MySQL lag"}}
 	metrics := map[string]float64{}
 
 	for i, rate := range rates {
-		// Aurora: writer + one replica.
-		au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(41 + int64(i)), Disk: disk.FastLocal()})
+		aLag, err := table4Aurora(s, rate, int64(i))
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		rep := replica.Attach(au.DB, au.Fleet, replica.Config{Name: "lag-replica", AZ: 1})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runPaced(au.WL(), s.Rows, rate, s.Duration, 41)
-		}()
-		wg.Wait()
-		aLag := auroraReplicaLag(au, rep, 3)
-		rep.Close()
-		au.Close()
-
-		// MySQL: primary + binlog replica.
-		net := netsim.New(benchNet(141 + int64(i)))
-		prim, err := mysql.New(mysql.Config{Instance: "prim", AZ: 0, Net: net, Disk: disk.FastLocal()})
+		mLag, err := table4MySQL(s, rate, int64(i))
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		repl, err := mysql.New(mysql.Config{Instance: "repl", AZ: 1, Net: net, Disk: disk.FastLocal()})
-		if err != nil {
-			panic(err)
-		}
-		primWL := workload.Of(prim.Begin)
-		if err := workload.Load(primWL, s.Rows, 100); err != nil {
-			panic(err)
-		}
-		link := prim.AttachReplica(repl)
-		// Drive the paced load from several clients so the primary can
-		// exceed the replica's serial apply rate.
-		var pw sync.WaitGroup
-		perClient := rate / 4
-		if perClient < 1 {
-			perClient = 1
-		}
-		for c := 0; c < 4; c++ {
-			pw.Add(1)
-			go func(c int) {
-				defer pw.Done()
-				runPaced(primWL, s.Rows, perClient, s.Duration, int64(141+c))
-			}(c)
-		}
-		pw.Wait()
-		_, mLag, _ := link.Lag()
-		link.Drain(5 * time.Second)
-		link.Close()
-		prim.Close()
-		repl.Close()
-
 		t.Add(fmt.Sprintf("%d", rate), fmtDur(aLag), fmtDur(mLag))
-		metrics[fmt.Sprintf("aurora_lag_ms_at_%d", rate)] = float64(aLag.Microseconds()) / 1000
-		metrics[fmt.Sprintf("mysql_lag_ms_at_%d", rate)] = float64(mLag.Microseconds()) / 1000
+		metrics[fmt.Sprintf("aurora_lag_ms_at_%d", rate)] = ms(aLag)
+		metrics[fmt.Sprintf("mysql_lag_ms_at_%d", rate)] = ms(mLag)
 	}
 	top := rates[len(rates)-1]
 	metrics["lag_ratio_at_max"] = ratio(metrics[fmt.Sprintf("mysql_lag_ms_at_%d", top)],
@@ -151,21 +103,68 @@ func Table4(s Scale) *Result {
 		Notes: []string{
 			"paper: Aurora 2.62→5.38ms as load grows 10x; MySQL <1s → 300s",
 		},
+	}, nil
+}
+
+// table4Aurora paces writes at rate on a writer with one replica and
+// returns the replica's lag behind it.
+func table4Aurora(s Scale, rate int, i int64) (time.Duration, error) {
+	au, err := loaded(NewAurora, AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(41 + i), Disk: disk.FastLocal()}, s.Rows, 100)
+	if err != nil {
+		return 0, err
 	}
+	defer au.Close()
+	rep := replica.Attach(au.DB, au.Fleet, replica.Config{Name: "lag-replica", AZ: 1})
+	defer rep.Close()
+	runPaced(au.WL(), s.Rows, rate, s.Duration, 41)
+	return auroraReplicaLag(au, rep, 3), nil
+}
+
+// table4MySQL paces writes at rate on a primary, from several clients so
+// it can exceed its binlog replica's serial apply rate, and returns the
+// replica's lag behind it.
+func table4MySQL(s Scale, rate int, i int64) (time.Duration, error) {
+	net := netsim.New(benchNet(141 + i))
+	prim, err := mysql.New(mysql.Config{Instance: "prim", AZ: 0, Net: net, Disk: disk.FastLocal()})
+	if err != nil {
+		return 0, err
+	}
+	defer prim.Close()
+	repl, err := mysql.New(mysql.Config{Instance: "repl", AZ: 1, Net: net, Disk: disk.FastLocal()})
+	if err != nil {
+		return 0, err
+	}
+	defer repl.Close()
+	primWL := workload.Of(prim.Begin)
+	if err := workload.Load(primWL, s.Rows, 100); err != nil {
+		return 0, fmt.Errorf("load %d rows: %w", s.Rows, err)
+	}
+	link := prim.AttachReplica(repl)
+	defer link.Close()
+	var pw sync.WaitGroup
+	perClient := max(rate/4, 1)
+	for c := 0; c < 4; c++ {
+		pw.Add(1)
+		go func(c int) {
+			defer pw.Done()
+			runPaced(primWL, s.Rows, perClient, s.Duration, int64(141+c))
+		}(c)
+	}
+	pw.Wait()
+	_, lag, _ := link.Lag()
+	link.Drain(5 * time.Second)
+	return lag, nil
 }
 
 // Figure11 reproduces §6.2.3 Figure 11: the maximum replica lag across
 // four Aurora replicas stays bounded in milliseconds under sustained write
 // load (the paper's customer saw <20ms where MySQL spiked to 12 minutes).
-func Figure11(s Scale) *Result {
-	au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(111), Disk: disk.FastLocal()})
+func Figure11(s Scale) (*Result, error) {
+	au, err := loaded(NewAurora, AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(111), Disk: disk.FastLocal()}, s.Rows, 100)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	defer au.Close()
-	if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-		panic(err)
-	}
 	reps := make([]*replica.Replica, 4)
 	for i := range reps {
 		reps[i] = replica.Attach(au.DB, au.Fleet, replica.Config{
@@ -212,8 +211,8 @@ func Figure11(s Scale) *Result {
 		ID: "Figure 11", Title: "Maximum replica lag across 4 Aurora replicas under load",
 		Table: t,
 		Metrics: map[string]float64{
-			"max_lag_ms": float64(worst.Microseconds()) / 1000,
+			"max_lag_ms": ms(worst),
 		},
 		Notes: []string{"paper: maximum lag across 4 replicas never exceeded 20ms"},
-	}
+	}, nil
 }

@@ -15,7 +15,7 @@ type instanceSize struct {
 	cache   int
 }
 
-func r3Sizes(base Scale) []instanceSize {
+func r3Sizes() []instanceSize {
 	mk := func(name string, vcpus int) instanceSize {
 		return instanceSize{name: name, vcpus: vcpus, clients: vcpus * 2, cache: 512 * vcpus}
 	}
@@ -33,62 +33,45 @@ func r3Sizes(base Scale) []instanceSize {
 // 5.6-era baseline's useful parallelism saturates at 8 vCPUs.
 const stmtCapacity = 4000
 
-func auroraCap(size instanceSize) float64 { return float64(size.vcpus) * stmtCapacity }
-
-func mysqlCap(size instanceSize) float64 {
-	v := size.vcpus
-	if v > 8 {
-		v = 8
-	}
-	return float64(v) * stmtCapacity
-}
-
-// scalingRun measures statements/sec for one engine at one size.
-func scalingRun(db workload.DB, mix workload.Mix, size instanceSize, s Scale, seed int64) float64 {
-	res := workload.Run(db, mix, workload.Options{Clients: size.clients, Duration: s.Duration, Seed: seed})
-	stmts := float64(mix.Writes + mix.PointReads)
-	return res.TPS() * stmts
+// capped is the instance CPU model: every statement takes one of vcpus ×
+// stmtCapacity slots a second.
+func capped(vcpus int) func(workload.DB) workload.DB {
+	return func(db workload.DB) workload.DB { return workload.Limit(db, float64(vcpus)*stmtCapacity) }
 }
 
 // Figure6 reproduces the read-only instance-size sweep (§6.1.1, Figure 6):
 // Aurora's read throughput roughly doubles per size and ends a multiple of
 // MySQL's at the top size.
-func Figure6(s Scale) *Result {
+func Figure6(s Scale) (*Result, error) {
 	return scalingFigure(s, "Figure 6", "read-only throughput scales with instance size",
 		workload.SysbenchReadOnly(s.Rows), "reads/sec", 61)
 }
 
 // Figure7 reproduces the write-only sweep (§6.1.1, Figure 7).
-func Figure7(s Scale) *Result {
+func Figure7(s Scale) (*Result, error) {
 	return scalingFigure(s, "Figure 7", "write-only throughput scales with instance size",
 		workload.SysbenchWriteOnly(s.Rows), "writes/sec", 71)
 }
 
-func scalingFigure(s Scale, id, title string, mix workload.Mix, unit string, seed int64) *Result {
-	sizes := r3Sizes(s)
+func scalingFigure(s Scale, id, title string, mix workload.Mix, unit string, seed int64) (*Result, error) {
+	sizes := r3Sizes()
 	t := &Table{Header: []string{"Instance", "Aurora " + unit, "MySQL " + unit, "Aurora/MySQL"}}
 	var aFirst, aLast, mLast float64
+	stmts := float64(mix.Writes + mix.PointReads)
 
 	for i, size := range sizes {
-		au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: size.cache, Net: benchNet(seed + int64(i)), Disk: disk.FastLocal()})
+		w := window{rows: s.Rows, valueSize: 100, mix: mix,
+			opts: workload.Options{Clients: size.clients, Duration: s.Duration, Seed: seed}, wrap: capped(size.vcpus)}
+		ares, err := measure(NewAurora, AuroraConfig{PGs: 4, CachePages: size.cache, Net: benchNet(seed + int64(i)), Disk: disk.FastLocal()}, w, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		aRate := scalingRun(workload.Limit(au.WL(), auroraCap(size)), mix, size, s, seed)
-		au.Close()
-
-		ms, err := NewMySQL(MySQLConfig{CachePages: size.cache, Net: benchNet(seed + 100 + int64(i)), Disk: disk.FastLocal()})
+		w.wrap = capped(min(size.vcpus, 8))
+		mres, err := measure(NewMySQL, MySQLConfig{CachePages: size.cache, Net: benchNet(seed + 100 + int64(i)), Disk: disk.FastLocal()}, w, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(ms.WL(), s.Rows, 100); err != nil {
-			panic(err)
-		}
-		mRate := scalingRun(workload.Limit(ms.WL(), mysqlCap(size)), mix, size, s, seed)
-		ms.Close()
+		aRate, mRate := ares.TPS()*stmts, mres.TPS()*stmts
 
 		t.Add(size.name, fmtF(aRate), fmtF(mRate), fmtF(ratio(aRate, mRate)))
 		if i == 0 {
@@ -107,5 +90,5 @@ func scalingFigure(s Scale, id, title string, mix workload.Mix, unit string, see
 		Notes: []string{
 			"paper: Aurora performance doubles per size; 5x MySQL at r3.8xlarge",
 		},
-	}
+	}, nil
 }

@@ -14,7 +14,7 @@ import (
 // set leaves the cache (every miss is a synchronous EBS read, often behind
 // a dirty-page flush) while Aurora degrades far more gently (misses are
 // single-segment quorum-free reads and there are no dirty-page writes).
-func Table2(s Scale) *Result {
+func Table2(s Scale) (*Result, error) {
 	// Sizes as multiples of the base row count; the cache is fixed to hold
 	// roughly the smallest size.
 	sizes := []struct {
@@ -29,38 +29,22 @@ func Table2(s Scale) *Result {
 	// ~30 rows fit per page; the cache comfortably holds the two smaller
 	// databases (as the paper's 170GB cache held its 1GB and 10GB sets)
 	// and progressively less of the larger ones.
-	cache := s.Rows / 15
-	if cache < 32 {
-		cache = 32
-	}
+	cache := max(s.Rows/15, 32)
 
 	t := &Table{Header: []string{"DB Size", "Aurora writes/sec", "MySQL writes/sec"}}
 	var aFirst, aLast, mFirst, mLast float64
 	for i, sz := range sizes {
 		mix := workload.SysbenchWriteOnly(sz.rows)
-		opts := workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 21}
-
-		au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: cache, Net: benchNet(21 + int64(i)), Disk: disk.FastLocal()})
+		w := window{rows: sz.rows, valueSize: 100, mix: mix, opts: workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 21}}
+		ares, err := measure(NewAurora, AuroraConfig{PGs: 4, CachePages: cache, Net: benchNet(21 + int64(i)), Disk: disk.FastLocal()}, w, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(au.WL(), sz.rows, 100); err != nil {
-			panic(err)
-		}
-		ares := workload.Run(au.WL(), mix, opts)
-		aRate := ares.WritesPerSec(mix)
-		au.Close()
-
-		ms, err := NewMySQL(MySQLConfig{CachePages: cache, Net: benchNet(121 + int64(i)), Disk: disk.FastLocal(), Checkpoint: 128})
+		mres, err := measure(NewMySQL, MySQLConfig{CachePages: cache, Net: benchNet(121 + int64(i)), Disk: disk.FastLocal(), Checkpoint: 128}, w, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(ms.WL(), sz.rows, 100); err != nil {
-			panic(err)
-		}
-		mres := workload.Run(ms.WL(), mix, opts)
-		mRate := mres.WritesPerSec(mix)
-		ms.Close()
+		aRate, mRate := ares.WritesPerSec(mix), mres.WritesPerSec(mix)
 
 		t.Add(sz.label, fmt.Sprintf("%.0f", aRate), fmt.Sprintf("%.0f", mRate))
 		if i == 0 {
@@ -81,5 +65,5 @@ func Table2(s Scale) *Result {
 		Notes: []string{
 			"paper: Aurora 107k→41k (2.6x degradation), MySQL 8.4k→1.2k (7x), 34x advantage at 1TB",
 		},
-	}
+	}, nil
 }

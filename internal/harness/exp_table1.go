@@ -19,48 +19,42 @@ import (
 // For mirrored MySQL the instance issues a redo-log write, a binlog write,
 // and (eventually) a data-page plus double-write for each dirtied page,
 // each synchronously chained through EBS and the standby.
-func Table1(s Scale) *Result {
-	mix := workload.SysbenchWriteOnly(s.Rows)
-	opts := workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 11}
+func Table1(s Scale) (*Result, error) {
+	w := window{rows: s.Rows, valueSize: 100, mix: workload.SysbenchWriteOnly(s.Rows),
+		opts: workload.Options{Clients: s.Clients, Duration: s.Duration, Seed: 11}}
 
 	// Mirrored MySQL (Figure 2 configuration). The paper's setup predates
 	// binary-log group commit: every transaction flushes its own chain.
-	ms, err := NewMySQL(MySQLConfig{
+	var mWrites float64
+	mres, err := measure(NewMySQL, MySQLConfig{
 		Mirrored: true, CachePages: 4096, Net: benchNet(11), Disk: disk.FastLocal(),
 		GroupMax: 1, Checkpoint: 64,
+	}, w, func(my *MySQLStack) func() {
+		base := my.DB.Stats()
+		return func() {
+			// Logical write IOs issued by the engine during the run: WAL
+			// flushes, binlog writes (one per flush), page flushes (incl.
+			// double-writes) and checkpoint markers.
+			st := my.DB.Stats()
+			mWrites = float64((st.WALFlushes-base.WALFlushes)*2 +
+				(st.PagesFlushed - base.PagesFlushed) +
+				(st.Checkpoints - base.Checkpoints))
+		}
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	defer ms.Close()
-	if err := workload.Load(ms.WL(), s.Rows, 100); err != nil {
-		panic(err)
-	}
-	base := ms.DB.Stats()
-	mres := workload.Run(ms.WL(), mix, opts)
-	st := ms.DB.Stats()
-	// Logical write IOs issued by the engine during the run: WAL flushes,
-	// binlog writes (one per flush), page flushes (incl. double-writes)
-	// and checkpoint markers.
-	mWrites := float64((st.WALFlushes-base.WALFlushes)*2 +
-		(st.PagesFlushed - base.PagesFlushed) +
-		(st.Checkpoints - base.Checkpoints))
 	mIOs := ratio(mWrites, float64(mres.Transactions))
 
 	// Aurora: the instance's only writes are batched redo-log deliveries;
 	// one logical IO fans out to the six segment replicas.
-	au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(12), Disk: disk.FastLocal()})
+	var aSent sent
+	ares, err := measure(NewAurora, AuroraConfig{PGs: 4, CachePages: 4096, Net: benchNet(12), Disk: disk.FastLocal()},
+		w, writerSent(&aSent))
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	defer au.Close()
-	if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-		panic(err)
-	}
-	au.Net.ResetStats()
-	ares := workload.Run(au.WL(), mix, opts)
-	aSent, _, _, _, _ := au.Net.NodeStats(au.WriterNode())
-	aIOs := ratio(float64(aSent)/6, float64(ares.Transactions))
+	aIOs := ratio(float64(aSent.msgs)/6, float64(ares.Transactions))
 
 	t := &Table{Header: []string{"Configuration", "Transactions", "IOs/Transaction"}}
 	t.Add("Mirrored MySQL", fmt.Sprintf("%d", mres.Transactions), fmtF(mIOs))
@@ -82,12 +76,5 @@ func Table1(s Scale) *Result {
 			"paper: 780,000 txns @ 7.4 IOs/txn (mirrored MySQL) vs 27,378,000 @ 0.95 (Aurora)",
 			"one logical IO may fan out (6 segment copies / EBS mirror chains); fan-out is not recounted",
 		},
-	}
-}
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
+	}, nil
 }

@@ -26,7 +26,7 @@ import (
 // retains at least ~70% of its solo fair-share throughput — measured
 // against a baseline run of one quiet tenant alone with its fair share
 // (capacity/3) as the whole budget.
-func TenantsExperiment(s Scale) *Result {
+func TenantsExperiment(s Scale) (*Result, error) {
 	quietMix := workload.SysbenchOLTP(s.Rows)
 
 	// --- Phase A: aggregate throughput scaling 1 -> N tenants ---
@@ -47,11 +47,15 @@ func TenantsExperiment(s Scale) *Result {
 			Name: fmt.Sprintf("scale%d", n), Hosts: 9, Network: aurora.NetDatacenter,
 		})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		wps := runTenants(fleet, sA, makeTenants(fleet, sA, n, "t"), quietMix, nil)
+		tenants, err := makeTenants(fleet, sA, n, "t")
+		if err != nil {
+			fleet.Close()
+			return nil, err
+		}
 		total := 0.0
-		for _, w := range wps {
+		for _, w := range runTenants(sA, tenants, quietMix, nil) {
 			total += w
 		}
 		aggregate[ci] = total
@@ -74,9 +78,14 @@ func TenantsExperiment(s Scale) *Result {
 		IngestBytesPerSec: hostIngest / 3,
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	baseWPS := runTenants(baseFleet, s, makeTenants(baseFleet, s, 1, "base"), quietMix, nil)[0]
+	base, err := makeTenants(baseFleet, s, 1, "base")
+	if err != nil {
+		baseFleet.Close()
+		return nil, err
+	}
+	baseWPS := runTenants(s, base, quietMix, nil)[0]
 	baseFleet.Close()
 
 	// Contended: two quiet tenants plus one hot flooder on the full budget.
@@ -85,12 +94,20 @@ func TenantsExperiment(s Scale) *Result {
 		IngestBytesPerSec: hostIngest,
 	})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	quiet := makeTenants(qosFleet, s, 2, "quiet")
-	hot := makeTenants(qosFleet, s, 1, "hot")[0]
+	defer qosFleet.Close()
+	quiet, err := makeTenants(qosFleet, s, 2, "quiet")
+	if err != nil {
+		return nil, err
+	}
+	hots, err := makeTenants(qosFleet, s, 1, "hot")
+	if err != nil {
+		return nil, err
+	}
+	hot := hots[0]
 	hotClients := s.Clients * 4
-	quietWPS := runTenants(qosFleet, s, quiet, quietMix, func(wg *sync.WaitGroup) {
+	quietWPS := runTenants(s, quiet, quietMix, func(wg *sync.WaitGroup) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -116,7 +133,6 @@ func TenantsExperiment(s Scale) *Result {
 	t.Add("qos-hot-flood", "3", "-", "-",
 		fmt.Sprintf("%d", hotQoS.Throttles), fmt.Sprintf("%d", hotQoS.Rejects))
 	t.Add("qos-solo-baseline", "1", fmt.Sprintf("%.0f", baseWPS), fmt.Sprintf("%.0f", baseWPS), "-", "-")
-	qosFleet.Close()
 
 	return &Result{
 		ID:    "Tenants",
@@ -139,7 +155,7 @@ func TenantsExperiment(s Scale) *Result {
 			"expect quiet_retention >= 0.7 (quiet tenants keep their fair share beside a flooding neighbor)",
 			"expect hot_throttles > 0 (the flood is visibly shaped, not the quiet tenants)",
 		},
-	}
+	}, nil
 }
 
 // tenant pairs an open volume with its name for workload runs.
@@ -149,26 +165,25 @@ type tenant struct {
 }
 
 // makeTenants opens and preloads n volumes on the fleet.
-func makeTenants(fleet *aurora.StorageFleet, s Scale, n int, prefix string) []tenant {
+func makeTenants(fleet *aurora.StorageFleet, s Scale, n int, prefix string) ([]tenant, error) {
 	out := make([]tenant, n)
 	for i := range out {
 		name := fmt.Sprintf("%s%d", prefix, i+1)
 		c, err := fleet.OpenVolume(name, aurora.Options{PGs: 2, CachePages: 4096})
 		if err != nil {
-			panic(err)
+			return nil, fmt.Errorf("open volume %s: %w", name, err)
 		}
 		if err := workload.Load(wlOf(c), s.Rows, 100); err != nil {
-			panic(err)
+			return nil, fmt.Errorf("load %s: %w", name, err)
 		}
 		out[i] = tenant{name: name, c: c}
 	}
-	return out
+	return out, nil
 }
 
 // runTenants drives the mix against every tenant concurrently (plus any
 // extra load started by extra) and returns each tenant's writes/sec.
-func runTenants(fleet *aurora.StorageFleet, s Scale, tenants []tenant, mix workload.Mix, extra func(*sync.WaitGroup)) []float64 {
-	_ = fleet
+func runTenants(s Scale, tenants []tenant, mix workload.Mix, extra func(*sync.WaitGroup)) []float64 {
 	var wg sync.WaitGroup
 	wps := make([]float64, len(tenants))
 	if extra != nil {

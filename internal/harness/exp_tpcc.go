@@ -16,7 +16,7 @@ import (
 // across the serialized synchronous flush, so contention collapses
 // throughput, while Aurora's shorter, asynchronous commits keep the hot
 // lock hot — the paper reports 2.3x–16.3x advantages.
-func Table5(s Scale) *Result {
+func Table5(s Scale) (*Result, error) {
 	grid := []struct {
 		label      string
 		clients    int
@@ -32,35 +32,23 @@ func Table5(s Scale) *Result {
 	minRatio, maxRatio, sumRatio := 0.0, 0.0, 0.0
 
 	for i, g := range grid {
-		mix := workload.TPCCLike(g.rows, g.warehouses)
-
-		au, err := NewAurora(AuroraConfig{
+		w := window{rows: g.rows, valueSize: 100, mix: workload.TPCCLike(g.rows, g.warehouses),
+			opts: workload.Options{Clients: g.clients, Duration: s.Duration, Seed: 51, MaxRetries: 2}}
+		ares, err := measure(NewAurora, AuroraConfig{
 			PGs: 4, CachePages: 2048, Net: benchNet(51 + int64(i)), Disk: disk.FastLocal(),
 			Engine: engine.Config{LockTimeout: 150 * time.Millisecond},
-		})
+		}, w, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(au.WL(), g.rows, 100); err != nil {
-			panic(err)
-		}
-		ares := workload.Run(au.WL(), mix, workload.Options{Clients: g.clients, Duration: s.Duration, Seed: 51, MaxRetries: 2})
-		aTpm := ares.TPS() * 60
-		au.Close()
-
-		ms, err := NewMySQL(MySQLConfig{
+		mres, err := measure(NewMySQL, MySQLConfig{
 			CachePages: 2048, Net: benchNet(151 + int64(i)), Disk: disk.FastLocal(),
 			LockTimeout: 150 * time.Millisecond, Checkpoint: 96,
-		})
+		}, w, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if err := workload.Load(ms.WL(), g.rows, 100); err != nil {
-			panic(err)
-		}
-		mres := workload.Run(ms.WL(), mix, workload.Options{Clients: g.clients, Duration: s.Duration, Seed: 51, MaxRetries: 2})
-		mTpm := mres.TPS() * 60
-		ms.Close()
+		aTpm, mTpm := ares.TPS()*60, mres.TPS()*60
 
 		r := ratio(aTpm, mTpm)
 		sumRatio += r
@@ -83,5 +71,5 @@ func Table5(s Scale) *Result {
 		Notes: []string{
 			"paper: Aurora sustains 2.3x–16.3x MySQL 5.7 across the grid",
 		},
-	}
+	}, nil
 }

@@ -21,15 +21,12 @@ import (
 // session state, swaps the engine, reloads and resumes. The shape to
 // preserve: every session survives, no statement fails, and the pause is
 // a small bounded blip rather than a 30-second downtime.
-func Figure12(s Scale) *Result {
-	au, err := NewAurora(AuroraConfig{PGs: 4, CachePages: 2048, Net: benchNet(121), Disk: disk.FastLocal()})
+func Figure12(s Scale) (*Result, error) {
+	au, err := loaded(NewAurora, AuroraConfig{PGs: 4, CachePages: 2048, Net: benchNet(121), Disk: disk.FastLocal()}, s.Rows, 100)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	defer au.Close()
-	if err := workload.Load(au.WL(), s.Rows, 100); err != nil {
-		panic(err)
-	}
 	proxy := zdp.NewProxy(au.DB)
 
 	const sessions = 8
@@ -72,12 +69,14 @@ func Figure12(s Scale) *Result {
 		}, engine.Config{CachePages: 2048})
 		return db, err
 	}, 10*time.Second)
-	if err != nil {
-		panic(err)
+	if err == nil {
+		time.Sleep(s.Duration / 3)
 	}
-	time.Sleep(s.Duration / 3)
 	close(stop)
 	wg.Wait()
+	if err != nil {
+		return nil, err // the sessions are back on the old engine, which au.Close closes
+	}
 	proxy.DB().Close()
 
 	t := &Table{Header: []string{"Metric", "Value"}}
@@ -99,5 +98,5 @@ func Figure12(s Scale) *Result {
 		Notes: []string{
 			"paper: user sessions remain active and oblivious while the engine is patched",
 		},
-	}
+	}, nil
 }

@@ -6,7 +6,7 @@
 // simulated substrate, drives identical workloads against them, and prints
 // rows shaped like the paper's. Absolute numbers differ (the substrate is
 // a scaled-down simulator); the comparisons' shape is the reproduction
-// target.
+// target, and Experiments holds each experiment with the shape it must have.
 package harness
 
 import (
@@ -41,7 +41,7 @@ func Quick() Scale { return Scale{Duration: 250 * time.Millisecond, Rows: 1200, 
 func Full() Scale { return Scale{Duration: 1500 * time.Millisecond, Rows: 6000, Clients: 32} }
 
 // Result is one experiment's output: a printable table plus named scalar
-// metrics the tests assert shape on.
+// metrics its shape is checked on.
 type Result struct {
 	ID      string
 	Title   string
@@ -129,6 +129,7 @@ type AuroraStack struct {
 	Vol   *volume.Client
 	DB    *engine.DB
 	Store *objstore.Store
+	name  string
 }
 
 // NewAurora builds the stack.
@@ -139,10 +140,9 @@ func NewAurora(cfg AuroraConfig) (*AuroraStack, error) {
 	if cfg.PGs <= 0 {
 		cfg.PGs = 4
 	}
-	net := netsim.New(cfg.Net)
-	store := objstore.New()
+	s := &AuroraStack{Net: netsim.New(cfg.Net), Store: objstore.New(), name: cfg.Name}
 	fleet, err := volume.NewFleet(volume.FleetConfig{
-		Name: cfg.Name, Geometry: core.UniformGeometry(cfg.PGs), Net: net, Disk: cfg.Disk, Store: store,
+		Name: cfg.Name, Geometry: core.UniformGeometry(cfg.PGs), Net: s.Net, Disk: cfg.Disk, Store: s.Store,
 		Quorum: cfg.Quorum,
 	})
 	if err != nil {
@@ -150,22 +150,22 @@ func NewAurora(cfg AuroraConfig) (*AuroraStack, error) {
 	}
 	ecfg := cfg.Engine
 	ecfg.CachePages = cfg.CachePages
-	vol := volume.Bootstrap(fleet, volume.ClientConfig{
-		WriterNode: netsim.NodeID(cfg.Name + "-writer"), WriterAZ: 0, NoCoalesce: cfg.NoCoalesce,
+	s.Fleet = fleet
+	s.Vol = volume.Bootstrap(fleet, volume.ClientConfig{
+		WriterNode: s.WriterNode(), WriterAZ: 0, NoCoalesce: cfg.NoCoalesce,
 	})
-	db, err := engine.Create(vol, ecfg)
-	if err != nil {
-		vol.Close()
+	if s.DB, err = engine.Create(s.Vol, ecfg); err != nil {
+		s.Vol.Close()
 		return nil, err
 	}
 	if cfg.Background {
 		fleet.Start()
 	}
-	return &AuroraStack{Net: net, Fleet: fleet, Vol: vol, DB: db, Store: store}, nil
+	return s, nil
 }
 
 // WriterNode returns the writer's network identity.
-func (s *AuroraStack) WriterNode() netsim.NodeID { return netsim.NodeID("au-writer") }
+func (s *AuroraStack) WriterNode() netsim.NodeID { return netsim.NodeID(s.name + "-writer") }
 
 // WL adapts the stack to the workload driver.
 func (s *AuroraStack) WL() workload.DB {
@@ -218,6 +218,72 @@ func (s *MySQLStack) WL() workload.DB {
 // Close tears the stack down.
 func (s *MySQLStack) Close() { s.DB.Close() }
 
+// stack is either engine's deployment, as the measuring step drives it.
+type stack interface {
+	WL() workload.DB
+	Close()
+}
+
+// loaded builds a stack and loads rows rows of valueSize-byte values into
+// it; the caller closes it.
+func loaded[C any, S stack](build func(C) (S, error), cfg C, rows, valueSize int) (S, error) {
+	st, err := build(cfg)
+	if err != nil {
+		return st, err
+	}
+	if err := workload.Load(st.WL(), rows, valueSize); err != nil {
+		st.Close()
+		var none S
+		return none, fmt.Errorf("load %d rows: %w", rows, err)
+	}
+	return st, nil
+}
+
+// window is the load one configuration is measured under: rows rows of
+// valueSize-byte values loaded first, then mix driven by opts — through
+// wrap, when set (the instance CPU model, the thread-per-connection toll).
+type window struct {
+	rows, valueSize int
+	mix             workload.Mix
+	opts            workload.Options
+	wrap            func(workload.DB) workload.DB
+}
+
+// measure is the measuring step every experiment's configurations share:
+// build and load the stack, run the window on it and close it. around, when
+// set, sees the loaded stack just before the window and returns what to do
+// with it just after, before the close.
+func measure[C any, S stack](build func(C) (S, error), cfg C, w window, around func(S) func()) (workload.Result, error) {
+	st, err := loaded(build, cfg, w.rows, w.valueSize)
+	if err != nil {
+		return workload.Result{}, err
+	}
+	defer st.Close()
+	after := func() {}
+	if around != nil {
+		after = around(st)
+	}
+	db := st.WL()
+	if w.wrap != nil {
+		db = w.wrap(db)
+	}
+	res := workload.Run(db, w.mix, w.opts)
+	after()
+	return res, nil
+}
+
+// sent is what an Aurora writer put on the network during one window.
+type sent struct{ msgs, bytes uint64 }
+
+// writerSent zeroes the network's counters before the window and reads
+// into out what the writer sent during it.
+func writerSent(out *sent) func(*AuroraStack) func() {
+	return func(au *AuroraStack) func() {
+		au.Net.ResetStats()
+		return func() { out.msgs, out.bytes, _, _, _ = au.Net.NodeStats(au.WriterNode()) }
+	}
+}
+
 // benchNet returns the standard scaled-down datacenter network for
 // experiments (deterministic seed per experiment id).
 func benchNet(seed int64) netsim.Config {
@@ -240,41 +306,14 @@ func fmtF(v float64) string {
 
 // fmtDur renders a duration in ms with two decimals.
 func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
+	return fmt.Sprintf("%.2fms", ms(d))
 }
 
-// Registry maps experiment ids to runners (used by cmd/aurora-bench).
-var Registry = map[string]func(Scale) *Result{
-	"table1":               Table1,
-	"fig6":                 Figure6,
-	"fig7":                 Figure7,
-	"table2":               Table2,
-	"table3":               Table3,
-	"table4":               Table4,
-	"table5":               Table5,
-	"fig8":                 Figure8,
-	"fig9":                 Figure9,
-	"fig10":                Figure10,
-	"fig11":                Figure11,
-	"fig12":                Figure12,
-	"recovery":             RecoveryExperiment,
-	"durability":           DurabilityExperiment,
-	"ablation-sync-commit": AblationSyncCommit,
-	"ablation-coalesce":    AblationCoalesce,
-	"ablation-full-pages":  AblationFullPages,
-	"ablation-materialize": AblationMaterialize,
-	"latency":              LatencyAttribution,
-	"grow":                 GrowExperiment,
-	"logsplit":             LogSplitExperiment,
-	"tenants":              TenantsExperiment,
-	"autotune":             AutotuneExperiment,
-}
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// Order is the canonical experiment order for "run everything".
-var Order = []string{
-	"table1", "fig6", "fig7", "table2", "table3", "table4", "table5",
-	"fig8", "fig9", "fig10", "fig11", "fig12", "recovery", "durability",
-	"ablation-sync-commit", "ablation-coalesce", "ablation-full-pages",
-	"ablation-materialize", "latency", "grow", "logsplit", "tenants",
-	"autotune",
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }
