@@ -55,7 +55,10 @@ test: build vet lint
 # The other four tests on that line each hold one of a node's background disk
 # waits (coalesce page write, log-tier GC write, Truncate's write) or a read's
 # disk read and require an Ingest and a read to get through meanwhile: the
-# node holds its lock only for in-memory work.
+# node holds its lock only for in-memory work. The replica line is the
+# buffer caches' frame recycling: writer Gets and Puts and a replica's Gets
+# against 4-frame caches, every value checked against its key, version and
+# checksum — a frame refilled while a reader held its page is a race there.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
@@ -68,6 +71,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped' ./internal/volume/
 	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce|TestCoalescePageWriteOutsideLock|TestReadDiskReadOutsideLock|TestLogGCWriteOutsideLock|TestTruncateWriteOutsideLock' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
+	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader' ./internal/replica/
 
 # Short gray-failure drill: fails unless zero data errors, >=99% write
 # success, and the retry / hedge / auto-repair machinery all engaged.
@@ -135,11 +139,13 @@ bench-quick:
 # allocation per record (0 allocs/record amortized). Page path: node lookups
 # and a steady-state coalesce round at zero, Tree.Get at the one value copy,
 # an update in place at its redo only, an unsampled annotate free. Read path:
-# a hedged read the first replica answers at its five objects and no
-# goroutine, an idle coalesce round over 10 000 held pages at zero objects
-# and microseconds. Write path: shipping a three-batch group at the writer's
-# four objects and no goroutine, a cached single-row commit through the engine
-# at its 57 objects and no goroutine. Instruments: a histogram observation
+# a hedged read the first replica answers at zero objects and no goroutine, a
+# page read into a supplied frame at zero, a full buffer cache's evict and
+# insert at zero, an engine Get that misses on its leaf at the value copy, an
+# idle coalesce round over 10 000 held pages at zero objects and
+# microseconds. Write path: shipping a three-batch group at the writer's four
+# objects and no goroutine, a cached single-row commit through the engine at
+# its 55 objects and no goroutine. Instruments: a histogram observation
 # and the windowed quantile behind the hedge deadline (recomputed every 32
 # reads, two 976-bucket banks walked in place) at zero. Backup: a node without
 # an object store keeps no staging list, so backup-off ingest files as before.
@@ -147,8 +153,9 @@ bench-quick:
 bench-allocs:
 	$(GO) test -run 'TestObserveZeroAllocs|TestWindowedQuantileZeroAllocs' -count=1 ./internal/metrics/
 	$(GO) test -run 'TestRecordBodyEncodeZeroAllocs|TestFrameGroupSteadyStateZeroAllocs' -count=1 ./internal/core/
-	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestShipIsTheCallersGoroutine' -count=1 ./internal/volume/
-	$(GO) test -run 'TestCommitSpawnsNoGoroutine' -count=1 ./internal/engine/
+	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestReadPageMissZeroAllocs|TestShipIsTheCallersGoroutine' -count=1 ./internal/volume/
+	$(GO) test -run 'TestCommitSpawnsNoGoroutine|TestGetMissAllocatesOnlyTheValue' -count=1 ./internal/engine/
+	$(GO) test -run 'TestCacheEvictInsertZeroAllocs' -count=1 ./internal/bufcache/
 	$(GO) test -run 'TestNodeLookupZeroAllocs|TestTreeGetAllocs|TestPutUpdateSteadyStateAllocs' -count=1 ./internal/btree/
 	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld|TestNodeWithoutStoreKeepsNoStagingList' -count=1 ./internal/storage/
 	$(GO) test -run 'TestUnsampledPathDoesNotAllocate' -count=1 ./internal/trace/

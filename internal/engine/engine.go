@@ -188,7 +188,10 @@ func (db *DB) format() error {
 func Open(vol *volume.Client, cfg Config) (*DB, error) {
 	cfg = cfg.withDefaults()
 	db := newDB(vol, cfg)
-	if _, err := btree.Open(&readStore{db: db, ctx: db.rootCtx}); err != nil {
+	rs := db.readStore(db.rootCtx)
+	_, err := btree.Open(&rs)
+	rs.Release()
+	if err != nil {
 		return nil, err
 	}
 	db.pipeline = newCommitPipeline(db)
@@ -362,39 +365,52 @@ func (db *DB) Stats() Stats {
 func (db *DB) Rows() (uint64, error) {
 	db.latch.RLock()
 	defer db.latch.RUnlock()
-	t := btree.View(&readStore{db: db})
-	return t.Rows()
+	rs := db.readStore(db.rootCtx)
+	defer rs.Release()
+	return btree.View(&rs).Rows()
 }
 
 // readStore serves tree reads from the cache, falling back to the volume.
-// Pages are not pinned: readers hold the tree latch, which excludes all
-// mutation, so a page reference stays valid for the whole operation even
-// if the cache evicts the entry.
+// Readers hold the tree latch shared, which excludes every mutation, and pin
+// each page until Release (bufcache.Pins) like every other user of the cache:
+// a page that lost its pin could be evicted under the reader and its frame
+// refilled by another reader's miss.
 type readStore struct {
+	bufcache.Pins
 	db  *DB
 	ctx context.Context
 }
 
+func (db *DB) readStore(ctx context.Context) readStore {
+	return readStore{Pins: db.cache.NewPins(), db: db, ctx: ctx}
+}
+
 func (s *readStore) Page(id core.PageID) (page.Page, error) {
-	if p, ok := s.db.cache.Get(id); ok {
-		s.db.cache.Unpin(id)
+	if p, ok := s.Get(id); ok {
 		return p, nil
 	}
 	sp := s.db.tracer.Start("read.page")
 	trace.Annotate(sp, "page", id)
-	p, _, err := s.db.vol.ReadPage(trace.NewContext(s.ctx, sp), id)
+	p, err := s.db.fetch(trace.NewContext(s.ctx, sp), &s.Pins, id)
 	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	s.db.reads.Add(1)
-	cached := s.db.cache.Put(id, p)
-	s.db.cache.Unpin(id)
-	return cached, nil
+	return p, err
 }
 
 func (s *readStore) FreshPage(core.PageID) (page.Page, error) {
 	return nil, errors.New("engine: fresh page on read path")
+}
+
+// fetch serves a miss: the page is read from the volume into a recycled frame
+// and cached, pinned in s.
+func (db *DB) fetch(ctx context.Context, s *bufcache.Pins, id core.PageID) (page.Page, error) {
+	p, err := s.Fill(id, func(frame page.Page) error {
+		_, err := db.vol.ReadPageInto(ctx, id, frame)
+		return err
+	})
+	if err == nil {
+		db.reads.Add(1)
+	}
+	return p, err
 }
 
 // writeStore serves the mutation path: every page is pinned until Release
@@ -413,12 +429,7 @@ func (s *writeStore) Page(id core.PageID) (page.Page, error) {
 	if p, ok := s.Get(id); ok {
 		return p, nil
 	}
-	p, _, err := s.db.vol.ReadPage(s.db.rootCtx, id)
-	if err != nil {
-		return nil, err
-	}
-	s.db.reads.Add(1)
-	return s.Put(id, p), nil
+	return s.db.fetch(s.db.rootCtx, &s.Pins, id)
 }
 
 // snapStore reads pages as of a historical read point directly from the

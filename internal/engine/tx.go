@@ -20,7 +20,7 @@ import (
 type Tx struct {
 	txn.WriteSet // read-only on a snapshot transaction
 	db           *DB
-	ctx          context.Context // bounds this transaction's reads
+	reads        readStore // its ctx bounds this transaction's reads; its pins are one statement's
 	point        core.LSN
 	release      func()
 }
@@ -31,7 +31,7 @@ func (db *DB) Begin() *Tx { return db.BeginCtx(context.Background()) }
 // BeginCtx starts a writer transaction whose reads are bounded by ctx.
 // The commit acknowledgement wait takes its own ctx (CommitCtx).
 func (db *DB) BeginCtx(ctx context.Context) *Tx {
-	return &Tx{WriteSet: db.txns.Begin(), db: db, ctx: ctx}
+	return &Tx{WriteSet: db.txns.Begin(), db: db, reads: db.readStore(ctx)}
 }
 
 // BeginSnapshot starts a read-only transaction pinned to the current VDL.
@@ -43,7 +43,7 @@ func (db *DB) BeginSnapshot() *Tx { return db.BeginSnapshotCtx(context.Backgroun
 // BeginSnapshotCtx is BeginSnapshot with the reads bounded by ctx.
 func (db *DB) BeginSnapshotCtx(ctx context.Context) *Tx {
 	point, release := db.vol.RegisterReadPoint()
-	return &Tx{WriteSet: db.txns.BeginReadOnly(), db: db, ctx: ctx, point: point, release: release}
+	return &Tx{WriteSet: db.txns.BeginReadOnly(), db: db, reads: db.readStore(ctx), point: point, release: release}
 }
 
 // Get returns the value for key as seen by this transaction.
@@ -52,14 +52,15 @@ func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, ErrTxDone
 	}
 	if tx.ReadOnly() {
-		return btree.View(&snapStore{db: tx.db, ctx: tx.ctx, readPoint: tx.point}).Get(key)
+		return btree.View(&snapStore{db: tx.db, ctx: tx.reads.ctx, readPoint: tx.point}).Get(key)
 	}
 	if v, found, ok := tx.Pending(key); ok {
 		return v, found, nil
 	}
 	tx.db.latch.RLock()
 	defer tx.db.latch.RUnlock()
-	return btree.View(&readStore{db: tx.db, ctx: tx.ctx}).Get(key)
+	defer tx.reads.Release()
+	return btree.View(&tx.reads).Get(key)
 }
 
 // Scan visits rows with from <= key < to in key order, overlaying this
@@ -69,11 +70,15 @@ func (tx *Tx) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 		return ErrTxDone
 	}
 	if tx.ReadOnly() {
-		return btree.View(&snapStore{db: tx.db, ctx: tx.ctx, readPoint: tx.point}).Scan(from, to, fn)
+		return btree.View(&snapStore{db: tx.db, ctx: tx.reads.ctx, readPoint: tx.point}).Scan(from, to, fn)
 	}
 	tx.db.latch.RLock()
 	defer tx.db.latch.RUnlock()
-	return tx.WriteSet.Scan(btree.View(&readStore{db: tx.db, ctx: tx.ctx}), from, to, fn)
+	// A store of its own: fn may call Get, whose Release must not drop the
+	// pins of the scan around it.
+	rs := tx.db.readStore(tx.reads.ctx)
+	defer rs.Release()
+	return tx.WriteSet.Scan(btree.View(&rs), from, to, fn)
 }
 
 // Commit applies the write set to the tree as one mini-transaction, hands

@@ -268,12 +268,10 @@ func (s *mysqlStore) Page(id core.PageID) (page.Page, error) {
 	if p, ok := s.Get(id); ok {
 		return p, nil
 	}
+	// Stable images are replaced, never written in place, so the one taken
+	// here can be copied after the unlock.
 	s.db.mu.Lock()
 	stable, ok := s.db.stable[id]
-	var cp page.Page
-	if ok {
-		cp = stable.Clone()
-	}
 	s.db.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("mysql: page %d missing", id)
@@ -287,7 +285,10 @@ func (s *mysqlStore) Page(id core.PageID) (page.Page, error) {
 	if err := s.db.dataVol.Read(s.db.rootCtx, page.Size); err != nil {
 		return nil, err
 	}
-	return s.Put(id, cp), nil
+	return s.Fill(id, func(frame page.Page) error {
+		copy(frame, stable)
+		return nil
+	})
 }
 
 // maybeFlushForEviction flushes one dirty page when the cache is at

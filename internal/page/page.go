@@ -53,6 +53,13 @@ func New(id core.PageID) Page {
 	return p
 }
 
+// Reset turns p, a full-size buffer holding anything, into what New(id)
+// returns: the way a recycled buffer-cache frame becomes a fresh page.
+func (p Page) Reset(id core.PageID) {
+	clear(p)
+	p.setID(id)
+}
+
 // LSN returns the page LSN: the LSN of the latest change applied.
 func (p Page) LSN() core.LSN { return core.LSN(binary.LittleEndian.Uint64(p[0:8])) }
 

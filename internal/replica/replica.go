@@ -216,31 +216,37 @@ func (r *Replica) applyLocked(rec *core.Record) {
 func (r *Replica) VDL() core.LSN { return core.LSN(r.vdlA.Load()) }
 
 // replicaStore serves tree pages at the replica's read point: cache first,
-// then the shared storage volume. Callers hold r.mu.RLock for the whole
-// tree operation, so the apply loop cannot interleave.
+// then the shared storage volume, read into a recycled frame. Callers hold
+// r.mu.RLock for the whole tree operation, so the apply loop cannot
+// interleave, and every page stays pinned until Release (bufcache.Pins): a
+// page that lost its pin could be evicted by another reader's miss and its
+// frame refilled under this one.
 type replicaStore struct {
+	bufcache.Pins
 	r         *Replica
 	ctx       context.Context
 	readPoint core.LSN
 }
 
+// store returns a store at the replica's current view; the caller holds
+// r.mu.RLock and releases the store's pins before unlocking.
+func (r *Replica) store(ctx context.Context) *replicaStore {
+	return &replicaStore{Pins: r.cache.NewPins(), r: r, ctx: r.joinCtx(ctx), readPoint: r.vdl}
+}
+
 func (s *replicaStore) Page(id core.PageID) (page.Page, error) {
-	if p, ok := s.r.cache.Get(id); ok {
-		s.r.cache.Unpin(id)
+	if p, ok := s.Get(id); ok {
 		return p, nil
 	}
 	sp := s.r.traceStart("replica.read")
 	trace.Annotate(sp, "page", id)
 	trace.Annotate(sp, "read_point", s.readPoint)
 	required := s.r.tails[s.r.pgOfAt(id, s.readPoint)] // under RLock
-	p, err := s.r.reader.ReadPageAt(trace.NewContext(s.ctx, sp), id, s.readPoint, required)
+	p, err := s.Fill(id, func(frame page.Page) error {
+		return s.r.reader.ReadPageInto(trace.NewContext(s.ctx, sp), id, s.readPoint, required, frame)
+	})
 	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	cached := s.r.cache.Put(id, p)
-	s.r.cache.Unpin(id)
-	return cached, nil
+	return p, err
 }
 
 func (s *replicaStore) FreshPage(core.PageID) (page.Page, error) {
@@ -259,8 +265,9 @@ func (r *Replica) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) 
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	t := btree.View(&replicaStore{r: r, ctx: r.joinCtx(ctx), readPoint: r.vdl})
-	return t.Get(key)
+	s := r.store(ctx)
+	defer s.Release()
+	return btree.View(s).Get(key)
 }
 
 // Scan visits rows in range at the replica's current view.
@@ -275,8 +282,9 @@ func (r *Replica) ScanCtx(ctx context.Context, from, to []byte, fn func(k, v []b
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	t := btree.View(&replicaStore{r: r, ctx: r.joinCtx(ctx), readPoint: r.vdl})
-	return t.Scan(from, to, fn)
+	s := r.store(ctx)
+	defer s.Release()
+	return btree.View(s).Scan(from, to, fn)
 }
 
 // joinCtx returns the replica's root ctx unless the caller brought a

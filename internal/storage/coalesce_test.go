@@ -405,8 +405,9 @@ func BenchmarkCoalesceRound(b *testing.B) {
 }
 
 // BenchmarkNodeReadPage is the storage half of a cache miss: one page read at
-// the tail over a coalesced base with a short chain on top, cycling through
-// more pages than fit in cache so the base is cold as it is in service.
+// the tail over a coalesced base with a short chain on top, into the caller's
+// frame, cycling through more pages than fit in cache so the base is cold as
+// it is in service.
 func BenchmarkNodeReadPage(b *testing.B) {
 	const pages = 4096 // 16 MB of bases
 	n, feed := steadyCoalesceNode(b, pages)
@@ -414,10 +415,11 @@ func BenchmarkNodeReadPage(b *testing.B) {
 	feed() // a chain of two on every page
 	ctx := context.Background()
 	tail := n.SCL()
+	frame := page.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.ReadPage(ctx, core.PageID(1+i*61%pages), tail, tail); err != nil {
+		if _, err := n.ReadPageChecked(ctx, core.PageID(1+i*61%pages), tail, tail, 0, frame); err != nil {
 			b.Fatal(err)
 		}
 	}

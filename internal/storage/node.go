@@ -610,8 +610,8 @@ func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
 }
 
 // ReadPage is the foreground read path: it serves the version of the page
-// as of readPoint — a private copy of the base image, CRC-checked, with the
-// delta chain up to readPoint folded onto it.
+// as of readPoint in a new page (see ReadPageChecked, which reads into the
+// caller's buffer).
 //
 // required is the completeness the writer demands: the LSN of the last
 // record of this protection group at or below the read point. The writer
@@ -620,21 +620,25 @@ func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
 // SCL against it. The read point itself may exceed the SCL when the PG has
 // been idle while the volume's VDL advanced on other PGs.
 func (n *Node) ReadPage(ctx context.Context, id core.PageID, readPoint, required core.LSN) (page.Page, error) {
-	p, _, err := n.ReadPageChecked(ctx, id, readPoint, required, 0)
-	return p, err
+	p := make(page.Page, page.Size)
+	if _, err := n.ReadPageChecked(ctx, id, readPoint, required, 0, p); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// ReadPageChecked is ReadPage with a geometry-epoch check: a caller routing
-// with an older geometry than the node has learned is rejected with
-// ErrStaleGeometry and must refetch the table and re-route — a read must
-// never be answered by a node that silently lost the page's stripe to a
-// cutover (it would materialize an empty page, not fail). A caller with a
+// ReadPageChecked is ReadPage into dst, a page-sized buffer the caller owns
+// (a buffer-cache frame, on the volume's read path), with a geometry-epoch
+// check: a caller routing with an older geometry than the node has learned is
+// rejected with ErrStaleGeometry and must refetch the table and re-route — a
+// read must never be answered by a node that silently lost the page's stripe
+// to a cutover (it would materialize an empty page, not fail). A caller with a
 // newer epoch teaches it to the node. Epoch 0 skips the check.
 //
-// The page returned is the caller's: a copy of the base made under the lock,
-// whose CRC — the copy's, so the bytes vouched for are the bytes served — is
-// verified before the chain up to readPoint is folded onto it. A mismatch is
-// refused with ErrCorruptPage and counted in CorruptReads.
+// The base is copied into dst under the lock and the copy's CRC — so the
+// bytes vouched for are the bytes served — is verified before the chain up
+// to readPoint is folded onto it. A mismatch is refused with ErrCorruptPage
+// and counted in CorruptReads. A refused read leaves dst holding anything.
 //
 // With the page comes the segment's SCL as the read saw it — the completeness
 // point a response piggybacks, which the read has just compared with required
@@ -644,18 +648,21 @@ func (n *Node) ReadPage(ctx context.Context, id core.PageID, readPoint, required
 // returns: a read never holds up an Ingest filing behind it. A read refused
 // before it reaches the disk (stale geometry, wiped, incomplete, no such page)
 // costs no IO; a failed disk refuses the read whatever the copy held.
-func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, required core.LSN, geomEpoch uint64) (page.Page, core.LSN, error) {
+func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, required core.LSN, geomEpoch uint64, dst page.Page) (core.LSN, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
+	}
+	if len(dst) != page.Size {
+		return 0, page.ErrBadSize
 	}
 	if n.down.Load() {
-		return nil, 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrNodeDown)
+		return 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrNodeDown)
 	}
 	if n.cfg.Role == core.RoleLog {
-		return nil, 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrWrongTier)
+		return 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrWrongTier)
 	}
 	if err := n.qos().AdmitRead(ctx, n.cfg.Vol); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	// A page replica whose applied LSN trails the read point replays the
 	// missing log from its peers before answering — the split's read
@@ -665,45 +672,45 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 		n.catchUpTo(ctx, required)
 	}
 	n.mu.Lock()
-	p, scl, atDisk, err := n.readLocked(id, readPoint, required, geomEpoch)
+	scl, atDisk, err := n.readLocked(id, readPoint, required, geomEpoch, dst)
 	n.mu.Unlock()
 	if !atDisk {
-		return nil, 0, err
+		return 0, err
 	}
 	if ioErr := n.ssd.Read(page.Size); ioErr != nil {
-		return nil, 0, ioErr
+		return 0, ioErr
 	}
 	if err != nil {
 		if errors.Is(err, ErrCorruptPage) {
 			n.corruptReads.Add(1)
 		}
-		return nil, 0, err
+		return 0, err
 	}
 	n.reads.Add(1)
-	return p, scl, nil
+	return scl, nil
 }
 
 // readLocked is ReadPageChecked's in-memory half: it checks the read against
-// the node's state, then copies, verifies and folds the page. atDisk reports
-// whether the read got as far as the disk, which the caller then waits out
-// whatever err says.
-func (n *Node) readLocked(id core.PageID, readPoint, required core.LSN, geomEpoch uint64) (p page.Page, scl core.LSN, atDisk bool, err error) {
+// the node's state, then copies, verifies and folds the page into dst. atDisk
+// reports whether the read got as far as the disk, which the caller then
+// waits out whatever err says.
+func (n *Node) readLocked(id core.PageID, readPoint, required core.LSN, geomEpoch uint64, dst page.Page) (scl core.LSN, atDisk bool, err error) {
 	if geomEpoch != 0 {
 		if geomEpoch < n.geomEpoch {
-			return nil, 0, false, fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleGeometry, n.geomEpoch, geomEpoch)
+			return 0, false, fmt.Errorf("%s: %w: have %d, got %d", n.cfg.Node, ErrStaleGeometry, n.geomEpoch, geomEpoch)
 		}
 		n.geomEpoch = geomEpoch
 	}
 	if n.wiped {
-		return nil, 0, false, fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
+		return 0, false, fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
 	}
 	scl = n.gaps.SCL()
 	if scl < required {
-		return nil, 0, false, fmt.Errorf("%s: %w: scl=%d required=%d", n.cfg.Node, ErrIncomplete, scl, required)
+		return 0, false, fmt.Errorf("%s: %w: scl=%d required=%d", n.cfg.Node, ErrIncomplete, scl, required)
 	}
 	ps := n.pages[id]
 	if ps == nil {
-		return nil, 0, false, fmt.Errorf("%s page %d: %w", n.cfg.Node, id, ErrNoSuchPage)
+		return 0, false, fmt.Errorf("%s page %d: %w", n.cfg.Node, id, ErrNoSuchPage)
 	}
 	// Copy the base out under the lock and gate the read on the CRC of the
 	// copy (Figure 4 step 8 moved into the foreground path): the bytes vouched
@@ -714,19 +721,19 @@ func (n *Node) readLocked(id core.PageID, readPoint, required core.LSN, geomEpoc
 	// the client's hedged read falls through to a peer — while the background
 	// scrubber repairs this copy.
 	if ps.base != nil {
-		p = ps.base.Clone()
-		if err := p.VerifyChecksum(); err != nil {
-			return nil, 0, true, fmt.Errorf("%s page %d: %w: %v", n.cfg.Node, id, ErrCorruptPage, err)
+		copy(dst, ps.base)
+		if err := dst.VerifyChecksum(); err != nil {
+			return 0, true, fmt.Errorf("%s page %d: %w: %v", n.cfg.Node, id, ErrCorruptPage, err)
 		}
 	} else {
-		p = page.New(id)
+		dst.Reset(id)
 	}
 	// The chain up to the read point goes onto the copy with the loop
 	// coalescing uses on the base itself.
-	if err := foldInto(p, ps.chain, readPoint); err != nil {
-		return nil, 0, true, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
+	if err := foldInto(dst, ps.chain, readPoint); err != nil {
+		return 0, true, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
 	}
-	return p, scl, true, nil
+	return scl, true, nil
 }
 
 // Reads returns the number of foreground page reads this node has served

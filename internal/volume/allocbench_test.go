@@ -3,12 +3,25 @@ package volume
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"aurora/internal/core"
 	"aurora/internal/disk"
 	"aurora/internal/netsim"
+	"aurora/internal/page"
 )
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 // BenchmarkCommitSteadyStateAllocs drives the full commit hot path — group
 // framing into the arena, wire shipping to all six replicas, quorum ack,
@@ -78,48 +91,84 @@ func TestCommitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReadPageMiss is the volume half of a buffer-cache miss:
-// Client.ReadPage on a zero-delay fleet, over more pages than fit in the
-// CPU's cache so that a node's base is cold as it is in service. Everything
-// between the engine and the page comes with it — routing, candidate order,
-// the hedged read, two network hops, the node's verify-on-copy read — so
-// -benchmem shows what a miss allocates beyond the page itself.
-func BenchmarkReadPageMiss(b *testing.B) {
-	const pages = 2048
+// missVolume is a zero-delay fleet of pages coalesced pages, for the read
+// path's pins: a miss in service reads a coalesced page.
+func missVolume(tb testing.TB, pages int) *Client {
 	net := netsim.New(netsim.FastLocal())
 	f, err := NewFleet(FleetConfig{Name: "bench", Geometry: core.UniformGeometry(4), Net: net, Disk: disk.FastLocal()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c := Bootstrap(f, ClientConfig{WriterNode: "writer", WriterAZ: 0})
-	b.Cleanup(c.Close)
+	tb.Cleanup(c.Close)
 	ctx := context.Background()
 	image := make([]byte, 4000)
 	for i := range image {
 		image[i] = byte(i)
 	}
-	for id := core.PageID(0); id < pages; id++ {
+	for id := core.PageID(0); id < core.PageID(pages); id++ {
 		m := &core.MTR{Txn: uint64(id + 1)}
 		m.AddInit(c.PGOf(id), id, image)
 		if _, err := c.WriteMTR(ctx, m); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	// Fold the images into bases: a miss in service reads a coalesced page.
 	for pg := 0; pg < f.PGs(); pg++ {
 		for _, n := range f.Replicas(core.PGID(pg)) {
 			n.CoalesceOnce()
 		}
 	}
 	if f.Node(c.PGOf(0), 0).BasePageLSN(0) == core.ZeroLSN {
-		b.Fatal("setup: page 0 was not coalesced into a base")
+		tb.Fatal("setup: page 0 was not coalesced into a base")
 	}
+	return c
+}
+
+// BenchmarkReadPageMiss is the volume half of a buffer-cache miss:
+// Client.ReadPageInto a recycled frame on a zero-delay fleet, over more pages
+// than fit in the CPU's cache so that a node's base is cold as it is in
+// service. Everything between the engine and the page comes with it —
+// routing, candidate order, the hedged read, two network hops, the node's
+// verify-on-copy read — so -benchmem shows what a miss allocates: nothing.
+func BenchmarkReadPageMiss(b *testing.B) {
+	const pages = 2048
+	c := missVolume(b, pages)
+	ctx := context.Background()
+	frame := page.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.ReadPage(ctx, core.PageID(i*61%pages)); err != nil {
+		if _, err := c.ReadPageInto(ctx, core.PageID(i*61%pages), frame); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestReadPageMissZeroAllocs pins BenchmarkReadPageMiss's count: a page read
+// into a supplied frame, answered by the first replica, allocates nothing —
+// not the hedged read's state, its timer or context, the candidate list, the
+// attempt, the read-point registration, nor the page.
+func TestReadPageMissZeroAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates on its own; the pin runs in normal builds")
+	}
+	const pages = 64
+	c := missVolume(t, pages)
+	ctx := context.Background()
+	frame := page.New(0)
+	i := 0
+	avg := testing.AllocsPerRun(500, func() {
+		i++
+		id := core.PageID(i * 61 % pages)
+		if _, err := c.ReadPageInto(ctx, id, frame); err != nil {
+			t.Fatal(err)
+		}
+		if frame.ID() != id {
+			t.Fatalf("read page %d into the frame, got %d", id, frame.ID())
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a page read into a supplied frame allocates %.2f objects, want 0", avg)
 	}
 }
 

@@ -255,7 +255,8 @@ func (c *Client) mrpl(vdl core.LSN) core.LSN {
 // transaction snapshots; page reads register internally.
 func (c *Client) RegisterReadPoint() (core.LSN, func()) {
 	p := c.vdl.VDL()
-	return p, c.reads.register(p)
+	tok := c.reads.register(p)
+	return p, func() { c.reads.release(tok) }
 }
 
 // GroupWrite is a framed group of mini-transactions — the unit the commit
@@ -523,37 +524,52 @@ func (c *Client) WriteMTR(ctx context.Context, m *core.MTR) (core.LSN, error) {
 	return g.MaxCPL(), g.Ship(ctx)
 }
 
-// ReadPage reads the latest durable version of a page. It establishes a
-// read point (the current VDL), computes the completeness the owning PG
-// requires, and asks a single segment known to be complete — quorum reads
-// are never needed in the normal path (§4.1, §4.2.3). It returns the page
-// and the read point it reflects. A sampled span carried in ctx gets each
-// hedged attempt as a child; ctx cancellation abandons the read.
+// ReadPage reads the latest durable version of a page into a new page (see
+// ReadPageInto) and returns it with the read point it reflects.
 func (c *Client) ReadPage(ctx context.Context, id core.PageID) (page.Page, core.LSN, error) {
-	if c.closed.Load() {
-		return nil, core.ZeroLSN, ErrClosed
+	p := make(page.Page, page.Size)
+	readPoint, err := c.ReadPageInto(ctx, id, p)
+	if err != nil {
+		return nil, readPoint, err
 	}
-	readPoint := c.vdl.VDL()
-	release := c.reads.register(readPoint)
-	defer release()
-	p, err := c.readAt(ctx, id, readPoint)
-	return p, readPoint, err
+	return p, readPoint, nil
 }
 
-// ReadPageAt reads a page at a caller-held read point (a transaction
-// snapshot previously registered with RegisterReadPoint).
+// ReadPageInto reads the latest durable version of a page into dst, a
+// page-sized buffer — a buffer-cache frame on a miss. It establishes a read
+// point (the current VDL), computes the completeness the owning PG requires,
+// and asks a single segment known to be complete — quorum reads are never
+// needed in the normal path (§4.1, §4.2.3). It returns the read point the page
+// reflects. A sampled span carried in ctx gets each hedged attempt as a child;
+// ctx cancellation abandons the read. On error dst holds anything.
+func (c *Client) ReadPageInto(ctx context.Context, id core.PageID, dst page.Page) (core.LSN, error) {
+	if c.closed.Load() {
+		return core.ZeroLSN, ErrClosed
+	}
+	readPoint := c.vdl.VDL()
+	tok := c.reads.register(readPoint)
+	defer c.reads.release(tok)
+	return readPoint, c.readAt(ctx, id, readPoint, dst)
+}
+
+// ReadPageAt reads a page into a new page at a caller-held read point (a
+// transaction snapshot previously registered with RegisterReadPoint).
 func (c *Client) ReadPageAt(ctx context.Context, id core.PageID, readPoint core.LSN) (page.Page, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	return c.readAt(ctx, id, readPoint)
+	p := make(page.Page, page.Size)
+	if err := c.readAt(ctx, id, readPoint, p); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // readAt runs the shared read path (Fleet.readPage) as the writer: the
 // completeness demanded of the routed PG is its durable tail, which the
 // writer tracks itself from the records it framed and the VDL.
-func (c *Client) readAt(ctx context.Context, id core.PageID, readPoint core.LSN) (page.Page, error) {
-	return c.fleet.readPage(ctx, c.node, id, readPoint, c.win.durableTail, &c.pageReads)
+func (c *Client) readAt(ctx context.Context, id core.PageID, readPoint core.LSN, dst page.Page) error {
+	return c.fleet.readPage(ctx, nil, c.node, id, readPoint, c.win.durableTail, &c.pageReads, dst)
 }
 
 // Stats is a snapshot of client counters, including the fleet's

@@ -1,8 +1,6 @@
 package volume
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,7 +11,6 @@ import (
 	"aurora/internal/core"
 	"aurora/internal/metrics"
 	"aurora/internal/netsim"
-	"aurora/internal/page"
 	"aurora/internal/storage"
 )
 
@@ -150,6 +147,11 @@ type HealthTracker struct {
 	// in the same windowed form the per-PG estimators use: the adaptive
 	// controller's read-path signal.
 	readWin *metrics.WindowedHistogram
+
+	// idle is the free list of hedged-read state (hedge.go): a read takes one
+	// and the last goroutine to touch it puts it back.
+	idleMu sync.Mutex
+	idle   []*hedgedRead
 
 	retries      metrics.Counter
 	hedges       metrics.Counter
@@ -338,8 +340,9 @@ func (h *HealthTracker) State(pg core.PGID, idx int) HealthState {
 	return h.stateOf(h.snapshot(pg, nil), idx)
 }
 
-// maxStackReplicas sizes Order's stack scratch; every shipped quorum has
-// V = 6. A larger V still works, it just spills to the heap.
+// maxStackReplicas sizes Order's stack scratch and a pooled read's candidate
+// storage; every shipped quorum has V = 6. A larger V still works, it just
+// spills to the heap.
 const maxStackReplicas = 8
 
 // Order returns the read-candidate indices for a PG, best first, in one
@@ -352,6 +355,12 @@ const maxStackReplicas = 8
 // to the page tier. Down nodes are excluded too — they are not gray, they
 // are gone, and gossip (not the read path) heals them.
 func (h *HealthTracker) Order(pg core.PGID, replicas []*storage.Node, myAZ netsim.AZ, required core.LSN) []int {
+	return h.appendOrder(nil, pg, replicas, myAZ, required)
+}
+
+// appendOrder is Order appending to dst: the read path passes a pooled read's
+// candidate storage. A nil dst gets one allocation.
+func (h *HealthTracker) appendOrder(dst []int, pg core.PGID, replicas []*storage.Node, myAZ netsim.AZ, required core.LSN) []int {
 	var sbuf [maxStackReplicas]repSnap
 	var cbuf [maxStackReplicas]readCand
 	snaps := h.snapshot(pg, sbuf[:0])
@@ -374,11 +383,13 @@ func (h *HealthTracker) Order(pg core.PGID, replicas []*storage.Node, myAZ netsi
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.idx
+	if dst == nil {
+		dst = make([]int, 0, len(cands))
 	}
-	return out
+	for _, c := range cands {
+		dst = append(dst, c.idx)
+	}
+	return dst
 }
 
 type readCand struct {
@@ -461,225 +472,6 @@ func (h *HealthTracker) Stats() HealthStats {
 		HedgeCancels: h.hedgeCancels.Load(),
 		AutoRepairs:  h.autoRepairs.Load(),
 		RespDrops:    h.respDrops.Load(),
-	}
-}
-
-// runHedged executes one logical page read over an ordered candidate list,
-// caller-runs-first: the calling goroutine runs the first attempt itself and,
-// when an attempt is refused with nothing else in flight, fails over to the
-// next candidate itself, at once. All that exists before the read deadline is
-// overrun is the read's state, the cancelable child of ctx the caller's
-// attempts run under, and one hedge timer armed at the PG's read deadline — in
-// the common case the first replica answers, the timer is stopped, and the
-// read was one chain of function calls.
-//
-// Whenever the newest attempt has run for the deadline without a verdict the
-// timer fires and a hedge to the next candidate runs on the timer's own
-// goroutine, under its own child of ctx, after arming the timer for the hedge
-// after it: at most one new attempt per deadline overrun. Only then do the
-// mutex, the wake channel and the extra contexts come into use. The first
-// success wins, whoever ran it: a winning hedge cancels the caller's in-flight
-// attempt (and its sibling hedges), which makes the caller return the hedge's
-// page; a winning caller cancels the hedges on its way out. A loser parked in
-// a simulated network hop therefore unwinds at once instead of running to
-// completion (HedgeCancels counts them); the caller does not wait for it.
-//
-// Health observations are fed for every attempt that ran to its own verdict,
-// so a slow loser still raises its replica's EWMA and sinks in future
-// orderings; a loser that merely got canceled is not blamed for failing, only
-// recorded as outlived. When every candidate refuses, the last verdict is
-// returned, except that a stale-geometry nack is sticky. Cancellation of ctx
-// itself abandons the read and blames nobody.
-func (h *HealthTracker) runHedged(ctx context.Context, pg core.PGID, cands []int, attempt func(ctx context.Context, idx int, hedged bool) (page.Page, error)) (page.Page, error) {
-	if len(cands) == 0 {
-		return nil, ErrReadUnavailable
-	}
-	idx, start := cands[0], time.Now()
-	actx, cancel := context.WithCancel(ctx)
-	r := &hedgedRead{
-		h: h, ctx: ctx, pg: pg, cands: cands, attempt: attempt,
-		next: 1, inflight: 1, launched: start, lastErr: ErrReadUnavailable, cancelCaller: cancel,
-	}
-	if len(cands) > 1 {
-		r.deadline = h.ReadDeadline(pg)
-		// Under mu, because a hedge reads r.timer and may do so before
-		// AfterFunc has returned it.
-		r.mu.Lock()
-		r.timer = time.AfterFunc(r.deadline, r.hedge)
-		r.mu.Unlock()
-	}
-	for {
-		v, err := r.run(actx, idx, false, start)
-		r.mu.Lock()
-		r.finishLocked(v, err, false)
-		// Refused while hedges are still out: theirs are the verdicts left
-		// to wait for.
-		for !r.done && r.inflight > 0 && ctx.Err() == nil {
-			wake := r.wake
-			r.mu.Unlock()
-			select {
-			case <-wake:
-			case <-ctx.Done():
-			}
-			r.mu.Lock()
-		}
-		if r.done || r.next == len(cands) || ctx.Err() != nil {
-			break
-		}
-		idx, start = cands[r.next], time.Now()
-		r.next++
-		r.inflight++
-		r.launched = start
-		r.mu.Unlock()
-	}
-	// The caller leaves, whatever the outcome: the timer is stopped, what is
-	// still out is canceled, and a hedge that fires or finishes from here on
-	// finds the read decided and does nothing.
-	r.done = true
-	r.cancelAllLocked()
-	won, val, lastErr := r.won, r.val, r.lastErr
-	r.mu.Unlock()
-	if won {
-		return val, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return nil, lastErr
-}
-
-// hedgedRead is the state of one runHedged call. Until the hedge timer fires
-// the calling goroutine is the only one to touch it; from then on it is
-// shared with each hedge's goroutine under mu.
-type hedgedRead struct {
-	h        *HealthTracker
-	ctx      context.Context
-	pg       core.PGID
-	cands    []int
-	attempt  func(ctx context.Context, idx int, hedged bool) (page.Page, error)
-	deadline time.Duration
-	timer    *time.Timer // the one hedge timer; nil when there is nobody to hedge to
-
-	mu       sync.Mutex
-	next     int       // cands[next] is the next candidate to try
-	inflight int       // attempts without a verdict yet
-	launched time.Time // when the newest attempt started
-	done     bool      // decided — won, or the caller has left; later verdicts are dropped
-	won      bool
-	val      page.Page
-	lastErr  error
-
-	cancelCaller context.CancelFunc   // of the context the caller's attempts share
-	cancelHedges []context.CancelFunc // one per hedge launched
-	wake         chan struct{}        // made by the first hedge: a hedge has its verdict
-}
-
-// run makes one attempt and feeds its verdict to the health tracker.
-func (r *hedgedRead) run(actx context.Context, idx int, hedged bool, start time.Time) (page.Page, error) {
-	v, err := r.attempt(actx, idx, hedged)
-	h := r.h
-	if err == nil {
-		lat := time.Since(start)
-		h.ObserveOK(r.pg, idx, lat)
-		h.observeReadLatency(r.pg, lat)
-	} else if errors.Is(err, context.Canceled) {
-		// Canceled because a sibling won: the time it was outlived by still
-		// counts against its latency EWMA (a caller abandon — ctx itself done
-		// — is not evidence).
-		if r.ctx.Err() == nil {
-			h.ObserveOutlived(r.pg, idx, time.Since(start))
-		}
-	} else {
-		h.ObserveFailure(r.pg, idx)
-	}
-	return v, err
-}
-
-// finishLocked takes one attempt's verdict into the read's state and reports
-// whether it won the read — in which case the attempts still out are losers
-// for whoever ran this one to cancel.
-func (r *hedgedRead) finishLocked(v page.Page, err error, hedged bool) bool {
-	r.inflight--
-	if r.done {
-		return false
-	}
-	if err == nil {
-		r.done, r.won, r.val = true, true, v
-		if hedged {
-			r.h.hedgeWins.Inc()
-		}
-		if r.inflight > 0 {
-			r.h.hedgeCancels.Add(uint64(r.inflight))
-		}
-		return true
-	}
-	// The last verdict is reported, except that a stale-geometry nack is
-	// sticky: it tells the caller its routing table is superseded, and a later
-	// refusal from a replica that has not heard of the flip yet (a lagging
-	// one, tried last) must not mask it and turn a re-routable read into a
-	// failed one.
-	if !errors.Is(err, context.Canceled) && !errors.Is(r.lastErr, storage.ErrStaleGeometry) {
-		r.lastErr = err
-	}
-	return false
-}
-
-// cancelAllLocked stops the hedge timer and cancels every attempt's context:
-// the losers' when a hedge wins the read, whatever is still out when the
-// caller leaves.
-func (r *hedgedRead) cancelAllLocked() {
-	if r.timer != nil {
-		r.timer.Stop()
-	}
-	r.cancelCaller()
-	for _, cancel := range r.cancelHedges {
-		cancel()
-	}
-}
-
-// hedge is the timer's function; it runs on the timer's own goroutine. The
-// firing is a prompt, the state decides: a hedge is due only if the read is
-// undecided, a candidate is left, and the newest attempt — which the caller
-// may have launched since the timer was armed, failing over after a refusal —
-// has itself outrun the deadline.
-func (r *hedgedRead) hedge() {
-	r.mu.Lock()
-	if r.done || r.next == len(r.cands) || r.ctx.Err() != nil {
-		r.mu.Unlock()
-		return
-	}
-	start := time.Now()
-	if wait := r.deadline - start.Sub(r.launched); wait > 0 {
-		r.timer.Reset(wait)
-		r.mu.Unlock()
-		return
-	}
-	idx := r.cands[r.next]
-	r.next++
-	r.inflight++
-	r.launched = start
-	r.h.hedges.Inc()
-	hctx, cancel := context.WithCancel(r.ctx)
-	r.cancelHedges = append(r.cancelHedges, cancel)
-	if r.wake == nil {
-		r.wake = make(chan struct{}, 1)
-	}
-	if r.next < len(r.cands) {
-		r.timer.Reset(r.deadline)
-	}
-	r.mu.Unlock()
-
-	v, err := r.run(hctx, idx, true, start)
-	r.mu.Lock()
-	if r.finishLocked(v, err, true) {
-		r.cancelAllLocked() // the caller's attempt first of all: it returns this page
-	}
-	r.mu.Unlock()
-	// One token is enough: it tells the caller, if it is waiting, to look at
-	// the state again.
-	select {
-	case r.wake <- struct{}{}:
-	default:
 	}
 }
 

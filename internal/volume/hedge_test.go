@@ -24,6 +24,14 @@ func hedgeTracker(replicas int, d time.Duration) *HealthTracker {
 	return newHealthTracker(HealthConfig{HedgeMin: d}, 1, replicas)
 }
 
+// runHedged runs one hedged read over cands with a scripted attempt, the way
+// Fleet.readPage runs its page reads.
+func (h *HealthTracker) runHedged(ctx context.Context, pg core.PGID, cands []int, attempt attemptFunc) (page.Page, error) {
+	r := h.newRead(ctx, nil, pg)
+	r.cands = append(r.cands, cands...)
+	return r.run(attempt)
+}
+
 // busyFor keeps the calling goroutine runnable for d, or until ctx is done:
 // a scripted replica's latency. It spins through the scheduler instead of
 // sleeping because an idle Go process rounds a sub-millisecond timer up to a
@@ -88,10 +96,11 @@ func TestHedgedFirstAnswerIsOneCallChain(t *testing.T) {
 		t.Fatalf("replica 0 after 1000 answers: %+v", r)
 	}
 
-	// The objects a read creates: its state, the attempt context and its
-	// cancel function, the hedge timer and the method value it runs. The
-	// channel, the hedges' contexts and every goroutine wait for the timer.
-	const pinned = 5
+	// The objects a read creates: none. Its state, the hedge timer and the
+	// candidate storage come from the tracker's free list, and the state is the
+	// context the caller's attempts run under. The channels, the hedges'
+	// contexts and every goroutine wait for the timer.
+	const pinned = 0
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := h.runHedged(ctx, 0, cands, attempt); err != nil {
 			t.Fatal(err)

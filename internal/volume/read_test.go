@@ -3,6 +3,7 @@ package volume
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -124,5 +125,42 @@ func TestReaderDemotesKnownBehindReplica(t *testing.T) {
 	}
 	if behind.Reads() != 0 {
 		t.Fatal("the behind replica served the read")
+	}
+}
+
+// TestReaderCloseUnwindsParkedRead parks a reader's page read in a network hop
+// (every hop touching the reader takes a second) and closes the reader: Close
+// must return at once, the read must fail rather than wait out its hops, and
+// no attempt, hedge or timer goroutine may stay behind. The reader's lifetime
+// is joined to the read through the read's own context, not a per-read one.
+func TestReaderCloseUnwindsParkedRead(t *testing.T) {
+	f, c := testVolume(t, 1)
+	writePage(t, c, 3, "v")
+	r := NewReader(f, "replica-reader", 0)
+	if err := f.Net().SetNodeDelay("replica-reader", time.Second); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := r.ReadPageAt(context.Background(), 3, c.VDL(), c.DurableTail(0))
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // the read and its hedges are on the wire
+	start := time.Now()
+	r.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v with a read parked in a hop", d)
+	}
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("the parked read returned a page after Close")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the parked read did not return after Close")
+	}
+	if g := settleGoroutines(base); g > base {
+		t.Fatalf("%d goroutines after Close, %d before the read", g, base)
 	}
 }

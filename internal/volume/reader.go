@@ -47,34 +47,38 @@ func (r *Reader) PinReadPoint(lsn core.LSN) {
 	r.fleet.setReaderPoint(r.node, lsn)
 }
 
-// ReadPageAt fetches the version of a page as of readPoint from a single
-// segment whose SCL covers required — the completeness the replica learned
-// from the writer's log stream for the page's PG. Everything else (routing
-// at the read point, the split relaxation, health-ordered hedged attempts,
-// stale-geometry re-routes) is the shared read path, Fleet.readPage. ctx
-// cancellation abandons the read; a sampled span carried in ctx gets each
-// hedged attempt as a child.
+// ReadPageAt reads the version of a page as of readPoint into a new page (see
+// ReadPageInto).
 func (r *Reader) ReadPageAt(ctx context.Context, id core.PageID, readPoint, required core.LSN) (page.Page, error) {
+	p := make(page.Page, page.Size)
+	if err := r.ReadPageInto(ctx, id, readPoint, required, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ReadPageInto reads the version of a page as of readPoint into dst, a
+// page-sized buffer (a buffer-cache frame on a miss), from a single segment
+// whose SCL covers required — the completeness the replica learned from the
+// writer's log stream for the page's PG. Everything else (routing at the read
+// point, the split relaxation, health-ordered hedged attempts, stale-geometry
+// re-routes) is the shared read path, Fleet.readPage, which joins the caller's
+// ctx with the reader's lifetime: either one ending unwinds the hedged
+// attempts. A sampled span carried in ctx gets each hedged attempt as a child.
+func (r *Reader) ReadPageInto(ctx context.Context, id core.PageID, readPoint, required core.LSN, dst page.Page) error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, ErrReaderClosed
+		return ErrReaderClosed
 	}
 	r.wg.Add(1)
 	r.mu.Unlock()
 	defer r.wg.Done()
-	// Join the caller's deadline with the reader's lifetime: either one
-	// canceling unwinds the hedged attempts below.
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	stop := context.AfterFunc(r.ctx, rcancel)
-	defer stop()
-
-	p, err := r.fleet.readPage(rctx, r.node, id, readPoint, func(core.PGID) core.LSN { return required }, &r.pageReads)
+	err := r.fleet.readPage(ctx, r.ctx, r.node, id, readPoint, func(core.PGID) core.LSN { return required }, &r.pageReads, dst)
 	if err != nil {
-		return nil, fmt.Errorf("reader %s: %w", r.node, err)
+		return fmt.Errorf("reader %s: %w", r.node, err)
 	}
-	return p, nil
+	return nil
 }
 
 // Close detaches the reader: new reads are refused, in-flight hedged

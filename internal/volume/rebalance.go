@@ -214,10 +214,7 @@ func (c *Client) copyStripePage(id core.PageID, to core.PGID) (core.LSN, error) 
 	// Rebalancer IO runs under the client's root context: bounded by the
 	// client's lifetime, not by any commit's deadline.
 	ctx := c.rootCtx
-	readPoint := c.vdl.VDL()
-	release := c.reads.register(readPoint)
-	defer release()
-	p, err := c.readAt(ctx, id, readPoint)
+	p, readPoint, err := c.ReadPage(ctx, id)
 	if err != nil {
 		return core.ZeroLSN, err
 	}
@@ -227,10 +224,9 @@ func (c *Client) copyStripePage(id core.PageID, to core.PGID) (core.LSN, error) 
 		PG:    to,
 		Page:  id,
 		Flags: core.FlagPlaced,
-		// Ownership: Materialize builds a fresh payload for every read (the
-		// storage node never hands out its own buffers), and the framer
-		// copies Data into the wire arena before Ship returns — no second
-		// defensive copy is needed.
+		// Ownership: p is this copy's own page (the storage node never hands
+		// out its own buffers), and the framer copies Data into the wire arena
+		// before Ship returns — no second defensive copy is needed.
 		Data: p.Payload(),
 	})
 	g, err := c.frame(ctx, []*core.MTR{m})

@@ -11,6 +11,7 @@ import (
 	"aurora/internal/core"
 	"aurora/internal/disk"
 	"aurora/internal/netsim"
+	"aurora/internal/page"
 	"aurora/internal/quorum"
 	"aurora/internal/storage"
 )
@@ -215,7 +216,7 @@ func TestSplitLogTierRefusesPageReads(t *testing.T) {
 		t.Fatalf("replica 0 role %v, want log", n.Role())
 	}
 	epoch := f.Geometry().Epoch()
-	if _, _, err := n.ReadPageChecked(context.Background(), 0, rp, rp, epoch); !errors.Is(err, storage.ErrWrongTier) {
+	if _, err := n.ReadPageChecked(context.Background(), 0, rp, rp, epoch, page.New(0)); !errors.Is(err, storage.ErrWrongTier) {
 		t.Fatalf("log-tier read: %v, want ErrWrongTier", err)
 	}
 }

@@ -178,27 +178,33 @@ func (w *durableWindow) backlog() int {
 // nodes so they can coalesce and garbage collect (§4.2.3).
 type readRegistry struct {
 	mu     sync.Mutex
-	next   int64
-	points map[int64]core.LSN
+	next   readToken
+	points map[readToken]core.LSN
 	floor  core.LSN // monotonic published low-water mark
 }
 
 func newReadRegistry(start core.LSN) *readRegistry {
-	return &readRegistry{points: make(map[int64]core.LSN), floor: start}
+	return &readRegistry{points: make(map[readToken]core.LSN), floor: start}
 }
 
-// register records an outstanding read point and returns a release func.
-func (r *readRegistry) register(p core.LSN) func() {
+// readToken names one registered read point, for release.
+type readToken int64
+
+// register records an outstanding read point until release(token).
+func (r *readRegistry) register(p core.LSN) readToken {
 	r.mu.Lock()
-	id := r.next
+	tok := r.next
 	r.next++
-	r.points[id] = p
+	r.points[tok] = p
 	r.mu.Unlock()
-	return func() {
-		r.mu.Lock()
-		delete(r.points, id)
-		r.mu.Unlock()
-	}
+	return tok
+}
+
+// release drops a read point register returned.
+func (r *readRegistry) release(tok readToken) {
+	r.mu.Lock()
+	delete(r.points, tok)
+	r.mu.Unlock()
 }
 
 // lowWaterMark returns the MRPL given the current VDL: the minimum

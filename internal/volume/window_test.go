@@ -372,15 +372,15 @@ func TestReadRegistryLowWaterMark(t *testing.T) {
 	if lwm := r.lowWaterMark(20); lwm != 20 {
 		t.Fatalf("no-readers LWM %d, want VDL", lwm)
 	}
-	rel5 := r.register(15)
-	rel8 := r.register(18)
+	t15 := r.register(15)
+	t18 := r.register(18)
 	if lwm := r.lowWaterMark(30); lwm != 20 {
 		// Floor is monotonic: it already advanced to 20 above, and the
 		// outstanding reads (15, 18) cannot drag it back.
 		t.Fatalf("LWM %d, want floor 20", lwm)
 	}
-	rel5()
-	rel8()
+	r.release(t15)
+	r.release(t18)
 	if lwm := r.lowWaterMark(40); lwm != 40 {
 		t.Fatalf("LWM %d after releases, want 40", lwm)
 	}
@@ -390,7 +390,7 @@ func TestReadRegistryLowWaterMark(t *testing.T) {
 	if lwm := r.lowWaterMark(99); lwm != 40 {
 		t.Fatalf("LWM %d, want pinned 40", lwm)
 	}
-	hold()
+	r.release(hold)
 	if lwm := r.lowWaterMark(99); lwm != 45 {
 		t.Fatalf("LWM %d, want 45 (remaining read)", lwm)
 	}
