@@ -21,8 +21,6 @@ lint:
 		echo 'lint: *Traced( API resurrected — carry the span in the context'; exit 1; fi
 	@if grep -rn 'time\.Sleep' internal/engine internal/volume internal/storage --include='*.go' | grep -v _test ; then \
 		echo 'lint: time.Sleep in engine/volume/storage — waits must select on a ctx'; exit 1; fi
-	@if grep -rnE 'maxInflightGroups|deliverMaxBackoff|hedgeMult *\*|maxGroup +int' internal/engine internal/volume --include='*.go' | grep -v _test | grep -vE 'internal/control|MaxInflightGroups|hedgeMultPct' ; then \
-		echo 'lint: hardcoded tuning constant resurrected — latency knobs live in internal/control'; exit 1; fi
 
 # Tier-1: the suite that must stay green on every change.
 test: build vet lint
@@ -63,7 +61,7 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
 		./internal/netsim/ ./internal/metrics/ ./internal/quorum/ \
-		./internal/engine/ ./internal/control/ \
+		./internal/engine/ \
 		./internal/btree/ ./internal/page/ ./internal/bufcache/
 	$(GO) test -race -count=100 -run TestSplitStaleReadConcurrent ./internal/volume/
 	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
@@ -95,17 +93,16 @@ chaos-deadline:
 # scenarios under the race detector, zero checksum mismatches / lost acked
 # commits / VDL regressions / goroutine leaks required. Failures print a
 # one-line replay command carrying the seed. The pinned runs sweep one full
-# matrix (count 44) filtered to the pagestore-lag fault (log/page role
-# split), the noisy-neighbor fault (co-tenant flood on a shared pool) and
-# the autotune fault (gray-slow + flood with the adaptive controller live)
-# across all four stressors — the smoke draw does not always include them.
+# matrix (what -only draws without -count) filtered to the pagestore-lag
+# fault (log/page role split) and the noisy-neighbor fault (co-tenant flood
+# on a shared pool) across all four stressors — the smoke draw does not
+# always include them.
 chaos-matrix-smoke:
 	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1
-	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1 -count 44 -only pagestore-lag
-	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1 -count 44 -only noisy-neighbor
-	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1 -count 44 -only autotune
+	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1 -only pagestore-lag
+	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1 -only noisy-neighbor
 
-# Nightly tier: three full sweeps of the matrix (132 scenarios).
+# Nightly tier: three full sweeps of the matrix (120 scenarios).
 chaos-matrix:
 	$(GO) run -race ./cmd/aurora-chaos -matrix -tier full -seed 1
 
@@ -117,15 +114,17 @@ examples-smoke:
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
 # closed-loop workloads, ten end-to-end metrics and the traced pass's
 # per-layer metrics, full report with the environment header as JSON (about
-# five minutes). BENCH_24.json is the same command at the parent commit, so
-# `go run ./benchmark -compare BENCH_24.json BENCH_25.json` extends the
-# trajectory; re-record the parent in a `git clone` if the host differs.
-# bench-quick is the 3-second try-out of the same suite. bench-bin builds the
-# binary every paired measurement runs (`.bench_build/benchmark.bin --workload
-# W --seed N --seconds 20 --trace 0`; build the other side in its own tree): a
-# bare `go build ./benchmark` fails on the directory of the same name.
+# five minutes). `make bench N=<change number>` writes BENCH_<N>.json and fails
+# without N; record one with every change, so `go run ./benchmark -compare
+# BENCH_<earlier>.json BENCH_<N>.json` extends the trajectory (re-record the
+# earlier one in a `git clone` if the host differs). bench-quick is the
+# 3-second try-out of the same suite. bench-bin builds the binary every paired
+# measurement runs (`.bench_build/benchmark.bin --workload W --seed N
+# --seconds 20 --trace 0`; build the other side in its own tree): a bare
+# `go build ./benchmark` fails on the directory of the same name.
 bench:
-	$(GO) run ./benchmark -trace 1 -json BENCH_25.json
+	@if [ -z "$(N)" ]; then echo 'bench: set N, e.g. make bench N=31 writes BENCH_31.json'; exit 1; fi
+	$(GO) run ./benchmark -trace 1 -json BENCH_$(N).json
 
 bench-bin:
 	mkdir -p .bench_build

@@ -90,14 +90,6 @@ type Options struct {
 	CachePages int
 	// LockTimeout bounds row-lock waits (deadlock resolution).
 	LockTimeout time.Duration
-	// AutoTune runs the adaptive control plane: a feedback controller that
-	// steers the latency knobs (commit-group size, inflight-group budget,
-	// hedged-read deadline multiplier, sender backoff ceiling) from
-	// windowed per-stage latency measurements instead of leaving them at
-	// their static defaults. Knob values and controller activity surface
-	// in Stats. Enabling AutoTune forces trace sampling on (the write-path
-	// signal rides the stage histograms).
-	AutoTune bool
 
 	// --- Tracing & observability ---
 
@@ -184,7 +176,7 @@ func (o Options) fleetConfig(net *netsim.Network, store *objstore.Store) volume.
 func (o Options) engineConfig() engine.Config {
 	return engine.Config{
 		CachePages: o.CachePages, LockTimeout: o.LockTimeout,
-		TraceEvery: o.TraceEvery, AutoTune: o.AutoTune,
+		TraceEvery: o.TraceEvery,
 	}
 }
 
@@ -564,27 +556,6 @@ type Stats struct {
 
 	// TracesSampled counts finished causal traces (0 with sampling off).
 	TracesSampled uint64
-
-	// Adaptive control plane (Options.AutoTune). Knobs always lists the
-	// registered latency knobs with their current values — static defaults
-	// when AutoTune is off, the controller's steered values when on — so
-	// experiments and chaos runs can watch trajectories. The counters
-	// record controller windows stepped and knob movements made.
-	Knobs           []KnobState
-	AutoTuneSteps   uint64
-	AutoTuneAdjusts uint64
-}
-
-// KnobState is a public snapshot of one control-plane knob: its canonical
-// name (e.g. "engine.commit_group"), current and default values, allowed
-// range, and how many times the controller (or any caller) has moved it.
-type KnobState struct {
-	Name    string
-	Value   int64
-	Default int64
-	Min     int64
-	Max     int64
-	Adjusts uint64
 }
 
 // Stats returns a cluster-wide snapshot.
@@ -626,14 +597,6 @@ func (c *Cluster) Stats() Stats {
 		RebalancePagesCopied:  es.Volume.RebalancePagesCopied,
 		GeometryReadRetries:   es.Volume.GeomRetries,
 	}
-	for _, k := range es.Knobs {
-		s.Knobs = append(s.Knobs, KnobState{
-			Name: k.Name, Value: k.Value, Default: k.Default,
-			Min: k.Min, Max: k.Max, Adjusts: k.Adjusts,
-		})
-	}
-	s.AutoTuneSteps = es.AutoTuneSteps
-	s.AutoTuneAdjusts = es.AutoTuneAdjusts
 	if c.store != nil {
 		s.BackupObjects = c.store.Count()
 	}

@@ -392,54 +392,3 @@ func TestClusterPITR(t *testing.T) {
 		t.Fatal("restore without store accepted")
 	}
 }
-
-func TestClusterAutoTune(t *testing.T) {
-	// Knobs surface with static defaults even with AutoTune off.
-	c := newCluster(t, Options{})
-	if s := c.Stats(); len(s.Knobs) != 4 || s.AutoTuneSteps != 0 {
-		t.Fatalf("static stats: %d knobs, %d steps", len(s.Knobs), s.AutoTuneSteps)
-	}
-
-	// With AutoTune on the controller steps, counters surface, and the
-	// knobs keep steering across a failover (the option rides Cluster.opts).
-	ac := newCluster(t, Options{AutoTune: true})
-	for i := 0; i < 50; i++ {
-		if err := ac.Put([]byte(fmt.Sprintf("at%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for ac.Stats().AutoTuneSteps == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("controller never stepped")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	names := map[string]bool{}
-	for _, k := range ac.Stats().Knobs {
-		names[k.Name] = true
-		if k.Min > k.Value || k.Value > k.Max {
-			t.Fatalf("knob %s value %d outside [%d,%d]", k.Name, k.Value, k.Min, k.Max)
-		}
-	}
-	for _, want := range []string{"engine.commit_group", "engine.inflight_groups",
-		"volume.hedge_mult_pct", "volume.backoff_cap_us"} {
-		if !names[want] {
-			t.Fatalf("knob %s missing from Stats: %v", want, names)
-		}
-	}
-	ac.CrashWriter()
-	if _, err := ac.Failover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ac.Put([]byte("post-failover"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(2 * time.Second)
-	for ac.Stats().AutoTuneSteps == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("controller absent after failover")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

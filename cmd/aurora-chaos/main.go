@@ -36,8 +36,9 @@ func main() {
 	probes := flag.Int("probes", 40, "probe rounds per active fault (deterministic pacing)")
 	gray := flag.Bool("gray", true, "include the gray regime: packet loss, gray-slow replicas, self-healed wipe")
 	matrixMode := flag.Bool("matrix", false, "run the integrity scenario matrix instead of the drill")
-	tier := flag.String("tier", "smoke", "matrix tier: smoke (12 scenarios) or full (96)")
-	count := flag.Int("count", 0, "matrix scenario count override (0 = tier default)")
+	tier := flag.String("tier", "smoke", fmt.Sprintf("matrix tier: smoke (12 scenarios) or full (three sweeps, %d)",
+		3*len(matrix.Faults)*len(matrix.Stressors)))
+	count := flag.Int("count", 0, "matrix scenario count override (0 = tier default; one full sweep with -only)")
 	only := flag.String("only", "", "matrix filter: run only scenarios whose fault/stressor name contains this")
 	md := flag.String("md", "", "write the matrix results table to this markdown file")
 	flag.Parse()

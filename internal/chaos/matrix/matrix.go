@@ -23,12 +23,15 @@ type Config struct {
 	// campaign.
 	Seed int64
 	// Tier picks the default scenario count: "smoke" (12, CI-sized) or
-	// "full" (132, three sweeps of the matrix — nightly-sized).
+	// "full" (three sweeps of the matrix, 3 × len(Faults) × len(Stressors) —
+	// nightly-sized).
 	Tier string
 	// Count overrides the tier's scenario count when > 0.
 	Count int
 	// Only filters scenarios to those whose fault/stressor name contains
-	// this substring — the replay knob printed with every failure.
+	// this substring — the replay knob printed with every failure. Without
+	// a Count, a smoke-tier Only draws one full sweep, so every matching
+	// cell runs once.
 	Only string
 	// Out receives per-scenario progress lines; nil discards them.
 	Out io.Writer
@@ -71,9 +74,13 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	}
 	count := cfg.Count
 	if count <= 0 {
-		if cfg.Tier == "full" {
-			count = 132
-		} else {
+		sweep := len(Faults) * len(Stressors)
+		switch {
+		case cfg.Tier == "full":
+			count = 3 * sweep
+		case cfg.Only != "":
+			count = sweep // every cell once, so the filter sees each cell it matches
+		default:
 			count = 12
 		}
 	}

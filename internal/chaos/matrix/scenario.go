@@ -34,7 +34,6 @@ const (
 	FaultBackup        FaultKind = "backup"         // backup sweep mid-run, PITR verified after
 	FaultPageLag       FaultKind = "pagestore-lag"  // log/page split: feed paused, lagging page replica crashed
 	FaultNoisyNeighbor FaultKind = "noisy-neighbor" // co-tenant floods the shared hosts; quiet tenant's invariants must hold
-	FaultAutotune      FaultKind = "autotune"       // gray-slow replica + co-tenant flood with the adaptive controller live
 )
 
 // StressKind names the other axis: how the workload leans on the fault.
@@ -51,7 +50,7 @@ const (
 var (
 	Faults = []FaultKind{FaultCrash, FaultWipeRepair, FaultAZOutage, FaultPacketLoss,
 		FaultGraySlow, FaultCorruptPage, FaultGrow, FaultBackup, FaultPageLag,
-		FaultNoisyNeighbor, FaultAutotune}
+		FaultNoisyNeighbor}
 	Stressors = []StressKind{StressCycles, StressCommitters, StressBigTx, StressDeadline}
 )
 
@@ -121,9 +120,7 @@ func newStack(sc Scenario) (*stack, error) {
 		Net:      st.net,
 		Disk:     disk.FastLocal(),
 	}
-	// The autotune fault reuses the noisy-neighbor topology: both tenants
-	// share one host pool so the co-tenant flood has somewhere to land.
-	needsPool := sc.Fault == FaultNoisyNeighbor || sc.Fault == FaultAutotune
+	needsPool := sc.Fault == FaultNoisyNeighbor
 	if needsPool {
 		// Both tenants share one 9-host pool with per-tenant QoS: the cap is
 		// far above the quiet workload's needs, so only the flood is shaped.
@@ -153,14 +150,7 @@ func newStack(sc Scenario) (*stack, error) {
 	st.vol = volume.Bootstrap(f, volume.ClientConfig{WriterNode: netsim.NodeID(st.name + "-writer"), WriterAZ: 0})
 	// A small cache keeps snapshot readers going to the storage fleet for
 	// truth instead of serving everything warm from the writer's memory.
-	ecfg := engine.Config{CachePages: 128}
-	if sc.Fault == FaultAutotune {
-		// The controller must be live and stepping fast enough to re-steer
-		// its knobs inside the fault window.
-		ecfg.AutoTune = true
-		ecfg.AutoTuneInterval = chaos.Scaled(10 * time.Millisecond)
-	}
-	db, err := engine.Create(st.vol, ecfg)
+	db, err := engine.Create(st.vol, engine.Config{CachePages: 128})
 	if err != nil {
 		st.vol.Close()
 		return nil, err
@@ -253,57 +243,8 @@ func makeFault(kind FaultKind, st *stack, led *Ledger, rng *rand.Rand, windows *
 		return pageLagFault(st, pg, rng)
 	case FaultNoisyNeighbor:
 		return noisyNeighborFault(st)
-	case FaultAutotune:
-		return autotuneFault(st, pg, rng)
 	}
 	panic("matrix: unknown fault kind " + string(kind))
-}
-
-// autotuneFault runs the adaptive control plane through a compound fault: a
-// same-AZ replica of the quiet tenant goes gray-slow while the co-tenant
-// floods the shared host pool, so the controller is forced to re-steer the
-// hedge deadline and batching budgets mid-chaos. The ledger, VDL and
-// recovery invariants are judged exactly as in every other scenario —
-// adaptation may trade latency but must never cost correctness. Heal
-// additionally asserts the controller actually stepped under the fault: an
-// autotune row whose controller slept would prove nothing. The fault window
-// is paced by workload rounds and the controller by wall-clock ticks, so
-// Heal first waits — bounded — for a step taken since Inject; a data path
-// fast enough to finish the window's rounds inside one controller interval
-// must not fail the row.
-func autotuneFault(st *stack, pg core.PGID, rng *rand.Rand) chaos.Fault {
-	slow := st.fleet.Node(pg, rng.Intn(2))
-	flood := noisyNeighborFault(st)
-	var stepsAtInject uint64
-	return chaos.Fault{
-		Name: fmt.Sprintf("autotune: gray-slow %s + co-tenant flood", slow.NodeID()),
-		Inject: func(ctx context.Context) {
-			stepsAtInject = st.db.Stats().AutoTuneSteps
-			_ = st.net.SetNodeDelay(slow.NodeID(), chaos.GraySlowDelay())
-			flood.Inject(ctx)
-		},
-		Heal: func(ctx context.Context) error {
-			stepped := func() bool { return st.db.Stats().AutoTuneSteps > stepsAtInject }
-			wait, cancel := context.WithTimeout(ctx, chaos.SettleTimeout())
-			for !stepped() && wait.Err() == nil {
-				select {
-				case <-wait.Done():
-				case <-time.After(time.Millisecond):
-				}
-			}
-			cancel()
-			if err := st.net.SetNodeDelay(slow.NodeID(), 0); err != nil {
-				return err
-			}
-			if err := flood.Heal(ctx); err != nil {
-				return err
-			}
-			if !stepped() {
-				return errors.New("adaptive controller never stepped during the fault window")
-			}
-			return nil
-		},
-	}
 }
 
 // noisyNeighborFault floods the co-tenant sharing the quiet tenant's host

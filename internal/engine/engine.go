@@ -20,7 +20,6 @@ import (
 
 	"aurora/internal/btree"
 	"aurora/internal/bufcache"
-	"aurora/internal/control"
 	"aurora/internal/core"
 	"aurora/internal/metrics"
 	"aurora/internal/page"
@@ -65,24 +64,11 @@ type Config struct {
 	// back-pressure throttles writers without ever blocking readers.
 	CommitQueueDepth int
 	// MaxCommitGroup caps how many queued commits one framing critical
-	// section absorbs (default 64). This is the static starting point of
-	// the engine.commit_group knob; AutoTune steers it from there.
+	// section absorbs (default 64).
 	MaxCommitGroup int
 	// MaxInflightGroups bounds how many framed groups may be awaiting
-	// durability at once before the framer pauses (default 4; previously a
-	// hardcoded pipeline constant). Static starting point of the
-	// engine.inflight_groups knob.
+	// durability at once before the framer pauses (default 4).
 	MaxInflightGroups int
-	// AutoTune runs the adaptive control plane: a feedback controller that
-	// steers every latency knob (commit group size, in-flight group budget,
-	// hedged-read deadline multiplier, sender backoff ceiling) from
-	// windowed per-stage latency distributions. Off, the knobs hold the
-	// static values above. AutoTune needs the write-path stage signal, so
-	// it enables trace sampling (TraceEvery = 8) when sampling is off.
-	AutoTune bool
-	// AutoTuneInterval is the controller's window length (default 100ms at
-	// simulation scale; the paper's deployment would use ~1s).
-	AutoTuneInterval time.Duration
 	// TraceEvery samples 1 in N commits (and cache-miss page reads) into
 	// the causal tracing subsystem; 0 disables sampling, leaving only an
 	// atomic load on the hot path. It can be changed at runtime through
@@ -100,16 +86,10 @@ func (c Config) withDefaults() Config {
 		c.CommitQueueDepth = 256
 	}
 	if c.MaxCommitGroup <= 0 {
-		c.MaxCommitGroup = control.DefaultCommitGroup
+		c.MaxCommitGroup = 64
 	}
 	if c.MaxInflightGroups <= 0 {
-		c.MaxInflightGroups = control.DefaultInflightGroups
-	}
-	if c.AutoTuneInterval <= 0 {
-		c.AutoTuneInterval = 100 * time.Millisecond
-	}
-	if c.AutoTune && c.TraceEvery <= 0 {
-		c.TraceEvery = 8
+		c.MaxInflightGroups = 4
 	}
 	return c
 }
@@ -124,7 +104,6 @@ type DB struct {
 	feed     *feed
 	pipeline *commitPipeline
 	tracer   *trace.Collector
-	ctl      *control.Controller // adaptive control plane; nil unless AutoTune
 
 	// rootCtx bounds the instance's own IO (background framing, group
 	// shipping, default read paths). Close cancels it only after the commit
@@ -153,7 +132,6 @@ func Create(vol *volume.Client, cfg Config) (*DB, error) {
 		db.Close()
 		return nil, err
 	}
-	db.startAutoTune()
 	return db, nil
 }
 
@@ -195,7 +173,6 @@ func Open(vol *volume.Client, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db.pipeline = newCommitPipeline(db)
-	db.startAutoTune()
 	return db, nil
 }
 
@@ -258,7 +235,6 @@ func (db *DB) Degraded() bool { return db.degraded.Load() }
 // commit pipeline is drained (closing the volume client first unblocks a
 // framer stalled on the LAL), and cached state is discarded.
 func (db *DB) Close() {
-	db.stopAutoTune()
 	db.txns.Locks.Close()
 	db.pipeline.stop()
 	db.vol.Close()
@@ -274,7 +250,6 @@ func (db *DB) Close() {
 // durable.
 func (db *DB) Crash() {
 	db.rootCancel()
-	db.stopAutoTune()
 	db.txns.Locks.Close()
 	db.pipeline.stop()
 	db.cache.Invalidate()
@@ -310,15 +285,6 @@ type Stats struct {
 	Trace    trace.Stats
 	Waits    uint64
 	Wounds   uint64
-
-	// Knobs is the control-plane panel snapshot: every latency knob's
-	// current value, static default, bounds and adjustment count — the
-	// knob trajectories experiments and chaos observe the controller by.
-	Knobs []control.KnobState
-	// AutoTuneSteps / AutoTuneAdjusts count controller windows stepped and
-	// knob movements made (both 0 with AutoTune off).
-	AutoTuneSteps   uint64
-	AutoTuneAdjusts uint64
 }
 
 // Stats returns a snapshot of engine counters.
@@ -341,7 +307,7 @@ func (db *DB) Stats() Stats {
 	db.pipeline.mu.Lock()
 	ps.QueuedCommits = len(db.pipeline.queue)
 	db.pipeline.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Begins:   begins,
 		Commits:  commits,
 		Aborts:   aborts,
@@ -352,13 +318,7 @@ func (db *DB) Stats() Stats {
 		Trace:    db.tracer.Stats(),
 		Waits:    waits,
 		Wounds:   wounds,
-		Knobs:    db.vol.Knobs().Snapshot(),
 	}
-	if db.ctl != nil {
-		s.AutoTuneSteps = db.ctl.Steps()
-		s.AutoTuneAdjusts = db.ctl.Adjusts()
-	}
-	return s
 }
 
 // Rows returns the approximate number of live rows.

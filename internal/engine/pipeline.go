@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aurora/internal/control"
 	"aurora/internal/core"
 	"aurora/internal/trace"
 	"aurora/internal/volume"
@@ -48,20 +47,17 @@ type commitPipeline struct {
 	depth    int
 	closed   bool
 
-	// groupKnob and inflKnob are the pipeline's batching budgets, owned by
-	// the control plane: groupKnob caps commits per framing critical
-	// section (Config.MaxCommitGroup is its static default), inflKnob caps
-	// framed groups awaiting durability before the framer pauses
-	// (Config.MaxInflightGroups; previously a hardcoded constant). The
-	// framer re-reads them every iteration — one atomic load each — so the
-	// controller's adjustments take effect on the next group without any
-	// synchronization with the hot path. Under sustained load pausing at
-	// the in-flight bound builds queue between frames so groups actually
-	// amortize: a commit's durability needs every earlier LSN durable
-	// anyway (the VDL is contiguous), so holding its frame behind
-	// in-flight groups does not delay its ack, it only widens the batch.
-	groupKnob *control.Knob
-	inflKnob  *control.Knob
+	// maxGroup and maxInflight are the pipeline's batching budgets, read
+	// once from Config: maxGroup caps commits per framing critical section
+	// (Config.MaxCommitGroup), maxInflight caps framed groups awaiting
+	// durability before the framer pauses (Config.MaxInflightGroups). Under
+	// sustained load pausing at the in-flight bound builds queue between
+	// frames so groups actually amortize: a commit's durability needs every
+	// earlier LSN durable anyway (the VDL is contiguous), so holding its
+	// frame behind in-flight groups does not delay its ack, it only widens
+	// the batch.
+	maxGroup    int
+	maxInflight int
 
 	// maxGroupRecs caps a group's total record count. An Alloc larger than
 	// the LAL window can never be granted (the VDL cannot advance past the
@@ -113,42 +109,14 @@ func newCommitPipeline(db *DB) *commitPipeline {
 		db:           db,
 		depth:        db.cfg.CommitQueueDepth,
 		maxGroupRecs: budget,
+		maxGroup:     db.cfg.MaxCommitGroup,
+		maxInflight:  db.cfg.MaxInflightGroups,
 		framerDone:   make(chan struct{}),
 	}
-	// The batching budgets register in the volume client's knob panel so
-	// one controller (and one Stats snapshot) owns every latency knob. The
-	// knob bounds widen to admit an out-of-range configured value — an
-	// ablation sweeping MaxCommitGroup=1 must get exactly 1, not a clamp.
-	p.groupKnob = registerKnob(db.vol.Knobs(), control.KnobCommitGroup,
-		int64(db.cfg.MaxCommitGroup), control.MinCommitGroup, control.MaxCommitGroup)
-	p.inflKnob = registerKnob(db.vol.Knobs(), control.KnobInflightGroups,
-		int64(db.cfg.MaxInflightGroups), control.MinInflightGroups, control.MaxInflightGroups)
 	p.cond = sync.NewCond(&p.mu)
 	go p.framerLoop()
 	return p
 }
-
-// registerKnob registers a knob whose bounds are widened to include the
-// configured default, then resets it to that default — an engine reopened
-// on a client whose panel already holds the knob must start from its own
-// config, not the previous engine's steered value.
-func registerKnob(panel *control.Panel, name string, def, min, max int64) *control.Knob {
-	if def < min {
-		min = def
-	}
-	if def > max {
-		max = def
-	}
-	k := panel.Register(name, def, min, max)
-	k.Set(def)
-	return k
-}
-
-// groupMax returns the current commits-per-group budget.
-func (p *commitPipeline) groupMax() int { return int(p.groupKnob.Load()) }
-
-// maxInflight returns the current framed-groups-in-flight budget.
-func (p *commitPipeline) maxInflight() int { return int(p.inflKnob.Load()) }
 
 // reserve blocks until the pipeline has room for one more commit (the
 // back-pressure point: when the framer is stalled on the LAL the queue
@@ -236,7 +204,7 @@ func (p *commitPipeline) framerLoop() {
 		// group to complete (except at shutdown, where the queue must drain
 		// unconditionally so every committer is released — including the ones
 		// that hold a reservation from before the stop and have yet to enqueue).
-		for len(p.queue) == 0 || !p.closed && p.inflight >= p.maxInflight() {
+		for len(p.queue) == 0 || !p.closed && p.inflight >= p.maxInflight {
 			if p.closed && len(p.queue) == 0 && p.reserved == 0 {
 				p.mu.Unlock()
 				return
@@ -248,8 +216,7 @@ func (p *commitPipeline) framerLoop() {
 		// above the budget still frames alone — only the full LAL window
 		// is a hard wall).
 		n, recs := 0, 0
-		maxGroup := p.groupMax()
-		for n < len(p.queue) && n < maxGroup {
+		for n < len(p.queue) && n < p.maxGroup {
 			r := len(p.queue[n].mtr.Records)
 			if n > 0 && recs+r > p.maxGroupRecs {
 				break

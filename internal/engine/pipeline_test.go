@@ -275,3 +275,25 @@ func TestPipelineBackpressureBoundsQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxInflightGroupsConfig verifies the batching budgets default to 64
+// commits per group and 4 groups in flight, and that an out-of-range sweep
+// value reaches the pipeline unclamped (ablations get exactly what they
+// asked for).
+func TestMaxInflightGroupsConfig(t *testing.T) {
+	_, db := testDB(t, Config{})
+	if p := db.pipeline; p.maxGroup != 64 || p.maxInflight != 4 {
+		t.Fatalf("zero config: group %d, inflight %d; want defaults 64, 4", p.maxGroup, p.maxInflight)
+	}
+
+	_, db2 := testDB(t, Config{MaxCommitGroup: 1, MaxInflightGroups: 100})
+	if p := db2.pipeline; p.maxGroup != 1 || p.maxInflight != 100 {
+		t.Fatalf("MaxCommitGroup=1, MaxInflightGroups=100 sweep reached the pipeline as %d, %d", p.maxGroup, p.maxInflight)
+	}
+	// Commits still work at the extreme settings.
+	for i := 0; i < 10; i++ {
+		if err := db2.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -210,17 +210,4 @@ var Experiments = []Experiment{
 			want(m["quiet_retention"] >= 0.7, "quiet tenant kept %v of its solo fair-share throughput beside the flood, want >= 0.7", m["quiet_retention"]),
 			want(m["hot_throttles"] > 0, "hot tenant was never throttled; the flood ran unshaped"))
 	}},
-	// The headline claim (queue-share reduction at no throughput cost) is
-	// the recorded Full run in EXPERIMENTS.md; the shape is the controller's
-	// liveness and safety: a clean workload, a controller that steps, static
-	// knobs that never move, and adaptive throughput in static's ballpark.
-	{"autotune", AutotuneExperiment, func(m map[string]float64) error {
-		return errors.Join(
-			want(m["errors"] == 0, "%v workload errors", m["errors"]),
-			want(m["autotune_steps"] != 0, "controller never stepped"),
-			want(m["static_adjusts"] == 0, "static stack's knobs moved %v times", m["static_adjusts"]),
-			want(m["static_commits_traced"] != 0 && m["adaptive_commits_traced"] != 0, "no commits traced (static %v, adaptive %v), queue shares are meaningless",
-				m["static_commits_traced"], m["adaptive_commits_traced"]),
-			want(m["throughput_ratio"] >= 0.5, "adaptive mode collapsed throughput to %v of static", m["throughput_ratio"]))
-	}},
 }

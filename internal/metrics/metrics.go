@@ -1,8 +1,8 @@
 // Package metrics provides the measurement primitives of the reproduction:
 // event counters and one latency histogram — a fixed log-linear array of
 // atomic counters — that the benchmark harness reads the paper's P50/P95
-// plots (§6.2) from and that the engine, the tracer, the hedged-read deadline
-// and the adaptive controller all steer on.
+// plots (§6.2) from and that the engine, the tracer and the hedged-read
+// deadline read.
 package metrics
 
 import (
@@ -149,49 +149,4 @@ func (h *Histogram) reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
 	h.max.Store(0)
-}
-
-// HistSnapshot is a point-in-time copy of a Histogram's counters.
-// Subtracting two snapshots yields the distribution of only the observations
-// made between them — the delta quantiles the adaptive control plane steers
-// on, as opposed to lifetime quantiles that never forget cold-start
-// outliers. At 7.8 KB it travels by pointer.
-type HistSnapshot struct {
-	Buckets [numBuckets]uint64
-	N       uint64
-	Peak    uint64 // lifetime max at snapshot time (not windowed)
-}
-
-// Snapshot copies the histogram's current counters.
-func (h *Histogram) Snapshot() *HistSnapshot {
-	s := &HistSnapshot{N: h.count.Load(), Peak: h.max.Load()}
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
-// Delta returns the distribution observed since prev: this snapshot's
-// counters minus prev's. prev is an earlier snapshot of the same histogram,
-// or nil for "since the beginning"; stale or crossed snapshots clamp at zero
-// rather than wrap.
-func (s *HistSnapshot) Delta(prev *HistSnapshot) *HistSnapshot {
-	d := *s
-	if prev != nil {
-		for i := range d.Buckets {
-			d.Buckets[i] -= min(d.Buckets[i], prev.Buckets[i])
-		}
-		d.N -= min(d.N, prev.N)
-	}
-	return &d
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) of the snapshot.
-func (s *HistSnapshot) Quantile(q float64) uint64 {
-	return quantile(q, s.N, s.Peak, func(i int) uint64 { return s.Buckets[i] })
-}
-
-// QuantileDuration is Quantile for duration-valued snapshots.
-func (s *HistSnapshot) QuantileDuration(q float64) time.Duration {
-	return time.Duration(s.Quantile(q))
 }

@@ -30,26 +30,20 @@ func exactQuantile(sorted []int64, q float64) uint64 {
 
 type quantiler interface{ Quantile(q float64) uint64 }
 
-// threeViews files the samples through every path a quantile is read from:
-// the lifetime histogram, the windowed histogram's two banks (half the
-// samples on each side of a rotation) and a snapshot delta taken over
-// earlier, unrelated observations.
-func threeViews(samples []int64) map[string]quantiler {
-	var h, d Histogram
+// views files the samples through every path a quantile is read from: the
+// lifetime histogram and the windowed histogram's two banks (half the
+// samples on each side of a rotation).
+func views(samples []int64) map[string]quantiler {
+	var h Histogram
 	w, clk := newTestWindowed(time.Second)
-	for i := 0; i < 100; i++ {
-		d.Observe(7)
-	}
-	prev := d.Snapshot()
 	for i, v := range samples {
 		if i == len(samples)/2 {
 			clk.advance(time.Second)
 		}
 		h.Observe(v)
 		w.Observe(v)
-		d.Observe(v)
 	}
-	return map[string]quantiler{"Histogram": &h, "WindowedHistogram": w, "Snapshot().Delta()": d.Snapshot().Delta(prev)}
+	return map[string]quantiler{"Histogram": &h, "WindowedHistogram": w}
 }
 
 // TestQuantileErrorBound: every quantile every consumer reads is within 3.2 %
@@ -71,11 +65,11 @@ func TestQuantileErrorBound(t *testing.T) {
 		sets["powers of two"] = append(sets["powers of two"], 1<<k-1, 1<<k, 1<<k+1)
 	}
 	for name, samples := range sets {
-		views := threeViews(samples)
+		vs := views(samples)
 		slices.Sort(samples)
 		for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
 			want := exactQuantile(samples, q)
-			for view, h := range views {
+			for view, h := range vs {
 				if got := h.Quantile(q); !within(got, want) {
 					t.Errorf("%s through %s: q%v = %d, the sorted sample has %d (%+.2f%%)",
 						name, view, q, got, want, 100*(float64(got)/float64(want)-1))
@@ -101,7 +95,7 @@ func TestResolvesWhatBENCH10CouldNot(t *testing.T) {
 		return s
 	}
 	fast, slow := withP95(18*time.Millisecond), withP95(30*time.Millisecond)
-	fastViews, slowViews := threeViews(fast), threeViews(slow)
+	fastViews, slowViews := views(fast), views(slow)
 	slices.Sort(fast)
 	slices.Sort(slow)
 	if f, s := exactQuantile(fast, 0.95), exactQuantile(slow, 0.95); f != uint64(18*time.Millisecond) || s != uint64(30*time.Millisecond) {
@@ -207,14 +201,13 @@ func TestHistogramPercentiles(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	s := h.Snapshot()
-	if h.QuantileDuration(0.5) != 0 || s.N != 0 || s.Quantile(0.5) != 0 || s.Delta(nil).QuantileDuration(0.99) != 0 {
+	if h.QuantileDuration(0.5) != 0 || h.Count() != 0 || h.QuantileDuration(0.99) != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 }
 
-// TestHistogramConcurrent: quantile and snapshot readers run against
-// observers (the race detector's half of the test) and lose no sample.
+// TestHistogramConcurrent: quantile readers run against observers (the race
+// detector's half of the test) and lose no sample.
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
@@ -225,7 +218,7 @@ func TestHistogramConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				h.ObserveDuration(time.Millisecond)
 				if i%100 == 0 {
-					if q := h.Snapshot().QuantileDuration(0.5); !within(uint64(q), uint64(time.Millisecond)) {
+					if q := h.QuantileDuration(0.5); !within(uint64(q), uint64(time.Millisecond)) {
 						t.Errorf("mid-run p50 %v", q)
 					}
 				}
@@ -233,8 +226,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 || h.Snapshot().N != 8000 || !within(h.Quantile(0.99), uint64(time.Millisecond)) {
-		t.Fatalf("count %d, snapshot %d, p99 %d", h.Count(), h.Snapshot().N, h.Quantile(0.99))
+	if h.Count() != 8000 || !within(h.Quantile(0.99), uint64(time.Millisecond)) {
+		t.Fatalf("count %d, p99 %d", h.Count(), h.Quantile(0.99))
 	}
 }
 

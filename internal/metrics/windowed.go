@@ -12,9 +12,9 @@ import (
 // Quantile walks both banks in place, so estimates always reflect between
 // one and two intervals of recent traffic and a startup outlier stops
 // influencing them one rotation later. This is the fix for hedged-read
-// deadlines computed from lifetime P95, and the signal source for the
-// adaptive backoff ceiling. Observe is the bank's own (atomic adds); only
-// the rotation itself takes a mutex, at most once per interval per caller.
+// deadlines computed from lifetime P95. Observe is the bank's own (atomic
+// adds); only the rotation itself takes a mutex, at most once per interval
+// per caller.
 type WindowedHistogram struct {
 	interval time.Duration
 	now      func() time.Time // injectable for deterministic tests

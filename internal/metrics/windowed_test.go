@@ -6,57 +6,6 @@ import (
 	"time"
 )
 
-func TestHistSnapshotDelta(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.Observe(1000) // bucket of 1000
-	}
-	s1 := h.Snapshot()
-	if s1.N != 100 {
-		t.Fatalf("snapshot N = %d", s1.N)
-	}
-	for i := 0; i < 50; i++ {
-		h.Observe(100_000) // much larger bucket
-	}
-	s2 := h.Snapshot()
-	d := s2.Delta(s1)
-	if d.N != 50 {
-		t.Fatalf("delta N = %d, want 50", d.N)
-	}
-	// The delta contains only the 100k observations: its median must sit in
-	// 100k, far above the 1000-valued lifetime majority.
-	if q := d.Quantile(0.5); !within(q, 100_000) {
-		t.Fatalf("delta p50 = %d, want 100000", q)
-	}
-	// The lifetime median, by contrast, still sits at 1000.
-	if q := s2.Quantile(0.5); !within(q, 1000) {
-		t.Fatalf("lifetime p50 = %d, want 1000", q)
-	}
-	// Delta of identical snapshots is empty and yields zero quantiles.
-	empty := s2.Delta(s2)
-	if empty.N != 0 || empty.Quantile(0.99) != 0 {
-		t.Fatalf("self-delta not empty: N=%d q99=%d", empty.N, empty.Quantile(0.99))
-	}
-	// Crossed snapshots clamp rather than wrap.
-	crossed := s1.Delta(s2)
-	if crossed.N != 0 {
-		t.Fatalf("crossed delta N = %d, want 0", crossed.N)
-	}
-}
-
-func TestHistSnapshotDeltaDuration(t *testing.T) {
-	var h Histogram
-	h.ObserveDuration(10 * time.Millisecond)
-	prev := h.Snapshot()
-	for i := 0; i < 20; i++ {
-		h.ObserveDuration(time.Millisecond)
-	}
-	d := h.Snapshot().Delta(prev)
-	if q := d.QuantileDuration(0.95); !within(uint64(q), uint64(time.Millisecond)) {
-		t.Fatalf("delta p95 = %v, want 1ms (old 10ms sample must not leak in)", q)
-	}
-}
-
 // fakeClock drives a WindowedHistogram deterministically.
 type fakeClock struct {
 	mu sync.Mutex

@@ -609,6 +609,17 @@ func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
 	return n.cpls.floor(limit)
 }
 
+// CPLs returns the consistency points this node has seen, ascending. Below
+// the GC tail only the highest survives, which answers for every one
+// dropped. Volume recovery summarises each reachable replica by them.
+func (n *Node) CPLs() []core.LSN {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]core.LSN, 0, n.cpls.len())
+	n.cpls.each(func(c core.LSN) { out = append(out, c) })
+	return out
+}
+
 // ReadPage is the foreground read path: it serves the version of the page
 // as of readPoint in a new page (see ReadPageChecked, which reads into the
 // caller's buffer).

@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"aurora/internal/control"
 	"aurora/internal/core"
-	"aurora/internal/metrics"
 	"aurora/internal/netsim"
 	"aurora/internal/page"
 	"aurora/internal/quorum"
@@ -56,15 +53,6 @@ type Client struct {
 	senders    atomic.Pointer[[][]*replicaSender]
 	noCoalesce bool
 
-	// panel is the control-plane knob registry this client's tuning
-	// parameters live in; the engine registers its pipeline knobs into the
-	// same panel so one controller (and one Stats snapshot) owns them all.
-	// boffCap is the sender redelivery backoff ceiling; deliverWin is the
-	// windowed delivery-RTT distribution the controller scales it from.
-	panel      *control.Panel
-	boffCap    *control.Knob
-	deliverWin *metrics.WindowedHistogram
-
 	// geomMu is the geometry fence. Framing takes it shared; the rebalancer
 	// takes it exclusively for the brief catch-up + cutover window of each
 	// stripe move, so no MTR can be framed (and routed) while the stripe's
@@ -95,10 +83,6 @@ type ClientConfig struct {
 	// NoCoalesce is an ablation: each framed batch flies as its own
 	// network message instead of coalescing with queued neighbours.
 	NoCoalesce bool
-	// Knobs is the control-plane panel this client registers its tuning
-	// knobs in; nil creates a private panel. An engine opening on this
-	// client shares the panel so one feedback controller owns every knob.
-	Knobs *control.Panel
 }
 
 // Bootstrap attaches a brand-new writer to an empty fleet (a freshly
@@ -125,22 +109,6 @@ func newClient(f *Fleet, cfg ClientConfig, start core.LSN, tails map[core.PGID]c
 		epoch:      epoch,
 	}
 	c.vdl.Advance(start)
-	// Control plane: the volume's tuning knobs live in one panel (shared
-	// with the engine when it passes one in). The hedge-deadline multiplier
-	// is handed to the fleet's health tracker; the backoff ceiling is read
-	// by every sender, so it must exist before the sender loops start. With
-	// no controller steering them the knobs hold their static defaults and
-	// behavior is identical to the old constants.
-	c.panel = cfg.Knobs
-	if c.panel == nil {
-		c.panel = control.NewPanel()
-	}
-	hedge := c.panel.Register(control.KnobHedgeMultPct, control.DefaultHedgeMultPct,
-		control.MinHedgeMultPct, control.MaxHedgeMultPct)
-	f.health.SetHedgeKnob(hedge)
-	c.boffCap = c.panel.Register(control.KnobBackoffCapUS, control.DefaultBackoffCapUS,
-		control.MinBackoffCapUS, control.MaxBackoffCapUS)
-	c.deliverWin = metrics.NewWindowedHistogram(f.health.cfg.WindowInterval)
 	senders := make([][]*replicaSender, f.PGs())
 	for g := range senders {
 		replicas := f.Replicas(core.PGID(g))
@@ -203,26 +171,6 @@ func (c *Client) LAL() uint64 { return c.alloc.Limit() }
 
 // Fleet returns the underlying storage fleet.
 func (c *Client) Fleet() *Fleet { return c.fleet }
-
-// Knobs returns the control-plane panel holding this client's tuning
-// knobs. The engine registers its pipeline knobs into the same panel, and
-// the feedback controller steers all of them through it.
-func (c *Client) Knobs() *control.Panel { return c.panel }
-
-// backoffCap returns the current sender redelivery backoff ceiling.
-func (c *Client) backoffCap() time.Duration {
-	return time.Duration(c.boffCap.Load()) * time.Microsecond
-}
-
-// ReadWindow exposes the windowed read-attempt latency distribution — the
-// controller's read-path signal.
-func (c *Client) ReadWindow() *metrics.WindowedHistogram {
-	return c.fleet.health.ReadWindow()
-}
-
-// DeliverWindow exposes the windowed replica delivery-RTT distribution —
-// the signal the controller scales the backoff ceiling from.
-func (c *Client) DeliverWindow() *metrics.WindowedHistogram { return c.deliverWin }
 
 // PGOf maps a page to its protection group under the current geometry.
 func (c *Client) PGOf(id core.PageID) core.PGID { return c.fleet.PGOf(id) }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aurora/internal/control"
 	"aurora/internal/core"
 	"aurora/internal/metrics"
 	"aurora/internal/netsim"
@@ -57,9 +56,11 @@ const (
 	// EWMA — the gray-slow signature.
 	degradedLatencyFloor  = time.Millisecond
 	degradedLatencyFactor = 8
-	// hedgeMax caps the per-attempt read deadline (HealthConfig.HedgeMin is
-	// its floor).
-	hedgeMax = 50 * time.Millisecond
+	// hedgeMultPct sets the per-attempt read deadline, in percent of the
+	// PG's windowed read p95: 300 is 3x. hedgeMax caps the deadline
+	// (HealthConfig.HedgeMin is its floor).
+	hedgeMultPct = 300
+	hedgeMax     = 50 * time.Millisecond
 	// monitorInterval paces the fleet's self-driven repair loop.
 	monitorInterval = 5 * time.Millisecond
 )
@@ -68,10 +69,9 @@ const (
 // always runs the zero value's defaults.
 type HealthConfig struct {
 	// HedgeMin is the floor of the per-attempt read deadline (default
-	// 250µs): the control panel's hedge multiplier (3x by default) times the
-	// windowed p95 read latency, clamped to [HedgeMin, hedgeMax]. When an
-	// attempt exceeds it a hedge is launched to the next-best replica
-	// (§4.2.3's tail-avoidance without quorum reads).
+	// 250µs): 3x the windowed p95 read latency, clamped to [HedgeMin,
+	// hedgeMax]. When an attempt exceeds it a hedge is launched to the
+	// next-best replica (§4.2.3's tail-avoidance without quorum reads).
 	HedgeMin time.Duration
 	// WindowInterval is the rotation interval of the windowed read-latency
 	// histograms the hedge deadline derives from (default 250ms at
@@ -138,16 +138,6 @@ type HealthTracker struct {
 	reps atomic.Pointer[[][]*replicaHealth]
 	lat  atomic.Pointer[[]*pgLatency]
 
-	// hedgeKnob, when set (by the writer client wiring the control plane),
-	// is the deadline multiplier, in percent; a tracker with no knob uses
-	// the knob's static default.
-	hedgeKnob atomic.Pointer[control.Knob]
-
-	// readWin aggregates successful read-attempt latencies across all PGs
-	// in the same windowed form the per-PG estimators use: the adaptive
-	// controller's read-path signal.
-	readWin *metrics.WindowedHistogram
-
 	// idle is the free list of hedged-read state (hedge.go): a read takes one
 	// and the last goroutine to touch it puts it back.
 	idleMu sync.Mutex
@@ -163,7 +153,6 @@ type HealthTracker struct {
 
 func newHealthTracker(cfg HealthConfig, pgs, replicas int) *HealthTracker {
 	h := &HealthTracker{cfg: cfg.withDefaults()}
-	h.readWin = metrics.NewWindowedHistogram(h.cfg.WindowInterval)
 	reps := make([][]*replicaHealth, pgs)
 	lat := make([]*pgLatency, pgs)
 	for g := range reps {
@@ -416,34 +405,16 @@ func candLess(a, b readCand) bool {
 	return a.idx < b.idx
 }
 
-// SetHedgeKnob routes the hedge-deadline multiplier through a control-plane
-// knob (value in percent: 300 = 3x the windowed p95). A nil knob restores
-// the static default. Called once at client wiring time.
-func (h *HealthTracker) SetHedgeKnob(k *control.Knob) { h.hedgeKnob.Store(k) }
-
-// hedgeMultPct returns the current deadline multiplier in percent.
-func (h *HealthTracker) hedgeMultPct() int64 {
-	if k := h.hedgeKnob.Load(); k != nil {
-		return k.Load()
-	}
-	return control.DefaultHedgeMultPct
-}
-
-// ReadWindow exposes the all-PG windowed read-attempt distribution — the
-// adaptive controller's read-path signal source.
-func (h *HealthTracker) ReadWindow() *metrics.WindowedHistogram { return h.readWin }
-
-// observeReadLatency feeds the per-PG deadline estimator (and the global
-// controller signal) with one successful read attempt.
+// observeReadLatency feeds the per-PG deadline estimator with one
+// successful read attempt.
 func (h *HealthTracker) observeReadLatency(pg core.PGID, d time.Duration) {
-	h.readWin.ObserveDuration(d)
 	lat := *h.lat.Load()
 	l := lat[int(pg)%len(lat)]
 	l.win.ObserveDuration(d)
 	if l.n.Add(1)%deadlineEvery != 0 {
 		return
 	}
-	dl := time.Duration(h.hedgeMultPct()) * l.win.QuantileDuration(0.95) / 100
+	dl := hedgeMultPct * l.win.QuantileDuration(0.95) / 100
 	if dl < h.cfg.HedgeMin {
 		dl = h.cfg.HedgeMin
 	}
@@ -479,22 +450,20 @@ func (h *HealthTracker) Stats() HealthStats {
 // exponential backoff plus jitter before the replica is nacked. The budget
 // is deliberately small — the 4/6 quorum masks a replica that stays bad,
 // and gossip repairs it (§3.3) — but one retry absorbs the overwhelmingly
-// common gray case of a single dropped or rejected message. The backoff
-// ceiling is a control-plane knob (control.KnobBackoffCapUS, default
-// control.DefaultBackoffCapUS) scaled against the observed windowed
-// delivery RTT; the base and attempt budget stay fixed.
+// common gray case of a single dropped or rejected message.
 const (
 	deliverAttempts    = 4 // 1 initial + 3 retries
 	deliverBaseBackoff = 200 * time.Microsecond
+	deliverMaxBackoff  = 2 * time.Millisecond
 )
 
 // backoffFor returns the pre-retry sleep for retry number n (0-based),
-// capped at cap, with up to 50% uniform jitter so retries from senders
-// that failed together do not re-collide.
-func backoffFor(n int, cap time.Duration) time.Duration {
+// capped at deliverMaxBackoff, with up to 50% uniform jitter so retries from
+// senders that failed together do not re-collide.
+func backoffFor(n int) time.Duration {
 	d := deliverBaseBackoff << uint(n)
-	if cap > 0 && d > cap {
-		d = cap
+	if d > deliverMaxBackoff {
+		d = deliverMaxBackoff
 	}
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }

@@ -1,19 +1,16 @@
 package volume
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"aurora/internal/control"
 	"aurora/internal/core"
 )
 
 // TestHedgeDeadlineForgetsColdStart is the regression test for the
 // lifetime-P95 bug: a slow cold start used to inflate the hedge deadline
 // permanently (the reservoir never forgot it). With windowed quantiles the
-// deadline must recover once the slow samples age out of the window — even
-// with AutoTune off (no knob steering involved here).
+// deadline must recover once the slow samples age out of the window.
 func TestHedgeDeadlineForgetsColdStart(t *testing.T) {
 	h := newHealthTracker(HealthConfig{WindowInterval: 20 * time.Millisecond}, 1, 6)
 	pg := core.PGID(0)
@@ -42,123 +39,51 @@ func TestHedgeDeadlineForgetsColdStart(t *testing.T) {
 	}
 }
 
-// TestHedgeKnobScalesDeadline verifies the control-plane multiplier knob
-// overrides the static config multiplier, and that clearing it restores
-// the static fallback.
-func TestHedgeKnobScalesDeadline(t *testing.T) {
-	h := newHealthTracker(HealthConfig{WindowInterval: time.Second}, 1, 6)
-	pg := core.PGID(0)
-	feed := func() {
+// TestHedgeDeadlineIsThreeTimesP95: a steady 1 ms read p95 gives a 3 ms
+// deadline (within the histogram's ±3.2 %), and the deadline is clamped to
+// [HedgeMin, hedgeMax] on either side.
+func TestHedgeDeadlineIsThreeTimesP95(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		read     time.Duration
+		min, max time.Duration
+	}{
+		{"1ms p95", time.Millisecond, 2904 * time.Microsecond, 3096 * time.Microsecond},
+		{"floor", 10 * time.Microsecond, 250 * time.Microsecond, 250 * time.Microsecond},
+		{"ceiling", 30 * time.Millisecond, hedgeMax, hedgeMax},
+	} {
+		h := newHealthTracker(HealthConfig{WindowInterval: time.Second}, 1, 6)
+		pg := core.PGID(0)
+		if d := h.ReadDeadline(pg); d != 250*time.Microsecond {
+			t.Fatalf("%s: deadline with no data = %v, want the 250µs HedgeMin", tc.name, d)
+		}
 		for i := 0; i < deadlineEvery; i++ {
-			h.observeReadLatency(pg, time.Millisecond)
+			h.observeReadLatency(pg, tc.read)
 		}
-	}
-	feed()
-	static := h.ReadDeadline(pg) // ~3x windowed p95
-
-	k := control.NewKnob(control.KnobHedgeMultPct, control.DefaultHedgeMultPct,
-		control.MinHedgeMultPct, control.MaxHedgeMultPct)
-	k.Set(control.MaxHedgeMultPct) // 8x
-	h.SetHedgeKnob(k)
-	feed()
-	loose := h.ReadDeadline(pg)
-	if loose <= static {
-		t.Fatalf("8x knob did not loosen deadline: static=%v knob=%v", static, loose)
-	}
-
-	k.Set(control.MinHedgeMultPct) // 1.5x
-	feed()
-	tight := h.ReadDeadline(pg)
-	if tight >= loose {
-		t.Fatalf("1.5x knob did not tighten deadline: loose=%v tight=%v", loose, tight)
-	}
-
-	h.SetHedgeKnob(nil)
-	feed()
-	back := h.ReadDeadline(pg)
-	if back <= tight {
-		t.Fatalf("clearing the knob did not restore the 3x fallback: %v", back)
+		if d := h.ReadDeadline(pg); d < tc.min || d > tc.max {
+			t.Fatalf("%s: deadline %v for steady %v reads, want [%v, %v]", tc.name, d, tc.read, tc.min, tc.max)
+		}
 	}
 }
 
-// TestBackoffRespectsKnobCap verifies backoffFor honours an adaptively
-// lowered or raised ceiling, jitter included.
-func TestBackoffRespectsKnobCap(t *testing.T) {
-	for try := 0; try < deliverAttempts; try++ {
-		capAt := 500 * time.Microsecond
-		for i := 0; i < 50; i++ {
-			d := backoffFor(try, capAt)
-			// Jitter adds up to 50% on top of the capped base.
-			if d > capAt+capAt/2 {
-				t.Fatalf("try %d: backoff %v exceeds cap %v (+jitter)", try, d, capAt)
+// TestBackoffCapsAtTwoMilliseconds: redelivery backoff doubles from 200µs
+// and stops at 2 ms, plus up to 50 % jitter on top of the capped base.
+func TestBackoffCapsAtTwoMilliseconds(t *testing.T) {
+	if deliverMaxBackoff != 2*time.Millisecond {
+		t.Fatalf("backoff cap %v, want 2ms", deliverMaxBackoff)
+	}
+	for try := 0; try < deliverAttempts+4; try++ {
+		base := min(deliverBaseBackoff<<uint(try), 2*time.Millisecond)
+		var sawJitter bool
+		for i := 0; i < 200; i++ {
+			d := backoffFor(try)
+			if d < base || d > base+base/2 {
+				t.Fatalf("try %d: backoff %v outside [%v, %v]", try, d, base, base+base/2)
 			}
-			if d <= 0 {
-				t.Fatalf("try %d: non-positive backoff %v", try, d)
-			}
+			sawJitter = sawJitter || d > base
 		}
-	}
-	// A generous cap must not truncate the early exponential steps.
-	base := backoffFor(0, 50*time.Millisecond)
-	if base < deliverBaseBackoff {
-		t.Fatalf("first backoff %v below base %v", base, deliverBaseBackoff)
-	}
-}
-
-// TestKnobUpdatesRaceReadPath hammers hedge-mult and backoff-cap knob
-// updates while reads and deadline recomputes run concurrently — the
-// volume half of the knob-vs-hot-path -race safety satellite.
-func TestKnobUpdatesRaceReadPath(t *testing.T) {
-	h := newHealthTracker(HealthConfig{WindowInterval: 5 * time.Millisecond}, 4, 6)
-	k := control.NewKnob(control.KnobHedgeMultPct, control.DefaultHedgeMultPct,
-		control.MinHedgeMultPct, control.MaxHedgeMultPct)
-	h.SetHedgeKnob(k)
-	boff := control.NewKnob(control.KnobBackoffCapUS, control.DefaultBackoffCapUS,
-		control.MinBackoffCapUS, control.MaxBackoffCapUS)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			pg := core.PGID(g)
-			lat := time.Duration(100+g*50) * time.Microsecond
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.observeReadLatency(pg, lat)
-				_ = h.ReadDeadline(pg)
-				_ = backoffFor(1, time.Duration(boff.Load())*time.Microsecond)
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v := int64(control.MinHedgeMultPct)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			k.Set(v)
-			boff.Set(v * 10)
-			v++
-			if v > control.MaxHedgeMultPct {
-				v = control.MinHedgeMultPct
-			}
-		}
-	}()
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	for g := 0; g < 4; g++ {
-		if d := h.ReadDeadline(core.PGID(g)); d <= 0 {
-			t.Fatalf("pg %d deadline %v after race", g, d)
+		if !sawJitter {
+			t.Fatalf("try %d: 200 backoffs all exactly %v, no jitter", try, base)
 		}
 	}
 }

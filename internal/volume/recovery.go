@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/core"
@@ -48,12 +49,8 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 
 	rep := &RecoveryReport{PGs: f.PGs(), Tails: make(map[core.PGID]core.LSN)}
 
-	type pgState struct {
-		reachable []*storage.Node
-		scl       core.LSN
-		highest   core.LSN
-	}
-	states := make([]pgState, f.PGs())
+	reachables := make([][]*storage.Node, f.PGs())
+	pgs := make([]pgSummary, f.PGs())
 	var maxEpoch uint64
 
 	// Pass 1: contact a read quorum per PG and let storage self-repair.
@@ -98,50 +95,19 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 		// The storage service completes its own recovery first: gossip
 		// until the reachable replicas agree (§4.1).
 		storage.SyncGroup(reachable)
-		st := pgState{reachable: reachable}
+		sum := &pgs[g]
 		for _, n := range reachable {
-			if s := n.SCL(); s > st.scl {
-				st.scl = s
-			}
-			if h := n.HighestLSN(); h > st.highest {
-				st.highest = h
-			}
-			if e := n.TruncationEpoch(); e > maxEpoch {
-				maxEpoch = e
-			}
+			sum.scl = max(sum.scl, n.SCL())
+			sum.highest = max(sum.highest, n.HighestLSN())
+			sum.cpls = append(sum.cpls, n.CPLs())
+			maxEpoch = max(maxEpoch, n.TruncationEpoch())
 		}
-		states[g] = st
+		reachables[g] = reachable
 	}
 
-	// Pass 2: compute the VCL. A PG whose replicas hold records above their
-	// completeness point has lost a predecessor forever (those records can
-	// never have been acked — a write quorum would intersect our read
-	// quorum) and caps the VCL at its SCL. PGs with clean chains impose no
-	// cap: absence of a record from a read quorum proves it never reached a
-	// write quorum.
-	var vcl core.LSN
-	for _, st := range states {
-		if st.scl > vcl {
-			vcl = st.scl
-		}
-	}
-	for _, st := range states {
-		if st.highest > st.scl && st.scl < vcl {
-			vcl = st.scl
-		}
-	}
-	rep.VCL = vcl
-
-	// Pass 3: VDL = highest CPL at or below the VCL, across all PGs.
-	var vdl core.LSN
-	for _, st := range states {
-		for _, n := range st.reachable {
-			if c := n.HighestCPLAtOrBelow(vcl); c > vdl {
-				vdl = c
-			}
-		}
-	}
-	rep.VDL = vdl
+	// Passes 2 and 3: the durable points, from what pass 1 learned.
+	vcl, vdl := recoveryPoint(pgs)
+	rep.VCL, rep.VDL = vcl, vdl
 	upper := vdl + core.LSN(lal)
 	rep.UpperBound = upper
 	rep.Epoch = maxEpoch + 1
@@ -149,8 +115,8 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 	// Pass 4: truncate (VDL, upper] everywhere, durably and epoch-guarded,
 	// so an interrupted-and-restarted recovery cannot resurrect the tail.
 	tr := core.TruncationRange{Epoch: rep.Epoch, From: vdl, To: upper}
-	for g := range states {
-		for _, n := range states[g].reachable {
+	for g, reachable := range reachables {
+		for _, n := range reachable {
 			if err := f.cfg.Net.Send(ctx, cfg.WriterNode, n.NodeID(), reqSize); err != nil {
 				if ctx.Err() != nil {
 					return nil, nil, fmt.Errorf("volume: recovery abandoned: %w", ctx.Err())
@@ -166,9 +132,9 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 	// Pass 5: chain tails per PG (equal across reachable replicas after
 	// sync + truncation) seed the framer's backlinks and read routing.
 	tails := make(map[core.PGID]core.LSN, f.PGs())
-	for g := range states {
+	for g, reachable := range reachables {
 		var tail core.LSN
-		for _, n := range states[g].reachable {
+		for _, n := range reachable {
 			if s := n.SCL(); s > tail {
 				tail = s
 			}
@@ -185,4 +151,44 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 	c := newClient(f, cfg, upper, tails, rep.Epoch)
 	rep.Duration = time.Since(start)
 	return c, rep, nil
+}
+
+// pgSummary is what recovery learned of one protection group from its
+// reachable replicas: the highest SCL among them, the highest LSN any of them
+// knows of, and each one's CPLs in ascending order.
+type pgSummary struct {
+	scl, highest core.LSN
+	cpls         [][]core.LSN
+}
+
+// recoveryPoint computes the volume's durable points from per-PG summaries,
+// with no I/O.
+//
+// VCL: a PG whose replicas hold records above their completeness point has
+// lost a predecessor forever (those records can never have been acked — a
+// write quorum would intersect the read quorum) and caps the VCL at its SCL.
+// PGs with clean chains impose no cap: absence of a record from a read quorum
+// proves it never reached a write quorum.
+//
+// VDL: the highest CPL at or below the VCL, across all PGs.
+func recoveryPoint(pgs []pgSummary) (vcl, vdl core.LSN) {
+	for _, pg := range pgs {
+		vcl = max(vcl, pg.scl)
+	}
+	for _, pg := range pgs {
+		if pg.highest > pg.scl && pg.scl < vcl {
+			vcl = pg.scl
+		}
+	}
+	for _, pg := range pgs {
+		for _, cpls := range pg.cpls {
+			// The first CPL above the VCL; the one before it is the floor.
+			if i, found := slices.BinarySearch(cpls, vcl); found {
+				vdl = max(vdl, vcl)
+			} else if i > 0 {
+				vdl = max(vdl, cpls[i-1])
+			}
+		}
+	}
+	return vcl, vdl
 }

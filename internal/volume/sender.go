@@ -77,10 +77,9 @@ func (sh shipment) nack(idx int) {
 func (sh shipment) release() { sh.gw.g.Release() }
 
 // SenderWindow bounds the flights one (PG, replica) pipeline keeps in the air
-// at once. It is a capacity bound like the queue ring's size, not a latency
-// knob, which is why it is a constant and not in the control panel: a batch
-// must never wait out another commit's round trip, and on a network that
-// takes time the commit pipeline admits control.DefaultInflightGroups groups,
+// at once. It is a capacity bound like the queue ring's size: a batch must
+// never wait out another commit's round trip, and on a network that takes
+// time the commit pipeline admits engine.Config.MaxInflightGroups (4) groups,
 // so that many flights per replica is all the overlap there is to have. Where
 // a delivery never blocks, a second worker is never started. EXPERIMENTS.md
 // has the {2, 4, 8} sweep.
@@ -367,7 +366,6 @@ func (s *replicaSender) deliver(sc *flightScratch) {
 		if err == nil {
 			rtt := time.Since(start)
 			c.fleet.health.ObserveOK(s.pg, s.idx, rtt)
-			c.deliverWin.ObserveDuration(rtt)
 			c.logBytes.Add(uint64(size))
 			// A late ack — from a retried flight, or from one that a later
 			// flight of this pipeline overtook — may arrive after the quorum
@@ -397,8 +395,8 @@ func (s *replicaSender) deliver(sc *flightScratch) {
 			return // settled without us; gossip will catch this replica up
 		}
 		// Backoff selects on the root context so a crashing client never
-		// waits out a retry schedule. The ceiling is a control-plane knob.
-		bt := time.NewTimer(backoffFor(try, c.backoffCap()))
+		// waits out a retry schedule.
+		bt := time.NewTimer(backoffFor(try))
 		select {
 		case <-bt.C:
 		case <-ctx.Done():
