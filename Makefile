@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz-smoke bench-bin chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs tenants-smoke ci
+.PHONY: all build vet lint test race fuzz-smoke bench-bin chaos-grow chaos-deadline chaos-matrix-smoke chaos-matrix examples-smoke bench bench-quick bench-allocs tenants-smoke ci
 
 all: build
 
@@ -59,7 +59,7 @@ test: build vet lint
 # checksum — a frame refilled while a reader held its page is a race there.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
-		./internal/chaos/ ./internal/chaos/matrix/ ./internal/storage/ \
+		./internal/chaos/ ./internal/storage/ \
 		./internal/netsim/ ./internal/metrics/ ./internal/quorum/ \
 		./internal/engine/ \
 		./internal/btree/ ./internal/page/ ./internal/bufcache/
@@ -70,11 +70,6 @@ race:
 	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce|TestCoalescePageWriteOutsideLock|TestReadDiskReadOutsideLock|TestLogGCWriteOutsideLock|TestTruncateWriteOutsideLock' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
 	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader' ./internal/replica/
-
-# Short gray-failure drill: fails unless zero data errors, >=99% write
-# success, and the retry / hedge / auto-repair machinery all engaged.
-chaos-smoke:
-	$(GO) run ./cmd/aurora-chaos -rounds 4 -probes 25 -seed 7
 
 # Live volume growth under chaos: grow mid-workload with a gray-slow node,
 # under the race detector. Zero failed commits, monotone VDL, no lost writes.
@@ -89,27 +84,33 @@ chaos-deadline:
 	$(GO) test -race -count=1 -run 'TestCommitDeadlineUnderGraySlowNode' ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestNoGoroutineLeaks' ./internal/integration/
 
-# Seeded integrity scenario matrix (faults × stressors), CI tier: 12
-# scenarios under the race detector, zero checksum mismatches / lost acked
-# commits / VDL regressions / goroutine leaks required. Failures print a
+# Seeded scenario matrix (faults × stressors), CI tier: 12 scenarios under
+# the race detector, zero checksum mismatches / lost acked commits / VDL
+# regressions / goroutine leaks required, and every fault's gate held
+# (availability; retries under loss, hedges under gray-slow, scrub repairs
+# under corrupt, a caught-up segment after wipe-repair). Failures print a
 # one-line replay command carrying the seed. The pinned runs sweep one full
 # matrix (what -only draws without -count) filtered to the pagestore-lag
 # fault (log/page role split) and the noisy-neighbor fault (co-tenant flood
 # on a shared pool) across all four stressors — the smoke draw does not
 # always include them.
 chaos-matrix-smoke:
-	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1
-	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1 -only pagestore-lag
-	$(GO) run -race ./cmd/aurora-chaos -matrix -tier smoke -seed 1 -only noisy-neighbor
+	$(GO) run -race ./cmd/aurora-chaos -tier smoke -seed 1
+	$(GO) run -race ./cmd/aurora-chaos -tier smoke -seed 1 -only pagestore-lag
+	$(GO) run -race ./cmd/aurora-chaos -tier smoke -seed 1 -only noisy-neighbor
 
 # Nightly tier: three full sweeps of the matrix (120 scenarios).
 chaos-matrix:
-	$(GO) run -race ./cmd/aurora-chaos -matrix -tier full -seed 1
+	$(GO) run -race ./cmd/aurora-chaos -tier full -seed 1
 
-# The runnable examples must keep working as the public API evolves.
+# The runnable examples must keep working as the public API evolves;
+# chaosdrill is the §2 drill (AZ loss, crash recovery, patching) on it.
 examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/pitr
+	$(GO) run ./examples/chaosdrill
+	$(GO) run ./examples/saas
+	$(GO) run ./examples/gaming
 
 # The fixed benchmark suite (benchmark/README.md, BENCHMARK.json): four
 # closed-loop workloads, ten end-to-end metrics and the traced pass's
@@ -176,4 +177,4 @@ fuzz-smoke:
 tenants-smoke:
 	$(GO) test -race -count=1 -run 'TestTenant|TestPlacement|TestPooledFleet|TestWrongVolume' ./internal/volume/
 
-ci: test race bench-allocs fuzz-smoke chaos-smoke chaos-grow chaos-deadline chaos-matrix-smoke tenants-smoke examples-smoke
+ci: test race bench-allocs fuzz-smoke chaos-grow chaos-deadline chaos-matrix-smoke tenants-smoke examples-smoke

@@ -1,35 +1,56 @@
-// Package chaos provides scripted fault injection against an Aurora
-// cluster: node crashes, AZ outages, slow and failed disks, partitions,
-// page corruption, and the gray regime — probabilistic packet loss and
-// slow-but-alive nodes — the "continuous low level background noise of
-// node, disk and network path failures" of §2.1, together with invariant
-// checkers that verify the cluster's availability claims while faults are
-// active.
+// Package chaos is the seeded fault-injection harness: a PRNG draws
+// scenarios from the cross product of faults (crash, wipe+repair, AZ outage,
+// packet loss, gray-slow, page corruption, live growth, backup/restore,
+// pagestore lag, noisy neighbor) and stressors (rapid kill/restore cycles,
+// concurrent committers, large multi-page transactions, commit deadlines),
+// runs a checksumming workload through each on its own cluster, and checks
+// the invariants the paper's availability claims reduce to: zero checksum
+// mismatches, no lost acknowledged commits, monotone VDL, bounded recovery
+// after the last heal, no goroutine leaks — and, per fault, that the cluster
+// stayed available and that the fault reached the machinery it targets
+// (gates.go). Every failure prints a one-line replay command carrying the
+// seed.
 //
 // Faults are context-aware: both injection and healing observe a
-// context.Context, so a drill under a deadline can abort its schedule
-// cleanly (the matrix harness in chaos/matrix relies on this). Timed
-// compositions are expressed with Timeline, which injects and heals faults
-// at deterministic tick offsets while a workload runs between ticks.
+// context.Context, so a scenario under a deadline can abort its schedule
+// cleanly. Timed compositions are expressed with Timeline, which injects and
+// heals faults at deterministic tick offsets while the workload runs between
+// ticks.
 package chaos
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/engine"
 	"aurora/internal/netsim"
 	"aurora/internal/volume"
 )
 
+// Scenarios pace fault schedules by deterministic tick counts, not
+// wall-clock windows, so a loaded CI runner exercises exactly the same
+// schedule as an idle machine. These are the residual places where
+// wall-clock time is unavoidable.
+const (
+	// settleTimeout bounds waits for background machinery (repair,
+	// gossip convergence) to finish after the last fault heals.
+	settleTimeout = 2 * time.Second
+	// pollInterval paces polls inside a settle or recovery window.
+	pollInterval = 5 * time.Millisecond
+	// sampleInterval paces the VDL monotonicity watcher.
+	sampleInterval = 50 * time.Microsecond
+	// graySlowDelay is the per-message delay a gray-slow fault injects:
+	// large against the simulated network's RTT, small against a
+	// scenario's wall-clock budget.
+	graySlowDelay = 2 * time.Millisecond
+)
+
 // Fault is one injectable failure with its undo. Both halves observe ctx:
 // a heal that needs fleet cooperation (e.g. re-replication) gives up when
-// the context fires rather than hanging the drill. Heal reports whether the
-// undo itself succeeded; a fleet healthy enough to probe may still be too
-// degraded to repair, and that is a result, not a panic.
+// the context fires rather than hanging the scenario. Heal reports whether
+// the undo itself succeeded; a fleet healthy enough to probe may still be
+// too degraded to repair, and that is a result, not a panic.
 type Fault struct {
 	Name   string
 	Inject func(ctx context.Context)
@@ -51,8 +72,8 @@ func CrashNode(f *volume.Fleet, pg core.PGID, replica int) Fault {
 }
 
 // WipeAndRepairNode destroys a segment's disk; healing re-replicates it. A
-// failed repair is propagated into the report's HealErrors, not panicked —
-// the probe workload keeps judging the cluster either way.
+// failed repair is returned as a heal error, not panicked — the workload
+// keeps judging the cluster either way.
 func WipeAndRepairNode(f *volume.Fleet, pg core.PGID, replica int) Fault {
 	n := f.Node(pg, replica)
 	return Fault{
@@ -70,35 +91,12 @@ func WipeAndRepairNode(f *volume.Fleet, pg core.PGID, replica int) Fault {
 	}
 }
 
-// WipeNode destroys a segment's disk and deliberately leaves healing to the
-// fleet's self-driven repair monitor: the write path's failure streak marks
-// the replica suspect, and the monitor re-replicates it (§2.3's MTTR loop)
-// with no chaos-script intervention.
-func WipeNode(f *volume.Fleet, pg core.PGID, replica int) Fault {
-	n := f.Node(pg, replica)
-	return Fault{
-		Name:   fmt.Sprintf("wipe %s (self-heal)", n.NodeID()),
-		Inject: func(context.Context) { n.Wipe() },
-		Heal:   func(context.Context) error { return nil },
-	}
-}
-
 // AZOutage fails a whole availability zone.
 func AZOutage(net *netsim.Network, az netsim.AZ) Fault {
 	return Fault{
 		Name:   fmt.Sprintf("AZ %d outage", az),
 		Inject: func(context.Context) { net.SetAZDown(az, true) },
 		Heal:   func(context.Context) error { net.SetAZDown(az, false); return nil },
-	}
-}
-
-// SlowDisk makes one segment's SSD 20x slower (a hot disk, §2.3).
-func SlowDisk(f *volume.Fleet, pg core.PGID, replica int) Fault {
-	d := f.Node(pg, replica).Disk()
-	return Fault{
-		Name:   fmt.Sprintf("slow disk pg%d/%d", pg, replica),
-		Inject: func(context.Context) { d.SetSlow(20) },
-		Heal:   func(context.Context) error { d.SetSlow(0); return nil },
 	}
 }
 
@@ -113,53 +111,6 @@ func PacketLoss(net *netsim.Network, prob float64) Fault {
 	}
 }
 
-// GraySlowNode inflates the latency of every message touching one node
-// without marking it down — the classic gray failure: alive, acking,
-// stalling. Hedged reads and health-ordered routing must keep the tail
-// bounded while the quorum absorbs the slow acks.
-func GraySlowNode(net *netsim.Network, id netsim.NodeID, delay time.Duration) Fault {
-	return Fault{
-		Name:   fmt.Sprintf("gray-slow %s (+%v)", id, delay),
-		Inject: func(context.Context) { _ = net.SetNodeDelay(id, delay) },
-		Heal:   func(context.Context) error { return net.SetNodeDelay(id, 0) },
-	}
-}
-
-// CorruptPage flips bits in a materialized page; the scrubber heals it. The
-// read path refuses to serve a base image whose CRC fails (hedging to a
-// peer instead), so the corruption window is invisible to readers.
-func CorruptPage(f *volume.Fleet, pg core.PGID, replica int, page core.PageID) Fault {
-	n := f.Node(pg, replica)
-	return Fault{
-		Name:   fmt.Sprintf("corrupt pg%d/%d page %d", pg, replica, page),
-		Inject: func(context.Context) { n.CorruptPage(page) },
-		Heal:   func(context.Context) error { n.ScrubOnce(); return nil },
-	}
-}
-
-// Compose bundles several faults into one that injects and heals them
-// together — a failure regime (e.g. packet loss plus gray-slow replicas)
-// rather than a single event.
-func Compose(name string, faults ...Fault) Fault {
-	return Fault{
-		Name: name,
-		Inject: func(ctx context.Context) {
-			for _, f := range faults {
-				f.Inject(ctx)
-			}
-		},
-		Heal: func(ctx context.Context) error {
-			var firstErr error
-			for _, f := range faults {
-				if err := f.Heal(ctx); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			return firstErr
-		},
-	}
-}
-
 // Step schedules one fault on a Timeline: the fault injects when the
 // timeline reaches tick Start and heals Duration ticks later (a Duration of
 // 0 heals on the next tick). Overlapping steps compose failures; repeating
@@ -171,11 +122,10 @@ type Step struct {
 }
 
 // Timeline drives a set of timed fault steps from a deterministic tick
-// counter. The caller owns the clock: it calls Tick once per workload round
-// (the same probe-count pacing Runner uses), so schedules replay exactly
-// under any machine load. Heal failures accumulate; HealAll force-heals
-// whatever is still active — including steps whose start never arrived,
-// which are skipped, not injected.
+// counter. The caller owns the clock: it calls Tick once per workload round,
+// so schedules replay exactly under any machine load. Heal failures
+// accumulate; HealAll force-heals whatever is still active — including
+// steps whose start never arrived, which are skipped, not injected.
 type Timeline struct {
 	Steps []Step
 
@@ -238,141 +188,4 @@ func (tl *Timeline) ensure() {
 		tl.active = make([]bool, len(tl.Steps))
 		tl.done = make([]bool, len(tl.Steps))
 	}
-}
-
-// Report summarises a chaos run. Everything a caller needs to judge the
-// run — including an abort and the heals that failed — is carried here, so
-// a scenario driver can render one verdict without out-of-band state.
-type Report struct {
-	FaultsInjected  int
-	WritesAttempted int
-	WritesOK        int
-	ReadsAttempted  int
-	ReadsOK         int
-	DataErrors      int     // reads that returned wrong data: must be zero
-	HealErrors      []error // fault undos that failed (e.g. repair without peers)
-
-	// Aborted is set when the run's context fired before the schedule
-	// completed; Err carries the context's error. Faults already active are
-	// still healed on the way out (under a detached context), so an aborted
-	// drill does not leak injected faults into the next one.
-	Aborted bool
-	Err     error
-}
-
-// Runner drives a workload while injecting faults from a schedule.
-type Runner struct {
-	DB     *engine.DB
-	Faults []Fault
-	// ProbesPerFault is how many probe rounds run while each fault is
-	// active (default 40). Pacing is a deterministic probe count, not a
-	// wall-clock window, so a loaded CI machine exercises exactly the
-	// same schedule as an idle one.
-	ProbesPerFault int
-	// HealedProbes is how many probe rounds run after each heal
-	// (default 5).
-	HealedProbes int
-	Seed         int64
-}
-
-// Run injects each fault in turn while writing and reading a set of probe
-// rows, verifying that every successful read returns the value most
-// recently committed for that key.
-func (r *Runner) Run() Report { return r.RunCtx(context.Background()) }
-
-// RunCtx is Run bounded by ctx: when the context fires mid-schedule the
-// runner heals the active fault, marks the report aborted and returns —
-// remaining faults are never injected.
-func (r *Runner) RunCtx(ctx context.Context) Report {
-	if r.ProbesPerFault <= 0 {
-		r.ProbesPerFault = 40
-	}
-	if r.HealedProbes <= 0 {
-		r.HealedProbes = 5
-	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	rep := Report{}
-	expected := map[string]string{}
-
-	check := func(k string, got []byte, ok bool) {
-		want, known := expected[k]
-		if known && ok && string(got) != want {
-			rep.DataErrors++
-		}
-		if known && !ok {
-			rep.DataErrors++
-		}
-	}
-	probe := func() {
-		// One write, two cached-path reads and one storage-truth read per
-		// probe round.
-		k := fmt.Sprintf("chaos-%02d", rng.Intn(16))
-		v := fmt.Sprintf("v%d", rng.Int63())
-		rep.WritesAttempted++
-		if err := r.DB.Put([]byte(k), []byte(v)); err == nil {
-			rep.WritesOK++
-			expected[k] = v
-		}
-		for i := 0; i < 2; i++ {
-			k := fmt.Sprintf("chaos-%02d", rng.Intn(16))
-			rep.ReadsAttempted++
-			got, ok, err := r.DB.Get([]byte(k))
-			if err != nil {
-				continue
-			}
-			rep.ReadsOK++
-			check(k, got, ok)
-		}
-		// The snapshot read bypasses the buffer cache and fetches pages from
-		// the storage fleet itself: it proves committed data is durable out
-		// there (not merely warm in the writer's cache) and is what drives
-		// the hedged read path while gray faults are active.
-		k = fmt.Sprintf("chaos-%02d", rng.Intn(16))
-		rep.ReadsAttempted++
-		tx := r.DB.BeginSnapshot()
-		got, ok, err := tx.Get([]byte(k))
-		tx.Abort()
-		if err == nil {
-			rep.ReadsOK++
-			check(k, got, ok)
-		}
-	}
-	abort := func(f *Fault) Report {
-		rep.Aborted = true
-		rep.Err = ctx.Err()
-		if f != nil {
-			// Heal under a detached context: the deadline that aborted the
-			// drill must not also strand the fault injected.
-			if err := f.Heal(context.WithoutCancel(ctx)); err != nil {
-				rep.HealErrors = append(rep.HealErrors, fmt.Errorf("%s: %w", f.Name, err))
-			}
-		}
-		return rep
-	}
-
-	for fi := range r.Faults {
-		f := &r.Faults[fi]
-		if ctx.Err() != nil {
-			return abort(nil)
-		}
-		f.Inject(ctx)
-		rep.FaultsInjected++
-		for i := 0; i < r.ProbesPerFault; i++ {
-			if ctx.Err() != nil {
-				return abort(f)
-			}
-			probe()
-		}
-		if err := f.Heal(ctx); err != nil {
-			rep.HealErrors = append(rep.HealErrors, fmt.Errorf("%s: %w", f.Name, err))
-		}
-		// And probe again healthy.
-		for i := 0; i < r.HealedProbes; i++ {
-			if ctx.Err() != nil {
-				return abort(nil)
-			}
-			probe()
-		}
-	}
-	return rep
 }

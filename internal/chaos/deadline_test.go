@@ -56,7 +56,7 @@ func TestCommitDeadlineUnderGraySlowNode(t *testing.T) {
 				return
 			}
 			last = v
-			time.Sleep(SampleInterval())
+			time.Sleep(sampleInterval)
 		}
 	}()
 
@@ -69,7 +69,7 @@ func TestCommitDeadlineUnderGraySlowNode(t *testing.T) {
 		}
 	}
 	for _, idx := range []int{0, 1} {
-		if err := net.SetNodeDelay(f.Node(0, idx).NodeID(), Scaled(20*time.Millisecond)); err != nil {
+		if err := net.SetNodeDelay(f.Node(0, idx).NodeID(), 20*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestCommitDeadlineUnderGraySlowNode(t *testing.T) {
 	var detachedKey []byte
 	for attempt := 0; attempt < 20 && detachedKey == nil; attempt++ {
 		key := []byte(fmt.Sprintf("detach%02d", attempt))
-		ctx, cancel := context.WithTimeout(context.Background(), Scaled(300*time.Microsecond))
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Microsecond)
 		tx := db.Begin()
 		if err := tx.Put(key, []byte("survives")); err != nil {
 			t.Fatal(err)

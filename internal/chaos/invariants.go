@@ -1,10 +1,9 @@
-package matrix
+package chaos
 
 import (
 	"runtime"
 	"time"
 
-	"aurora/internal/chaos"
 	"aurora/internal/engine"
 )
 
@@ -18,7 +17,7 @@ func watchVDL(db *engine.DB) (stop func() int) {
 	go func() {
 		regressions := 0
 		last := db.VDL()
-		t := time.NewTicker(chaos.SampleInterval())
+		t := time.NewTicker(sampleInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -54,7 +53,7 @@ func settleGoroutines() int {
 			return n
 		}
 		prev = n
-		time.Sleep(chaos.Scaled(10 * time.Millisecond))
+		time.Sleep(10 * time.Millisecond)
 	}
 	return prev
 }

@@ -1,14 +1,4 @@
-// Package matrix is the randomized end-to-end integrity chaos harness: a
-// seeded PRNG draws scenarios from the cross product of faults (crash,
-// wipe+repair, AZ outage, packet loss, gray-slow, page corruption, live
-// growth, backup/restore) and stressors (rapid kill/restore cycles,
-// concurrent committers, large multi-page transactions, commit deadlines),
-// runs a checksumming workload through each, and checks the invariants the
-// paper's availability claims reduce to: zero checksum mismatches, no lost
-// acknowledged commits, monotone VDL, bounded recovery after the last heal,
-// and no goroutine leaks. Every failure prints a one-line replay command
-// carrying the seed.
-package matrix
+package chaos
 
 import (
 	"crypto/sha256"

@@ -1,4 +1,4 @@
-package matrix
+package chaos
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"aurora/internal/chaos"
 	"aurora/internal/core"
 	"aurora/internal/disk"
 	"aurora/internal/engine"
@@ -50,11 +49,13 @@ type ScenarioResult struct {
 	Scenario
 	Outcome    string
 	Violations []string // first run's violations (kept when a retry passes)
-	Retried    bool
 	Writes     int
 	WritesOK   int
 	Reads      int
 	ReadsOK    int
+	// Health is the fleet's gray-failure counters once the last fault
+	// healed: what the gates judge engagement by.
+	Health volume.HealthStats
 }
 
 func (r ScenarioResult) failed() bool { return len(r.Violations) > 0 }
@@ -93,14 +94,13 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 			return res, ctx.Err()
 		}
 		fmt.Fprintf(out, "[%2d/%d] %-24s seed=%-12d ", sc.Index+1, count, sc.Name(), sc.Seed)
-		r := runScenario(ctx, sc)
+		r := runScenario(ctx, sc, (*run).makeFault)
 		r.Outcome = OutcomePass
 		if r.failed() {
 			r.Outcome = OutcomeFail
 			if ctx.Err() == nil {
 				fmt.Fprintf(out, "fail(%d), retry... ", len(r.Violations))
-				r.Retried = true
-				if retry := runScenario(ctx, sc); !retry.failed() {
+				if retry := runScenario(ctx, sc, (*run).makeFault); !retry.failed() {
 					r.Outcome = OutcomeFlaky
 				}
 			}
@@ -112,8 +112,10 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 }
 
 // runScenario provisions, stresses, heals, verifies and tears down one
-// scenario, returning every invariant violation observed.
-func runScenario(ctx context.Context, sc Scenario) ScenarioResult {
+// scenario, returning every invariant violation observed. makeFault draws
+// each fault instance its timeline schedules: (*run).makeFault, or a test's
+// scripted fault.
+func runScenario(ctx context.Context, sc Scenario, makeFault func(*run) Fault) ScenarioResult {
 	res := ScenarioResult{Scenario: sc}
 	baseline := settleGoroutines()
 
@@ -122,15 +124,13 @@ func runScenario(ctx context.Context, sc Scenario) ScenarioResult {
 		res.Violations = append(res.Violations, "provision: "+err.Error())
 		return res
 	}
-	led := NewLedger()
+	r := &run{sc: sc, st: st, led: NewLedger(), rng: rand.New(rand.NewSource(sc.Seed ^ 0x5eed))}
 	nclients := 3
 	if sc.Stress == StressCommitters {
 		nclients = 8
 	}
-	clients := newClients(nclients, sc, st.db, led)
-	rng := rand.New(rand.NewSource(sc.Seed ^ 0x5eed))
-	var windows []window
-	tl := buildTimeline(sc, st, led, rng, &windows)
+	clients := newClients(nclients, sc, st.db, r.led)
+	tl := r.buildTimeline(makeFault)
 
 	stopWatch := watchVDL(st.db)
 	for _, c := range clients {
@@ -150,27 +150,29 @@ func runScenario(ctx context.Context, sc Scenario) ScenarioResult {
 		round(ctx, clients)
 	}
 	// Heal under a detached context: an abort must not strand injected
-	// faults (satellite contract shared with chaos.Runner).
+	// faults.
 	for _, e := range tl.HealAll(context.WithoutCancel(ctx)) {
 		res.Violations = append(res.Violations, "heal: "+e.Error())
 	}
-
-	if !aborted {
-		res.Violations = append(res.Violations, verifyRecovered(ctx, st.db, led, allKeys(clients))...)
-		if len(windows) > 0 {
-			res.Violations = append(res.Violations, verifyRestore(ctx, st, led, allKeys(clients), windows[len(windows)-1])...)
-		}
-	}
-
-	if regressions := stopWatch(); regressions > 0 {
-		res.Violations = append(res.Violations, fmt.Sprintf("VDL regressed %d times", regressions))
-	}
+	res.Health = st.fleet.Health().Stats()
 	for _, c := range clients {
 		res.Writes += c.writes
 		res.WritesOK += c.writesOK
 		res.Reads += c.reads
 		res.ReadsOK += c.readsOK
 		res.Violations = append(res.Violations, c.violations...)
+	}
+
+	if !aborted {
+		res.Violations = append(res.Violations, verifyRecovered(ctx, st.db, r.led, allKeys(clients))...)
+		if len(r.windows) > 0 {
+			res.Violations = append(res.Violations, verifyRestore(ctx, st, r.led, allKeys(clients), r.windows[len(r.windows)-1])...)
+		}
+		res.Violations = append(res.Violations, r.checkGates(&res)...)
+	}
+
+	if regressions := stopWatch(); regressions > 0 {
+		res.Violations = append(res.Violations, fmt.Sprintf("VDL regressed %d times", regressions))
 	}
 	st.teardown()
 	if settled := settleGoroutines(); settled > baseline {
@@ -184,10 +186,10 @@ func runScenario(ctx context.Context, sc Scenario) ScenarioResult {
 
 // verifyRecovered holds the cluster to a bounded recovery time: after the
 // last heal, a fully clean read-back pass (every key, cached and snapshot
-// paths) must complete within the scaled bound. Read errors are transient
+// paths) must complete within the bound. Read errors are transient
 // and retried; wrong bytes are permanent violations immediately.
 func verifyRecovered(ctx context.Context, db *engine.DB, led *Ledger, keys []string) []string {
-	bound := chaos.Scaled(10 * time.Second)
+	bound := 10 * time.Second
 	deadline := time.Now().Add(bound)
 	for {
 		viols, err := verifyOnce(ctx, db, led, keys)
@@ -200,7 +202,7 @@ func verifyRecovered(ctx context.Context, db *engine.DB, led *Ledger, keys []str
 		if time.Now().After(deadline) || ctx.Err() != nil {
 			return []string{fmt.Sprintf("recovery exceeded %v bound: %v", bound, err)}
 		}
-		time.Sleep(chaos.PollInterval())
+		time.Sleep(pollInterval)
 	}
 }
 

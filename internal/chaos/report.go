@@ -1,8 +1,10 @@
-package matrix
+package chaos
 
 import (
 	"fmt"
 	"strings"
+
+	"aurora/internal/volume"
 )
 
 // Results is a whole campaign's verdicts.
@@ -14,8 +16,8 @@ type Results struct {
 }
 
 // Passed reports whether every scenario ended pass or flaky. Flaky does
-// not fail the run — it is a signal for the table, not a verdict against
-// the cluster — but Flaky() lets a stricter caller gate on it.
+// not fail the run — it is a signal for the table and the summary, not a
+// verdict against the cluster.
 func (r *Results) Passed() bool {
 	for _, s := range r.Scenarios {
 		if s.Outcome == OutcomeFail {
@@ -25,21 +27,11 @@ func (r *Results) Passed() bool {
 	return true
 }
 
-// Flaky reports whether any scenario needed its retry to pass.
-func (r *Results) Flaky() bool {
-	for _, s := range r.Scenarios {
-		if s.Outcome == OutcomeFlaky {
-			return true
-		}
-	}
-	return false
-}
-
 // ReplayCommand is the one-liner that reproduces a scenario: same master
 // seed and count keep the matrix draw identical, -only narrows to the
 // failing cell.
 func (r *Results) ReplayCommand(sc Scenario) string {
-	return fmt.Sprintf("go run ./cmd/aurora-chaos -matrix -tier %s -seed %d -count %d -only %s",
+	return fmt.Sprintf("go run ./cmd/aurora-chaos -tier %s -seed %d -count %d -only %s",
 		r.Tier, r.Seed, r.Count, sc.Name())
 }
 
@@ -102,10 +94,12 @@ func (r *Results) Table() string {
 	return b.String()
 }
 
-// Summary is the campaign's one-paragraph footer: totals, op counts, and a
-// replay command for every non-passing scenario.
+// Summary is the campaign's one-paragraph footer: totals, op counts, the
+// gray-failure machinery's counters, and a replay command for every
+// non-passing scenario.
 func (r *Results) Summary() string {
 	var pass, flaky, fail, writes, writesOK, reads, readsOK int
+	var h volume.HealthStats
 	for _, s := range r.Scenarios {
 		switch s.Outcome {
 		case OutcomeFail:
@@ -119,11 +113,17 @@ func (r *Results) Summary() string {
 		writesOK += s.WritesOK
 		reads += s.Reads
 		readsOK += s.ReadsOK
+		h.Retries += s.Health.Retries
+		h.Hedges += s.Health.Hedges
+		h.HedgeWins += s.Health.HedgeWins
+		h.AutoRepairs += s.Health.AutoRepairs
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d scenarios: %d pass, %d flaky, %d fail (seed %d, tier %s)\n",
 		len(r.Scenarios), pass, flaky, fail, r.Seed, r.Tier)
 	fmt.Fprintf(&b, "ops: %d/%d writes acked, %d/%d reads verified\n", writesOK, writes, readsOK, reads)
+	fmt.Fprintf(&b, "machinery: %d write retries, %d hedged reads (%d won), %d auto repairs\n",
+		h.Retries, h.Hedges, h.HedgeWins, h.AutoRepairs)
 	for _, s := range r.Scenarios {
 		if s.Outcome == OutcomePass {
 			continue

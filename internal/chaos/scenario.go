@@ -1,4 +1,4 @@
-package matrix
+package chaos
 
 import (
 	"bytes"
@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"aurora/internal/chaos"
 	"aurora/internal/core"
 	"aurora/internal/disk"
 	"aurora/internal/engine"
@@ -105,9 +104,11 @@ type stack struct {
 
 	pool     *storage.Pool
 	hotFleet *volume.Fleet
-	hotVol   *volume.Client
 	hotDB    *engine.DB
 }
+
+// writerAZ is where every scenario's writer runs; AZ faults spare it.
+const writerAZ netsim.AZ = 0
 
 func newStack(sc Scenario) (*stack, error) {
 	st := &stack{
@@ -147,7 +148,7 @@ func newStack(sc Scenario) (*stack, error) {
 		return nil, err
 	}
 	st.fleet = f
-	st.vol = volume.Bootstrap(f, volume.ClientConfig{WriterNode: netsim.NodeID(st.name + "-writer"), WriterAZ: 0})
+	st.vol = volume.Bootstrap(f, volume.ClientConfig{WriterNode: netsim.NodeID(st.name + "-writer"), WriterAZ: writerAZ})
 	// A small cache keeps snapshot readers going to the storage fleet for
 	// truth instead of serving everything warm from the writer's memory.
 	db, err := engine.Create(st.vol, engine.Config{CachePages: 128})
@@ -167,10 +168,10 @@ func newStack(sc Scenario) (*stack, error) {
 			return nil, err
 		}
 		st.hotFleet = hf
-		st.hotVol = volume.Bootstrap(hf, volume.ClientConfig{WriterNode: netsim.NodeID(st.name + "hot-writer"), WriterAZ: 0})
-		hdb, err := engine.Create(st.hotVol, engine.Config{CachePages: 128})
+		hotVol := volume.Bootstrap(hf, volume.ClientConfig{WriterNode: netsim.NodeID(st.name + "hot-writer"), WriterAZ: writerAZ})
+		hdb, err := engine.Create(hotVol, engine.Config{CachePages: 128})
 		if err != nil {
-			st.hotVol.Close()
+			hotVol.Close()
 			hf.Stop()
 			st.hotFleet = nil
 			st.teardown()
@@ -199,52 +200,104 @@ type window struct {
 	asOf   time.Time
 }
 
+// run is one scenario in progress: its cluster, ledger and fault rng, and
+// what its faults touched — the backup windows the restore leg replays and
+// the victim nodes the gates inspect.
+type run struct {
+	sc      Scenario
+	st      *stack
+	led     *Ledger
+	rng     *rand.Rand
+	windows []window
+	victims []victim
+}
+
 // buildTimeline lays the scenario's fault onto tick offsets. The cycles
 // stressor turns one long window into three rapid inject/heal/inject
 // windows — each with a freshly drawn fault instance, so a cycling crash
 // can hit a different replica every window.
-func buildTimeline(sc Scenario, st *stack, led *Ledger, rng *rand.Rand, windows *[]window) *chaos.Timeline {
-	if sc.Stress == StressCycles {
-		steps := make([]chaos.Step, 0, 3)
+func (r *run) buildTimeline(makeFault func(*run) Fault) *Timeline {
+	if r.sc.Stress == StressCycles {
+		steps := make([]Step, 0, 3)
 		for c := 0; c < 3; c++ {
-			steps = append(steps, chaos.Step{Start: 2 + c*3, Duration: 1, Fault: makeFault(sc.Fault, st, led, rng, windows)})
+			steps = append(steps, Step{Start: 2 + c*3, Duration: 1, Fault: makeFault(r)})
 		}
-		return &chaos.Timeline{Steps: steps}
+		return &Timeline{Steps: steps}
 	}
-	return &chaos.Timeline{Steps: []chaos.Step{{Start: 2, Duration: 6, Fault: makeFault(sc.Fault, st, led, rng, windows)}}}
+	return &Timeline{Steps: []Step{{Start: 2, Duration: 6, Fault: makeFault(r)}}}
 }
 
 // makeFault draws one concrete fault instance (target node, AZ, page) from
 // the scenario's rng.
-func makeFault(kind FaultKind, st *stack, led *Ledger, rng *rand.Rand, windows *[]window) chaos.Fault {
-	pg := core.PGID(rng.Intn(st.fleet.PGs()))
-	replica := rng.Intn(6)
-	switch kind {
+func (r *run) makeFault() Fault {
+	st := r.st
+	pg := core.PGID(r.rng.Intn(st.fleet.PGs()))
+	replica := r.rng.Intn(6)
+	switch r.sc.Fault {
 	case FaultCrash:
-		return chaos.CrashNode(st.fleet, pg, replica)
+		return CrashNode(st.fleet, pg, replica)
 	case FaultWipeRepair:
-		return chaos.WipeAndRepairNode(st.fleet, pg, replica)
+		r.victims = append(r.victims, victim{pg, st.fleet.Node(pg, replica)})
+		return WipeAndRepairNode(st.fleet, pg, replica)
 	case FaultAZOutage:
-		return chaos.AZOutage(st.net, netsim.AZ(1+rng.Intn(2))) // never the writer's AZ
+		return AZOutage(st.net, netsim.AZ(1+r.rng.Intn(2))) // never the writer's AZ
 	case FaultPacketLoss:
-		return chaos.PacketLoss(st.net, 0.10)
+		return PacketLoss(st.net, 0.10)
 	case FaultGraySlow:
-		// A same-AZ replica: the preferred read target without
-		// health-ordered hedging, so the stall actually lands on the path.
-		slow := st.fleet.Node(pg, rng.Intn(2))
-		return chaos.GraySlowNode(st.net, slow.NodeID(), chaos.GraySlowDelay())
+		return graySlowFault(st)
 	case FaultCorruptPage:
-		return corruptFault(st, pg, replica)
+		return corruptFault(r, pg, replica)
 	case FaultGrow:
 		return growFault(st.vol)
 	case FaultBackup:
-		return backupFault(st, led, windows)
+		return backupFault(st, r.led, &r.windows)
 	case FaultPageLag:
-		return pageLagFault(st, pg, rng)
+		return pageLagFault(st, pg, r.rng)
 	case FaultNoisyNeighbor:
 		return noisyNeighborFault(st)
 	}
-	panic("matrix: unknown fault kind " + string(kind))
+	panic("chaos: unknown fault kind " + string(r.sc.Fault))
+}
+
+// graySlowFault slows, in every PG, the replica the read path ranks first
+// from the writer's AZ at inject time — alive, acking, stalling: the gray
+// failure of §2.1. The 4/6 write quorum absorbs one slow replica per PG.
+// The first commit after the inject moves the durable tail past the slow
+// replica's last reported SCL, and from then on the read path ranks it last
+// and routes around it without a hedge; so the fault reads once from
+// storage before any commit can land, and that read must hedge.
+func graySlowFault(st *stack) Fault {
+	var slowed []netsim.NodeID
+	return Fault{
+		Name: "gray-slow first read choice per PG",
+		Inject: func(ctx context.Context) {
+			for g := 0; g < st.fleet.PGs(); g++ {
+				pg := core.PGID(g)
+				replicas := st.fleet.Replicas(pg)
+				order := st.fleet.Health().Order(pg, replicas, writerAZ, st.vol.DurableTail(pg))
+				if len(order) == 0 {
+					continue
+				}
+				id := replicas[order[0]].NodeID()
+				if st.net.SetNodeDelay(id, graySlowDelay) == nil {
+					slowed = append(slowed, id)
+				}
+			}
+			tx := st.db.BeginSnapshotCtx(ctx)
+			_, _, _ = tx.Get([]byte("gray-probe"))
+			tx.Abort()
+		},
+		Heal: func(context.Context) error {
+			var err error
+			for _, id := range slowed {
+				if e := st.net.SetNodeDelay(id, 0); e != nil && err == nil {
+					err = e
+				}
+			}
+			slowed = nil
+			return err
+		},
+	}
 }
 
 // noisyNeighborFault floods the co-tenant sharing the quiet tenant's host
@@ -253,10 +306,10 @@ func makeFault(kind FaultKind, st *stack, led *Ledger, rng *rand.Rand, windows *
 // VDL and recovery invariants are judged exactly as in every other
 // scenario, with no allowance for the neighbor. Heal stops the flooders and
 // waits them out, so the goroutine-leak check also covers this fault.
-func noisyNeighborFault(st *stack) chaos.Fault {
+func noisyNeighborFault(st *stack) Fault {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	return chaos.Fault{
+	return Fault{
 		Name: "co-tenant bigtx flood",
 		Inject: func(context.Context) {
 			for g := 0; g < 4; g++ {
@@ -270,7 +323,7 @@ func noisyNeighborFault(st *stack) chaos.Fault {
 							return
 						default:
 						}
-						opCtx, cancel := context.WithTimeout(context.Background(), chaos.Scaled(3*time.Second))
+						opCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 						tx := st.hotDB.BeginCtx(opCtx)
 						ok := true
 						for k := 0; k < 4; k++ {
@@ -304,7 +357,7 @@ func noisyNeighborFault(st *stack) chaos.Fault {
 // never depend on the page tier, so none may be lost. Heal restarts the
 // victim, resumes the feeds, and lets the background pull re-converge the
 // tier.
-func pageLagFault(st *stack, pg core.PGID, rng *rand.Rand) chaos.Fault {
+func pageLagFault(st *stack, pg core.PGID, rng *rand.Rand) Fault {
 	q := st.fleet.Quorum()
 	victim := st.fleet.Node(pg, q.LogV+rng.Intn(q.PageV()))
 	pageNodes := func() []*storage.Node {
@@ -316,7 +369,7 @@ func pageLagFault(st *stack, pg core.PGID, rng *rand.Rand) chaos.Fault {
 		}
 		return out
 	}
-	return chaos.Fault{
+	return Fault{
 		Name: fmt.Sprintf("pagestore lag, crash %s", victim.NodeID()),
 		Inject: func(context.Context) {
 			for _, n := range pageNodes() {
@@ -335,24 +388,36 @@ func pageLagFault(st *stack, pg core.PGID, rng *rand.Rand) chaos.Fault {
 	}
 }
 
-// corruptFault flips bits in whatever base image the victim has
-// materialized (coalescing first so one exists). The read-path CRC gate
-// must refuse the bad image — hedging serves a peer — until the scrubber
-// repairs it on heal.
-func corruptFault(st *stack, pg core.PGID, replica int) chaos.Fault {
-	n := st.fleet.Node(pg, replica)
-	return chaos.Fault{
-		Name: fmt.Sprintf("corrupt base on %s", n.NodeID()),
+// corruptFault flips bits in a materialized base image (coalescing first so
+// one exists). The read-path CRC gate must refuse the bad image — hedging
+// serves a peer — until the scrubber repairs it on heal. Early in a run the
+// drawn replica may have no base yet, so the fault walks on through its PG
+// and then the fleet until one has; the node it corrupts is the victim the
+// gate holds to a repair.
+func corruptFault(r *run, pg core.PGID, replica int) Fault {
+	var hit *storage.Node
+	return Fault{
+		Name: fmt.Sprintf("corrupt a base from pg%d/%d", pg, replica),
 		Inject: func(context.Context) {
-			n.CoalesceOnce()
-			for p := core.PageID(0); p < 64; p++ {
-				if n.CorruptPage(p) {
-					return
+			pgs := r.st.fleet.PGs()
+			for i := 0; i < pgs*6; i++ {
+				g := (int(pg) + (replica+i)/6) % pgs
+				n := r.st.fleet.Node(core.PGID(g), (replica+i)%6)
+				n.CoalesceOnce()
+				for p := core.PageID(0); p < 64; p++ {
+					if n.CorruptPage(p) {
+						hit = n
+						r.victims = append(r.victims, victim{core.PGID(g), n})
+						return
+					}
 				}
 			}
 		},
 		Heal: func(context.Context) error {
-			n.ScrubOnce()
+			if hit != nil {
+				hit.ScrubOnce()
+				hit = nil
+			}
 			return nil
 		},
 	}
@@ -362,9 +427,9 @@ func corruptFault(st *stack, pg core.PGID, replica int) chaos.Fault {
 // the rebalance to finish. A second inject while one is running (cycles
 // stressor) gets ErrGrowthInProgress, which is the documented benign
 // answer, not a failure.
-func growFault(vol *volume.Client) chaos.Fault {
+func growFault(vol *volume.Client) Fault {
 	done := make(chan error, 1)
-	return chaos.Fault{
+	return Fault{
 		Name: "grow +1 PG",
 		Inject: func(context.Context) {
 			go func() {
@@ -379,7 +444,7 @@ func growFault(vol *volume.Client) chaos.Fault {
 					return err
 				}
 				return nil
-			case <-time.After(chaos.Scaled(5 * time.Second)):
+			case <-time.After(5 * time.Second):
 				return errors.New("growth did not complete")
 			case <-ctx.Done():
 				return ctx.Err()
@@ -393,8 +458,8 @@ func growFault(vol *volume.Client) chaos.Fault {
 // rounds (no commits in flight), so the marks are clean cuts; the restore
 // leg after the scenario replays the volume as of the sweep and holds the
 // bytes to the window rule.
-func backupFault(st *stack, led *Ledger, windows *[]window) chaos.Fault {
-	return chaos.Fault{
+func backupFault(st *stack, led *Ledger, windows *[]window) Fault {
+	return Fault{
 		Name: "backup sweep",
 		Inject: func(context.Context) {
 			s0 := led.Mark()

@@ -95,44 +95,3 @@ func TestTimelineHealAllSkipsPendingAndKeepsErrors(t *testing.T) {
 		t.Fatalf("active step healed %d times", b.heals)
 	}
 }
-
-// TestRunnerAbortsOnContext verifies the runner stops its schedule when the
-// context fires, heals the in-flight fault on the way out, and reports the
-// abort through the Report rather than hanging or panicking.
-func TestRunnerAbortsOnContext(t *testing.T) {
-	_, f, db := stack(t)
-	var ff fakeFault
-	ctx, cancel := context.WithCancel(context.Background())
-	faults := []Fault{
-		ff.fault("first"),
-		CrashNode(f, 0, 0), // must never run
-	}
-	r := &Runner{DB: db, Faults: faults, ProbesPerFault: 1, HealedProbes: 1, Seed: 9}
-	cancel() // fire before the run: first fault must not inject
-	rep := r.RunCtx(ctx)
-	if !rep.Aborted || rep.Err == nil {
-		t.Fatalf("report not aborted: %+v", rep)
-	}
-	if ff.injects != 0 {
-		t.Fatal("fault injected after context fired")
-	}
-	if f.Node(0, 0).Down() {
-		t.Fatal("second fault ran despite abort")
-	}
-
-	// Now abort mid-fault: the injected fault must be healed on the way out.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	healed := false
-	r2 := &Runner{DB: db, ProbesPerFault: 3, Seed: 9, Faults: []Fault{{
-		Name:   "inject then abort",
-		Inject: func(context.Context) { cancel2() },
-		Heal:   func(context.Context) error { healed = true; return nil },
-	}}}
-	rep2 := r2.RunCtx(ctx2)
-	if !rep2.Aborted {
-		t.Fatalf("mid-fault abort not reported: %+v", rep2)
-	}
-	if !healed {
-		t.Fatal("aborted run left its fault injected")
-	}
-}

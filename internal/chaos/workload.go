@@ -1,4 +1,4 @@
-package matrix
+package chaos
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"aurora/internal/chaos"
 	"aurora/internal/engine"
 )
 
@@ -76,9 +75,9 @@ func (c *client) step(ctx context.Context) {
 // to judge.
 func (c *client) opTimeout() time.Duration {
 	if c.stress == StressDeadline {
-		return chaos.Scaled(600 * time.Microsecond)
+		return 600 * time.Microsecond
 	}
-	return chaos.Scaled(3 * time.Second)
+	return 3 * time.Second
 }
 
 func (c *client) randVal(lo, hi int) []byte {
@@ -149,7 +148,7 @@ func (c *client) read(ctx context.Context, snapshot bool) {
 	key := c.keys[c.rng.Intn(len(c.keys))]
 	marker, had := c.led.ReadMarker(key)
 	c.reads++
-	opCtx, cancel := context.WithTimeout(ctx, chaos.Scaled(3*time.Second))
+	opCtx, cancel := context.WithTimeout(ctx, 3*time.Second)
 	defer cancel()
 	var (
 		val   []byte
@@ -180,7 +179,7 @@ func (c *client) seed(ctx context.Context) {
 			val := c.randVal(24, 192)
 			seq := c.led.Begin(key, val)
 			c.writes++
-			opCtx, cancel := context.WithTimeout(ctx, chaos.Scaled(3*time.Second))
+			opCtx, cancel := context.WithTimeout(ctx, 3*time.Second)
 			tx := c.db.BeginCtx(opCtx)
 			err := tx.Put([]byte(key), val)
 			if err == nil {
@@ -206,7 +205,7 @@ func (c *client) seed(ctx context.Context) {
 func verifyOnce(ctx context.Context, db *engine.DB, led *Ledger, keys []string) (viols []string, err error) {
 	for _, key := range keys {
 		marker, had := led.ReadMarker(key)
-		opCtx, cancel := context.WithTimeout(ctx, chaos.Scaled(3*time.Second))
+		opCtx, cancel := context.WithTimeout(ctx, 3*time.Second)
 		val, found, gerr := db.GetCtx(opCtx, []byte(key))
 		if gerr == nil {
 			if verr := led.VerifyRead(key, marker, had, val, found); verr != nil {

@@ -208,38 +208,64 @@ func TestHedgedReadBoundsTailLatency(t *testing.T) {
 }
 
 // TestMonitorAutoRepairsSuspect wipes a segment and lets the write path's
-// failure streak push it to Suspect; one pass of the fleet's self-driven
-// repair monitor must re-replicate it with no operator involvement.
+// failure streak push it to Suspect; the fleet's self-driven repair monitor
+// must re-replicate it with no operator involvement — one pass of it called
+// directly, and the monitor Fleet.Start runs, within a deadline.
 func TestMonitorAutoRepairsSuspect(t *testing.T) {
-	f, c := testVolume(t, 1)
-	for i := 0; i < 4; i++ {
-		writePage(t, c, core.PageID(i), "warm")
-	}
-
-	f.Node(0, 2).Wipe()
-	// Each failed flight observes at least one failure on the wiped replica.
-	// Its sender runs asynchronously and coalesces queued batches, so write
-	// until the streak crosses the Suspect threshold (bounded).
-	deadline := time.Now().Add(2 * time.Second)
-	for i := 0; f.Health().State(0, 2) != Suspect; i++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("wiped replica never became suspect (state %v)", f.Health().State(0, 2))
+	wipeUntilSuspect := func(t *testing.T, f *Fleet, c *Client) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			writePage(t, c, core.PageID(i), "warm")
 		}
-		writePage(t, c, core.PageID(i%4), fmt.Sprintf("w%02d", i%100))
-		time.Sleep(time.Millisecond)
+		f.Node(0, 2).Wipe()
+		// Each failed flight observes at least one failure on the wiped
+		// replica. Its sender runs asynchronously and coalesces queued
+		// batches, so write until the streak crosses the Suspect threshold
+		// (bounded). The running monitor may repair the replica first.
+		deadline := time.Now().Add(2 * time.Second)
+		for i := 0; f.Health().State(0, 2) != Suspect && f.Health().Stats().AutoRepairs == 0; i++ {
+			if time.Now().After(deadline) {
+				t.Fatalf("wiped replica never became suspect (state %v)", f.Health().State(0, 2))
+			}
+			writePage(t, c, core.PageID(i%4), fmt.Sprintf("w%02d", i%100))
+			time.Sleep(time.Millisecond)
+		}
+	}
+	repaired := func(t *testing.T, f *Fleet) {
+		t.Helper()
+		if f.Health().Stats().AutoRepairs == 0 {
+			t.Fatal("monitor did not record an auto repair")
+		}
+		if got, want := f.Node(0, 2).SCL(), f.Node(0, 0).SCL(); got != want {
+			t.Fatalf("repaired SCL %d, want %d", got, want)
+		}
+		if s := f.Health().State(0, 2); s != Healthy {
+			t.Fatalf("repaired replica state %v, want healthy", s)
+		}
 	}
 
-	f.healthMonitorOnce()
+	t.Run("one pass", func(t *testing.T) {
+		f, c := testVolume(t, 1)
+		wipeUntilSuspect(t, f, c)
+		f.healthMonitorOnce()
+		repaired(t, f)
+	})
 
-	if f.Health().Stats().AutoRepairs == 0 {
-		t.Fatal("monitor pass did not record an auto repair")
-	}
-	if got, want := f.Node(0, 2).SCL(), f.Node(0, 0).SCL(); got != want {
-		t.Fatalf("repaired SCL %d, want %d", got, want)
-	}
-	if s := f.Health().State(0, 2); s != Healthy {
-		t.Fatalf("repaired replica state %v, want healthy", s)
-	}
+	t.Run("running monitor", func(t *testing.T) {
+		f, c := testVolume(t, 1)
+		f.Start()
+		t.Cleanup(f.Stop)
+		wipeUntilSuspect(t, f, c)
+		deadline := time.Now().Add(2 * time.Second)
+		for f.Health().Stats().AutoRepairs == 0 || f.Node(0, 2).SCL() != f.Node(0, 0).SCL() {
+			if time.Now().After(deadline) {
+				t.Fatalf("running monitor never repaired the wiped replica (%d repairs, SCL %d vs %d)",
+					f.Health().Stats().AutoRepairs, f.Node(0, 2).SCL(), f.Node(0, 0).SCL())
+			}
+			time.Sleep(monitorInterval)
+		}
+		repaired(t, f)
+	})
 }
 
 // TestHedgedReadKeepsStaleGeometryVerdict: while a cutover's epoch broadcast

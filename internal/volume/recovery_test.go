@@ -1,7 +1,12 @@
 package volume
 
 import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"aurora/internal/core"
 )
@@ -68,6 +73,19 @@ func TestRecoveryPoint(t *testing.T) {
 		},
 		{name: "no protection groups", vcl: 0, vdl: 0},
 		{
+			// A = {pg0@1, pg1@2, pg0@3} is on every replica, B = {pg1@4} on
+			// none, C = {pg1@5} on every replica. PG1's SCL of 2 caps the VCL
+			// below A's CPL, so A — durable, possibly acknowledged — is
+			// annulled with B and C. The first hole is at 4: VCL and VDL 3.
+			name: "loses: a hole after a durable MTR annuls it",
+			pgs: []pgSummary{
+				{scl: 3, highest: 3, cpls: []L{{3}, {3}, {3}}},
+				{scl: 2, highest: 5, cpls: []L{{5}, {5}, {5}}},
+			},
+			vcl: 3, vdl: 3,
+			skip: "ROADMAP item 1: a PG's SCL caps the VCL below MTRs other PGs completed; the volume backlink fix removes this skip",
+		},
+		{
 			// The torn cross-PG MTR {pg0@1, pg1@2, pg0@3}: PG0 has 1 and 3
 			// (a clean per-PG chain, CPL 3), PG1 has nothing. LSN 2 is on no
 			// disk, so nothing above 1 is durable. Per-PG chains leave no
@@ -90,5 +108,270 @@ func TestRecoveryPoint(t *testing.T) {
 				t.Fatalf("recoveryPoint = VCL %d, VDL %d; want VCL %d, VDL %d", vcl, vdl, tc.vcl, tc.vdl)
 			}
 		})
+	}
+}
+
+// TestRecoverKeepsDurableMTRBeforeAHole is the sweep's losing class on a live
+// fleet. A = {pg0@1, pg1@2, pg0@3} reaches every replica and is
+// acknowledged. B = {pg1@4} has its six flights held in the network while
+// C = {pg1@5} lands on all six PG1 replicas (a later flight may land first).
+// The writer crashes with B still in the air, so LSN 4 is on no disk. PG1's
+// chain has a hole at 4 above its SCL of 2, and recovery caps the VCL there,
+// below A's CPL: the acknowledged A is annulled with B and C.
+func TestRecoverKeepsDurableMTRBeforeAHole(t *testing.T) {
+	t.Skip("ROADMAP item 1: a PG's SCL caps the VCL below MTRs other PGs completed; recovery returns VCL 2 / VDL 0 here")
+	f, c := testVolume(t, 2)
+	ctx := context.Background()
+	net := f.Net()
+	var page [2]core.PageID
+	for id, found := core.PageID(0), 0; found < 3; id++ {
+		if g := c.PGOf(id); found&(1<<g) == 0 {
+			page[g] = id
+			found |= 1 << g
+		}
+	}
+	mtr := func(txn uint64, pgs ...core.PGID) *core.MTR {
+		m := &core.MTR{Txn: txn}
+		for _, g := range pgs {
+			m.AddDelta(g, page[g], 0, []byte{byte(txn)})
+		}
+		return m
+	}
+	settled := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened", what)
+			}
+		}
+	}
+	onAll := func(pg core.PGID, lsn core.LSN) func() bool {
+		return func() bool {
+			for _, n := range f.Replicas(pg) {
+				if n.HighestLSN() < lsn {
+					return false
+				}
+			}
+			return true
+		}
+	}
+
+	cplA, err := c.WriteMTR(ctx, mtr(1, 0, 1, 0))
+	if err != nil || cplA != 3 {
+		t.Fatalf("A: CPL %d, %v; want 3", cplA, err)
+	}
+	settled("A on every replica", func() bool { return onAll(0, 3)() && onAll(1, 2)() })
+
+	const hold = time.Hour
+	inAir, release := make(chan struct{}, 6), make(chan struct{})
+	letGo := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(letGo)
+	net.SetSleeper(func(d time.Duration) {
+		if d >= hold {
+			inAir <- struct{}{}
+			<-release
+		}
+	})
+	for _, n := range f.Replicas(1) {
+		if err := net.SetNodeDelay(n.NodeID(), hold); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ship := func(m *core.MTR) *GroupWrite {
+		g, err := c.FrameMTRs(ctx, []*core.MTR{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Release)
+		g.ShipAsync(nil, func(error) {})
+		return g
+	}
+	if b := ship(mtr(2, 1)); b.MaxCPL() != 4 {
+		t.Fatalf("B framed at %d, want 4", b.MaxCPL())
+	}
+	for range f.Replicas(1) {
+		<-inAir
+	}
+	for _, n := range f.Replicas(1) {
+		if err := net.SetNodeDelay(n.NodeID(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cc := ship(mtr(3, 1)); cc.MaxCPL() != 5 {
+		t.Fatalf("C framed at %d, want 5", cc.MaxCPL())
+	}
+	settled("C on every PG1 replica", onAll(1, 5))
+	c.Crash()
+
+	c2, rep, err := Recover(ctx, f, ClientConfig{WriterNode: "writer2", WriterAZ: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if rep.VDL < cplA {
+		t.Fatalf("recovered VCL %d / VDL %d: the acknowledged A (CPL %d) was annulled", rep.VCL, rep.VDL, cplA)
+	}
+}
+
+// history is one small volume history for the recovery sweep: records at
+// LSNs 1..len(pg), record i in protection group pg[i], closing its MTR when
+// cpl[i], and held by its PG's reachable replicas (which agree after
+// SyncGroup) when held[i].
+type history struct {
+	pgs       int
+	pg        []int
+	cpl, held []bool
+}
+
+// summaries is what recovery's I/O half would learn of h: per PG, the SCL
+// along the PG's own chain, the highest LSN held, and three replicas' CPLs.
+func (h history) summaries() []pgSummary {
+	out := make([]pgSummary, h.pgs)
+	broken := make([]bool, h.pgs)
+	for i, g := range h.pg {
+		lsn := core.LSN(i + 1)
+		if !h.held[i] {
+			broken[g] = true
+			continue
+		}
+		if !broken[g] {
+			out[g].scl = lsn
+		}
+		out[g].highest = lsn
+	}
+	for g := range out {
+		var cpls []core.LSN
+		for i, pg := range h.pg {
+			if pg == g && h.held[i] && h.cpl[i] {
+				cpls = append(cpls, core.LSN(i+1))
+			}
+		}
+		out[g].cpls = [][]core.LSN{cpls, cpls, cpls}
+	}
+	return out
+}
+
+// oracle is what recovery must return, knowing the whole history: the VCL
+// sits just below the first LSN no replica holds, the VDL is the highest CPL
+// at or below it.
+func (h history) oracle() (vcl, vdl core.LSN) {
+	vcl = core.LSN(len(h.pg))
+	for i, held := range h.held {
+		if !held {
+			vcl = core.LSN(i)
+			break
+		}
+	}
+	for i := 0; i < int(vcl); i++ {
+		if h.cpl[i] {
+			vdl = core.LSN(i + 1)
+		}
+	}
+	return vcl, vdl
+}
+
+func (h history) String() string {
+	var b strings.Builder
+	for i, g := range h.pg {
+		held := ""
+		if !h.held[i] {
+			held = " (on no disk)"
+		}
+		fmt.Fprintf(&b, "pg%d@%d%s", g, i+1, held)
+		if h.cpl[i] {
+			b.WriteString(" | ")
+		} else {
+			b.WriteString(", ")
+		}
+	}
+	return b.String()
+}
+
+// eachHistory calls fn with every history of n records over pgs PGs: every
+// split into MTRs of up to three records, every PG per record, every set of
+// held records. fn must not keep h.
+func eachHistory(pgs, n int, fn func(h history)) {
+	h := history{pgs: pgs, pg: make([]int, n), cpl: make([]bool, n), held: make([]bool, n)}
+	for split := 0; split < 1<<(n-1); split++ {
+		run, ok := 0, true
+		for i := 0; i < n; i++ {
+			h.cpl[i] = i == n-1 || split&(1<<i) != 0
+			if run++; run > 3 {
+				ok = false
+			}
+			if h.cpl[i] {
+				run = 0
+			}
+		}
+		if !ok {
+			continue
+		}
+		for place := 0; place < pow(pgs, n); place++ {
+			for i, p := 0, place; i < n; i, p = i+1, p/pgs {
+				h.pg[i] = p % pgs
+			}
+			for held := 0; held < 1<<n; held++ {
+				for i := 0; i < n; i++ {
+					h.held[i] = held&(1<<i) != 0
+				}
+				fn(h)
+			}
+		}
+	}
+}
+
+func pow(b, e int) int {
+	out := 1
+	for ; e > 0; e-- {
+		out *= b
+	}
+	return out
+}
+
+// TestRecoveryPointSweep holds recoveryPoint to the oracle on every history
+// of up to five records over two and three PGs. Two classes disagree today
+// (ROADMAP item 1), and the sweep counts them instead of failing on them:
+//   - resurrects: recoveryPoint's VCL is above the oracle's. A record on no
+//     disk that was its PG's last leaves no hole in any chain, so recovery
+//     keeps what was framed after it (the P0).
+//   - loses: recoveryPoint's VDL is below the oracle's. A PG whose chain has
+//     a hole caps the VCL at its SCL, below MTRs other PGs completed before
+//     the hole, and those durable MTRs are annulled.
+//
+// Every other history must agree on the VDL; there the VCL may sit below
+// the oracle's only when no CPL lies between them (nothing but the report
+// reads it). The sweep fails if either class is empty, so the fix of item 1
+// must edit it.
+func TestRecoveryPointSweep(t *testing.T) {
+	var histories, resurrects, loses, lowVCL int
+	var exResurrect, exLose string
+	for pgs := 2; pgs <= 3; pgs++ {
+		for n := 1; n <= 5; n++ {
+			eachHistory(pgs, n, func(h history) {
+				histories++
+				vcl, vdl := recoveryPoint(h.summaries())
+				ovcl, ovdl := h.oracle()
+				switch {
+				case vcl > ovcl:
+					if resurrects++; exResurrect == "" {
+						exResurrect = fmt.Sprintf("%v: VCL %d / VDL %d, oracle %d / %d", h, vcl, vdl, ovcl, ovdl)
+					}
+				case vdl < ovdl:
+					if loses++; exLose == "" {
+						exLose = fmt.Sprintf("%v: VCL %d / VDL %d, oracle %d / %d", h, vcl, vdl, ovcl, ovdl)
+					}
+				case vdl != ovdl:
+					t.Errorf("%v: recoveryPoint VCL %d / VDL %d, oracle %d / %d", h, vcl, vdl, ovcl, ovdl)
+				case vcl < ovcl:
+					lowVCL++
+				}
+			})
+		}
+	}
+	t.Logf("%d histories: %d resurrect, %d lose, %d with a low VCL and the right VDL", histories, resurrects, loses, lowVCL)
+	t.Logf("first resurrecting: %s", exResurrect)
+	t.Logf("first losing: %s", exLose)
+	if resurrects == 0 || loses == 0 {
+		t.Fatalf("%d resurrecting and %d losing histories: a class is gone, so recoveryPoint changed — update this sweep", resurrects, loses)
 	}
 }
