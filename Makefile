@@ -57,6 +57,11 @@ test: build vet lint
 # buffer caches' frame recycling: writer Gets and Puts and a replica's Gets
 # against 4-frame caches, every value checked against its key, version and
 # checksum — a frame refilled while a reader held its page is a race there.
+# The window owns the VDL and its waiters, and the writer's registry every
+# read pin: the volume line's last three tests release WaitDurable and drain
+# waiters as the VDL passes them and on Crash/Close, the replica line's
+# second test detaches a replica whose writer crashed, and the last line
+# fails over with a replica left attached and needs storage GC to go on.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/storage/ \
@@ -66,10 +71,11 @@ race:
 	$(GO) test -race -count=100 -run TestSplitStaleReadConcurrent ./internal/volume/
 	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestHedged' -skip 'TestHedgedReadBoundsTailLatency' ./internal/volume/
-	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped' ./internal/volume/
+	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped|TestWindowWait|TestClientWaitsReleasedByCrashAndClose|TestReadRegistryLowWaterMark' ./internal/volume/
 	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce|TestCoalescePageWriteOutsideLock|TestReadDiskReadOutsideLock|TestLogGCWriteOutsideLock|TestTruncateWriteOutsideLock' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
-	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader' ./internal/replica/
+	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes' ./internal/replica/
+	$(GO) test -race -count=20 -run 'TestFailoverLeavesNoReplicaPin' .
 
 # Live volume growth under chaos: grow mid-workload with a gray-slow node,
 # under the race detector. Zero failed commits, monotone VDL, no lost writes.

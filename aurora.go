@@ -331,8 +331,11 @@ func (c *Cluster) AddReplica(name string, az int) (*Replica, error) {
 func (c *Cluster) CrashWriter() { c.db.Crash() }
 
 // Failover recovers the volume and attaches a fresh writer instance,
-// returning the recovery report. Replicas must be re-attached by the
-// caller (their stream died with the writer).
+// returning the recovery report. Replicas attached to the old writer
+// detached themselves when its stream ended: their reads return
+// ErrReplicaClosed, and they pin nothing in the new writer's read-point
+// registry, so storage GC runs on at its MRPL. Attach new replicas with
+// AddReplica.
 func (c *Cluster) Failover() (*RecoveryReport, error) {
 	c.writerGen++
 	db, rep, err := c.recoverWriter(netsim.AZ(c.writerGen % 3))
@@ -348,8 +351,8 @@ func (c *Cluster) Failover() (*RecoveryReport, error) {
 
 // recoverWriter runs volume recovery and brings up the next-generation
 // writer instance in az (the caller has already bumped writerGen). On
-// success it becomes the cluster's writer; replicas must be re-attached —
-// their stream died with the old writer.
+// success it becomes the cluster's writer and the cluster forgets the old
+// writer's replicas, which detached when its stream ended.
 func (c *Cluster) recoverWriter(az netsim.AZ) (*engine.DB, *volume.RecoveryReport, error) {
 	db, rep, err := engine.Recover(context.Background(), c.fleet, volume.ClientConfig{
 		WriterNode: netsim.NodeID(fmt.Sprintf("%s-writer-g%d", c.opts.Name, c.writerGen)),
@@ -470,7 +473,9 @@ func (c *Cluster) RepairStorageNode(pg, replicaIdx int) error {
 
 // Patch performs a zero-downtime patch (§7.4): it waits for a quiet
 // instant, spools session state, swaps in a freshly recovered engine and
-// resumes. Connections held through the cluster's proxy survive.
+// resumes. Connections held through the cluster's proxy survive; read
+// replicas do not — the patched-out engine's stream ends, so they detach as
+// after Failover, and are re-added with AddReplica.
 func (c *Cluster) Patch(timeout time.Duration) (sessions int, pause time.Duration, err error) {
 	rep, err := c.proxy.Patch(func(old *engine.DB) (*engine.DB, error) {
 		old.Crash()
@@ -635,6 +640,10 @@ func (t *Tx) Abort() { t.inner.Abort() }
 
 // Replica is a read-only instance consuming the writer's redo stream.
 type Replica struct{ inner *replica.Replica }
+
+// ErrReplicaClosed is returned by reads on a replica that was closed, or
+// whose writer crashed, closed or was patched out (see Failover).
+var ErrReplicaClosed = replica.ErrClosed
 
 // Get reads a row at the replica's current durable view.
 func (r *Replica) Get(key []byte) ([]byte, bool, error) { return r.inner.Get(key) }

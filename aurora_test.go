@@ -117,6 +117,73 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestFailoverLeavesNoReplicaPin: a replica left attached through a writer
+// crash pins nothing in the new writer's read-point registry. The new
+// writer's MRPL reaches its VDL, and a coalescing round collects the log down
+// to about what the same history leaves without a replica. While the old
+// writer's registry outlived it (the fleet held replica pins), the MRPL stayed
+// at the crashed writer's VDL and storage GC froze for good.
+func TestFailoverLeavesNoReplicaPin(t *testing.T) {
+	held := func(withReplica bool) int {
+		c := newCluster(t, Options{PGs: 1})
+		put := func(i int) {
+			t.Helper()
+			if err := c.Put([]byte(fmt.Sprintf("g%02d", i%20)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var r *Replica
+		if withReplica {
+			var err error
+			if r, err = c.AddReplica("left", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			put(i)
+		}
+		c.CrashWriter()
+		if _, err := c.Failover(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			put(i)
+		}
+		vol := c.db.Volume()
+		if lwm, vdl := vol.LowWaterMark(), vol.VDL(); lwm != vdl {
+			t.Fatalf("replica %v: new writer's MRPL %d, its VDL %d", withReplica, lwm, vdl)
+		}
+		// One more commit carries that MRPL to the replicas; one coalescing
+		// round on each then collects everything at or below it.
+		put(300)
+		var records int
+		for i := 0; i < c.fleet.Quorum().V; i++ {
+			n := c.fleet.Node(0, i)
+			n.CoalesceOnce()
+			records += n.Stats().RecordsHeld
+		}
+		if r != nil {
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				_, _, err := r.Get([]byte("g00"))
+				if errors.Is(err, ErrReplicaClosed) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("replica of the crashed writer still serves reads: %v", err)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return records
+	}
+	base, got := held(false), held(true)
+	if got > 2*base+60 {
+		t.Fatalf("segments hold %d log records with a replica left attached, %d without", got, base)
+	}
+	t.Logf("log records held after a coalescing round: %d without a replica, %d with one left attached", base, got)
+}
+
 func TestClusterReplicas(t *testing.T) {
 	c := newCluster(t, Options{})
 	r, err := c.AddReplica("one", 1)

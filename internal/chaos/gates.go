@@ -39,11 +39,7 @@ var gates = map[FaultKind]gate{
 		}
 		return nil
 	}},
-	// Half the reads may fail under corrupt until a storage bug is fixed: a
-	// replica can hold a page with no base and a chain missing its first
-	// record, serve it as a zero page, and the scrubber can copy that chain
-	// to its victim (ROADMAP item 3).
-	FaultCorruptPage: {readLoss: 0.5, engaged: func(r *run, _ volume.HealthStats) error {
+	FaultCorruptPage: {engaged: func(r *run, _ volume.HealthStats) error {
 		if len(r.victims) == 0 {
 			return errors.New("no base image was corrupted")
 		}

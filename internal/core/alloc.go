@@ -25,7 +25,7 @@ type Allocator struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	next   LSN // next LSN to hand out
-	vdl    LSN // latest VDL the allocator has been told about
+	bound  LSN // highest LSN that may be handed out: the last VDL reported + LAL
 	lal    uint64
 	closed bool
 }
@@ -36,7 +36,7 @@ func NewAllocator(start LSN, lal int64) *Allocator {
 	if lal <= 0 {
 		lal = DefaultLAL
 	}
-	a := &Allocator{next: start + 1, vdl: start, lal: uint64(lal)}
+	a := &Allocator{next: start + 1, bound: start + LSN(lal), lal: uint64(lal)}
 	a.cond = sync.NewCond(&a.mu)
 	return a
 }
@@ -50,7 +50,7 @@ func (a *Allocator) Alloc(ctx context.Context, n int) (LSN, error) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.closed && uint64(a.next)+uint64(n)-1 > uint64(a.vdl)+a.lal {
+	if !a.closed && a.next+LSN(n)-1 > a.bound {
 		// Back-pressure wait: a context firing must wake the cond, so hook
 		// a broadcast onto cancellation for the duration of the wait.
 		stop := context.AfterFunc(ctx, func() {
@@ -59,7 +59,7 @@ func (a *Allocator) Alloc(ctx context.Context, n int) (LSN, error) {
 			a.mu.Unlock()
 		})
 		defer stop()
-		for !a.closed && ctx.Err() == nil && uint64(a.next)+uint64(n)-1 > uint64(a.vdl)+a.lal {
+		for !a.closed && ctx.Err() == nil && a.next+LSN(n)-1 > a.bound {
 			a.cond.Wait()
 		}
 	}
@@ -74,34 +74,16 @@ func (a *Allocator) Alloc(ctx context.Context, n int) (LSN, error) {
 	return first, nil
 }
 
-// TryAlloc is a non-blocking Alloc; ok is false when the LAL window is full.
-func (a *Allocator) TryAlloc(n int) (lsn LSN, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed || uint64(a.next)+uint64(n)-1 > uint64(a.vdl)+a.lal {
-		return ZeroLSN, false
-	}
-	first := a.next
-	a.next += LSN(n)
-	return first, true
-}
-
-// AdvanceVDL informs the allocator of a new volume durable LSN, releasing
-// any writers blocked on the allocation limit. Regressions are ignored.
+// AdvanceVDL moves the allocation bound to vdl + LAL, releasing any writers
+// blocked on it. The allocator keeps no VDL of its own: a report that would
+// not raise the bound is ignored, so reports may arrive out of order.
 func (a *Allocator) AdvanceVDL(vdl LSN) {
 	a.mu.Lock()
-	if vdl > a.vdl {
-		a.vdl = vdl
+	if b := vdl + LSN(a.lal); b > a.bound {
+		a.bound = b
 		a.cond.Broadcast()
 	}
 	a.mu.Unlock()
-}
-
-// Next returns the next LSN that would be allocated (for observability).
-func (a *Allocator) Next() LSN {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.next
 }
 
 // HighestAllocated returns the highest LSN handed out so far.
@@ -115,15 +97,6 @@ func (a *Allocator) HighestAllocated() LSN {
 // that may be outstanding beyond the VDL. A single allocation larger than
 // this can never succeed, so batching callers must cap their requests.
 func (a *Allocator) Limit() uint64 { return a.lal }
-
-// UpperBound returns the highest LSN that could possibly have been
-// allocated given the current VDL: VDL + LAL. Recovery uses this to bound
-// the truncation range it must annul (§4.3).
-func (a *Allocator) UpperBound() LSN {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.vdl + LSN(a.lal)
-}
 
 // Close releases all blocked allocators with ErrAllocatorClosed.
 func (a *Allocator) Close() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -20,9 +21,16 @@ func TestAllocatorSequential(t *testing.T) {
 	if got := a.HighestAllocated(); got != 6 {
 		t.Fatalf("highest = %d, want 6", got)
 	}
-	if got := a.Next(); got != 7 {
-		t.Fatalf("next = %d, want 7", got)
-	}
+}
+
+// allocBlocks reports whether an Alloc of n waits on the allocation limit:
+// given a few milliseconds, it gives up with its context instead of
+// returning an LSN.
+func allocBlocks(a *Allocator, n int) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	_, err := a.Alloc(ctx, n)
+	return errors.Is(err, context.DeadlineExceeded)
 }
 
 func TestAllocatorLALBackpressure(t *testing.T) {
@@ -31,8 +39,8 @@ func TestAllocatorLALBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Window full: a blocking alloc must stall until VDL advances.
-	if _, ok := a.TryAlloc(1); ok {
-		t.Fatal("TryAlloc succeeded past the allocation limit")
+	if !allocBlocks(a, 1) {
+		t.Fatal("Alloc succeeded past the allocation limit")
 	}
 	done := make(chan LSN)
 	go func() {
@@ -62,8 +70,12 @@ func TestAllocatorVDLRegressionIgnored(t *testing.T) {
 	a := NewAllocator(ZeroLSN, 10)
 	a.AdvanceVDL(8)
 	a.AdvanceVDL(3)
-	if got := a.UpperBound(); got != 18 {
-		t.Fatalf("upper bound %d, want 18", got)
+	// The bound stays at 8 + 10: LSNs 1..18 are granted, the 19th waits.
+	if lsn, err := a.Alloc(context.Background(), 18); err != nil || lsn != 1 {
+		t.Fatalf("alloc up to the bound: %d, %v", lsn, err)
+	}
+	if !allocBlocks(a, 1) {
+		t.Fatal("alloc past VDL 8 + LAL 10 granted after a regressed report")
 	}
 }
 

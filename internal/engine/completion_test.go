@@ -261,7 +261,8 @@ func TestCompletionUnderCommitLoad(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for round := 0; round < 4; round++ {
-				f, db := testDB(t, Config{CommitQueueDepth: 8, MaxCommitGroup: 1})
+				f, db := testDB(t, Config{})
+				setPipelineBudgets(db, 8, 1)
 				const committers = 16
 				acked := make(chan core.LSN, committers)
 				for w := 0; w < committers; w++ {

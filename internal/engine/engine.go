@@ -58,17 +58,6 @@ type Config struct {
 	// FullPageWrites is an ablation: ship full page images instead of byte
 	// deltas, as a page-shipping architecture would (§3.1).
 	FullPageWrites bool
-	// CommitQueueDepth bounds the commit pipeline's apply→framing queue
-	// (default 256). When the framer stalls on LAL back-pressure the queue
-	// fills and new committers block before taking the engine latch — so
-	// back-pressure throttles writers without ever blocking readers.
-	CommitQueueDepth int
-	// MaxCommitGroup caps how many queued commits one framing critical
-	// section absorbs (default 64).
-	MaxCommitGroup int
-	// MaxInflightGroups bounds how many framed groups may be awaiting
-	// durability at once before the framer pauses (default 4).
-	MaxInflightGroups int
 	// TraceEvery samples 1 in N commits (and cache-miss page reads) into
 	// the causal tracing subsystem; 0 disables sampling, leaving only an
 	// atomic load on the hot path. It can be changed at runtime through
@@ -81,15 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CachePages <= 0 {
 		c.CachePages = 4096
-	}
-	if c.CommitQueueDepth <= 0 {
-		c.CommitQueueDepth = 256
-	}
-	if c.MaxCommitGroup <= 0 {
-		c.MaxCommitGroup = 64
-	}
-	if c.MaxInflightGroups <= 0 {
-		c.MaxInflightGroups = 4
 	}
 	return c
 }

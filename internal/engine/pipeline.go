@@ -11,6 +11,22 @@ import (
 	"aurora/internal/volume"
 )
 
+// The commit pipeline's budgets. Each has one value outside tests, which set
+// a pipeline's fields directly to get a shallow queue or single-commit groups.
+const (
+	// commitQueueDepth bounds the apply→framing queue. When the framer stalls
+	// on LAL back-pressure the queue fills and new committers block before
+	// taking the engine latch — so back-pressure throttles writers without
+	// ever blocking readers.
+	commitQueueDepth = 256
+	// maxCommitGroup caps how many queued commits one framing critical
+	// section absorbs.
+	maxCommitGroup = 64
+	// maxInflightGroups bounds how many framed groups may be awaiting
+	// durability at once before the framer pauses.
+	maxInflightGroups = 4
+)
+
 // This file implements the staged group-commit pipeline (§4.2 taken to its
 // conclusion): workers apply, hand their records to the log, and commits
 // complete asynchronously as the VDL advances — with no synchronous point
@@ -47,10 +63,10 @@ type commitPipeline struct {
 	depth    int
 	closed   bool
 
-	// maxGroup and maxInflight are the pipeline's batching budgets, read
-	// once from Config: maxGroup caps commits per framing critical section
-	// (Config.MaxCommitGroup), maxInflight caps framed groups awaiting
-	// durability before the framer pauses (Config.MaxInflightGroups). Under
+	// maxGroup and maxInflight are the pipeline's batching budgets:
+	// maxGroup caps commits per framing critical section (maxCommitGroup),
+	// maxInflight caps framed groups awaiting durability before the framer
+	// pauses (maxInflightGroups). Like depth they are read under mu. Under
 	// sustained load pausing at the in-flight bound builds queue between
 	// frames so groups actually amortize: a commit's durability needs every
 	// earlier LSN durable anyway (the VDL is contiguous), so holding its
@@ -107,10 +123,10 @@ func newCommitPipeline(db *DB) *commitPipeline {
 	}
 	p := &commitPipeline{
 		db:           db,
-		depth:        db.cfg.CommitQueueDepth,
+		depth:        commitQueueDepth,
 		maxGroupRecs: budget,
-		maxGroup:     db.cfg.MaxCommitGroup,
-		maxInflight:  db.cfg.MaxInflightGroups,
+		maxGroup:     maxCommitGroup,
+		maxInflight:  maxInflightGroups,
 		framerDone:   make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)

@@ -246,7 +246,8 @@ func TestPipelineCommitDurableAtReturn(t *testing.T) {
 // queueing unboundedly ahead of storage.
 func TestPipelineBackpressureBoundsQueue(t *testing.T) {
 	const depth = 4
-	net, f, db := pipelineDB(t, 16, Config{CommitQueueDepth: depth})
+	net, f, db := pipelineDB(t, 16, Config{})
+	setPipelineBudgets(db, depth, maxCommitGroup)
 	for _, n := range f.Replicas(0) {
 		if err := net.SetNodeDelay(n.NodeID(), 300*time.Millisecond); err != nil {
 			t.Fatal(err)
@@ -276,24 +277,11 @@ func TestPipelineBackpressureBoundsQueue(t *testing.T) {
 	}
 }
 
-// TestMaxInflightGroupsConfig verifies the batching budgets default to 64
-// commits per group and 4 groups in flight, and that an out-of-range sweep
-// value reaches the pipeline unclamped (ablations get exactly what they
-// asked for).
-func TestMaxInflightGroupsConfig(t *testing.T) {
-	_, db := testDB(t, Config{})
-	if p := db.pipeline; p.maxGroup != 64 || p.maxInflight != 4 {
-		t.Fatalf("zero config: group %d, inflight %d; want defaults 64, 4", p.maxGroup, p.maxInflight)
-	}
-
-	_, db2 := testDB(t, Config{MaxCommitGroup: 1, MaxInflightGroups: 100})
-	if p := db2.pipeline; p.maxGroup != 1 || p.maxInflight != 100 {
-		t.Fatalf("MaxCommitGroup=1, MaxInflightGroups=100 sweep reached the pipeline as %d, %d", p.maxGroup, p.maxInflight)
-	}
-	// Commits still work at the extreme settings.
-	for i := 0; i < 10; i++ {
-		if err := db2.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+// setPipelineBudgets gives a test's pipeline a shallower queue or smaller
+// groups than the constants. The pipeline reads both under its mutex.
+func setPipelineBudgets(db *DB, depth, maxGroup int) {
+	p := db.pipeline
+	p.mu.Lock()
+	p.depth, p.maxGroup = depth, maxGroup
+	p.mu.Unlock()
 }

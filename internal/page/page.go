@@ -149,18 +149,30 @@ func Materialize(id core.PageID, base Page, chain []*core.Record, readPoint core
 	} else {
 		p = New(id)
 	}
+	if err := p.Fold(chain, readPoint); err != nil {
+		return nil, fmt.Errorf("materialize page %d at %d: %w", id, readPoint, err)
+	}
+	return p, nil
+}
+
+// Fold applies to p, in place, the records of chain (ascending LSN) that are
+// at or below upTo and not yet reflected in it. It is the one fold loop:
+// Materialize runs it on a copy, a storage node on a read's frame (upTo the
+// read point) and on a base it coalesces (upTo the safe point). On error p
+// holds every record before the refused one, a whole image as of its LSN.
+func (p Page) Fold(chain []*core.Record, upTo core.LSN) error {
 	for _, r := range chain {
-		if r.LSN > readPoint {
+		if r.LSN > upTo {
 			break
 		}
 		if r.LSN <= p.LSN() {
 			continue // already reflected in the base image
 		}
 		if err := p.Apply(r); err != nil {
-			return nil, fmt.Errorf("materialize page %d at %d: %w", id, r.LSN, err)
+			return fmt.Errorf("record %d: %w", r.LSN, err)
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // DeltaRecord builds a page-delta record payload for the byte range

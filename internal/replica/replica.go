@@ -24,7 +24,8 @@ import (
 	"aurora/internal/volume"
 )
 
-// ErrClosed is returned by reads on a closed replica.
+// ErrClosed is returned by reads on a closed replica: one closed by its
+// owner, or one whose writer closed or crashed and ended its stream.
 var ErrClosed = errors.New("replica: closed")
 
 // Config tunes one read replica.
@@ -64,16 +65,19 @@ type Replica struct {
 	// page's history as of that point (volume growth, §3).
 	pgOfAt func(core.PageID, core.LSN) core.PGID
 
-	mu      sync.RWMutex // excludes reads during atomic MTR application
-	vdl     core.LSN
-	vdlA    atomic.Uint64 // lock-free mirror of vdl for the eviction fence
+	mu sync.RWMutex // excludes reads during atomic MTR application
+	// vdl is the applied durable point: the view reads are served at and the
+	// buffer cache's eviction fence. It is stored only under mu's exclusive
+	// lock, so a reader holding the shared lock sees it fixed.
+	vdl     atomic.Uint64 // a core.LSN
 	pending []core.Record // records above vdl, in LSN order
 	tails   map[core.PGID]core.LSN
 
-	cancel func()
-	stop   chan struct{}
-	done   chan struct{}
-	closed atomic.Bool
+	cancel   func()
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
+	closed   atomic.Bool
 
 	events    atomic.Uint64
 	applied   atomic.Uint64
@@ -81,7 +85,8 @@ type Replica struct {
 }
 
 // Attach creates a replica consuming db's log stream and reading cold
-// pages from the fleet.
+// pages from the fleet. The replica lives as long as that stream: when db
+// closes or crashes it detaches itself (see detach).
 func Attach(db *engine.DB, f *volume.Fleet, cfg Config) *Replica {
 	if cfg.CachePages <= 0 {
 		cfg.CachePages = 4096
@@ -89,7 +94,6 @@ func Attach(db *engine.DB, f *volume.Fleet, cfg Config) *Replica {
 	ctx, ctxCancel := context.WithCancel(context.Background())
 	r := &Replica{
 		name:      cfg.Name,
-		reader:    volume.NewReader(f, cfg.Name, cfg.AZ),
 		tracer:    cfg.Tracer,
 		ctx:       ctx,
 		ctxCancel: ctxCancel,
@@ -104,14 +108,14 @@ func Attach(db *engine.DB, f *volume.Fleet, cfg Config) *Replica {
 	r.cancel = cancel
 	// Seed the view from the writer's current durable state so reads issued
 	// before the first stream event see real data, not an empty volume.
-	// Events already queued re-advance idempotently.
+	// Events already queued re-advance idempotently. The reader pins that
+	// view in the writer's read-point registry, so storage GC keeps every
+	// version this replica could still read; the pin advances with the
+	// applied VDL in ingest.
 	vol := db.Volume()
-	r.vdl = vol.VDL()
-	r.vdlA.Store(uint64(r.vdl))
-	// Pin the starting view: storage GC must keep every version this
-	// replica could still read (the writer folds reader pins into its
-	// MRPL). The pin advances with the applied VDL in ingest.
-	r.reader.PinReadPoint(r.vdl)
+	reader, start := volume.NewReader(vol, cfg.Name, cfg.AZ)
+	r.reader = reader
+	r.vdl.Store(uint64(start))
 	for g := 0; g < f.PGs(); g++ {
 		if tail := vol.DurableTail(core.PGID(g)); tail > 0 {
 			r.tails[core.PGID(g)] = tail
@@ -127,6 +131,7 @@ func (r *Replica) loop(events <-chan engine.Event) {
 		select {
 		case ev, ok := <-events:
 			if !ok {
+				r.detach() // the writer closed or crashed
 				return
 			}
 			r.events.Add(1)
@@ -148,10 +153,8 @@ func (r *Replica) ingest(ev engine.Event) {
 	bsp := sp.Child("replica.buffer")
 	r.pending = append(r.pending, ev.Records...)
 	bsp.End()
-	newVDL := r.vdl
-	if ev.VDL > newVDL {
-		newVDL = ev.VDL
-	}
+	vdl := r.VDL()
+	newVDL := max(vdl, ev.VDL)
 	// Apply the prefix of pending records at or below the VDL. The VDL is
 	// always a CPL, so this prefix is a whole number of MTRs; holding the
 	// exclusive lock for the whole prefix makes the application atomic
@@ -169,13 +172,12 @@ func (r *Replica) ingest(ev engine.Event) {
 	trace.Annotate(asp, "applied", cut)
 	trace.Annotate(asp, "lag_records", len(r.pending))
 	asp.End()
-	if newVDL > r.vdl {
-		r.vdl = newVDL
-		r.vdlA.Store(uint64(newVDL))
-		// Advance the GC pin with the applied view (monotone).
-		r.reader.PinReadPoint(newVDL)
+	if newVDL > vdl {
+		r.vdl.Store(uint64(newVDL))
+		// No read holds the older view (they hold mu shared): release it.
+		r.reader.AdvancePin(newVDL)
 	}
-	trace.Annotate(sp, "vdl", r.vdl)
+	trace.Annotate(sp, "vdl", newVDL)
 	sp.End()
 }
 
@@ -213,7 +215,7 @@ func (r *Replica) applyLocked(rec *core.Record) {
 
 // VDL returns the replica's applied durable point. It is lock-free so the
 // buffer cache can consult it as its eviction fence from any context.
-func (r *Replica) VDL() core.LSN { return core.LSN(r.vdlA.Load()) }
+func (r *Replica) VDL() core.LSN { return core.LSN(r.vdl.Load()) }
 
 // replicaStore serves tree pages at the replica's read point: cache first,
 // then the shared storage volume, read into a recycled frame. Callers hold
@@ -231,7 +233,7 @@ type replicaStore struct {
 // store returns a store at the replica's current view; the caller holds
 // r.mu.RLock and releases the store's pins before unlocking.
 func (r *Replica) store(ctx context.Context) *replicaStore {
-	return &replicaStore{Pins: r.cache.NewPins(), r: r, ctx: r.joinCtx(ctx), readPoint: r.vdl}
+	return &replicaStore{Pins: r.cache.NewPins(), r: r, ctx: r.joinCtx(ctx), readPoint: r.VDL()}
 }
 
 func (s *replicaStore) Page(id core.PageID) (page.Page, error) {
@@ -306,28 +308,34 @@ func (r *Replica) WarmUp(from, to []byte) error {
 func (r *Replica) Stats() Stats {
 	r.mu.RLock()
 	buffered := len(r.pending)
-	vdl := r.vdl
 	r.mu.RUnlock()
 	return Stats{
 		Events:    r.events.Load(),
 		Applied:   r.applied.Load(),
 		Discarded: r.discarded.Load(),
 		Buffered:  buffered,
-		VDL:       vdl,
+		VDL:       r.VDL(),
 		Cache:     r.cache.Stats(),
 	}
 }
 
-// Close detaches the replica from the stream and the network.
-func (r *Replica) Close() {
-	if r.closed.Swap(true) {
-		return
-	}
-	r.cancel()
+// detach ends the replica's service: reads are refused with ErrClosed, the
+// in-flight storage reads unwind, and the reader drains them, releases the
+// replica's pin in the writer's registry and leaves the network. A replica
+// whose stream ended runs it itself: its writer is gone, GC no longer
+// protects its view, and the new writer's MRPL must not wait for it.
+func (r *Replica) detach() {
+	r.closed.Store(true)
 	r.ctxCancel()
-	close(r.stop)
-	<-r.done
-	// Reader.Close drains in-flight hedged fetches and releases this
-	// replica's read-point pin before leaving the network.
 	r.reader.Close()
+}
+
+// Close detaches the replica and unsubscribes it from the stream.
+func (r *Replica) Close() {
+	r.detach()
+	r.stopOnce.Do(func() {
+		r.cancel()
+		close(r.stop)
+	})
+	<-r.done
 }

@@ -195,6 +195,34 @@ func TestReplicaCloseIsCleanAndIdempotent(t *testing.T) {
 	}
 }
 
+// TestReplicaDetachesWhenWriterCrashes: a replica whose stream ends with its
+// writer stops serving — its view is no longer protected from storage GC —
+// and gives its pin back, without anyone calling Close.
+func TestReplicaDetachesWhenWriterCrashes(t *testing.T) {
+	f, db := testStack(t)
+	r := Attach(db, f, Config{Name: "replica1", AZ: 1})
+	defer r.Close()
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	waitVisible(t, r, "k", "v")
+	db.Crash()
+	select {
+	case <-r.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("replica still consuming a stream whose writer crashed")
+	}
+	if _, _, err := r.Get([]byte("k")); err != ErrClosed {
+		t.Fatalf("read after the writer's crash: %v, want ErrClosed", err)
+	}
+	if err := r.Scan(nil, nil, func(k, v []byte) bool { return true }); err != ErrClosed {
+		t.Fatalf("scan after the writer's crash: %v, want ErrClosed", err)
+	}
+	if vol := db.Volume(); vol.LowWaterMark() != vol.VDL() {
+		t.Fatalf("detached replica still pins %d below the VDL %d", vol.LowWaterMark(), vol.VDL())
+	}
+}
+
 func TestReplicaAddsNoStorageWrites(t *testing.T) {
 	f, db := testStack(t)
 	for i := 0; i < 10; i++ {

@@ -83,7 +83,7 @@ func (n *Node) coalesceLocked() int {
 		} else if base.VerifyChecksum() != nil {
 			return 0
 		}
-		err := foldInto(base, ps.chain, safe)
+		err := base.Fold(ps.chain, safe)
 		// Apply changes nothing when it refuses a record, so even on error
 		// the base is a whole image as of its LSN and needs a CRC to match.
 		base.UpdateChecksum()
@@ -137,25 +137,6 @@ func (n *Node) gcLogLocked(floor core.LSN) int {
 	n.cpls.trim(n.gcTail)
 	n.gced.Add(uint64(k))
 	return k
-}
-
-// foldInto applies to base, in place, the records of chain (ascending LSN)
-// that are at or below safe and not yet reflected in it: page.Materialize's
-// loop without its copy of the base. Coalescing runs it on the base itself,
-// a read on its private copy of the base with the read point as safe.
-func foldInto(base page.Page, chain []*core.Record, safe core.LSN) error {
-	for _, r := range chain {
-		if r.LSN > safe {
-			break
-		}
-		if r.LSN <= base.LSN() {
-			continue
-		}
-		if err := base.Apply(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cutChain drops the records at or below floor from the front of a chain by

@@ -741,7 +741,7 @@ func (n *Node) readLocked(id core.PageID, readPoint, required core.LSN, geomEpoc
 	}
 	// The chain up to the read point goes onto the copy with the loop
 	// coalescing uses on the base itself.
-	if err := foldInto(dst, ps.chain, readPoint); err != nil {
+	if err := dst.Fold(ps.chain, readPoint); err != nil {
 		return 0, true, fmt.Errorf("%s: materialize page %d at %d: %w", n.cfg.Node, id, readPoint, err)
 	}
 	return scl, true, nil

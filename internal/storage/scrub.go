@@ -41,8 +41,14 @@ func (n *Node) ScrubOnce() int {
 }
 
 // repairPageFromPeers replaces a corrupt base page with a verified copy
-// from the first peer that has one, merging the peer's delta chain so no
-// record is lost.
+// from the first peer that has a complete one, merging the peer's delta chain
+// so no record is lost. Complete means the peer's SCL has reached this node's
+// GC tail: the records at or below the tail were folded into the base being
+// dropped and live nowhere else here, so a peer that lacks one of them — a
+// page's first record, say, that it never received and its peers have since
+// collected — would hand over a chain that starts late over no base, and the
+// page would come back as a zero page with the SCL vouching for it. With no
+// complete peer the page stays corrupt and refused.
 func (n *Node) repairPageFromPeers(ctx context.Context, id core.PageID, peers []*Node) bool {
 	for _, peer := range peers {
 		if peer.down.Load() || ctx.Err() != nil {
@@ -51,8 +57,8 @@ func (n *Node) repairPageFromPeers(ctx context.Context, id core.PageID, peers []
 		if err := n.cfg.Net.Send(ctx, n.cfg.Node, peer.cfg.Node, gossipRequestSize); err != nil {
 			continue
 		}
-		base, chain, ok := peer.pageCopy(id)
-		if !ok {
+		base, chain, scl, ok := peer.pageCopy(id)
+		if !ok || scl < n.GCTail() {
 			continue
 		}
 		size := len(base)
@@ -111,16 +117,17 @@ func (n *Node) installRepairLocked(id core.PageID, base page.Page, chain []*core
 	}
 }
 
-// pageCopy returns a clone of the node's base image and chain for a page.
-func (n *Node) pageCopy(id core.PageID) (page.Page, []*core.Record, bool) {
+// pageCopy returns a clone of the node's base image and chain for a page,
+// with the SCL they are complete through.
+func (n *Node) pageCopy(id core.PageID) (page.Page, []*core.Record, core.LSN, bool) {
 	if n.down.Load() {
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ps := n.pages[id]
 	if ps == nil {
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
 	var base page.Page
 	if ps.base != nil {
@@ -128,7 +135,7 @@ func (n *Node) pageCopy(id core.PageID) (page.Page, []*core.Record, bool) {
 	}
 	chain := make([]*core.Record, len(ps.chain))
 	copy(chain, ps.chain)
-	return base, chain, true
+	return base, chain, n.gaps.SCL(), true
 }
 
 // CorruptPage flips bytes in the materialized base image of a page — the

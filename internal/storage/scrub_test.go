@@ -263,3 +263,72 @@ func TestScrubRepairFromPeerBehindGCTail(t *testing.T) {
 		t.Fatalf("second repair left a chain of %d, want 3", victim.ChainLength(1))
 	}
 }
+
+// TestScrubRepairsOnlyFromACompletePeer: peer A never received page 1's first
+// record, and its peers have since collected it, so A holds the page as a
+// chain that starts late over no base; peer B holds it whole. The victim's
+// own copy of that record is folded into the base that just went corrupt.
+// A repair from A would install A's chain over no base and serve a zero page
+// where "a" belongs, with the victim's SCL vouching for it; the scrubber must
+// pass A over for B. With A the only live peer the page stays refused.
+func TestScrubRepairsOnlyFromACompletePeer(t *testing.T) {
+	setup := func(t *testing.T) (victim, a, b *Node) {
+		_, nodes := testPG(t, nil)
+		victim, a, b = nodes[0], nodes[1], nodes[2]
+		ctx := context.Background()
+		f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
+		for i := 0; i < 8; i++ {
+			m := &core.MTR{Txn: uint64(i)}
+			m.AddDelta(0, 1, uint32(i), []byte{byte('a' + i)})
+			bv := frame(t, f, m)[0]
+			for _, n := range nodes {
+				if i == 0 && n == a {
+					continue // A misses the page's first record
+				}
+				if _, err := receiveBatch(n, ctx, bv, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, n := range []*Node{victim, a, b} {
+			if _, _, err := n.Ingest(ctx, nil, 8, 5, nil); err != nil { // VDL 8, PGMRPL 5
+				t.Fatal(err)
+			}
+			n.CoalesceOnce()
+		}
+		if victim.GCTail() != 5 || a.SCL() != 0 || a.BasePageLSN(1) != 0 || a.ChainLength(1) != 7 {
+			t.Fatalf("setup: victim GC tail %d; A SCL %d, base at %d, chain of %d; want 5, 0, 0, 7",
+				victim.GCTail(), a.SCL(), a.BasePageLSN(1), a.ChainLength(1))
+		}
+		victim.SetPeers([]*Node{a, b}) // A is asked first
+		if !victim.CorruptPage(1) {
+			t.Fatal("no base image to corrupt")
+		}
+		return victim, a, b
+	}
+
+	t.Run("complete-peer", func(t *testing.T) {
+		victim, _, _ := setup(t)
+		if bad := victim.ScrubOnce(); bad != 1 || victim.Stats().ScrubsRepaired != 1 {
+			t.Fatalf("scrub found %d corrupt pages, repaired %d; want 1 and 1", bad, victim.Stats().ScrubsRepaired)
+		}
+		p, err := victim.ReadPage(context.Background(), 1, 8, 8)
+		if err != nil {
+			t.Fatalf("read after repair: %v", err)
+		}
+		if got := string(p.Payload()[:8]); got != "abcdefgh" {
+			t.Fatalf("payload after repair: %q, want %q", got, "abcdefgh")
+		}
+	})
+
+	t.Run("only-incomplete-peer", func(t *testing.T) {
+		victim, _, b := setup(t)
+		b.Crash()
+		if bad := victim.ScrubOnce(); bad != 1 || victim.Stats().ScrubsRepaired != 0 {
+			t.Fatalf("scrub found %d corrupt pages, repaired %d; want 1 and 0", bad, victim.Stats().ScrubsRepaired)
+		}
+		if _, err := victim.ReadPage(context.Background(), 1, 8, 8); !errors.Is(err, ErrCorruptPage) {
+			t.Fatalf("read with only an incomplete peer to repair from: err=%v, want ErrCorruptPage", err)
+		}
+	})
+}

@@ -36,7 +36,6 @@ type Client struct {
 
 	alloc  *core.Allocator
 	framer *core.Framer
-	vdl    *core.VDLTracker
 	win    *durableWindow
 	reads  *readRegistry
 	epoch  uint64
@@ -95,6 +94,7 @@ func newClient(f *Fleet, cfg ClientConfig, start core.LSN, tails map[core.PGID]c
 	f.cfg.Net.AddNode(cfg.WriterNode, cfg.WriterAZ)
 	alloc := core.NewAllocator(start, cfg.LAL)
 	rootCtx, rootCancel := context.WithCancel(context.Background())
+	win := newDurableWindow(start, tails)
 	c := &Client{
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
@@ -103,12 +103,10 @@ func newClient(f *Fleet, cfg ClientConfig, start core.LSN, tails map[core.PGID]c
 		q:          f.q,
 		alloc:      alloc,
 		framer:     core.NewFramer(alloc, tails),
-		vdl:        core.NewVDLTracker(start),
-		win:        newDurableWindow(start, tails),
-		reads:      newReadRegistry(start),
+		win:        win,
+		reads:      newReadRegistry(win),
 		epoch:      epoch,
 	}
-	c.vdl.Advance(start)
 	senders := make([][]*replicaSender, f.PGs())
 	for g := range senders {
 		replicas := f.Replicas(core.PGID(g))
@@ -152,13 +150,13 @@ func (c *Client) extendSenders() {
 }
 
 // VDL returns the current volume durable LSN.
-func (c *Client) VDL() core.LSN { return c.vdl.VDL() }
+func (c *Client) VDL() core.LSN { return c.win.VDL() }
 
 // WaitDurable blocks until the VDL reaches lsn (or the client closes).
 // This is the primitive behind asynchronous commit: the WAL protocol's
 // equivalent is completing a commit if and only if VDL >= commit LSN
 // (§4.2.2).
-func (c *Client) WaitDurable(lsn core.LSN) { c.vdl.Wait(lsn) }
+func (c *Client) WaitDurable(lsn core.LSN) { <-c.win.waitFor(lsn) }
 
 // Epoch returns the client's recovery epoch.
 func (c *Client) Epoch() uint64 { return c.epoch }
@@ -185,25 +183,16 @@ func (c *Client) PGOfAt(id core.PageID, readPoint core.LSN) core.PGID {
 // below the VDL — the completeness a read of that PG requires (§4.2.3).
 func (c *Client) DurableTail(pg core.PGID) core.LSN { return c.win.durableTail(pg) }
 
-// LowWaterMark returns the current MRPL (see readRegistry), folded with the
-// read points pinned by attached read replicas — storage GC must respect
-// the oldest view any instance on the volume can still request (§4.2.3).
-func (c *Client) LowWaterMark() core.LSN { return c.mrpl(c.vdl.VDL()) }
-
-func (c *Client) mrpl(vdl core.LSN) core.LSN {
-	m := c.reads.lowWaterMark(vdl)
-	if floor, ok := c.fleet.readerFloor(); ok && floor < m {
-		m = floor
-	}
-	return m
-}
+// LowWaterMark returns the current MRPL (see readRegistry): the oldest view
+// any reader of this writer — its own page reads and transactions, and every
+// attached read replica — can still request (§4.2.3).
+func (c *Client) LowWaterMark() core.LSN { return c.reads.lowWaterMark(c.win.VDL()) }
 
 // RegisterReadPoint establishes a read view at the current VDL, holding
 // the volume's low-water mark down until released. The engine uses it for
 // transaction snapshots; page reads register internally.
 func (c *Client) RegisterReadPoint() (core.LSN, func()) {
-	p := c.vdl.VDL()
-	tok := c.reads.register(p)
+	p, tok := c.reads.register()
 	return p, func() { c.reads.release(tok) }
 }
 
@@ -417,10 +406,10 @@ func (g *GroupWrite) Ship(ctx context.Context) error {
 
 // batchResolved runs on the goroutine whose ack or nack resolved batch bi's
 // quorum — a sender loop, or the enqueuer when the pipeline had already
-// stopped. It settles what the resolution decided and publishes in the order
-// the read path relies on: per-PG tails (inside the window), then the VDL,
-// then the allocator's back-pressure window — and only then the completions,
-// so a completion that reports durability never runs below the VDL.
+// stopped. The window settles what the resolution decided and publishes the
+// per-PG tails and then the VDL in one critical section; the allocator's
+// back-pressure bound follows, and only then the completions, so a completion
+// that reports durability never runs below the VDL.
 func (g *GroupWrite) batchResolved(bi int) {
 	b := &g.batches[bi]
 	err := b.tr.Err()
@@ -433,9 +422,7 @@ func (g *GroupWrite) batchResolved(bi int) {
 	if quorate && g.sp != nil {
 		g.await("vdl.wait")
 	}
-	if c.vdl.Advance(vdl) {
-		c.alloc.AdvanceVDL(vdl)
-	}
+	c.alloc.AdvanceVDL(vdl)
 	c.complete(settled)
 }
 
@@ -494,8 +481,7 @@ func (c *Client) ReadPageInto(ctx context.Context, id core.PageID, dst page.Page
 	if c.closed.Load() {
 		return core.ZeroLSN, ErrClosed
 	}
-	readPoint := c.vdl.VDL()
-	tok := c.reads.register(readPoint)
+	readPoint, tok := c.reads.register()
 	defer c.reads.release(tok)
 	return readPoint, c.readAt(ctx, id, readPoint, dst)
 }
@@ -599,7 +585,7 @@ func (c *Client) Stats() Stats {
 		HedgeCancels:    hs.HedgeCancels,
 		AutoRepairs:     hs.AutoRepairs,
 		RespDrops:       hs.RespDrops,
-		VDL:             c.vdl.VDL(),
+		VDL:             c.win.VDL(),
 		HighestLSN:      c.alloc.HighestAllocated(),
 		Backlog:         c.win.backlog(),
 		Flights:         flights,
@@ -614,7 +600,8 @@ func (c *Client) Stats() Stats {
 // Crash tears the writer down abruptly: the root context is canceled (any
 // in-flight send or backoff is abandoned), pending shipments are nacked, and
 // whatever the nacks did not settle is abandoned: every group gets its
-// completion, none as durable that the window did not retire. The storage
+// completion, none as durable that the window did not retire, and every
+// VDL waiter is released short of its target. The storage
 // fleet is untouched — its durable state is what Recover reads.
 func (c *Client) Crash() {
 	if c.closed.Swap(true) {
@@ -628,7 +615,6 @@ func (c *Client) Crash() {
 	}
 	c.complete(c.win.abandon())
 	c.alloc.Close()
-	c.vdl.Close()
 	c.fleet.cfg.Net.RemoveNode(c.node)
 }
 
@@ -637,7 +623,8 @@ func (c *Client) Crash() {
 // nacking). Every quorum resolves on the goroutine that delivered its last
 // verdict, so once the pipelines have drained the VDL is final; only then are
 // the groups still in the window (framed but never retired) abandoned, the
-// root context canceled and the allocator torn down.
+// waiters still short of their target released, the root context canceled
+// and the allocator torn down.
 func (c *Client) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -650,6 +637,5 @@ func (c *Client) Close() {
 	c.complete(c.win.abandon())
 	c.rootCancel()
 	c.alloc.Close()
-	c.vdl.Close()
 	c.fleet.cfg.Net.RemoveNode(c.node)
 }

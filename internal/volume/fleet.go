@@ -84,13 +84,6 @@ type Fleet struct {
 	monMu   sync.Mutex
 	monStop chan struct{}
 	monDone sync.WaitGroup
-
-	// readerPts pins the read points of attached read replicas: the writer
-	// folds the minimum into its MRPL so storage GC never collects a page
-	// version a replica may still serve (§4.2.3). Reader.Close releases the
-	// pin — a departed replica must not hold the GC floor down forever.
-	readerMu  sync.Mutex
-	readerPts map[netsim.NodeID]core.LSN
 }
 
 // NewFleet provisions the storage nodes and wires each PG's peers.
@@ -412,42 +405,6 @@ func (f *Fleet) healthMonitorOnce() {
 			}
 		}
 	}
-}
-
-// setReaderPoint records (monotonically) the read point a replica reader
-// has pinned. The reader advances it as its applied view moves forward.
-func (f *Fleet) setReaderPoint(node netsim.NodeID, lsn core.LSN) {
-	f.readerMu.Lock()
-	if f.readerPts == nil {
-		f.readerPts = make(map[netsim.NodeID]core.LSN)
-	}
-	if cur, ok := f.readerPts[node]; !ok || lsn > cur {
-		f.readerPts[node] = lsn
-	}
-	f.readerMu.Unlock()
-}
-
-// unregisterReader drops a reader's read-point pin.
-func (f *Fleet) unregisterReader(node netsim.NodeID) {
-	f.readerMu.Lock()
-	delete(f.readerPts, node)
-	f.readerMu.Unlock()
-}
-
-// readerFloor returns the lowest read point pinned by any attached reader,
-// and whether one exists.
-func (f *Fleet) readerFloor() (core.LSN, bool) {
-	f.readerMu.Lock()
-	defer f.readerMu.Unlock()
-	var floor core.LSN
-	found := false
-	for _, lsn := range f.readerPts {
-		if !found || lsn < floor {
-			floor = lsn
-			found = true
-		}
-	}
-	return floor, found
 }
 
 // PageFeedBytes sums the asynchronous log→page feed traffic over the

@@ -131,7 +131,7 @@ func TestRespDropCountedDistinctly(t *testing.T) {
 		s.waitIdle()
 	}
 
-	r := NewReader(f, "replica-reader", 0)
+	r, _ := NewReader(c, "replica-reader", 0)
 	defer r.Close()
 
 	// The reader sits in AZ0, so replicas 0 and 1 order first (same AZ;

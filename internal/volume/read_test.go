@@ -31,9 +31,11 @@ func TestReaderReroutesAcrossCutover(t *testing.T) {
 	}
 	readPoint := c.VDL()
 
-	r := NewReader(f, "replica-reader", 1)
+	r, pinned := NewReader(c, "replica-reader", 1)
 	defer r.Close()
-	r.PinReadPoint(readPoint)
+	if pinned != readPoint {
+		t.Fatalf("reader pinned %d, want the VDL %d", pinned, readPoint)
+	}
 
 	var (
 		once    sync.Once
@@ -94,7 +96,7 @@ func TestReaderDemotesKnownBehindReplica(t *testing.T) {
 		t.Fatalf("health order leads with replica %d, want 0", got)
 	}
 
-	r := NewReader(f, "replica-reader", 0)
+	r, _ := NewReader(c, "replica-reader", 0)
 	defer r.Close()
 	col := trace.NewCollector(4)
 	col.SetSampleEvery(1)
@@ -136,7 +138,7 @@ func TestReaderDemotesKnownBehindReplica(t *testing.T) {
 func TestReaderCloseUnwindsParkedRead(t *testing.T) {
 	f, c := testVolume(t, 1)
 	writePage(t, c, 3, "v")
-	r := NewReader(f, "replica-reader", 0)
+	r, _ := NewReader(c, "replica-reader", 0)
 	if err := f.Net().SetNodeDelay("replica-reader", time.Second); err != nil {
 		t.Fatal(err)
 	}

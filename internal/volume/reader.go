@@ -14,11 +14,17 @@ import (
 // ErrReaderClosed is returned by reads on a closed Reader.
 var ErrReaderClosed = errors.New("volume: reader closed")
 
-// Reader is a read-only attachment to a fleet, used by read replicas. A
-// replica learns the per-PG durable tails from the writer's log stream, so
-// it passes the completeness requirement explicitly.
+// Reader is a read-only attachment to a writer's volume, used by read
+// replicas. A replica learns the per-PG durable tails from the writer's log
+// stream, so it passes the completeness requirement explicitly. The reader
+// holds one pin in the writer's read-point registry: the oldest view it may
+// still serve, which the writer's MRPL respects, so storage GC never collects
+// a version the replica could request (§4.2.3). The pin belongs to that
+// writer and ends with it.
 type Reader struct {
 	fleet *Fleet
+	reads *readRegistry
+	pin   readToken
 	node  netsim.NodeID
 
 	// ctx bounds the reader's lifetime: Close cancels it, which unwinds
@@ -32,20 +38,19 @@ type Reader struct {
 	pageReads readCounters // bumped by the shared read path (read.go)
 }
 
-// NewReader registers a read-only consumer of the volume on the network.
-func NewReader(f *Fleet, node netsim.NodeID, az netsim.AZ) *Reader {
-	f.cfg.Net.AddNode(node, az)
+// NewReader registers a read-only consumer of c's volume on the network and
+// pins c's current VDL in c's read-point registry. It returns the reader with
+// that VDL: the view the reader starts from.
+func NewReader(c *Client, node netsim.NodeID, az netsim.AZ) (*Reader, core.LSN) {
+	c.fleet.cfg.Net.AddNode(node, az)
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Reader{fleet: f, node: node, ctx: ctx, cancel: cancel}
+	start, pin := c.reads.register()
+	return &Reader{fleet: c.fleet, reads: c.reads, pin: pin, node: node, ctx: ctx, cancel: cancel}, start
 }
 
-// PinReadPoint registers the oldest view this reader may still serve with
-// the fleet. The writer folds the minimum over all readers into its MRPL,
-// so storage GC never collects a version a replica could request (§4.2.3).
-// Pins are monotone: the reader advances its pin as its applied view moves.
-func (r *Reader) PinReadPoint(lsn core.LSN) {
-	r.fleet.setReaderPoint(r.node, lsn)
-}
+// AdvancePin moves the reader's pin up to lsn as its applied view moves
+// forward. Pins never move down; after Close this does nothing.
+func (r *Reader) AdvancePin(lsn core.LSN) { r.reads.advance(r.pin, lsn) }
 
 // ReadPageAt reads the version of a page as of readPoint into a new page (see
 // ReadPageInto).
@@ -83,8 +88,8 @@ func (r *Reader) ReadPageInto(ctx context.Context, id core.PageID, readPoint, re
 
 // Close detaches the reader: new reads are refused, in-flight hedged
 // attempts are canceled and drained, the read-point pin is released (so the
-// writer's GC floor can advance past this replica's view), and only then
-// does the node leave the network.
+// writer's MRPL can advance past this replica's view), and only then does
+// the node leave the network.
 func (r *Reader) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -95,6 +100,6 @@ func (r *Reader) Close() {
 	r.mu.Unlock()
 	r.cancel()
 	r.wg.Wait()
-	r.fleet.unregisterReader(r.node)
+	r.reads.release(r.pin)
 	r.fleet.cfg.Net.RemoveNode(r.node)
 }

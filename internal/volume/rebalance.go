@@ -153,7 +153,7 @@ func (c *Client) migrateStripe(mv core.StripeMove) (uint64, error) {
 	if err != nil {
 		return copied, err
 	}
-	if err := c.fleet.PublishGeometry(ng, c.vdl.VDL()); err != nil {
+	if err := c.fleet.PublishGeometry(ng, c.win.VDL()); err != nil {
 		return copied, err
 	}
 	return copied, nil
@@ -189,10 +189,10 @@ func (c *Client) stripePages(from core.PGID, match func(core.PageID) bool) map[c
 func (c *Client) drainWrites() error {
 	top := c.alloc.HighestAllocated()
 	select {
-	case <-c.vdl.WaitChan(top):
+	case <-c.win.waitFor(top):
 	case <-c.rootCtx.Done():
 	}
-	if c.vdl.VDL() < top {
+	if c.win.VDL() < top {
 		return ErrClosed
 	}
 	for _, pg := range *c.senders.Load() {

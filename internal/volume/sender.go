@@ -79,8 +79,9 @@ func (sh shipment) release() { sh.gw.g.Release() }
 // SenderWindow bounds the flights one (PG, replica) pipeline keeps in the air
 // at once. It is a capacity bound like the queue ring's size: a batch must
 // never wait out another commit's round trip, and on a network that takes
-// time the commit pipeline admits engine.Config.MaxInflightGroups (4) groups,
-// so that many flights per replica is all the overlap there is to have. Where
+// time the engine's commit pipeline admits maxInflightGroups (4) groups in
+// flight, so that many flights per replica is all the overlap there is to
+// have. Where
 // a delivery never blocks, a second worker is never started. EXPERIMENTS.md
 // has the {2, 4, 8} sweep.
 const SenderWindow = 4
@@ -441,8 +442,8 @@ func (s *replicaSender) attempt(ctx context.Context, sc *flightScratch, sp *trac
 	if err := sendHopBytes(ctx, c.fleet.cfg.Net, sp, "net.req", c.node, s.node.NodeID(), sc.payloads); err != nil {
 		return storage.Ack{}, nil, err
 	}
-	vdlNow := c.vdl.VDL()
-	mrpl := c.mrpl(vdlNow)
+	vdlNow := c.win.VDL()
+	mrpl := c.reads.lowWaterMark(vdlNow)
 	ack, results, err := s.node.Ingest(trace.NewContext(ctx, sp), sc.views, vdlNow, mrpl, sc.results[:0])
 	sc.results = results
 	if err != nil {

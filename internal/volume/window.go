@@ -10,8 +10,10 @@ package volume
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"aurora/internal/core"
 	"aurora/internal/quorum"
@@ -20,7 +22,9 @@ import (
 // durableWindow is the writer's one piece of durability state (§4.1–§4.2.2):
 // the shipped groups that are not yet durable, in LSN order, and what their
 // retirement has published so far — the VDL and, per protection group, the
-// highest record LSN at or below it.
+// highest record LSN at or below it. It is the one owner of the VDL: readers
+// load it (VDL), the few callers that wait for it wait here (waitFor), and
+// the allocator's LAL bound is advanced from what resolve returns.
 //
 // An entry is the GroupWrite itself. A group owns one contiguous LSN range
 // that ends on its last member's CPL, and it carries, per batch, the PG, the
@@ -42,14 +46,25 @@ import (
 // returns it; the caller completes it (Client.complete).
 //
 // vdl doubles as the contiguous frontier: every LSN at or below it belongs
-// to a retired group, and because groups end on a CPL it is always one.
+// to a retired group, and because groups end on a CPL it is always one. It is
+// stored only under mu, inside resolve's critical section right after the
+// tails of the groups it retires, and loaded anywhere without the lock.
 type durableWindow struct {
 	mu        sync.Mutex
-	vdl       core.LSN
+	vdl       atomic.Uint64 // a core.LSN
 	pending   []*GroupWrite // registered, not settled; ascending by first
 	tails     map[core.PGID]core.LSN
-	pinned    core.LSN // first LSN of the lowest failed group; 0 while none failed
+	waiters   []vdlWaiter // WaitDurable and drainWrites callers, unsorted
+	pinned    core.LSN    // first LSN of the lowest failed group; 0 while none failed
 	abandoned bool
+}
+
+// vdlWaiter is a caller waiting for the VDL to reach target. Commits never
+// wait here — a commit is completed by the goroutine that settles its group —
+// so the waiters are the occasional ones and sit in an unsorted slice.
+type vdlWaiter struct {
+	target core.LSN
+	ch     chan struct{}
 }
 
 // errBehindFailed is the outcome of a group that sits behind a failed one.
@@ -59,12 +74,17 @@ var errBehindFailed = fmt.Errorf("volume: an earlier write lost its quorum: %w",
 // durable (recovery seeds start with the top of the LSN range it annulled and
 // tails with the chain tails it found; both are zero for a fresh volume).
 func newDurableWindow(start core.LSN, tails map[core.PGID]core.LSN) *durableWindow {
-	w := &durableWindow{vdl: start, tails: make(map[core.PGID]core.LSN, len(tails))}
+	w := &durableWindow{tails: make(map[core.PGID]core.LSN, len(tails))}
+	w.vdl.Store(uint64(start))
 	for pg, lsn := range tails {
 		w.tails[pg] = lsn
 	}
 	return w
 }
+
+// VDL returns the volume durable LSN: the highest CPL every record at or
+// below which is on its write quorum.
+func (w *durableWindow) VDL() core.LSN { return core.LSN(w.vdl.Load()) }
 
 // register enters a group about to ship, keeping pending sorted by LSN
 // (groups arrive almost in order, so the scan from the back is short), or
@@ -88,21 +108,25 @@ func (w *durableWindow) register(g *GroupWrite) error {
 
 // resolve records that one batch of g reached its quorum, or (failed) never
 // can, and settles every group this decides: the head groups it makes durable,
-// or g and everything behind it. Retiring publishes the group's per-PG tails
-// here, under the lock; the caller publishes the returned VDL afterwards, and
-// only then completes the settled groups. That order is the read path's
-// contract: a reader takes the VDL as its read point and durableTail(pg) as
-// the completeness it demands, so VDL >= x must already imply that the tail
-// covers every framed record of pg at or below x — published the other way
-// round, a read at a just-acked CPL could demand a stale tail and be served
-// the previous version. quorate reports that this was the last of g's own
-// quorums: what g still waits for, if anything, is the groups ahead of it.
+// or g and everything behind it. Retiring publishes, in one critical section,
+// the retired groups' per-PG tails and then the VDL, and releases the waiters
+// the new VDL satisfies; the caller advances the allocator's bound to the
+// returned VDL and only then completes the settled groups. The order of tails
+// and VDL is the read path's contract: a reader takes the VDL as its read
+// point and durableTail(pg) as the completeness it demands, so VDL >= x must
+// already imply that the tail covers every framed record of pg at or below x
+// — published the other way round, a read at a just-acked CPL could demand a
+// stale tail and be served the previous version. Both are stored here and
+// nowhere else, so the order holds by construction. quorate reports that this
+// was the last of g's own quorums: what g still waits for, if anything, is
+// the groups ahead of it.
 func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, settled *GroupWrite, quorate bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	vdl = w.VDL()
 	g.unresolved--
 	if g.settled {
-		return w.vdl, nil, false // a straggler of a group that already failed
+		return vdl, nil, false // a straggler of a group that already failed
 	}
 	if failed {
 		if w.pinned == 0 || g.first < w.pinned {
@@ -112,12 +136,12 @@ func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, settl
 		behind := w.settle(i+1, len(w.pending), errBehindFailed)
 		settled = w.settle(i, i+1, quorum.ErrQuorumImpossible)
 		settled.next = behind
-		return w.vdl, settled, false
+		return vdl, settled, false
 	}
 	n := 0
 	for ; n < len(w.pending); n++ {
 		h := w.pending[n]
-		if h.unresolved > 0 || h.first != w.vdl+1 {
+		if h.unresolved > 0 || h.first != vdl+1 {
 			break
 		}
 		for i := range h.batches {
@@ -125,17 +149,51 @@ func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, settl
 				w.tails[b.pg] = b.last
 			}
 		}
-		w.vdl = h.last
+		vdl = h.last
 	}
-	return w.vdl, w.settle(0, n, nil), g.unresolved == 0
+	if n > 0 {
+		w.vdl.Store(uint64(vdl))
+		w.release(vdl)
+	}
+	return vdl, w.settle(0, n, nil), g.unresolved == 0
 }
 
-// abandon settles everything still pending as abandoned and refuses every
-// later registration: the client is going away.
+// waitFor returns a channel that is closed once the VDL reaches target, or
+// the window is abandoned: a caller released that way finds the VDL short of
+// its target and must not treat the release as durability.
+func (w *durableWindow) waitFor(target core.LSN) <-chan struct{} {
+	ch := make(chan struct{})
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.abandoned || w.VDL() >= target {
+		close(ch)
+		return ch
+	}
+	w.waiters = append(w.waiters, vdlWaiter{target: target, ch: ch})
+	return ch
+}
+
+// release closes and drops the waiters whose target is at or below upTo.
+func (w *durableWindow) release(upTo core.LSN) {
+	kept := w.waiters[:0]
+	for _, wt := range w.waiters {
+		if wt.target <= upTo {
+			close(wt.ch)
+		} else {
+			kept = append(kept, wt)
+		}
+	}
+	clear(w.waiters[len(kept):]) // drop the channel references
+	w.waiters = kept
+}
+
+// abandon settles everything still pending as abandoned, releases every
+// waiter and refuses every later registration: the client is going away.
 func (w *durableWindow) abandon() *GroupWrite {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.abandoned = true
+	w.release(math.MaxUint64)
 	return w.settle(0, len(w.pending), ErrClosed)
 }
 
@@ -172,32 +230,50 @@ func (w *durableWindow) backlog() int {
 	return len(w.pending)
 }
 
-// readRegistry tracks outstanding read points (page reads and transaction
-// read views). Its minimum is the volume's MRPL: the low-water mark below
-// which no future read can be issued, which the writer gossips to storage
-// nodes so they can coalesce and garbage collect (§4.2.3).
+// readRegistry tracks the writer's outstanding read points: page reads,
+// transaction read views, and the view each attached read replica may still
+// serve. It is the one registry per writer. Its minimum is the volume's MRPL:
+// the low-water mark below which no future read can be issued, which the
+// writer gossips to storage nodes so they can coalesce and garbage collect
+// (§4.2.3). A pin lives in the registry of the writer it was taken from, so
+// it ends with that writer: a recovered writer starts with none.
 type readRegistry struct {
+	win    *durableWindow
 	mu     sync.Mutex
 	next   readToken
 	points map[readToken]core.LSN
 	floor  core.LSN // monotonic published low-water mark
 }
 
-func newReadRegistry(start core.LSN) *readRegistry {
-	return &readRegistry{points: make(map[readToken]core.LSN), floor: start}
+func newReadRegistry(win *durableWindow) *readRegistry {
+	return &readRegistry{win: win, points: make(map[readToken]core.LSN), floor: win.VDL()}
 }
 
-// readToken names one registered read point, for release.
+// readToken names one registered read point, for advance and release.
 type readToken int64
 
-// register records an outstanding read point until release(token).
-func (r *readRegistry) register(p core.LSN) readToken {
+// register pins the current VDL as a read point until release(token) and
+// returns it. The VDL is loaded under the registry's lock, so the pin is never
+// below a low-water mark already published: lowWaterMark loaded its VDL
+// before taking the lock, and the VDL only grows.
+func (r *readRegistry) register() (core.LSN, readToken) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := r.win.VDL()
 	tok := r.next
 	r.next++
 	r.points[tok] = p
+	return p, tok
+}
+
+// advance moves a registered read point up to p (a replica's applied view
+// moving forward). Pins never move down, and a released token stays released.
+func (r *readRegistry) advance(tok readToken, p core.LSN) {
+	r.mu.Lock()
+	if cur, ok := r.points[tok]; ok && p > cur {
+		r.points[tok] = p
+	}
 	r.mu.Unlock()
-	return tok
 }
 
 // release drops a read point register returned.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/quorum"
@@ -176,9 +178,7 @@ func TestAckWindowPermutationProperty(t *testing.T) {
 		}
 		check := func(step string) bool {
 			want := o.vdl()
-			w.mu.Lock()
-			got := w.vdl
-			w.mu.Unlock()
+			got := w.VDL()
 			if got != want {
 				t.Logf("seed %d after %s: vdl %d, oracle %d", seed, step, got, want)
 				return false
@@ -368,12 +368,22 @@ func TestPGTailTracker(t *testing.T) {
 }
 
 func TestReadRegistryLowWaterMark(t *testing.T) {
-	r := newReadRegistry(10)
+	w := newDurableWindow(10, nil)
+	r := newReadRegistry(w)
 	if lwm := r.lowWaterMark(20); lwm != 20 {
 		t.Fatalf("no-readers LWM %d, want VDL", lwm)
 	}
-	t15 := r.register(15)
-	t18 := r.register(18)
+	// Pins are taken at the window's VDL; the test moves it by hand.
+	pinAt := func(vdl core.LSN) readToken {
+		w.vdl.Store(uint64(vdl))
+		p, tok := r.register()
+		if p != vdl {
+			t.Fatalf("pinned %d, want the VDL %d", p, vdl)
+		}
+		return tok
+	}
+	t15 := pinAt(15)
+	t18 := pinAt(18)
 	if lwm := r.lowWaterMark(30); lwm != 20 {
 		// Floor is monotonic: it already advanced to 20 above, and the
 		// outstanding reads (15, 18) cannot drag it back.
@@ -385,13 +395,203 @@ func TestReadRegistryLowWaterMark(t *testing.T) {
 		t.Fatalf("LWM %d after releases, want 40", lwm)
 	}
 	// A long-held read pins the mark.
-	hold := r.register(40)
-	r.register(45) // a later read does not matter; min rules
+	hold := pinAt(40)
+	later := pinAt(45) // a later read does not matter; min rules
 	if lwm := r.lowWaterMark(99); lwm != 40 {
 		t.Fatalf("LWM %d, want pinned 40", lwm)
 	}
 	r.release(hold)
 	if lwm := r.lowWaterMark(99); lwm != 45 {
 		t.Fatalf("LWM %d, want 45 (remaining read)", lwm)
+	}
+	// A replica's pin advances with its applied view, never back, and a
+	// released pin stays released.
+	r.advance(later, 60)
+	r.advance(later, 50)
+	if lwm := r.lowWaterMark(99); lwm != 60 {
+		t.Fatalf("LWM %d, want the advanced pin 60", lwm)
+	}
+	r.release(later)
+	r.advance(later, 70)
+	if lwm := r.lowWaterMark(99); lwm != 99 {
+		t.Fatalf("LWM %d after the pin's release, want the VDL 99", lwm)
+	}
+}
+
+// The window is the one place a caller waits for the VDL (WaitDurable,
+// drainWrites). A waiter is released by the resolve whose publication reaches
+// its target, never earlier, and by abandon whatever the VDL.
+
+// released reports whether ch is closed, waiting up to a second for it.
+func released(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(time.Second):
+		return false
+	}
+}
+
+// parked reports whether ch is still open.
+func parked(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return false
+	default:
+		return true
+	}
+}
+
+func TestWindowWaitAlreadyDurable(t *testing.T) {
+	w := newDurableWindow(10, nil)
+	if parked(w.waitFor(7)) || parked(w.waitFor(10)) {
+		t.Fatal("wait for an already durable LSN did not complete at once")
+	}
+	if len(w.waiters) != 0 {
+		t.Fatalf("%d waiters kept for durable targets", len(w.waiters))
+	}
+}
+
+func TestWindowWaitersReleasedAsVDLPasses(t *testing.T) {
+	w := newDurableWindow(0, nil)
+	g1, g2, g3 := testGroup(1, 0, 0, 0), testGroup(4, 1, 1), testGroup(6, 0, 1)
+	for _, g := range []*GroupWrite{g1, g2, g3} {
+		if err := w.register(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch3, ch7, ch5 := w.waitFor(3), w.waitFor(7), w.waitFor(5)
+	if len(w.waiters) != 3 {
+		t.Fatalf("%d waiters, want 3", len(w.waiters))
+	}
+	// g2 on its quorum first: nothing is contiguous with the VDL yet.
+	w.resolve(g2, false)
+	if !parked(ch3) || !parked(ch5) || !parked(ch7) {
+		t.Fatal("a waiter was released before the VDL moved")
+	}
+	// g1 retires itself and g2: VDL 5.
+	if vdl, _, _ := w.resolve(g1, false); vdl != 5 {
+		t.Fatalf("vdl %d, want 5", vdl)
+	}
+	if !released(ch3) || !released(ch5) {
+		t.Fatal("waiters at 3 and 5 not released by VDL 5")
+	}
+	if !parked(ch7) {
+		t.Fatal("waiter at 7 released at VDL 5")
+	}
+	// g3's first batch is not the group's last: no retirement, no release.
+	w.resolve(g3, false)
+	if !parked(ch7) {
+		t.Fatal("waiter at 7 released with g3 half on its quorums")
+	}
+	w.resolve(g3, false)
+	if !released(ch7) || len(w.waiters) != 0 {
+		t.Fatalf("waiter at 7 not released by VDL %d (%d left)", w.VDL(), len(w.waiters))
+	}
+}
+
+func TestWindowWaitersReleasedByAbandon(t *testing.T) {
+	w := newDurableWindow(0, nil)
+	g := testGroup(1, 0)
+	if err := w.register(g); err != nil {
+		t.Fatal(err)
+	}
+	ch := w.waitFor(100)
+	if settled := w.abandon(); settled != g {
+		t.Fatalf("abandon settled %v, want the pending group", settled)
+	}
+	if !released(ch) {
+		t.Fatal("waiter not released by abandon")
+	}
+	// Waits after the window is abandoned complete at once, short of target.
+	if parked(w.waitFor(200)) || w.VDL() != 0 {
+		t.Fatalf("post-abandon wait blocked, or the VDL moved to %d", w.VDL())
+	}
+}
+
+// TestWindowWaitersConcurrent: two hundred waiters and a resolver moving the
+// VDL one group at a time; no waiter wakes before the VDL covers its target.
+func TestWindowWaitersConcurrent(t *testing.T) {
+	const n = 200
+	w := newDurableWindow(0, nil)
+	groups := make([]*GroupWrite, n)
+	for i := range groups {
+		groups[i] = testGroup(core.LSN(i+1), core.PGID(i%3))
+		if err := w.register(groups[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go func(target core.LSN) {
+			defer wg.Done()
+			<-w.waitFor(target)
+			if got := w.VDL(); got < target {
+				t.Errorf("woken at VDL %d before it reached %d", got, target)
+			}
+		}(core.LSN(i))
+	}
+	go func() {
+		for _, g := range groups {
+			w.resolve(g, false)
+		}
+	}()
+	wg.Wait()
+}
+
+// TestClientWaitsReleasedByCrashAndClose: a WaitDurable and a fence drain
+// parked behind a write that cannot reach its quorum return once the writer
+// crashes or closes, with the VDL short of their target — the drain reports
+// ErrClosed instead of a drained pipe.
+func TestClientWaitsReleasedByCrashAndClose(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*Client)
+	}{
+		{"crash", (*Client).Crash},
+		{"close", (*Client).Close},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, c := testVolume(t, 1)
+			pre := writePage(t, c, 0, "pre")
+			for i := 0; i < 3; i++ {
+				f.Node(0, i).Crash()
+			}
+			m := &core.MTR{Txn: 9}
+			m.AddDelta(0, 0, 0, []byte("x"))
+			g, err := c.FrameMTRs(context.Background(), []*core.MTR{m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Release()
+			g.ShipAsync(nil, func(error) {})
+			waited := make(chan struct{})
+			go func() {
+				c.WaitDurable(g.MaxCPL())
+				close(waited)
+			}()
+			drained := make(chan error, 1)
+			go func() { drained <- c.drainWrites() }()
+			time.Sleep(10 * time.Millisecond)
+			if !parked(waited) {
+				t.Fatal("WaitDurable returned with its write short of a quorum")
+			}
+			tc.stop(c)
+			if !released(waited) {
+				t.Fatal("WaitDurable still parked after the writer went away")
+			}
+			select {
+			case err := <-drained:
+				if err != ErrClosed {
+					t.Fatalf("drain released by %s returned %v, want ErrClosed", tc.name, err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("drainWrites still parked after the writer went away")
+			}
+			if got := c.VDL(); got != pre {
+				t.Fatalf("VDL %d after %s, want it left at %d", got, tc.name, pre)
+			}
+		})
 	}
 }
