@@ -62,6 +62,11 @@ test: build vet lint
 # waiters as the VDL passes them and on Crash/Close, the replica line's
 # second test detaches a replica whose writer crashed, and the last line
 # fails over with a replica left attached and needs storage GC to go on.
+# The replica line's last two tests are the replicas' redo streams: the
+# framer appends to each replica's buffer, the completions raise its VDL and
+# the replica's loop takes and applies the prefix, all on one buffer — a
+# stream left undrained must hold up no other, and no replica read may see
+# half of a transaction.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/storage/ \
@@ -74,7 +79,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped|TestWindowWait|TestClientWaitsReleasedByCrashAndClose|TestReadRegistryLowWaterMark' ./internal/volume/
 	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce|TestCoalescePageWriteOutsideLock|TestReadDiskReadOutsideLock|TestLogGCWriteOutsideLock|TestTruncateWriteOutsideLock' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
-	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes' ./internal/replica/
+	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes|TestStalledStreamHoldsUpNoOther|TestReplicaNeverShowsATornTransfer' ./internal/replica/ ./internal/engine/ .
 	$(GO) test -race -count=20 -run 'TestFailoverLeavesNoReplicaPin' .
 
 # Live volume growth under chaos: grow mid-workload with a gray-slow node,

@@ -310,8 +310,10 @@ func (c *Cluster) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 // Rows returns the approximate number of live rows.
 func (c *Cluster) Rows() (uint64, error) { return c.db.Rows() }
 
-// AddReplica attaches a read replica in the given AZ (up to 15, §4.2.4).
+// AddReplica attaches a read replica in the given AZ (up to 15 live ones,
+// §4.2.4).
 func (c *Cluster) AddReplica(name string, az int) (*Replica, error) {
+	c.replicas = c.liveReplicas()
 	if len(c.replicas) >= 15 {
 		return nil, errors.New("aurora: replica limit (15) reached")
 	}
@@ -324,6 +326,17 @@ func (c *Cluster) AddReplica(name string, az int) (*Replica, error) {
 	rep := &Replica{inner: r}
 	c.replicas = append(c.replicas, rep)
 	return rep, nil
+}
+
+// liveReplicas returns the cluster's replicas that have not detached.
+func (c *Cluster) liveReplicas() []*Replica {
+	var live []*Replica
+	for _, r := range c.replicas {
+		if !r.inner.Closed() {
+			live = append(live, r)
+		}
+	}
+	return live
 }
 
 // CrashWriter kills the writer instance abruptly. The storage fleet keeps
@@ -506,7 +519,7 @@ type Stats struct {
 	CacheMisses     uint64
 	NetworkMessages uint64
 	NetworkBytes    uint64
-	ReplicaCount    int
+	ReplicaCount    int // replicas attached and not closed
 	BackupObjects   int
 
 	// Commit-pipeline gauges: framing critical sections, group sizes, and
@@ -571,7 +584,7 @@ func (c *Cluster) Stats() Stats {
 		Commits: es.Commits, Aborts: es.Aborts, VDL: uint64(es.Volume.VDL),
 		CacheHits: es.Cache.Hits, CacheMisses: es.Cache.Misses,
 		NetworkMessages: ns.Messages, NetworkBytes: ns.Bytes,
-		ReplicaCount:  len(c.replicas),
+		ReplicaCount:  len(c.liveReplicas()),
 		FramingOps:    es.Pipeline.Frames,
 		MeanGroupSize: es.Pipeline.MeanGroupSize,
 		MaxGroupSize:  es.Pipeline.MaxGroupSize,

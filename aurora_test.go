@@ -254,6 +254,104 @@ func TestReplicaLimit(t *testing.T) {
 	}
 }
 
+// TestReplicaLimitCountsLiveReplicas: the limit is on live replicas, so a
+// cluster that added and closed fifteen still accepts a sixteenth. Counting
+// every replica ever added refused it with none attached.
+func TestReplicaLimitCountsLiveReplicas(t *testing.T) {
+	c := newCluster(t, Options{PGs: 1})
+	for i := 0; i < 16; i++ {
+		r, err := c.AddReplica(fmt.Sprintf("r%d", i), i)
+		if err != nil {
+			t.Fatalf("replica %d with none live: %v", i, err)
+		}
+		r.Close()
+	}
+	if n := c.Stats().ReplicaCount; n != 0 {
+		t.Fatalf("%d replicas counted with none live", n)
+	}
+}
+
+// TestReplicaNeverShowsATornTransfer: a replica applies the records of one
+// transaction together (§4.2.4), so no read sees half of a transfer. A writer
+// moves amounts between two rows whose sum is 1000 in two-row transactions;
+// both rows sit on pages the replica has cached, so the redo is applied to
+// them rather than discarded, and every replica Scan must see both rows
+// summing to 1000.
+func TestReplicaNeverShowsATornTransfer(t *testing.T) {
+	c := newCluster(t, Options{PGs: 1})
+	a, b := []byte("bal:a"), []byte("bal:b")
+	if err := c.Put(a, []byte("500")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(b, []byte("500")); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.AddReplica("audit", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WarmUp([]byte("bal:"), []byte("bal;")); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	werr := make(chan error, 1)
+	go func() {
+		werr <- func() error {
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return nil
+				default:
+				}
+				tx := c.Begin()
+				va, _, err := tx.Get(a)
+				if err != nil {
+					tx.Abort()
+					return err
+				}
+				x, amount := 0, i%97
+				fmt.Sscan(string(va), &x)
+				if err := tx.Put(a, []byte(fmt.Sprint(x-amount))); err != nil {
+					tx.Abort()
+					return err
+				}
+				if err := tx.Put(b, []byte(fmt.Sprint(1000-x+amount))); err != nil {
+					tx.Abort()
+					return err
+				}
+				if err := tx.Commit(); err != nil {
+					return err
+				}
+			}
+		}()
+	}()
+	var torn error
+	for i := 0; i < 20000 && torn == nil; i++ {
+		rows, sum := 0, 0
+		torn = r.Scan([]byte("bal:"), []byte("bal;"), func(k, v []byte) bool {
+			x := 0
+			fmt.Sscan(string(v), &x)
+			rows, sum = rows+1, sum+x
+			return true
+		})
+		if torn == nil && (rows != 2 || sum != 1000) {
+			torn = fmt.Errorf("scan %d saw %d rows summing to %d", i, rows, sum)
+		}
+	}
+	close(stop)
+	if err := <-werr; err != nil {
+		t.Fatal(err)
+	}
+	if torn != nil {
+		t.Fatal(torn)
+	}
+	applied := r.inner.Stats().Applied
+	if applied == 0 {
+		t.Fatal("the replica applied no records: the scans read only storage")
+	}
+	t.Logf("%d records applied on the replica", applied)
+}
+
 func TestOptionsValidate(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero options rejected: %v", err)

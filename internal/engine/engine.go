@@ -81,9 +81,13 @@ type DB struct {
 	cache    *bufcache.Cache
 	txns     *txn.Manager
 	latch    sync.RWMutex // tree structure latch: shared reads, exclusive writes
-	feed     *feed
 	pipeline *commitPipeline
 	tracer   *trace.Collector
+
+	// streams holds one redo stream per attached read replica. It is
+	// allocated apart so that its lock, taken by the framer and by every
+	// completion, does not share a cache line with latch.
+	streams *streams
 
 	// rootCtx bounds the instance's own IO (background framing, group
 	// shipping, default read paths). Close cancels it only after the commit
@@ -163,7 +167,7 @@ func newDB(vol *volume.Client, cfg Config) *DB {
 		vol:        vol,
 		cache:      bufcache.New(cfg.CachePages, vol.VDL),
 		txns:       txn.NewManager(cfg.LockTimeout),
-		feed:       newFeed(),
+		streams:    &streams{},
 		tracer:     newTracer(cfg),
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
@@ -222,12 +226,12 @@ func (db *DB) Close() {
 	// Cancel the root only after the drain: in-flight groups must ship
 	// gracefully, not be abandoned mid-quorum.
 	db.rootCancel()
-	db.feed.close()
+	db.streams.close()
 }
 
 // Crash simulates an instance failure: runtime state (cache, locks,
-// feeds, the commit pipeline) is lost; the storage fleet keeps everything
-// durable.
+// replica streams, the commit pipeline) is lost; the storage fleet keeps
+// everything durable.
 func (db *DB) Crash() {
 	db.rootCancel()
 	db.txns.Locks.Close()
@@ -235,7 +239,7 @@ func (db *DB) Crash() {
 	db.cache.Invalidate()
 	db.vol.Crash()
 	db.pipeline.wait()
-	db.feed.close()
+	db.streams.close()
 }
 
 // PipelineStats summarises the commit pipeline's behaviour: how many
@@ -396,12 +400,4 @@ func (s *snapStore) Page(id core.PageID) (page.Page, error) {
 
 func (s *snapStore) FreshPage(core.PageID) (page.Page, error) {
 	return nil, errors.New("engine: fresh page on snapshot path")
-}
-
-func cloneRecords(in []core.Record) []core.Record {
-	out := make([]core.Record, len(in))
-	for i := range in {
-		out[i] = in[i].Clone()
-	}
-	return out
 }

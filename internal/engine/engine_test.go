@@ -278,8 +278,8 @@ func TestCrashRecoveryKeepsCommittedOnly(t *testing.T) {
 
 func TestFeedDeliversCommittedRecords(t *testing.T) {
 	_, db := testDB(t, Config{})
-	events, cancel := db.Subscribe()
-	defer cancel()
+	s := db.Subscribe()
+	defer s.Close()
 	tx := db.Begin()
 	if err := tx.Put([]byte("feed"), []byte("me")); err != nil {
 		t.Fatal(err)
@@ -287,23 +287,42 @@ func TestFeedDeliversCommittedRecords(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
-	var sawCommit bool
-	var lastVDL core.LSN
-	for !sawCommit || lastVDL == 0 {
-		select {
-		case ev := <-events:
-			if ev.VDL > lastVDL {
-				lastVDL = ev.VDL
-			}
-			for _, r := range ev.Records {
-				if r.Type == core.RecTxnCommit && r.Txn == tx.ID() {
-					sawCommit = true
-				}
-			}
-		case <-deadline:
-			t.Fatalf("feed incomplete: commit=%v vdl=%d", sawCommit, lastVDL)
+	commit, vdl := takeUntil(t, s, 2*time.Second, commitOf(tx.ID()))
+	if vdl == 0 || vdl < commit.LSN {
+		t.Fatalf("commit at LSN %d taken with stream VDL %d", commit.LSN, vdl)
+	}
+}
+
+// TestStalledStreamHoldsUpNoOther: a replica that stops draining its stream
+// holds up no other. Two streams attach, one is never read, and the other
+// must take the commit of the 5 000th sequential Put. Behind one fan-out
+// goroutine with a 4 096-event channel per subscriber, the live subscriber
+// stopped at the 2 048th commit, once the dead one's channel was full.
+// Parallel, so it runs after the package's sequential tests: its 5 000
+// commits made the wall-clock bound of TestCommitTraceCoversEveryStage miss
+// more often when they ran just before it under the race detector.
+func TestStalledStreamHoldsUpNoOther(t *testing.T) {
+	t.Parallel()
+	_, db := testDB(t, Config{})
+	dead := db.Subscribe()
+	defer dead.Close()
+	live := db.Subscribe()
+	defer live.Close()
+	const puts = 5000
+	var last uint64
+	for i := 0; i < puts; i++ {
+		tx := db.Begin()
+		if err := tx.Put([]byte(fmt.Sprintf("s%d", i%100)), []byte("v")); err != nil {
+			t.Fatal(err)
 		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		last = tx.ID()
+	}
+	takeUntil(t, live, 3*time.Second, commitOf(last))
+	if n := dead.Buffered(); n < puts {
+		t.Fatalf("undrained stream holds %d records after %d commits", n, puts)
 	}
 }
 

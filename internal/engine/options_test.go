@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/page"
@@ -36,28 +37,25 @@ func TestSyncCommitOptionCorrectness(t *testing.T) {
 
 func TestFullPageWritesOptionShipsImages(t *testing.T) {
 	f, db := testDB(t, Config{FullPageWrites: true})
-	events, cancel := db.Subscribe()
-	defer cancel()
+	s := db.Subscribe()
+	defer s.Close()
 	if err := db.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// The stream must contain full page-image records, each a whole
 	// payload, instead of small deltas.
-	sawInit := false
-	for !sawInit {
-		ev := <-events
-		for _, r := range ev.Records {
-			if r.Type == core.RecPageInit {
-				if len(r.Data) != page.PayloadSize {
-					t.Fatalf("init record %d bytes, want full payload %d", len(r.Data), page.PayloadSize)
-				}
-				sawInit = true
-			}
-			if r.Type == core.RecPageDelta {
-				t.Fatal("delta record under FullPageWrites")
-			}
+	takeUntil(t, s, 2*time.Second, func(r core.Record) bool {
+		if r.Type == core.RecPageDelta {
+			t.Fatal("delta record under FullPageWrites")
 		}
-	}
+		if r.Type != core.RecPageInit {
+			return false
+		}
+		if len(r.Data) != page.PayloadSize {
+			t.Fatalf("init record %d bytes, want full payload %d", len(r.Data), page.PayloadSize)
+		}
+		return true
+	})
 	// Data still correct, including from cold storage.
 	db.Cache().Invalidate()
 	v, ok, err := db.Get([]byte("k"))
@@ -90,48 +88,53 @@ func TestFullPageWritesSurviveRecovery(t *testing.T) {
 
 func TestFeedMultipleSubscribers(t *testing.T) {
 	_, db := testDB(t, Config{})
-	ch1, cancel1 := db.Subscribe()
-	ch2, cancel2 := db.Subscribe()
-	defer cancel2()
+	s1, s2 := db.Subscribe(), db.Subscribe()
+	defer s2.Close()
+	isCommit := func(r core.Record) bool { return r.Type == core.RecTxnCommit }
 	if err := db.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	saw := func(ch <-chan Event) bool {
-		for ev := range ch {
-			for _, r := range ev.Records {
-				if r.Type == core.RecTxnCommit {
-					return true
-				}
-			}
-		}
-		return false
+	takeUntil(t, s1, 2*time.Second, isCommit)
+	// Close one stream; the other keeps receiving.
+	s1.Close()
+	s1.Close() // idempotent
+	if _, _, ok := s1.Take(); ok {
+		t.Fatal("closed stream still open")
 	}
-	if !saw(limitChan(ch1, 10)) {
-		t.Fatal("subscriber 1 missed the commit")
-	}
-	// Cancel one subscriber; the other keeps receiving.
-	cancel1()
-	cancel1() // idempotent
-	if err := db.Put([]byte("k2"), []byte("v2")); err != nil {
+	tx := db.Begin()
+	if err := tx.Put([]byte("k2"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if !saw(limitChan(ch2, 20)) {
-		t.Fatal("subscriber 2 missed events after the other cancelled")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	takeUntil(t, s2, 2*time.Second, commitOf(tx.ID()))
+}
+
+// takeUntil drains s until found accepts a taken record and returns that
+// record and the stream VDL it was taken at; it fails the test after timeout.
+func takeUntil(t *testing.T, s *Stream, timeout time.Duration, found func(core.Record) bool) (core.Record, core.LSN) {
+	t.Helper()
+	deadline := time.After(timeout)
+	for {
+		select {
+		case <-s.Wake():
+			recs, vdl, ok := s.Take()
+			if !ok {
+				t.Fatal("stream ended")
+			}
+			for _, r := range recs {
+				if found(r) {
+					return r, vdl
+				}
+			}
+		case <-deadline:
+			t.Fatalf("record not taken within %v (%d buffered)", timeout, s.Buffered())
+		}
 	}
 }
 
-// limitChan copies up to n events so range loops terminate.
-func limitChan(ch <-chan Event, n int) <-chan Event {
-	out := make(chan Event, n)
-	go func() {
-		defer close(out)
-		for i := 0; i < n; i++ {
-			ev, ok := <-ch
-			if !ok {
-				return
-			}
-			out <- ev
-		}
-	}()
-	return out
+// commitOf matches the commit record of transaction txn.
+func commitOf(txn uint64) func(core.Record) bool {
+	return func(r core.Record) bool { return r.Type == core.RecTxnCommit && r.Txn == txn }
 }

@@ -52,7 +52,7 @@ const (
 //	    it, can never reach its quorum) or abandoned (the writer crashed or
 //	    closed first) — and the goroutine that settles it, usually the sender
 //	    loop whose ack completed the quorum, runs complete right there: one
-//	    durability feed event, one send per waiting committer.
+//	    VDL raise on each replica's stream, one send per waiting committer.
 type commitPipeline struct {
 	db *DB
 
@@ -210,8 +210,8 @@ func (p *commitPipeline) wait() {
 }
 
 // framerLoop is stage 2: it drains the queue in arrival order, frames each
-// drained group through one FrameMTRs call, stamps page LSNs, publishes
-// the group's feed event, and ships the group.
+// drained group through one FrameMTRs call, stamps page LSNs, appends the
+// group's records to the replicas' streams, and ships the group.
 func (p *commitPipeline) framerLoop() {
 	defer close(p.framerDone)
 	for {
@@ -305,22 +305,22 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 	for _, req := range group {
 		req.rec.StampLSNs(req.mtr.LastLSNFor)
 	}
-	// Record clones for the feed are built only when someone is listening:
-	// with no subscribers the clones would be dropped by the pump anyway,
-	// and the steady-state commit path stays allocation-free.
-	var recs []core.Record
-	if db.feed.active() {
+	// The group's records go to every replica's stream, in LSN order, before
+	// the group ships; its completion publishes the VDL that covers them.
+	// Clones are built only when a replica is attached, so the steady-state
+	// commit path without one stays allocation-free.
+	if db.streams.active() {
+		var recs []core.Record
 		for _, req := range group {
-			recs = append(recs, cloneRecords(req.mtr.Records)...)
+			for i := range req.mtr.Records {
+				recs = append(recs, req.mtr.Records[i].Clone())
+			}
 		}
+		db.streams.append(recs)
 	}
 	for _, req := range group {
 		req.ws.Release()
 	}
-	// One feed event for the framed group: records in LSN order, VDL as of
-	// publication. The durability advancement event follows once, from the
-	// completion — not once per commit.
-	db.feed.publish(Event{Records: recs, VDL: db.vol.VDL()})
 	db.groupSizes.Observe(int64(len(group)))
 	ssp.End()
 
@@ -348,7 +348,7 @@ func (p *commitPipeline) complete(group []*commitReq, gw *volume.GroupWrite, gsp
 		gw.Release()
 	}
 	if err == nil {
-		db.feed.publish(Event{VDL: db.vol.VDL()})
+		db.streams.publish(db.vol.VDL())
 	}
 	for _, req := range group {
 		if req.groupSp != gsp {

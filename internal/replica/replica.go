@@ -41,10 +41,9 @@ type Config struct {
 
 // Stats is a snapshot of replica counters.
 type Stats struct {
-	Events    uint64
 	Applied   uint64 // records applied to cached pages
 	Discarded uint64 // records for uncached pages
-	Buffered  int    // records above the VDL awaiting durability
+	Buffered  int    // records in the replica's stream, not applied yet
 	VDL       core.LSN
 	Cache     bufcache.Stats
 }
@@ -69,17 +68,13 @@ type Replica struct {
 	// vdl is the applied durable point: the view reads are served at and the
 	// buffer cache's eviction fence. It is stored only under mu's exclusive
 	// lock, so a reader holding the shared lock sees it fixed.
-	vdl     atomic.Uint64 // a core.LSN
-	pending []core.Record // records above vdl, in LSN order
-	tails   map[core.PGID]core.LSN
+	vdl   atomic.Uint64 // a core.LSN
+	tails map[core.PGID]core.LSN
 
-	cancel   func()
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-	closed   atomic.Bool
+	stream *engine.Stream // the writer's redo stream to this replica
+	done   chan struct{}  // closed when the apply loop has exited
+	closed atomic.Bool
 
-	events    atomic.Uint64
 	applied   atomic.Uint64
 	discarded atomic.Uint64
 }
@@ -99,19 +94,17 @@ func Attach(db *engine.DB, f *volume.Fleet, cfg Config) *Replica {
 		ctxCancel: ctxCancel,
 		pgOfAt:    f.PGOfAt,
 		tails:     make(map[core.PGID]core.LSN),
-		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 	// The replica's cache eviction fence is its own applied VDL.
 	r.cache = bufcache.New(cfg.CachePages, r.VDL)
-	events, cancel := db.Subscribe()
-	r.cancel = cancel
+	r.stream = db.Subscribe()
 	// Seed the view from the writer's current durable state so reads issued
-	// before the first stream event see real data, not an empty volume.
-	// Events already queued re-advance idempotently. The reader pins that
+	// before the first VDL raise see real data, not an empty volume. Records
+	// the view already holds re-apply idempotently. The reader pins that
 	// view in the writer's read-point registry, so storage GC keeps every
 	// version this replica could still read; the pin advances with the
-	// applied VDL in ingest.
+	// applied VDL in advance.
 	vol := db.Volume()
 	reader, start := volume.NewReader(vol, cfg.Name, cfg.AZ)
 	r.reader = reader
@@ -121,68 +114,56 @@ func Attach(db *engine.DB, f *volume.Fleet, cfg Config) *Replica {
 			r.tails[core.PGID(g)] = tail
 		}
 	}
-	go r.loop(events)
+	go r.loop()
 	return r
 }
 
-func (r *Replica) loop(events <-chan engine.Event) {
+// loop applies the stream until it ends: Close ended it, or the writer
+// closed or crashed.
+func (r *Replica) loop() {
 	defer close(r.done)
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				r.detach() // the writer closed or crashed
-				return
-			}
-			r.events.Add(1)
-			r.ingest(ev)
-		case <-r.stop:
+	for range r.stream.Wake() {
+		if !r.advance() {
+			r.detach()
 			return
 		}
 	}
 }
 
-// ingest buffers the event's records and applies everything at or below
-// the new VDL atomically.
-func (r *Replica) ingest(ev engine.Event) {
+// advance takes the stream's records at or below its VDL and applies them
+// under the exclusive lock, then moves the view to that VDL. The VDL is
+// always a CPL, so the records are whole MTRs, and holding the lock for all
+// of them makes their application atomic with respect to replica reads.
+// Records above the VDL stay in the stream. It reports false once the
+// stream has ended.
+func (r *Replica) advance() bool {
 	sp := r.traceStart("replica.apply")
-	trace.Annotate(sp, "records", len(ev.Records))
-	trace.Annotate(sp, "stream_vdl", ev.VDL)
+	defer sp.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	bsp := sp.Child("replica.buffer")
-	r.pending = append(r.pending, ev.Records...)
-	bsp.End()
-	vdl := r.VDL()
-	newVDL := max(vdl, ev.VDL)
-	// Apply the prefix of pending records at or below the VDL. The VDL is
-	// always a CPL, so this prefix is a whole number of MTRs; holding the
-	// exclusive lock for the whole prefix makes the application atomic
-	// with respect to replica reads.
-	asp := sp.Child("replica.advance")
-	cut := 0
-	for cut < len(r.pending) && r.pending[cut].LSN <= newVDL {
-		rec := &r.pending[cut]
-		r.applyLocked(rec)
-		cut++
+	recs, streamVDL, ok := r.stream.Take()
+	if !ok {
+		return false
 	}
-	if cut > 0 {
-		r.pending = append([]core.Record(nil), r.pending[cut:]...)
+	trace.Annotate(sp, "records", len(recs))
+	trace.Annotate(sp, "stream_vdl", streamVDL)
+	for i := range recs {
+		r.applyLocked(&recs[i])
 	}
-	trace.Annotate(asp, "applied", cut)
-	trace.Annotate(asp, "lag_records", len(r.pending))
-	asp.End()
-	if newVDL > vdl {
-		r.vdl.Store(uint64(newVDL))
+	if streamVDL > r.VDL() {
+		r.vdl.Store(uint64(streamVDL))
 		// No read holds the older view (they hold mu shared): release it.
-		r.reader.AdvancePin(newVDL)
+		r.reader.AdvancePin(streamVDL)
 	}
-	trace.Annotate(sp, "vdl", newVDL)
-	sp.End()
+	if sp != nil {
+		trace.Annotate(sp, "lag_records", r.stream.Buffered())
+	}
+	trace.Annotate(sp, "vdl", r.VDL())
+	return true
 }
 
 // traceStart samples a replica-side root span; nil when no tracer is
-// attached or this event loses the sampling lottery.
+// attached or this span loses the sampling lottery.
 func (r *Replica) traceStart(name string) *trace.Span {
 	if r.tracer == nil {
 		return nil
@@ -306,14 +287,10 @@ func (r *Replica) WarmUp(from, to []byte) error {
 
 // Stats returns a snapshot of replica counters.
 func (r *Replica) Stats() Stats {
-	r.mu.RLock()
-	buffered := len(r.pending)
-	r.mu.RUnlock()
 	return Stats{
-		Events:    r.events.Load(),
 		Applied:   r.applied.Load(),
 		Discarded: r.discarded.Load(),
-		Buffered:  buffered,
+		Buffered:  r.stream.Buffered(),
 		VDL:       r.VDL(),
 		Cache:     r.cache.Stats(),
 	}
@@ -330,12 +307,14 @@ func (r *Replica) detach() {
 	r.reader.Close()
 }
 
-// Close detaches the replica and unsubscribes it from the stream.
+// Close detaches the replica, unwinding its in-flight storage reads first,
+// then its stream from the writer, and waits for the apply loop to exit.
 func (r *Replica) Close() {
 	r.detach()
-	r.stopOnce.Do(func() {
-		r.cancel()
-		close(r.stop)
-	})
+	r.stream.Close()
 	<-r.done
 }
+
+// Closed reports whether the replica has detached: closed by its owner, or
+// its writer's stream ended.
+func (r *Replica) Closed() bool { return r.closed.Load() }
