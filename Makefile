@@ -154,9 +154,13 @@ bench-quick:
 # page read into a supplied frame at zero, a full buffer cache's evict and
 # insert at zero, an engine Get that misses on its leaf at the value copy, an
 # idle coalesce round over 10 000 held pages at zero objects and
-# microseconds. Write path: shipping a three-batch group at the writer's four
+# microseconds. Write path: shipping a three-batch group at the writer's three
 # objects and no goroutine, a cached single-row commit through the engine at
-# its 55 objects and no goroutine. Instruments: a histogram observation
+# its 8 objects and no goroutine, an update in place at one buffer of redo
+# bytes, a storage node's ingest of a steady stream of batches at its record
+# arena's chunk refills (a few objects per hundred batches). Background: an
+# idle gossip round and a health-monitor pass over a healthy fleet at zero.
+# Instruments: a histogram observation
 # and the windowed quantile behind the hedge deadline (recomputed every 32
 # reads, two 976-bucket banks walked in place) at zero. Backup: a node without
 # an object store keeps no staging list, so backup-off ingest files as before.
@@ -164,14 +168,14 @@ bench-quick:
 bench-allocs:
 	$(GO) test -run 'TestObserveZeroAllocs|TestWindowedQuantileZeroAllocs' -count=1 ./internal/metrics/
 	$(GO) test -run 'TestRecordBodyEncodeZeroAllocs|TestFrameGroupSteadyStateZeroAllocs' -count=1 ./internal/core/
-	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestReadPageMissZeroAllocs|TestShipIsTheCallersGoroutine' -count=1 ./internal/volume/
+	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestReadPageMissZeroAllocs|TestShipIsTheCallersGoroutine|TestHealthMonitorPassAllocatesNothing' -count=1 ./internal/volume/
 	$(GO) test -run 'TestCommitSpawnsNoGoroutine|TestGetMissAllocatesOnlyTheValue' -count=1 ./internal/engine/
 	$(GO) test -run 'TestCacheEvictInsertZeroAllocs' -count=1 ./internal/bufcache/
 	$(GO) test -run 'TestNodeLookupZeroAllocs|TestTreeGetAllocs|TestPutUpdateSteadyStateAllocs' -count=1 ./internal/btree/
-	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld|TestNodeWithoutStoreKeepsNoStagingList' -count=1 ./internal/storage/
+	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld|TestNodeWithoutStoreKeepsNoStagingList|TestIngestSteadyStateAllocs|TestGossipIdleRoundAllocatesNothing' -count=1 ./internal/storage/
 	$(GO) test -run 'TestUnsampledPathDoesNotAllocate' -count=1 ./internal/trace/
 	$(GO) test -run xxx -bench 'BenchmarkRecordBodyEncode|BenchmarkFrameGroup$$|BenchmarkCommitSteadyStateAllocs' -benchtime 100x ./internal/core/ ./internal/volume/
-	$(GO) test -run xxx -bench 'BenchmarkTreeGet|BenchmarkTreePutUpdate|BenchmarkCoalesceRound|BenchmarkNodeReadPage|BenchmarkReadPageMiss' -benchmem -benchtime 1000x ./internal/btree/ ./internal/storage/ ./internal/volume/
+	$(GO) test -run xxx -bench 'BenchmarkTreeGet|BenchmarkTreePutUpdate|BenchmarkCoalesceRound|BenchmarkNodeReadPage|BenchmarkReadPageMiss|BenchmarkIngest' -benchmem -benchtime 1000x ./internal/btree/ ./internal/storage/ ./internal/volume/
 
 # Every native fuzz target in the tree (`func Fuzz*` in a _test.go file), each
 # for FUZZTIME on two workers; the seed corpora already run in `make test`.

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"aurora/internal/page"
 )
@@ -183,23 +183,23 @@ func (n node) appendLeaf(key, val []byte) {
 	n.setCount(n.count() + 1)
 }
 
-// liveSorted returns the live entries sorted by key (data copied so the
-// page can be rewritten underneath).
+// liveSorted returns the live entries sorted by key. The leaf's used area is
+// copied once and the entries alias the copy, capacity-limited, so the page
+// can be rewritten underneath them and an append to one cannot reach the
+// next.
 func (n node) liveSorted() ([]kv, error) {
-	out := make([]kv, 0, n.count())
 	c := n.leafEntries()
+	c.area = bytes.Clone(c.area)
+	out := make([]kv, 0, n.count())
 	for c.next() {
 		if !c.dead {
-			out = append(out, kv{
-				k: append([]byte(nil), c.key...),
-				v: append([]byte(nil), c.val...),
-			})
+			out = append(out, kv{k: c.key[:len(c.key):len(c.key)], v: c.val[:len(c.val):len(c.val)]})
 		}
 	}
 	if c.err != nil {
 		return nil, c.err
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].k, out[j].k) < 0 })
+	slices.SortFunc(out, func(a, b kv) int { return bytes.Compare(a.k, b.k) })
 	return out, nil
 }
 

@@ -9,6 +9,7 @@
 package btree
 
 import (
+	"slices"
 	"sync"
 
 	"aurora/internal/core"
@@ -28,6 +29,9 @@ const diffGap = 24
 // are only ever read under that latch (AppendRecords, Rollback), so they come
 // from a process-wide pool and go back to it on the recorder's last call —
 // StampLSNs on a commit that succeeded, Rollback on one that did not.
+//
+// The zero Recorder is ready to use, so a caller can embed one in the object
+// that carries its commit.
 type Recorder struct {
 	touched []touchedPage
 	inline  [4]touchedPage // backs touched: most commits touch a leaf or two and the meta page
@@ -40,10 +44,15 @@ type touchedPage struct {
 }
 
 // beforeImages is the pooled, latch-scoped half of a Recorder. The buffers
-// stay with it from one recorder to the next.
+// and the diff scratch stay with it from one recorder to the next.
 type beforeImages struct {
 	idx  map[core.PageID]int       // page id -> position in touched and bufs
 	bufs []*[page.PayloadSize]byte // bufs[i] holds the payload of touched[i] as first touched
+
+	// AppendRecords' scratch: the changed spans of every touched page (Data
+	// aliasing the page), and where touched[i]'s spans end in them.
+	spans []page.Span
+	ends  []int
 }
 
 var imagesPool = sync.Pool{New: func() any { return &beforeImages{idx: make(map[core.PageID]int)} }}
@@ -54,11 +63,7 @@ var imagesPool = sync.Pool{New: func() any { return &beforeImages{idx: make(map[
 const maxPooledImages = 64
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	r := &Recorder{}
-	r.touched = r.inline[:0]
-	return r
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Touch registers a page about to be mutated, saving its before-image on
 // first touch. It must be called before the first mutation of each page.
@@ -69,6 +74,9 @@ func (r *Recorder) Touch(id core.PageID, p page.Page) {
 	img := r.img
 	if _, ok := img.idx[id]; ok {
 		return
+	}
+	if r.touched == nil {
+		r.touched = r.inline[:0]
 	}
 	i := len(r.touched)
 	if i == len(img.bufs) {
@@ -98,15 +106,39 @@ func (r *Recorder) Touched() bool { return len(r.touched) > 0 }
 
 // AppendRecords emits the delta records for every touched page, in touch
 // order, into m. pgOf maps pages onto protection groups.
+//
+// It allocates the redo and nothing else: the changed spans of every page are
+// found first, into the pooled scratch, then copied into one buffer that
+// holds the bytes of all the records, and m grows once, with room for the
+// record that closes the MTR.
 func (r *Recorder) AppendRecords(m *core.MTR, pgOf func(core.PageID) core.PGID) error {
-	for i, t := range r.touched {
-		recs, err := page.DiffRecords(pgOf(t.id), t.id, m.Txn, r.img.bufs[i][:], t.p.Payload(), diffGap)
-		if err != nil {
-			return err
-		}
-		m.Records = append(m.Records, recs...)
+	if len(r.touched) == 0 {
+		return nil
 	}
-	return nil
+	img := r.img
+	spans, ends, size := img.spans[:0], img.ends[:0], 0
+	for i, t := range r.touched {
+		from := len(spans)
+		spans = page.AppendSpans(spans, img.bufs[i][:], t.p.Payload(), diffGap)
+		for _, s := range spans[from:] {
+			size += len(s.Data)
+		}
+		ends = append(ends, len(spans))
+	}
+	buf := make([]byte, size)
+	m.Records = slices.Grow(m.Records, len(spans)+1)
+	from := 0
+	var err error
+	for i, t := range r.touched {
+		m.Records, buf, err = page.AppendDeltas(m.Records, buf, pgOf(t.id), t.id, m.Txn, spans[from:ends[i]])
+		if err != nil {
+			break
+		}
+		from = ends[i]
+	}
+	clear(spans) // pooled scratch must not pin the pages it pointed into
+	img.spans, img.ends = spans[:0], ends[:0]
+	return err
 }
 
 // AppendFullPages emits a full-image record for every touched page instead

@@ -208,18 +208,18 @@ func TestCommitSpawnsNoGoroutine(t *testing.T) {
 			t.Fatalf("commit %d: %d sender workers, bound is %d x %d", i, workers, senders, volume.SenderWindow)
 		}
 	}
-	// One cached single-row update, end to end: the transaction and its write
-	// set, the recorder and MTR, the commit request and its channel, the framed
-	// group and its completion, and what twelve deliveries (two batches: the
-	// row's PG and the commit record's) leave on the storage nodes. A garbage
-	// collection in the middle of a run empties the pools and adds an object or
-	// two to that run's average, so the pin is on the best of five. At PR 20,
-	// with a goroutine and two channels per group, the same loop measured 58
-	// (and the goroutine was still there after about one commit in five
-	// hundred); 56 while bufcache.Pins grew a slice for the pages the commit
-	// pins, which it now keeps inline. Under the race detector, whose
-	// sync.Pool drops a quarter of what is put into it, it is 60 here.
-	const pinned = 55
+	// One cached single-row update, end to end, measured 7 objects: the write
+	// set's buffer, the commit request (which carries the write store, the
+	// recorder and the MTR) and its channel, the redo's bytes and its record
+	// slice, the framed group and its completion. The transaction itself stays
+	// on DB.Put's stack, a one-byte key needs no string, and what twelve
+	// deliveries (two batches: the row's PG and the commit record's) leave on
+	// the storage nodes is copied into their record arenas, whose chunk
+	// refills round to nothing per commit. A garbage collection in the middle
+	// of a run empties the pools and adds an object or two to that run's
+	// average, so the pin is on the best of five. Under the race detector,
+	// whose sync.Pool drops a quarter of what is put into it, it is more.
+	const pinned = 8
 	best := testing.AllocsPerRun(200, commit)
 	for i := 0; i < 4; i++ {
 		best = min(best, testing.AllocsPerRun(200, commit))

@@ -120,24 +120,22 @@ func Create(vol *volume.Client, cfg Config) (*DB, error) {
 }
 
 func (db *DB) format() error {
-	ws := db.writeStore()
-	rec := btree.NewRecorder()
-	if _, err := btree.Create(ws, rec); err != nil {
-		ws.Release()
+	req := db.newCommitReq(0)
+	if _, err := btree.Create(&req.ws, &req.rec); err != nil {
+		req.ws.Release()
 		return err
 	}
-	m := &core.MTR{Txn: 0}
-	if err := rec.AppendRecords(m, db.vol.PGOf); err != nil {
-		ws.Release()
+	if err := req.rec.AppendRecords(&req.mtr, db.vol.PGOf); err != nil {
+		req.ws.Release()
 		return err
 	}
 	if err := db.pipeline.reserve(db.rootCtx); err != nil {
-		ws.Release()
+		req.ws.Release()
 		return err
 	}
-	req := &commitReq{mtr: m, rec: rec, ws: ws, errc: make(chan error, 1)}
 	db.pipeline.enqueue(req)
-	if err := <-req.errc; err != nil {
+	<-req.done
+	if err := req.err; err != nil {
 		return fmt.Errorf("engine: formatting volume: %w", err)
 	}
 	return nil
@@ -363,10 +361,6 @@ func (db *DB) fetch(ctx context.Context, s *bufcache.Pins, id core.PageID) (page
 type writeStore struct {
 	bufcache.Pins
 	db *DB
-}
-
-func (db *DB) writeStore() *writeStore {
-	return &writeStore{Pins: db.cache.NewPins(), db: db}
 }
 
 func (s *writeStore) Page(id core.PageID) (page.Page, error) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aurora/internal/btree"
 	"aurora/internal/core"
 	"aurora/internal/trace"
 	"aurora/internal/volume"
@@ -84,20 +85,29 @@ type commitPipeline struct {
 	// inflight counts groups taken off the queue and not yet completed.
 	inflight int
 
+	// mtrs is the framer's scratch for the group's MTRs (framer goroutine
+	// only; FrameMTRs does not keep the slice).
+	mtrs []*core.MTR
+
 	framerDone chan struct{}
 }
 
-// commitReq is one transaction's passage through the pipeline: the MTR to
-// frame, the recorder whose pages need LSN stamps, the write store whose
-// pins are released once stamped, and the channel the committer waits on.
+// commitReq is one transaction's passage through the pipeline, and with its
+// channel the one object a commit allocates besides its redo: the write store
+// whose pins hold the pages it changed until they are stamped, the recorder
+// of their before-images, the MTR of its redo, and the outcome the committer
+// waits for. (A channel of struct{} is one object; a chan error is two, its
+// buffer holding pointers.)
 type commitReq struct {
-	mtr  *core.MTR
-	rec  stamper
-	ws   *writeStore
-	errc chan error // buffered(1): the group's outcome, nil once durable
+	ws   writeStore
+	rec  btree.Recorder
+	mtr  core.MTR
+	done chan struct{} // closed once err holds the group's outcome
+	err  error         // nil once durable; read only after done is closed
+	next *commitReq    // the next commit of its group, chained by the framer
 
 	// detached is set by a committer whose deadline fired before the outcome:
-	// nobody will read errc, so the completion ends the root span itself.
+	// nobody will wait on done, so the completion ends the root span itself.
 	detached atomic.Bool
 
 	// Tracing (nil unless this commit won the sampling lottery). sp is the
@@ -110,10 +120,10 @@ type commitReq struct {
 	groupSp *trace.Span
 }
 
-// stamper is the slice of btree.Recorder the pipeline needs (page LSN
-// stamping after framing).
-type stamper interface {
-	StampLSNs(lastFor func(core.PageID) core.LSN)
+// newCommitReq returns the commit of transaction txn, its MTR empty and its
+// write store pinning nothing.
+func (db *DB) newCommitReq(txn uint64) *commitReq {
+	return &commitReq{ws: writeStore{Pins: db.cache.NewPins(), db: db}, mtr: core.MTR{Txn: txn}, done: make(chan struct{})}
 }
 
 func newCommitPipeline(db *DB) *commitPipeline {
@@ -140,12 +150,14 @@ func newCommitPipeline(db *DB) *commitPipeline {
 // ErrClosed once the pipeline shuts down, and a deadline error when ctx
 // fires first — nothing has been applied yet, so this is a clean abort.
 func (p *commitPipeline) reserve(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer stop()
+	if ctx.Done() != nil { // a context that can never fire needs no watch
+		stop := context.AfterFunc(ctx, func() {
+			p.mu.Lock()
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		})
+		defer stop()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for !p.closed && ctx.Err() == nil && len(p.queue)+p.reserved >= p.depth {
@@ -240,32 +252,34 @@ func (p *commitPipeline) framerLoop() {
 			n++
 			recs += r
 		}
-		// The group slice escapes to the completion, so it is copied out; the
-		// queue itself compacts in place (no per-group reallocation), with
-		// vacated tail slots cleared so completed requests are not pinned.
-		group := append(make([]*commitReq, 0, n), p.queue[:n]...)
-		m := copy(p.queue, p.queue[n:])
-		for i := m; i < len(p.queue); i++ {
-			p.queue[i] = nil
+		// The group escapes to the completion as the chain of its requests
+		// (commitReq.next), so taking it allocates nothing; the queue compacts
+		// in place, with vacated tail slots cleared so completed requests are
+		// not pinned.
+		group := p.queue[0]
+		for i := 1; i < n; i++ {
+			p.queue[i-1].next = p.queue[i]
 		}
+		m := copy(p.queue, p.queue[n:])
+		clear(p.queue[m:])
 		p.queue = p.queue[:m]
 		p.inflight++
 		p.cond.Broadcast() // queue space freed: wake reservers
 		p.mu.Unlock()
 
-		p.frameGroup(group)
+		p.frameGroup(group, n)
 	}
 }
 
-// frameGroup frames one group of commits and ships it. On a framing error
-// (only possible when the volume client is closing) the group completes as
-// failed on the spot — the applied-but-unframed tree state must not be shipped
-// piecemeal later.
-func (p *commitPipeline) frameGroup(group []*commitReq) {
+// frameGroup frames one group of n commits, chained from group, and ships
+// it. On a framing error (only possible when the volume client is closing)
+// the group completes as failed on the spot — the applied-but-unframed tree
+// state must not be shipped piecemeal later.
+func (p *commitPipeline) frameGroup(group *commitReq, n int) {
 	db := p.db
-	ms := make([]*core.MTR, len(group))
-	for i, req := range group {
-		ms[i] = req.mtr
+	ms := p.mtrs[:0]
+	for req := group; req != nil; req = req.next {
+		ms = append(ms, &req.mtr)
 	}
 	// The group adopts the first sampled member's trace: its spans carry
 	// the per-stage breakdown (framing, stamping, ship, VDL wait) for the
@@ -273,7 +287,7 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 	// their critical path still decomposes their full latency without
 	// duplicating every flight span on each trace.
 	var gsp *trace.Span
-	for _, req := range group {
+	for req := group; req != nil; req = req.next {
 		req.queueSp.End()
 		if req.sp == nil {
 			continue
@@ -288,11 +302,12 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 		}
 	}
 	fsp := gsp.Child("group.frame")
-	trace.Annotate(fsp, "mtrs", len(group))
+	trace.Annotate(fsp, "mtrs", n)
 	gw, err := db.vol.FrameMTRs(db.rootCtx, ms)
 	fsp.End()
 	if err != nil {
-		for _, req := range group {
+		p.dropMTRs(ms)
+		for req := group; req != nil; req = req.next {
 			req.ws.Release()
 		}
 		p.complete(group, nil, gsp, nil, err)
@@ -302,26 +317,17 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 	// keep the eviction scan away from the header bytes being written),
 	// then release the pins: from here the VDL rule governs eviction.
 	ssp := gsp.Child("group.stamp")
-	for _, req := range group {
+	for req := group; req != nil; req = req.next {
 		req.rec.StampLSNs(req.mtr.LastLSNFor)
 	}
 	// The group's records go to every replica's stream, in LSN order, before
 	// the group ships; its completion publishes the VDL that covers them.
-	// Clones are built only when a replica is attached, so the steady-state
-	// commit path without one stays allocation-free.
-	if db.streams.active() {
-		var recs []core.Record
-		for _, req := range group {
-			for i := range req.mtr.Records {
-				recs = append(recs, req.mtr.Records[i].Clone())
-			}
-		}
-		db.streams.append(recs)
-	}
-	for _, req := range group {
+	db.streams.append(ms)
+	p.dropMTRs(ms)
+	for req := group; req != nil; req = req.next {
 		req.ws.Release()
 	}
-	db.groupSizes.Observe(int64(len(group)))
+	db.groupSizes.Observe(int64(n))
 	ssp.End()
 
 	// The group ships under the instance root, never a commit deadline: a
@@ -330,11 +336,18 @@ func (p *commitPipeline) frameGroup(group []*commitReq) {
 	gw.ShipAsync(shipSp, func(err error) { p.complete(group, gw, gsp, shipSp, err) })
 }
 
+// dropMTRs empties the framer's MTR scratch, which must not keep a group's
+// commits alive.
+func (p *commitPipeline) dropMTRs(ms []*core.MTR) {
+	clear(ms)
+	p.mtrs = ms[:0]
+}
+
 // complete is stage 3, the one place a commit's outcome is delivered: once
 // per group taken off the queue, on the goroutine that settled it, with err
 // nil if and only if the durability window retired the group. Any other
 // outcome suspends writes and fails every member alike.
-func (p *commitPipeline) complete(group []*commitReq, gw *volume.GroupWrite, gsp, shipSp *trace.Span, err error) {
+func (p *commitPipeline) complete(group *commitReq, gw *volume.GroupWrite, gsp, shipSp *trace.Span, err error) {
 	db := p.db
 	if err != nil {
 		trace.Annotate(shipSp, "err", err)
@@ -350,11 +363,12 @@ func (p *commitPipeline) complete(group []*commitReq, gw *volume.GroupWrite, gsp
 	if err == nil {
 		db.streams.publish(db.vol.VDL())
 	}
-	for _, req := range group {
+	for req := group; req != nil; req = req.next {
 		if req.groupSp != gsp {
 			req.groupSp.End() // a rider's group.inflight; the adopter's is its root
 		}
-		req.errc <- err
+		req.err = err
+		close(req.done)
 		if req.detached.Load() {
 			req.sp.End()
 		}

@@ -48,23 +48,18 @@ func (db *DB) Subscribe() *Stream {
 	return s
 }
 
-// active reports whether any stream is attached. The framer uses it to skip
-// building record clones nobody would take; a stream attaching right after
-// the check misses that group, as Subscribe's contract allows.
-func (ss *streams) active() bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return len(ss.list) > 0
-}
-
 // append adds a framed group's records to every attached stream. The framer
 // calls it before the group ships, so no VDL covering them is published yet.
-func (ss *streams) append(recs []core.Record) {
+// The records are copied by value and their Data shared: nothing writes to a
+// commit's MTR or its redo bytes once it is framed.
+func (ss *streams) append(ms []*core.MTR) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	for _, s := range ss.list {
 		s.mu.Lock()
-		s.recs = append(s.recs, recs...)
+		for _, m := range ms {
+			s.recs = append(s.recs, m.Records...)
+		}
 		s.mu.Unlock()
 	}
 }

@@ -118,24 +118,24 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 }
 
 // apply materializes the write set into the tree under the exclusive
-// latch, which the caller holds, and returns its redo as one
+// latch, which the caller holds, and records its redo in req's MTR as one
 // mini-transaction. On error the pages are rolled back to their
 // before-images and the pins released; the caller still owns the latch.
-func (tx *Tx) apply(ws *writeStore, rec *btree.Recorder) (*core.MTR, error) {
+func (tx *Tx) apply(req *commitReq) error {
+	ws, rec, m := &req.ws, &req.rec, &req.mtr
 	if err := tx.Apply(btree.View(ws), rec); err != nil {
 		ws.Release()
-		return nil, err
+		return err
 	}
-	m := &core.MTR{Txn: tx.ID()}
 	if tx.db.cfg.FullPageWrites {
 		rec.AppendFullPages(m, tx.db.vol.PGOf)
 	} else if err := rec.AppendRecords(m, tx.db.vol.PGOf); err != nil {
 		rec.Rollback()
 		ws.Release()
-		return nil, err
+		return err
 	}
 	m.AddMeta(core.RecTxnCommit, tx.db.vol.PGOf(btree.MetaPageID))
-	return m, nil
+	return nil
 }
 
 // commitPipelined is the commit path, stage 1 of the pipeline. Back-pressure
@@ -164,10 +164,9 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 	lsp := root.Child("commit.latch")
 	tx.db.latch.Lock()
 	lsp.End()
-	ws := tx.db.writeStore()
-	rec := btree.NewRecorder()
+	req := tx.db.newCommitReq(tx.ID())
 	asp := root.Child("commit.apply")
-	m, err := tx.apply(ws, rec)
+	err := tx.apply(req)
 	asp.End()
 	if err != nil {
 		tx.db.latch.Unlock()
@@ -177,8 +176,7 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 		tx.finish(false)
 		return err
 	}
-	req := &commitReq{mtr: m, rec: rec, ws: ws, errc: make(chan error, 1),
-		sp: root, queueSp: root.Child("commit.queue")}
+	req.sp, req.queueSp = root, root.Child("commit.queue")
 	// Enqueue under the latch: queue order is apply order, so the framer
 	// assigns LSNs in exactly the order the tree changed.
 	p.enqueue(req)
@@ -192,15 +190,17 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 	}
 
 	select {
-	case err = <-req.errc:
+	case <-req.done:
+		err = req.err
 	case <-deadline:
 		// Applied and enqueued: the commit cannot be withdrawn. The group
 		// still frames and ships; only this waiter detaches, and the group's
 		// completion ends the root span in its place — unless it got there
-		// first and did not see the flag: then its outcome is in errc.
+		// first and did not see the flag: then its outcome is in err.
 		req.detached.Store(true)
 		select {
-		case err = <-req.errc:
+		case <-req.done:
+			err = req.err
 		default:
 			trace.Annotate(root, "deadline", ctx.Err())
 			tx.finish(true)

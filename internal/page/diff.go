@@ -2,6 +2,7 @@ package page
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 
 	"aurora/internal/core"
@@ -13,33 +14,30 @@ type Span struct {
 	Data   []byte
 }
 
-// Diff computes the changed spans between two equal-length payloads,
-// merging changes separated by fewer than gap unchanged bytes so that a
-// cluster of nearby edits becomes a single compact record. Data slices are
-// copies of after.
+// Diff returns AppendSpans' spans with each span's Data copied out of after.
+// The engine does not call it: its recorder copies every span of a commit into
+// one buffer (AppendDeltas).
+func Diff(before, after []byte, gap int) []Span {
+	spans := AppendSpans(nil, before, after, gap)
+	for i := range spans {
+		spans[i].Data = append([]byte(nil), spans[i].Data...)
+	}
+	return spans
+}
+
+// AppendSpans appends to dst the changed spans between two equal-length
+// payloads, merging changes separated by fewer than gap unchanged bytes so
+// that a cluster of nearby edits becomes a single compact record. Data
+// aliases after; the caller copies the bytes it keeps.
 //
 // This is how the engine produces redo records: it mutates the cached page
 // image freely and logs the difference between the after-image and the
 // before-image (§3.1).
-func Diff(before, after []byte, gap int) []Span {
-	return diff(before, after, gap, true)
-}
-
-// diff is Diff; with own false the spans' Data alias after instead of copying
-// it, for a caller that copies the bytes itself.
-func diff(before, after []byte, gap int, own bool) []Span {
+func AppendSpans(dst []Span, before, after []byte, gap int) []Span {
 	if gap < 1 {
 		gap = 1
 	}
 	n := min(len(before), len(after))
-	span := func(start, end int) Span {
-		data := after[start:end]
-		if own {
-			data = append([]byte(nil), data...)
-		}
-		return Span{Offset: start, Data: data}
-	}
-	var spans []Span
 	// Most of a touched page is unchanged, so the unchanged runs — before the
 	// first span, between spans, after the last — are what there is to cross
 	// quickly; a changed run is walked a byte at a time.
@@ -56,13 +54,13 @@ func diff(before, after []byte, gap int, own bool) []Span {
 			}
 			last = i
 		}
-		spans = append(spans, span(start, last+1))
+		dst = append(dst, Span{Offset: start, Data: after[start : last+1]})
 	}
 	// Length changes (should not occur for fixed pages) are appended.
 	if len(after) > len(before) {
-		spans = append(spans, span(len(before), len(after)))
+		dst = append(dst, Span{Offset: len(before), Data: after[len(before):]})
 	}
-	return spans
+	return dst
 }
 
 // mismatch returns the first index in [from, to) at which a and b differ, or
@@ -82,18 +80,28 @@ func mismatch(a, b []byte, from, to int) int {
 	return to
 }
 
-// DiffRecords converts the changed spans of a page payload into redo
-// records for the MTR under construction. Each record's Data is copied out of
-// after once, by DeltaRecord.
-func DiffRecords(pg core.PGID, id core.PageID, txn uint64, before, after []byte, gap int) ([]core.Record, error) {
-	spans := diff(before, after, gap, false)
-	recs := make([]core.Record, 0, len(spans))
+// AppendDeltas appends a page-delta record of page id to recs for each span,
+// its Data copied into the front of buf, and returns recs and what is left
+// of buf. buf is sized by the caller to hold every span's bytes, so that the
+// records of many pages can share one allocation; each record's Data is
+// capacity-limited to its own bytes. A span that leaves the payload is
+// refused: corruption is caught where the redo is made, not where a storage
+// node applies it.
+func AppendDeltas(recs []core.Record, buf []byte, pg core.PGID, id core.PageID, txn uint64, spans []Span) ([]core.Record, []byte, error) {
 	for _, s := range spans {
-		r, err := DeltaRecord(pg, id, txn, s.Offset, s.Data)
-		if err != nil {
-			return nil, err
+		n := len(s.Data)
+		if s.Offset < 0 || s.Offset+n > PayloadSize {
+			return recs, buf, fmt.Errorf("%w: [%d,%d)", ErrOutOfBounds, s.Offset, s.Offset+n)
 		}
-		recs = append(recs, r)
+		if len(buf) < n {
+			return recs, buf, fmt.Errorf("page: delta buffer short by %d bytes", n-len(buf))
+		}
+		copy(buf, s.Data)
+		recs = append(recs, core.Record{
+			Type: core.RecPageDelta, PG: pg, Page: id, Txn: txn,
+			Offset: uint32(s.Offset), Data: buf[:n:n],
+		})
+		buf = buf[n:]
 	}
-	return recs, nil
+	return recs, buf, nil
 }

@@ -12,7 +12,7 @@ import (
 func TestDiffBasic(t *testing.T) {
 	before := []byte("aaaaaaaaaa")
 	after := []byte("aaXXaaaaYa")
-	spans := Diff(before, after, 1)
+	spans := AppendSpans(nil, before, after, 1)
 	if len(spans) != 2 {
 		t.Fatalf("spans %v", spans)
 	}
@@ -26,7 +26,7 @@ func TestDiffBasic(t *testing.T) {
 
 func TestDiffIdentical(t *testing.T) {
 	b := []byte("same")
-	if spans := Diff(b, b, 4); spans != nil {
+	if spans := AppendSpans(nil, b, b, 4); spans != nil {
 		t.Fatalf("identical payloads diffed: %v", spans)
 	}
 }
@@ -36,17 +36,19 @@ func TestDiffGapMerging(t *testing.T) {
 	after := make([]byte, 32)
 	after[0], after[3], after[6] = 1, 1, 1
 	// With a large gap the three edits merge into one span covering 0..6.
-	spans := Diff(before, after, 8)
+	spans := AppendSpans(nil, before, after, 8)
 	if len(spans) != 1 || spans[0].Offset != 0 || len(spans[0].Data) != 7 {
 		t.Fatalf("merged spans %v", spans)
 	}
 	// With gap 1 they stay separate.
-	spans = Diff(before, after, 1)
+	spans = AppendSpans(nil, before, after, 1)
 	if len(spans) != 3 {
 		t.Fatalf("unmerged spans %v", spans)
 	}
 }
 
+// TestDiffDataIsCopied: Diff, AppendSpans with each span's bytes copied,
+// does not alias after.
 func TestDiffDataIsCopied(t *testing.T) {
 	before := []byte{0, 0}
 	after := []byte{1, 0}
@@ -68,7 +70,7 @@ func TestDiffRoundTripProperty(t *testing.T) {
 			off := rng.Intn(len(after))
 			after[off] = byte(rng.Intn(256))
 		}
-		spans := Diff(before, after, int(gap%9)+1)
+		spans := AppendSpans(nil, before, after, int(gap%9)+1)
 		got := append([]byte(nil), before...)
 		for _, s := range spans {
 			copy(got[s.Offset:], s.Data)
@@ -80,7 +82,19 @@ func TestDiffRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: replaying DiffRecords through the log applicator reproduces
+// diffRecords is the recorder's way to redo: the spans, then one buffer for
+// every record's bytes.
+func diffRecords(pg core.PGID, id core.PageID, txn uint64, before, after []byte, gap int) ([]core.Record, error) {
+	spans := AppendSpans(nil, before, after, gap)
+	size := 0
+	for _, s := range spans {
+		size += len(s.Data)
+	}
+	recs, _, err := AppendDeltas(nil, make([]byte, size), pg, id, txn, spans)
+	return recs, err
+}
+
+// Property: replaying diffRecords through the log applicator reproduces
 // the after-image — the end-to-end engine->storage contract.
 func TestDiffRecordsApplyProperty(t *testing.T) {
 	f := func(seed int64, edits uint8) bool {
@@ -93,7 +107,7 @@ func TestDiffRecordsApplyProperty(t *testing.T) {
 			off := rng.Intn(PayloadSize)
 			after[off] ^= 0xFF
 		}
-		recs, err := DiffRecords(1, 3, 7, before, after, 16)
+		recs, err := diffRecords(1, 3, 7, before, after, 16)
 		if err != nil {
 			return false
 		}
@@ -111,7 +125,7 @@ func TestDiffRecordsApplyProperty(t *testing.T) {
 }
 
 // diffOracle is Diff as it was first written, one byte per iteration: the
-// reference the word-wise Diff is held to.
+// reference the word-wise span finder (AppendSpans) is held to.
 func diffOracle(before, after []byte, gap int) []Span {
 	if gap < 1 {
 		gap = 1
@@ -176,7 +190,7 @@ func diffCase(seed int64, size uint16, edits, gap uint8) (before, after []byte, 
 func checkDiffAgainstOracle(t *testing.T, seed int64, size uint16, edits, gap uint8) {
 	t.Helper()
 	before, after, g := diffCase(seed, size, edits, gap)
-	got, want := Diff(before, after, g), diffOracle(before, after, g)
+	got, want := AppendSpans(nil, before, after, g), diffOracle(before, after, g)
 	if len(got) != len(want) {
 		t.Fatalf("seed %d size %d edits %d gap %d: %d spans, oracle has %d", seed, size, edits, gap, len(got), len(want))
 	}
@@ -186,11 +200,11 @@ func checkDiffAgainstOracle(t *testing.T, seed int64, size uint16, edits, gap ui
 				i, got[i].Offset, len(got[i].Data), want[i].Offset, len(want[i].Data))
 		}
 	}
-	// DiffRecords shares the span finder but not the copy: same boundaries,
+	// The records share the span finder but not the copy: same boundaries,
 	// and Data that does not alias after.
-	recs, err := DiffRecords(1, 3, 7, before, after, g)
+	recs, err := diffRecords(1, 3, 7, before, after, g)
 	if err != nil || len(recs) != len(want) {
-		t.Fatalf("seed %d: DiffRecords gave %d records, %v; oracle has %d spans", seed, len(recs), err, len(want))
+		t.Fatalf("seed %d: %d records, %v; oracle has %d spans", seed, len(recs), err, len(want))
 	}
 	for i := range after {
 		after[i] = ^after[i]
@@ -202,7 +216,7 @@ func checkDiffAgainstOracle(t *testing.T, seed int64, size uint16, edits, gap ui
 	}
 }
 
-// TestDiffMatchesByteWiseOracle: the word-wise Diff gives the byte-wise one's
+// TestDiffMatchesByteWiseOracle: the word-wise AppendSpans gives the byte-wise one's
 // spans exactly — same boundaries, same merging, same bytes — over random
 // edits on payloads of every alignment.
 func TestDiffMatchesByteWiseOracle(t *testing.T) {

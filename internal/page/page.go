@@ -174,17 +174,3 @@ func (p Page) Fold(chain []*core.Record, upTo core.LSN) error {
 	}
 	return nil
 }
-
-// DeltaRecord builds a page-delta record payload for the byte range
-// [offset, offset+len(data)) of a page. It is a convenience for engine code
-// and validates bounds eagerly so corruption is caught at generation time
-// rather than at apply time on a storage node.
-func DeltaRecord(pg core.PGID, id core.PageID, txn uint64, offset int, data []byte) (core.Record, error) {
-	if offset < 0 || offset+len(data) > PayloadSize {
-		return core.Record{}, fmt.Errorf("%w: [%d,%d)", ErrOutOfBounds, offset, offset+len(data))
-	}
-	return core.Record{
-		Type: core.RecPageDelta, PG: pg, Page: id, Txn: txn,
-		Offset: uint32(offset), Data: append([]byte(nil), data...),
-	}, nil
-}

@@ -206,25 +206,42 @@ func TestMaterializeComposes(t *testing.T) {
 }
 
 func TestDeltaRecordBounds(t *testing.T) {
-	if _, err := DeltaRecord(0, 1, 1, -1, []byte("x")); err == nil {
+	delta := func(offset int, data []byte) (core.Record, error) {
+		recs, _, err := AppendDeltas(nil, make([]byte, len(data)), 2, 3, 4, []Span{{Offset: offset, Data: data}})
+		if err != nil {
+			return core.Record{}, err
+		}
+		return recs[0], nil
+	}
+	if _, err := delta(-1, []byte("x")); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := DeltaRecord(0, 1, 1, PayloadSize, []byte("x")); err == nil {
+	if _, err := delta(PayloadSize, []byte("x")); err == nil {
 		t.Fatal("offset past payload accepted")
 	}
-	r, err := DeltaRecord(2, 3, 4, 8, []byte("ok"))
+	if _, _, err := AppendDeltas(nil, make([]byte, 1), 2, 3, 4, []Span{{Offset: 0, Data: []byte("ok")}}); err == nil {
+		t.Fatal("a buffer too short for the spans accepted")
+	}
+	r, err := delta(8, []byte("ok"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PG != 2 || r.Page != 3 || r.Txn != 4 || r.Offset != 8 {
+	if r.Type != core.RecPageDelta || r.PG != 2 || r.Page != 3 || r.Txn != 4 || r.Offset != 8 {
 		t.Fatalf("fields wrong: %+v", r)
 	}
-	// Data must be copied, not aliased.
+	// Data must be copied, not aliased, and capacity-limited to its own bytes.
 	src := []byte("abc")
-	r2, _ := DeltaRecord(0, 1, 1, 0, src)
+	r2, _ := delta(0, src)
 	src[0] = 'z'
 	if r2.Data[0] != 'a' {
-		t.Fatal("DeltaRecord aliased caller data")
+		t.Fatal("AppendDeltas aliased caller data")
+	}
+	recs, rest, err := AppendDeltas(nil, make([]byte, 8), 0, 1, 1, []Span{{Offset: 0, Data: []byte("ab")}, {Offset: 9, Data: []byte("cd")}})
+	if err != nil || len(rest) != 4 || cap(recs[0].Data) != 2 {
+		t.Fatalf("two spans in one buffer: %v, %d bytes left, first record's capacity %d", err, len(rest), cap(recs[0].Data))
+	}
+	if _ = append(recs[0].Data, 'X'); string(recs[1].Data) != "cd" {
+		t.Fatalf("an append to one record's data reached the next: %q", recs[1].Data)
 	}
 }
 

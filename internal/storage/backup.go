@@ -210,16 +210,17 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 	// every chain are rebuilt by appending; one that does not is malformed.
 	var log recordLog
 	var dirty []*pageState
+	var dec core.Record
 	for len(region) > 0 {
-		r := new(core.Record)
-		used, err := core.DecodeRecordInto(region, r)
+		used, err := core.DecodeRecordInto(region, &dec)
 		if err != nil {
 			return fmt.Errorf("%w: record %d: %v", ErrBadSnapshot, len(log), err)
 		}
 		region = region[used:]
-		if r.LSN <= log.highest() {
-			return fmt.Errorf("%w: record %d: LSN %d not above its predecessor", ErrBadSnapshot, len(log), r.LSN)
+		if dec.LSN <= log.highest() {
+			return fmt.Errorf("%w: record %d: LSN %d not above its predecessor", ErrBadSnapshot, len(log), dec.LSN)
 		}
+		r := n.arena.adopt(&dec)
 		log = append(log, r)
 		if r.PageRecord() {
 			ps := pages[r.Page]
@@ -375,9 +376,7 @@ func (n *Node) loadDelta(buf []byte) error {
 		return fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
 	}
 	for i := range recs {
-		if n.admitRecordLocked(&recs[i]) {
-			n.fileLocked(&recs[i])
-		}
+		n.ingestLocked(&recs[i])
 	}
 	n.observePointsLocked(h.vdl, h.pgmrpl)
 	n.geomEpoch = max(n.geomEpoch, h.geomEpoch)

@@ -168,7 +168,7 @@ func (n *Node) logGCOnce() int {
 	// Peer SCLs are read without holding our own lock (same discipline as
 	// the gossip pull) to keep lock ordering single-level.
 	n.mu.Lock()
-	peers := append([]*Node(nil), n.peers...)
+	peers := n.peers // SetPeers publishes a new slice, never writes this one
 	n.mu.Unlock()
 	floor := n.SCL()
 	for _, p := range peers {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"sort"
 
 	"aurora/internal/core"
 )
@@ -64,16 +63,15 @@ func (n *Node) catchUpTo(ctx context.Context, target core.LSN) bool {
 // number of fresh records ingested.
 func (n *Node) pullRound(ctx context.Context) int {
 	total := 0
+	// Same-AZ peers come first (SetPeers orders them): every AZ holds a
+	// complete copy of the stream under both schemes (two full replicas
+	// classically, one log replica under a role split), so pulling locally
+	// first keeps the steady-state feed off the cross-AZ links and off their
+	// latency. SetPeers never writes into a slice it has published, so the
+	// round reads this one without copying it.
 	n.mu.Lock()
-	peers := append([]*Node(nil), n.peers...)
+	peers := n.peers
 	n.mu.Unlock()
-	// Prefer same-AZ peers: every AZ holds a complete copy of the stream
-	// under both schemes (two full replicas classically, one log replica
-	// under a role split), so pulling locally first keeps the steady-state
-	// feed off the cross-AZ links and off their latency.
-	sort.SliceStable(peers, func(i, j int) bool {
-		return (peers[i].cfg.AZ == n.cfg.AZ) && (peers[j].cfg.AZ != n.cfg.AZ)
-	})
 	for _, peer := range peers {
 		if ctx.Err() != nil {
 			break

@@ -137,7 +137,8 @@ type Node struct {
 	ssd *disk.SSD
 
 	mu    sync.Mutex
-	log   recordLog // retained records for gossip/materialize, by ascending LSN
+	arena recordArena // owns every record filed (arena.go)
+	log   recordLog   // retained records for gossip/materialize, by ascending LSN
 	pages map[core.PageID]*pageState
 	// dirty lists the pages that have a chain, each once, so that a coalesce
 	// round costs what changed and not what the node holds. A page enters it
@@ -279,16 +280,23 @@ func (n *Node) FeedBytes() uint64 { return n.feedBytes.Load() }
 // Disk exposes the node's SSD for fault injection.
 func (n *Node) Disk() *disk.SSD { return n.ssd }
 
-// SetPeers wires the node to the other replicas of its protection group.
+// SetPeers wires the node to the other replicas of its protection group,
+// same-AZ peers first (the order gossip pulls in, gossip.go). It builds a new
+// slice, so a round that loaded the old one under n.mu may go on reading it.
 func (n *Node) SetPeers(peers []*Node) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.peers = nil
+	var near, far []*Node
 	for _, p := range peers {
-		if p != n {
-			n.peers = append(n.peers, p)
+		switch {
+		case p == n:
+		case p.cfg.AZ == n.cfg.AZ:
+			near = append(near, p)
+		default:
+			far = append(far, p)
 		}
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.peers = append(near, far...)
 }
 
 // Crash makes the node reject all traffic (a node reboot or failure). Its
@@ -336,11 +344,9 @@ type BatchResult struct {
 // durability, exactly as a real log-structured store would replay it.
 //
 // The flight views are BORROWED for the duration of the call (they
-// typically point into the sender's arena). Anything the node retains is
-// copied: per batch, one body buffer plus one record slab whose Data fields
-// alias that buffer — the slab stays reachable until every record filed
-// from it is GC'd, which is the price of two allocations per batch instead
-// of two per record.
+// typically point into the sender's arena). Each record the node files is
+// copied into the node's record arena (arena.go), so a steady stream of
+// batches allocates only the arena's chunk refills.
 //
 // Outcomes are split by scope: a node-level error (down, wiped, disk
 // failure, QoS rejection, canceled ctx) fails the whole flight and the
@@ -427,8 +433,8 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 }
 
 // ingestBatchLocked validates one borrowed batch view and files its records,
-// returning how many were newly filed. The records are decoded zero-copy
-// into one retained body buffer + record slab per batch (see Ingest).
+// returning how many were newly filed. Each record is decoded in place and,
+// if admitted, filed as the arena's copy of it.
 func (n *Node) ingestBatchLocked(v core.BatchView) (int, error) {
 	if err := n.checkVol(v.Vol()); err != nil {
 		return 0, err
@@ -439,36 +445,30 @@ func (n *Node) ingestBatchLocked(v core.BatchView) (int, error) {
 	if err := v.Verify(); err != nil {
 		return 0, fmt.Errorf("%s: batch pg=%d: %w", n.cfg.Node, v.PG(), err)
 	}
-	// The one copy the node owes: the view's bytes die with the sender's
-	// arena, so the retained records decode against a private body buffer.
-	body := append([]byte(nil), v.Body()...)
-	slab := make([]core.Record, v.NumRecords())
-	off := 0
+	body := v.Body()
 	filed := 0
-	for i := range slab {
-		consumed, err := core.DecodeRecordInto(body[off:], &slab[i])
+	var r core.Record
+	for i, k := 0, v.NumRecords(); i < k; i++ {
+		consumed, err := core.DecodeRecordInto(body, &r)
 		if err != nil {
 			return filed, fmt.Errorf("%s: batch pg=%d record %d: %w", n.cfg.Node, v.PG(), i, err)
 		}
-		off += consumed
-		if n.admitRecordLocked(&slab[i]) {
-			n.fileLocked(&slab[i])
+		body = body[consumed:]
+		if n.ingestLocked(&r) {
 			filed++
 		}
 	}
 	return filed, nil
 }
 
-// ingestLocked clones and files one record, reporting whether it was new.
-// It serves the cold paths that hold records borrowed from a peer (gossip,
-// scrub repair); the foreground Ingest path files slab records directly via
-// admitRecordLocked+fileLocked without the clone.
+// ingestLocked files the arena's copy of a borrowed record — a wire view's,
+// a peer's, a decoded backup's — reporting whether it was new. It is the one
+// way a record becomes the node's.
 func (n *Node) ingestLocked(r *core.Record) bool {
 	if !n.admitRecordLocked(r) {
 		return false
 	}
-	cl := r.Clone()
-	n.fileLocked(&cl)
+	n.fileLocked(n.arena.adopt(r))
 	return true
 }
 
@@ -489,9 +489,9 @@ func (n *Node) admitRecordLocked(r *core.Record) bool {
 
 // fileLocked files an admitted record into the log, page chains, CPL index
 // and gap tracker — and, while a delta is staging, onto the backup's staging
-// list. The node takes ownership of *rec (and whatever its Data aliases) from
-// this point on; records are immutable once filed, so the staging list may
-// keep one alive past coalescing GC until the next backup pass.
+// list. rec is the arena's (ingestLocked); records are immutable once filed,
+// so the staging list may keep one alive past coalescing GC until the next
+// backup pass.
 func (n *Node) fileLocked(rec *core.Record) {
 	if n.staging {
 		n.staged = append(n.staged, rec)

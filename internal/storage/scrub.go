@@ -28,7 +28,7 @@ func (n *Node) ScrubOnce() int {
 			n.scrubOK.Add(1)
 		}
 	}
-	peers := append([]*Node(nil), n.peers...)
+	peers := n.peers // SetPeers publishes a new slice, never writes this one
 	n.mu.Unlock()
 
 	ctx := n.runContext()
@@ -111,8 +111,7 @@ func (n *Node) installRepairLocked(id core.PageID, base page.Page, chain []*core
 		// the chain (the base no longer reflects them) and nowhere else.
 		onChain := slices.ContainsFunc(ps.chain, func(c *core.Record) bool { return c.LSN == r.LSN })
 		if r.LSN <= n.gcTail && r.Vol == n.cfg.Vol && !n.trunc.Annuls(r.LSN) && !onChain {
-			cl := r.Clone()
-			n.chainInsertLocked(ps, &cl)
+			n.chainInsertLocked(ps, n.arena.adopt(r))
 		}
 	}
 }

@@ -12,6 +12,7 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,17 +33,30 @@ type waiter struct {
 	ch  chan struct{}
 }
 
+// lockState is one locked row. It is held by value in the table: a row's
+// lock costs no object of its own.
 type lockState struct {
 	holder uint64
-	held   bool
 	queue  []*waiter
+	prev   string // the row its holder was granted before this one, if any
 }
 
-// LockTable grants exclusive row locks to transactions.
+// chain is a transaction's locked rows: the last one it was granted and how
+// many there are, each row's prev naming the one before.
+type chain struct {
+	last string
+	n    int
+}
+
+// LockTable grants exclusive row locks to transactions. It keeps one entry
+// per locked row, keyed by the string its first holder passed in (the write
+// set's one copy of the key), and per transaction the head of the chain its
+// rows form through prev: releasing a transaction's locks costs its own
+// rows, not the table's, and allocates nothing per transaction.
 type LockTable struct {
 	mu      sync.Mutex
-	locks   map[string]*lockState
-	held    map[uint64]map[string]struct{}
+	locks   map[string]lockState
+	held    map[uint64]chain
 	timeout time.Duration
 	closed  bool
 
@@ -55,31 +69,22 @@ func NewLockTable(timeout time.Duration) *LockTable {
 	if timeout <= 0 {
 		timeout = DefaultLockTimeout
 	}
-	return &LockTable{
-		locks:   make(map[string]*lockState),
-		held:    make(map[uint64]map[string]struct{}),
-		timeout: timeout,
-	}
+	return &LockTable{locks: make(map[string]lockState), held: make(map[uint64]chain), timeout: timeout}
 }
 
 // Acquire takes the exclusive lock on key for txn, blocking behind earlier
 // holders. Re-acquiring a held lock is a no-op. A wait longer than the
-// table timeout fails with ErrLockTimeout and the caller must abort.
+// table timeout fails with ErrLockTimeout and the caller must abort. The
+// table keeps key (not a copy) while the row is locked.
 func (lt *LockTable) Acquire(txn uint64, key string) error {
 	lt.mu.Lock()
 	if lt.closed {
 		lt.mu.Unlock()
 		return ErrLockClosed
 	}
-	ls := lt.locks[key]
-	if ls == nil {
-		ls = &lockState{}
-		lt.locks[key] = ls
-	}
-	if !ls.held {
-		ls.held = true
-		ls.holder = txn
-		lt.noteHeldLocked(txn, key)
+	ls, held := lt.locks[key]
+	if !held {
+		lt.grantLocked(txn, key, lockState{})
 		lt.mu.Unlock()
 		return nil
 	}
@@ -89,6 +94,7 @@ func (lt *LockTable) Acquire(txn uint64, key string) error {
 	}
 	w := &waiter{txn: txn, ch: make(chan struct{})}
 	ls.queue = append(ls.queue, w)
+	lt.locks[key] = ls
 	lt.mu.Unlock()
 	lt.waits.Add(1)
 
@@ -118,12 +124,10 @@ func (lt *LockTable) Acquire(txn uint64, key string) error {
 			return nil
 		default:
 		}
-		for i, q := range ls.queue {
-			if q == w {
-				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-				break
-			}
-		}
+		// Not granted, so the row is still locked and w still queued on it.
+		ls := lt.locks[key]
+		ls.queue = slices.DeleteFunc(ls.queue, func(q *waiter) bool { return q == w })
+		lt.locks[key] = ls
 		return ErrLockTimeout
 	}
 }
@@ -135,72 +139,61 @@ func (lt *LockTable) TryAcquire(txn uint64, key string) bool {
 	if lt.closed {
 		return false
 	}
-	ls := lt.locks[key]
-	if ls == nil {
-		ls = &lockState{}
-		lt.locks[key] = ls
+	if ls, held := lt.locks[key]; held {
+		return ls.holder == txn
 	}
-	if ls.held && ls.holder != txn {
-		return false
-	}
-	ls.held = true
-	ls.holder = txn
-	lt.noteHeldLocked(txn, key)
+	lt.grantLocked(txn, key, lockState{})
 	return true
 }
 
-func (lt *LockTable) noteHeldLocked(txn uint64, key string) {
-	set := lt.held[txn]
-	if set == nil {
-		set = make(map[string]struct{})
-		lt.held[txn] = set
-	}
-	set[key] = struct{}{}
+// grantLocked makes txn the holder of key and puts the row at the head of
+// txn's chain.
+func (lt *LockTable) grantLocked(txn uint64, key string, ls lockState) {
+	c := lt.held[txn]
+	ls.holder, ls.prev = txn, c.last
+	lt.locks[key] = ls
+	lt.held[txn] = chain{last: key, n: c.n + 1}
 }
 
-// ReleaseAll drops every lock txn holds, granting each to its next waiter
-// in FIFO order.
+// ReleaseAll drops every lock txn holds, granting each to its next waiter in
+// FIFO order.
 func (lt *LockTable) ReleaseAll(txn uint64) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	for key := range lt.held[txn] {
-		lt.releaseOneLocked(txn, key)
+	c, ok := lt.held[txn]
+	if !ok {
+		return
 	}
 	delete(lt.held, txn)
-}
-
-func (lt *LockTable) releaseOneLocked(txn uint64, key string) {
-	ls := lt.locks[key]
-	if ls == nil || !ls.held || ls.holder != txn {
-		return
+	key := c.last
+	for range c.n {
+		ls := lt.locks[key]
+		prev := ls.prev
+		if len(ls.queue) == 0 {
+			delete(lt.locks, key)
+		} else {
+			next := ls.queue[0]
+			ls.queue = ls.queue[1:]
+			lt.grantLocked(next.txn, key, ls)
+			close(next.ch)
+		}
+		key = prev
 	}
-	if len(ls.queue) == 0 {
-		delete(lt.locks, key)
-		return
-	}
-	next := ls.queue[0]
-	ls.queue = ls.queue[1:]
-	ls.holder = next.txn
-	lt.noteHeldLocked(next.txn, key)
-	close(next.ch)
 }
 
 // Holder reports the current holder of key, if locked.
 func (lt *LockTable) Holder(key string) (uint64, bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	ls := lt.locks[key]
-	if ls == nil || !ls.held {
-		return 0, false
-	}
-	return ls.holder, true
+	ls, held := lt.locks[key]
+	return ls.holder, held
 }
 
 // HeldBy returns the number of locks txn currently holds.
 func (lt *LockTable) HeldBy(txn uint64) int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	return len(lt.held[txn])
+	return lt.held[txn].n
 }
 
 // Stats returns the total waits and timeouts observed.
@@ -216,11 +209,12 @@ func (lt *LockTable) Close() {
 		return
 	}
 	lt.closed = true
-	for _, ls := range lt.locks {
+	for key, ls := range lt.locks {
 		for _, w := range ls.queue {
 			close(w.ch)
 		}
 		ls.queue = nil
+		lt.locks[key] = ls
 	}
 }
 

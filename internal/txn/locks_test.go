@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -22,9 +23,16 @@ func TestAcquireReleaseBasic(t *testing.T) {
 	if lt.HeldBy(1) != 1 {
 		t.Fatalf("held %d", lt.HeldBy(1))
 	}
+	// Another transaction's lock is not released with txn 1's.
+	if err := lt.Acquire(2, "b"); err != nil {
+		t.Fatal(err)
+	}
 	lt.ReleaseAll(1)
 	if _, ok := lt.Holder("a"); ok {
 		t.Fatal("lock survived release")
+	}
+	if h, ok := lt.Holder("b"); !ok || h != 2 {
+		t.Fatalf("another transaction's lock released: holder %d %v", h, ok)
 	}
 }
 
@@ -77,6 +85,44 @@ func TestFIFOHandoff(t *testing.T) {
 	wg.Wait()
 	if a, b := <-order, <-order; a != 2 || b != 3 {
 		t.Fatalf("grant order %d,%d want 2,3", a, b)
+	}
+}
+
+// TestReleaseAllFreesHandedOffLocks: a lock granted to a waiter joins the
+// waiter's own rows, so its ReleaseAll frees it with them, and a released
+// key nobody waits on leaves the table.
+func TestReleaseAllFreesHandedOffLocks(t *testing.T) {
+	lt := NewLockTable(time.Second)
+	for _, l := range []struct {
+		txn uint64
+		key string
+	}{{1, "a"}, {1, ""}, {2, "b"}} {
+		if err := lt.Acquire(l.txn, l.key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	granted := make(chan error)
+	go func() { granted <- lt.Acquire(2, "a") }()
+	for lt.waits.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	lt.ReleaseAll(1)
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := lt.Holder("a"); !ok || h != 2 {
+		t.Fatalf("a: holder %d %v, want the waiter", h, ok)
+	}
+	if _, ok := lt.Holder(""); ok {
+		t.Fatal("txn 1's second row survived its release")
+	}
+	if n := lt.HeldBy(2); n != 2 {
+		t.Fatalf("txn 2 holds %d rows, want 2", n)
+	}
+	lt.ReleaseAll(2)
+	lt.ReleaseAll(2) // a transaction with nothing held
+	if n := len(lt.locks); n != 0 || lt.HeldBy(2) != 0 {
+		t.Fatalf("%d rows still locked after both released, txn 2 holds %d", n, lt.HeldBy(2))
 	}
 }
 
@@ -236,5 +282,33 @@ func TestIDsUnique(t *testing.T) {
 	wg.Wait()
 	if len(seen) != 8000 {
 		t.Fatalf("ids %d", len(seen))
+	}
+}
+
+// BenchmarkReleaseAllWithOthersHeld: a two-row transaction's acquire and
+// release while other transactions hold `others` rows. The release follows
+// the transaction's own chain, so its cost does not grow with the table.
+func BenchmarkReleaseAllWithOthersHeld(b *testing.B) {
+	for _, others := range []int{0, 100, 5000} {
+		b.Run(fmt.Sprint(others), func(b *testing.B) {
+			lt := NewLockTable(0)
+			for i := range others {
+				if err := lt.Acquire(uint64(1_000_000+i), fmt.Sprintf("other-%d", i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				id := uint64(i + 1)
+				if err := lt.Acquire(id, "a"); err != nil {
+					b.Fatal(err)
+				}
+				if err := lt.Acquire(id, "b"); err != nil {
+					b.Fatal(err)
+				}
+				lt.ReleaseAll(id)
+			}
+		})
 	}
 }

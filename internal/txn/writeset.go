@@ -3,7 +3,8 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -33,17 +34,18 @@ func NewManager(lockTimeout time.Duration) *Manager {
 	return &Manager{Locks: NewLockTable(lockTimeout)}
 }
 
-// Begin starts a writer transaction.
+// Begin starts a writer transaction. It allocates nothing: the write set
+// takes its memory at the first write.
 func (m *Manager) Begin() WriteSet {
 	m.begins.Add(1)
-	return WriteSet{m: m, id: m.ids.Next(), writes: make(map[string]writeOp)}
+	return WriteSet{m: m, id: m.ids.Next()}
 }
 
 // BeginReadOnly starts a transaction that takes no locks and buffers no
 // writes: Put and Delete fail with ErrReadOnlyTx.
 func (m *Manager) BeginReadOnly() WriteSet {
 	m.begins.Add(1)
-	return WriteSet{m: m, id: m.ids.Next()}
+	return WriteSet{m: m, id: m.ids.Next(), readOnly: true}
 }
 
 // Counts returns how many transactions began, committed and aborted.
@@ -57,18 +59,27 @@ func (m *Manager) Counts() (begins, commits, aborts uint64) {
 // the buffer to the tree in first-touch order at commit — so pages and the log
 // only ever contain committed data. Engines embed it by value and add what
 // differs between them: how a commit is made durable.
+//
+// A write costs one string, its key, which the lock table's entry shares; the
+// buffer is one slice in first-touch order, searched in place.
 type WriteSet struct {
-	m      *Manager
-	id     uint64
-	writes map[string]writeOp // nil on a read-only transaction
-	order  []string           // keys in first-touch order
-	done   bool
+	m        *Manager
+	id       uint64
+	writes   []write // first-touch order
+	readOnly bool
+	done     bool
 }
 
-type writeOp struct {
+// write is the transaction's latest write to one row.
+type write struct {
+	key string
 	val []byte
 	del bool
 }
+
+// firstWrites is the buffer's first capacity: most transactions write a few
+// rows, and growing from one row at a time costs an object per step.
+const firstWrites = 4
 
 // ID returns the transaction's identifier.
 func (ws *WriteSet) ID() uint64 { return ws.id }
@@ -77,10 +88,20 @@ func (ws *WriteSet) ID() uint64 { return ws.id }
 func (ws *WriteSet) Done() bool { return ws.done }
 
 // ReadOnly reports whether the transaction was begun read-only.
-func (ws *WriteSet) ReadOnly() bool { return ws.writes == nil }
+func (ws *WriteSet) ReadOnly() bool { return ws.readOnly }
 
 // Len returns the number of rows with a buffered write.
-func (ws *WriteSet) Len() int { return len(ws.order) }
+func (ws *WriteSet) Len() int { return len(ws.writes) }
+
+// find returns the position of key's write, or -1.
+func (ws *WriteSet) find(key []byte) int {
+	for i := range ws.writes {
+		if ws.writes[i].key == string(key) {
+			return i
+		}
+	}
+	return -1
+}
 
 // Put buffers an insert/update, taking the exclusive row lock. A lock
 // timeout aborts the transaction.
@@ -92,37 +113,42 @@ func (ws *WriteSet) Len() int { return len(ws.order) }
 // outlives the commit, such as the baseline's replication stream, copies it).
 // Pending copies out, so a caller mutating a value returned by a read cannot
 // alias this buffer either.
-func (ws *WriteSet) Put(key, val []byte) error { return ws.buffer(key, writeOp{val: val}) }
+func (ws *WriteSet) Put(key, val []byte) error { return ws.buffer(key, val, false) }
 
 // Delete buffers a deletion, taking the exclusive row lock.
-func (ws *WriteSet) Delete(key []byte) error { return ws.buffer(key, writeOp{del: true}) }
+func (ws *WriteSet) Delete(key []byte) error { return ws.buffer(key, nil, true) }
 
-// buffer validates a write against the btree limits, takes key's row lock and
-// records op as the transaction's latest write to it.
-func (ws *WriteSet) buffer(key []byte, op writeOp) error {
+// buffer validates a write against the btree limits, takes key's row lock on
+// its first write and records the write as the transaction's latest to key.
+func (ws *WriteSet) buffer(key, val []byte, del bool) error {
 	switch {
 	case ws.done:
 		return ErrTxDone
-	case ws.ReadOnly():
+	case ws.readOnly:
 		return ErrReadOnlyTx
 	case len(key) == 0:
 		return btree.ErrEmptyKey
-	case len(key) > btree.MaxKey && !op.del: // no such row exists to delete
+	case len(key) > btree.MaxKey && !del: // no such row exists to delete
 		return btree.ErrKeyTooLarge
-	case len(op.val) > btree.MaxValue:
+	case len(val) > btree.MaxValue:
 		return btree.ErrValueTooLarge
 	}
-	// A lock timeout aborts the transaction so deadlocks resolve: the caller
-	// sees the error and must not reuse the transaction.
-	if err := ws.m.Locks.Acquire(ws.id, string(key)); err != nil {
-		ws.Finish(false)
-		return fmt.Errorf("txn %d key %q: %w", ws.id, key, err)
+	i := ws.find(key)
+	if i < 0 {
+		k := string(key)
+		// A lock timeout aborts the transaction so deadlocks resolve: the
+		// caller sees the error and must not reuse the transaction.
+		if err := ws.m.Locks.Acquire(ws.id, k); err != nil {
+			ws.Finish(false)
+			return fmt.Errorf("txn %d key %q: %w", ws.id, key, err)
+		}
+		if ws.writes == nil {
+			ws.writes = make([]write, 0, firstWrites)
+		}
+		i = len(ws.writes)
+		ws.writes = append(ws.writes, write{key: k})
 	}
-	k := string(key)
-	if _, seen := ws.writes[k]; !seen {
-		ws.order = append(ws.order, k)
-	}
-	ws.writes[k] = op
+	ws.writes[i].val, ws.writes[i].del = val, del
 	return nil
 }
 
@@ -130,25 +156,30 @@ func (ws *WriteSet) buffer(key []byte, op writeOp) error {
 // the key is untouched and the read must go to the tree; otherwise found and
 // val (a copy) are the answer.
 func (ws *WriteSet) Pending(key []byte) (val []byte, found, ok bool) {
-	w, ok := ws.writes[string(key)]
-	if !ok || w.del {
-		return nil, false, ok
+	i := ws.find(key)
+	if i < 0 {
+		return nil, false, false
 	}
-	return append([]byte(nil), w.val...), true, true
+	if w := &ws.writes[i]; !w.del {
+		return append([]byte(nil), w.val...), true, true
+	}
+	return nil, false, true
 }
 
 // Scan visits rows with from <= key < to in key order, overlaying the
 // transaction's uncommitted writes on the committed state of t. The caller
 // holds whatever latch reading t needs.
 func (ws *WriteSet) Scan(t *btree.Tree, from, to []byte, fn func(key, val []byte) bool) error {
-	// Pending write keys in range, sorted.
-	var pend []string
-	for k := range ws.writes {
+	// Pending writes in range, as positions in the buffer (fn may write,
+	// which can move the buffer but never reorders it), sorted by key.
+	var pend []int
+	for i := range ws.writes {
+		k := ws.writes[i].key
 		if (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
-			pend = append(pend, k)
+			pend = append(pend, i)
 		}
 	}
-	sort.Strings(pend)
+	slices.SortFunc(pend, func(a, b int) int { return strings.Compare(ws.writes[a].key, ws.writes[b].key) })
 	pi, stopped := 0, false
 	visit := func(k, v []byte) bool {
 		stopped = !fn(k, v)
@@ -157,8 +188,8 @@ func (ws *WriteSet) Scan(t *btree.Tree, from, to []byte, fn func(key, val []byte
 	// flush visits the pending keys below upTo (all that are left when nil)
 	// and reports whether the scan goes on.
 	flush := func(upTo []byte) bool {
-		for ; pi < len(pend) && (upTo == nil || pend[pi] < string(upTo)); pi++ {
-			if w := ws.writes[pend[pi]]; !w.del && !visit([]byte(pend[pi]), w.val) {
+		for ; pi < len(pend) && (upTo == nil || ws.writes[pend[pi]].key < string(upTo)); pi++ {
+			if w := ws.writes[pend[pi]]; !w.del && !visit([]byte(w.key), w.val) {
 				return false
 			}
 		}
@@ -168,7 +199,7 @@ func (ws *WriteSet) Scan(t *btree.Tree, from, to []byte, fn func(key, val []byte
 		if !flush(k) {
 			return false
 		}
-		if pi < len(pend) && pend[pi] == string(k) { // the row has a pending write
+		if pi < len(pend) && ws.writes[pend[pi]].key == string(k) { // the row has a pending write
 			w := ws.writes[pend[pi]]
 			pi++
 			if w.del {
@@ -189,13 +220,13 @@ func (ws *WriteSet) Scan(t *btree.Tree, from, to []byte, fn func(key, val []byte
 // pages are rolled back to their before-images; the transaction is not
 // finished.
 func (ws *WriteSet) Apply(t *btree.Tree, rec *btree.Recorder) error {
-	for _, k := range ws.order {
-		w := ws.writes[k]
+	for i := range ws.writes {
+		w := &ws.writes[i]
 		var err error
 		if w.del {
-			_, err = t.Delete(rec, []byte(k))
+			_, err = t.Delete(rec, []byte(w.key))
 		} else {
-			err = t.Put(rec, []byte(k), w.val)
+			err = t.Put(rec, []byte(w.key), w.val)
 		}
 		if err != nil {
 			rec.Rollback()
@@ -208,9 +239,9 @@ func (ws *WriteSet) Apply(t *btree.Tree, rec *btree.Recorder) error {
 // Each visits the buffered writes in first-touch order — the order Apply
 // uses. val is the borrowed buffer Put was given.
 func (ws *WriteSet) Each(fn func(key string, val []byte, del bool)) {
-	for _, k := range ws.order {
-		w := ws.writes[k]
-		fn(k, w.val, w.del)
+	for i := range ws.writes {
+		w := &ws.writes[i]
+		fn(w.key, w.val, w.del)
 	}
 }
 

@@ -27,8 +27,9 @@ func raceEnabled() bool {
 // framing into the arena, wire shipping to all six replicas, quorum ack,
 // VDL wait, arena recycle — and reports allocations per record. The group
 // shape (128 MTRs x 4 records) matches a loaded commit pipeline, where the
-// per-group fixed costs (the GroupWrite, its batch slice, the blocking
-// Ship's channel and completion) amortize across 512 records.
+// per-group fixed costs (the GroupWrite, which holds the batches of up to
+// four PGs inline, and the blocking Ship's channel and completion) amortize
+// across 512 records.
 func BenchmarkCommitSteadyStateAllocs(b *testing.B) {
 	const mtrs, recsPerMTR = 128, 4
 	net := netsim.New(netsim.FastLocal())
@@ -229,16 +230,17 @@ func TestShipIsTheCallersGoroutine(t *testing.T) {
 	if vdl := c.VDL(); vdl != 3000 {
 		t.Fatalf("VDL %d after 1000 three-record groups", vdl)
 	}
-	// The writer's objects for a group: the GroupWrite, its batch slice
-	// (tails and quorum trackers by value), and the channel and completion of
-	// the blocking Ship (the commit pipeline, which does not block, has only
-	// the completion). The rest of the count is the fleet's: each of the 18
-	// deliveries retains a body copy and a record slab on its storage node.
-	// Every run waits for the fifth and sixth deliveries too, so that groups
-	// do not overlap and the count is exact: one more object for that wait's
+	// The writer's objects for a group: the GroupWrite (its batches, with
+	// their tails and quorum trackers, inline), and the channel and
+	// completion of the blocking Ship (the commit pipeline, which does not
+	// block, has only the completion). The 18 deliveries add nothing a group
+	// can see: each storage node copies the records into its record arena,
+	// whose chunk refills come to a fraction of an object per group. Every
+	// run waits for the fifth and sixth deliveries too, so that groups do not
+	// overlap and the count is exact: one more object for that wait's
 	// channel. The slack is for the race detector, under which one or two
 	// more appear; a single object per batch would add three.
-	const writer, perDelivery, deliveries, drain, slack = 4, 2, 18, 1, 2
+	const writer, drain, slack = 3, 1, 2
 	avg := testing.AllocsPerRun(200, func() {
 		ship()
 		if err := c.drainWrites(); err != nil {
@@ -246,8 +248,7 @@ func TestShipIsTheCallersGoroutine(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f objects per three-batch group", avg)
-	if avg > writer+perDelivery*deliveries+drain+slack {
-		t.Fatalf("a three-batch group allocates %.0f objects, pinned at %d for the writer and %d for storage",
-			avg, writer, perDelivery*deliveries)
+	if avg > writer+drain+slack {
+		t.Fatalf("a three-batch group allocates %.0f objects, pinned at %d for the writer and none for storage", avg, writer)
 	}
 }

@@ -227,6 +227,7 @@ type GroupWrite struct {
 	// MTRs and the framer ends each on its CPL.
 	first, last core.LSN
 	batches     []groupBatch
+	inline      [inlineBatches]groupBatch // backs batches for a group of up to inlineBatches PGs
 
 	// Set by ShipAsync before the group enters the window. sp is the caller's
 	// group.ship span, nil unless the commit is sampled, and wait the wait span
@@ -245,6 +246,11 @@ type GroupWrite struct {
 
 	released atomic.Bool
 }
+
+// inlineBatches is how many per-PG batches a GroupWrite holds without a
+// slice of its own: a commit's rows and its commit record usually land on a
+// few PGs.
+const inlineBatches = 4
 
 // groupBatch is the window's view of one per-PG batch: copied out of the
 // framed group so that it outlives the arena, which is recycled when the
@@ -292,8 +298,12 @@ func (c *Client) frame(ctx context.Context, ms []*core.MTR) (*GroupWrite, error)
 		// group's first record.
 		first:      fg.Batches[0].First,
 		last:       fg.CPLs[len(fg.CPLs)-1],
-		batches:    make([]groupBatch, len(fg.Batches)),
 		unresolved: len(fg.Batches),
+	}
+	if len(fg.Batches) <= inlineBatches {
+		g.batches = g.inline[:len(fg.Batches)]
+	} else {
+		g.batches = make([]groupBatch, len(fg.Batches))
 	}
 	total := 0
 	for i := range fg.Batches {

@@ -385,11 +385,16 @@ func (f *Fleet) Stop() {
 // argument turned into a control loop: the fleet notices its own gray
 // failures and shrinks the window in which a second fault could pair with
 // them.
+//
+// A pass over a healthy fleet allocates nothing: each PG is snapshotted once,
+// onto the stack, and every replica classified against that snapshot.
 func (f *Fleet) healthMonitorOnce() {
+	var buf [maxStackReplicas]repSnap
 	for g, replicas := range *f.pgs.Load() {
 		pg := core.PGID(g)
+		snaps := f.health.snapshot(pg, buf[:0])
 		for i, n := range replicas {
-			if f.health.State(pg, i) != Suspect {
+			if f.health.stateOf(snaps, i) != Suspect {
 				continue
 			}
 			if n.Down() {

@@ -309,3 +309,25 @@ func TestHedgedReadKeepsStaleGeometryVerdict(t *testing.T) {
 		t.Fatalf("hedged: counters %+v, want two hedges and nothing won or canceled", s)
 	}
 }
+
+// TestHealthMonitorPassAllocatesNothing: the repair loop runs on every
+// fleet, all the time, so a pass over healthy replicas must cost no objects —
+// each PG is snapshotted once, onto the stack, not once per replica onto the
+// heap.
+func TestHealthMonitorPassAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates; the pin runs in normal builds")
+	}
+	f, c := testVolume(t, 4)
+	for id := core.PageID(1); id <= 8; id++ {
+		writePage(t, c, id, "healthy")
+	}
+	pass := func() { f.healthMonitorOnce() }
+	pass()
+	if avg := testing.AllocsPerRun(100, pass); avg != 0 {
+		t.Fatalf("a health monitor pass over a healthy fleet allocates %.1f objects, want 0", avg)
+	}
+	if s := f.Health().Stats(); s.AutoRepairs != 0 {
+		t.Fatalf("healthy fleet was repaired %d times", s.AutoRepairs)
+	}
+}
