@@ -1,9 +1,8 @@
 // Package core implements the log-centric machinery at the heart of the
-// Aurora design: log sequence numbers (LSNs), redo log records, mini-
-// transaction (MTR) framing, the consistency points that drive the
-// asynchronous commit protocol (VCL, VDL, CPL, SCL, PGMRPL), LSN-allocation
-// back-pressure (LAL), and epoch-versioned truncation ranges used during
-// volume recovery.
+// Aurora design: log sequence numbers (LSNs), redo log records with the
+// backlinks and CPL flags the consistency points are derived from, mini-
+// transaction (MTR) framing, LSN-allocation back-pressure (LAL), and
+// epoch-versioned truncation ranges used during volume recovery.
 //
 // The package is shared between the database engine (which generates the
 // log) and the storage service (which consumes it); it has no dependencies
@@ -42,23 +41,6 @@ type SegmentID struct {
 
 // String renders the segment identity as pg/replica.
 func (s SegmentID) String() string { return fmt.Sprintf("seg(%d/%d)", s.PG, s.Replica) }
-
-// Points gathers the named consistency points from §4.1 of the paper for
-// observability. All fields are advisory snapshots.
-type Points struct {
-	// VCL (Volume Complete LSN) is the highest LSN for which the storage
-	// service can guarantee availability of all prior log records.
-	VCL LSN
-	// VDL (Volume Durable LSN) is the highest CPL that is <= VCL. Log
-	// records above the VDL are truncated during recovery.
-	VDL LSN
-	// LastCPL is the most recent consistency-point LSN the writer emitted.
-	LastCPL LSN
-	// PGMRPL is the protection-group minimum read point: the low-water mark
-	// below which no outstanding read can ever request a page version, and
-	// hence below which storage nodes may coalesce and garbage collect.
-	PGMRPL LSN
-}
 
 // TruncationRange annuls every log record with an LSN in (From, To] on the
 // storage service. Ranges carry an epoch so that a recovery that is itself

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -166,23 +168,20 @@ func TestFramerConcurrentChainConsistency(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Replay every record through per-PG gap trackers: each chain must be
-	// complete and linear.
-	trackers := map[PGID]*GapTracker{}
-	highest := map[PGID]LSN{}
-	for pg := PGID(0); pg < 3; pg++ {
-		trackers[pg] = NewGapTracker(ZeroLSN)
-	}
+	// Sort each PG's records by LSN and walk them: each chain must be
+	// complete and linear, every backlink naming the record before it.
+	byPG := map[PGID][]Record{}
 	for _, r := range all {
-		trackers[r.PG].Add(r.PrevLSN, r.LSN)
-		if r.LSN > highest[r.PG] {
-			highest[r.PG] = r.LSN
-		}
+		byPG[r.PG] = append(byPG[r.PG], r)
 	}
-	for pg, tr := range trackers {
-		if tr.SCL() != highest[pg] {
-			t.Fatalf("pg %d: chain incomplete, SCL %d highest %d pending %d",
-				pg, tr.SCL(), highest[pg], tr.PendingCount())
+	for pg, recs := range byPG {
+		slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.LSN, b.LSN) })
+		prev := ZeroLSN
+		for _, r := range recs {
+			if r.PrevLSN != prev {
+				t.Fatalf("pg %d: record %d links back to %d, want %d", pg, r.LSN, r.PrevLSN, prev)
+			}
+			prev = r.LSN
 		}
 	}
 	// Exactly one CPL per MTR.

@@ -81,7 +81,7 @@ func TestCommitTraceCoversEveryStage(t *testing.T) {
 		"storage.ingest", // storage node receive
 		"disk.write",     // hot-log write
 		"disk.sync",      // fsync
-		"storage.apply",  // ingest into log/gap tracker
+		"storage.apply",  // ingest into the log
 		"net.ack",        // ack hop back
 		"quorum.wait",    // 4/6 tracker resolution
 		"vdl.wait",       // durability wait

@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"aurora"
+	"aurora/internal/disk"
+	"aurora/internal/mysql"
+	"aurora/internal/netsim"
 )
 
 // settleGoroutines waits for the runtime's goroutine count to stop moving
@@ -30,13 +33,27 @@ func settleGoroutines() int {
 	return prev
 }
 
+// mysqlStack opens a MySQL baseline DB on a network of its own.
+func mysqlStack(t *testing.T, name string, mirrored bool) *mysql.DB {
+	t.Helper()
+	db, err := mysql.New(mysql.Config{
+		Instance: netsim.NodeID(name), Mirrored: mirrored, StandbyAZ: 1,
+		Net: netsim.New(netsim.FastLocal()), Disk: disk.FastLocal(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // TestNoGoroutineLeaks provisions a full cluster — background storage
 // loops, replicas, tracing — drives it through the paths that spawn
 // goroutines (group commits, hedged reads, deadline-detached commits,
-// failover machinery), then closes everything and requires the goroutine
-// count to return to its pre-cluster baseline. Every background loop in
-// engine/volume/storage runs under a context now; this is the regression
-// net that keeps it so.
+// failover machinery), does the same with the MySQL baseline (its
+// group-commit and binlog apply loops), then closes everything and requires
+// the goroutine count to return to its pre-cluster baseline. Every background
+// loop in engine/volume/storage runs under a context now, and every MySQL DB
+// stops its loops in Close; this is the regression net that keeps it so.
 func TestNoGoroutineLeaks(t *testing.T) {
 	base := settleGoroutines()
 
@@ -76,6 +93,25 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	cancel()
 	rep.Close()
 	c.Close()
+
+	// The MySQL baseline, plain and mirrored: each DB runs a group-commit
+	// loop, and the mirrored primary ships its binlog to a replica DB whose
+	// apply loop commits through that replica's own.
+	plain, mirrored, binlogReplica := mysqlStack(t, "plain", false), mysqlStack(t, "mirrored", true), mysqlStack(t, "binlog-replica", false)
+	link := mirrored.AttachReplica(binlogReplica)
+	for _, db := range []*mysql.DB{plain, mirrored} {
+		for i := 0; i < 16; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !link.Drain(5 * time.Second) {
+		t.Fatal("binlog replica never caught up")
+	}
+	plain.Close()
+	mirrored.Close()
+	binlogReplica.Close()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -442,10 +442,12 @@ func (db *DB) Rows() (uint64, error) {
 	return btree.View(s).Rows()
 }
 
-// Close releases lock waiters.
+// Close releases lock waiters, stops the binlog apply loop and then the
+// group-commit loop; a commit after Close fails with ErrClosed.
 func (db *DB) Close() {
 	db.txns.Locks.Close()
 	if db.repl != nil {
 		db.repl.Close()
 	}
+	db.group.stop()
 }

@@ -1,8 +1,10 @@
 package mysql
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,5 +330,44 @@ func TestCacheMissesAreForegroundReads(t *testing.T) {
 	}
 	if db.Stats().Cache.Misses == 0 {
 		t.Fatal("no cache misses")
+	}
+}
+
+// Close stops the group-commit loop. Commits racing it either land or fail,
+// none panics on the closed queue or hangs; a transaction that took its locks
+// before Close and commits after it fails with ErrClosed.
+func TestCommitAfterCloseFails(t *testing.T) {
+	_, db := testDB(t, false, Config{})
+	late := db.Begin()
+	if err := late.Put([]byte("late"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	var closing atomic.Bool
+	var wg, started sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				err := db.Put([]byte(fmt.Sprintf("w%d-%d", w, i)), []byte("v"))
+				if i == 0 {
+					started.Done()
+				}
+				if err != nil {
+					if !closing.Load() {
+						t.Errorf("commit before Close: %v", err)
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	started.Wait()
+	closing.Store(true)
+	db.Close()
+	wg.Wait()
+	if err := late.Commit(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after Close: %v, want ErrClosed", err)
 	}
 }

@@ -29,7 +29,7 @@ const deltaHeaderSize = 4 + 4*8 + 4 + 4
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot serialises the segment's full durable state: materialized base
-// pages, retained log records, CPL index and consistency points. It is the
+// pages, retained log records and consistency points. It is the
 // full image of continuous backup to the object store (Figure 4 step 6) and
 // the payload of peer-to-peer segment repair (§2.3).
 func (n *Node) Snapshot() []byte {
@@ -45,7 +45,7 @@ func (n *Node) Snapshot() []byte {
 // and a backup pass weighs a delta against the image without encoding it.
 func (n *Node) imageSizeLocked() (size, logBytes int) {
 	logBytes = bodiesSize(n.log)
-	size = 4 + 4 + len(n.pages)*(8+1) + 2*4 + logBytes + 4 + 8*n.cpls.len() + 7*8
+	size = 4 + 4 + len(n.pages)*(8+1) + 2*4 + logBytes + 8*8
 	for _, ps := range n.pages {
 		size += len(ps.base)
 	}
@@ -80,9 +80,9 @@ func (n *Node) snapshotLocked() []byte {
 	// Records, by ascending LSN (the order the log keeps them in).
 	buf = appendRegion(buf, n.log, logBytes)
 
-	// CPL index and points.
-	put32(uint32(n.cpls.len()))
-	n.cpls.each(func(c core.LSN) { put64(uint64(c)) })
+	// Points. The log's CPL records are the CPLs above the GC tail; gcCPL
+	// answers for those below it.
+	put64(uint64(n.gcCPL))
 	put64(uint64(n.vdl))
 	put64(uint64(n.pgmrpl))
 	put64(uint64(n.gcTail))
@@ -236,17 +236,9 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 		}
 	}
 
-	nCPL, err := get32()
+	gcCPL, err := get64()
 	if err != nil {
 		return err
-	}
-	var cpls cplSet
-	for i := uint32(0); i < nCPL; i++ {
-		v, err := get64()
-		if err != nil {
-			return err
-		}
-		cpls.insert(core.LSN(v))
 	}
 	vdl, err := get64()
 	if err != nil {
@@ -277,24 +269,16 @@ func (n *Node) loadSnapshotLocked(buf []byte) error {
 		return err
 	}
 
-	// Rebuild the gap tracker: the retained log chains from the GC boundary
-	// (everything at or below gcTail lives only in materialized pages and
-	// was complete when coalesced).
-	gaps := core.NewGapTracker(core.LSN(gcTail))
-	for _, r := range log {
-		gaps.Add(r.PrevLSN, r.LSN)
-	}
-
 	n.pages = pages
 	n.log = log
 	n.dirty = dirty
-	n.cpls = cpls
+	n.gcCPL = core.LSN(gcCPL)
 	n.vdl = core.LSN(vdl)
 	n.pgmrpl = core.LSN(pgmrpl)
 	n.gcTail = core.LSN(gcTail)
 	n.trunc = core.TruncationRange{Epoch: epoch, From: core.LSN(from), To: core.LSN(to)}
 	n.geomEpoch = geomEpoch
-	n.gaps = gaps
+	n.relinkLocked()
 	n.wiped = false
 	n.dropStagedLocked()
 	return nil

@@ -28,6 +28,7 @@ import (
 // that successive writes continue a single log.
 type backupRig struct {
 	t     testing.TB
+	net   *netsim.Network
 	store *objstore.Store
 	nodes []*Node
 	f     *core.Framer
@@ -36,8 +37,8 @@ type backupRig struct {
 }
 
 func newBackupRig(t testing.TB, store *objstore.Store) *backupRig {
-	_, nodes := testPG(t, store)
-	return &backupRig{t: t, store: store, nodes: nodes, f: core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)}
+	net, nodes := testPG(t, store)
+	return &backupRig{t: t, net: net, store: store, nodes: nodes, f: core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)}
 }
 
 // write frames count MTRs — a delta on one of pages 1..3, closed by a commit
@@ -81,7 +82,7 @@ func restoredNode(n *Node, store *objstore.Store) *Node {
 		Disk: disk.FastLocal(), Store: store})
 }
 
-// sameSegment holds got to want: the same SCL and highest LSN, the same CPL
+// sameSegment holds got to want: the same SCL, gaps and highest LSN, the same CPL
 // floor at every limit a recovery could ask for (from want's GC tail up), and
 // every page of 1..pages read at the SCL byte-identical — once both copies
 // carry a CRC of their own bytes, since a response carries the CRC of the
@@ -89,8 +90,9 @@ func restoredNode(n *Node, store *objstore.Store) *Node {
 func sameSegment(t *testing.T, got, want *Node, pages int) {
 	t.Helper()
 	scl := want.SCL()
-	if got.SCL() != scl || got.HighestLSN() != want.HighestLSN() {
-		t.Fatalf("restored SCL %d, highest LSN %d; want %d, %d", got.SCL(), got.HighestLSN(), scl, want.HighestLSN())
+	if got.SCL() != scl || got.HasGaps() != want.HasGaps() || got.HighestLSN() != want.HighestLSN() {
+		t.Fatalf("restored SCL %d, gaps %v, highest LSN %d; want %d, %v, %d",
+			got.SCL(), got.HasGaps(), got.HighestLSN(), scl, want.HasGaps(), want.HighestLSN())
 	}
 	for l := want.GCTail(); l <= want.HighestLSN(); l++ {
 		if g, w := got.HighestCPLAtOrBelow(l), want.HighestCPLAtOrBelow(l); g != w {
@@ -153,6 +155,43 @@ func TestRestoreImagePlusDeltasMatchesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSegment(t, got, want, 3)
+}
+
+// TestRestoreKeepsAHole: an image taken while the node holds records above a
+// hole restores the hole with them — the same SCL, below them, and a gap —
+// and one gossip round from a complete peer closes it.
+func TestRestoreKeepsAHole(t *testing.T) {
+	r := newBackupRig(t, objstore.New())
+	n, peer := r.nodes[0], r.nodes[1]
+	r.write(12, 4, all(r.nodes))
+	r.write(3, 4, func(int) []*Node { return r.nodes[1:] })
+	r.write(4, 4, all(r.nodes))
+	n.CoalesceOnce()
+	if !n.HasGaps() || n.SCL() >= r.tail || n.GCTail() == 0 {
+		t.Fatalf("setup: SCL %d, gaps %v, GC tail %d; want a hole below %d above a collected prefix", n.SCL(), n.HasGaps(), n.GCTail(), r.tail)
+	}
+	img := n.BackupNow()
+	if _, ok := DeltaBase(r.object(n, img)); ok {
+		t.Fatal("the first pass staged a delta: there is no image for it to extend")
+	}
+	want := restoredNode(n, nil)
+	if err := want.LoadSnapshot(n.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	// The restored node lives on the group's network, so it can pull from the
+	// peer once it is restored.
+	got := NewNode(Config{Seg: n.Seg(), Vol: n.Vol(), Node: "restored", AZ: n.AZ(), Net: r.net, Disk: disk.FastLocal(), Store: r.store})
+	if err := got.LoadBackup(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	sameSegment(t, got, want, 3)
+	if got.SCL() != n.SCL() || !got.HasGaps() {
+		t.Fatalf("restored SCL %d, gaps %v; want %d and a gap", got.SCL(), got.HasGaps(), n.SCL())
+	}
+	got.SetPeers([]*Node{got, peer})
+	if got.GossipOnce() == 0 || got.SCL() != r.tail || got.HasGaps() {
+		t.Fatalf("after one gossip round: SCL %d, gaps %v; want %d and none", got.SCL(), got.HasGaps(), r.tail)
+	}
 }
 
 // TestBackupKeepsRecordsCollectedBeforeThePass: records are immutable once

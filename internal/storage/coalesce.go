@@ -50,10 +50,7 @@ func (n *Node) coalesceLocked() int {
 	if n.wiped {
 		return 0
 	}
-	safe := n.pgmrpl
-	if scl := n.gaps.SCL(); scl < safe {
-		safe = scl
-	}
+	safe := min(n.pgmrpl, n.scl)
 	if safe <= n.gcTail {
 		return 0
 	}
@@ -125,16 +122,21 @@ func (n *Node) cutDirtyLocked(floor core.LSN) {
 }
 
 // gcLogLocked collects the retained log prefix at or below floor, moves the
-// GC boundary to the highest LSN collected and trims the CPL index below it.
-// It returns how many records that was.
+// GC boundary to the highest LSN collected and gcCPL to the highest CPL among
+// them. It returns how many records that was.
 func (n *Node) gcLogLocked(floor core.LSN) int {
 	k := n.log.search(floor)
 	if k == 0 {
 		return 0
 	}
+	for i := k - 1; i >= 0; i-- {
+		if n.log[i].IsCPL() {
+			n.gcCPL = n.log[i].LSN
+			break
+		}
+	}
 	n.gcTail = max(n.gcTail, n.log[k-1].LSN)
 	n.log.dropPrefix(k)
-	n.cpls.trim(n.gcTail)
 	n.gced.Add(uint64(k))
 	return k
 }

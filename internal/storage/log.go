@@ -41,14 +41,16 @@ func (l recordLog) has(lsn core.LSN) bool {
 	return i > 0 && l[i-1].LSN == lsn
 }
 
-// insert files rec at its sorted position; the caller has ruled out a
-// duplicate (has).
-func (l *recordLog) insert(rec *core.Record) {
+// insert files rec at its sorted position and returns that index; the caller
+// has ruled out a duplicate (has).
+func (l *recordLog) insert(rec *core.Record) int {
 	if rec.LSN > l.highest() {
 		*l = append(*l, rec)
-		return
+		return len(*l) - 1
 	}
-	*l = slices.Insert(*l, l.search(rec.LSN), rec)
+	i := l.search(rec.LSN)
+	*l = slices.Insert(*l, i, rec)
+	return i
 }
 
 // dropPrefix collects the first k records. The survivors slide down so later

@@ -49,7 +49,9 @@ func TestRecordLogMatchesMapOracle(t *testing.T) {
 				}
 				if !dup {
 					rec := &core.Record{LSN: lsn}
-					log.insert(rec)
+					if i := log.insert(rec); log[i] != rec {
+						t.Fatalf("seed %d step %d: insert(%d) returned index %d, which holds LSN %d", seed, step, lsn, i, log[i].LSN)
+					}
 					oracle[lsn] = rec
 				}
 				if lsn >= next {

@@ -145,9 +145,15 @@ type Node struct {
 	// when its chain goes non-empty (chainInsertLocked) and leaves when a
 	// round cuts the chain empty (cutDirtyLocked); a chain emptied any other
 	// way (Truncate, scrub repair) stays listed until the next round.
-	dirty  []*pageState
-	cpls   cplSet // CPL LSNs seen, trimmed below the GC tail (cpls.go)
-	gaps   *core.GapTracker
+	dirty []*pageState
+	// The log is the segment's one index of its records; two LSNs say what
+	// it no longer holds. scl is the SCL: the log chains without a hole from
+	// gcTail through it (linkLocked). gcCPL is the highest CPL garbage
+	// collection dropped, which answers for every CPL at or below gcTail:
+	// recovery never asks below it, nor truncates below it (VCL ≥ VDL ≥
+	// PGMRPL ≥ GC tail).
+	scl    core.LSN
+	gcCPL  core.LSN
 	gcTail core.LSN // highest record LSN ever garbage collected
 	trunc  core.TruncationRange
 	pgmrpl core.LSN
@@ -225,7 +231,6 @@ func NewNode(cfg Config) *Node {
 		cfg:   cfg,
 		ssd:   h.ssd,
 		pages: make(map[core.PageID]*pageState),
-		gaps:  core.NewGapTracker(core.ZeroLSN),
 	}
 	h.register(n)
 	return n
@@ -317,8 +322,7 @@ func (n *Node) Wipe() {
 	n.log = nil
 	n.pages = make(map[core.PageID]*pageState)
 	n.dirty = nil
-	n.cpls = cplSet{}
-	n.gaps = core.NewGapTracker(core.ZeroLSN)
+	n.scl, n.gcCPL = core.ZeroLSN, core.ZeroLSN
 	n.wiped = true
 	n.dropStagedLocked()
 }
@@ -421,7 +425,7 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 		results = append(results, res)
 	}
 	n.observePointsLocked(vdl, pgmrpl)
-	scl := n.gaps.SCL()
+	scl := n.scl
 	n.mu.Unlock()
 	trace.Annotate(asp, "lock_wait_us", lockWait.Microseconds())
 	asp.End()
@@ -487,23 +491,45 @@ func (n *Node) admitRecordLocked(r *core.Record) bool {
 	return !n.log.has(r.LSN)
 }
 
-// fileLocked files an admitted record into the log, page chains, CPL index
-// and gap tracker — and, while a delta is staging, onto the backup's staging
-// list. rec is the arena's (ingestLocked); records are immutable once filed,
-// so the staging list may keep one alive past coalescing GC until the next
-// backup pass.
+// fileLocked files an admitted record into the log and its page's chain,
+// moves the SCL when the record continues the chain — and, while a delta is
+// staging, puts it on the backup's staging list. rec is the arena's
+// (ingestLocked); records are immutable once filed, so the staging list may
+// keep one alive past coalescing GC until the next backup pass.
 func (n *Node) fileLocked(rec *core.Record) {
 	if n.staging {
 		n.staged = append(n.staged, rec)
 	}
-	n.log.insert(rec)
+	i := n.log.insert(rec)
 	if rec.PageRecord() {
 		n.chainInsertLocked(n.pageLocked(rec.Page), rec)
 	}
-	if rec.IsCPL() {
-		n.cpls.insert(rec.LSN)
+	if rec.PrevLSN == n.scl {
+		n.linkLocked(i)
 	}
-	n.gaps.Add(rec.PrevLSN, rec.LSN)
+}
+
+// linkLocked advances the SCL over the log from index i: one forward pass
+// that links each record whose backlink is the current SCL (§4.2.1). Only a
+// record that continues the chain starts a pass, so an in-order arrival links
+// itself alone, and a gossip fill links the records parked above its hole.
+// Of two retained records naming the same backlink — which only a replica
+// that missed a recovery's Truncate can hold — the lower LSN is linked.
+func (n *Node) linkLocked(i int) {
+	for _, r := range n.log[i:] {
+		if r.PrevLSN == n.scl && r.LSN > n.scl {
+			n.scl = r.LSN
+		}
+	}
+}
+
+// relinkLocked recomputes the SCL from the retained log, whose chain starts
+// at the GC boundary: everything at or below gcTail was complete when it was
+// coalesced, so after a truncation the SCL lands on an actual record LSN and
+// later records chain from it.
+func (n *Node) relinkLocked() {
+	n.scl = n.gcTail
+	n.linkLocked(0)
 }
 
 // pageLocked returns the state of a page, creating it on first mention.
@@ -574,14 +600,15 @@ func (n *Node) observePointsLocked(vdl, pgmrpl core.LSN) {
 func (n *Node) SCL() core.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.gaps.SCL()
+	return n.scl
 }
 
-// HasGaps reports whether the node is missing records it knows exist.
+// HasGaps reports whether the node is missing records it knows exist: it
+// holds a record above the SCL.
 func (n *Node) HasGaps() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.gaps.HasGap()
+	return n.log.highest() > n.scl
 }
 
 // HighestLSN returns the highest LSN the node knows of: the maximum of its
@@ -590,33 +617,42 @@ func (n *Node) HasGaps() bool {
 func (n *Node) HighestLSN() core.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	max := n.gcTail
-	if scl := n.gaps.SCL(); scl > max {
-		max = scl
-	}
-	if top := n.log.highest(); top > max {
-		max = top
-	}
-	return max
+	return max(n.gcTail, n.scl, n.log.highest())
 }
 
 // HighestCPLAtOrBelow returns the highest consistency point at or below
-// limit that this node has seen (ZeroLSN if none). Volume recovery uses it
-// to compute the VDL from the VCL (§4.1).
+// limit that this node has seen (ZeroLSN if none): the last CPL record of the
+// log at or below limit, else the one GC dropped last. Volume recovery
+// computes the VDL from the VCL this way (§4.1), over CPLs.
 func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.cpls.floor(limit)
+	for i := n.log.search(limit) - 1; i >= 0; i-- {
+		if n.log[i].IsCPL() {
+			return n.log[i].LSN
+		}
+	}
+	if n.gcCPL <= limit {
+		return n.gcCPL
+	}
+	return core.ZeroLSN
 }
 
-// CPLs returns the consistency points this node has seen, ascending. Below
-// the GC tail only the highest survives, which answers for every one
-// dropped. Volume recovery summarises each reachable replica by them.
+// CPLs returns the consistency points this node has seen, ascending: the
+// highest one GC dropped, which answers for every one below the GC tail, then
+// the log's. Volume recovery summarises each reachable replica by them.
 func (n *Node) CPLs() []core.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]core.LSN, 0, n.cpls.len())
-	n.cpls.each(func(c core.LSN) { out = append(out, c) })
+	var out []core.LSN
+	if n.gcCPL != core.ZeroLSN {
+		out = append(out, n.gcCPL)
+	}
+	for _, r := range n.log {
+		if r.IsCPL() {
+			out = append(out, r.LSN)
+		}
+	}
 	return out
 }
 
@@ -715,7 +751,7 @@ func (n *Node) readLocked(id core.PageID, readPoint, required core.LSN, geomEpoc
 	if n.wiped {
 		return 0, false, fmt.Errorf("%s: %w", n.cfg.Node, ErrWipedSegment)
 	}
-	scl = n.gaps.SCL()
+	scl = n.scl
 	if scl < required {
 		return 0, false, fmt.Errorf("%s: %w: scl=%d required=%d", n.cfg.Node, ErrIncomplete, scl, required)
 	}
@@ -814,23 +850,9 @@ func (n *Node) truncateLocked(tr core.TruncationRange) error {
 			}
 		}
 	}
-	n.cpls.retain(func(l core.LSN) bool { return !tr.Annuls(l) })
-	n.rebuildGapsLocked()
+	n.relinkLocked()
 	n.dropStagedLocked()
 	return nil
-}
-
-// rebuildGapsLocked reconstructs the completeness tracker from the
-// surviving records. The chain is seeded at the highest LSN ever garbage
-// collected (everything at or below it was complete when coalesced), so
-// that after a truncation the SCL lands on an actual record LSN and future
-// records chain correctly from it.
-func (n *Node) rebuildGapsLocked() {
-	g := core.NewGapTracker(n.gcTail)
-	for _, r := range n.log {
-		g.Add(r.PrevLSN, r.LSN)
-	}
-	n.gaps = g
 }
 
 // TruncationEpoch returns the epoch of the last applied truncation.

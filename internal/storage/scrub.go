@@ -88,9 +88,9 @@ func (n *Node) repairPageFromPeers(ctx context.Context, id core.PageID, peers []
 // from a peer and brings the chain up to what the peer holds above it. The
 // node's own records at or below the new base are reflected in it and leave
 // the chain. A record the peer has and this node lacks is filed through the
-// one filing path, so the log, the CPL index and the gap tracker all hear of
-// it — filed behind their back it would sit in the log, be refused as a
-// duplicate when gossip delivered it, and the SCL could never pass it.
+// one filing path, so the log holds it: the SCL links it, recovery sees its
+// CPL, and gossip and backups carry it. Put on the chain alone it would be
+// none of these.
 func (n *Node) installRepairLocked(id core.PageID, base page.Page, chain []*core.Record) {
 	n.dropStagedLocked() // a new base is not an append: the next backup is an image
 	ps := n.pageLocked(id)
@@ -134,7 +134,7 @@ func (n *Node) pageCopy(id core.PageID) (page.Page, []*core.Record, core.LSN, bo
 	}
 	chain := make([]*core.Record, len(ps.chain))
 	copy(chain, ps.chain)
-	return base, chain, n.gaps.SCL(), true
+	return base, chain, n.scl, true
 }
 
 // CorruptPage flips bytes in the materialized base image of a page — the

@@ -158,9 +158,8 @@ func TestCoalesceDoesNotLaunderCorruption(t *testing.T) {
 
 // TestScrubRepairFilesBorrowedRecords: a record the victim never received
 // arrives on the chain a scrub repair borrows from a peer. It must go through
-// the one filing path — filed behind the gap tracker's back it sits in the
-// log, gossip's later delivery of it is refused as a duplicate, and the SCL
-// can never pass it: the replica answers ErrIncomplete for good.
+// the one filing path, so that the log holds it: the SCL links it and its CPL
+// is seen.
 func TestScrubRepairFilesBorrowedRecords(t *testing.T) {
 	_, nodes := testPG(t, nil)
 	victim := nodes[0]
@@ -205,7 +204,7 @@ func TestScrubRepairFilesBorrowedRecords(t *testing.T) {
 		t.Fatalf("after repair and gossip: SCL %d, highest LSN %d, gaps %v; want 8, 8 and none", scl, top, victim.HasGaps())
 	}
 	if got := victim.HighestCPLAtOrBelow(100); got != 8 {
-		t.Fatalf("highest CPL %d: the borrowed record closes an MTR and never reached the CPL index", got)
+		t.Fatalf("highest CPL %d: the borrowed record closes an MTR and never reached the log", got)
 	}
 	if s := victim.Stats(); s.RecordsHeld != 3 {
 		t.Fatalf("victim holds %d records above its GC tail of 5, want 6..8", s.RecordsHeld)

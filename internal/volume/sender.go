@@ -97,7 +97,7 @@ const SenderWindow = 4
 // and lets commit throughput scale with connections (Table 3).
 //
 // Flights of one pipeline overlap, so a later one may land first. The storage
-// node's gap tracker holds its SCL at the hole, the points an ack carries only
+// node holds its SCL at the hole, the points an ack carries only
 // ever move forward, ingest is idempotent, and a quorum vouches for its own
 // batch alone (durableWindow) — redelivery and gossip have always reordered.
 //
