@@ -300,7 +300,9 @@ func (c *Cluster) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) 
 func (c *Cluster) Delete(key []byte) error { return c.db.Delete(key) }
 
 // Scan visits rows with from <= key < to in key order in an autocommit
-// read transaction; to == nil is unbounded.
+// read transaction; to == nil is unbounded. key and val may alias a cached
+// page, which a later update rewrites in place: they are valid only during
+// fn, and a caller that keeps them copies them.
 func (c *Cluster) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	tx := c.Begin()
 	defer tx.Abort()

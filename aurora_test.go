@@ -154,8 +154,23 @@ func TestFailoverLeavesNoReplicaPin(t *testing.T) {
 			t.Fatalf("replica %v: new writer's MRPL %d, its VDL %d", withReplica, lwm, vdl)
 		}
 		// One more commit carries that MRPL to the replicas; one coalescing
-		// round on each then collects everything at or below it.
+		// round on each then collects everything at or below it. A flight
+		// the network lost leaves its replica a hole that only gossip fills,
+		// and GC stops at a hole: gossip until every replica is complete up
+		// to the VDL, so that the round measures the pin and not the hole.
 		put(300)
+		vdl := vol.VDL()
+		deadline := time.Now().Add(5 * time.Second)
+		for _, n := range c.fleet.Replicas(0) {
+			for n.SCL() < vdl {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica %s: SCL %d still short of the VDL %d after gossip", n.NodeID(), n.SCL(), vdl)
+				}
+				if n.GossipOnce() == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
 		var records int
 		for i := 0; i < c.fleet.Quorum().V; i++ {
 			n := c.fleet.Node(0, i)

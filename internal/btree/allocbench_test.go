@@ -38,8 +38,9 @@ func benchKeys(stride int) [][]byte {
 }
 
 // loadedTree builds a tree of rows 100-byte values inserted in key order, so
-// every leaf but the last is left half full by its split: updates land in
-// place for a long time before any leaf has to compact.
+// every leaf but the last is left half full by its split: a replace that
+// changes a value's length appends into that free half for a long time
+// before any leaf has to compact.
 func loadedTree(tb testing.TB, rows int) *Tree {
 	tb.Helper()
 	s := newMemStore()
@@ -113,51 +114,99 @@ func TestTreeGetAllocs(t *testing.T) {
 // TestPutUpdateSteadyStateAllocs pins the engine half of a commit — Put of an
 // existing key, then AppendRecords — with the recorder reset between commits
 // the way the pool recycles before-images between real ones. What is left is
-// redo: one buffer holding the bytes of the records made from the diff.
+// redo: one buffer holding the bytes of the records made from the diff. A
+// replace that keeps the value's length writes it in place, and its one span
+// is the value bytes that changed; one that changes the length kills the old
+// entry and appends a new one, and its spans are the `used` header field, the
+// dead flag and the new entry (two or three once neighbours merge).
 func TestPutUpdateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool sheds entries under the race detector; the pin runs in normal builds")
 	}
-	tr := loadedTree(t, benchRows)
-	rec := NewRecorder()
-	m := &core.MTR{Txn: 1}
-	val := make([]byte, 100)
-	pg0 := func(core.PageID) core.PGID { return 0 }
-	// A stride of 40 rows is more than a leaf holds: consecutive updates hit
-	// different leaves and no leaf fills up inside the test.
-	keys := benchKeys(40)
-	i := 0
-	update := func() {
-		i++
-		val[0]++
-		rec.Reset()
-		m.Records = m.Records[:0]
-		if err := tr.Put(rec, keys[i%len(keys)], val); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.AppendRecords(m, pg0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for n := 0; n < 50; n++ {
-		update()
-	}
-	const runs = 400
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	avg := testing.AllocsPerRun(runs, update)
-	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-	t.Logf("update in place: %.0f objects, %d bytes per Put+AppendRecords", avg, perOp)
-	// One buffer for every changed span's bytes (the `used` header field, the
-	// dead flag, the new entry — two or three once neighbours merge); the
-	// spans are found in the recorder's pooled scratch and the reused MTR
-	// has room for the records.
-	if avg > 1 {
-		t.Fatalf("update in place allocates %.0f objects per commit, want <= 1", avg)
-	}
-	if perOp >= page.PayloadSize/2 {
-		t.Fatalf("update in place allocates %d bytes per commit: a page-sized buffer is back on the path", perOp)
+	// A stride of 40 rows is more than a leaf holds, so consecutive updates
+	// hit different leaves. The 1024 keys name only benchRows/40 distinct
+	// rows, and the 451 updates below visit each up to three times; the
+	// new-length input alternates 101- and 102-byte values on each pass over
+	// them, so every one of its replaces changes the stored length (the
+	// loaded values are 100 bytes). Three appends fit in a leaf's free half:
+	// no leaf compacts inside the test.
+	const stride = 40
+	distinct := benchRows / stride
+	for _, c := range []struct {
+		name    string
+		inPlace bool
+		vlen    func(i int) int
+	}{
+		{"same-length", true, func(int) int { return 100 }},
+		{"new-length", false, func(i int) int { return 101 + i/distinct%2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := loadedTree(t, benchRows)
+			rec := NewRecorder()
+			m := &core.MTR{Txn: 1}
+			buf := make([]byte, 102)
+			pg0 := func(core.PageID) core.PGID { return 0 }
+			keys := benchKeys(stride)
+			// usedBytes sums the entry-area bytes in use over the leaves
+			// the keys land on; only an append moves it.
+			usedBytes := func() int {
+				leaves := make(map[core.PageID]bool)
+				total := 0
+				for _, k := range keys[:distinct] {
+					_, id, leaf, err := tr.descend(k, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !leaves[id] {
+						leaves[id] = true
+						total += leaf.used()
+					}
+				}
+				return total
+			}
+			i := 0
+			update := func() {
+				i++
+				val := buf[:c.vlen(i)]
+				val[0]++
+				rec.Reset()
+				m.Records = m.Records[:0]
+				if err := tr.Put(rec, keys[i%len(keys)], val); err != nil {
+					t.Fatal(err)
+				}
+				if err := rec.AppendRecords(m, pg0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := 0; n < 50; n++ {
+				update()
+			}
+			const runs = 400
+			used := usedBytes()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			avg := testing.AllocsPerRun(runs, update)
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			grew := usedBytes() - used
+			t.Logf("%s update: %.0f objects, %d bytes per Put+AppendRecords; leaves grew %d bytes", c.name, avg, perOp, grew)
+			// AllocsPerRun makes runs+1 calls. Each kill-path replace appends
+			// at least a 101-byte value's entry; an in-place one appends none.
+			if c.inPlace && grew != 0 {
+				t.Fatalf("same-length updates grew the leaves by %d bytes: a replace left the in-place path", grew)
+			}
+			if min := (runs + 1) * leafEntrySize(len(keys[0]), 101); !c.inPlace && grew < min {
+				t.Fatalf("new-length updates grew the leaves by %d bytes, want >= %d: a replace skipped the kill-and-append path", grew, min)
+			}
+			// The spans are found in the recorder's pooled scratch and the
+			// reused MTR has room for the records.
+			if avg > 1 {
+				t.Fatalf("%s update allocates %.0f objects per commit, want <= 1", c.name, avg)
+			}
+			if perOp >= page.PayloadSize/2 {
+				t.Fatalf("%s update allocates %d bytes per commit: a page-sized buffer is back on the path", c.name, perOp)
+			}
+		})
 	}
 }
 

@@ -26,9 +26,12 @@ const (
 //	[11:13) used bytes in the entry area (u16)
 //	[13:)   entry area
 //
-// Leaf entries are append-only: [klen u16][vlen u16][flags u8][key][value];
-// flag bit 0 marks the entry dead (superseded or deleted). Appends keep
-// redo deltas small; compaction rewrites the page when the area fills.
+// Leaf entries are [klen u16][vlen u16][flags u8][key][value]; flag bit 0
+// marks the entry dead (superseded or deleted). The replace rule: a value of
+// the live entry's length is copied over it in place, so its redo is the
+// value bytes that changed; any other replace marks the entry dead and
+// appends a new one. Both keep redo deltas small; compaction rewrites the
+// page when the area fills.
 // Internal entries are kept sorted: [klen u16][key][child u64].
 const (
 	offType  = 0

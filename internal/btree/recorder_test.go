@@ -33,58 +33,70 @@ func TestRecordersShareThePool(t *testing.T) {
 	wg.Wait()
 }
 
+// shadow keeps every page of a memStore as the redo logged so far makes it.
+// Since every page the store holds must equal its shadow after each logged
+// operation, the shadow's pages are the before-images of the next one.
+type shadow struct {
+	s     *memStore
+	pages map[core.PageID]page.Page
+	lsn   core.LSN
+}
+
+func newShadow(s *memStore) *shadow {
+	return &shadow{s: s, pages: make(map[core.PageID]page.Page)}
+}
+
+// log replays rec's redo onto the shadow, stamps the store's pages as a
+// commit would, and reports a page the replay does not reproduce.
+func (sh *shadow) log(rec *Recorder) error {
+	m := &core.MTR{Txn: uint64(sh.lsn)}
+	if err := rec.AppendRecords(m, func(core.PageID) core.PGID { return 0 }); err != nil {
+		return err
+	}
+	for i := range m.Records {
+		r := &m.Records[i]
+		sh.lsn++
+		r.LSN = sh.lsn
+		p := sh.pages[r.Page]
+		if p == nil {
+			p = page.New(r.Page)
+			sh.pages[r.Page] = p
+		}
+		if err := p.Apply(r); err != nil {
+			return err
+		}
+	}
+	rec.StampLSNs(m.LastLSNFor)
+	return sh.differs()
+}
+
+// differs finds a page that is not what the redo logged so far makes it. A
+// page with no redo at all was allocated by an operation that rolled back,
+// and must be back to the zeroes it started as.
+func (sh *shadow) differs() error {
+	var zero [page.PayloadSize]byte
+	for id, p := range sh.s.pages {
+		want := zero[:]
+		if sp := sh.pages[id]; sp != nil {
+			want = sp.Payload()
+		}
+		if !bytes.Equal(p.Payload(), want) {
+			return fmt.Errorf("page %d differs from the replay of its redo", id)
+		}
+	}
+	return nil
+}
+
 func commitAndShadow(seed int64, commits int) error {
 	rng := rand.New(rand.NewSource(seed))
 	s := newMemStore()
-	shadow := map[core.PageID]page.Page{}
-	var lsn core.LSN
-	pg0 := func(core.PageID) core.PGID { return 0 }
-
-	// differs finds a page that is not what the redo logged so far makes it.
-	// A page with no redo at all was allocated by a commit that rolled back,
-	// and must be back to the zeroes it started as.
-	zero := make([]byte, page.PayloadSize)
-	differs := func() error {
-		for id, p := range s.pages {
-			want := zero
-			if sp := shadow[id]; sp != nil {
-				want = sp.Payload()
-			}
-			if !bytes.Equal(p.Payload(), want) {
-				return fmt.Errorf("page %d differs from the replay of its redo", id)
-			}
-		}
-		return nil
-	}
-	// logged replays a recorder's redo onto the shadow and compares.
-	logged := func(rec *Recorder) error {
-		m := &core.MTR{Txn: uint64(lsn)}
-		if err := rec.AppendRecords(m, pg0); err != nil {
-			return err
-		}
-		for i := range m.Records {
-			r := &m.Records[i]
-			lsn++
-			r.LSN = lsn
-			p := shadow[r.Page]
-			if p == nil {
-				p = page.New(r.Page)
-				shadow[r.Page] = p
-			}
-			if err := p.Apply(r); err != nil {
-				return err
-			}
-		}
-		rec.StampLSNs(m.LastLSNFor)
-		return differs()
-	}
-
+	sh := newShadow(s)
 	rec := NewRecorder()
 	tr, err := Create(s, rec)
 	if err != nil {
 		return err
 	}
-	if err := logged(rec); err != nil {
+	if err := sh.log(rec); err != nil {
 		return err
 	}
 	for c := 0; c < commits; c++ {
@@ -99,12 +111,12 @@ func commitAndShadow(seed int64, commits int) error {
 		}
 		if rng.Intn(5) == 0 {
 			rec.Rollback()
-			if err := differs(); err != nil {
+			if err := sh.differs(); err != nil {
 				return fmt.Errorf("commit %d rolled back: %w", c, err)
 			}
 			continue
 		}
-		if err := logged(rec); err != nil {
+		if err := sh.log(rec); err != nil {
 			return fmt.Errorf("commit %d: %w", c, err)
 		}
 	}

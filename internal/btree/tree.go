@@ -188,10 +188,16 @@ func (t *Tree) Put(rec *Recorder, key, val []byte) error {
 	}
 	rec.Touch(leafID, leaf.p)
 
-	// Replace: kill the existing live entry first.
+	// Replace: a value of the live entry's length is copied over it, so the
+	// only page bytes that change are the value bytes that differ; any other
+	// kills the entry and appends a new one.
 	existing, had, err := leaf.findLive(key)
 	if err != nil {
 		return err
+	}
+	if had && len(existing.val) == len(val) {
+		copy(existing.val, val)
+		return nil
 	}
 	if had {
 		leaf.kill(existing.off)
@@ -397,7 +403,9 @@ func (t *Tree) Delete(rec *Recorder, key []byte) (bool, error) {
 }
 
 // Scan visits live entries with from <= key < to in order (to == nil means
-// unbounded). fn returning false stops the scan.
+// unbounded). fn returning false stops the scan. key and val may alias the
+// page, which a same-length update rewrites in place: they are valid only
+// during fn, and a caller that keeps them copies them.
 func (t *Tree) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	if from == nil {
 		from = []byte{0}

@@ -203,10 +203,12 @@ func TestCompactionReclaimsDeadSpace(t *testing.T) {
 	tr, s := newTree(t)
 	rec := NewRecorder()
 	// Repeatedly overwrite one key with values large enough to fill the
-	// leaf with dead entries; without compaction this would split.
-	val := bytes.Repeat([]byte("x"), 256)
+	// leaf with dead entries; without compaction this would split. The
+	// length alternates, so every replace kills the entry and appends
+	// another rather than writing over it in place.
+	val := bytes.Repeat([]byte("x"), 257)
 	for i := 0; i < 200; i++ {
-		if err := tr.Put(rec, []byte("hot"), val); err != nil {
+		if err := tr.Put(rec, []byte("hot"), val[:256+i%2]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,23 +279,43 @@ func TestRecorderRollback(t *testing.T) {
 }
 
 // Model-based property test: random Put/Delete/Get against a map oracle,
-// with invariant checks and a final full comparison via Scan.
+// with invariant checks and a final full comparison via Scan. Puts draw
+// values of a few lengths, and sometimes the stored value itself, so that a
+// key is replaced in place, by kill-and-append and by an identical rewrite.
+// After every operation its records, replayed onto a shadow of the tree's
+// pages as they were before it, must reproduce every page byte for byte:
+// the redo is the change, whichever path made it, and nothing changes
+// without redo.
 func TestTreeMatchesModel(t *testing.T) {
+	lens := []int{8, 8, 8, 13, 40}
 	for _, seed := range []int64{7, 42, 99, 12345} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			tr, _ := newTree(t)
-			rec := NewRecorder()
+			s := newMemStore()
+			sh := newShadow(s)
+			create := NewRecorder()
+			tr, err := Create(s, create)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sh.log(create); err != nil {
+				t.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(seed))
 			model := make(map[string]string)
 			keyFor := func() []byte {
 				return []byte(fmt.Sprintf("k%04d", rng.Intn(800)))
 			}
 			for op := 0; op < 5000; op++ {
+				rec := NewRecorder()
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4, 5: // put
 					k := keyFor()
-					v := []byte(fmt.Sprintf("v%d-%d", op, rng.Intn(1000)))
+					v := make([]byte, lens[rng.Intn(len(lens))])
+					rng.Read(v)
+					if old, ok := model[string(k)]; ok && rng.Intn(8) == 0 {
+						v = []byte(old)
+					}
 					if err := tr.Put(rec, k, v); err != nil {
 						t.Fatalf("op %d put: %v", op, err)
 					}
@@ -320,6 +342,9 @@ func TestTreeMatchesModel(t *testing.T) {
 						t.Fatalf("op %d get mismatch: %q %v vs %q %v", op, v, ok, want, inModel)
 					}
 				}
+				if err := sh.log(rec); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
 			}
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -344,6 +369,72 @@ func TestTreeMatchesModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSameLengthReplaceWritesInPlace: a replace that keeps the value's
+// length copies it over the live entry. The leaf's used bytes, live count
+// and every other entry stay as they were, the redo is one record holding
+// the value bytes that changed, and a rewrite of the stored value logs no
+// page record at all (the engine then ships the commit record alone:
+// TestRewriteShipsWhatChanged).
+func TestSameLengthReplaceWritesInPlace(t *testing.T) {
+	tr, s := newTree(t)
+	rec := NewRecorder()
+	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, 32) }
+	for _, k := range []string{"a", "b", "c"} {
+		if err := tr.Put(rec, []byte(k), val('0')); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf := node{s.pages[MetaPageID+1]}
+	before := bytes.Clone(leaf.p.Payload())
+	used, count := leaf.used(), leaf.count()
+	e, ok, err := leaf.findLive([]byte("b"))
+	if err != nil || !ok {
+		t.Fatalf("findLive b: %v %v", ok, err)
+	}
+	valOff := entBase + e.off + leafHdr + len(e.key)
+
+	nv := val('0')
+	copy(nv[5:9], "five")
+	rec = NewRecorder()
+	if err := tr.Put(rec, []byte("b"), nv); err != nil {
+		t.Fatal(err)
+	}
+	if leaf.used() != used || leaf.count() != count {
+		t.Fatalf("used %d count %d after the replace, want %d %d", leaf.used(), leaf.count(), used, count)
+	}
+	for i, b := range leaf.p.Payload() {
+		if b != before[i] && (i < valOff+5 || i >= valOff+9) {
+			t.Fatalf("payload byte %d changed outside the value's changed bytes [%d,%d)", i, valOff+5, valOff+9)
+		}
+	}
+	m := &core.MTR{Txn: 1}
+	if err := rec.AppendRecords(m, func(core.PageID) core.PGID { return 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Records) != 1 {
+		t.Fatalf("same-length replace logged %d records, want 1", len(m.Records))
+	}
+	if r := m.Records[0]; r.Type != core.RecPageDelta || r.Page != MetaPageID+1 || int(r.Offset) != valOff+5 || string(r.Data) != "five" {
+		t.Fatalf("record %v page %d [%d,+%q), want a delta of leaf %d at %d holding %q",
+			r.Type, r.Page, r.Offset, r.Data, MetaPageID+1, valOff+5, "five")
+	}
+	if v, _, _ := tr.Get([]byte("b")); !bytes.Equal(v, nv) {
+		t.Fatalf("get b = %q", v)
+	}
+
+	rec = NewRecorder()
+	if err := tr.Put(rec, []byte("b"), nv); err != nil {
+		t.Fatal(err)
+	}
+	m = &core.MTR{Txn: 2}
+	if err := rec.AppendRecords(m, func(core.PageID) core.PGID { return 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Records) != 0 {
+		t.Fatalf("identical rewrite logged %d page records, want 0", len(m.Records))
 	}
 }
 

@@ -75,6 +75,33 @@ func TestCommitIsDurableAtReturn(t *testing.T) {
 	}
 }
 
+// TestRewriteShipsWhatChanged: an update that keeps the value's length
+// logs one record for the leaf (the changed bytes) beside the commit record,
+// and a rewrite of the stored value logs the commit record alone — it is
+// still a commit, durable at return.
+func TestRewriteShipsWhatChanged(t *testing.T) {
+	_, db := testDB(t, Config{})
+	if err := db.Put([]byte("k"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		val     string
+		records core.LSN
+	}{{"v2", 2}, {"v2", 1}} {
+		before := db.Volume().Stats().HighestLSN
+		if err := db.Put([]byte("k"), []byte(c.val)); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Volume().Stats().HighestLSN
+		if after-before != c.records {
+			t.Fatalf("put of %q logged %d records, want %d", c.val, after-before, c.records)
+		}
+		if db.VDL() < after {
+			t.Fatalf("put of %q acknowledged with VDL %d below its commit LSN %d", c.val, db.VDL(), after)
+		}
+	}
+}
+
 func TestUncommittedWritesInvisible(t *testing.T) {
 	_, db := testDB(t, Config{})
 	tx := db.Begin()
