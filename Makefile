@@ -66,7 +66,9 @@ test: build vet lint
 # framer appends to each replica's buffer, the completions raise its VDL and
 # the replica's loop takes and applies the prefix, all on one buffer — a
 # stream left undrained must hold up no other, and no replica read may see
-# half of a transaction.
+# half of a transaction. The netsim line is a hop's pooled timer: a hop
+# canceled mid-flight, hops after abandoned ones, and cancels racing timers
+# from eight goroutines must each keep a delivered hop's whole latency.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/storage/ \
@@ -81,6 +83,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
 	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes|TestStalledStreamHoldsUpNoOther|TestReplicaNeverShowsATornTransfer' ./internal/replica/ ./internal/engine/ .
 	$(GO) test -race -count=20 -run 'TestFailoverLeavesNoReplicaPin' .
+	$(GO) test -race -count=20 -run 'TestCancelMidFlightAbandonsSend|TestHopAfterAbandonedHopsWaitsItsLatency|TestCanceledHopsUnderLoadKeepTheirLatency' ./internal/netsim/
 
 # Live volume growth under chaos: grow mid-workload with a gray-slow node,
 # under the race detector. Zero failed commits, monotone VDL, no lost writes.
@@ -158,7 +161,9 @@ bench-quick:
 # objects and no goroutine, a cached single-row commit through the engine at
 # its 8 objects and no goroutine, an update in place at one buffer of redo
 # bytes, a storage node's ingest of a steady stream of batches at its record
-# arena's chunk refills (a few objects per hundred batches). Background: an
+# arena's chunk refills (a few objects per hundred batches), a replica
+# stream's append and take at zero. Network: a hop with a latency at zero
+# (its timer is pooled). Background: an
 # idle gossip round and a health-monitor pass over a healthy fleet at zero.
 # Instruments: a histogram observation
 # and the windowed quantile behind the hedge deadline (recomputed every 32
@@ -169,7 +174,8 @@ bench-allocs:
 	$(GO) test -run 'TestObserveZeroAllocs|TestWindowedQuantileZeroAllocs' -count=1 ./internal/metrics/
 	$(GO) test -run 'TestRecordBodyEncodeZeroAllocs|TestFrameGroupSteadyStateZeroAllocs' -count=1 ./internal/core/
 	$(GO) test -run 'TestCommitSteadyStateAllocs|TestHedgedFirstAnswerIsOneCallChain|TestReadPageMissZeroAllocs|TestShipIsTheCallersGoroutine|TestHealthMonitorPassAllocatesNothing' -count=1 ./internal/volume/
-	$(GO) test -run 'TestCommitSpawnsNoGoroutine|TestGetMissAllocatesOnlyTheValue' -count=1 ./internal/engine/
+	$(GO) test -run 'TestCommitSpawnsNoGoroutine|TestGetMissAllocatesOnlyTheValue|TestStreamAppendTakeAllocatesNothing' -count=1 ./internal/engine/
+	$(GO) test -run 'TestDelayedSendAllocatesNothing' -count=1 ./internal/netsim/
 	$(GO) test -run 'TestCacheEvictInsertZeroAllocs' -count=1 ./internal/bufcache/
 	$(GO) test -run 'TestNodeLookupZeroAllocs|TestTreeGetAllocs|TestPutUpdateSteadyStateAllocs' -count=1 ./internal/btree/
 	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld|TestNodeWithoutStoreKeepsNoStagingList|TestIngestSteadyStateAllocs|TestGossipIdleRoundAllocatesNothing' -count=1 ./internal/storage/

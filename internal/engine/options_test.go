@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -98,7 +99,7 @@ func TestFeedMultipleSubscribers(t *testing.T) {
 	// Close one stream; the other keeps receiving.
 	s1.Close()
 	s1.Close() // idempotent
-	if _, _, ok := s1.Take(); ok {
+	if _, _, ok := s1.Take(nil); ok {
 		t.Fatal("closed stream still open")
 	}
 	tx := db.Begin()
@@ -119,7 +120,7 @@ func takeUntil(t *testing.T, s *Stream, timeout time.Duration, found func(core.R
 	for {
 		select {
 		case <-s.Wake():
-			recs, vdl, ok := s.Take()
+			recs, vdl, ok := s.Take(nil)
 			if !ok {
 				t.Fatal("stream ended")
 			}
@@ -137,4 +138,48 @@ func takeUntil(t *testing.T, s *Stream, timeout time.Duration, found func(core.R
 // commitOf matches the commit record of transaction txn.
 func commitOf(txn uint64) func(core.Record) bool {
 	return func(r core.Record) bool { return r.Type == core.RecTxnCommit && r.Txn == txn }
+}
+
+// TestStreamAppendTakeAllocatesNothing pins a stream's steady state: the
+// framer appends a group, a completion publishes the group before it, and
+// the consumer takes into the buffer it reuses, leaving the newest group
+// behind. Neither the stream's buffer nor the consumer's regrows.
+func TestStreamAppendTakeAllocatesNothing(t *testing.T) {
+	ss := &streams{}
+	s := &Stream{owner: ss, wake: make(chan struct{}, 1)}
+	ss.list = []*Stream{s}
+	m := &core.MTR{Records: make([]core.Record, 3)}
+	group := []*core.MTR{m}
+	var lsn core.LSN
+	var taken []core.Record
+	step := func() {
+		for i := range m.Records {
+			lsn++
+			m.Records[i].LSN = lsn
+		}
+		ss.append(group)
+		ss.publish(lsn - core.LSN(len(m.Records)))
+		var ok bool
+		if taken, _, ok = s.Take(taken[:0]); !ok {
+			t.Fatal("stream ended")
+		}
+		<-s.Wake()
+	}
+	step() // the buffers' first growth
+	step()
+	// (testing.AllocsPerRun rounds to whole objects per run: a buffer
+	// regrown every few steps would read 0.)
+	const steps = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if objects := after.Mallocs - before.Mallocs; objects > 4 { // slack for the runtime's own
+		t.Fatalf("%d objects over %d appends and takes, want 0", objects, steps)
+	}
+	if len(taken) != len(m.Records) || s.Buffered() != len(m.Records) {
+		t.Fatalf("took %d records with %d left, want one group each", len(taken), s.Buffered())
+	}
 }

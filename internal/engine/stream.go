@@ -107,22 +107,27 @@ func (s *Stream) end() {
 // stream ends; the consumer calls Take after each signal.
 func (s *Stream) Wake() <-chan struct{} { return s.wake }
 
-// Take removes and returns the buffered records at or below the stream's
-// VDL, with that VDL. The VDL is always a CPL, so the records are whole MTRs.
-// ok is false once the stream has ended. The returned slice is the
-// caller's: later appends never write before the buffer's start.
-func (s *Stream) Take() (recs []core.Record, vdl core.LSN, ok bool) {
+// Take appends the buffered records at or below the stream's VDL to dst,
+// removes them from the stream and returns dst with that VDL. The VDL is
+// always a CPL, so the records are whole MTRs. ok is false once the stream
+// has ended. The records left above the VDL move to the buffer's start, so
+// neither the stream's buffer nor a dst the caller reuses regrows in steady
+// state.
+func (s *Stream) Take(dst []core.Record) (recs []core.Record, vdl core.LSN, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	cut := 0
 	for cut < len(s.recs) && s.recs[cut].LSN <= s.vdl {
 		cut++
 	}
-	recs, s.recs = s.recs[:cut:cut], s.recs[cut:]
-	return recs, s.vdl, true
+	dst = append(dst, s.recs[:cut]...)
+	n := copy(s.recs, s.recs[cut:])
+	clear(s.recs[n:]) // drop the moved-out records' references to their Data
+	s.recs = s.recs[:n]
+	return dst, s.vdl, true
 }
 
 // Buffered returns the number of records in the stream not taken yet.

@@ -369,17 +369,9 @@ func (n *Network) send(ctx context.Context, from, to NodeID, size int) error {
 				n.abandons.Add(1)
 				return fmt.Errorf("%w: %w", ErrAbandoned, err)
 			}
-		} else if done := ctx.Done(); done != nil {
-			t := time.NewTimer(lat)
-			select {
-			case <-t.C:
-			case <-done:
-				t.Stop()
-				n.abandons.Add(1)
-				return fmt.Errorf("%w: %w", ErrAbandoned, ctx.Err())
-			}
-		} else {
-			time.Sleep(lat)
+		} else if err := wait(ctx, lat); err != nil {
+			n.abandons.Add(1)
+			return fmt.Errorf("%w: %w", ErrAbandoned, err)
 		}
 	}
 	n.messages.Add(1)
@@ -393,6 +385,39 @@ func (n *Network) send(ctx context.Context, from, to NodeID, size int) error {
 	dst.recv.Add(1)
 	dst.recvB.Add(uint64(size))
 	return nil
+}
+
+// timers holds the idle timers hops wait on, so a hop allocates nothing.
+// Every Send shares it: senders, gossip, reads and acks all wait here, and
+// no one goroutine owns their waits.
+var timers sync.Pool
+
+// wait blocks for d or until ctx is done, returning ctx.Err() in the second
+// case. It is the one real-clock wait: a context that cannot be canceled
+// has a nil Done channel, which never fires.
+func wait(ctx context.Context, d time.Duration) error {
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	select {
+	case <-t.C:
+		// Drained: its value was received, so its channel is empty.
+		timers.Put(t)
+		return nil
+	case <-ctx.Done():
+		// Only a timer that Stop caught before it fired goes back. One whose
+		// Stop returns false may hold an undelivered value (timer channels
+		// are buffered under the module's go 1.22 line), which would end a
+		// later hop at once with no latency; it is dropped, not drained,
+		// because from go 1.23 on a receive after such a Stop blocks forever.
+		if t.Stop() {
+			timers.Put(t)
+		}
+		return ctx.Err()
+	}
 }
 
 // sample computes latency and loss for one message.

@@ -3,10 +3,23 @@ package netsim
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 func twoNodeNet(cfg Config) *Network {
 	n := New(cfg)
@@ -283,4 +296,130 @@ func TestLinkDropIsDirectional(t *testing.T) {
 	if err := n.Send(context.Background(), "b", "a", 8); err != nil {
 		t.Fatalf("reverse path after clear: %v", err)
 	}
+}
+
+// TestDelayedSendAllocatesNothing pins the real-clock wait: a hop with a
+// latency waits on a pooled timer, with a context that can be canceled and
+// with one that cannot.
+func TestDelayedSendAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("under the race detector sync.Pool drops a random share of what is put; the pin runs in normal builds")
+	}
+	n := twoNodeNet(Config{IntraAZ: 20 * time.Microsecond})
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"cancelable", cctx}, {"background", context.Background()}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := n.Send(tc.ctx, "a", "c", 64); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f objects per delayed send, want 0", tc.name, allocs)
+		}
+	}
+}
+
+func TestCancelMidFlightAbandonsSend(t *testing.T) {
+	n := twoNodeNet(Config{IntraAZ: time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	err := n.Send(ctx, "a", "c", 64)
+	took := time.Since(start)
+	if !errors.Is(err, ErrAbandoned) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("send canceled mid-flight: %v, want ErrAbandoned wrapping context.Canceled", err)
+	}
+	if took > 500*time.Millisecond {
+		t.Fatalf("abandoned send returned after %v, the hop's whole latency is 1s", took)
+	}
+	if s := n.Stats(); s.Abandons != 1 || s.Messages != 0 || s.Bytes != 0 {
+		t.Fatalf("stats %+v, want one abandon and no message counted", s)
+	}
+	if sent, _, _, _, _ := n.NodeStats("a"); sent != 0 {
+		t.Fatalf("sender counted %d messages for an abandoned send", sent)
+	}
+}
+
+// TestHopAfterAbandonedHopsWaitsItsLatency: the timers of abandoned hops go
+// back to the pool, and the hop that reuses one must still wait its whole
+// latency. The pause after the abandons outlasts their latency, so a timer
+// pooled while still armed would have fired into its channel by then.
+func TestHopAfterAbandonedHopsWaitsItsLatency(t *testing.T) {
+	const short, long = 2 * time.Millisecond, 20 * time.Millisecond
+	n := twoNodeNet(Config{IntraAZ: short, CrossAZ: long})
+	// A loaded host may fire the cancel after the hop's timer; such a hop
+	// is delivered and does not count.
+	for i, abandoned := 0, 0; abandoned < 8; i++ {
+		if i == 1000 {
+			t.Fatalf("%d of %d hops abandoned", abandoned, i)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(100*time.Microsecond, cancel)
+		switch err := n.Send(ctx, "a", "c", 8); {
+		case errors.Is(err, ErrAbandoned):
+			abandoned++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(4 * short)
+	for i := 0; i < 8; i++ {
+		start := time.Now()
+		if err := n.Send(context.Background(), "a", "b", 8); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took < long {
+			t.Fatalf("hop %d after abandoned hops took %v, want at least %v", i, took, long)
+		}
+	}
+}
+
+// TestCanceledHopsUnderLoadKeepTheirLatency races cancels against timers
+// firing: the cancels are timed at half, all and one and a half of the
+// hop's latency.
+// A send that returns nil must have waited that latency, and the counters
+// must add up.
+func TestCanceledHopsUnderLoadKeepTheirLatency(t *testing.T) {
+	const lat, workers, sends = 3 * time.Millisecond, 8, 60
+	n := twoNodeNet(Config{IntraAZ: lat})
+	var delivered, abandoned atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < sends; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				stop := time.AfterFunc(lat*time.Duration(1+i%3)/2, cancel)
+				start := time.Now()
+				err := n.Send(ctx, "a", "c", 8)
+				took := time.Since(start)
+				stop.Stop()
+				cancel()
+				switch {
+				case err == nil:
+					delivered.Add(1)
+					if took < lat {
+						t.Errorf("send returned nil after %v, under its %v latency", took, lat)
+						return
+					}
+				case errors.Is(err, ErrAbandoned):
+					abandoned.Add(1)
+				default:
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := n.Stats()
+	if s.Messages != delivered.Load() || s.Abandons != abandoned.Load() {
+		t.Fatalf("stats %+v, want %d messages and %d abandons", s, delivered.Load(), abandoned.Load())
+	}
+	t.Logf("%d delivered, %d abandoned", delivered.Load(), abandoned.Load())
 }

@@ -72,6 +72,7 @@ type Replica struct {
 	tails map[core.PGID]core.LSN
 
 	stream *engine.Stream // the writer's redo stream to this replica
+	taken  []core.Record  // the records advance took, reused across calls; under mu
 	done   chan struct{}  // closed when the apply loop has exited
 	closed atomic.Bool
 
@@ -141,7 +142,7 @@ func (r *Replica) advance() bool {
 	defer sp.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	recs, streamVDL, ok := r.stream.Take()
+	recs, streamVDL, ok := r.stream.Take(r.taken[:0])
 	if !ok {
 		return false
 	}
@@ -150,6 +151,10 @@ func (r *Replica) advance() bool {
 	for i := range recs {
 		r.applyLocked(&recs[i])
 	}
+	// applyLocked keeps neither a record nor its Data, so the buffer is
+	// reused; cleared, it holds no redo alive until the next advance.
+	clear(recs)
+	r.taken = recs[:0]
 	if streamVDL > r.VDL() {
 		r.vdl.Store(uint64(streamVDL))
 		// No read holds the older view (they hold mu shared): release it.
