@@ -68,7 +68,9 @@ test: build vet lint
 # stream left undrained must hold up no other, and no replica read may see
 # half of a transaction. The netsim line is a hop's pooled timer: a hop
 # canceled mid-flight, hops after abandoned ones, and cancels racing timers
-# from eight goroutines must each keep a delivered hop's whole latency.
+# from eight goroutines must each keep a delivered hop's whole latency. The
+# bufcache line is the midpoint list: eight goroutines hit, insert and evict
+# on one cache, each checking the links and the old sublist's boundary.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/storage/ \
@@ -84,6 +86,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes|TestStalledStreamHoldsUpNoOther|TestReplicaNeverShowsATornTransfer' ./internal/replica/ ./internal/engine/ .
 	$(GO) test -race -count=20 -run 'TestFailoverLeavesNoReplicaPin' .
 	$(GO) test -race -count=20 -run 'TestCancelMidFlightAbandonsSend|TestHopAfterAbandonedHopsWaitsItsLatency|TestCanceledHopsUnderLoadKeepTheirLatency' ./internal/netsim/
+	$(GO) test -race -count=20 -run 'TestConcurrentAccess' ./internal/bufcache/
 
 # Live volume growth under chaos: grow mid-workload with a gray-slow node,
 # under the race detector. Zero failed commits, monotone VDL, no lost writes.
@@ -165,10 +168,12 @@ bench-quick:
 # stream's append and take at zero. Network: a hop with a latency at zero
 # (its timer is pooled). Background: an
 # idle gossip round and a health-monitor pass over a healthy fleet at zero.
+# Public API: Cluster.Begin plus Abort at the engine's one transaction object.
 # Instruments: a histogram observation
 # and the windowed quantile behind the hedge deadline (recomputed every 32
 # reads, two 976-bucket banks walked in place) at zero. Backup: a node without
-# an object store keeps no staging list, so backup-off ingest files as before.
+# an object store keeps no staging list, so backup-off ingest files as before,
+# and a node's object-store key costs nothing per pass.
 # Fails CI on regression.
 bench-allocs:
 	$(GO) test -run 'TestObserveZeroAllocs|TestWindowedQuantileZeroAllocs' -count=1 ./internal/metrics/
@@ -178,7 +183,8 @@ bench-allocs:
 	$(GO) test -run 'TestDelayedSendAllocatesNothing' -count=1 ./internal/netsim/
 	$(GO) test -run 'TestCacheEvictInsertZeroAllocs' -count=1 ./internal/bufcache/
 	$(GO) test -run 'TestNodeLookupZeroAllocs|TestTreeGetAllocs|TestPutUpdateSteadyStateAllocs' -count=1 ./internal/btree/
-	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld|TestNodeWithoutStoreKeepsNoStagingList|TestIngestSteadyStateAllocs|TestGossipIdleRoundAllocatesNothing' -count=1 ./internal/storage/
+	$(GO) test -run 'TestCoalesceRoundSteadyStateAllocs|TestCoalesceIdleRoundCostsNothingHeld|TestNodeWithoutStoreKeepsNoStagingList|TestIngestSteadyStateAllocs|TestGossipIdleRoundAllocatesNothing|TestBackupKeyAllocatesNothing' -count=1 ./internal/storage/
+	$(GO) test -run 'TestBeginAllocatesOneObject' -count=1 .
 	$(GO) test -run 'TestUnsampledPathDoesNotAllocate' -count=1 ./internal/trace/
 	$(GO) test -run xxx -bench 'BenchmarkRecordBodyEncode|BenchmarkFrameGroup$$|BenchmarkCommitSteadyStateAllocs' -benchtime 100x ./internal/core/ ./internal/volume/
 	$(GO) test -run xxx -bench 'BenchmarkTreeGet|BenchmarkTreePutUpdate|BenchmarkCoalesceRound|BenchmarkNodeReadPage|BenchmarkReadPageMiss|BenchmarkIngest' -benchmem -benchtime 1000x ./internal/btree/ ./internal/storage/ ./internal/volume/

@@ -263,19 +263,19 @@ func (c *Cluster) Close() {
 func (c *Cluster) VolumeID() uint32 { return uint32(c.fleet.Vol()) }
 
 // Begin starts a read-committed writer transaction.
-func (c *Cluster) Begin() *Tx { return &Tx{inner: c.db.Begin()} }
+func (c *Cluster) Begin() *Tx { return (*Tx)(c.db.Begin()) }
 
 // BeginCtx starts a writer transaction whose reads are bounded by ctx;
 // pair with Tx.CommitCtx for an end-to-end deadline.
-func (c *Cluster) BeginCtx(ctx context.Context) *Tx { return &Tx{inner: c.db.BeginCtx(ctx)} }
+func (c *Cluster) BeginCtx(ctx context.Context) *Tx { return (*Tx)(c.db.BeginCtx(ctx)) }
 
 // BeginSnapshot starts a read-only transaction at a frozen view (the
 // current volume durable LSN).
-func (c *Cluster) BeginSnapshot() *Tx { return &Tx{inner: c.db.BeginSnapshot()} }
+func (c *Cluster) BeginSnapshot() *Tx { return (*Tx)(c.db.BeginSnapshot()) }
 
 // BeginSnapshotCtx is BeginSnapshot with reads bounded by ctx.
 func (c *Cluster) BeginSnapshotCtx(ctx context.Context) *Tx {
-	return &Tx{inner: c.db.BeginSnapshotCtx(ctx)}
+	return (*Tx)(c.db.BeginSnapshotCtx(ctx))
 }
 
 // ErrDeadlineExceeded is returned by ctx-bounded operations whose deadline
@@ -623,35 +623,36 @@ func (c *Cluster) Stats() Stats {
 	return s
 }
 
-// Tx is a transaction on the writer instance.
-type Tx struct{ inner *engine.Tx }
+// Tx is a transaction on the writer instance: the engine's transaction
+// itself, so Begin makes one object, not a wrapper around it.
+type Tx engine.Tx
 
 // Get returns the value for key as seen by this transaction.
-func (t *Tx) Get(key []byte) ([]byte, bool, error) { return t.inner.Get(key) }
+func (t *Tx) Get(key []byte) ([]byte, bool, error) { return (*engine.Tx)(t).Get(key) }
 
 // Put inserts or updates a row under its exclusive row lock.
-func (t *Tx) Put(key, val []byte) error { return t.inner.Put(key, val) }
+func (t *Tx) Put(key, val []byte) error { return (*engine.Tx)(t).Put(key, val) }
 
 // Delete removes a row under its exclusive row lock.
-func (t *Tx) Delete(key []byte) error { return t.inner.Delete(key) }
+func (t *Tx) Delete(key []byte) error { return (*engine.Tx)(t).Delete(key) }
 
 // Scan visits rows in range, overlaying this transaction's writes.
 func (t *Tx) Scan(from, to []byte, fn func(k, v []byte) bool) error {
-	return t.inner.Scan(from, to, fn)
+	return (*engine.Tx)(t).Scan(from, to, fn)
 }
 
 // Commit makes the transaction durable: it returns once the volume durable
 // LSN has passed the commit record (asynchronous commit, §4.2.2).
-func (t *Tx) Commit() error { return t.inner.Commit() }
+func (t *Tx) Commit() error { return (*engine.Tx)(t).Commit() }
 
 // CommitCtx is Commit with the acknowledgement wait bounded by ctx. When
 // the deadline fires after the write set is applied, the commit still
 // frames, ships and becomes durable; only this waiter detaches with an
 // error wrapping ErrDeadlineExceeded.
-func (t *Tx) CommitCtx(ctx context.Context) error { return t.inner.CommitCtx(ctx) }
+func (t *Tx) CommitCtx(ctx context.Context) error { return (*engine.Tx)(t).CommitCtx(ctx) }
 
 // Abort discards the transaction; nothing ever reached the log.
-func (t *Tx) Abort() { t.inner.Abort() }
+func (t *Tx) Abort() { (*engine.Tx)(t).Abort() }
 
 // Replica is a read-only instance consuming the writer's redo stream.
 type Replica struct{ inner *replica.Replica }

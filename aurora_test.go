@@ -3,6 +3,7 @@ package aurora
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,37 @@ func TestClusterTransactions(t *testing.T) {
 	if err != nil || string(v) != "1" {
 		t.Fatalf("snapshot %q %v", v, err)
 	}
+}
+
+// txSink keeps the transactions TestBeginAllocatesOneObject begins
+// reachable, so each escapes to the heap as it does through an interface.
+var txSink *Tx
+
+// TestBeginAllocatesOneObject pins Begin at the engine's transaction alone:
+// a Tx is that transaction, not a wrapper around it. `make bench-allocs`
+// runs it.
+func TestBeginAllocatesOneObject(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates on its own; the pin runs in normal builds")
+	}
+	c := newCluster(t, Options{})
+	if avg := testing.AllocsPerRun(1000, func() {
+		txSink = c.Begin()
+		txSink.Abort()
+	}); avg != 1 {
+		t.Fatalf("Begin + Abort allocates %.2f objects, want 1", avg)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 func TestClusterSurvivesAZFailure(t *testing.T) {

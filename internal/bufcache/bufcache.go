@@ -7,9 +7,18 @@
 // can always be served by requesting the page as of the current VDL from
 // the storage service (§4.2.3).
 //
+// Replacement is InnoDB's midpoint rule, Aurora's engine being InnoDB's. The
+// list's tail end is the old sublist, ⌊3n/8⌋ of the n cached pages (at least
+// one); the rest is the young sublist. A page read in under a new id enters at
+// the old sublist's head — the midpoint — and a hit moves a page to the list
+// head. Eviction walks from the tail, so a page touched once (a random Get's
+// leaf) ages out through the old sublist and cannot push out the pages touched
+// often (the tree's upper levels), yet stays for about 3n/8 misses in case it
+// is read again.
+//
 // The cache owns the memory of the pages it holds, and a miss allocates
 // none. The entries live in one slab sized to the capacity, threaded into the
-// LRU list by slab index, so a hit, an insert and an eviction make no object.
+// list by slab index, so a hit, an insert and an eviction make no object.
 // An evicted page's frame — its page-sized buffer — goes to a free list, and
 // the next miss reads into it (Pins.Fill) instead of allocating one. That
 // rests on one pinning rule: a page taken from the cache is used only while
@@ -42,20 +51,26 @@ type Stats struct {
 	Capacity int
 }
 
-// none ends the LRU list and the vacant-slot chain.
+// none ends the list and the vacant-slot chain.
 const none = -1
+
+// oldEighths is the old sublist's share of the cached pages, in eighths:
+// InnoDB's default innodb_old_blocks_pct of 37.
+const oldEighths = 3
 
 // entry is one slab slot: a cached page, or a vacant slot when p is nil.
 type entry struct {
 	id         core.PageID
 	p          page.Page
 	pins       int32
-	prev, next int32 // LRU neighbours, most recent first; next also chains vacant slots
+	prev, next int32 // list neighbours, most recent first; next also chains vacant slots
+	old        bool  // in the old sublist
 }
 
-// Cache is a fixed-capacity page cache with LRU eviction under the VDL
-// rule. All methods are safe for concurrent use; the pages themselves are
-// mutated by the engine under its own latching discipline while pinned.
+// Cache is a fixed-capacity page cache with midpoint-insertion LRU eviction
+// under the VDL rule. All methods are safe for concurrent use; the pages
+// themselves are mutated by the engine under its own latching discipline
+// while pinned.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -64,6 +79,8 @@ type Cache struct {
 	slab     []entry               // capacity slots, grown only by overflow
 	head     int32                 // most recently used
 	tail     int32                 // least recently used: where eviction looks first
+	mid      int32                 // the old sublist's head: where a new page goes
+	oldLen   int                   // entries in the old sublist, from mid to tail
 	vacant   int32                 // first vacant slot
 	free     []page.Page           // frames of evicted pages, at most capacity
 	gen      uint64                // bumped by Invalidate: pins taken before it are void
@@ -84,6 +101,7 @@ func New(capacity int, vdl func() core.LSN) *Cache {
 		slab:     make([]entry, 0, capacity),
 		head:     none,
 		tail:     none,
+		mid:      none,
 		vacant:   none,
 	}
 }
@@ -141,8 +159,9 @@ func (c *Cache) unpinAll(gen uint64, ids, more []core.PageID) {
 }
 
 // Put inserts (or replaces) a page and returns it pinned. The cache owns p
-// from here on: once evicted, its memory is another miss's frame. If the
-// cache is full it evicts the least-recently-used page whose pageLSN <= VDL;
+// from here on: once evicted, its memory is another miss's frame. A new id
+// enters at the midpoint, a cached one moves to the head. If the cache is
+// full it evicts the page nearest the tail whose pageLSN <= VDL;
 // when nothing qualifies the cache overflows rather than lose an undurable
 // page. A replaced page's frame is recycled only if nobody holds it pinned.
 func (c *Cache) Put(id core.PageID, p page.Page) page.Page {
@@ -180,8 +199,12 @@ func (c *Cache) put(id core.PageID, p page.Page) (page.Page, uint64) {
 		c.slab = append(c.slab, entry{})
 	}
 	c.slab[i] = entry{id: id, p: p, pins: 1}
-	c.pushFrontLocked(i)
 	c.index[id] = i
+	c.linkBeforeLocked(i, c.mid)
+	c.slab[i].old = true
+	c.mid = i
+	c.oldLen++
+	c.rebalanceLocked()
 	return p, c.gen
 }
 
@@ -210,7 +233,7 @@ func (c *Cache) recycleLocked(p page.Page) {
 	}
 }
 
-// evictOneLocked drops the least-recently-used unpinned page that the VDL
+// evictOneLocked drops the unpinned page nearest the tail that the VDL
 // rule allows, recycling its frame. It reports whether a page was evicted.
 func (c *Cache) evictOneLocked() bool {
 	fence := c.vdl()
@@ -264,7 +287,8 @@ func (c *Cache) Invalidate() {
 	clear(c.index)
 	clear(c.slab)
 	c.slab = c.slab[:0]
-	c.head, c.tail, c.vacant = none, none, none
+	c.head, c.tail, c.mid, c.vacant = none, none, none, none
+	c.oldLen = 0
 	c.gen++
 }
 
@@ -300,17 +324,26 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// The LRU list, threaded through the slab.
+// The list, threaded through the slab: the young sublist from head, then the
+// old sublist from mid to tail.
 
-func (c *Cache) pushFrontLocked(i int32) {
+// linkBeforeLocked links slot i in front of slot at, or at the tail when at
+// is none.
+func (c *Cache) linkBeforeLocked(i, at int32) {
 	e := &c.slab[i]
-	e.prev, e.next = none, c.head
-	if c.head != none {
-		c.slab[c.head].prev = i
-	} else {
+	e.next = at
+	if at == none {
+		e.prev = c.tail
 		c.tail = i
+	} else {
+		e.prev = c.slab[at].prev
+		c.slab[at].prev = i
 	}
-	c.head = i
+	if e.prev == none {
+		c.head = i
+	} else {
+		c.slab[e.prev].next = i
+	}
 }
 
 func (c *Cache) unlinkLocked(i int32) {
@@ -325,12 +358,43 @@ func (c *Cache) unlinkLocked(i int32) {
 	} else {
 		c.tail = e.prev
 	}
+	if e.old {
+		e.old = false
+		c.oldLen--
+		if c.mid == i {
+			c.mid = e.next
+		}
+	}
 }
 
+// touchLocked moves a hit page to the head.
 func (c *Cache) touchLocked(i int32) {
 	if c.head != i {
 		c.unlinkLocked(i)
-		c.pushFrontLocked(i)
+		c.linkBeforeLocked(i, c.head)
+		c.rebalanceLocked()
+	}
+}
+
+// rebalanceLocked moves the boundary one entry at a time until the old
+// sublist holds ⌊3n/8⌋ of the n cached entries, at least one. Every link and
+// unlink ends with it, once the index counts the entries linked.
+func (c *Cache) rebalanceLocked() {
+	n := len(c.index)
+	want := max(n*oldEighths/8, min(n, 1))
+	for c.oldLen < want {
+		if c.mid == none {
+			c.mid = c.tail
+		} else {
+			c.mid = c.slab[c.mid].prev
+		}
+		c.slab[c.mid].old = true
+		c.oldLen++
+	}
+	for c.oldLen > want {
+		c.slab[c.mid].old = false
+		c.mid = c.slab[c.mid].next
+		c.oldLen--
 	}
 }
 
@@ -343,6 +407,7 @@ func (c *Cache) dropLocked(i int32) page.Page {
 	delete(c.index, e.id)
 	*e = entry{next: c.vacant}
 	c.vacant = i
+	c.rebalanceLocked()
 	return p
 }
 

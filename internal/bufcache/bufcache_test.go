@@ -180,10 +180,19 @@ func TestConcurrentAccess(t *testing.T) {
 					c.Put(id, mkPage(id, core.LSN(i)))
 					c.Unpin(id)
 				}
+				if i%50 == 0 {
+					if err := checkList(c); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if err := checkList(c); err != nil {
+		t.Fatal(err)
+	}
 	if c.Len() > 33 {
 		t.Fatalf("cache grew unboundedly: %d", c.Len())
 	}
@@ -299,17 +308,25 @@ func TestOverflowWhenNothingEvictable(t *testing.T) {
 	if st := c.Stats(); st.Len != 13 || st.Overflow != 11 {
 		t.Fatalf("stats %+v, want 13 pages, 11 overflows", st)
 	}
-	// Durable: the next insert evicts back under capacity, oldest first.
+	// Durable: the next insert evicts back under capacity from the tail.
+	// Page 2 heads the list: the boundary made it young when the cache held
+	// two pages, and every page after it entered at the midpoint, below it.
+	// So 2 and the newcomer 14 survive.
 	vdl = 100
 	c.Put(14, mkPage(14, 1))
 	c.Unpin(14)
 	if st := c.Stats(); st.Len != 2 || st.Evictions != 12 {
 		t.Fatalf("stats %+v, want 2 pages after 12 evictions", st)
 	}
-	if _, ok := c.Get(13); !ok {
-		t.Fatal("most recent page evicted")
+	for id := core.PageID(1); id <= 14; id++ {
+		_, ok := c.Get(id)
+		if ok {
+			c.Unpin(id)
+		}
+		if want := id == 2 || id == 14; ok != want {
+			t.Fatalf("page %d cached %v, want %v: the survivors are 2 and 14", id, ok, want)
+		}
 	}
-	c.Unpin(13)
 }
 
 // TestCacheEvictInsertZeroAllocs pins a full cache's miss at zero objects:

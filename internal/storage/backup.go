@@ -370,9 +370,8 @@ func (n *Node) loadDelta(buf []byte) error {
 // BackupKey returns the object-store key for this segment's backups. Keys
 // are namespaced by tenant volume so two tenants' PITR snapshots can never
 // collide on a shared store.
-func (n *Node) BackupKey() string {
-	return fmt.Sprintf("vol%d/backup/pg%04d/seg%d", uint32(n.cfg.Vol), n.cfg.Seg.PG, n.cfg.Seg.Replica)
-}
+// NewNode formats it once.
+func (n *Node) BackupKey() string { return n.backupKey }
 
 // backupChain is what a node knows of its own backups: the version and size
 // of its last full image, the delta bytes staged on top of it since, and the

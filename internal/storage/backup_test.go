@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"runtime"
@@ -367,6 +368,21 @@ func TestNodeWithoutStoreKeepsNoStagingList(t *testing.T) {
 	n.mu.Unlock()
 	if staged != 6 {
 		t.Fatalf("a node with a store staged %d records, want 6", staged)
+	}
+}
+
+// TestBackupKeyAllocatesNothing: every backup pass names its object by the
+// node's key, which is formatted once when the node is made. `make
+// bench-allocs` runs it.
+func TestBackupKeyAllocatesNothing(t *testing.T) {
+	n := newBackupRig(t, objstore.New()).nodes[0]
+	want := fmt.Sprintf("vol%d/backup/pg%04d/seg%d", uint32(n.Vol()), n.Seg().PG, n.Seg().Replica)
+	var key string
+	if avg := testing.AllocsPerRun(100, func() { key = n.BackupKey() }); avg != 0 {
+		t.Fatalf("BackupKey allocates %.2f objects, want 0", avg)
+	}
+	if key != want {
+		t.Fatalf("key %q, want %q", key, want)
 	}
 }
 

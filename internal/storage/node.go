@@ -176,8 +176,9 @@ type Node struct {
 	staging bool
 	staged  []*core.Record
 	// backupMu serializes passes, so a delta always names the image before it.
-	backupMu sync.Mutex
-	chain    backupChain // guarded by backupMu
+	backupMu  sync.Mutex
+	chain     backupChain // guarded by backupMu
+	backupKey string      // the segment's object-store key (BackupKey)
 
 	peers []*Node
 
@@ -228,9 +229,10 @@ func NewNode(cfg Config) *Node {
 		cfg.Store = h.cfg.Store
 	}
 	n := &Node{
-		cfg:   cfg,
-		ssd:   h.ssd,
-		pages: make(map[core.PageID]*pageState),
+		cfg:       cfg,
+		ssd:       h.ssd,
+		pages:     make(map[core.PageID]*pageState),
+		backupKey: fmt.Sprintf("vol%d/backup/pg%04d/seg%d", uint32(cfg.Vol), cfg.Seg.PG, cfg.Seg.Replica),
 	}
 	h.register(n)
 	return n
