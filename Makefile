@@ -69,8 +69,8 @@ test: build vet lint
 # half of a transaction. The netsim line is a hop's pooled timer: a hop
 # canceled mid-flight, hops after abandoned ones, and cancels racing timers
 # from eight goroutines must each keep a delivered hop's whole latency. The
-# bufcache line is the midpoint list: eight goroutines hit, insert and evict
-# on one cache, each checking the links and the old sublist's boundary.
+# bufcache line is the LRU list: eight goroutines hit, insert and evict on
+# one cache, each checking the list's links.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/storage/ \

@@ -3,7 +3,9 @@ package aurora
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,6 +99,21 @@ func TestBeginAllocatesOneObject(t *testing.T) {
 		txSink.Abort()
 	}); avg != 1 {
 		t.Fatalf("Begin + Abort allocates %.2f objects, want 1", avg)
+	}
+}
+
+// TestTxMethodSet pins the public transaction's methods: a Tx is the engine's
+// transaction, but none of the engine's own methods, nor its write set's,
+// become part of the API.
+func TestTxMethodSet(t *testing.T) {
+	want := []string{"Abort", "Commit", "CommitCtx", "Delete", "Get", "Put", "Scan"}
+	typ := reflect.TypeOf(&Tx{})
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Tx methods %v, want %v", got, want)
 	}
 }
 

@@ -7,18 +7,15 @@
 // can always be served by requesting the page as of the current VDL from
 // the storage service (§4.2.3).
 //
-// Replacement is InnoDB's midpoint rule, Aurora's engine being InnoDB's. The
-// list's tail end is the old sublist, ⌊3n/8⌋ of the n cached pages (at least
-// one); the rest is the young sublist. A page read in under a new id enters at
-// the old sublist's head — the midpoint — and a hit moves a page to the list
-// head. Eviction walks from the tail, so a page touched once (a random Get's
-// leaf) ages out through the old sublist and cannot push out the pages touched
-// often (the tree's upper levels), yet stays for about 3n/8 misses in case it
-// is read again.
+// Replacement is LRU with insertion at the tail. A hit moves a page to the
+// list head, but a page read in under a new id enters at the tail, where
+// eviction looks first. A page touched once (a random Get's leaf) is the next
+// miss's victim, so it cannot push out the pages touched often (the tree's
+// upper levels); read again before the next miss, it moves to the head.
 //
 // The cache owns the memory of the pages it holds, and a miss allocates
 // none. The entries live in one slab sized to the capacity, threaded into the
-// list by slab index, so a hit, an insert and an eviction make no object.
+// LRU list by slab index, so a hit, an insert and an eviction make no object.
 // An evicted page's frame — its page-sized buffer — goes to a free list, and
 // the next miss reads into it (Pins.Fill) instead of allocating one. That
 // rests on one pinning rule: a page taken from the cache is used only while
@@ -51,23 +48,18 @@ type Stats struct {
 	Capacity int
 }
 
-// none ends the list and the vacant-slot chain.
+// none ends the LRU list and the vacant-slot chain.
 const none = -1
-
-// oldEighths is the old sublist's share of the cached pages, in eighths:
-// InnoDB's default innodb_old_blocks_pct of 37.
-const oldEighths = 3
 
 // entry is one slab slot: a cached page, or a vacant slot when p is nil.
 type entry struct {
 	id         core.PageID
 	p          page.Page
 	pins       int32
-	prev, next int32 // list neighbours, most recent first; next also chains vacant slots
-	old        bool  // in the old sublist
+	prev, next int32 // LRU neighbours, most recent first; next also chains vacant slots
 }
 
-// Cache is a fixed-capacity page cache with midpoint-insertion LRU eviction
+// Cache is a fixed-capacity page cache with tail-insertion LRU eviction
 // under the VDL rule. All methods are safe for concurrent use; the pages
 // themselves are mutated by the engine under its own latching discipline
 // while pinned.
@@ -79,8 +71,6 @@ type Cache struct {
 	slab     []entry               // capacity slots, grown only by overflow
 	head     int32                 // most recently used
 	tail     int32                 // least recently used: where eviction looks first
-	mid      int32                 // the old sublist's head: where a new page goes
-	oldLen   int                   // entries in the old sublist, from mid to tail
 	vacant   int32                 // first vacant slot
 	free     []page.Page           // frames of evicted pages, at most capacity
 	gen      uint64                // bumped by Invalidate: pins taken before it are void
@@ -101,7 +91,6 @@ func New(capacity int, vdl func() core.LSN) *Cache {
 		slab:     make([]entry, 0, capacity),
 		head:     none,
 		tail:     none,
-		mid:      none,
 		vacant:   none,
 	}
 }
@@ -160,7 +149,7 @@ func (c *Cache) unpinAll(gen uint64, ids, more []core.PageID) {
 
 // Put inserts (or replaces) a page and returns it pinned. The cache owns p
 // from here on: once evicted, its memory is another miss's frame. A new id
-// enters at the midpoint, a cached one moves to the head. If the cache is
+// enters at the tail, a cached one moves to the head. If the cache is
 // full it evicts the page nearest the tail whose pageLSN <= VDL;
 // when nothing qualifies the cache overflows rather than lose an undurable
 // page. A replaced page's frame is recycled only if nobody holds it pinned.
@@ -199,12 +188,8 @@ func (c *Cache) put(id core.PageID, p page.Page) (page.Page, uint64) {
 		c.slab = append(c.slab, entry{})
 	}
 	c.slab[i] = entry{id: id, p: p, pins: 1}
+	c.pushBackLocked(i)
 	c.index[id] = i
-	c.linkBeforeLocked(i, c.mid)
-	c.slab[i].old = true
-	c.mid = i
-	c.oldLen++
-	c.rebalanceLocked()
 	return p, c.gen
 }
 
@@ -287,8 +272,7 @@ func (c *Cache) Invalidate() {
 	clear(c.index)
 	clear(c.slab)
 	c.slab = c.slab[:0]
-	c.head, c.tail, c.mid, c.vacant = none, none, none, none
-	c.oldLen = 0
+	c.head, c.tail, c.vacant = none, none, none
 	c.gen++
 }
 
@@ -324,26 +308,28 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// The list, threaded through the slab: the young sublist from head, then the
-// old sublist from mid to tail.
+// The LRU list, threaded through the slab.
 
-// linkBeforeLocked links slot i in front of slot at, or at the tail when at
-// is none.
-func (c *Cache) linkBeforeLocked(i, at int32) {
+func (c *Cache) pushFrontLocked(i int32) {
 	e := &c.slab[i]
-	e.next = at
-	if at == none {
-		e.prev = c.tail
+	e.prev, e.next = none, c.head
+	if c.head != none {
+		c.slab[c.head].prev = i
+	} else {
 		c.tail = i
-	} else {
-		e.prev = c.slab[at].prev
-		c.slab[at].prev = i
 	}
-	if e.prev == none {
+	c.head = i
+}
+
+func (c *Cache) pushBackLocked(i int32) {
+	e := &c.slab[i]
+	e.prev, e.next = c.tail, none
+	if c.tail != none {
+		c.slab[c.tail].next = i
+	} else {
 		c.head = i
-	} else {
-		c.slab[e.prev].next = i
 	}
+	c.tail = i
 }
 
 func (c *Cache) unlinkLocked(i int32) {
@@ -358,43 +344,12 @@ func (c *Cache) unlinkLocked(i int32) {
 	} else {
 		c.tail = e.prev
 	}
-	if e.old {
-		e.old = false
-		c.oldLen--
-		if c.mid == i {
-			c.mid = e.next
-		}
-	}
 }
 
-// touchLocked moves a hit page to the head.
 func (c *Cache) touchLocked(i int32) {
 	if c.head != i {
 		c.unlinkLocked(i)
-		c.linkBeforeLocked(i, c.head)
-		c.rebalanceLocked()
-	}
-}
-
-// rebalanceLocked moves the boundary one entry at a time until the old
-// sublist holds ⌊3n/8⌋ of the n cached entries, at least one. Every link and
-// unlink ends with it, once the index counts the entries linked.
-func (c *Cache) rebalanceLocked() {
-	n := len(c.index)
-	want := max(n*oldEighths/8, min(n, 1))
-	for c.oldLen < want {
-		if c.mid == none {
-			c.mid = c.tail
-		} else {
-			c.mid = c.slab[c.mid].prev
-		}
-		c.slab[c.mid].old = true
-		c.oldLen++
-	}
-	for c.oldLen > want {
-		c.slab[c.mid].old = false
-		c.mid = c.slab[c.mid].next
-		c.oldLen--
+		c.pushFrontLocked(i)
 	}
 }
 
@@ -407,7 +362,6 @@ func (c *Cache) dropLocked(i int32) page.Page {
 	delete(c.index, e.id)
 	*e = entry{next: c.vacant}
 	c.vacant = i
-	c.rebalanceLocked()
 	return p
 }
 

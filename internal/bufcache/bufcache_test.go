@@ -309,9 +309,8 @@ func TestOverflowWhenNothingEvictable(t *testing.T) {
 		t.Fatalf("stats %+v, want 13 pages, 11 overflows", st)
 	}
 	// Durable: the next insert evicts back under capacity from the tail.
-	// Page 2 heads the list: the boundary made it young when the cache held
-	// two pages, and every page after it entered at the midpoint, below it.
-	// So 2 and the newcomer 14 survive.
+	// Every page entered at the tail, so page 1 heads the list, 13 is the
+	// first victim, and 1 and the newcomer 14 survive.
 	vdl = 100
 	c.Put(14, mkPage(14, 1))
 	c.Unpin(14)
@@ -323,8 +322,8 @@ func TestOverflowWhenNothingEvictable(t *testing.T) {
 		if ok {
 			c.Unpin(id)
 		}
-		if want := id == 2 || id == 14; ok != want {
-			t.Fatalf("page %d cached %v, want %v: the survivors are 2 and 14", id, ok, want)
+		if want := id == 1 || id == 14; ok != want {
+			t.Fatalf("page %d cached %v, want %v: the survivors are 1 and 14", id, ok, want)
 		}
 	}
 }

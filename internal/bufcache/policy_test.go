@@ -11,14 +11,12 @@ import (
 )
 
 // checkList verifies the list's invariants: the links run both ways over
-// exactly the cached entries, the old sublist is the list's tail end from
-// mid, its flags and oldLen agree and it holds ⌊3n/8⌋ of the n entries (at
-// least one), and the vacant slots hold no page.
+// exactly the cached entries, and the vacant slots hold no page.
 func checkList(c *Cache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.index)
-	seen, old, prev := 0, 0, int32(none)
+	seen, prev := 0, int32(none)
 	for i := c.head; i != none; i = c.slab[i].next {
 		e := &c.slab[i]
 		if seen++; seen > n {
@@ -30,36 +28,20 @@ func checkList(c *Cache) error {
 		if j, ok := c.index[e.id]; !ok || j != i || e.p == nil {
 			return fmt.Errorf("slot %d: page %d indexed at %d (%v)", i, e.id, j, ok)
 		}
-		switch {
-		case e.old && old == 0 && i != c.mid:
-			return fmt.Errorf("first old slot %d, but mid is %d", i, c.mid)
-		case !e.old && i == c.mid:
-			return fmt.Errorf("mid slot %d not old", i)
-		case !e.old && old > 0:
-			return fmt.Errorf("young slot %d below the old sublist", i)
-		}
-		if e.old {
-			old++
-		}
 		prev = i
 	}
-	want := max(n*3/8, min(n, 1))
 	switch {
 	case prev != c.tail:
 		return fmt.Errorf("tail %d, list ends at %d", c.tail, prev)
 	case seen != n:
 		return fmt.Errorf("%d entries linked, %d cached", seen, n)
-	case old != c.oldLen || old != want:
-		return fmt.Errorf("old sublist %d long, oldLen %d, want %d of %d", old, c.oldLen, want, n)
-	case old == 0 && c.mid != none:
-		return fmt.Errorf("mid %d with no old sublist", c.mid)
 	}
 	vacant := 0
 	for i := c.vacant; i != none; i = c.slab[i].next {
 		if vacant++; vacant > len(c.slab) {
 			return errors.New("vacant chain loops")
 		}
-		if e := &c.slab[i]; e.p != nil || e.old || e.pins != 0 {
+		if e := &c.slab[i]; e.p != nil || e.pins != 0 {
 			return fmt.Errorf("vacant slot %d holds %+v", i, *e)
 		}
 	}
@@ -69,25 +51,19 @@ func checkList(c *Cache) error {
 	return nil
 }
 
-// listOrder returns the cached ids most recent first and mid's id (-1 with
-// no old sublist).
-func listOrder(c *Cache) ([]core.PageID, int64) {
+// listOrder returns the cached ids most recent first.
+func listOrder(c *Cache) []core.PageID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var ids []core.PageID
 	for i := c.head; i != none; i = c.slab[i].next {
 		ids = append(ids, c.slab[i].id)
 	}
-	mid := int64(-1)
-	if c.mid != none {
-		mid = int64(c.slab[c.mid].id)
-	}
-	return ids, mid
+	return ids
 }
 
 // model is a slice-based reference of the policy. list holds the cached ids
-// most recent first; its last ⌊3n/8⌋ (at least one) are the old sublist, so a
-// new id goes in at len(list) minus that.
+// most recent first; a new id goes in at its end.
 type model struct {
 	list     []core.PageID
 	pins     map[core.PageID]int
@@ -96,8 +72,6 @@ type model struct {
 	vdl      core.LSN
 	st       Stats
 }
-
-func (m *model) oldLen() int { return max(len(m.list)*3/8, min(len(m.list), 1)) }
 
 func (m *model) remove(id core.PageID) {
 	m.list = slices.DeleteFunc(m.list, func(x core.PageID) bool { return x == id })
@@ -148,15 +122,15 @@ func (m *model) put(id core.PageID, lsn core.LSN) (evicted []core.PageID) {
 		m.st.Evictions++
 		evicted = append(evicted, v)
 	}
-	m.list = slices.Insert(m.list, len(m.list)-m.oldLen(), id)
+	m.list = append(m.list, id)
 	return evicted
 }
 
-// TestMidpointMatchesModel drives the cache and the model with the same random
+// TestPolicyMatchesModel drives the cache and the model with the same random
 // steps — new and existing Puts, hit and miss Gets, Unpin, Evict, Invalidate,
 // Resize and VDL moves — and after every step requires the same list order,
-// boundary, evictions and counters, and the list's invariants.
-func TestMidpointMatchesModel(t *testing.T) {
+// evictions and counters, and the list's invariants.
+func TestPolicyMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := &model{pins: map[core.PageID]int{}, lsn: map[core.PageID]core.LSN{}, capacity: 1 + rng.Intn(12), vdl: 50}
@@ -215,13 +189,8 @@ func TestMidpointMatchesModel(t *testing.T) {
 				m.vdl = core.LSN(rng.Intn(100))
 				op = fmt.Sprintf("VDL %d", m.vdl)
 			}
-			ids, mid := listOrder(c)
-			wantMid := int64(-1)
-			if len(m.list) > 0 {
-				wantMid = int64(m.list[len(m.list)-m.oldLen()])
-			}
-			if !slices.Equal(ids, m.list) || mid != wantMid {
-				t.Fatalf("seed %d step %d %s: list %v mid %d, want %v mid %d", seed, step, op, ids, mid, m.list, wantMid)
+			if ids := listOrder(c); !slices.Equal(ids, m.list) {
+				t.Fatalf("seed %d step %d %s: list %v, want %v", seed, step, op, ids, m.list)
 			}
 			m.st.Len, m.st.Capacity = len(m.list), m.capacity
 			if st := c.Stats(); st != m.st {
@@ -278,45 +247,5 @@ func TestDescentKeepsUpperLevels(t *testing.T) {
 	}
 	if err := checkList(c); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRereadWithinWindowHits: a page read into a full cache enters at the
-// midpoint and leaves through the old sublist's ⌊3n/8⌋ entries, one per
-// miss. Re-read after fewer other misses it hits; after that many it is gone.
-// (Inserting at the tail would lose it to the very next miss.)
-func TestRereadWithinWindowHits(t *testing.T) {
-	const n = 64
-	window := n * 3 / 8
-	for _, others := range []int{0, 1, window - 1, window} {
-		c := New(n, func() core.LSN { return 1 << 40 })
-		s := c.NewPins()
-		next := core.PageID(1)
-		miss := func() core.PageID {
-			id := next
-			next++
-			if _, ok := s.Get(id); ok {
-				t.Fatalf("hit on page %d, never read", id)
-			}
-			if _, err := s.FreshPage(id); err != nil {
-				t.Fatal(err)
-			}
-			s.Release()
-			return id
-		}
-		for range 2 * n { // a full cache of pages read once
-			miss()
-		}
-		id := miss()
-		for range others {
-			miss()
-		}
-		_, hit := c.Get(id)
-		if hit {
-			c.Unpin(id)
-		}
-		if want := others < window; hit != want {
-			t.Fatalf("page re-read after %d other misses: hit %v, want %v (window %d)", others, hit, want, window)
-		}
 	}
 }

@@ -31,8 +31,8 @@ func TestGetMissAllocatesOnlyTheValue(t *testing.T) {
 	i := 0
 	get := func() {
 		// Strides across the leaves of the first half of the keys: the load
-		// leaves the last leaves it wrote in the young sublist, and no leaf
-		// comes round again within the old sublist's three misses.
+		// leaves the last leaves it wrote cached near the list head, and a
+		// leaf read in enters at the tail, the next miss's victim.
 		i = (i + 97) % (rows / 2)
 		v, ok, err := tx.Get(keys[i])
 		if err != nil || !ok || !bytes.Equal(v, vals[i]) {

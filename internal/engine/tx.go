@@ -18,11 +18,11 @@ import (
 // committed data. Snapshot transactions are read-only views at a fixed read
 // point served straight from the storage service (§4.2.3).
 type Tx struct {
-	txn.WriteSet // read-only on a snapshot transaction
-	db           *DB
-	reads        readStore // its ctx bounds this transaction's reads; its pins are one statement's
-	point        core.LSN
-	release      func()
+	ws      txn.WriteSet // read-only on a snapshot transaction
+	db      *DB
+	reads   readStore // its ctx bounds this transaction's reads; its pins are one statement's
+	point   core.LSN
+	release func()
 }
 
 // Begin starts a read-committed writer transaction.
@@ -31,7 +31,7 @@ func (db *DB) Begin() *Tx { return db.BeginCtx(context.Background()) }
 // BeginCtx starts a writer transaction whose reads are bounded by ctx.
 // The commit acknowledgement wait takes its own ctx (CommitCtx).
 func (db *DB) BeginCtx(ctx context.Context) *Tx {
-	return &Tx{WriteSet: db.txns.Begin(), db: db, reads: db.readStore(ctx)}
+	return &Tx{ws: db.txns.Begin(), db: db, reads: db.readStore(ctx)}
 }
 
 // BeginSnapshot starts a read-only transaction pinned to the current VDL.
@@ -43,18 +43,27 @@ func (db *DB) BeginSnapshot() *Tx { return db.BeginSnapshotCtx(context.Backgroun
 // BeginSnapshotCtx is BeginSnapshot with the reads bounded by ctx.
 func (db *DB) BeginSnapshotCtx(ctx context.Context) *Tx {
 	point, release := db.vol.RegisterReadPoint()
-	return &Tx{WriteSet: db.txns.BeginReadOnly(), db: db, reads: db.readStore(ctx), point: point, release: release}
+	return &Tx{ws: db.txns.BeginReadOnly(), db: db, reads: db.readStore(ctx), point: point, release: release}
 }
+
+// ID returns the transaction's id.
+func (tx *Tx) ID() uint64 { return tx.ws.ID() }
+
+// Put buffers a write of key under its exclusive row lock.
+func (tx *Tx) Put(key, val []byte) error { return tx.ws.Put(key, val) }
+
+// Delete buffers a delete of key under its exclusive row lock.
+func (tx *Tx) Delete(key []byte) error { return tx.ws.Delete(key) }
 
 // Get returns the value for key as seen by this transaction.
 func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
-	if tx.Done() {
+	if tx.ws.Done() {
 		return nil, false, ErrTxDone
 	}
-	if tx.ReadOnly() {
+	if tx.ws.ReadOnly() {
 		return btree.View(&snapStore{db: tx.db, ctx: tx.reads.ctx, readPoint: tx.point}).Get(key)
 	}
-	if v, found, ok := tx.Pending(key); ok {
+	if v, found, ok := tx.ws.Pending(key); ok {
 		return v, found, nil
 	}
 	tx.db.latch.RLock()
@@ -66,10 +75,10 @@ func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
 // Scan visits rows with from <= key < to in key order, overlaying this
 // transaction's own uncommitted writes on the committed tree state.
 func (tx *Tx) Scan(from, to []byte, fn func(key, val []byte) bool) error {
-	if tx.Done() {
+	if tx.ws.Done() {
 		return ErrTxDone
 	}
-	if tx.ReadOnly() {
+	if tx.ws.ReadOnly() {
 		return btree.View(&snapStore{db: tx.db, ctx: tx.reads.ctx, readPoint: tx.point}).Scan(from, to, fn)
 	}
 	tx.db.latch.RLock()
@@ -78,7 +87,7 @@ func (tx *Tx) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	// pins of the scan around it.
 	rs := tx.db.readStore(tx.reads.ctx)
 	defer rs.Release()
-	return tx.WriteSet.Scan(btree.View(&rs), from, to, fn)
+	return tx.ws.Scan(btree.View(&rs), from, to, fn)
 }
 
 // Commit applies the write set to the tree as one mini-transaction, hands
@@ -99,10 +108,10 @@ func (tx *Tx) Commit() error { return tx.CommitCtx(context.Background()) }
 // "Deadlines & cancellation"). A deadline that fires before the apply is a
 // clean abort.
 func (tx *Tx) CommitCtx(ctx context.Context) error {
-	if tx.Done() {
+	if tx.ws.Done() {
 		return ErrTxDone
 	}
-	if tx.Len() == 0 { // nothing buffered, or a snapshot
+	if tx.ws.Len() == 0 { // nothing buffered, or a snapshot
 		tx.finish(true)
 		return nil
 	}
@@ -123,7 +132,7 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 // before-images and the pins released; the caller still owns the latch.
 func (tx *Tx) apply(req *commitReq) error {
 	ws, rec, m := &req.ws, &req.rec, &req.mtr
-	if err := tx.Apply(btree.View(ws), rec); err != nil {
+	if err := tx.ws.Apply(btree.View(ws), rec); err != nil {
 		ws.Release()
 		return err
 	}
@@ -223,7 +232,7 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 // Nothing was ever applied to the tree or the log, so there is nothing to
 // undo.
 func (tx *Tx) Abort() {
-	if !tx.Done() {
+	if !tx.ws.Done() {
 		tx.finish(false)
 	}
 }
@@ -232,7 +241,7 @@ func (tx *Tx) finish(committed bool) {
 	if tx.release != nil {
 		tx.release()
 	}
-	tx.Finish(committed)
+	tx.ws.Finish(committed)
 }
 
 // Convenience autocommit helpers.
