@@ -60,8 +60,11 @@ test: build vet lint
 # The window owns the VDL and its waiters, and the writer's registry every
 # read pin: the volume line's last three tests release WaitDurable and drain
 # waiters as the VDL passes them and on Crash/Close, the replica line's
-# second test detaches a replica whose writer crashed, and the last line
-# fails over with a replica left attached and needs storage GC to go on.
+# second test detaches a replica whose writer crashed, its third and fourth
+# attach a replica while a commit is in flight (the new view must wait for
+# that commit to be durable, and a writer crash must end the wait), and the
+# last line fails over with a replica left attached and needs storage GC to
+# go on.
 # The replica line's last two tests are the replicas' redo streams: the
 # framer appends to each replica's buffer, the completions raise its VDL and
 # the replica's loop takes and applies the prefix, all on one buffer — a
@@ -83,7 +86,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped|TestWindowWait|TestClientWaitsReleasedByCrashAndClose|TestReadRegistryLowWaterMark' ./internal/volume/
 	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce|TestCoalescePageWriteOutsideLock|TestReadDiskReadOutsideLock|TestLogGCWriteOutsideLock|TestTruncateWriteOutsideLock' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
-	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes|TestStalledStreamHoldsUpNoOther|TestReplicaNeverShowsATornTransfer' ./internal/replica/ ./internal/engine/ .
+	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes|TestAttachMidCommitSeesTheCommit|TestAttachDuringWriterCrashReturns|TestStalledStreamHoldsUpNoOther|TestReplicaNeverShowsATornTransfer' ./internal/replica/ ./internal/engine/ .
 	$(GO) test -race -count=20 -run 'TestFailoverLeavesNoReplicaPin' .
 	$(GO) test -race -count=20 -run 'TestCancelMidFlightAbandonsSend|TestHopAfterAbandonedHopsWaitsItsLatency|TestCanceledHopsUnderLoadKeepTheirLatency' ./internal/netsim/
 	$(GO) test -race -count=20 -run 'TestConcurrentAccess' ./internal/bufcache/

@@ -38,21 +38,12 @@ type FleetOptions struct {
 	// DisableBackup turns off the shared object store (and thus PITR).
 	DisableBackup bool
 
-	// --- Per-tenant QoS (per host; zero disables shaping on that path) ---
-
 	// IngestBytesPerSec is each host's total foreground ingest budget,
-	// fair-shared across its active tenants; a hot tenant is throttled to
-	// capacity/activeTenants while idle capacity flows to whoever is busy.
+	// fair-shared across its active tenants (per-tenant QoS; zero disables
+	// shaping); a hot tenant is throttled to capacity/activeTenants while
+	// idle capacity flows to whoever is busy. A tenant past its queue cap
+	// per host is rejected and retried by its own sender.
 	IngestBytesPerSec float64
-	// ReadsPerSec is each host's foreground page-read budget, fair-shared
-	// the same way.
-	ReadsPerSec float64
-	// Burst is how far one tenant may run ahead of its fair share before
-	// shaping kicks in (bytes; 0 selects the default).
-	Burst float64
-	// MaxQueue caps each tenant's shaped-operation queue per host; beyond
-	// it writes are rejected and retried by the tenant's own sender.
-	MaxQueue int
 }
 
 // StorageFleet is a shared multi-tenant storage deployment: one network,
@@ -96,12 +87,7 @@ func NewStorageFleet(opts FleetOptions) (*StorageFleet, error) {
 		Net:   net,
 		Disk:  diskConfig(opts.RealisticDisks),
 		Store: store,
-		QoS: storage.QoSConfig{
-			IngestBytesPerSec: opts.IngestBytesPerSec,
-			ReadsPerSec:       opts.ReadsPerSec,
-			Burst:             opts.Burst,
-			MaxQueue:          opts.MaxQueue,
-		},
+		QoS:   storage.QoSConfig{IngestBytesPerSec: opts.IngestBytesPerSec},
 	})
 	return &StorageFleet{
 		opts:    opts,
@@ -182,7 +168,6 @@ func (f *StorageFleet) forgetName(name string) {
 // the others is the noisy-neighbor containment signature.
 type TenantQoS struct {
 	IngestBytes  uint64
-	Reads        uint64
 	Throttles    uint64
 	Rejects      uint64
 	ThrottleWait time.Duration
@@ -195,7 +180,6 @@ func (f *StorageFleet) TenantStats() map[uint32]TenantQoS {
 	for vol, st := range f.pool.TenantStats() {
 		out[uint32(vol)] = TenantQoS{
 			IngestBytes:  st.IngestBytes,
-			Reads:        st.Reads,
 			Throttles:    st.Throttles,
 			Rejects:      st.Rejects,
 			ThrottleWait: st.ThrottleWait,

@@ -27,7 +27,6 @@ import (
 	"aurora/internal/disk"
 	"aurora/internal/ebs"
 	"aurora/internal/netsim"
-	"aurora/internal/objstore"
 	"aurora/internal/page"
 	"aurora/internal/txn"
 )
@@ -62,8 +61,6 @@ type Config struct {
 	// GroupCommitMax bounds how many commits one WAL flush can absorb
 	// (default 16).
 	GroupCommitMax int
-	// BinlogArchive receives binlog segments for PITR; nil disables.
-	BinlogArchive *objstore.Store
 }
 
 func (c *Config) fillDefaults() {
@@ -112,14 +109,13 @@ type DB struct {
 
 	latch sync.RWMutex // tree latch, same discipline as the Aurora engine
 
-	mu        sync.Mutex // engine state below
-	stable    map[core.PageID]page.Page
-	dirty     map[core.PageID]bool
-	wal       []core.Record // durable redo since the last checkpoint
-	nextLSN   core.LSN
-	ckptLSN   core.LSN
-	durable   core.LSN
-	binlogSeq int
+	mu      sync.Mutex // engine state below
+	stable  map[core.PageID]page.Page
+	dirty   map[core.PageID]bool
+	wal     []core.Record // durable redo since the last checkpoint
+	nextLSN core.LSN
+	ckptLSN core.LSN
+	durable core.LSN
 
 	flushMu sync.Mutex // serializes WAL flushes (the log mutex)
 
@@ -377,14 +373,9 @@ func (db *DB) Checkpoint() error {
 		}
 		db.wal = keep
 	}
-	seq := db.binlogSeq
-	db.binlogSeq++
 	db.mu.Unlock()
 	if err := db.logVol.Write(db.rootCtx, 64); err != nil { // checkpoint record
 		return err
-	}
-	if db.cfg.BinlogArchive != nil {
-		db.cfg.BinlogArchive.Put(fmt.Sprintf("binlog/%s/%06d", db.cfg.Instance, seq), nil)
 	}
 	db.checkpoints.Add(1)
 	return nil

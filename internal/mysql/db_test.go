@@ -10,7 +10,6 @@ import (
 
 	"aurora/internal/disk"
 	"aurora/internal/netsim"
-	"aurora/internal/objstore"
 )
 
 func testDB(t *testing.T, mirrored bool, cfg Config) (*netsim.Network, *DB) {
@@ -296,22 +295,6 @@ func TestReplicationOutlivesBorrowedValue(t *testing.T) {
 		if v, ok, err := db.Get([]byte("k")); err != nil || !ok || string(v) != "committed" {
 			t.Fatalf("%s holds %q %v %v after the caller reused its buffer", db.cfg.Instance, v, ok, err)
 		}
-	}
-}
-
-func TestBinlogArchive(t *testing.T) {
-	store := objstore.New()
-	_, db := testDB(t, false, Config{BinlogArchive: store, CheckpointDirtyPages: 1 << 30})
-	for i := 0; i < 10; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if len(store.List("binlog/")) == 0 {
-		t.Fatal("binlog not archived")
 	}
 }
 

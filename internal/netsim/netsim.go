@@ -3,9 +3,9 @@
 // cloud database has moved to the network between the database tier and the
 // storage tier (§1). The simulator models per-hop latency (intra-AZ vs
 // cross-AZ), bandwidth, jitter and heavy-tailed outliers ("the tail at
-// scale" [42]), silent message loss, node failures, AZ failures and
-// partitions — and it counts every message and byte so experiments such as
-// Table 1 can report network IOs per transaction.
+// scale" [42]), silent message loss, gray-slow nodes and AZ failures — and it
+// counts every message and byte so experiments such as Table 1 can report
+// network IOs per transaction.
 package netsim
 
 import (
@@ -29,9 +29,7 @@ type NodeID string
 // Errors returned by Send.
 var (
 	ErrUnknownNode = errors.New("netsim: unknown node")
-	ErrNodeDown    = errors.New("netsim: node down")
 	ErrAZDown      = errors.New("netsim: availability zone down")
-	ErrPartitioned = errors.New("netsim: link partitioned")
 	ErrDropped     = errors.New("netsim: message silently dropped")
 	// ErrAbandoned is returned when the caller's context is canceled while
 	// the message is in flight: the sender stopped waiting for the reply.
@@ -54,10 +52,6 @@ type Config struct {
 	// outlier-performance arguments of §1 and §3.1.
 	OutlierProb float64
 	OutlierMult float64
-	// DropProb is the probability a message is silently lost in transit
-	// (the sender observes success). Lost log batches are what the storage
-	// gossip protocol exists to repair (§3.3 step 4).
-	DropProb float64
 	// Bandwidth in bytes/second per link; 0 means unlimited. Serialization
 	// delay size/Bandwidth is added to each message's latency.
 	Bandwidth int64
@@ -87,14 +81,12 @@ type Stats struct {
 	Messages uint64
 	Bytes    uint64
 	Drops    uint64
-	Rejects  uint64 // sends refused due to down nodes/partitions
+	Rejects  uint64 // sends refused because an endpoint's AZ is down
 	Abandons uint64 // sends whose caller gave up (context canceled) mid-flight
 }
 
 type node struct {
 	az         AZ
-	down       atomic.Bool
-	slowMult   atomic.Int64 // x1000 fixed point; 0 means 1.0
 	extraDelay atomic.Int64 // nanoseconds added to every message touching the node
 	sent       atomic.Uint64
 	sentB      atomic.Uint64
@@ -107,13 +99,12 @@ type node struct {
 type Network struct {
 	cfg Config
 
-	mu         sync.RWMutex
-	nodes      map[NodeID]*node
-	azDown     [8]bool
-	partitions map[[2]NodeID]bool
-	linkDrops  map[[2]NodeID]float64 // directional [from,to] drop probability
+	mu        sync.RWMutex
+	nodes     map[NodeID]*node
+	azDown    [8]bool
+	linkDrops map[[2]NodeID]float64 // directional [from,to] drop probability
 
-	dropProb atomic.Uint64 // Float64bits; runtime override of cfg.DropProb
+	dropProb atomic.Uint64 // Float64bits; the silent-loss probability of every hop
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -134,11 +125,10 @@ func New(cfg Config) *Network {
 		seed = 0x44757261 // deterministic default
 	}
 	return &Network{
-		cfg:        cfg,
-		nodes:      make(map[NodeID]*node),
-		partitions: make(map[[2]NodeID]bool),
-		linkDrops:  make(map[[2]NodeID]float64),
-		rng:        rand.New(rand.NewSource(seed)),
+		cfg:       cfg,
+		nodes:     make(map[NodeID]*node),
+		linkDrops: make(map[[2]NodeID]float64),
+		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -175,50 +165,12 @@ func (n *Network) NodeAZ(id NodeID) (AZ, bool) {
 	return nd.az, true
 }
 
-// SetNodeDown marks a node failed (or repaired). Sends to or from a down
-// node fail with ErrNodeDown.
-func (n *Network) SetNodeDown(id NodeID, down bool) error {
-	n.mu.RLock()
-	nd, ok := n.nodes[id]
-	n.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
-	}
-	nd.down.Store(down)
-	return nil
-}
-
-// NodeDown reports whether the node is marked failed.
-func (n *Network) NodeDown(id NodeID) bool {
-	n.mu.RLock()
-	nd, ok := n.nodes[id]
-	n.mu.RUnlock()
-	return ok && nd.down.Load()
-}
-
 // SetAZDown fails or restores an entire availability zone — the correlated
 // failure mode §2.1 designs for.
 func (n *Network) SetAZDown(az AZ, down bool) {
 	n.mu.Lock()
 	n.azDown[az%8] = down
 	n.mu.Unlock()
-}
-
-// SetSlowNode applies a latency multiplier to all traffic touching the
-// node, simulating a hot or throttled storage node (§3.3). mult <= 1 clears.
-func (n *Network) SetSlowNode(id NodeID, mult float64) error {
-	n.mu.RLock()
-	nd, ok := n.nodes[id]
-	n.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
-	}
-	if mult <= 1 {
-		nd.slowMult.Store(0)
-	} else {
-		nd.slowMult.Store(int64(mult * 1000))
-	}
-	return nil
 }
 
 // SetNodeDelay adds a fixed latency to every message touching the node — a
@@ -238,9 +190,10 @@ func (n *Network) SetNodeDelay(id NodeID, d time.Duration) error {
 	return nil
 }
 
-// SetDropProb overrides the configured silent-loss probability at runtime —
-// the probabilistic packet loss of a gray network path. p <= 0 restores the
-// configured value.
+// SetDropProb sets the probability that a message is silently lost in
+// transit (the sender observes success) — the probabilistic packet loss of a
+// gray network path. Lost log batches are what the storage gossip protocol
+// exists to repair (§3.3 step 4). p <= 0 clears it.
 func (n *Network) SetDropProb(p float64) {
 	if p < 0 {
 		p = 0
@@ -262,27 +215,12 @@ func (n *Network) SetLinkDropProb(from, to NodeID, p float64) {
 	n.mu.Unlock()
 }
 
-// Partition blocks (or restores) the link between two nodes in both
-// directions.
-func (n *Network) Partition(a, b NodeID, blocked bool) {
-	if b < a {
-		a, b = b, a
-	}
-	n.mu.Lock()
-	if blocked {
-		n.partitions[[2]NodeID{a, b}] = true
-	} else {
-		delete(n.partitions, [2]NodeID{a, b})
-	}
-	n.mu.Unlock()
-}
-
 // Send transports size bytes from one node to another, blocking for the
 // modelled latency or until ctx is canceled, whichever comes first. It
-// returns ErrDropped for silent loss (the message must not be delivered), a
-// reachability error when either endpoint is down or the link is
-// partitioned, and ErrAbandoned (wrapping ctx.Err()) when the caller's
-// context fires mid-flight — the sender stopped waiting for the reply.
+// returns ErrDropped for silent loss (the message must not be delivered),
+// ErrAZDown when either endpoint's AZ is down, and ErrAbandoned (wrapping
+// ctx.Err()) when the caller's context fires mid-flight — the sender stopped
+// waiting for the reply.
 func (n *Network) Send(ctx context.Context, from, to NodeID, size int) error {
 	return n.send(ctx, from, to, size)
 }
@@ -310,14 +248,8 @@ func (n *Network) send(ctx context.Context, from, to NodeID, size int) error {
 	n.mu.RLock()
 	src, okSrc := n.nodes[from]
 	dst, okDst := n.nodes[to]
-	var partitioned bool
 	var linkDrop float64
 	if okSrc && okDst {
-		a, b := from, to
-		if b < a {
-			a, b = b, a
-		}
-		partitioned = n.partitions[[2]NodeID{a, b}]
 		linkDrop = n.linkDrops[[2]NodeID{from, to}]
 	}
 	var srcAZDown, dstAZDown bool
@@ -335,27 +267,12 @@ func (n *Network) send(ctx context.Context, from, to NodeID, size int) error {
 	if !okDst {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, to)
 	}
-	if src.down.Load() {
-		n.rejects.Add(1)
-		return fmt.Errorf("%w: %s", ErrNodeDown, from)
-	}
-	if dst.down.Load() {
-		n.rejects.Add(1)
-		return fmt.Errorf("%w: %s", ErrNodeDown, to)
-	}
 	if srcAZDown || dstAZDown {
 		n.rejects.Add(1)
 		return ErrAZDown
 	}
-	if partitioned {
-		n.rejects.Add(1)
-		return ErrPartitioned
-	}
 
-	dropP := n.cfg.DropProb
-	if dyn := math.Float64frombits(n.dropProb.Load()); dyn > 0 {
-		dropP = dyn
-	}
+	dropP := math.Float64frombits(n.dropProb.Load())
 	if linkDrop > dropP {
 		dropP = linkDrop
 	}
@@ -445,9 +362,6 @@ func (n *Network) sample(src, dst *node, size int, dropP float64) (time.Duration
 		n.rngMu.Unlock()
 	}
 	for _, nd := range [2]*node{src, dst} {
-		if m := nd.slowMult.Load(); m > 0 {
-			base = time.Duration(int64(base) * m / 1000)
-		}
 		if d := nd.extraDelay.Load(); d > 0 {
 			base += time.Duration(d)
 		}

@@ -62,18 +62,12 @@ func TestSendUnknownAndDownNodes(t *testing.T) {
 	if err := n.Send(context.Background(), "zz", "a", 1); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown src: %v", err)
 	}
-	if err := n.SetNodeDown("b", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(context.Background(), "a", "b", 1); !errors.Is(err, ErrNodeDown) {
+	// b is the only node in AZ 1: taking the AZ down takes b down.
+	n.SetAZDown(1, true)
+	if err := n.Send(context.Background(), "a", "b", 1); !errors.Is(err, ErrAZDown) {
 		t.Fatalf("down dest: %v", err)
 	}
-	if !n.NodeDown("b") {
-		t.Fatal("NodeDown not reported")
-	}
-	if err := n.SetNodeDown("b", false); err != nil {
-		t.Fatal(err)
-	}
+	n.SetAZDown(1, false)
 	if err := n.Send(context.Background(), "a", "b", 1); err != nil {
 		t.Fatalf("restored node: %v", err)
 	}
@@ -93,22 +87,6 @@ func TestAZFailureIsCorrelated(t *testing.T) {
 		t.Fatalf("b->c: %v", err)
 	}
 	n.SetAZDown(0, false)
-	if err := n.Send(context.Background(), "a", "b", 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPartition(t *testing.T) {
-	n := twoNodeNet(FastLocal())
-	n.Partition("b", "a", true)
-	if err := n.Send(context.Background(), "a", "b", 1); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("partitioned: %v", err)
-	}
-	// Order-insensitive and other links unaffected.
-	if err := n.Send(context.Background(), "a", "c", 1); err != nil {
-		t.Fatal(err)
-	}
-	n.Partition("a", "b", false)
 	if err := n.Send(context.Background(), "a", "b", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -144,37 +122,9 @@ func TestBandwidthSerializationDelay(t *testing.T) {
 	}
 }
 
-func TestSlowNodeMultiplier(t *testing.T) {
-	cfg := Config{IntraAZ: time.Millisecond}
-	n := twoNodeNet(cfg)
-	var slept time.Duration
-	n.SetSleeper(func(d time.Duration) { slept = d })
-	if err := n.SetSlowNode("c", 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(context.Background(), "a", "c", 0); err != nil {
-		t.Fatal(err)
-	}
-	if slept != 8*time.Millisecond {
-		t.Fatalf("slow node latency %v, want 8ms", slept)
-	}
-	if err := n.SetSlowNode("c", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(context.Background(), "a", "c", 0); err != nil {
-		t.Fatal(err)
-	}
-	if slept != time.Millisecond {
-		t.Fatalf("cleared slow node latency %v", slept)
-	}
-	if err := n.SetSlowNode("nope", 2); err == nil {
-		t.Fatal("unknown node accepted")
-	}
-}
-
 func TestDropProbability(t *testing.T) {
-	cfg := Config{DropProb: 0.5, Seed: 7}
-	n := twoNodeNet(cfg)
+	n := twoNodeNet(Config{Seed: 7})
+	n.SetDropProb(0.5)
 	drops := 0
 	const total = 2000
 	for i := 0; i < total; i++ {
@@ -214,7 +164,8 @@ func TestNodeReplacementMovesAZ(t *testing.T) {
 }
 
 func TestConcurrentSends(t *testing.T) {
-	n := twoNodeNet(Config{Jitter: 0.3, OutlierProb: 0.01, OutlierMult: 5, DropProb: 0.01})
+	n := twoNodeNet(Config{Jitter: 0.3, OutlierProb: 0.01, OutlierMult: 5})
+	n.SetDropProb(0.01)
 	n.SetSleeper(func(time.Duration) {})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -100,13 +100,18 @@ func Attach(db *engine.DB, f *volume.Fleet, cfg Config) *Replica {
 	// The replica's cache eviction fence is its own applied VDL.
 	r.cache = bufcache.New(cfg.CachePages, r.VDL)
 	r.stream = db.Subscribe()
-	// Seed the view from the writer's current durable state so reads issued
-	// before the first VDL raise see real data, not an empty volume. Records
-	// the view already holds re-apply idempotently. The reader pins that
-	// view in the writer's read-point registry, so storage GC keeps every
-	// version this replica could still read; the pin advances with the
-	// applied VDL in advance.
+	// A group framed before the Subscribe reached the other streams, not
+	// this one, yet its completion raises this stream's VDL too: a page
+	// read below it would never get its records. So wait until everything
+	// allocated so far is durable (a writer crash or close ends the wait)
+	// and seed the view from the writer's durable state after that, so
+	// reads issued before the first VDL raise see real data, not an empty
+	// volume. Records the view already holds re-apply idempotently. The
+	// reader pins that view in the writer's read-point registry, so storage
+	// GC keeps every version this replica could still read; the pin
+	// advances with the applied VDL in advance.
 	vol := db.Volume()
+	vol.WaitDurable(vol.HighestAllocated())
 	reader, start := volume.NewReader(vol, cfg.Name, cfg.AZ)
 	r.reader = reader
 	r.vdl.Store(uint64(start))

@@ -389,7 +389,9 @@ func TestBackupKeyAllocatesNothing(t *testing.T) {
 // TestBackupUnderIngestAndCoalesce: passes run while ingest and coalescing
 // run flat out — each delta's list is swapped under the lock and encoded
 // outside it — and the chain then restores to exactly the node. Run under
-// -race -count=20 by `make race`.
+// -race -count=20 by `make race`. Ingest starts only after the backup loop's
+// first pass, the chain's image: a loop first scheduled after the last batch
+// never ran, left the final pass to take the first image, and staged no delta.
 func TestBackupUnderIngestAndCoalesce(t *testing.T) {
 	const pages = 4
 	store := objstore.New()
@@ -397,8 +399,9 @@ func TestBackupUnderIngestAndCoalesce(t *testing.T) {
 	n := nodes[0]
 	views, _, _ := coalesceLoad(t, 3, 300, pages)
 	var done atomic.Bool
+	var passes atomic.Int64
 	var wg sync.WaitGroup
-	for _, loop := range []func(){func() { n.CoalesceOnce() }, func() { n.BackupNow() }} {
+	for _, loop := range []func(){func() { n.CoalesceOnce() }, func() { n.BackupNow(); passes.Add(1) }} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -407,6 +410,9 @@ func TestBackupUnderIngestAndCoalesce(t *testing.T) {
 				runtime.Gosched()
 			}
 		}()
+	}
+	for passes.Load() == 0 {
+		runtime.Gosched()
 	}
 	for i, v := range views {
 		mrpl := core.ZeroLSN

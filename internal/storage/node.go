@@ -248,9 +248,6 @@ func (n *Node) Host() *Host { return n.cfg.Host }
 // or migration off the host).
 func (n *Node) Detach() { n.cfg.Host.unregister(n) }
 
-// qos returns the host's per-tenant scheduler.
-func (n *Node) qos() *qos { return n.cfg.Host.qos }
-
 // checkVol enforces the tenancy boundary on the foreground write path.
 func (n *Node) checkVol(vol core.VolumeID) error {
 	if vol != n.cfg.Vol {
@@ -384,7 +381,7 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 	if len(flight) > 0 {
 		vol = flight[0].Vol()
 	}
-	if err := n.qos().AdmitIngest(ctx, vol, size); err != nil {
+	if err := n.cfg.Host.qos.AdmitIngest(ctx, vol, size); err != nil {
 		return Ack{}, results, err
 	}
 	ingest := parent.Child("storage.ingest")
@@ -709,9 +706,6 @@ func (n *Node) ReadPageChecked(ctx context.Context, id core.PageID, readPoint, r
 	}
 	if n.cfg.Role == core.RoleLog {
 		return 0, fmt.Errorf("%s: %w", n.cfg.Node, ErrWrongTier)
-	}
-	if err := n.qos().AdmitRead(ctx, n.cfg.Vol); err != nil {
-		return 0, err
 	}
 	// A page replica whose applied LSN trails the read point replays the
 	// missing log from its peers before answering — the split's read

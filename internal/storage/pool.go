@@ -14,8 +14,7 @@ import (
 // PoolConfig describes a shared multi-tenant storage fleet.
 type PoolConfig struct {
 	Name  string // host ID prefix, e.g. "fleet" -> fleet-h00, fleet-h01, ...
-	Hosts int    // physical machines, spread round-robin over AZs
-	AZs   int    // availability zones (0 = 3, matching the Aurora quorum)
+	Hosts int    // physical machines, spread round-robin over the 3 AZs
 	Net   *netsim.Network
 	Disk  disk.Config
 	Store *objstore.Store
@@ -34,18 +33,16 @@ type Pool struct {
 	hosts []*Host
 }
 
-// NewPool provisions the fleet's hosts round-robin across AZs: host i lands
-// in AZ i mod AZs, so every AZ has ⌈Hosts/AZs⌉ machines and any quorum's
-// AZ-spread constraint is satisfiable whenever Hosts >= AZs.
+// NewPool provisions the fleet's hosts round-robin across the three AZs of
+// the Aurora quorum: host i lands in AZ i mod 3, so every AZ has ⌈Hosts/3⌉
+// machines and any quorum's AZ-spread constraint is satisfiable whenever
+// Hosts >= 3.
 func NewPool(cfg PoolConfig) *Pool {
-	if cfg.AZs <= 0 {
-		cfg.AZs = 3
-	}
 	p := &Pool{cfg: cfg}
 	for i := 0; i < cfg.Hosts; i++ {
 		p.hosts = append(p.hosts, NewHost(HostConfig{
 			ID:    netsim.NodeID(fmt.Sprintf("%s-h%02d", cfg.Name, i)),
-			AZ:    netsim.AZ(i % cfg.AZs),
+			AZ:    netsim.AZ(i % 3),
 			Net:   cfg.Net,
 			Disk:  cfg.Disk,
 			Store: cfg.Store,

@@ -20,42 +20,30 @@ var ErrThrottled = errors.New("storage: tenant throttled, queue full")
 // tenant volumes it serves. Capacities are per host and shared: each tenant's
 // instantaneous rate limit is capacity divided by the number of currently
 // active tenants (fair share), so an idle fleet gives one tenant everything
-// and a contended fleet converges to equal slices. Zero capacities disable
-// shaping on that path.
+// and a contended fleet converges to equal slices. Only foreground ingest is
+// shaped; a zero capacity disables shaping.
 type QoSConfig struct {
 	// IngestBytesPerSec is the host's total foreground ingest budget,
 	// fair-shared across active tenants.
 	IngestBytesPerSec float64
-	// ReadsPerSec is the host's total foreground page-read budget,
-	// fair-shared across active tenants.
-	ReadsPerSec float64
-	// Burst is how far a tenant may run ahead of its fair-share rate before
-	// shaping delays it (bytes for ingest, ops for reads — the same knob
-	// covers both, scaled by the mean op size). Zero selects a default.
-	Burst float64
-	// MaxQueue caps how many operations per tenant may wait behind the
+}
+
+const (
+	// activeWindow is how long a tenant counts as active after its last
+	// operation when computing fair shares.
+	activeWindow = 250 * time.Millisecond
+	// qosBurst is how many bytes a tenant may run ahead of its fair-share
+	// rate before shaping delays it.
+	qosBurst = 64 * 1024
+	// qosMaxQueue caps how many operations per tenant may wait behind the
 	// bucket at once; beyond it the host rejects with ErrThrottled rather
-	// than queueing (per-tenant queue depth cap). Zero selects a default.
-	MaxQueue int
-}
-
-// activeWindow is how long a tenant counts as active after its last operation
-// when computing fair shares.
-const activeWindow = 250 * time.Millisecond
-
-func (c *QoSConfig) fillDefaults() {
-	if c.Burst <= 0 {
-		c.Burst = 64 * 1024
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 32
-	}
-}
+	// than queueing (per-tenant queue depth cap).
+	qosMaxQueue = 32
+)
 
 // TenantStats is one tenant's activity on one host.
 type TenantStats struct {
 	IngestBytes  uint64        // foreground redo bytes admitted
-	Reads        uint64        // foreground page reads admitted
 	Throttles    uint64        // operations delayed by fair-share shaping
 	Rejects      uint64        // operations refused at the queue-depth cap
 	ThrottleWait time.Duration // total time operations spent shaped
@@ -63,26 +51,20 @@ type TenantStats struct {
 
 func (s *TenantStats) add(o TenantStats) {
 	s.IngestBytes += o.IngestBytes
-	s.Reads += o.Reads
 	s.Throttles += o.Throttles
 	s.Rejects += o.Rejects
 	s.ThrottleWait += o.ThrottleWait
 }
 
-// bucket is one tenant's debt-based token bucket on one path: debt is how
-// many units the tenant has consumed beyond what its accrued rate allowance
-// covers. Admission charges the op, drains debt at the tenant's current fair
-// share, and shapes (sleeps) whenever debt exceeds the burst allowance.
-type bucket struct {
-	debt    float64
-	last    time.Time
-	waiters int
-}
-
-// tenantQoS is one tenant's shaping state on one host.
+// tenantQoS is one tenant's shaping state on one host: a debt-based token
+// bucket, where debt is how many bytes the tenant has ingested beyond what
+// its accrued rate allowance covers. Admission charges the batch, drains debt
+// at the tenant's current fair share, and shapes (sleeps) whenever debt
+// exceeds the burst allowance.
 type tenantQoS struct {
-	ingest     bucket
-	read       bucket
+	debt       float64
+	last       time.Time
+	waiters    int
 	lastActive time.Time
 	stats      TenantStats
 }
@@ -98,7 +80,6 @@ type qos struct {
 }
 
 func newQoS(cfg QoSConfig) *qos {
-	cfg.fillDefaults()
 	return &qos{cfg: cfg, tenants: make(map[core.VolumeID]*tenantQoS)}
 }
 
@@ -123,54 +104,54 @@ func (q *qos) tenantLocked(vol core.VolumeID) *tenantQoS {
 	return t
 }
 
-// admit charges units against one tenant's bucket and returns how long the
-// caller must be shaped before proceeding, or ErrThrottled when the tenant's
-// queue-depth cap is hit. release must be called after the shaping wait (or
-// immediately on a zero wait).
-func (q *qos) admit(vol core.VolumeID, b *bucket, t *tenantQoS, capacity, units float64, now time.Time) (time.Duration, error) {
+// admitLocked charges size bytes against tenant vol's bucket and returns
+// how long the caller must be shaped before proceeding, or ErrThrottled
+// when the tenant's queue-depth cap is hit.
+func (q *qos) admitLocked(vol core.VolumeID, t *tenantQoS, size float64, now time.Time) (time.Duration, error) {
 	// Fair share: the host's capacity divided by active tenants. A tenant
 	// alone on the host gets everything; a contended host converges to
 	// equal slices (work-conserving up to the activity window).
-	rate := capacity / float64(q.activeLocked(now, vol))
-	if !b.last.IsZero() {
-		b.debt -= rate * now.Sub(b.last).Seconds()
-		if b.debt < 0 {
-			b.debt = 0
+	rate := q.cfg.IngestBytesPerSec / float64(q.activeLocked(now, vol))
+	if !t.last.IsZero() {
+		t.debt -= rate * now.Sub(t.last).Seconds()
+		if t.debt < 0 {
+			t.debt = 0
 		}
 	}
-	b.last = now
-	if b.debt+units > q.cfg.Burst && b.waiters >= q.cfg.MaxQueue {
+	t.last = now
+	if t.debt+size > qosBurst && t.waiters >= qosMaxQueue {
 		t.stats.Rejects++
 		return 0, ErrThrottled
 	}
-	b.debt += units
-	if b.debt <= q.cfg.Burst {
+	t.debt += size
+	t.stats.IngestBytes += uint64(size)
+	if t.debt <= qosBurst {
 		return 0, nil
 	}
-	wait := time.Duration((b.debt - q.cfg.Burst) / rate * float64(time.Second))
-	b.waiters++
+	wait := time.Duration((t.debt - qosBurst) / rate * float64(time.Second))
+	t.waiters++
 	t.stats.Throttles++
 	t.stats.ThrottleWait += wait
 	return wait, nil
 }
 
-// shape performs the ctx-aware throttle sleep computed by admit. A canceled
-// wait refunds the charge: the operation never ran.
-func (q *qos) shape(ctx context.Context, b *bucket, units float64, wait time.Duration) error {
+// shape performs the ctx-aware throttle sleep computed by admitLocked. A
+// canceled wait refunds the charge: the batch was never ingested.
+func (q *qos) shape(ctx context.Context, t *tenantQoS, size float64, wait time.Duration) error {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
 		q.mu.Lock()
-		b.waiters--
+		t.waiters--
 		q.mu.Unlock()
 		return nil
 	case <-ctx.Done():
 		q.mu.Lock()
-		b.waiters--
-		b.debt -= units
-		if b.debt < 0 {
-			b.debt = 0
+		t.waiters--
+		t.debt -= size
+		if t.debt < 0 {
+			t.debt = 0
 		}
 		q.mu.Unlock()
 		return ctx.Err()
@@ -188,47 +169,12 @@ func (q *qos) AdmitIngest(ctx context.Context, vol core.VolumeID, size int) erro
 	q.mu.Lock()
 	t := q.tenantLocked(vol)
 	t.lastActive = now
-	wait, err := q.admit(vol, &t.ingest, t, q.cfg.IngestBytesPerSec, float64(size), now)
-	if err == nil {
-		t.stats.IngestBytes += uint64(size)
-	}
-	b := &t.ingest
+	wait, err := q.admitLocked(vol, t, float64(size), now)
 	q.mu.Unlock()
-	if err != nil {
+	if err != nil || wait <= 0 {
 		return err
 	}
-	if wait <= 0 {
-		return nil
-	}
-	return q.shape(ctx, b, float64(size), wait)
-}
-
-// AdmitRead admits one foreground page read from tenant vol against the
-// host's read capacity, fair-shared like ingest.
-func (q *qos) AdmitRead(ctx context.Context, vol core.VolumeID) error {
-	if q.cfg.ReadsPerSec <= 0 {
-		return nil
-	}
-	// Reads are counted in ops; scale one op to the burst's byte units so
-	// the same Burst knob covers both paths (burst/readUnit ops of slack).
-	const readUnit = 4096
-	now := time.Now()
-	q.mu.Lock()
-	t := q.tenantLocked(vol)
-	t.lastActive = now
-	wait, err := q.admit(vol, &t.read, t, q.cfg.ReadsPerSec*readUnit, readUnit, now)
-	if err == nil {
-		t.stats.Reads++
-	}
-	b := &t.read
-	q.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if wait <= 0 {
-		return nil
-	}
-	return q.shape(ctx, b, readUnit, wait)
+	return q.shape(ctx, t, float64(size), wait)
 }
 
 // Stats snapshots every tenant's counters on this scheduler.

@@ -31,10 +31,10 @@ func TestQoSUnlimitedWhenUnconfigured(t *testing.T) {
 }
 
 func TestQoSThrottlesBeyondBurst(t *testing.T) {
-	q := newQoS(QoSConfig{IngestBytesPerSec: 1 << 20, Burst: 4096})
+	q := newQoS(QoSConfig{IngestBytesPerSec: 1 << 20})
 	start := time.Now()
-	// 64 KiB over a 4 KiB burst at 1 MiB/s must shape for tens of ms.
-	for i := 0; i < 16; i++ {
+	// 128 KiB against the 64 KiB burst at 1 MiB/s must shape for tens of ms.
+	for i := 0; i < 32; i++ {
 		if err := q.AdmitIngest(context.Background(), 1, 4096); err != nil {
 			t.Fatal(err)
 		}
@@ -44,15 +44,15 @@ func TestQoSThrottlesBeyondBurst(t *testing.T) {
 		t.Fatal("no throttles recorded past the burst")
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("16x4KiB at 1MiB/s took %v, want >= ~57ms of shaping", elapsed)
+		t.Fatalf("32x4KiB at 1MiB/s took %v, want >= ~62ms of shaping", elapsed)
 	}
-	if st.IngestBytes != 16*4096 {
-		t.Fatalf("IngestBytes = %d, want %d", st.IngestBytes, 16*4096)
+	if st.IngestBytes != 32*4096 {
+		t.Fatalf("IngestBytes = %d, want %d", st.IngestBytes, 32*4096)
 	}
 }
 
 func TestQoSFairShareSplitsCapacity(t *testing.T) {
-	q := newQoS(QoSConfig{IngestBytesPerSec: 2 << 20, Burst: 1})
+	q := newQoS(QoSConfig{IngestBytesPerSec: 4 << 20})
 	ctx := context.Background()
 	// Keep a second tenant active (a byte well inside every activity window)
 	// and measure the first tenant's shaped rate: it should be ~half the
@@ -79,37 +79,40 @@ func TestQoSFairShareSplitsCapacity(t *testing.T) {
 	defer close(stop)
 	start := time.Now()
 	const chunk = 64 * 1024
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		if err := q.AdmitIngest(ctx, 1, chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
 	elapsed := time.Since(start)
-	// 512 KiB at a 1 MiB/s fair share (half of 2 MiB/s) ≈ 500ms; a full
-	// 2 MiB/s share would take ~250ms. Split the difference generously.
+	// The 960 KiB past the 64 KiB burst at a 2 MiB/s fair share (half of
+	// 4 MiB/s) ≈ 470ms; a full 4 MiB/s share would take ~235ms. Split the
+	// difference generously.
 	if elapsed < 350*time.Millisecond {
-		t.Fatalf("8x64KiB done in %v — tenant got more than its fair share", elapsed)
+		t.Fatalf("16x64KiB done in %v — tenant got more than its fair share", elapsed)
 	}
 }
 
 func TestQoSQueueCapRejects(t *testing.T) {
-	q := newQoS(QoSConfig{IngestBytesPerSec: 1024, Burst: 1, MaxQueue: 1})
+	q := newQoS(QoSConfig{IngestBytesPerSec: 1024})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// First oversized admit occupies the single queue slot (it will wait a
-	// long time at 1 KiB/s); launch it in the background.
-	done := make(chan error, 1)
-	go func() { done <- q.AdmitIngest(ctx, 1, 1<<20) }()
-	// Wait until the waiter is registered.
+	// Oversized admits fill every queue slot (each will wait a long time at
+	// 1 KiB/s); launch them in the background.
+	done := make(chan error, qosMaxQueue)
+	for i := 0; i < qosMaxQueue; i++ {
+		go func() { done <- q.AdmitIngest(ctx, 1, 1<<20) }()
+	}
+	// Wait until the waiters are registered.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		q.mu.Lock()
 		waiters := 0
 		if tq := q.tenants[1]; tq != nil {
-			waiters = tq.ingest.waiters
+			waiters = tq.waiters
 		}
 		q.mu.Unlock()
-		if waiters >= 1 || time.Now().After(deadline) {
+		if waiters >= qosMaxQueue || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -121,13 +124,15 @@ func TestQoSQueueCapRejects(t *testing.T) {
 		t.Fatalf("Rejects = %d, want 1", st.Rejects)
 	}
 	cancel()
-	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("background admit: %v", err)
+	for i := 0; i < qosMaxQueue; i++ {
+		if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("background admit: %v", err)
+		}
 	}
 }
 
 func TestQoSCancelRefundsDebt(t *testing.T) {
-	q := newQoS(QoSConfig{IngestBytesPerSec: 1024, Burst: 1})
+	q := newQoS(QoSConfig{IngestBytesPerSec: 1024})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- q.AdmitIngest(ctx, 7, 1<<20) }()
@@ -137,7 +142,7 @@ func TestQoSCancelRefundsDebt(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	q.mu.Lock()
-	debt := q.tenants[7].ingest.debt
+	debt := q.tenants[7].debt
 	q.mu.Unlock()
 	if debt > 4096 {
 		t.Fatalf("debt %v not refunded after cancellation", debt)

@@ -158,6 +158,9 @@ func (c *Client) VDL() core.LSN { return c.win.VDL() }
 // (§4.2.2).
 func (c *Client) WaitDurable(lsn core.LSN) { <-c.win.waitFor(lsn) }
 
+// HighestAllocated returns the highest LSN handed to a framed group so far.
+func (c *Client) HighestAllocated() core.LSN { return c.alloc.HighestAllocated() }
+
 // Epoch returns the client's recovery epoch.
 func (c *Client) Epoch() uint64 { return c.epoch }
 

@@ -58,7 +58,7 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 		pg := core.PGID(g)
 		var reachable []*storage.Node
 		for _, n := range f.Replicas(pg) {
-			if n.Down() || f.cfg.Net.NodeDown(n.NodeID()) {
+			if n.Down() {
 				continue
 			}
 			// A recovery probe must actually cross the network.
