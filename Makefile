@@ -58,13 +58,14 @@ test: build vet lint
 # against 4-frame caches, every value checked against its key, version and
 # checksum — a frame refilled while a reader held its page is a race there.
 # The window owns the VDL and its waiters, and the writer's registry every
-# read pin: the volume line's last three tests release WaitDurable and drain
-# waiters as the VDL passes them and on Crash/Close, the replica line's
-# second test detaches a replica whose writer crashed, its third and fourth
-# attach a replica while a commit is in flight (the new view must wait for
-# that commit to be durable, and a writer crash must end the wait), and the
-# last line fails over with a replica left attached and needs storage GC to
-# go on.
+# read pin: the volume line's last tests release WaitDurable and drain
+# waiters as the VDL passes them, when a failed write pins the VDL below
+# them, and on Crash/Close, the replica line's second test detaches a
+# replica whose writer crashed, its third and fourth attach a replica while a
+# commit is in flight (the new view must wait for that commit to be durable,
+# and a writer crash must end the wait), its fifth attaches one to a writer
+# whose write lost its quorum (the pin must end the wait), and the last line
+# fails over with a replica left attached and needs storage GC to go on.
 # The replica line's last two tests are the replicas' redo streams: the
 # framer appends to each replica's buffer, the completions raise its VDL and
 # the replica's loop takes and applies the prefix, all on one buffer — a
@@ -83,10 +84,10 @@ race:
 	$(GO) test -race -count=100 -run TestSplitStaleReadConcurrent ./internal/volume/
 	$(GO) test -race -count=10 -run TestCoalesceInPlaceUnderConcurrentReads ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestHedged' -skip 'TestHedgedReadBoundsTailLatency' ./internal/volume/
-	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped|TestWindowWait|TestClientWaitsReleasedByCrashAndClose|TestReadRegistryLowWaterMark' ./internal/volume/
+	$(GO) test -race -count=20 -run 'TestVDLNeverPassesAnUnackedBatch|TestDurableTailIsOnItsQuorum|TestGrowDrainsStragglersBeforeEpochPublish|TestCompletionMayReleaseDuringShip|TestLaterFlightMayLandFirst|TestSenderWorkersBoundedAndReaped|TestWindowWait|TestWindowWaitersReleasedByPin|TestFailedBatchPinsTheWindow|TestClientWaitsReleasedByCrashAndClose|TestReadRegistryLowWaterMark' ./internal/volume/
 	$(GO) test -race -count=20 -run 'TestIngestLaterFlightFirst|TestBackupUnderIngestAndCoalesce|TestCoalescePageWriteOutsideLock|TestReadDiskReadOutsideLock|TestLogGCWriteOutsideLock|TestTruncateWriteOutsideLock' ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestCrashDoesNotAckCommitBelowVDL|TestCommitBehindFailedGroupFailsPromptly|TestCompletionUnderCommitLoad' ./internal/engine/
-	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes|TestAttachMidCommitSeesTheCommit|TestAttachDuringWriterCrashReturns|TestStalledStreamHoldsUpNoOther|TestReplicaNeverShowsATornTransfer' ./internal/replica/ ./internal/engine/ .
+	$(GO) test -race -count=20 -run 'TestRecycledFrameNeverReachesReader|TestReplicaDetachesWhenWriterCrashes|TestAttachMidCommitSeesTheCommit|TestAttachDuringWriterCrashReturns|TestAttachToDegradedWriterReturns|TestStalledStreamHoldsUpNoOther|TestReplicaNeverShowsATornTransfer' ./internal/replica/ ./internal/engine/ .
 	$(GO) test -race -count=20 -run 'TestFailoverLeavesNoReplicaPin' .
 	$(GO) test -race -count=20 -run 'TestCancelMidFlightAbandonsSend|TestHopAfterAbandonedHopsWaitsItsLatency|TestCanceledHopsUnderLoadKeepTheirLatency' ./internal/netsim/
 	$(GO) test -race -count=20 -run 'TestConcurrentAccess' ./internal/bufcache/

@@ -1,8 +1,8 @@
 // Package disk simulates the locally attached SSDs of storage nodes and
-// database hosts. It models per-operation latency and tracks IO counts so
-// experiments can report disk traffic alongside network traffic, and it
-// supports fault injection (failed device, slow device) for the chaos and
-// repair scenarios of §2.3.
+// database hosts. Each operation is one simulated wait (a durable append is
+// one write with force unit access, not a write and an fsync) and is counted,
+// so experiments can report disk traffic alongside network traffic; it
+// supports fault injection (failed device, slow device) for §2.3's scenarios.
 package disk
 
 import (
@@ -18,7 +18,7 @@ var ErrFailed = errors.New("disk: device failed")
 type Config struct {
 	WriteLatency time.Duration
 	ReadLatency  time.Duration
-	SyncLatency  time.Duration
+	SyncLatency  time.Duration // the flush a durable append (WriteSync) adds
 	// Bandwidth in bytes/second; 0 = unlimited.
 	Bandwidth int64
 }
@@ -116,13 +116,17 @@ func (d *SSD) Read(size int) error {
 	return nil
 }
 
-// Sync models a durability barrier (fsync).
-func (d *SSD) Sync() error {
+// WriteSync models a durable append of size bytes (a write with force unit
+// access): one wait of WriteLatency + SyncLatency + size/Bandwidth, counted
+// as one write and one sync.
+func (d *SSD) WriteSync(size int) error {
 	if d.failed.Load() {
 		return ErrFailed
 	}
-	d.delay(d.cfg.SyncLatency, 0)
+	d.delay(d.cfg.WriteLatency+d.cfg.SyncLatency, size)
+	d.writes.Add(1)
 	d.syncs.Add(1)
+	d.wBytes.Add(uint64(size))
 	return nil
 }
 

@@ -15,11 +15,11 @@ func TestCountsAndStats(t *testing.T) {
 	if err := d.Read(40); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := d.WriteSync(60); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Stats()
-	if s.Writes != 1 || s.Reads != 1 || s.Syncs != 1 || s.BytesWritten != 100 || s.BytesRead != 40 {
+	if s.Writes != 2 || s.Reads != 1 || s.Syncs != 1 || s.BytesWritten != 160 || s.BytesRead != 40 {
 		t.Fatalf("stats %+v", s)
 	}
 	d.ResetStats()
@@ -40,10 +40,10 @@ func TestFailureInjection(t *testing.T) {
 	if err := d.Read(1); !errors.Is(err, ErrFailed) {
 		t.Fatalf("read on failed disk: %v", err)
 	}
-	if err := d.Sync(); !errors.Is(err, ErrFailed) {
-		t.Fatalf("sync on failed disk: %v", err)
+	if err := d.WriteSync(1); !errors.Is(err, ErrFailed) {
+		t.Fatalf("durable write on failed disk: %v", err)
 	}
-	if s := d.Stats(); s.Writes != 0 {
+	if s := d.Stats(); s != (Stats{}) {
 		t.Fatal("failed IO counted")
 	}
 	d.Fail(false)
@@ -61,6 +61,21 @@ func TestLatencyAndBandwidth(t *testing.T) {
 	}
 	if slept != time.Millisecond+500*time.Millisecond {
 		t.Fatalf("slept %v", slept)
+	}
+}
+
+// TestWriteSyncIsOneWait: a durable append sleeps once, for the write, the
+// flush and the transfer together.
+func TestWriteSyncIsOneWait(t *testing.T) {
+	d := New(Config{WriteLatency: 80 * time.Microsecond, SyncLatency: 50 * time.Microsecond, Bandwidth: 1000})
+	var slept []time.Duration
+	d.SetSleeper(func(dur time.Duration) { slept = append(slept, dur) })
+	if err := d.WriteSync(2); err != nil {
+		t.Fatal(err)
+	}
+	want := 80*time.Microsecond + 50*time.Microsecond + 2*time.Millisecond
+	if len(slept) != 1 || slept[0] != want {
+		t.Fatalf("slept %v, want one wait of %v", slept, want)
 	}
 }
 

@@ -79,8 +79,7 @@ func TestCommitTraceCoversEveryStage(t *testing.T) {
 		"replica.flight", // per-replica delivery
 		"net.req",        // network hop to the storage node
 		"storage.ingest", // storage node receive
-		"disk.write",     // hot-log write
-		"disk.sync",      // fsync
+		"disk.write",     // durable hot-log append (write with FUA)
 		"storage.apply",  // ingest into the log
 		"net.ack",        // ack hop back
 		"quorum.wait",    // 4/6 tracker resolution

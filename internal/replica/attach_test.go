@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -136,5 +137,30 @@ func TestAttachDuringWriterCrashReturns(t *testing.T) {
 	}
 	if err := <-put; err == nil {
 		t.Fatal("Put k=v2 acknowledged although its writer crashed short of quorum")
+	}
+}
+
+// TestAttachToDegradedWriterReturns: a writer whose write lost its quorum can
+// never make its highest LSN durable. Attach must not wait for it: it seeds
+// its view from the durable state below the failed write and serves reads.
+func TestAttachToDegradedWriterReturns(t *testing.T) {
+	f, db := heldStack(t, 0) // nothing held: three replicas crash instead
+	for _, n := range f.Replicas(0)[:3] {
+		n.Crash()
+	}
+	if err := db.Put([]byte("k"), []byte("v2")); !errors.Is(err, engine.ErrDegraded) {
+		t.Fatalf("Put with three of six replicas down: %v, want ErrDegraded", err)
+	}
+	attached := make(chan *Replica, 1)
+	go func() { attached <- Attach(db, f, Config{Name: "replica1", AZ: 1}) }()
+	var r *Replica
+	select {
+	case r = <-attached:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Attach to a writer with a failed write still waiting after 2s")
+	}
+	defer r.Close()
+	if v, ok, err := r.Get([]byte("k")); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("replica reads k=%q (ok=%v err=%v), want the durable v1", v, ok, err)
 	}
 }

@@ -103,7 +103,7 @@ func Attach(db *engine.DB, f *volume.Fleet, cfg Config) *Replica {
 	// A group framed before the Subscribe reached the other streams, not
 	// this one, yet its completion raises this stream's VDL too: a page
 	// read below it would never get its records. So wait until everything
-	// allocated so far is durable (a writer crash or close ends the wait)
+	// allocated so far is durable (a writer crash, close or lost quorum ends it)
 	// and seed the view from the writer's durable state after that, so
 	// reads issued before the first VDL raise see real data, not an empty
 	// volume. Records the view already holds re-apply idempotently. The

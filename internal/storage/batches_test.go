@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"aurora/internal/core"
+	"aurora/internal/disk"
+	"aurora/internal/netsim"
 )
 
 func TestReceiveBatchesCoalesced(t *testing.T) {
@@ -26,13 +29,44 @@ func TestReceiveBatchesCoalesced(t *testing.T) {
 	if ack.SCL != 5 {
 		t.Fatalf("SCL %d, want 5", ack.SCL)
 	}
-	// One coalesced flight = one hot-log write and one sync, five batches.
+	// One coalesced flight = one durable hot-log append, counted as one write
+	// and one sync, for five batches.
 	ds := n.Disk().Stats()
 	if ds.Writes != 1 || ds.Syncs != 1 {
 		t.Fatalf("disk %+v, want exactly one write+sync for the flight", ds)
 	}
 	if s := n.Stats(); s.BatchesReceived != 5 || s.RecordsReceived != 5 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestIngestIsOneDeviceWait: a flight is persisted by one durable append,
+// so the node sleeps once on its disk, for the write, the flush and the
+// flight's bytes together — not once for the write and again for a sync.
+func TestIngestIsOneDeviceWait(t *testing.T) {
+	cfg := disk.NVMe()
+	n := NewNode(Config{Seg: core.SegmentID{PG: 0}, Node: "nvme", Net: netsim.New(netsim.FastLocal()), Disk: cfg})
+	var slept []time.Duration
+	n.Disk().SetSleeper(func(d time.Duration) { slept = append(slept, d) })
+	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
+	var flight []core.BatchView
+	size := 0
+	for i := 0; i < 3; i++ {
+		m := &core.MTR{Txn: uint64(i)}
+		m.AddDelta(0, core.PageID(i), 0, []byte("durable"))
+		v := frame(t, f, m)[0]
+		flight = append(flight, v)
+		size += v.Len()
+	}
+	if _, err := receiveBatches(n, context.Background(), flight, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.WriteLatency + cfg.SyncLatency + time.Duration(int64(size)*int64(time.Second)/cfg.Bandwidth)
+	if len(slept) != 1 || slept[0] != want {
+		t.Fatalf("one Ingest of %d batches slept %v, want one wait of %v", len(flight), slept, want)
+	}
+	if ds := n.Disk().Stats(); ds.Writes != 1 || ds.Syncs != 1 || ds.BytesWritten != uint64(size) {
+		t.Fatalf("disk %+v, want one write and one sync of %d bytes", ds, size)
 	}
 }
 

@@ -340,11 +340,13 @@ type BatchResult struct {
 // Ingest is the foreground write path: steps (1) and (2) of Figure 4. A
 // flight of encoded batches (accumulated by the writer's per-segment sender
 // while a previous flight was in the air) arrives as one network message
-// and is persisted with one hot-log write and one sync — this is what
-// drives IOs per transaction below one at high concurrency (Table 1). The
-// wire bytes are fsynced BEFORE decoding: the hot log persists what the
-// wire carried, and filing into the in-memory indexes happens after
-// durability, exactly as a real log-structured store would replay it.
+// and is persisted with one durable hot-log append (disk.SSD.WriteSync, a
+// write with force unit access: one device wait, counted as one write and
+// one sync) — this is what drives IOs per transaction below one at high
+// concurrency (Table 1). The wire bytes are durable BEFORE decoding: the
+// hot log persists what the wire carried, and filing into the in-memory
+// indexes happens after durability, exactly as a real log-structured store
+// would replay it.
 //
 // The flight views are BORROWED for the duration of the call (they
 // typically point into the sender's arena). Each record the node files is
@@ -358,8 +360,9 @@ type BatchResult struct {
 // batch. VDL and PGMRPL are piggybacked from the writer on every flight.
 //
 // When ctx carries a sampled span (trace.FromContext), the ingest is
-// recorded as a storage.ingest span decomposed into disk.write, disk.sync
-// and storage.apply children — the last hops of a commit's critical path.
+// recorded as a storage.ingest span decomposed into disk.write (the durable
+// append) and storage.apply children — the last hops of a commit's critical
+// path.
 // storage.apply's lock_wait_us is the part of it spent waiting for n.mu.
 // Cancellation is honored only before persistence begins: once the hot-log
 // write starts the flight is durable and the ack is returned regardless.
@@ -389,19 +392,12 @@ func (n *Node) Ingest(ctx context.Context, flight []core.BatchView, vdl, pgmrpl 
 	trace.Annotate(ingest, "batches", len(flight))
 	trace.Annotate(ingest, "bytes", size)
 	wsp := ingest.Child("disk.write")
-	if err := n.ssd.Write(size); err != nil {
-		wsp.End()
+	err := n.ssd.WriteSync(size)
+	wsp.End()
+	if err != nil {
 		ingest.End()
 		return Ack{}, results, fmt.Errorf("%s hot log: %w", n.cfg.Node, err)
 	}
-	wsp.End()
-	ssp := ingest.Child("disk.sync")
-	if err := n.ssd.Sync(); err != nil {
-		ssp.End()
-		ingest.End()
-		return Ack{}, results, fmt.Errorf("%s hot log sync: %w", n.cfg.Node, err)
-	}
-	ssp.End()
 	asp := ingest.Child("storage.apply")
 	n.mu.Lock()
 	// The span's age at the lock is the wait for it (zero, and no clock read,

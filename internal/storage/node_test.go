@@ -75,7 +75,7 @@ func TestReceiveBatchAdvancesSCL(t *testing.T) {
 	if s.BatchesReceived != 10 || s.RecordsReceived != 10 || s.RecordsHeld != 10 {
 		t.Fatalf("stats %+v", s)
 	}
-	// Each receive persisted the hot log and synced.
+	// Each receive was one durable hot-log append: one write, one sync.
 	ds := nodes[0].Disk().Stats()
 	if ds.Writes != 10 || ds.Syncs != 10 {
 		t.Fatalf("disk %+v", ds)

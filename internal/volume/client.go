@@ -152,7 +152,7 @@ func (c *Client) extendSenders() {
 // VDL returns the current volume durable LSN.
 func (c *Client) VDL() core.LSN { return c.win.VDL() }
 
-// WaitDurable blocks until the VDL reaches lsn (or the client closes).
+// WaitDurable blocks until the VDL reaches lsn (or a lost quorum or a close).
 // This is the primitive behind asynchronous commit: the WAL protocol's
 // equivalent is completing a commit if and only if VDL >= commit LSN
 // (§4.2.2).

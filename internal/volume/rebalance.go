@@ -184,16 +184,16 @@ func (c *Client) stripePages(from core.PGID, match func(core.PageID) bool) map[c
 // has learned the new epoch and be nacked ErrStaleGeometry — never retried,
 // a hole in that segment that only gossip fills. Both waits are bounded:
 // nothing can frame under the fence, and a pipeline drops a redelivery whose
-// batches have all resolved. A client that closes releases the first wait
-// with the VDL short of its target, which is not a drain.
+// batches have all resolved. A lost quorum or a closing client releases the
+// first wait with the VDL short of its target, which is not a drain.
 func (c *Client) drainWrites() error {
 	top := c.alloc.HighestAllocated()
-	select {
-	case <-c.win.waitFor(top):
-	case <-c.rootCtx.Done():
-	}
+	<-c.win.waitFor(top)
 	if c.win.VDL() < top {
-		return ErrClosed
+		if c.closed.Load() {
+			return ErrClosed
+		}
+		return errBehindFailed
 	}
 	for _, pg := range *c.senders.Load() {
 		for _, s := range pg {

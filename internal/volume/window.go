@@ -10,7 +10,6 @@ package volume
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -41,8 +40,8 @@ import (
 // (a batch of it, or of a group ahead of it, can no longer reach its quorum)
 // or abandoned (the client went away first). A failed batch pins the window
 // at its group for good — the VDL must never pass a record that is on no
-// quorum — so nothing at or above the pin can ever retire, and all of it is
-// failed at once rather than left to wait. The call that settles a group
+// quorum — so nothing at or above the pin can ever retire: all of it fails,
+// and every waiter there is released, at once. The call that settles a group
 // returns it; the caller completes it (Client.complete).
 //
 // vdl doubles as the contiguous frontier: every LSN at or below it belongs
@@ -131,6 +130,7 @@ func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, settl
 	if failed {
 		if w.pinned == 0 || g.first < w.pinned {
 			w.pinned = g.first
+			w.release()
 		}
 		i := slices.Index(w.pending, g)
 		behind := w.settle(i+1, len(w.pending), errBehindFailed)
@@ -153,31 +153,30 @@ func (w *durableWindow) resolve(g *GroupWrite, failed bool) (vdl core.LSN, settl
 	}
 	if n > 0 {
 		w.vdl.Store(uint64(vdl))
-		w.release(vdl)
+		w.release()
 	}
 	return vdl, w.settle(0, n, nil), g.unresolved == 0
 }
 
-// waitFor returns a channel that is closed once the VDL reaches target, or
-// the window is abandoned: a caller released that way finds the VDL short of
-// its target and must not treat the release as durability.
+// waitFor returns a channel that is closed once the wait for target is over
+// (at once if it already is). A caller released by a pin or by abandon finds
+// the VDL short of its target and must not treat the release as durability.
 func (w *durableWindow) waitFor(target core.LSN) <-chan struct{} {
 	ch := make(chan struct{})
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.abandoned || w.VDL() >= target {
-		close(ch)
-		return ch
-	}
 	w.waiters = append(w.waiters, vdlWaiter{target: target, ch: ch})
+	w.release()
 	return ch
 }
 
-// release closes and drops the waiters whose target is at or below upTo.
-func (w *durableWindow) release(upTo core.LSN) {
+// release closes and drops the waiters whose wait is over: the VDL reached the
+// target, a pin at or below it keeps the VDL short of it for good, or the
+// window is abandoned.
+func (w *durableWindow) release() {
 	kept := w.waiters[:0]
 	for _, wt := range w.waiters {
-		if wt.target <= upTo {
+		if wt.target <= w.VDL() || w.pinned != 0 && wt.target >= w.pinned || w.abandoned {
 			close(wt.ch)
 		} else {
 			kept = append(kept, wt)
@@ -193,7 +192,7 @@ func (w *durableWindow) abandon() *GroupWrite {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.abandoned = true
-	w.release(math.MaxUint64)
+	w.release()
 	return w.settle(0, len(w.pending), ErrClosed)
 }
 

@@ -332,6 +332,26 @@ func TestFailedBatchPinsTheWindow(t *testing.T) {
 	if s := c.Stats(); s.WriteFailures != 2 || s.Backlog != 0 {
 		t.Fatalf("write failures %d, backlog %d; want 2, 0", s.WriteFailures, s.Backlog)
 	}
+	// Nothing waits on the pinned window: a wait for the writer's highest LSN
+	// and a grow's fence drain return at once, short of their target.
+	waited := make(chan struct{})
+	go func() {
+		c.WaitDurable(c.HighestAllocated())
+		close(waited)
+	}()
+	if !released(waited) {
+		t.Fatal("WaitDurable above the pin still parked")
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- c.drainWrites() }()
+	select {
+	case err := <-drained:
+		if err != errBehindFailed {
+			t.Fatalf("drain above the pin: %v, want errBehindFailed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("drainWrites above the pin still parked")
+	}
 }
 
 func TestPGTailTracker(t *testing.T) {
@@ -420,7 +440,8 @@ func TestReadRegistryLowWaterMark(t *testing.T) {
 
 // The window is the one place a caller waits for the VDL (WaitDurable,
 // drainWrites). A waiter is released by the resolve whose publication reaches
-// its target, never earlier, and by abandon whatever the VDL.
+// its target, never earlier, by a failed group at or below its target (the
+// VDL can never reach it), and by abandon whatever the VDL.
 
 // released reports whether ch is closed, waiting up to a second for it.
 func released(ch <-chan struct{}) bool {
@@ -509,6 +530,35 @@ func TestWindowWaitersReleasedByAbandon(t *testing.T) {
 	}
 }
 
+// TestWindowWaitersReleasedByPin: a failed group pins the window, and every
+// waiter at or above the pin is released then, or at once if it comes later;
+// a waiter below the pin still waits for the VDL.
+func TestWindowWaitersReleasedByPin(t *testing.T) {
+	w := newDurableWindow(0, nil)
+	g1, g2 := testGroup(1, 0, 0), testGroup(3, 1, 1)
+	for _, g := range []*GroupWrite{g1, g2} {
+		if err := w.register(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch2, ch3, ch9 := w.waitFor(2), w.waitFor(3), w.waitFor(9)
+	if _, settled, _ := w.resolve(g2, true); settled != g2 || g2.err != quorum.ErrQuorumImpossible {
+		t.Fatalf("settled %v (%v), want g2 failed", settled, g2.err)
+	}
+	if !released(ch3) || !released(ch9) {
+		t.Fatal("a waiter at or above the pin is still parked")
+	}
+	if later := w.waitFor(4); parked(later) {
+		t.Fatal("a wait above the pin parked")
+	}
+	if !parked(ch2) || len(w.waiters) != 1 {
+		t.Fatalf("waiter at 2 released below the pin (%d kept)", len(w.waiters))
+	}
+	if vdl, _, _ := w.resolve(g1, false); vdl != 2 || !released(ch2) {
+		t.Fatalf("vdl %d: the group below the pin retired without releasing its waiter", vdl)
+	}
+}
+
 // TestWindowWaitersConcurrent: two hundred waiters and a resolver moving the
 // VDL one group at a time; no waiter wakes before the VDL covers its target.
 func TestWindowWaitersConcurrent(t *testing.T) {
@@ -541,9 +591,10 @@ func TestWindowWaitersConcurrent(t *testing.T) {
 }
 
 // TestClientWaitsReleasedByCrashAndClose: a WaitDurable and a fence drain
-// parked behind a write that cannot reach its quorum return once the writer
-// crashes or closes, with the VDL short of their target — the drain reports
-// ErrClosed instead of a drained pipe.
+// parked behind a write framed but not yet shipped — a commit between the
+// framer and its senders — return once the writer crashes or closes, with
+// the VDL short of their target; the drain reports ErrClosed instead of a
+// drained pipe.
 func TestClientWaitsReleasedByCrashAndClose(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -553,11 +604,8 @@ func TestClientWaitsReleasedByCrashAndClose(t *testing.T) {
 		{"close", (*Client).Close},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f, c := testVolume(t, 1)
+			_, c := testVolume(t, 1)
 			pre := writePage(t, c, 0, "pre")
-			for i := 0; i < 3; i++ {
-				f.Node(0, i).Crash()
-			}
 			m := &core.MTR{Txn: 9}
 			m.AddDelta(0, 0, 0, []byte("x"))
 			g, err := c.FrameMTRs(context.Background(), []*core.MTR{m})
@@ -565,7 +613,6 @@ func TestClientWaitsReleasedByCrashAndClose(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer g.Release()
-			g.ShipAsync(nil, func(error) {})
 			waited := make(chan struct{})
 			go func() {
 				c.WaitDurable(g.MaxCPL())
@@ -575,7 +622,7 @@ func TestClientWaitsReleasedByCrashAndClose(t *testing.T) {
 			go func() { drained <- c.drainWrites() }()
 			time.Sleep(10 * time.Millisecond)
 			if !parked(waited) {
-				t.Fatal("WaitDurable returned with its write short of a quorum")
+				t.Fatal("WaitDurable returned with its write not shipped")
 			}
 			tc.stop(c)
 			if !released(waited) {
