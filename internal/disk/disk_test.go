@@ -52,30 +52,26 @@ func TestFailureInjection(t *testing.T) {
 	}
 }
 
+// TestLatencyAndBandwidth: each operation is one wait of its latency plus its
+// transfer; a durable append's latency is the write's and the flush's together.
 func TestLatencyAndBandwidth(t *testing.T) {
-	d := New(Config{WriteLatency: time.Millisecond, Bandwidth: 1000})
-	var slept time.Duration
-	d.SetSleeper(func(dur time.Duration) { slept += dur })
-	if err := d.Write(500); err != nil {
-		t.Fatal(err)
-	}
-	if slept != time.Millisecond+500*time.Millisecond {
-		t.Fatalf("slept %v", slept)
-	}
-}
-
-// TestWriteSyncIsOneWait: a durable append sleeps once, for the write, the
-// flush and the transfer together.
-func TestWriteSyncIsOneWait(t *testing.T) {
-	d := New(Config{WriteLatency: 80 * time.Microsecond, SyncLatency: 50 * time.Microsecond, Bandwidth: 1000})
+	d := New(Config{WriteLatency: time.Millisecond, SyncLatency: 50 * time.Microsecond, Bandwidth: 1000})
 	var slept []time.Duration
 	d.SetSleeper(func(dur time.Duration) { slept = append(slept, dur) })
-	if err := d.WriteSync(2); err != nil {
-		t.Fatal(err)
-	}
-	want := 80*time.Microsecond + 50*time.Microsecond + 2*time.Millisecond
-	if len(slept) != 1 || slept[0] != want {
-		t.Fatalf("slept %v, want one wait of %v", slept, want)
+	for _, tc := range []struct {
+		op   func(int) error
+		want time.Duration
+	}{
+		{d.Write, time.Millisecond + 500*time.Millisecond},
+		{d.WriteSync, time.Millisecond + 50*time.Microsecond + 500*time.Millisecond},
+	} {
+		slept = slept[:0]
+		if err := tc.op(500); err != nil {
+			t.Fatal(err)
+		}
+		if len(slept) != 1 || slept[0] != tc.want {
+			t.Fatalf("slept %v, want one wait of %v", slept, tc.want)
+		}
 	}
 }
 

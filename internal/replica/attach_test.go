@@ -84,27 +84,50 @@ func putInFlight(t *testing.T, f *volume.Fleet, db *engine.DB) <-chan error {
 // commit is durable. The commit's records went to the streams attached
 // before it was framed, yet its completion raises the new stream's VDL as
 // well; a view seeded below the commit would cache the old page and never
-// see the records that change it.
+// see the records that change it. That holds as well when a write framed
+// after the commit has lost its quorum and pinned the writer's window: the
+// commit below the pin still retires.
 func TestAttachMidCommitSeesTheCommit(t *testing.T) {
-	f, db := heldStack(t, 200*time.Millisecond)
-	put := putInFlight(t, f, db)
-	r := Attach(db, f, Config{Name: "replica1", AZ: 1})
-	defer r.Close()
-	if _, ok, err := r.Get([]byte("k")); err != nil || !ok {
-		t.Fatalf("read on attach: %v %v", ok, err)
-	}
-	if err := <-put; err != nil {
-		t.Fatal(err)
-	}
-	vdl := db.Volume().VDL()
-	for deadline := time.Now().Add(5 * time.Second); r.VDL() < vdl; {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica VDL %d never reached the writer's %d", r.VDL(), vdl)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if v, ok, err := r.Get([]byte("k")); err != nil || !ok || string(v) != "v2" {
-		t.Fatalf("replica at VDL %d reads k=%q (ok=%v err=%v), want the durable v2", r.VDL(), v, ok, err)
+	for _, tc := range []struct {
+		name         string
+		failBehindIt bool
+	}{{"in-flight", false}, {"behind-failed-write", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, db := heldStack(t, 200*time.Millisecond)
+			put := putInFlight(t, f, db)
+			if tc.failBehindIt {
+				time.Sleep(20 * time.Millisecond) // the unheld replicas' acks reach the writer
+				for _, n := range f.Replicas(0)[3:] {
+					n.Crash()
+				}
+				if err := db.Put([]byte("k2"), []byte("x")); !errors.Is(err, engine.ErrDegraded) {
+					t.Fatalf("Put with three of six replicas down: %v, want ErrDegraded", err)
+				}
+			}
+			r := Attach(db, f, Config{Name: "replica1", AZ: 1})
+			defer r.Close()
+			for _, n := range f.Replicas(0)[:3] { // lift the hold: reads need these three
+				if err := f.Net().SetNodeDelay(n.NodeID(), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, ok, err := r.Get([]byte("k")); err != nil || !ok {
+				t.Fatalf("read on attach: %v %v", ok, err)
+			}
+			if err := <-put; err != nil {
+				t.Fatal(err)
+			}
+			vdl := db.Volume().VDL()
+			for deadline := time.Now().Add(5 * time.Second); r.VDL() < vdl; {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica VDL %d never reached the writer's %d", r.VDL(), vdl)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if v, ok, err := r.Get([]byte("k")); err != nil || !ok || string(v) != "v2" {
+				t.Fatalf("replica at VDL %d reads k=%q (ok=%v err=%v), want the durable v2", r.VDL(), v, ok, err)
+			}
+		})
 	}
 }
 

@@ -40,9 +40,10 @@ import (
 // (a batch of it, or of a group ahead of it, can no longer reach its quorum)
 // or abandoned (the client went away first). A failed batch pins the window
 // at its group for good — the VDL must never pass a record that is on no
-// quorum — so nothing at or above the pin can ever retire: all of it fails,
-// and every waiter there is released, at once. The call that settles a group
-// returns it; the caller completes it (Client.complete).
+// quorum — so nothing at or above the pin can ever retire: all of it fails at
+// once, and its waiters are released once nothing below the pin is pending
+// (sooner, a replica could seed below a group that still retires). The call
+// that settles a group returns it; the caller completes it (Client.complete).
 //
 // vdl doubles as the contiguous frontier: every LSN at or below it belongs
 // to a retired group, and because groups end on a CPL it is always one. It is
@@ -171,12 +172,12 @@ func (w *durableWindow) waitFor(target core.LSN) <-chan struct{} {
 }
 
 // release closes and drops the waiters whose wait is over: the VDL reached the
-// target, a pin at or below it keeps the VDL short of it for good, or the
-// window is abandoned.
+// target or can no longer move (every group below the pin has settled, so the
+// frontier stands just under it), or the window is abandoned.
 func (w *durableWindow) release() {
 	kept := w.waiters[:0]
 	for _, wt := range w.waiters {
-		if wt.target <= w.VDL() || w.pinned != 0 && wt.target >= w.pinned || w.abandoned {
+		if wt.target <= w.VDL() || w.pinned != 0 && w.VDL()+1 >= w.pinned || w.abandoned {
 			close(wt.ch)
 		} else {
 			kept = append(kept, wt)

@@ -332,8 +332,9 @@ func TestFailedBatchPinsTheWindow(t *testing.T) {
 	if s := c.Stats(); s.WriteFailures != 2 || s.Backlog != 0 {
 		t.Fatalf("write failures %d, backlog %d; want 2, 0", s.WriteFailures, s.Backlog)
 	}
-	// Nothing waits on the pinned window: a wait for the writer's highest LSN
-	// and a grow's fence drain return at once, short of their target.
+	// Nothing is pending below the pin, so the VDL can no longer move: a wait
+	// for the writer's highest LSN and a grow's fence drain return at once,
+	// short of their target.
 	waited := make(chan struct{})
 	go func() {
 		c.WaitDurable(c.HighestAllocated())
@@ -440,8 +441,8 @@ func TestReadRegistryLowWaterMark(t *testing.T) {
 
 // The window is the one place a caller waits for the VDL (WaitDurable,
 // drainWrites). A waiter is released by the resolve whose publication reaches
-// its target, never earlier, by a failed group at or below its target (the
-// VDL can never reach it), and by abandon whatever the VDL.
+// its target, never earlier, by a pin with nothing pending below it (the VDL
+// can no longer move), and by abandon whatever the VDL.
 
 // released reports whether ch is closed, waiting up to a second for it.
 func released(ch <-chan struct{}) bool {
@@ -530,32 +531,47 @@ func TestWindowWaitersReleasedByAbandon(t *testing.T) {
 	}
 }
 
-// TestWindowWaitersReleasedByPin: a failed group pins the window, and every
-// waiter at or above the pin is released then, or at once if it comes later;
-// a waiter below the pin still waits for the VDL.
+// TestWindowWaitersReleasedByPin: a failed group pins the window, yet a waiter
+// at or above the pin stays parked while a group below the pin is in flight,
+// since that group's retirement still raises the VDL. Once nothing below the
+// pin is pending — the group retired or failed too — every waiter is
+// released, and a later wait returns at once.
 func TestWindowWaitersReleasedByPin(t *testing.T) {
-	w := newDurableWindow(0, nil)
-	g1, g2 := testGroup(1, 0, 0), testGroup(3, 1, 1)
-	for _, g := range []*GroupWrite{g1, g2} {
-		if err := w.register(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ch2, ch3, ch9 := w.waitFor(2), w.waitFor(3), w.waitFor(9)
-	if _, settled, _ := w.resolve(g2, true); settled != g2 || g2.err != quorum.ErrQuorumImpossible {
-		t.Fatalf("settled %v (%v), want g2 failed", settled, g2.err)
-	}
-	if !released(ch3) || !released(ch9) {
-		t.Fatal("a waiter at or above the pin is still parked")
-	}
-	if later := w.waitFor(4); parked(later) {
-		t.Fatal("a wait above the pin parked")
-	}
-	if !parked(ch2) || len(w.waiters) != 1 {
-		t.Fatalf("waiter at 2 released below the pin (%d kept)", len(w.waiters))
-	}
-	if vdl, _, _ := w.resolve(g1, false); vdl != 2 || !released(ch2) {
-		t.Fatalf("vdl %d: the group below the pin retired without releasing its waiter", vdl)
+	for _, tc := range []struct {
+		name    string
+		g1Fails bool
+		vdl     core.LSN
+	}{{"below-retires", false, 2}, {"below-fails", true, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newDurableWindow(0, nil)
+			g1, g2 := testGroup(1, 0, 0), testGroup(3, 1, 1)
+			for _, g := range []*GroupWrite{g1, g2} {
+				if err := w.register(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			chs := []<-chan struct{}{w.waitFor(2), w.waitFor(3), w.waitFor(9)}
+			if _, settled, _ := w.resolve(g2, true); settled != g2 || g2.err != quorum.ErrQuorumImpossible {
+				t.Fatalf("settled %v (%v), want g2 failed", settled, g2.err)
+			}
+			chs = append(chs, w.waitFor(4))
+			for i, ch := range chs {
+				if !parked(ch) {
+					t.Fatalf("waiter %d released with the group below the pin in flight", i)
+				}
+			}
+			if vdl, _, _ := w.resolve(g1, tc.g1Fails); vdl != tc.vdl {
+				t.Fatalf("vdl %d, want %d", vdl, tc.vdl)
+			}
+			for i, ch := range append(chs, w.waitFor(9)) {
+				if !released(ch) {
+					t.Fatalf("waiter %d parked with nothing pending below the pin", i)
+				}
+			}
+			if len(w.waiters) != 0 {
+				t.Fatalf("%d waiters kept", len(w.waiters))
+			}
+		})
 	}
 }
 
