@@ -74,7 +74,11 @@ test: build vet lint
 # canceled mid-flight, hops after abandoned ones, and cancels racing timers
 # from eight goroutines must each keep a delivered hop's whole latency. The
 # bufcache line is the LRU list: eight goroutines hit, insert and evict on
-# one cache, each checking the list's links.
+# one cache, each checking the list's links. The recovery lines are recovery
+# from dense LSNs: a torn cross-PG MTR and a durable MTR before a hole, their
+# flights held in the network by sender workers, two recoveries back to back,
+# a restore of staggered backups, and committers framing beside a grow's page
+# copies, whose LSNs must be dense.
 race:
 	$(GO) test -race ./internal/core/ ./internal/trace/ ./internal/volume/ \
 		./internal/chaos/ ./internal/storage/ \
@@ -91,6 +95,8 @@ race:
 	$(GO) test -race -count=20 -run 'TestFailoverLeavesNoReplicaPin' .
 	$(GO) test -race -count=20 -run 'TestCancelMidFlightAbandonsSend|TestHopAfterAbandonedHopsWaitsItsLatency|TestCanceledHopsUnderLoadKeepTheirLatency' ./internal/netsim/
 	$(GO) test -race -count=20 -run 'TestConcurrentAccess' ./internal/bufcache/
+	$(GO) test -race -count=20 -run 'TestRecoverAnnulsATornMTR|TestRecoverKeepsDurableMTRBeforeAHole|TestBackToBackRecoveriesNeverReuseAnLSN|TestRestoreStaggeredBackupsKeepAPrefix' ./internal/volume/
+	$(GO) test -race -count=20 -run 'TestFramedLSNsAreDense' ./internal/engine/
 
 # Live volume growth under chaos: grow mid-workload with a gray-slow node,
 # under the race detector. Zero failed commits, monotone VDL, no lost writes.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -419,6 +420,97 @@ func TestConcurrentWorkload(t *testing.T) {
 	}
 	if db.Stats().Commits != workers*per {
 		t.Fatalf("commits %d", db.Stats().Commits)
+	}
+}
+
+// TestFramedLSNsAreDense pins what volume recovery rests on: the commit
+// pipeline and the rebalancer's page copies (a Grow's) frame from the one
+// allocator at once, every group framed is shipped, and so every LSN up to the
+// highest allocated is a record on some replica. A framed group that never
+// shipped would be a hole: the durability window would stall below it, and
+// recovery's walk would stop at it.
+func TestFramedLSNsAreDense(t *testing.T) {
+	f, db := testDB(t, Config{CachePages: 256})
+	vol := db.Volume()
+	const rows = 2000
+	for i := 0; i < rows; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	var growing atomic.Bool
+	var during atomic.Int64
+	growing.Store(true)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; growing.Load(); i++ {
+				if err := db.Put([]byte(fmt.Sprintf("k%04d", (w*53+i)%rows)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+					t.Error(err)
+					return
+				}
+				during.Add(1)
+			}
+		}(w)
+	}
+	// A hole stalls the grow's fence drain, so the grow is waited for with a
+	// deadline of its own.
+	type grown struct {
+		rep *volume.GrowthReport
+		err error
+	}
+	done := make(chan grown, 1)
+	go func() {
+		rep, err := vol.Grow(2)
+		done <- grown{rep, err}
+	}()
+	var g grown
+	select {
+	case g = <-done:
+	case <-time.After(10 * time.Second):
+		growing.Store(false)
+		t.Fatalf("the grow never finished: VDL %d, highest allocated %d", vol.VDL(), vol.HighestAllocated())
+	}
+	growing.Store(false)
+	wg.Wait()
+	rep, err := g.rep, g.err
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PagesCopied == 0 || during.Load() == 0 {
+		t.Fatalf("the grow copied %d pages beside %d commits: nothing framed at once", rep.PagesCopied, during.Load())
+	}
+	t.Logf("the grow copied %d pages beside %d commits", rep.PagesCopied, during.Load())
+
+	top := vol.HighestAllocated()
+	durable := make(chan struct{})
+	go func() { vol.WaitDurable(top); close(durable) }()
+	select {
+	case <-durable:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("VDL %d never reached the highest allocated LSN %d", vol.VDL(), top)
+	}
+	if vdl := vol.VDL(); vdl != top {
+		t.Fatalf("VDL %d, highest allocated %d", vdl, top)
+	}
+	var floor core.LSN
+	held := make(map[core.LSN]bool)
+	for g := 0; g < f.PGs(); g++ {
+		for _, n := range f.Replicas(core.PGID(g)) {
+			v := n.RecoveryView()
+			floor = max(floor, v.Floor)
+			for _, lsn := range v.Held {
+				held[lsn] = true
+			}
+		}
+	}
+	for lsn := floor + 1; lsn <= top; lsn++ {
+		if !held[lsn] {
+			t.Fatalf("LSN %d of 1..%d is on no replica", lsn, top)
+		}
 	}
 }
 

@@ -65,16 +65,21 @@ func (o *indexOracle) file(r *core.Record) {
 	}
 }
 
+// search returns the index of the first CPL above lsn.
+func (o *indexOracle) search(lsn core.LSN) int {
+	i, found := slices.BinarySearch(o.cpls, lsn)
+	if found {
+		i++
+	}
+	return i
+}
+
 // floor is the highest CPL at or below limit, ZeroLSN if none.
 func (o *indexOracle) floor(limit core.LSN) core.LSN {
-	i, found := slices.BinarySearch(o.cpls, limit)
-	if found {
-		return limit
+	if i := o.search(limit); i > 0 {
+		return o.cpls[i-1]
 	}
-	if i == 0 {
-		return core.ZeroLSN
-	}
-	return o.cpls[i-1]
+	return core.ZeroLSN
 }
 
 // trim keeps, of the CPLs below the GC tail, only the highest.
@@ -94,7 +99,10 @@ func (o *indexOracle) relink(n *Node) {
 	}
 }
 
-// check holds the node's SCL, HasGaps, CPLs and CPL floors to the oracle.
+// check holds the node's SCL, HasGaps and recovery view to the oracle: the
+// floor's CPL is the highest CPL at or below the GC tail, or the truncation's
+// From; the view's CPLs are the oracle's above the floor and its held LSNs
+// the log's.
 func (o *indexOracle) check(t *testing.T, n *Node, when string) {
 	t.Helper()
 	if got, want := n.SCL(), o.gaps.scl; got != want {
@@ -103,18 +111,27 @@ func (o *indexOracle) check(t *testing.T, n *Node, when string) {
 	if got, want := n.HasGaps(), o.gaps.hasGap(); got != want {
 		t.Fatalf("%s: HasGaps %v, oracle %v (SCL %d)", when, got, want, o.gaps.scl)
 	}
-	if got := n.CPLs(); !slices.Equal(got, o.cpls) {
-		t.Fatalf("%s: CPLs %v, oracle %v", when, got, o.cpls)
-	}
+	v := n.RecoveryView()
 	gcTail := n.GCTail()
-	limits := []core.LSN{0, max(gcTail, 1) - 1, gcTail, gcTail + 1, n.HighestLSN() + 1}
-	for _, c := range o.cpls {
-		limits = append(limits, c-1, c, c+1)
+	if v.Floor != max(gcTail, v.Trunc.From) {
+		t.Fatalf("%s: floor %d, GC tail %d, truncated from %d", when, v.Floor, gcTail, v.Trunc.From)
 	}
-	for _, limit := range limits {
-		if got, want := n.HighestCPLAtOrBelow(limit), o.floor(limit); got != want {
-			t.Fatalf("%s: HighestCPLAtOrBelow(%d) = %d, oracle %d", when, limit, got, want)
+	if want := max(o.floor(gcTail), v.Trunc.From); v.FloorCPL != want {
+		t.Fatalf("%s: floor CPL %d, oracle %d", when, v.FloorCPL, want)
+	}
+	if want := o.cpls[o.search(v.Floor):]; !slices.Equal(v.CPLs, want) {
+		t.Fatalf("%s: CPLs above the floor %d: %v, oracle %v", when, v.Floor, v.CPLs, want)
+	}
+	n.mu.Lock()
+	held := make([]core.LSN, 0, len(n.log))
+	for _, r := range n.log {
+		if r.LSN > v.Floor {
+			held = append(held, r.LSN)
 		}
+	}
+	n.mu.Unlock()
+	if !slices.Equal(v.Held, held) {
+		t.Fatalf("%s: held above the floor %d: %v, log %v", when, v.Floor, v.Held, held)
 	}
 }
 
@@ -140,7 +157,7 @@ func ingestAll(n *Node, o *indexOracle, recs ...*core.Record) {
 // through ingestLocked — in order, a later flight first, duplicates, gossip
 // fills of the SCL's hole — mixed with coalescing (full and log tier),
 // recovery truncations, Wipe and Snapshot/LoadSnapshot round trips, and holds
-// the node's SCL, HasGaps, CPLs and CPL floors to the oracle after every step.
+// the node's SCL, HasGaps and recovery view to the oracle after every step.
 func TestSegmentIndexMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		role := core.RoleFull

@@ -150,8 +150,8 @@ type Node struct {
 	// it no longer holds. scl is the SCL: the log chains without a hole from
 	// gcTail through it (linkLocked). gcCPL is the highest CPL garbage
 	// collection dropped, which answers for every CPL at or below gcTail:
-	// recovery never asks below it, nor truncates below it (VCL ≥ VDL ≥
-	// PGMRPL ≥ GC tail).
+	// recovery asks nothing below a node's floor (RecoveryView), nor
+	// truncates below it (VDL ≥ PGMRPL ≥ GC tail).
 	scl    core.LSN
 	gcCPL  core.LSN
 	gcTail core.LSN // highest record LSN ever garbage collected
@@ -607,48 +607,44 @@ func (n *Node) HasGaps() bool {
 }
 
 // HighestLSN returns the highest LSN the node knows of: the maximum of its
-// retained records, its GC boundary and its completeness point. Recovery
-// compares it against the SCL to detect dangling records above a hole.
+// retained records, its GC boundary and its completeness point. A restore
+// reads it to find the replicas that loaded nothing and need a repair.
 func (n *Node) HighestLSN() core.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return max(n.gcTail, n.scl, n.log.highest())
 }
 
-// HighestCPLAtOrBelow returns the highest consistency point at or below
-// limit that this node has seen (ZeroLSN if none): the last CPL record of the
-// log at or below limit, else the one GC dropped last. Volume recovery
-// computes the VDL from the VCL this way (§4.1), over CPLs.
-func (n *Node) HighestCPLAtOrBelow(limit core.LSN) core.LSN {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i := n.log.search(limit) - 1; i >= 0; i-- {
-		if n.log[i].IsCPL() {
-			return n.log[i].LSN
-		}
-	}
-	if n.gcCPL <= limit {
-		return n.gcCPL
-	}
-	return core.ZeroLSN
+// RecoveryView is a node's answer to volume recovery (§4.3).
+type RecoveryView struct {
+	// Floor is max(GC tail, Trunc.From). Every LSN at or below it is durable:
+	// GC stays below the PGMRPL, never above the VDL, and From is a VDL.
+	Floor    core.LSN
+	FloorCPL core.LSN             // max(gcCPL, Trunc.From): the highest CPL known at or below Floor
+	Trunc    core.TruncationRange // the last truncation applied
+	Held     []core.LSN           // the LSNs held above Floor, ascending
+	CPLs     []core.LSN           // those of Held that close an MTR
 }
 
-// CPLs returns the consistency points this node has seen, ascending: the
-// highest one GC dropped, which answers for every one below the GC tail, then
-// the log's. Volume recovery summarises each reachable replica by them.
-func (n *Node) CPLs() []core.LSN {
+// RecoveryView reads the node's RecoveryView under one lock, in one pass over
+// the log above the floor.
+func (n *Node) RecoveryView() RecoveryView {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []core.LSN
-	if n.gcCPL != core.ZeroLSN {
-		out = append(out, n.gcCPL)
+	v := RecoveryView{
+		Floor:    max(n.gcTail, n.trunc.From),
+		FloorCPL: max(n.gcCPL, n.trunc.From),
+		Trunc:    n.trunc,
 	}
-	for _, r := range n.log {
+	above := n.log[n.log.search(v.Floor):]
+	v.Held = make([]core.LSN, len(above))
+	for i, r := range above {
+		v.Held[i] = r.LSN
 		if r.IsCPL() {
-			out = append(out, r.LSN)
+			v.CPLs = append(v.CPLs, r.LSN)
 		}
 	}
-	return out
+	return v
 }
 
 // ReadPage is the foreground read path: it serves the version of the page
@@ -845,13 +841,6 @@ func (n *Node) truncateLocked(tr core.TruncationRange) error {
 	n.relinkLocked()
 	n.dropStagedLocked()
 	return nil
-}
-
-// TruncationEpoch returns the epoch of the last applied truncation.
-func (n *Node) TruncationEpoch() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.trunc.Epoch
 }
 
 func removeRecord(chain []*core.Record, lsn core.LSN) []*core.Record {

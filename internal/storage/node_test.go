@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -237,8 +238,8 @@ func TestTruncateAnnulsTail(t *testing.T) {
 	if err := n.Truncate(core.TruncationRange{Epoch: 0, From: 2, To: 100}); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale epoch: %v", err)
 	}
-	if n.TruncationEpoch() != 1 {
-		t.Fatal("epoch changed by stale truncate")
+	if tr := n.RecoveryView().Trunc; tr != (core.TruncationRange{Epoch: 1, From: 6, To: 100}) {
+		t.Fatalf("truncation %+v after a stale truncate, want epoch 1 (6, 100]", tr)
 	}
 	// Records arriving after the truncation that fall inside it are dropped.
 	manual := craft(t, core.Record{
@@ -252,7 +253,9 @@ func TestTruncateAnnulsTail(t *testing.T) {
 	}
 }
 
-func TestHighestCPLAtOrBelow(t *testing.T) {
+// TestRecoveryViewCPLs: a node's view lists what it holds and which of those
+// close an MTR.
+func TestRecoveryViewCPLs(t *testing.T) {
 	_, nodes := testPG(t, nil)
 	f := core.NewFramer(core.NewAllocator(core.ZeroLSN, 0), nil)
 	// MTR of 3 records: CPL at 3. MTR of 2 records: CPL at 5.
@@ -271,15 +274,24 @@ func TestHighestCPLAtOrBelow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := n.HighestCPLAtOrBelow(100); got != 5 {
-		t.Fatalf("cpl<=100 = %d, want 5", got)
+	want := RecoveryView{Held: []core.LSN{1, 2, 3, 4, 5}, CPLs: []core.LSN{3, 5}}
+	if got := n.RecoveryView(); !sameView(got, want) {
+		t.Fatalf("recovery view %+v, want %+v", got, want)
 	}
-	if got := n.HighestCPLAtOrBelow(4); got != 3 {
-		t.Fatalf("cpl<=4 = %d, want 3", got)
+}
+
+// sameView reports whether two recovery views say the same.
+func sameView(a, b RecoveryView) bool {
+	return a.Floor == b.Floor && a.FloorCPL == b.FloorCPL && a.Trunc == b.Trunc &&
+		slices.Equal(a.Held, b.Held) && slices.Equal(a.CPLs, b.CPLs)
+}
+
+// topCPL is the highest CPL a recovery view names.
+func topCPL(v RecoveryView) core.LSN {
+	if k := len(v.CPLs); k > 0 {
+		return v.CPLs[k-1]
 	}
-	if got := n.HighestCPLAtOrBelow(2); got != 0 {
-		t.Fatalf("cpl<=2 = %d, want 0", got)
-	}
+	return v.FloorCPL
 }
 
 func TestCoalesceAdvancesBaseAndGCs(t *testing.T) {
@@ -326,13 +338,11 @@ func TestCoalesceAdvancesBaseAndGCs(t *testing.T) {
 	if got := string(p.Payload()[:8]); got != "abcde\x00\x00\x00" {
 		t.Fatalf("payload at read point 5: %q", got)
 	}
-	// Recovery asks for the highest CPL at or below a VCL, which never lies
-	// below the GC tail: that CPL and every one above it outlive GC, the
-	// ones below it answer no question and go.
-	for limit, want := range map[core.LSN]core.LSN{5: 5, 6: 6, 100: 8, 3: 0} {
-		if got := n.HighestCPLAtOrBelow(limit); got != want {
-			t.Fatalf("highest CPL at or below %d after GC to 5: %d, want %d", limit, got, want)
-		}
+	// Recovery's walk starts at or above the GC tail: the highest CPL GC
+	// dropped answers for every one below it, and the rest are held.
+	want := RecoveryView{Floor: 5, FloorCPL: 5, Held: []core.LSN{6, 7, 8}, CPLs: []core.LSN{6, 7, 8}}
+	if got := n.RecoveryView(); !sameView(got, want) {
+		t.Fatalf("recovery view after GC to 5: %+v, want %+v", got, want)
 	}
 }
 
@@ -444,10 +454,8 @@ func TestSnapshotIsOneExactAllocation(t *testing.T) {
 	if n2.SCL() != n.SCL() || n2.GCTail() != n.GCTail() || n2.HasGaps() || n2.Stats().RecordsHeld != n.Stats().RecordsHeld {
 		t.Fatalf("restored SCL %d, GC tail %d, %d records; want %d, %d, %d", n2.SCL(), n2.GCTail(), n2.Stats().RecordsHeld, n.SCL(), n.GCTail(), n.Stats().RecordsHeld)
 	}
-	for _, limit := range []core.LSN{n.GCTail(), tail / 2, tail - 1, tail} {
-		if got, want := n2.HighestCPLAtOrBelow(limit), n.HighestCPLAtOrBelow(limit); got != want || want == 0 {
-			t.Fatalf("highest CPL at or below %d: restored %d, original %d", limit, got, want)
-		}
+	if got, want := n2.RecoveryView(), n.RecoveryView(); !sameView(got, want) || want.FloorCPL == 0 || len(want.CPLs) == 0 {
+		t.Fatalf("restored recovery view %+v, original %+v", got, want)
 	}
 	for id := core.PageID(1); id <= 3; id++ {
 		for _, rp := range []core.LSN{n.GCTail(), tail} {

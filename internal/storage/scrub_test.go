@@ -187,8 +187,8 @@ func TestScrubRepairFilesBorrowedRecords(t *testing.T) {
 			t.Fatalf("%s coalesced %d pages, want 1", n.NodeID(), adv)
 		}
 	}
-	if victim.SCL() != 7 || victim.HighestCPLAtOrBelow(100) != 7 {
-		t.Fatalf("setup: victim SCL %d, highest CPL %d, want 7 and 7", victim.SCL(), victim.HighestCPLAtOrBelow(100))
+	if v := victim.RecoveryView(); victim.SCL() != 7 || topCPL(v) != 7 {
+		t.Fatalf("setup: victim SCL %d, highest CPL %d, want 7 and 7", victim.SCL(), topCPL(v))
 	}
 	if !victim.CorruptPage(1) {
 		t.Fatal("no base image to corrupt")
@@ -203,7 +203,7 @@ func TestScrubRepairFilesBorrowedRecords(t *testing.T) {
 	if scl, top := victim.SCL(), victim.HighestLSN(); scl != 8 || top != 8 || victim.HasGaps() {
 		t.Fatalf("after repair and gossip: SCL %d, highest LSN %d, gaps %v; want 8, 8 and none", scl, top, victim.HasGaps())
 	}
-	if got := victim.HighestCPLAtOrBelow(100); got != 8 {
+	if got := topCPL(victim.RecoveryView()); got != 8 {
 		t.Fatalf("highest CPL %d: the borrowed record closes an MTR and never reached the log", got)
 	}
 	if s := victim.Stats(); s.RecordsHeld != 3 {

@@ -20,9 +20,9 @@ var ErrQuorumLost = errors.New("volume: read quorum unavailable during recovery"
 // the storage nodes and runs continuously, so recovery only has to
 // re-establish the durable points and truncate the uncommitted tail (§4.3).
 type RecoveryReport struct {
-	VCL        core.LSN // highest LSN with all prior records available
+	VCL        core.LSN // highest LSN every LSN below which is held, under a floor or annulled
 	VDL        core.LSN // highest CPL <= VCL; volume truncated above this
-	UpperBound core.LSN // provable bound on outstanding LSNs (VDL + LAL)
+	UpperBound core.LSN // provable bound on outstanding LSNs: max(VDL, previous To) + LAL
 	Epoch      uint64   // the new truncation epoch
 	PGs        int
 	Contacted  int // storage nodes that answered
@@ -50,10 +50,10 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 	rep := &RecoveryReport{PGs: f.PGs(), Tails: make(map[core.PGID]core.LSN)}
 
 	reachables := make([][]*storage.Node, f.PGs())
-	pgs := make([]pgSummary, f.PGs())
-	var maxEpoch uint64
+	var views []storage.RecoveryView
 
-	// Pass 1: contact a read quorum per PG and let storage self-repair.
+	// Pass 1: contact a read quorum per PG, let storage self-repair, and ask
+	// each replica what it holds.
 	for g := 0; g < f.PGs(); g++ {
 		pg := core.PGID(g)
 		var reachable []*storage.Node
@@ -95,22 +95,19 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 		// The storage service completes its own recovery first: gossip
 		// until the reachable replicas agree (§4.1).
 		storage.SyncGroup(reachable)
-		sum := &pgs[g]
 		for _, n := range reachable {
-			sum.scl = max(sum.scl, n.SCL())
-			sum.highest = max(sum.highest, n.HighestLSN())
-			sum.cpls = append(sum.cpls, n.CPLs())
-			maxEpoch = max(maxEpoch, n.TruncationEpoch())
+			views = append(views, n.RecoveryView())
 		}
 		reachables[g] = reachable
 	}
 
-	// Passes 2 and 3: the durable points, from what pass 1 learned.
-	vcl, vdl := recoveryPoint(pgs)
+	// Passes 2 and 3: the durable points, from what pass 1 learned. The last
+	// writer began at the previous To and may have allocated LAL above it.
+	vcl, vdl, latest := recoveryPoint(views)
 	rep.VCL, rep.VDL = vcl, vdl
-	upper := vdl + core.LSN(lal)
+	upper := max(vdl, latest.To) + core.LSN(lal)
 	rep.UpperBound = upper
-	rep.Epoch = maxEpoch + 1
+	rep.Epoch = latest.Epoch + 1
 
 	// Pass 4: truncate (VDL, upper] everywhere, durably and epoch-guarded,
 	// so an interrupted-and-restarted recovery cannot resurrect the tail.
@@ -153,42 +150,50 @@ func Recover(ctx context.Context, f *Fleet, cfg ClientConfig) (*Client, *Recover
 	return c, rep, nil
 }
 
-// pgSummary is what recovery learned of one protection group from its
-// reachable replicas: the highest SCL among them, the highest LSN any of them
-// knows of, and each one's CPLs in ascending order.
-type pgSummary struct {
-	scl, highest core.LSN
-	cpls         [][]core.LSN
-}
-
-// recoveryPoint computes the volume's durable points from per-PG summaries,
-// with no I/O.
+// recoveryPoint computes the volume's durable points from the reachable
+// replicas' views, with no I/O, and returns the latest truncation among them.
 //
-// VCL: a PG whose replicas hold records above their completeness point has
-// lost a predecessor forever (those records can never have been acked — a
-// write quorum would intersect the read quorum) and caps the VCL at its SCL.
-// PGs with clean chains impose no cap: absence of a record from a read quorum
-// proves it never reached a write quorum.
+// The framer numbers records one by one from the one allocator, so LSN L's
+// volume predecessor is L-1. The VCL walks up from the highest floor while
+// some replica holds the next LSN, jumping the latest truncation range. The
+// first LSN no reachable replica holds is on no write quorum (one would meet
+// the read quorum, and a replica that collected it has it under its floor),
+// so no VDL ever passed it.
 //
-// VDL: the highest CPL at or below the VCL, across all PGs.
-func recoveryPoint(pgs []pgSummary) (vcl, vdl core.LSN) {
-	for _, pg := range pgs {
-		vcl = max(vcl, pg.scl)
+// VDL: the highest CPL at or below the VCL among the floors' CPLs and the held
+// CPLs, outside the latest range — a replica that missed that truncation still
+// holds the records it annulled, or has collected them under its floor.
+func recoveryPoint(views []storage.RecoveryView) (vcl, vdl core.LSN, latest core.TruncationRange) {
+	var held []core.LSN
+	for _, v := range views {
+		vcl = max(vcl, v.Floor)
+		if v.Trunc.Supersedes(latest) {
+			latest = v.Trunc
+		}
+		held = append(held, v.Held...)
 	}
-	for _, pg := range pgs {
-		if pg.highest > pg.scl && pg.scl < vcl {
-			vcl = pg.scl
+	slices.Sort(held)
+	next := vcl + 1
+	for _, lsn := range slices.Compact(held) {
+		if latest.Annuls(next) {
+			next = latest.To + 1
+		}
+		if lsn > next {
+			break
+		}
+		if lsn == next {
+			vcl, next = lsn, lsn+1
 		}
 	}
-	for _, pg := range pgs {
-		for _, cpls := range pg.cpls {
-			// The first CPL above the VCL; the one before it is the floor.
-			if i, found := slices.BinarySearch(cpls, vcl); found {
-				vdl = max(vdl, vcl)
-			} else if i > 0 {
-				vdl = max(vdl, cpls[i-1])
+	for _, v := range views {
+		if !latest.Annuls(v.FloorCPL) {
+			vdl = max(vdl, v.FloorCPL)
+		}
+		for _, c := range v.CPLs {
+			if c <= vcl && !latest.Annuls(c) {
+				vdl = max(vdl, c)
 			}
 		}
 	}
-	return vcl, vdl
+	return vcl, vdl, latest
 }

@@ -3,111 +3,259 @@ package volume
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"aurora/internal/core"
+	"aurora/internal/netsim"
+	"aurora/internal/storage"
 )
 
-// TestRecoveryPoint holds recovery's arithmetic to hand-built per-PG
-// summaries: no cluster, no clock.
+// TestRecoveryPoint holds recovery's arithmetic to hand-built replica views:
+// no cluster, no clock. Each row lists the views of every reachable replica
+// of every PG; LSNs 1, 2, ... are the volume's records in framing order.
 func TestRecoveryPoint(t *testing.T) {
 	type L = []core.LSN
+	type V = storage.RecoveryView
+	first := core.TruncationRange{Epoch: 1, From: 5, To: 21} // a recovery at VDL 5, LAL 16
 	for _, tc := range []struct {
 		name     string
-		pgs      []pgSummary
+		views    []V
 		vcl, vdl core.LSN
-		skip     string
+		latest   core.TruncationRange
 	}{
 		{
 			name: "clean chains",
-			pgs: []pgSummary{
-				{scl: 5, highest: 5, cpls: []L{{2, 5}, {2, 5}, {2}}},
-				{scl: 4, highest: 4, cpls: []L{{4}, {4}}},
+			views: []V{
+				{Held: L{1, 2, 5}, CPLs: L{2, 5}}, {Held: L{1, 2, 5}, CPLs: L{2, 5}}, {Held: L{1, 2}, CPLs: L{2}},
+				{Held: L{3, 4}, CPLs: L{4}}, {Held: L{3, 4}, CPLs: L{4}},
 			},
 			vcl: 5, vdl: 5,
 		},
 		{
-			// PG1 holds records above a hole at 4: whatever sat in the hole
-			// never reached a write quorum, so nothing after it was acked.
-			name: "a hole caps the VCL at its PG's SCL",
-			pgs: []pgSummary{
-				{scl: 7, highest: 7, cpls: []L{{3, 7}}},
-				{scl: 4, highest: 9, cpls: []L{{2, 9}}},
+			// LSN 4 (PG1) is on no replica: it never reached a write quorum,
+			// so nothing framed after it was acknowledged.
+			name: "a hole caps the VCL just below it",
+			views: []V{
+				{Held: L{1, 3, 5, 6, 7}, CPLs: L{3, 7}},
+				{Held: L{2, 8, 9}, CPLs: L{9}},
 			},
-			vcl: 4, vdl: 3,
+			vcl: 3, vdl: 3,
 		},
 		{
-			// The hole's own PG holds the highest SCL: it caps nothing.
+			// PG0 lost LSN 10, above everything PG1 holds: it caps the VCL at 9.
 			name: "a hole above every other PG's SCL",
-			pgs: []pgSummary{
-				{scl: 9, highest: 12, cpls: []L{{9, 12}}},
-				{scl: 4, highest: 4, cpls: []L{{4}}},
+			views: []V{
+				{Held: L{1, 2, 3, 5, 6, 7, 8, 9, 11, 12}, CPLs: L{9, 12}},
+				{Held: L{4}, CPLs: L{4}},
 			},
 			vcl: 9, vdl: 9,
 		},
 		{
-			// CPLs above the VCL (12, 11) do not count; the floor may come
-			// from any replica of any PG, found exactly or from below.
+			// CPLs above the VCL (11, 12) do not count; the VDL may come
+			// from any replica of any PG.
 			name: "VDL is the highest CPL at or below the VCL across PGs",
-			pgs: []pgSummary{
-				{scl: 6, highest: 12, cpls: []L{{5, 12}}},
-				{scl: 11, highest: 11, cpls: []L{{3}, {3, 6, 11}}},
+			views: []V{
+				{Held: L{1, 2, 5, 8, 12}, CPLs: L{5, 12}},
+				{Held: L{3}, CPLs: L{3}}, {Held: L{3, 4, 6, 11}, CPLs: L{3, 6, 11}},
 			},
 			vcl: 6, vdl: 6,
 		},
 		{
 			name: "no CPL at or below the VCL",
-			pgs: []pgSummary{
-				{scl: 2, highest: 2, cpls: []L{{3}, {}}},
-				{scl: 1, highest: 1, cpls: []L{nil}},
+			views: []V{
+				{Held: L{2, 4}, CPLs: L{4}}, {Held: L{2}},
+				{Held: L{1}},
 			},
 			vcl: 2, vdl: 0,
 		},
 		{
-			name: "an empty volume",
-			pgs:  []pgSummary{{cpls: []L{{}, {}, {}}}, {cpls: []L{{}, {}, {}}}},
-			vcl:  0, vdl: 0,
+			name:  "an empty volume",
+			views: []V{{}, {}, {}, {}, {}, {}},
+			vcl:   0, vdl: 0,
 		},
 		{name: "no protection groups", vcl: 0, vdl: 0},
 		{
 			// A = {pg0@1, pg1@2, pg0@3} is on every replica, B = {pg1@4} on
-			// none, C = {pg1@5} on every replica. PG1's SCL of 2 caps the VCL
-			// below A's CPL, so A — durable, possibly acknowledged — is
-			// annulled with B and C. The first hole is at 4: VCL and VDL 3.
-			name: "loses: a hole after a durable MTR annuls it",
-			pgs: []pgSummary{
-				{scl: 3, highest: 3, cpls: []L{{3}, {3}, {3}}},
-				{scl: 2, highest: 5, cpls: []L{{5}, {5}, {5}}},
+			// none, C = {pg1@5} on every replica. The first hole is at 4, above
+			// A's CPL: A is durable, B and C are not.
+			name: "a durable MTR before a hole survives",
+			views: []V{
+				{Held: L{1, 3}, CPLs: L{3}}, {Held: L{1, 3}, CPLs: L{3}}, {Held: L{1, 3}, CPLs: L{3}},
+				{Held: L{2, 5}, CPLs: L{5}}, {Held: L{2, 5}, CPLs: L{5}}, {Held: L{2, 5}, CPLs: L{5}},
 			},
 			vcl: 3, vdl: 3,
-			skip: "ROADMAP item 1: a PG's SCL caps the VCL below MTRs other PGs completed; the volume backlink fix removes this skip",
 		},
 		{
-			// The torn cross-PG MTR {pg0@1, pg1@2, pg0@3}: PG0 has 1 and 3
-			// (a clean per-PG chain, CPL 3), PG1 has nothing. LSN 2 is on no
-			// disk, so nothing above 1 is durable. Per-PG chains leave no
-			// trace of LSN 2 in PG0, so recovery returns VCL = VDL = 3.
+			// The torn cross-PG MTR {pg0@1, pg1@2, pg0@3}: PG0 holds 1 and 3
+			// (a clean per-PG chain, CPL 3), PG1 nothing. LSN 2 is on no disk,
+			// so nothing above 1 is durable.
 			name: "P0: an MTR whose middle record reached no segment",
-			pgs: []pgSummary{
-				{scl: 3, highest: 3, cpls: []L{{3}, {3}, {3}, {3}}},
-				{cpls: []L{{}, {}, {}, {}}},
+			views: []V{
+				{Held: L{1, 3}, CPLs: L{3}}, {Held: L{1, 3}, CPLs: L{3}}, {Held: L{1, 3}, CPLs: L{3}}, {Held: L{1, 3}, CPLs: L{3}},
+				{}, {}, {}, {},
 			},
 			vcl: 1, vdl: 0,
-			skip: "ROADMAP item 1: per-PG backlinks cannot see a record that reached no segment; the volume backlink fix removes this skip",
+		},
+		{
+			// One replica collected through 10 (everything at or below it is
+			// durable); a straggler of another PG still misses 4. The walk
+			// starts at the floor, so the hole below it caps nothing.
+			name: "a floor above a hole",
+			views: []V{
+				{Floor: 10, FloorCPL: 8, Held: L{11, 12}, CPLs: L{12}},
+				{Held: L{3, 5, 9}, CPLs: L{5, 9}},
+			},
+			vcl: 12, vdl: 12,
+		},
+		{
+			// Recovery 1 annulled (5, 21]; the next writer framed from 22. The
+			// LSNs of the range are held by no replica, and the walk jumps them.
+			name: "a hole inside the truncation range",
+			views: []V{
+				{Floor: 5, FloorCPL: 5, Trunc: first, Held: L{22, 23, 24}, CPLs: L{23}},
+				{Floor: 5, FloorCPL: 5, Trunc: first, Held: L{22, 23}, CPLs: L{23}},
+			},
+			vcl: 24, vdl: 23, latest: first,
+		},
+		{
+			// Writer 2 made nothing durable. Recovery 2 finds recovery 1's VDL
+			// again; the range it returns is what bounds writer 2's LSNs.
+			name: "two recoveries back to back",
+			views: []V{
+				{Floor: 5, FloorCPL: 5, Trunc: first},
+				{Floor: 5, FloorCPL: 5, Trunc: first, Held: L{22}},
+				{Floor: 5, FloorCPL: 5, Trunc: first},
+			},
+			vcl: 22, vdl: 5, latest: first,
+		},
+		{
+			// A replica that missed recovery 1's truncation still holds the
+			// annulled 6 and 7; CPL 7 must not become the VDL.
+			name: "an annulled CPL on a replica that missed the latest truncation",
+			views: []V{
+				{Held: L{1, 2, 3, 4, 5, 6, 7}, CPLs: L{5, 7}},
+				{Floor: 5, FloorCPL: 5, Trunc: first, Held: L{22}},
+				{Floor: 5, FloorCPL: 5, Trunc: first},
+			},
+			vcl: 22, vdl: 5, latest: first,
+		},
+		{
+			// A replica that missed recovery 1's truncation collected the
+			// annulled 6 and 7 under its floor; its floor's CPL must not
+			// become the VDL either.
+			name: "an annulled floor CPL on a replica that missed the latest truncation",
+			views: []V{
+				{Floor: 7, FloorCPL: 7},
+				{Floor: 5, FloorCPL: 5, Trunc: first, Held: L{22}},
+				{Floor: 5, FloorCPL: 5, Trunc: first},
+			},
+			vcl: 22, vdl: 5, latest: first,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.skip != "" {
-				t.Skip(tc.skip)
-			}
-			vcl, vdl := recoveryPoint(tc.pgs)
-			if vcl != tc.vcl || vdl != tc.vdl {
-				t.Fatalf("recoveryPoint = VCL %d, VDL %d; want VCL %d, VDL %d", vcl, vdl, tc.vcl, tc.vdl)
+			vcl, vdl, latest := recoveryPoint(tc.views)
+			if vcl != tc.vcl || vdl != tc.vdl || latest != tc.latest {
+				t.Fatalf("recoveryPoint = VCL %d, VDL %d, latest %+v; want VCL %d, VDL %d, latest %+v",
+					vcl, vdl, latest, tc.vcl, tc.vdl, tc.latest)
 			}
 		})
+	}
+}
+
+// heldFleet drives a live fleet into the histories the recovery rows name:
+// one page per PG, MTRs of one-byte deltas, and flights held in the network.
+type heldFleet struct {
+	t    *testing.T
+	f    *Fleet
+	c    *Client
+	page []core.PageID
+	// inAir receives once per flight parked by hold; the flights stay parked
+	// until the test ends.
+	inAir chan struct{}
+}
+
+func newHeldFleet(t *testing.T, pgs int) *heldFleet {
+	f, c := testVolume(t, pgs)
+	h := &heldFleet{t: t, f: f, c: c, page: make([]core.PageID, pgs), inAir: make(chan struct{}, 6*pgs)}
+	for id, found := core.PageID(0), 0; found < 1<<pgs-1; id++ {
+		if g := c.PGOf(id); found&(1<<g) == 0 {
+			h.page[g] = id
+			found |= 1 << g
+		}
+	}
+	release := make(chan struct{})
+	t.Cleanup(sync.OnceFunc(func() { close(release) }))
+	f.Net().SetSleeper(func(d time.Duration) {
+		if d >= holdDelay {
+			h.inAir <- struct{}{}
+			<-release
+		}
+	})
+	return h
+}
+
+// holdDelay marks a flight for parking: no simulated hop is this slow.
+const holdDelay = time.Hour
+
+// mtr is one MTR of a one-byte delta per listed PG, in order.
+func (h *heldFleet) mtr(txn uint64, pgs ...core.PGID) *core.MTR {
+	m := &core.MTR{Txn: txn}
+	for _, g := range pgs {
+		m.AddDelta(g, h.page[g], 0, []byte{byte(txn)})
+	}
+	return m
+}
+
+// hold parks every flight to pg's replicas from now on (on) or stops parking
+// new ones (off); parked flights stay parked.
+func (h *heldFleet) hold(pg core.PGID, on bool) {
+	d := time.Duration(0)
+	if on {
+		d = holdDelay
+	}
+	for _, n := range h.f.Replicas(pg) {
+		if err := h.f.Net().SetNodeDelay(n.NodeID(), d); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+}
+
+// ship frames m alone and ships it without waiting, checking its CPL.
+func (h *heldFleet) ship(m *core.MTR, cpl core.LSN) {
+	g, err := h.c.FrameMTRs(context.Background(), []*core.MTR{m})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.t.Cleanup(g.Release)
+	if g.MaxCPL() != cpl {
+		h.t.Fatalf("framed at %d, want %d", g.MaxCPL(), cpl)
+	}
+	g.ShipAsync(nil, func(error) {})
+}
+
+// holding reports whether at least k replicas of pg hold lsn.
+func (h *heldFleet) holding(pg core.PGID, lsn core.LSN, k int) func() bool {
+	return func() bool {
+		for _, n := range h.f.Replicas(pg) {
+			if n.HighestLSN() >= lsn {
+				k--
+			}
+		}
+		return k <= 0
+	}
+}
+
+// eventually waits up to five seconds for ok.
+func eventually(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
 	}
 }
 
@@ -115,101 +263,117 @@ func TestRecoveryPoint(t *testing.T) {
 // fleet. A = {pg0@1, pg1@2, pg0@3} reaches every replica and is
 // acknowledged. B = {pg1@4} has its six flights held in the network while
 // C = {pg1@5} lands on all six PG1 replicas (a later flight may land first).
-// The writer crashes with B still in the air, so LSN 4 is on no disk. PG1's
-// chain has a hole at 4 above its SCL of 2, and recovery caps the VCL there,
-// below A's CPL: the acknowledged A is annulled with B and C.
+// The writer crashes with B still in the air, so LSN 4 is on no disk: the
+// VCL is 3, and A survives.
 func TestRecoverKeepsDurableMTRBeforeAHole(t *testing.T) {
-	t.Skip("ROADMAP item 1: a PG's SCL caps the VCL below MTRs other PGs completed; recovery returns VCL 2 / VDL 0 here")
-	f, c := testVolume(t, 2)
+	h := newHeldFleet(t, 2)
 	ctx := context.Background()
-	net := f.Net()
-	var page [2]core.PageID
-	for id, found := core.PageID(0), 0; found < 3; id++ {
-		if g := c.PGOf(id); found&(1<<g) == 0 {
-			page[g] = id
-			found |= 1 << g
-		}
-	}
-	mtr := func(txn uint64, pgs ...core.PGID) *core.MTR {
-		m := &core.MTR{Txn: txn}
-		for _, g := range pgs {
-			m.AddDelta(g, page[g], 0, []byte{byte(txn)})
-		}
-		return m
-	}
-	settled := func(what string, ok func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never happened", what)
-			}
-		}
-	}
-	onAll := func(pg core.PGID, lsn core.LSN) func() bool {
-		return func() bool {
-			for _, n := range f.Replicas(pg) {
-				if n.HighestLSN() < lsn {
-					return false
-				}
-			}
-			return true
-		}
-	}
-
-	cplA, err := c.WriteMTR(ctx, mtr(1, 0, 1, 0))
+	cplA, err := h.c.WriteMTR(ctx, h.mtr(1, 0, 1, 0))
 	if err != nil || cplA != 3 {
 		t.Fatalf("A: CPL %d, %v; want 3", cplA, err)
 	}
-	settled("A on every replica", func() bool { return onAll(0, 3)() && onAll(1, 2)() })
+	eventually(t, "A on every replica", func() bool { return h.holding(0, 3, 6)() && h.holding(1, 2, 6)() })
 
-	const hold = time.Hour
-	inAir, release := make(chan struct{}, 6), make(chan struct{})
-	letGo := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(letGo)
-	net.SetSleeper(func(d time.Duration) {
-		if d >= hold {
-			inAir <- struct{}{}
-			<-release
-		}
-	})
-	for _, n := range f.Replicas(1) {
-		if err := net.SetNodeDelay(n.NodeID(), hold); err != nil {
-			t.Fatal(err)
-		}
+	h.hold(1, true)
+	h.ship(h.mtr(2, 1), 4)
+	for range h.f.Replicas(1) {
+		<-h.inAir
 	}
-	ship := func(m *core.MTR) *GroupWrite {
-		g, err := c.FrameMTRs(ctx, []*core.MTR{m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(g.Release)
-		g.ShipAsync(nil, func(error) {})
-		return g
-	}
-	if b := ship(mtr(2, 1)); b.MaxCPL() != 4 {
-		t.Fatalf("B framed at %d, want 4", b.MaxCPL())
-	}
-	for range f.Replicas(1) {
-		<-inAir
-	}
-	for _, n := range f.Replicas(1) {
-		if err := net.SetNodeDelay(n.NodeID(), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cc := ship(mtr(3, 1)); cc.MaxCPL() != 5 {
-		t.Fatalf("C framed at %d, want 5", cc.MaxCPL())
-	}
-	settled("C on every PG1 replica", onAll(1, 5))
-	c.Crash()
+	h.hold(1, false)
+	h.ship(h.mtr(3, 1), 5)
+	eventually(t, "C on every PG1 replica", h.holding(1, 5, 6))
+	h.c.Crash()
 
-	c2, rep, err := Recover(ctx, f, ClientConfig{WriterNode: "writer2", WriterAZ: 0})
+	c2, rep, err := Recover(ctx, h.f, ClientConfig{WriterNode: "writer2", WriterAZ: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	if rep.VDL < cplA {
 		t.Fatalf("recovered VCL %d / VDL %d: the acknowledged A (CPL %d) was annulled", rep.VCL, rep.VDL, cplA)
+	}
+}
+
+// TestRecoverAnnulsATornMTR is the sweep's resurrecting class on a live
+// fleet. Every flight to PG1 is held, and {pg0@1, pg1@2, pg0@3} ships: PG0's
+// replicas hold 1 and 3, a clean chain of their own, and LSN 2 is on no disk.
+// The writer crashes; the MTR was never durable, so recovery keeps nothing.
+func TestRecoverAnnulsATornMTR(t *testing.T) {
+	h := newHeldFleet(t, 2)
+	h.hold(1, true)
+	h.ship(h.mtr(1, 0, 1, 0), 3)
+	for range h.f.Replicas(1) {
+		<-h.inAir
+	}
+	eventually(t, "LSN 3 on four PG0 replicas", h.holding(0, 3, 4))
+	h.hold(1, false)
+	h.c.Crash()
+
+	c2, rep, err := Recover(context.Background(), h.f, ClientConfig{WriterNode: "writer2", WriterAZ: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if rep.VCL != 1 || rep.VDL != 0 {
+		t.Fatalf("recovered VCL %d / VDL %d, tails %v; want VCL 1, VDL 0: the torn MTR survived", rep.VCL, rep.VDL, rep.Tails)
+	}
+}
+
+// TestBackToBackRecoveriesNeverReuseAnLSN: writer 2 starts above recovery 1's
+// range (VDL 1, LAL 16: it frames from 18) and makes nothing durable — its
+// "STAL" at 18 reaches replica 0 alone. Replica 0 then misses recovery 2,
+// which finds VDL 1 again. Writer 3 must still start above every LSN writer 2
+// could have allocated: were its first record 18 again, the restarted replica
+// 0, which already holds an 18, would serve "STAL" at that read point.
+func TestBackToBackRecoveriesNeverReuseAnLSN(t *testing.T) {
+	const lal = 16
+	ctx := context.Background()
+	f, c1 := testVolume(t, 1)
+	net := f.Net()
+	writePage(t, c1, 0, "GOOD")
+	c1.Crash()
+	recoverAs := func(w netsim.NodeID) *Client {
+		c, _, err := Recover(ctx, f, ClientConfig{WriterNode: w, WriterAZ: 0, LAL: lal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+
+	c2 := recoverAs("writer2")
+	for _, n := range f.Replicas(0)[1:] {
+		net.SetLinkDropProb("writer2", n.NodeID(), 1)
+	}
+	m := &core.MTR{Txn: 2}
+	m.AddDelta(0, 0, 0, []byte("STAL"))
+	g, err := c2.FrameMTRs(ctx, []*core.MTR{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Release()
+	stale := g.MaxCPL()
+	g.ShipAsync(nil, func(error) {})
+	replica0 := f.Node(0, 0)
+	eventually(t, "the stale record on replica 0", func() bool { return replica0.HighestLSN() >= stale })
+	c2.Crash()
+
+	replica0.Crash()
+	c3 := recoverAs("writer3")
+	replica0.Restart()
+	lsn := writePage(t, c3, 0, "NEW!")
+	if p, err := replica0.ReadPage(ctx, 0, lsn, lsn); err == nil && string(p.Payload()[:4]) != "NEW!" {
+		t.Fatalf("replica 0 serves %q at read point %d, want NEW! or a refusal", p.Payload()[:4], lsn)
+	}
+	if lsn <= stale {
+		t.Fatalf("writer 3 framed at %d, at or below writer 2's %d", lsn, stale)
+	}
+	p, _, err := c3.ReadPage(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(p.Payload()[:4]); got != "NEW!" {
+		t.Fatalf("writer 3 reads %q, want NEW!", got)
 	}
 }
 
@@ -223,32 +387,19 @@ type history struct {
 	cpl, held []bool
 }
 
-// summaries is what recovery's I/O half would learn of h: per PG, the SCL
-// along the PG's own chain, the highest LSN held, and three replicas' CPLs.
-func (h history) summaries() []pgSummary {
-	out := make([]pgSummary, h.pgs)
-	broken := make([]bool, h.pgs)
+// views is what recovery's I/O half would learn of h: per PG, three
+// replicas that each hold the PG's held records.
+func (h history) views() []storage.RecoveryView {
+	out := make([]storage.RecoveryView, h.pgs)
 	for i, g := range h.pg {
-		lsn := core.LSN(i + 1)
-		if !h.held[i] {
-			broken[g] = true
-			continue
-		}
-		if !broken[g] {
-			out[g].scl = lsn
-		}
-		out[g].highest = lsn
-	}
-	for g := range out {
-		var cpls []core.LSN
-		for i, pg := range h.pg {
-			if pg == g && h.held[i] && h.cpl[i] {
-				cpls = append(cpls, core.LSN(i+1))
+		if lsn := core.LSN(i + 1); h.held[i] {
+			out[g].Held = append(out[g].Held, lsn)
+			if h.cpl[i] {
+				out[g].CPLs = append(out[g].CPLs, lsn)
 			}
 		}
-		out[g].cpls = [][]core.LSN{cpls, cpls, cpls}
 	}
-	return out
+	return slices.Concat(out, out, out)
 }
 
 // oracle is what recovery must return, knowing the whole history: the VCL
@@ -329,49 +480,37 @@ func pow(b, e int) int {
 }
 
 // TestRecoveryPointSweep holds recoveryPoint to the oracle on every history
-// of up to five records over two and three PGs. Two classes disagree today
-// (ROADMAP item 1), and the sweep counts them instead of failing on them:
+// of up to five records over two and three PGs, and counts the two classes
+// the per-PG arithmetic it replaced got wrong:
 //   - resurrects: recoveryPoint's VCL is above the oracle's. A record on no
-//     disk that was its PG's last leaves no hole in any chain, so recovery
-//     keeps what was framed after it (the P0).
+//     disk that was its PG's last leaves no hole in any PG's chain.
 //   - loses: recoveryPoint's VDL is below the oracle's. A PG whose chain has
-//     a hole caps the VCL at its SCL, below MTRs other PGs completed before
-//     the hole, and those durable MTRs are annulled.
+//     a hole above MTRs other PGs completed before it.
 //
-// Every other history must agree on the VDL; there the VCL may sit below
-// the oracle's only when no CPL lies between them (nothing but the report
-// reads it). The sweep fails if either class is empty, so the fix of item 1
-// must edit it.
+// Both classes must be empty, and every other history must agree on the VCL
+// and the VDL.
 func TestRecoveryPointSweep(t *testing.T) {
-	var histories, resurrects, loses, lowVCL int
-	var exResurrect, exLose string
+	var histories, resurrects, loses int
 	for pgs := 2; pgs <= 3; pgs++ {
 		for n := 1; n <= 5; n++ {
 			eachHistory(pgs, n, func(h history) {
 				histories++
-				vcl, vdl := recoveryPoint(h.summaries())
+				vcl, vdl, _ := recoveryPoint(h.views())
 				ovcl, ovdl := h.oracle()
 				switch {
 				case vcl > ovcl:
-					if resurrects++; exResurrect == "" {
-						exResurrect = fmt.Sprintf("%v: VCL %d / VDL %d, oracle %d / %d", h, vcl, vdl, ovcl, ovdl)
-					}
+					resurrects++
 				case vdl < ovdl:
-					if loses++; exLose == "" {
-						exLose = fmt.Sprintf("%v: VCL %d / VDL %d, oracle %d / %d", h, vcl, vdl, ovcl, ovdl)
-					}
-				case vdl != ovdl:
+					loses++
+				}
+				if vcl != ovcl || vdl != ovdl {
 					t.Errorf("%v: recoveryPoint VCL %d / VDL %d, oracle %d / %d", h, vcl, vdl, ovcl, ovdl)
-				case vcl < ovcl:
-					lowVCL++
 				}
 			})
 		}
 	}
-	t.Logf("%d histories: %d resurrect, %d lose, %d with a low VCL and the right VDL", histories, resurrects, loses, lowVCL)
-	t.Logf("first resurrecting: %s", exResurrect)
-	t.Logf("first losing: %s", exLose)
-	if resurrects == 0 || loses == 0 {
-		t.Fatalf("%d resurrecting and %d losing histories: a class is gone, so recoveryPoint changed — update this sweep", resurrects, loses)
+	t.Logf("%d histories: %d resurrect, %d lose", histories, resurrects, loses)
+	if resurrects != 0 || loses != 0 {
+		t.Fatalf("%d resurrecting and %d losing histories", resurrects, loses)
 	}
 }

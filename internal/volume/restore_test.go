@@ -165,6 +165,59 @@ func waitForStragglers(t *testing.T, f *Fleet, c *Client) {
 	}
 }
 
+// TestRestoreStaggeredBackupsKeepAPrefix: segments back up independently, so
+// a restore point can fall after one PG's backup took a record and before the
+// other's took the record framed ahead of it. PG0 is backed up empty; then X
+// (PG0) is written at 1, Y and Z (PG1) at 2 and 3, and PG1 is backed up. The
+// restored volume holds Y and Z but not X, so the prefix of the history it
+// can keep is empty. The nodes of PG1 learned the source's VDL of 3 before
+// their backup; that VDL describes the source volume, not what was restored.
+func TestRestoreStaggeredBackupsKeepAPrefix(t *testing.T) {
+	f, c, store, setClock := pitrStack(t)
+	var page [2]core.PageID
+	for id, found := core.PageID(0), 0; found < 3; id++ {
+		if g := c.PGOf(id); found&(1<<g) == 0 {
+			page[g] = id
+			found |= 1 << g
+		}
+	}
+	backup := func(pg core.PGID) {
+		for _, n := range f.Replicas(pg) {
+			if v := n.BackupNow(); v == 0 {
+				t.Fatal("backup failed")
+			}
+		}
+	}
+	setClock(time.Unix(2000, 0))
+	backup(0)
+	for i, g := range []core.PGID{0, 1, 1} {
+		if lsn := writePage(t, c, page[g], fmt.Sprintf("%c", "XYZ"[i])); lsn != core.LSN(i+1) {
+			t.Fatalf("%c framed at %d, want %d", "XYZ"[i], lsn, i+1)
+		}
+	}
+	waitForStragglers(t, f, c)
+	setClock(time.Unix(3000, 0))
+	backup(1)
+
+	restored, _, err := RestoreFleet(FleetConfig{
+		Name: "pitr", Geometry: core.UniformGeometry(2), Net: netsim.New(netsim.FastLocal()), Disk: disk.FastLocal(), Store: store,
+	}, time.Unix(3500, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, rep, err := Recover(context.Background(), restored, ClientConfig{WriterNode: "restored-writer", WriterAZ: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if rep.VCL != 0 || rep.VDL != 0 {
+		t.Fatalf("recovered VCL %d / VDL %d; want 0 / 0: no restored segment holds X at 1", rep.VCL, rep.VDL)
+	}
+	if p, _, err := c2.ReadPage(context.Background(), page[1]); err == nil && p.Payload()[0] != 0 {
+		t.Fatalf("the restored volume serves %q on PG1, framed after the X it lost", p.Payload()[:1])
+	}
+}
+
 func TestRestoreRepairsMissingReplicas(t *testing.T) {
 	f, c, store, setClock := pitrStack(t)
 	for i := 0; i < 6; i++ {

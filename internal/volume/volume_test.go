@@ -496,11 +496,11 @@ func TestRecoveryEpochsIncrease(t *testing.T) {
 	}
 }
 
-// TestRecoverUnmovedByCPLTrim: coalescing trims every node's CPL index below
-// its GC tail and keeps the highest CPL at or below it. Recovery asks only
-// for the highest CPL at or below the VCL it computes, which never lies below
-// a GC tail (VCL ≥ VDL ≥ PGMRPL ≥ GC tail), so it lands on the same VCL and
-// VDL after the trim as before it.
+// TestRecoverUnmovedByCPLTrim: coalescing collects every node's log up to the
+// VDL and keeps, of the CPLs it drops, only the highest (gcCPL). Recovery's
+// walk starts at the highest floor, and a floor's CPL answers for every CPL
+// below it, so recovery lands on the same VCL and VDL after the trim as
+// before it.
 func TestRecoverUnmovedByCPLTrim(t *testing.T) {
 	ctx := context.Background()
 	f, c := testVolume(t, 2)
@@ -522,15 +522,16 @@ func TestRecoverUnmovedByCPLTrim(t *testing.T) {
 				t.Fatal(err)
 			}
 			tail := n.SCL()
-			if n.HighestCPLAtOrBelow(tail-1) == 0 {
-				t.Fatalf("setup: pg %d replica %d has no CPL below its tail %d", g, r, tail)
+			if held := n.Stats().RecordsHeld; held < 2 {
+				t.Fatalf("setup: pg %d replica %d holds %d records, want a CPL below its tail %d", g, r, held, tail)
 			}
 			n.CoalesceOnce()
-			if n.GCTail() != tail || n.HighestCPLAtOrBelow(tail) != tail {
-				t.Fatalf("pg %d replica %d: GC tail %d, CPL floor %d, want both at %d", g, r, n.GCTail(), n.HighestCPLAtOrBelow(tail), tail)
-			}
-			if low := n.HighestCPLAtOrBelow(tail - 1); low != 0 {
-				t.Fatalf("pg %d replica %d: CPL %d below the GC tail %d outlived the trim", g, r, low, tail)
+			// Recovery 2's truncation starts at the VDL, at or above every GC
+			// tail, so the floor and its CPL are the VDL before and after.
+			if v := n.RecoveryView(); n.GCTail() != tail || n.Stats().RecordsHeld != 0 ||
+				v.Floor != before.VDL || v.FloorCPL != before.VDL || len(v.Held) != 0 {
+				t.Fatalf("pg %d replica %d: GC tail %d, %d records held, view %+v; want GC tail %d, nothing held, floor and floor CPL %d",
+					g, r, n.GCTail(), n.Stats().RecordsHeld, v, tail, before.VDL)
 			}
 		}
 	}
