@@ -158,13 +158,6 @@ func (t *Tree) descend(key []byte, path []core.PageID) (_ []core.PageID, leafID 
 	}
 }
 
-// Prefetch walks from the root to key's leaf and reads nothing out of it:
-// every page a Put or Delete of key descends through passes through the store.
-func (t *Tree) Prefetch(key []byte) error {
-	_, _, _, err := t.descend(key, nil)
-	return err
-}
-
 // Get returns the value stored for key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if err := checkKV(key, nil); err != nil {

@@ -99,10 +99,6 @@ type DB struct {
 
 	reads atomic.Uint64 // pages read from the volume
 
-	// warmLeft counts down the commits that warm their write sets before
-	// their first apply (Tx.applyLatched).
-	warmLeft atomic.Int32
-
 	// Commit-path gauges, recorded lock-free on the hot path.
 	commitLat  metrics.Histogram // commit latency, nanoseconds
 	groupSizes metrics.Histogram // commits per framed group
@@ -359,29 +355,17 @@ func (db *DB) fetch(ctx context.Context, s *bufcache.Pins, id core.PageID) (page
 	return p, err
 }
 
-// warmRun is how many commits in a row must find their pages cached before
-// commits stop warming their write sets first.
-const warmRun = 64
-
-// errMissed is a miss a hits-only write store refused to read.
-var errMissed = errors.New("engine: page not cached")
-
 // writeStore serves the mutation path: every page is pinned until Release
 // (bufcache.Pins), and a miss reads under the instance root — a commit's
-// apply is not bounded by the committer's deadline. A hitsOnly store refuses
-// a miss with errMissed instead (Tx.applyLatched).
+// apply is not bounded by the committer's deadline.
 type writeStore struct {
 	bufcache.Pins
-	db       *DB
-	hitsOnly bool
+	db *DB
 }
 
 func (s *writeStore) Page(id core.PageID) (page.Page, error) {
 	if p, ok := s.Get(id); ok {
 		return p, nil
-	}
-	if s.hitsOnly {
-		return nil, errMissed
 	}
 	return s.db.fetch(s.db.rootCtx, &s.Pins, id)
 }

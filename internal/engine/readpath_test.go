@@ -56,81 +56,3 @@ func TestGetMissAllocatesOnlyTheValue(t *testing.T) {
 		t.Fatalf("a Get that misses on its leaf allocates %.2f objects, want 1 (the value it returns)", avg)
 	}
 }
-
-// TestCommitWarmsWhatItsApplyMissed: a commit whose write set reaches a leaf
-// that is not cached applies no page read under the exclusive latch. Its
-// first apply inserts into a cached leaf, misses on the next row and is rolled
-// back; the write set's pages are read under the shared latch and the apply
-// runs again. The rows, in the cache and on the storage nodes, and the row
-// count come out as one apply would leave them, and the commits after it warm
-// their write sets first.
-func TestCommitWarmsWhatItsApplyMissed(t *testing.T) {
-	_, db := testDB(t, Config{CachePages: 8})
-	const rows = 2000
-	key := func(i int) []byte { return []byte(fmt.Sprintf("row%06d", i)) }
-	for i := 0; i < rows; i++ {
-		if err := db.Put(key(i), []byte("old")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.warmLeft.Load() != 0 {
-		t.Fatalf("a sequential load warmed %d commits ahead, want 0", db.warmLeft.Load())
-	}
-
-	// The root and the last leaf are the cache's most recent pages.
-	if _, _, err := db.Get(key(rows - 1)); err != nil {
-		t.Fatal(err)
-	}
-	before := db.Stats().Reads
-	tx := db.Begin()
-	for _, err := range []error{
-		tx.Put(key(rows), []byte("new")), // into the last leaf written: cached
-		tx.Put(key(0), []byte("new")),    // the first: evicted long ago
-		tx.Put([]byte("row-inserted"), []byte("new")),
-		tx.Delete(key(rows / 2)),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if db.Stats().Reads == before {
-		t.Fatal("the commit read no page: its leaves were cached")
-	}
-	if got := db.warmLeft.Load(); got != warmRun {
-		t.Fatalf("after a missed apply %d commits warm first, want %d", got, warmRun)
-	}
-
-	// The cached pages, and the storage service's pages that the redo built,
-	// which a snapshot reads.
-	snap := db.BeginSnapshot()
-	defer snap.Abort()
-	for _, c := range []struct {
-		key   []byte
-		val   string
-		found bool
-	}{
-		{key(rows), "new", true}, {key(0), "new", true}, {[]byte("row-inserted"), "new", true},
-		{key(rows / 2), "", false}, {key(1), "old", true},
-	} {
-		for _, get := range []func([]byte) ([]byte, bool, error){db.Get, snap.Get} {
-			v, ok, err := get(c.key)
-			if err != nil || ok != c.found || string(v) != c.val {
-				t.Errorf("get %s = %q, %v, %v; want %q, %v", c.key, v, ok, err, c.val, c.found)
-			}
-		}
-	}
-	if n, err := db.Rows(); err != nil || n != rows+1 {
-		t.Fatalf("rows = %d, %v; want %d (two inserts, one delete)", n, err, rows+1)
-	}
-
-	// The next commit warms first; its pages are cached, so the run shortens.
-	if err := db.Put(key(rows-1), []byte("newer")); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.warmLeft.Load(); got != warmRun-1 {
-		t.Fatalf("after a warm that read nothing %d commits warm first, want %d", got, warmRun-1)
-	}
-}

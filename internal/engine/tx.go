@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -148,67 +147,10 @@ func (tx *Tx) apply(req *commitReq) error {
 	return nil
 }
 
-// applyLatched takes the exclusive latch and applies the write set under it,
-// and returns with the latch held. One storage read under the exclusive latch
-// would hold every committer behind it, so the apply reads no page: a miss
-// rolls it back, the write set's pages are read under the shared latch
-// (Tx.warm), beside other readers, and kept pinned, and the apply runs again.
-// After a miss, commits warm their write sets before their first apply, until
-// warmRun of them in a row have read nothing.
-func (tx *Tx) applyLatched(req *commitReq, root *trace.Span) error {
-	db := tx.db
-	defer tx.reads.Release()
-	if db.warmLeft.Load() > 0 {
-		reads := db.reads.Load()
-		tx.warm(root)
-		if db.reads.Load() == reads {
-			db.warmLeft.Add(-1)
-		} else {
-			db.warmLeft.Store(warmRun)
-		}
-	}
-	req.ws.hitsOnly = true
-	err := tx.latchAndApply(req, root)
-	req.ws.hitsOnly = false
-	if !errors.Is(err, errMissed) {
-		return err
-	}
-	db.warmLeft.Store(warmRun)
-	db.latch.Unlock()
-	tx.warm(root)
-	return tx.latchAndApply(req, root)
-}
-
-// warm reads the tree paths of the write set's keys into the cache under the
-// shared latch, pinned in tx.reads. A failed read is left for the apply, which
-// reads the page again and reports it.
-func (tx *Tx) warm(root *trace.Span) {
-	sp := root.Child("commit.warm")
-	t := btree.View(&tx.reads)
-	tx.db.latch.RLock()
-	tx.ws.Each(func(key string, _ []byte, _ bool) {
-		_ = t.Prefetch([]byte(key))
-	})
-	tx.db.latch.RUnlock()
-	sp.End()
-}
-
-// latchAndApply takes the exclusive latch and applies the write set; the
-// latch stays held, whatever the outcome.
-func (tx *Tx) latchAndApply(req *commitReq, root *trace.Span) error {
-	lsp := root.Child("commit.latch")
-	tx.db.latch.Lock()
-	lsp.End()
-	asp := root.Child("commit.apply")
-	defer asp.End()
-	return tx.apply(req)
-}
-
 // commitPipelined is the commit path, stage 1 of the pipeline. Back-pressure
 // is taken in reserve, before any latch; the exclusive latch covers only the
-// apply and a pointer enqueue, and reads a page only where a warm read failed
-// (applyLatched); framing, shipping and durability happen in the pipeline's
-// own stages while this goroutine waits on its completion channel.
+// apply and a pointer enqueue; framing, shipping and durability happen in the
+// pipeline's own stages while this goroutine waits on its completion channel.
 //
 // Config.SyncCommit, the synchronous-commit ablation, is this path with the
 // latch kept until the outcome arrives: the worker stalls everyone through
@@ -228,8 +170,13 @@ func (tx *Tx) commitPipelined(ctx context.Context) error {
 		return fmt.Errorf("txn %d: %w", tx.ID(), err)
 	}
 	rsp.End()
+	lsp := root.Child("commit.latch")
+	tx.db.latch.Lock()
+	lsp.End()
 	req := tx.db.newCommitReq(tx.ID())
-	err := tx.applyLatched(req, root)
+	asp := root.Child("commit.apply")
+	err := tx.apply(req)
+	asp.End()
 	if err != nil {
 		tx.db.latch.Unlock()
 		p.unreserve()
