@@ -377,6 +377,41 @@ func TestBackToBackRecoveriesNeverReuseAnLSN(t *testing.T) {
 	}
 }
 
+// TestRecoverAfterGrowthKeepsWrites: two recoveries with writes between them
+// leave two truncation ranges, and every replica names only the second. A
+// grow then adds a PG whose replicas applied no truncation at all. The walk
+// must still start at the second range's From: the first range is a hole no
+// view names, and a walk from the GC tails would stop in it and annul every
+// acknowledged write above it.
+func TestRecoverAfterGrowthKeepsWrites(t *testing.T) {
+	ctx := context.Background()
+	f, c := testVolume(t, 1)
+	var last core.LSN
+	for w := 2; w <= 4; w++ {
+		for i := 0; i < 3; i++ {
+			last = writePage(t, c, core.PageID(i), fmt.Sprintf("w%d-%d", w, i))
+		}
+		if w == 4 {
+			if _, err := c.Grow(1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				last = writePage(t, c, core.PageID(i), fmt.Sprintf("g%02d", i))
+			}
+		}
+		c.Crash()
+		var rep *RecoveryReport
+		var err error
+		if c, rep, err = Recover(ctx, f, ClientConfig{WriterNode: netsim.NodeID(fmt.Sprintf("writer%d", w)), WriterAZ: 0}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if rep.VDL != last {
+			t.Fatalf("recovery %d: VDL %d, want the last acknowledged write at %d", w-1, rep.VDL, last)
+		}
+	}
+}
+
 // history is one small volume history for the recovery sweep: records at
 // LSNs 1..len(pg), record i in protection group pg[i], closing its MTR when
 // cpl[i], and held by its PG's reachable replicas (which agree after
